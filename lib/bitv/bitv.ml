@@ -270,6 +270,15 @@ let add_in_place i b =
   b.b_bits.(i / bits_per_word) <-
     b.b_bits.(i / bits_per_word) lor (1 lsl (i mod bits_per_word))
 
+let remove_in_place i b =
+  if i < 0 || i >= b.b_width then
+    invalid_arg
+      (Printf.sprintf
+         "Bitv.remove_in_place: index %d out of bounds (width %d)" i
+         b.b_width);
+  b.b_bits.(i / bits_per_word) <-
+    b.b_bits.(i / bits_per_word) land lnot (1 lsl (i mod bits_per_word))
+
 let builder_mem i b =
   i >= 0 && i < b.b_width
   && b.b_bits.(i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0
@@ -299,6 +308,25 @@ let union_into src b =
   !changed
 
 let freeze b = { width = b.b_width; bits = Array.copy b.b_bits; h = -1 }
+
+(* --- raw words ---------------------------------------------------------
+
+   The merging enumeration keeps each class's union as plain words in one
+   flat int array, so a join is a word OR and a backtrack a word store;
+   these two convert at its edges. *)
+
+let word_count = words
+
+let blit_words t dst pos = Array.blit t.bits 0 dst pos (Array.length t.bits)
+
+let of_words width src pos =
+  if width < 0 then invalid_arg "Bitv.of_words: negative width";
+  let n = words width in
+  let bits = Array.sub src pos n in
+  let tail = width mod bits_per_word in
+  if n > 0 && tail > 0 then
+    bits.(n - 1) <- bits.(n - 1) land ((1 lsl tail) - 1);
+  { width; bits; h = -1 }
 
 (* --- flattened boolean matrices -------------------------------------- *)
 

@@ -99,6 +99,7 @@ val builder_reset : builder -> unit
 (** Clear every bit, reusing the storage. *)
 
 val add_in_place : int -> builder -> unit
+val remove_in_place : int -> builder -> unit
 val builder_mem : int -> builder -> bool
 
 val add_range_in_place : lo:int -> hi:int -> builder -> unit
@@ -113,6 +114,24 @@ val union_into : t -> builder -> bool
 
 val freeze : builder -> t
 (** An immutable snapshot (copy) of the builder's current contents. *)
+
+(** {2 Raw words}
+
+    For kernels that keep many small sets side by side in one flat
+    [int array] (one group of {!word_count} words per set) and combine
+    them with word arithmetic. Bit [i] of a set lives in word
+    [i / Sys.int_size], at bit [i mod Sys.int_size]. *)
+
+val word_count : int -> int
+(** [word_count width]: the number of words of a vector of that width. *)
+
+val blit_words : t -> int array -> int -> unit
+(** [blit_words t dst pos] copies the {!word_count} words of [t] into
+    [dst] starting at [pos]. *)
+
+val of_words : int -> int array -> int -> t
+(** [of_words width src pos] is the vector of that width whose words are
+    [src.(pos) ..]; bits past [width] are ignored. *)
 
 val of_rows : row_width:int -> t array -> t
 (** [of_rows ~row_width rows] concatenates equal-width rows into one

@@ -86,33 +86,6 @@ end)
 
 module BvTbl = Hashtbl.Make (Bitv)
 
-(* Canonical merging keys: one entry per class, (has_root, stepped-up
-   base union), sorted — the multiset the resulting state depends on.
-   Dedicated equality/hash on the Bitv components; no polymorphic
-   hashing of element lists. *)
-module MergeKeyTbl = Hashtbl.Make (struct
-  type t = (bool * Bitv.t) array
-
-  let equal a b =
-    Array.length a = Array.length b
-    &&
-    let n = Array.length a in
-    let rec go i =
-      i >= n
-      ||
-      let r1, b1 = a.(i) and r2, b2 = b.(i) in
-      Bool.equal r1 r2 && Bitv.equal b1 b2 && go (i + 1)
-    in
-    go 0
-
-  let hash a =
-    Array.fold_left
-      (fun h (r, bv) ->
-        ((h * 0x01000193) lxor Bitv.hash bv lxor (if r then 0x9E37 else 0))
-        land max_int)
-      (Array.length a) a
-end)
-
 type prov =
   | PLeaf of Label.t * int array  (** label, class_values *)
   | PNode of Label.t * int array * Merging.t * int array
@@ -158,6 +131,7 @@ type search = {
   mutable transitions : int;
   mutable mergings : int;
   final : Bitv.t;
+  enum : Merging.enum;  (** the sequential round's merging scratch *)
   (* parallel-engine bookkeeping (zero when running sequentially) *)
   mutable wctxs : Transition.ctx array;
       (** domain-local {!Transition.ctx} replicas, slot 0 = [ctx]; kept
@@ -322,6 +296,34 @@ let bump_transitions s =
   if s.transitions > s.cfg.max_transitions then
     raise (Limit "transition budget")
 
+(* The merging kernel both engines share. A combo's items are the
+   visible values of its children, child by child, each with its
+   step-up (precomputed at state discovery). The resulting state
+   depends on a merging only through the multiset of its classes'
+   stepped-up bases (plus the root flag), so [Merging.iter] runs over
+   every merging — each one counts against the budgets — and
+   [Merging.fresh_key] picks the first of each key, in enumeration
+   order, as the one to apply. *)
+let load_combo enum ~k_card ~val_su ~visible combo =
+  Merging.clear enum ~width:k_card;
+  for i = 0 to Array.length combo - 1 do
+    let id = combo.(i) in
+    let su = val_su.(id) in
+    Array.iter (fun v -> Merging.push enum i v su.(v)) visible.(id)
+  done
+
+(* The enumeration's current partition, materialized, and its class
+   bases: the class unions the enumeration already holds, plus the
+   initial state in the root class — what [Transition.combine] would
+   otherwise recompute. *)
+let distinct_merging enum ~initial =
+  let bases =
+    Array.init (Merging.n_classes enum) (fun c ->
+        let b = Merging.class_union enum c in
+        if c = 0 then Bitv.add initial b else b)
+  in
+  (Merging.current enum, bases)
+
 (* One saturation round: apply every unseen transition whose children
    include at least one state discovered in the previous round. Returns
    whether new states appeared. *)
@@ -337,49 +339,8 @@ let round s ~labels ~width ~height ~fresh_from ~pool =
     iter_combos ~n ~w ~is_fresh (fun combo ->
         let combo = Array.map (fun p -> pool.(p)) combo in
         let children = Array.map (fun id -> s.states.(id)) combo in
-        (* Visible values and their step-ups were precomputed at state
-           discovery; a combo only gathers pointers. *)
-        let combo_su = Array.map (fun id -> s.val_su.(id)) combo in
-        let items =
-          List.concat
-            (List.mapi
-               (fun i id ->
-                 List.map (fun v -> (i, v)) (Array.to_list s.visible.(id)))
-               (Array.to_list combo))
-        in
-        (* The resulting state depends on a merging only through the
-           multiset of its classes' stepped-up bases (plus the root
-           flag), so mergings with the same canonical key are
-           interchangeable: process one representative. The key is the
-           sorted array of per-class (root flag, base-union) pairs,
-           hashed with the dedicated Bitv hasher. *)
-        let seen_keys = MergeKeyTbl.create 64 in
-        let kb = Bitv.builder k_card in
-        let merging_key (merging : Merging.t) =
-          (* [inorder] keeps class order for reuse as [combine]'s bases;
-             the canonical key is a sorted copy. *)
-          let inorder =
-            Array.of_list
-              (List.map
-                 (fun (kl : Merging.klass) ->
-                   Bitv.builder_reset kb;
-                   List.iter
-                     (fun (i, v) ->
-                       ignore (Bitv.union_into combo_su.(i).(v) kb))
-                     kl.Merging.members;
-                   (kl.Merging.has_root, Bitv.freeze kb))
-                 merging)
-          in
-          let key = Array.copy inorder in
-          Array.sort
-            (fun (r1, b1) (r2, b2) ->
-              let c = Bool.compare r1 r2 in
-              if c <> 0 then c else Bitv.compare b1 b2)
-            key;
-          (key, inorder)
-        in
-        Merging.iter ?budget:cfg.merge_budget items
-          (fun merging ->
+        load_combo s.enum ~k_card ~val_su:s.val_su ~visible:s.visible combo;
+        Merging.iter ?budget:cfg.merge_budget s.enum (fun enum ->
             s.mergings <- s.mergings + 1;
             (* Merging enumeration can dwarf the committed transitions;
                charge it against the same budget so a stall is reported
@@ -387,18 +348,9 @@ let round s ~labels ~width ~height ~fresh_from ~pool =
             if s.mergings > 20 * s.cfg.max_transitions then
               raise (Limit "merging budget");
             if s.mergings land 255 = 0 then poll_stop s.cfg;
-            let key, inorder = merging_key merging in
-            if not (MergeKeyTbl.mem seen_keys key) then begin
-              MergeKeyTbl.add seen_keys key ();
-              (* The per-class base unions were just computed for the
-                 key; add the initial state to the root class and hand
-                 them to [combine] instead of re-unioning step-ups. *)
-              let bases =
-                Array.map
-                  (fun (has_root, b) ->
-                    if has_root then Bitv.add pf.Pathfinder.initial b
-                    else b)
-                  inorder
+            if Merging.fresh_key enum then begin
+              let merging, bases =
+                distinct_merging enum ~initial:pf.Pathfinder.initial
               in
               List.iter
                 (fun label ->
@@ -510,8 +462,8 @@ let cursor_next cu ~n ~width ~fresh_from =
    counters, so [!local > budget] certifies a replay-time crossing.
    [on_poll] is consulted where the sequential engine polls
    [should_stop]; returning [true] aborts with [Co_stop_poll]. *)
-let eval_combo ~ctx ~cfg ~states ~val_su ~visible ~labels ~final ~k_card
-    ~budget_m ~budget_t ~local_m ~local_t ~on_poll combo =
+let eval_combo ~ctx ~enum ~cfg ~states ~val_su ~visible ~labels ~final
+    ~k_card ~budget_m ~budget_t ~local_m ~local_t ~on_poll combo =
   let events = ref [] in
   let pending = ref 0 in
   let status = ref Co_done in
@@ -522,39 +474,11 @@ let eval_combo ~ctx ~cfg ~states ~val_su ~visible ~labels ~final ~k_card
     end
   in
   let children = Array.map (fun id -> states.(id)) combo in
-  let combo_su = Array.map (fun id -> val_su.(id)) combo in
-  let items =
-    List.concat
-      (List.mapi
-         (fun i id -> List.map (fun v -> (i, v)) (Array.to_list visible.(id)))
-         (Array.to_list combo))
-  in
-  let seen_keys = MergeKeyTbl.create 64 in
-  let kb = Bitv.builder k_card in
   let initial = (Transition.bip_of ctx).Bip.pf.Pathfinder.initial in
-  let merging_key (merging : Merging.t) =
-    let inorder =
-      Array.of_list
-        (List.map
-           (fun (kl : Merging.klass) ->
-             Bitv.builder_reset kb;
-             List.iter
-               (fun (i, v) -> ignore (Bitv.union_into combo_su.(i).(v) kb))
-               kl.Merging.members;
-             (kl.Merging.has_root, Bitv.freeze kb))
-           merging)
-    in
-    let key = Array.copy inorder in
-    Array.sort
-      (fun (r1, b1) (r2, b2) ->
-        let c = Bool.compare r1 r2 in
-        if c <> 0 then c else Bitv.compare b1 b2)
-      key;
-    (key, inorder)
-  in
+  load_combo enum ~k_card ~val_su ~visible combo;
   (try
-     Merging.iter ?budget:cfg.merge_budget items
-       (fun merging ->
+     Merging.iter ?budget:cfg.merge_budget enum
+       (fun enum ->
          incr local_m;
          incr pending;
          if !local_m > budget_m then begin
@@ -566,16 +490,9 @@ let eval_combo ~ctx ~cfg ~states ~val_su ~visible ~labels ~final ~k_card
            status := Co_stop_poll;
            raise Exit
          end;
-         let key, inorder = merging_key merging in
-         if not (MergeKeyTbl.mem seen_keys key) then begin
-           MergeKeyTbl.add seen_keys key ();
+         if Merging.fresh_key enum then begin
            flush ();
-           let bases =
-             Array.map
-               (fun (has_root, b) ->
-                 if has_root then Bitv.add initial b else b)
-               inorder
-           in
+           let merging, bases = distinct_merging enum ~initial in
            List.iter
              (fun label ->
                incr local_t;
@@ -673,6 +590,7 @@ let round_parallel s ~labels ~width ~height ~fresh_from ~workers ~pool =
   and visible = s.visible
   and final = s.final in
   let wctxs = worker_ctxs s workers in
+  let enums = Array.init workers (fun _ -> Merging.create ()) in
   let cu = cursor_make ~n ~width ~fresh_from in
   let wave_cap = workers * 64 in
   let buf = Array.make wave_cap [||] in
@@ -691,8 +609,8 @@ let round_parallel s ~labels ~width ~height ~fresh_from ~workers ~pool =
       | _ -> false
     in
     let events, _ =
-      eval_combo ~ctx:s.ctx ~cfg ~states ~val_su ~visible ~labels ~final
-        ~k_card
+      eval_combo ~ctx:s.ctx ~enum:s.enum ~cfg ~states ~val_su ~visible
+        ~labels ~final ~k_card
         ~budget_m:((20 * cfg.max_transitions) - s.mergings)
         ~budget_t:(cfg.max_transitions - s.transitions)
         ~local_m:(ref 0) ~local_t:(ref 0) ~on_poll combo
@@ -782,9 +700,9 @@ let round_parallel s ~labels ~width ~height ~fresh_from ~workers ~pool =
                   let i = Atomic.fetch_and_add next 1 in
                   if i < n_wave && i <= Atomic.get stop_at then begin
                     let events, status =
-                      eval_combo ~ctx ~cfg ~states ~val_su ~visible ~labels
-                        ~final ~k_card ~budget_m ~budget_t ~local_m ~local_t
-                        ~on_poll buf.(i)
+                      eval_combo ~ctx ~enum:enums.(slot) ~cfg ~states
+                        ~val_su ~visible ~labels ~final ~k_card ~budget_m
+                        ~budget_t ~local_m ~local_t ~on_poll buf.(i)
                     in
                     flush_shared ();
                     (match status with
@@ -1208,6 +1126,7 @@ let check_full ?(config = default_config) ?(want_basis = false) (m : Bip.t) =
       transitions = 0;
       mergings = 0;
       final = m.Bip.final;
+      enum = Merging.create ();
       wctxs = [||];
       par_domains_used = 1;
       par_rounds = 0;

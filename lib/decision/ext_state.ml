@@ -78,15 +78,21 @@ let validate t =
    (no [unique] can point at either — both would contain that k, making
    it many), so any stable assignment is canonical. *)
 let canonicalize ~states ~eq ~neq ~values ~unique ~many =
-  let order =
-    List.sort
-      (fun i j -> Bitv.compare values.(i) values.(j))
-      (List.init (Array.length values) Fun.id)
-  in
-  let position = Array.make (Array.length values) 0 in
-  List.iteri (fun rank i -> position.(i) <- rank) order;
-  let values' = Array.make (Array.length values) (Bitv.empty 0) in
-  Array.iteri (fun i v -> values'.(position.(i)) <- v) values;
+  (* stable insertion sort of the value indices: a handful of values *)
+  let n = Array.length values in
+  let order = Array.init n Fun.id in
+  for i = 1 to n - 1 do
+    let x = order.(i) in
+    let j = ref i in
+    while !j > 0 && Bitv.compare values.(order.(!j - 1)) values.(x) > 0 do
+      order.(!j) <- order.(!j - 1);
+      decr j
+    done;
+    order.(!j) <- x
+  done;
+  let position = Array.make n 0 in
+  Array.iteri (fun rank i -> position.(i) <- rank) order;
+  let values' = Array.map (fun i -> values.(i)) order in
   let unique' =
     Array.map (fun u -> if u < 0 then -1 else position.(u)) unique
   in

@@ -55,57 +55,224 @@ let enumerate ?budget (items : (int * int) list) : t Seq.t =
   in
   go [ { has_root = true; members = [] } ] 0 items
 
-(* Backtracking twin of [enumerate] — same partitions in the same
-   order, but with in-place class stacks instead of per-item copies of
-   the partial partition. The emptiness round enumerates millions of
-   mergings per solve; only the emitted [t] is allocated here. *)
-let iter ?budget (items : (int * int) list) (f : t -> unit) =
+(* --- keyed enumeration ---
+
+   The emptiness round enumerates millions of mergings per solve, and a
+   transition depends on a merging only through the multiset of its
+   classes' (root flag, stepped-up base union) — most mergings repeat a
+   key already seen for the same children. So the enumeration carries
+   each class's union as raw words beside the partition: a join ORs the
+   item's words into its class (saving the old words), a backtrack
+   stores them back. The canonical key is then a flat [int array] built
+   from those words, and the partition itself ([current]) and its class
+   unions as bit vectors are materialized only for a key not seen
+   before. All buffers live in one reusable [enum], so a combo whose
+   partitions are all repeats allocates nothing. *)
+
+(* A key is length-prefixed: [k.(0) = n], payload [k.(1) .. k.(n)] — the
+   number of classes, the root class's words, then the other classes'
+   words in ascending order. The probe key is a longer scratch buffer;
+   stored keys are exact copies. *)
+module KeyTbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal a b =
+    let n = a.(0) in
+    n = b.(0)
+    &&
+    let rec go i = i > n || (a.(i) = b.(i) && go (i + 1)) in
+    go 1
+
+  let hash a =
+    let h = ref a.(0) in
+    for i = 1 to a.(0) do
+      h := (!h lxor a.(i)) * 0x01000193
+    done;
+    (!h lxor (!h lsr 29)) land max_int
+end)
+
+type enum = {
+  mutable width : int;  (** width of the items' vectors *)
+  mutable nw : int;  (** words per vector *)
+  mutable n : int;  (** items loaded *)
+  mutable child : int array;
+  mutable value : int array;
+  mutable iwords : int array;  (** item [i]'s words at [i * nw] *)
+  mutable n_children : int;  (** 1 + the largest child index *)
+  (* the current partition *)
+  mutable n_classes : int;
+  mutable cwords : int array;  (** class [c]'s union at [c * nw] *)
+  mutable saved : int array;
+      (** at [i * nw]: the words item [i]'s class had before it joined *)
+  mutable size : int array;  (** members per class *)
+  mutable owns : Bytes.t;
+      (** [(c * n_children) + child] set iff class [c] holds a value of
+          that child — the same-child constraint in O(1) *)
+  mutable assign : int array;  (** item -> class *)
+  (* the canonical key *)
+  mutable kbuf : int array;
+  mutable order : int array;
+  seen : unit KeyTbl.t;
+}
+
+let create () =
+  {
+    width = 0;
+    nw = 0;
+    n = 0;
+    child = [||];
+    value = [||];
+    iwords = [||];
+    n_children = 0;
+    n_classes = 0;
+    cwords = [||];
+    saved = [||];
+    size = [||];
+    owns = Bytes.empty;
+    assign = [||];
+    kbuf = [||];
+    order = [||];
+    seen = KeyTbl.create 64;
+  }
+
+let clear e ~width =
+  e.width <- width;
+  e.nw <- Bitv.word_count width;
+  e.n <- 0;
+  e.n_children <- 0;
+  KeyTbl.reset e.seen
+
+let grow a len fill =
+  if Array.length a >= len then a
+  else begin
+    let a' = Array.make (max len (2 * Array.length a)) fill in
+    Array.blit a 0 a' 0 (Array.length a);
+    a'
+  end
+
+let push e child value bv =
+  if Bitv.width bv <> e.width then invalid_arg "Merging.push: width mismatch";
+  let i = e.n in
+  e.child <- grow e.child (i + 1) 0;
+  e.value <- grow e.value (i + 1) 0;
+  e.iwords <- grow e.iwords ((i + 1) * e.nw) 0;
+  e.child.(i) <- child;
+  e.value.(i) <- value;
+  Bitv.blit_words bv e.iwords (i * e.nw);
+  if child >= e.n_children then e.n_children <- child + 1;
+  e.n <- i + 1
+
+(* Same partitions in the same order as [enumerate]: restricted growth
+   over in-place class stacks. *)
+let iter ?budget e f =
   let max_cost = match budget with Some b -> b | None -> max_int in
-  let items = Array.of_list items in
-  let n = Array.length items in
-  let roots = Array.make (n + 1) false in
-  let members = Array.make (n + 1) [] in  (* reversed member lists *)
-  roots.(0) <- true;
-  let n_classes = ref 1 in
-  let emit () =
-    let rec build i acc =
-      if i < 0 then acc
-      else
-        build (i - 1)
-          ({ has_root = roots.(i); members = List.rev members.(i) } :: acc)
-    in
-    f (build (!n_classes - 1) [])
-  in
+  let n = e.n and nw = e.nw and nch = e.n_children in
+  e.cwords <- grow e.cwords ((n + 1) * nw) 0;
+  e.saved <- grow e.saved (n * nw) 0;
+  e.size <- grow e.size (n + 1) 0;
+  e.assign <- grow e.assign n 0;
+  e.kbuf <- grow e.kbuf (((n + 1) * nw) + 2) 0;
+  e.order <- grow e.order (n + 1) 0;
+  if Bytes.length e.owns < (n + 1) * nch then
+    e.owns <- Bytes.create (max ((n + 1) * nch) (2 * Bytes.length e.owns));
+  Bytes.fill e.owns 0 ((n + 1) * nch) '\000';
+  Array.fill e.cwords 0 nw 0;
+  e.size.(0) <- 0;
+  e.n_classes <- 1;
+  let cwords = e.cwords and iwords = e.iwords and saved = e.saved in
   let rec go idx cost =
-    if idx >= n then emit ()
+    if idx >= n then f e
     else begin
-      let item = items.(idx) in
-      let child = fst item in
-      for i = 0 to !n_classes - 1 do
-        let jc =
-          if roots.(i) then 1
-          else match members.(i) with [ _ ] -> 2 | _ -> 1
-        in
-        let cost' = cost + jc in
-        if
-          cost' <= max_cost
-          && not (List.exists (fun (c, _) -> c = child) members.(i))
-        then begin
-          members.(i) <- item :: members.(i);
+      let child = e.child.(idx) in
+      let ib = idx * nw in
+      for c = 0 to e.n_classes - 1 do
+        (* the root class and classes of two or more cost 1 to join; a
+           singleton costs 2, as both its members become merged *)
+        let cost' = cost + if c > 0 && e.size.(c) = 1 then 2 else 1 in
+        let own = (c * nch) + child in
+        if cost' <= max_cost && Bytes.get e.owns own = '\000' then begin
+          let cb = c * nw in
+          for j = 0 to nw - 1 do
+            saved.(ib + j) <- cwords.(cb + j);
+            cwords.(cb + j) <- cwords.(cb + j) lor iwords.(ib + j)
+          done;
+          Bytes.set e.owns own '\001';
+          e.size.(c) <- e.size.(c) + 1;
+          e.assign.(idx) <- c;
           go (idx + 1) cost';
-          members.(i) <- List.tl members.(i)
+          e.size.(c) <- e.size.(c) - 1;
+          Bytes.set e.owns own '\000';
+          for j = 0 to nw - 1 do
+            cwords.(cb + j) <- saved.(ib + j)
+          done
         end
       done;
-      let i = !n_classes in
-      roots.(i) <- false;
-      members.(i) <- [ item ];
-      incr n_classes;
+      let c = e.n_classes in
+      for j = 0 to nw - 1 do
+        cwords.((c * nw) + j) <- iwords.(ib + j)
+      done;
+      e.size.(c) <- 1;
+      Bytes.set e.owns ((c * nch) + child) '\001';
+      e.assign.(idx) <- c;
+      e.n_classes <- c + 1;
       go (idx + 1) cost;
-      decr n_classes;
-      members.(i) <- []
+      e.n_classes <- c;
+      Bytes.set e.owns ((c * nch) + child) '\000'
     end
   in
   go 0 0
+
+let n_classes e = e.n_classes
+
+let class_union e c =
+  if c < 0 || c >= e.n_classes then invalid_arg "Merging.class_union";
+  Bitv.of_words e.width e.cwords (c * e.nw)
+
+(* Lexicographic order on two classes' words. *)
+let compare_classes e c1 c2 =
+  let nw = e.nw in
+  let rec go j =
+    if j >= nw then 0
+    else
+      let d = Int.compare e.cwords.((c1 * nw) + j) e.cwords.((c2 * nw) + j) in
+      if d <> 0 then d else go (j + 1)
+  in
+  go 0
+
+let fresh_key e =
+  let nw = e.nw and nc = e.n_classes in
+  let k = e.kbuf and ord = e.order in
+  (* insertion sort of the non-root classes: there are a handful *)
+  for c = 1 to nc - 1 do
+    let j = ref c in
+    while !j > 1 && compare_classes e ord.(!j - 1) c > 0 do
+      ord.(!j) <- ord.(!j - 1);
+      decr j
+    done;
+    ord.(!j) <- c
+  done;
+  let len = 1 + (nc * nw) in
+  k.(0) <- len;
+  k.(1) <- nc;
+  for p = 0 to nc - 1 do
+    let src = (if p = 0 then 0 else ord.(p)) * nw and dst = 2 + (p * nw) in
+    for j = 0 to nw - 1 do
+      k.(dst + j) <- e.cwords.(src + j)
+    done
+  done;
+  if KeyTbl.mem e.seen k then false
+  else begin
+    KeyTbl.add e.seen (Array.sub k 0 (len + 1)) ();
+    true
+  end
+
+let current e =
+  let lists = Array.make e.n_classes [] in
+  for i = e.n - 1 downto 0 do
+    let c = e.assign.(i) in
+    lists.(c) <- (e.child.(i), e.value.(i)) :: lists.(c)
+  done;
+  List.init e.n_classes (fun c -> { has_root = c = 0; members = lists.(c) })
 
 let count ?budget items = Seq.length (enumerate ?budget items)
 

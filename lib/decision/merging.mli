@@ -31,11 +31,53 @@ val enumerate : ?budget:int -> (int * int) list -> t Seq.t
     polynomial family — a practical completeness knob, not part of the
     paper's construction. *)
 
-val iter : ?budget:int -> (int * int) list -> (t -> unit) -> unit
-(** [iter ?budget items f] calls [f] on exactly the partitions of
-    {!enumerate}, in the same order, via backtracking over in-place
-    class stacks — no intermediate partition copies, so this is what
-    the emptiness round uses. Exceptions from [f] abort the walk. *)
+(** {2 Keyed enumeration}
+
+    The emptiness fixpoint's form of {!enumerate}. Items carry a bit
+    vector each (the stepped-up description of the value); the
+    enumeration keeps every class's union of its members' vectors as
+    raw words, updated in place on each join and restored on backtrack,
+    and dedups partitions by the canonical key the transition depends
+    on: the multiset of (root flag, class union) pairs. One [enum] holds
+    every buffer and is reused from one item list to the next; it is
+    single-owner scratch (one per domain). *)
+
+type enum
+
+val create : unit -> enum
+
+val clear : enum -> width:int -> unit
+(** Start a new item list whose vectors have [width] bits, and forget
+    every key seen so far. *)
+
+val push : enum -> int -> int -> Bitv.t -> unit
+(** [push e child value bv] appends the item [(child, value)] with its
+    vector [bv] (of the width given to {!clear}). Pairs must not
+    repeat. *)
+
+val iter : ?budget:int -> enum -> (enum -> unit) -> unit
+(** [iter ?budget e f] calls [f e] once per partition of the pushed
+    items — exactly the partitions of {!enumerate} on the same item
+    list, in the same order. During a call, {!n_classes},
+    {!class_union}, {!fresh_key} and {!current} describe the current
+    partition. Exceptions from [f] abort the walk. *)
+
+val n_classes : enum -> int
+(** Classes of the current partition; class 0 holds the root. *)
+
+val class_union : enum -> int -> Bitv.t
+(** [class_union e c]: the union of the vectors of class [c]'s
+    members (∅ for a root class without members). *)
+
+val fresh_key : enum -> bool
+(** Whether no earlier partition since {!clear} had the current one's
+    key — the multiset of (root flag, {!class_union}) over its classes —
+    and records the key. The first partition of each key in
+    enumeration order is the one that answers [true]. *)
+
+val current : enum -> t
+(** The current partition, materialized (as {!enumerate} would yield
+    it). *)
 
 val count : ?budget:int -> (int * int) list -> int
 (** Number of partitions {!enumerate} yields (forces the sequence). *)

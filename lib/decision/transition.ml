@@ -58,6 +58,9 @@ type ctx = {
       (** per (c0, packed children tags): case-1 atom answers, encoded
           atom → truth. The lifted part of an atom is independent of the
           merging, so it is shared across every merging of a combo *)
+  cand : Bitv.builder;
+      (** {!decide_c0}'s candidate root label, grown and shrunk in place *)
+  proj : Bitv.builder;  (** [cand ∩ read_mask], maintained alongside *)
 }
 
 let make_ctx ?(project_pairs = false) (m : Bip.t) =
@@ -153,6 +156,8 @@ let make_ctx ?(project_pairs = false) (m : Bip.t) =
     v_tbl = BvTbl.create 64;
     lift_tbl = LiftTbl.create 1024;
     alift_tbl = AliftTbl.create 4096;
+    cand = Bitv.builder m.Bip.q_card;
+    proj = Bitv.builder m.Bip.q_card;
   }
 
 let bip_of ctx = ctx.m
@@ -170,6 +175,8 @@ let clone_ctx ctx =
     v_tbl = BvTbl.create 64;
     lift_tbl = LiftTbl.create 1024;
     alift_tbl = AliftTbl.create 4096;
+    cand = Bitv.builder ctx.m.Bip.q_card;
+    proj = Bitv.builder ctx.m.Bip.q_card;
   }
 
 let t0_default (m : Bip.t) =
@@ -284,25 +291,29 @@ let lift_of ctx ~c0 ~u ~k_card (c : Ext_state.t) =
       l
   end
 
-let build_eval ctx ~c0 ~(children : Ext_state.t array) ~bases ~manyb =
+(* [r] and [many0] are the class reaches and the many set under [c0]
+   (the closures of the class bases and of the many base). *)
+let build_eval ctx ~c0 ~(children : Ext_state.t array) ~r ~many0 =
   let pf = ctx.m.Bip.pf in
   let k_card = pf.Pathfinder.n_states in
-  let cl x = Pathfinder.closure_m ctx.memo ~label:c0 x in
-  let r = Array.map cl bases in
-  let many0 = cl manyb in
-  let nonzero = Array.fold_left Bitv.union many0 r in
+  let nonzero =
+    let b = Bitv.builder_of many0 in
+    Array.iter (fun re -> ignore (Bitv.union_into re b)) r;
+    Bitv.freeze b
+  in
   let eq_b = Bitv.builder (k_card * k_card) in
   let neq_b = Bitv.builder (k_card * k_card) in
   (* Shared class values: all pairs within one class are equal; pairs
      from two distinct classes are unequal. Rows are OR-ed straight
      into the flat matrices. *)
   let n_classes = Array.length r in
+  let others_b = Bitv.builder k_card in
   for e = 0 to n_classes - 1 do
-    let others = Bitv.builder k_card in
+    Bitv.builder_reset others_b;
     for e2 = 0 to n_classes - 1 do
-      if e2 <> e then ignore (Bitv.union_into r.(e2) others)
+      if e2 <> e then ignore (Bitv.union_into r.(e2) others_b)
     done;
-    let others = Bitv.freeze others in
+    let others = Bitv.freeze others_b in
     Bitv.union_rows_into r.(e) ~rows:r.(e) ~row_width:k_card eq_b;
     Bitv.union_rows_into others ~rows:r.(e) ~row_width:k_card neq_b
   done;
@@ -348,9 +359,14 @@ let rec assoc_find code = function
   | (c, (b : bool)) :: rest ->
     if c = code then Some b else assoc_find code rest
 
+(* The class reaches and the many set under the (projected) root label
+   [c0]: the closures of the class bases and of the many base. *)
+let reaches ctx ~c0 ~bases ~manyb =
+  let cl x = Pathfinder.closure_m ctx.memo ~label:c0 x in
+  (Array.map cl bases, cl manyb)
+
 let build_light ctx ~c0 ~ckey ~bases ~manyb =
   let k_card = ctx.m.Bip.pf.Pathfinder.n_states in
-  let cl x = Pathfinder.closure_m ctx.memo ~label:c0 x in
   let lv =
     match BvTbl.find_opt ctx.v_tbl c0 with
     | Some arr -> arr
@@ -371,8 +387,8 @@ let build_light ctx ~c0 ~ckey ~bases ~manyb =
         AliftTbl.add ctx.alift_tbl key r;
         r)
   in
-  { lr = Array.map cl bases; lmany0 = cl manyb; lc0 = c0; lv;
-    latoms = []; lalift }
+  let lr, lmany0 = reaches ctx ~c0 ~bases ~manyb in
+  { lr; lmany0; lc0 = c0; lv; latoms = []; lalift }
 
 let v_of ctx light k =
   let k_card = ctx.m.Bip.pf.Xpds_automata.Pathfinder.n_states in
@@ -491,79 +507,88 @@ let rec eval_form_light ctx (children : Ext_state.t array) ~label ~light =
       children
   | Bip.FCountLt (q, n) -> count_states children q < n
 
-(* Decide C(v0) component by component; returns all consistent root
-   labels (singleton for stratified automata). *)
+(* Decide C(v0) component by component; returns every consistent root
+   label with its read projection and that projection's light (a
+   singleton for stratified automata). The components are walked depth
+   first over one mutable candidate: a trivial component adds its state
+   when μ holds under the candidate so far; a cyclic one tries every
+   labelling of its states (with each state, then without, in component
+   order) and keeps those where μ agrees with the labelling under the
+   completed candidate. Consistent labels come out in the order of a
+   component-by-component breadth-first search: both list the leaves of
+   the same choice tree from left to right.
+
+   μ sees the candidate only through the light of its read projection
+   (every answer a light gives depends on the label only through enabled
+   read edges), so a light is shared along the walk and a new one is
+   made — lazily, forced only when a data atom is reached — only when an
+   added state labels a read edge. *)
 let decide_c0 ctx ~label ~children ~ckey ~bases ~manyb =
   let m = ctx.m in
-  let q_card = m.Bip.q_card in
-  (* One light context per candidate c0, shared across every μ
-     evaluated under it (a candidate is probed once per component
-     member); forced only when a data atom is reached. Candidates that
-     agree on the read-edge projection share one light: every answer a
-     light gives depends on the label only through enabled read edges. *)
-  let lights : light Lazy.t BvTbl.t = BvTbl.create 16 in
-  let plights : light Lazy.t BvTbl.t = BvTbl.create 16 in
-  let eval_with c0 f =
-    let light =
-      match BvTbl.find_opt lights c0 with
-      | Some l -> l
-      | None ->
-        let pc0 = Bitv.inter c0 ctx.read_mask in
-        let l =
-          match BvTbl.find_opt plights pc0 with
-          | Some l -> l
-          | None ->
-            let l = lazy (build_light ctx ~c0:pc0 ~ckey ~bases ~manyb) in
-            BvTbl.add plights pc0 l;
-            l
-        in
-        BvTbl.add lights c0 l;
-        l
-    in
-    eval_form_light ctx children ~label ~light f
+  let cand = ctx.cand and proj = ctx.proj in
+  Bitv.builder_reset cand;
+  Bitv.builder_reset proj;
+  let light_of pc0 = lazy (build_light ctx ~c0:pc0 ~ckey ~bases ~manyb) in
+  let holds light q =
+    eval_form_light ctx children ~label ~light m.Bip.mu.(q)
   in
-  let step c0s component =
-    List.concat_map
-      (fun c0 ->
-        match component with
-        | [ q ] when not (Bitv.mem q ctx.deps.(q)) ->
-          if eval_with c0 m.Bip.mu.(q) then [ Bitv.add q c0 ] else [ c0 ]
-        | comp ->
-          (* Enumerate consistent labellings of the cyclic component. *)
-          let rec assign chosen = function
-            | [] ->
-              let candidate =
-                List.fold_left (fun acc q -> Bitv.add q acc) c0 chosen
-              in
-              if
-                List.for_all
-                  (fun q ->
-                    eval_with candidate m.Bip.mu.(q) = List.mem q chosen)
-                  comp
-              then [ candidate ]
-              else []
-            | q :: rest ->
-              assign (q :: chosen) rest @ assign chosen rest
-          in
-          assign [] comp)
-      c0s
+  (* [with_state q pc0 light k] runs [k] with [q] added to the candidate
+     and the projection/light that go with it, then takes [q] out. *)
+  let with_state q pc0 light k =
+    Bitv.add_in_place q cand;
+    if Bitv.mem q ctx.read_mask then begin
+      Bitv.add_in_place q proj;
+      let pc0 = Bitv.freeze proj in
+      k pc0 (light_of pc0);
+      Bitv.remove_in_place q proj
+    end
+    else k pc0 light;
+    Bitv.remove_in_place q cand
   in
-  List.fold_left step [ Bitv.empty q_card ] ctx.components
+  let out = ref [] in
+  let rec walk pc0 light = function
+    | [] -> out := (Bitv.freeze cand, pc0, light) :: !out
+    | [ q ] :: rest when not (Bitv.mem q ctx.deps.(q)) ->
+      if holds light q then
+        with_state q pc0 light (fun pc0 light -> walk pc0 light rest)
+      else walk pc0 light rest
+    | comp :: rest ->
+      let rec assign pc0 light = function
+        | [] ->
+          if
+            List.for_all
+              (fun q -> holds light q = Bitv.builder_mem q cand)
+              comp
+          then walk pc0 light rest
+        | q :: qs ->
+          with_state q pc0 light (fun pc0 light -> assign pc0 light qs);
+          assign pc0 light qs
+      in
+      assign pc0 light comp
+  in
+  let pc0 = Bitv.freeze proj in
+  walk pc0 (light_of pc0) ctx.components;
+  List.rev !out
 
 (* Assemble the extended state for a fully decided root label. *)
 let assemble ?t0 ?dup_cap ctx ~(children : Ext_state.t array) ~bases
-    ~manyb ~c0 =
+    ~manyb ~c0 ~pc0 ~light =
   let m = ctx.m in
   let pf = m.Bip.pf in
   let k_card = pf.Pathfinder.n_states in
   let t0 = match t0 with Some t -> t | None -> t0_default m in
-  (* The matrices only see the label through enabled read edges;
-     projecting maximises sharing of the per-label caches. The full c0
-     still becomes the state's labelling below. *)
-  let ev =
-    build_eval ctx ~c0:(Bitv.inter c0 ctx.read_mask) ~children ~bases
-      ~manyb
+  (* The matrices only see the label through enabled read edges, so
+     they are built under the read projection [pc0], which maximises
+     sharing of the per-label caches. The full c0 still becomes the
+     state's labelling below. The reaches under [pc0] are those of its
+     light when deciding C(v0) already built it. *)
+  let r, many0 =
+    if Lazy.is_val light then
+      let l = Lazy.force light in
+      (l.lr, l.lmany0)
+    else reaches ctx ~c0:pc0 ~bases ~manyb
   in
+  let ev = build_eval ctx ~c0:pc0 ~children ~r ~many0 in
   let n_classes = Array.length bases in
   (* Multiplicities: one pass over the set bits of the class reaches —
      a k seen twice (or already in M) is many, seen once is unique. *)
@@ -595,7 +620,9 @@ let assemble ?t0 ?dup_cap ctx ~(children : Ext_state.t array) ~bases
     List.filter (fun e -> not (Bitv.is_empty ev.r.(e)))
       (List.init n_classes Fun.id)
   in
-  let mandatory e = e = 0 || Array.exists (fun u -> u = e) unique in
+  let target = Array.make n_classes false in
+  Array.iter (fun u -> if u >= 0 then target.(u) <- true) unique;
+  let mandatory e = e = 0 || target.(e) in
   (* Values with identical descriptions are interchangeable except for
      their pairwise distinctness; keep at most [dup_cap] copies of each
      description among the optional ones (a practical knob — the paper
@@ -604,17 +631,20 @@ let assemble ?t0 ?dup_cap ctx ~(children : Ext_state.t array) ~bases
     match dup_cap with
     | None -> keep
     | Some cap ->
-      let seen = BvTbl.create 8 in
-      List.filter
-        (fun e ->
-          if mandatory e then true
-          else begin
-            let key = ev.r.(e) in
-            let n = Option.value (BvTbl.find_opt seen key) ~default:0 in
-            BvTbl.replace seen key (n + 1);
-            n < cap
-          end)
-        keep
+      (* [seen]: the optional classes met so far, kept or not *)
+      let rec filter seen = function
+        | [] -> []
+        | e :: rest when mandatory e -> e :: filter seen rest
+        | e :: rest ->
+          let n =
+            List.fold_left
+              (fun n e' -> if Bitv.equal ev.r.(e') ev.r.(e) then n + 1 else n)
+              0 seen
+          in
+          if n < cap then e :: filter (e :: seen) rest
+          else filter (e :: seen) rest
+      in
+      filter [] keep
   in
   let keep =
     if List.length keep <= t0 then keep
@@ -650,21 +680,18 @@ let assemble ?t0 ?dup_cap ctx ~(children : Ext_state.t array) ~bases
   (* Map each class to its index in the canonical (sorted) state: find the
      position of its description. Equal descriptions are interchangeable,
      so matching by multiset is sound; assign greedily. *)
-  let used = Array.make (Array.length state.Ext_state.values) false in
+  let sorted = state.Ext_state.values in
+  let used = Array.make (Array.length sorted) false in
+  let rec position desc j =
+    if j >= Array.length sorted then -1
+    else if (not used.(j)) && Bitv.equal sorted.(j) desc then begin
+      used.(j) <- true;
+      j
+    end
+    else position desc (j + 1)
+  in
   let class_values = Array.make n_classes (-1) in
-  List.iteri
-    (fun pos e ->
-      let desc = values.(pos) in
-      let found = ref (-1) in
-      Array.iteri
-        (fun j d ->
-          if !found < 0 && (not used.(j)) && Bitv.equal d desc then begin
-            used.(j) <- true;
-            found := j
-          end)
-        state.Ext_state.values;
-      class_values.(e) <- !found)
-    keep;
+  List.iteri (fun pos e -> class_values.(e) <- position values.(pos) 0) keep;
   { state; class_values }
 
 let combine ?t0 ?dup_cap ?bases ctx label children (classes : Merging.t) =
@@ -690,7 +717,8 @@ let combine ?t0 ?dup_cap ?bases ctx label children (classes : Merging.t) =
   in
   let c0s = decide_c0 ctx ~label ~children ~ckey ~bases ~manyb in
   List.map
-    (fun c0 -> assemble ?t0 ?dup_cap ctx ~children ~bases ~manyb ~c0)
+    (fun (c0, pc0, light) ->
+      assemble ?t0 ?dup_cap ctx ~children ~bases ~manyb ~c0 ~pc0 ~light)
     c0s
 (* Distinct c0 give distinct states; no dedup needed. *)
 

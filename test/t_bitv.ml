@@ -191,8 +191,53 @@ let regression_cases =
         (check_golden (name, phi, v, s, t, m, h)))
     goldens
 
+(* The *pruned* engine (the service default) at the 20k-transition
+   budget of the benchmark's hard-solve workload, on the four formulas
+   that run that budget out plus mixed_axes unsat 6 (decided by the
+   data-free fast path). Pinned from the engine that keyed mergings by
+   sorted Bitv arrays and kept per-call light tables for C(v0); the
+   word-keyed kernel must explore the same states in the same order.
+   The same label-intern caveat as above applies: the reg_alt row holds
+   for this test binary only. *)
+let check_pruned_golden (name, phi, verdict, states, transitions, mergings,
+    pruned) () =
+  let options =
+    { Xpds.Sat.Options.default with max_transitions = 20_000 }
+  in
+  let r = Xpds.Sat.decide ~options phi in
+  let st = r.Xpds.Sat.stats in
+  Alcotest.(check string) (name ^ " verdict") verdict (verdict_name r);
+  Alcotest.(check int) (name ^ " states") states
+    st.Xpds.Emptiness.n_states;
+  Alcotest.(check int) (name ^ " transitions") transitions
+    st.Xpds.Emptiness.n_transitions;
+  Alcotest.(check int) (name ^ " mergings") mergings
+    st.Xpds.Emptiness.n_mergings;
+  Alcotest.(check int) (name ^ " subsumed_pruned") pruned
+    st.Xpds.Emptiness.prune.Xpds.Emptiness.subsumed_pruned
+
+let pruned_goldens =
+  [ ("data_chain_sat_4", Families.data_chain ~sat:true 4,
+     "unknown:transition budget", 1417, 20001, 88193, 0);
+    ("data_chain_unsat_3", Families.data_chain ~sat:false 3,
+     "unknown:transition budget", 316, 20001, 88193, 1101);
+    ("desc_data_unsat_1", Families.desc_data ~sat:false 1,
+     "unknown:transition budget", 117, 20001, 23007, 75);
+    ("reg_alt_unsat", Families.reg_alternation ~sat:false (),
+     "unknown:transition budget", 994, 20001, 11275, 749);
+    ("mixed_axes_unsat_6", Families.mixed_axes ~sat:false 6,
+     "unsat_bounded", 8, 16, 0, 0)
+  ]
+
+let pruned_cases =
+  List.map
+    (fun ((name, _, _, _, _, _, _) as g) ->
+      Alcotest.test_case ("pruned engine stats: " ^ name) `Quick
+        (check_pruned_golden g))
+    pruned_goldens
+
 let suite =
   ( "bitv",
     [ prop_set_ops; prop_iter_fold; prop_builder; prop_range_fill;
       prop_hash_compare ]
-    @ regression_cases )
+    @ regression_cases @ pruned_cases )

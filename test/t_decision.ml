@@ -57,6 +57,105 @@ let test_merging_classes_wellformed () =
                (List.length (List.sort_uniq Int.compare children)))
            classes)
 
+(* The keyed enumeration the fixpoint runs against the list
+   enumeration, on random item lists: each item carries a random bit
+   vector (narrow widths make equal class unions, hence repeated keys,
+   common; 70 bits spans two words). The reference for key dedup is the
+   sorted (root flag, class union) array the engine used before keys
+   were kept as words. *)
+let arb_keyed_items =
+  let gen =
+    let open QCheck.Gen in
+    oneofl [ 3; 5; 70 ] >>= fun width ->
+    int_bound 7 >>= fun n ->
+    list_repeat n (pair (int_bound 3) (int_bound 3)) >>= fun pairs ->
+    shuffle_l (List.sort_uniq compare pairs) >>= fun pairs ->
+    list_repeat (List.length pairs)
+      (list_size (int_bound 3) (int_bound (width - 1)))
+    >>= fun bits ->
+    opt (int_bound 6) >|= fun budget ->
+    (width, List.combine pairs bits, budget)
+  in
+  QCheck.make gen ~print:(fun (width, items, budget) ->
+      Printf.sprintf "width=%d budget=%s items=[%s]" width
+        (match budget with Some b -> string_of_int b | None -> "none")
+        (String.concat "; "
+           (List.map
+              (fun ((c, v), bits) ->
+                Printf.sprintf "%d.%d:{%s}" c v
+                  (String.concat "," (List.map string_of_int bits)))
+              items)))
+
+let reference_key ~width ~vec (merging : Merging.t) =
+  let key =
+    Array.of_list
+      (List.map
+         (fun (kl : Merging.klass) ->
+           ( kl.Merging.has_root,
+             List.fold_left
+               (fun acc item -> Bitv.union acc (vec item))
+               (Bitv.empty width) kl.Merging.members ))
+         merging)
+  in
+  Array.sort
+    (fun (r1, b1) (r2, b2) ->
+      let c = Bool.compare r1 r2 in
+      if c <> 0 then c else Bitv.compare b1 b2)
+    key;
+  key
+
+let reference_key_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun (r1, b1) (r2, b2) -> Bool.equal r1 r2 && Bitv.equal b1 b2)
+       a b
+
+(* One enum across every case: reuse after [clear] is what the engine
+   does from combo to combo. *)
+let shared_enum = Merging.create ()
+
+let prop_keyed_enumeration =
+  Gen_helpers.qtest ~count:300
+    "keyed merging enumeration = enumerate, with the reference key's \
+     representatives" arb_keyed_items (fun (width, items, budget) ->
+      let vec item = Bitv.of_list width (List.assoc item items) in
+      let pairs = List.map fst items in
+      let e = shared_enum in
+      Merging.clear e ~width;
+      List.iter (fun ((c, v) as item) -> Merging.push e c v (vec item)) pairs;
+      let keyed = ref [] in
+      Merging.iter ?budget e (fun e ->
+          let merging = Merging.current e in
+          let unions_ok =
+            Merging.n_classes e = List.length merging
+            && List.for_all Fun.id
+                 (List.mapi
+                    (fun c (kl : Merging.klass) ->
+                      Bitv.equal (Merging.class_union e c)
+                        (List.fold_left
+                           (fun acc item -> Bitv.union acc (vec item))
+                           (Bitv.empty width) kl.Merging.members))
+                    merging)
+          in
+          keyed := (merging, unions_ok, Merging.fresh_key e) :: !keyed);
+      let keyed = List.rev !keyed in
+      let expected = List.of_seq (Merging.enumerate ?budget pairs) in
+      let seen = ref [] in
+      let expected_fresh =
+        List.map
+          (fun m ->
+            let k = reference_key ~width ~vec m in
+            if List.exists (reference_key_equal k) !seen then false
+            else begin
+              seen := k :: !seen;
+              true
+            end)
+          expected
+      in
+      List.map (fun (m, _, _) -> m) keyed = expected
+      && List.for_all (fun (_, ok, _) -> ok) keyed
+      && List.map (fun (_, _, fresh) -> fresh) keyed = expected_fresh)
+
 (* --- leaf transitions --- *)
 
 let leaf_states formula label =
@@ -342,6 +441,7 @@ let suite =
       Alcotest.test_case "merging budget" `Quick test_merging_budget;
       Alcotest.test_case "merging well-formed" `Quick
         test_merging_classes_wellformed;
+      prop_keyed_enumeration;
       Alcotest.test_case "leaf extended state" `Quick test_leaf_state;
       Alcotest.test_case "known sat formulas" `Quick test_known_sat;
       Alcotest.test_case "known unsat formulas" `Quick test_known_unsat;
