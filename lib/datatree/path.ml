@@ -26,14 +26,20 @@ let equal = List.equal Int.equal
 let compare = List.compare Int.compare
 let hash = Hashtbl.hash
 
-let pp ppf = function
-  | [] -> Format.pp_print_string ppf "\xce\xb5" (* ε *)
-  | p ->
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.pp_print_char ppf '.')
-      Format.pp_print_int ppf p
+let to_string = function
+  | [] -> "\xce\xb5" (* ε *)
+  | [ i ] -> string_of_int i
+  | i :: rest ->
+    let buf = Buffer.create 16 in
+    Buffer.add_string buf (string_of_int i);
+    List.iter
+      (fun i ->
+        Buffer.add_char buf '.';
+        Buffer.add_string buf (string_of_int i))
+      rest;
+    Buffer.contents buf
 
-let to_string p = Format.asprintf "%a" pp p
+let pp ppf p = Format.pp_print_string ppf (to_string p)
 
 module Ord = struct
   type nonrec t = t

@@ -98,6 +98,11 @@ module Options = struct
   let with_prune prune o = { o with prune }
 end
 
+let saturated_reason width m =
+  "saturated at width " ^ string_of_int width ^ " (paper bound "
+  ^ string_of_int (Emptiness.paper_width m)
+  ^ ")"
+
 let decide ?(options = Options.default) eta =
   let o = options in
   o.Options.on_phase "translate";
@@ -134,10 +139,9 @@ let decide ?(options = Options.default) eta =
   let algorithm =
     match bound with
     | Some b ->
-      Printf.sprintf "height-bounded fixpoint (Thm 6, H=%d, width=%d)" b
-        o.Options.width
-    | None ->
-      Printf.sprintf "full fixpoint (Thm 4, width=%d)" o.Options.width
+      "height-bounded fixpoint (Thm 6, H=" ^ string_of_int b ^ ", width="
+      ^ string_of_int o.Options.width ^ ")"
+    | None -> "full fixpoint (Thm 4, width=" ^ string_of_int o.Options.width ^ ")"
   in
   (* The data-free fast path is always sequential; only the general
      engine (which certificate mode forces) parallelizes. *)
@@ -193,8 +197,7 @@ let decide ?(options = Options.default) eta =
         (Unsat, None)
       else
         ( Unsat_bounded
-            (Printf.sprintf "saturated at width %d (paper bound %d)"
-               o.Options.width (Emptiness.paper_width m)),
+            (saturated_reason o.Options.width m),
           None )
     | Emptiness.Resource_limit what -> (Unknown what, None)
   in
@@ -267,8 +270,8 @@ let decide_under_doctype ?(options = Options.default) ~doctype eta =
     }
   in
   let algorithm =
-    Printf.sprintf "doctype-restricted full fixpoint (§4.1, width=%d)"
-      o.Options.width
+    "doctype-restricted full fixpoint (§4.1, width="
+    ^ string_of_int o.Options.width ^ ")"
   in
   let parallel_engine =
     o.Options.domains > 1 && not (Emptiness.data_free m)
@@ -314,8 +317,7 @@ let decide_under_doctype ?(options = Options.default) ~doctype eta =
       if paper_complete_widths then (Unsat, None)
       else
         ( Unsat_bounded
-            (Printf.sprintf "saturated at width %d (paper bound %d)"
-               o.Options.width (Emptiness.paper_width m)),
+            (saturated_reason o.Options.width m),
           None )
     | Emptiness.Resource_limit what -> (Unknown what, None)
   in

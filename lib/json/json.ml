@@ -5,6 +5,7 @@ type t =
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
+  | Raw of string
 
 (* --- parsing --- *)
 
@@ -155,24 +156,39 @@ let parse s =
 
 (* --- printing --- *)
 
+let hex_digits = "0123456789abcdef"
+
+(* Runs of characters that need no escape are copied in one piece. *)
 let escape buf str =
-  String.iter
-    (fun c ->
-      match c with
+  let n = String.length str in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let c = str.[i] in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring buf str !start (i - !start);
+      (match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    str
+      | c ->
+        Buffer.add_string buf "\\u00";
+        Buffer.add_char buf hex_digits.[Char.code c lsr 4];
+        Buffer.add_char buf hex_digits.[Char.code c land 15]);
+      start := i + 1
+    end
+  done;
+  Buffer.add_substring buf str !start (n - !start)
+
+(* [caml_format_float] is the C conversion behind [Printf]'s [%g];
+   calling it directly skips the format interpreter. *)
+external format_float : string -> float -> string = "caml_format_float"
 
 let num_to_string f =
   if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%g" f
+    if f = 0. && Float.sign_bit f then "-0" else string_of_int (int_of_float f)
+  else format_float "%.6g" f
 
 let to_string v =
   let buf = Buffer.create 256 in
@@ -203,6 +219,7 @@ let to_string v =
           go item)
         fields;
       Buffer.add_char buf '}'
+    | Raw text -> Buffer.add_string buf text
   in
   go v;
   Buffer.contents buf

@@ -15,6 +15,10 @@ type t =
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
+  | Raw of string
+      (** JSON text rendered ahead of time, written verbatim by
+          {!to_string}; the producer vouches that it is valid JSON.
+          {!parse} never returns it. *)
 
 val parse : string -> (t, string) result
 (** Parse one JSON value; trailing non-whitespace is an error. *)
@@ -36,5 +40,7 @@ val to_bool : t -> bool option
 val to_list : t -> t list option
 
 val num_to_string : float -> string
-(** The number rendering used by {!to_string}: integral floats print
-    without a fractional part. *)
+(** The number rendering used by {!to_string}: integral floats below
+    1e15 in magnitude print as integers ([-0.] as ["-0"]), every other
+    float in C's [%.6g] — the bytes [Printf]'s ["%.0f"] and ["%g"]
+    give, without the format interpreter. *)

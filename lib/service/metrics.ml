@@ -3,6 +3,27 @@ module Emptiness = Xpds_decision.Emptiness
 
 let window = 4096
 
+(* The float accumulators live unboxed in one float array, at these
+   indices. A mutable float field of a mixed record boxes every update,
+   and a box that the long-lived accumulator points to is promoted at
+   the next minor GC: a few words of major heap per field per
+   request. *)
+module F = struct
+  let latency_min = 0
+  let latency_max = 1
+  let latency_sum = 2
+  let cert_latency_sum = 3
+  let cert_latency_max = 4
+  let store_verify_sum = 5
+  let store_verify_max = 6
+  let count = 7
+
+  let init () =
+    let a = Array.make count 0. in
+    a.(latency_min) <- infinity;
+    a
+end
+
 type t = {
   mutable requests : int;
   mutable cache_hits : int;
@@ -12,9 +33,7 @@ type t = {
   mutable unsat_bounded : int;
   mutable unknown : int;
   mutable deadline_timeouts : int;
-  mutable latency_min : float;
-  mutable latency_max : float;
-  mutable latency_sum : float;
+  sums : float array;  (** indexed by {!F} *)
   ring : float array;  (** last [window] latencies, for percentiles *)
   mutable ring_len : int;
   mutable ring_pos : int;
@@ -31,16 +50,12 @@ type t = {
   mutable antichain_size_max : int;
   mutable certified : int;
   mutable cert_check_failures : int;
-  mutable cert_latency_sum : float;
-  mutable cert_latency_max : float;
   mutable single_flight : int;
   mutable crashes : int;
   mutable degraded_retries : int;
   mutable disk_hits : int;
   mutable store_self_evictions : int;
   mutable store_appends : int;
-  mutable store_verify_ms_sum : float;
-  mutable store_verify_ms_max : float;
   mutable sat_requests : int;
   mutable eval_requests : int;
   mutable contains_requests : int;
@@ -51,7 +66,7 @@ type t = {
   mutable eval_deadline_timeouts : int;
   mutable eval_node_evals : int;
   mutable eval_docs_built : int;
-  phase_ms : (string, float ref) Hashtbl.t;
+  phase_ms : (string, float array) Hashtbl.t;  (** one-cell totals *)
 }
 
 type snapshot = {
@@ -132,9 +147,7 @@ let create () =
     unsat_bounded = 0;
     unknown = 0;
     deadline_timeouts = 0;
-    latency_min = infinity;
-    latency_max = 0.;
-    latency_sum = 0.;
+    sums = F.init ();
     ring = Array.make window 0.;
     ring_len = 0;
     ring_pos = 0;
@@ -151,16 +164,12 @@ let create () =
     antichain_size_max = 0;
     certified = 0;
     cert_check_failures = 0;
-    cert_latency_sum = 0.;
-    cert_latency_max = 0.;
     single_flight = 0;
     crashes = 0;
     degraded_retries = 0;
     disk_hits = 0;
     store_self_evictions = 0;
     store_appends = 0;
-    store_verify_ms_sum = 0.;
-    store_verify_ms_max = 0.;
     sat_requests = 0;
     eval_requests = 0;
     contains_requests = 0;
@@ -183,9 +192,7 @@ let reset (m : t) =
   m.unsat_bounded <- 0;
   m.unknown <- 0;
   m.deadline_timeouts <- 0;
-  m.latency_min <- infinity;
-  m.latency_max <- 0.;
-  m.latency_sum <- 0.;
+  Array.blit (F.init ()) 0 m.sums 0 F.count;
   m.ring_len <- 0;
   m.ring_pos <- 0;
   m.fixpoint_states <- 0;
@@ -201,16 +208,12 @@ let reset (m : t) =
   m.antichain_size_max <- 0;
   m.certified <- 0;
   m.cert_check_failures <- 0;
-  m.cert_latency_sum <- 0.;
-  m.cert_latency_max <- 0.;
   m.single_flight <- 0;
   m.crashes <- 0;
   m.degraded_retries <- 0;
   m.disk_hits <- 0;
   m.store_self_evictions <- 0;
   m.store_appends <- 0;
-  m.store_verify_ms_sum <- 0.;
-  m.store_verify_ms_max <- 0.;
   m.sat_requests <- 0;
   m.eval_requests <- 0;
   m.contains_requests <- 0;
@@ -223,10 +226,13 @@ let reset (m : t) =
   m.eval_docs_built <- 0;
   Hashtbl.reset m.phase_ms
 
+let add (m : t) i ms = m.sums.(i) <- m.sums.(i) +. ms
+let raise_max (m : t) i ms = if ms > m.sums.(i) then m.sums.(i) <- ms
+
 let record_latency (m : t) ms =
-  if ms < m.latency_min then m.latency_min <- ms;
-  if ms > m.latency_max then m.latency_max <- ms;
-  m.latency_sum <- m.latency_sum +. ms;
+  if ms < m.sums.(F.latency_min) then m.sums.(F.latency_min) <- ms;
+  raise_max m F.latency_max ms;
+  add m F.latency_sum ms;
   m.ring.(m.ring_pos) <- ms;
   m.ring_pos <- (m.ring_pos + 1) mod window;
   if m.ring_len < window then m.ring_len <- m.ring_len + 1
@@ -289,8 +295,8 @@ let record_eval (m : t) ~outcome ~cached ~ms ~node_evals =
   record_latency m ms
 
 let record_store_verify (m : t) ms =
-  m.store_verify_ms_sum <- m.store_verify_ms_sum +. ms;
-  if ms > m.store_verify_ms_max then m.store_verify_ms_max <- ms
+  add m F.store_verify_sum ms;
+  raise_max m F.store_verify_max ms
 
 let record_disk_hit (m : t) ~verify_ms =
   m.disk_hits <- m.disk_hits + 1;
@@ -310,12 +316,12 @@ let record_degraded (m : t) =
   m.degraded_retries <- m.degraded_retries + 1
 
 let record_trace (m : t) trace =
-  List.iter
-    (fun (name, ms) ->
+  Trace.iter_spans
+    (fun name ms ->
       match Hashtbl.find_opt m.phase_ms name with
-      | Some r -> r := !r +. ms
-      | None -> Hashtbl.add m.phase_ms name (ref ms))
-    (Trace.spans trace)
+      | Some total -> total.(0) <- total.(0) +. ms
+      | None -> Hashtbl.add m.phase_ms name [| ms |])
+    trace
 
 (* Certificate checks are recorded separately from requests: a check is
    optional post-processing of a verdict, and its cost (the naive
@@ -323,8 +329,8 @@ let record_trace (m : t) trace =
 let record_cert (m : t) ~ok ~ms =
   if ok then m.certified <- m.certified + 1
   else m.cert_check_failures <- m.cert_check_failures + 1;
-  m.cert_latency_sum <- m.cert_latency_sum +. ms;
-  if ms > m.cert_latency_max then m.cert_latency_max <- ms
+  add m F.cert_latency_sum ms;
+  raise_max m F.cert_latency_max ms
 
 let p95 (m : t) =
   if m.ring_len = 0 then 0.
@@ -348,12 +354,12 @@ let snapshot (m : t) : snapshot =
     unsat_bounded = m.unsat_bounded;
     unknown = m.unknown;
     deadline_timeouts = m.deadline_timeouts;
-    latency_min_ms = (if m.requests = 0 then 0. else m.latency_min);
+    latency_min_ms = (if m.requests = 0 then 0. else m.sums.(F.latency_min));
     latency_mean_ms =
       (if m.requests = 0 then 0.
-       else m.latency_sum /. float_of_int m.requests);
+       else m.sums.(F.latency_sum) /. float_of_int m.requests);
     latency_p95_ms = p95 m;
-    latency_max_ms = m.latency_max;
+    latency_max_ms = m.sums.(F.latency_max);
     fixpoint_states = m.fixpoint_states;
     fixpoint_transitions = m.fixpoint_transitions;
     fixpoint_mergings = m.fixpoint_mergings;
@@ -369,8 +375,8 @@ let snapshot (m : t) : snapshot =
     cert_check_failures = m.cert_check_failures;
     cert_latency_mean_ms =
       (let n = m.certified + m.cert_check_failures in
-       if n = 0 then 0. else m.cert_latency_sum /. float_of_int n);
-    cert_latency_max_ms = m.cert_latency_max;
+       if n = 0 then 0. else m.sums.(F.cert_latency_sum) /. float_of_int n);
+    cert_latency_max_ms = m.sums.(F.cert_latency_max);
     single_flight = m.single_flight;
     crashes = m.crashes;
     degraded_retries = m.degraded_retries;
@@ -379,8 +385,8 @@ let snapshot (m : t) : snapshot =
     store_appends = m.store_appends;
     store_verify_mean_ms =
       (let n = m.disk_hits + m.store_self_evictions in
-       if n = 0 then 0. else m.store_verify_ms_sum /. float_of_int n);
-    store_verify_max_ms = m.store_verify_ms_max;
+       if n = 0 then 0. else m.sums.(F.store_verify_sum) /. float_of_int n);
+    store_verify_max_ms = m.sums.(F.store_verify_max);
     sat_requests = m.sat_requests;
     eval_requests = m.eval_requests;
     contains_requests = m.contains_requests;
@@ -395,7 +401,7 @@ let snapshot (m : t) : snapshot =
       (* Sorted for a deterministic JSON rendering. *)
       List.sort
         (fun (a, _) (b, _) -> String.compare a b)
-        (Hashtbl.fold (fun k r acc -> (k, !r) :: acc) m.phase_ms []);
+        (Hashtbl.fold (fun k total acc -> (k, total.(0)) :: acc) m.phase_ms []);
   }
 
 let to_json (s : snapshot) =

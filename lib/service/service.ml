@@ -214,7 +214,9 @@ type eval_request = {
 type eval_result = {
   root : bool;
   count : int;
-  positions : Path_.t list;  (** first [limit] sat positions, preorder *)
+  positions : string;
+      (** the first [limit] sat positions, preorder, as the JSON array
+          text of the wire's ["nodes"] field *)
   truncated : bool;
   doc_nodes : int;
   node_evals : int;  (** fresh work this evaluation added to the memo *)
@@ -838,22 +840,28 @@ let resolve_entry t source =
 
 let default_position_limit = 100
 
-(* The first [limit] satisfying positions in preorder, without
-   materialising the rest — a query selecting half a 200k-node document
-   still answers with a bounded line. *)
-let bounded_positions doc set ~limit =
-  let count = Bitv.cardinal set in
-  let acc = ref [] in
+(* The first [limit] satisfying positions in preorder, rendered once as
+   the JSON array the wire carries, without materialising the rest — a
+   query selecting half a 200k-node document still answers with a
+   bounded line. A position string is digits, dots or "ε", so it needs
+   no JSON escape. *)
+let bounded_positions doc set ~count ~limit =
+  let buf = Buffer.create 64 in
+  Buffer.add_char buf '[';
   let taken = ref 0 in
   (try
      Bitv.iter
        (fun x ->
          if !taken >= limit then raise Exit;
-         acc := Eval_doc.position doc x :: !acc;
+         if !taken > 0 then Buffer.add_char buf ',';
+         Buffer.add_char buf '"';
+         Buffer.add_string buf (Path_.to_string (Eval_doc.position doc x));
+         Buffer.add_char buf '"';
          incr taken)
        set
    with Exit -> ());
-  (List.rev !acc, count > limit)
+  Buffer.add_char buf ']';
+  (Buffer.contents buf, count > limit)
 
 (* Runs the query on the entry's shared evaluator. The deadline ref is
    set for the duration of the evaluation under the entry lock (one
@@ -879,12 +887,13 @@ let eval_uncached entry ~trace ~deadline ~limit query =
   let result =
     Result.map
       (fun set ->
+        let count = Bitv.cardinal set in
         let positions, truncated =
-          bounded_positions entry.e_doc set ~limit
+          bounded_positions entry.e_doc set ~count ~limit
         in
         {
           root = Bitv.mem 0 set;
-          count = Bitv.cardinal set;
+          count;
           positions;
           truncated;
           doc_nodes = entry.e_doc.Eval_doc.n;
@@ -932,8 +941,8 @@ let eval ?trace t (r : eval_request) =
        selected position. *)
     let key =
       Digest.string
-        (Printf.sprintf "%s\x00%s\x00%d" entry.e_digest
-           (Pp.node_to_string r.query) limit)
+        (String.concat "\x00"
+           [ entry.e_digest; Pp.node_to_string r.query; string_of_int limit ])
     in
     let rec attempt () =
       Trace.mark tr "eval_cache_probe";
@@ -1489,10 +1498,7 @@ let eval_response_to_json ?(trace = false) resp =
     | Ok r ->
       [ ("root", Json.Bool r.root);
         ("count", Json.Num (float_of_int r.count));
-        ( "nodes",
-          Json.Arr
-            (List.map (fun p -> Json.Str (Path_.to_string p)) r.positions)
-        )
+        ("nodes", Json.Raw r.positions)
       ]
       @ (if r.truncated then [ ("nodes_truncated", Json.Bool true) ]
          else [])

@@ -291,8 +291,14 @@ type eval_request = {
 type eval_result = {
   root : bool;  (** does the query hold at the root? *)
   count : int;  (** |[[ϕ]]| — total satisfying nodes *)
-  positions : Xpds_datatree.Path.t list;
-      (** the first [limit] satisfying positions, in preorder *)
+  positions : string;
+      (** the first [limit] satisfying positions, in preorder, already
+          rendered as the JSON array text of the wire's ["nodes"] field
+          (each position in the {!Xpds_datatree.Path.to_string}
+          rendering, e.g. [["ε","0.1"]]). A result is rendered once,
+          when it is computed, and kept in that form in the result
+          cache: a cache hit re-renders nothing, and a cached entry is
+          one short string rather than a list of int lists. *)
   truncated : bool;  (** [count > limit] *)
   doc_nodes : int;
   node_evals : int;

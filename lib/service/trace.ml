@@ -30,6 +30,8 @@ let mark t name =
 let finish t = close t (now_ms ())
 let add_ms t name ms = t.spans <- (name, ms) :: t.spans
 
+let iter_spans f t = List.iter (fun (name, ms) -> f name ms) t.spans
+
 let spans t =
   let order = ref [] in
   let totals : (string, float ref) Hashtbl.t = Hashtbl.create 8 in

@@ -50,6 +50,10 @@ val spans : t -> (string * float) list
 (** Completed spans in chronological order of first occurrence,
     repeated names summed (a retried phase reports its total). *)
 
+val iter_spans : (string -> float -> unit) -> t -> unit
+(** Every completed span, most recent first, repeated names not summed:
+    the allocation-free walk for accumulating totals. *)
+
 val to_json : t -> Json.t
 (** [{"total_ms": .., "phases": {"canonicalize": .., ...}}] — durations
     rounded to microseconds. *)

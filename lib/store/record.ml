@@ -47,12 +47,21 @@ let fingerprint (r : t) =
      same formula under a different doctype. NULs separate the
      variable-length fields so none can alias into its neighbour. *)
   let payload =
-    Printf.sprintf "xpds-store-fp-v2|%s\x00%s\x00%s|%s|%s|%d|%d|%d|%d|%d|%d|%s"
-      r.kind r.scope v r.fragment r.algorithm r.automaton_q r.automaton_k
-      r.n_states r.n_transitions r.n_mergings r.max_height
-      (match r.witness_verified with
-      | None -> "-"
-      | Some b -> string_of_bool b)
+    String.concat "|"
+      [ "xpds-store-fp-v2";
+        String.concat "\x00" [ r.kind; r.scope; v ];
+        r.fragment;
+        r.algorithm;
+        string_of_int r.automaton_q;
+        string_of_int r.automaton_k;
+        string_of_int r.n_states;
+        string_of_int r.n_transitions;
+        string_of_int r.n_mergings;
+        string_of_int r.max_height;
+        (match r.witness_verified with
+        | None -> "-"
+        | Some b -> string_of_bool b)
+      ]
   in
   Digest.to_hex (Digest.string (payload ^ "\x00" ^ r.formula))
 
