@@ -89,9 +89,16 @@ val compare : t -> t -> int
 val hash : t -> int
 
 val pp : Format.formatter -> t -> unit
-(** Prints the paper's notation, e.g. [⟨a,1⟩(⟨b,1⟩, ⟨a,2⟩(⟨b,3⟩))]. *)
+(** Prints the paper's notation, e.g. [⟨a,1⟩(⟨b,1⟩, ⟨a,2⟩(⟨b,3⟩))].
+    Children sit in a [Format] box with a break hint after each comma,
+    so a tree wider than the margin (78 columns) wraps onto indented
+    lines. *)
 
 val to_string : t -> string
+(** [pp] to a string, line breaks included. It is on the wire — the
+    [witness] of a sat response — and inside store record
+    fingerprints, so its bytes, wrapping and all, must not change;
+    that is why it stays on [Format]. *)
 
 val to_compact_string : t -> string
 (** The machine-readable rendering [label:datum(child,child,...)] that

@@ -26,18 +26,29 @@ let equal = List.equal Int.equal
 let compare = List.compare Int.compare
 let hash = Hashtbl.hash
 
-let to_string = function
-  | [] -> "\xce\xb5" (* ε *)
-  | [ i ] -> string_of_int i
+(* Decimal digits straight into the buffer: no intermediate string per
+   index. *)
+let rec add_index buf i =
+  if i < 0 then Buffer.add_string buf (string_of_int i)
+  else begin
+    if i >= 10 then add_index buf (i / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 + (i mod 10)))
+  end
+
+let add_to_buffer buf = function
+  | [] -> Buffer.add_string buf "\xce\xb5" (* ε *)
   | i :: rest ->
-    let buf = Buffer.create 16 in
-    Buffer.add_string buf (string_of_int i);
+    add_index buf i;
     List.iter
       (fun i ->
         Buffer.add_char buf '.';
-        Buffer.add_string buf (string_of_int i))
-      rest;
-    Buffer.contents buf
+        add_index buf i)
+      rest
+
+let to_string p =
+  let buf = Buffer.create 16 in
+  add_to_buffer buf p;
+  Buffer.contents buf
 
 let pp ppf p = Format.pp_print_string ppf (to_string p)
 

@@ -34,6 +34,11 @@ val pp : Format.formatter -> t -> unit
 (** Prints e.g. [ε] for the root and [0.2.1] otherwise. *)
 
 val to_string : t -> string
+(** The {!pp} rendering, built without [Format]. *)
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** [Buffer.add_string buf (to_string p)], without the intermediate
+    string. *)
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

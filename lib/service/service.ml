@@ -855,7 +855,7 @@ let bounded_positions doc set ~count ~limit =
          if !taken >= limit then raise Exit;
          if !taken > 0 then Buffer.add_char buf ',';
          Buffer.add_char buf '"';
-         Buffer.add_string buf (Path_.to_string (Eval_doc.position doc x));
+         Path_.add_to_buffer buf (Eval_doc.position doc x);
          Buffer.add_char buf '"';
          incr taken)
        set

@@ -177,7 +177,7 @@ let prop_position_to_string =
   Gen_helpers.qtest ~count:500 "Path.to_string = Format printer"
     QCheck.(
       list_of_size Gen.(int_range 0 8)
-        (oneof [ small_nat; int_range 0 max_int ]))
+        (oneof [ small_nat; int_range 0 max_int; int ]))
     (fun p -> Path.to_string p = Reference.position_to_string p)
 
 let float_cases =
