@@ -2,10 +2,11 @@
    renderers they replaced, which survive here only as references:
    the ASCII XPath printer, [Path.to_string], [Json.num_to_string] and
    [Json]'s string escape. Two pins guard the bytes that outlive a
-   process: [Cache_key.make] digests captured before the change, and a
-   store file written before it, which must reopen and serve every
-   record from the disk tier with no self-eviction ([Store] re-renders
-   each probing formula and compares it with the stored text). *)
+   process: [Cache_key.make] digests computed with the [Format]-based
+   printer, and a store file written by it, which must reopen and serve
+   every record from the disk tier with no self-eviction ([Store]
+   re-renders each probing formula and compares it with the stored
+   text). *)
 
 open Xpds_xpath.Ast
 module Pp = Xpds_xpath.Pp
@@ -223,7 +224,7 @@ let prop_string_escape =
          = "{" ^ Reference.string_to_json s ^ ":"
            ^ Reference.string_to_json s ^ "}")
 
-(* --- pins captured before the renderers changed --- *)
+(* --- pins computed with the Format-based renderers --- *)
 
 let default_fp = Service.Config.(fingerprint default_solver)
 
