@@ -26,8 +26,8 @@ let equal = List.equal Int.equal
 let compare = List.compare Int.compare
 let hash = Hashtbl.hash
 
-(* Decimal digits straight into the buffer: no intermediate string per
-   index. *)
+(* Decimal digits straight into the buffer: [string_of_int] goes
+   through the C [format_int] and allocates a string per index. *)
 let rec add_index buf i =
   if i < 0 then Buffer.add_string buf (string_of_int i)
   else begin

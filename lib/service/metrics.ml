@@ -3,26 +3,34 @@ module Emptiness = Xpds_decision.Emptiness
 
 let window = 4096
 
-(* The float accumulators live unboxed in one float array, at these
-   indices. A mutable float field of a mixed record boxes every update,
-   and a box that the long-lived accumulator points to is promoted at
-   the next minor GC: a few words of major heap per field per
-   request. *)
-module F = struct
-  let latency_min = 0
-  let latency_max = 1
-  let latency_sum = 2
-  let cert_latency_sum = 3
-  let cert_latency_max = 4
-  let store_verify_sum = 5
-  let store_verify_max = 6
-  let count = 7
+(* The float accumulators. A record whose fields are all floats is
+   stored flat, so [a.f <- x] writes in place; a mutable float field of
+   a mixed record boxes every update, and a box that the long-lived
+   accumulator points to is promoted at the next minor GC: a few words
+   of major heap per field per request. *)
+type acc = {
+  mutable latency_min : float;
+  mutable latency_max : float;
+  mutable latency_sum : float;
+  mutable cert_latency_sum : float;
+  mutable cert_latency_max : float;
+  mutable store_verify_sum : float;
+  mutable store_verify_max : float;
+}
 
-  let init () =
-    let a = Array.make count 0. in
-    a.(latency_min) <- infinity;
-    a
-end
+let create_acc () =
+  {
+    latency_min = infinity;
+    latency_max = 0.;
+    latency_sum = 0.;
+    cert_latency_sum = 0.;
+    cert_latency_max = 0.;
+    store_verify_sum = 0.;
+    store_verify_max = 0.;
+  }
+
+(* A per-phase total, flat for the same reason. *)
+type phase_total = { mutable total : float }
 
 type t = {
   mutable requests : int;
@@ -33,7 +41,7 @@ type t = {
   mutable unsat_bounded : int;
   mutable unknown : int;
   mutable deadline_timeouts : int;
-  sums : float array;  (** indexed by {!F} *)
+  mutable acc : acc;
   ring : float array;  (** last [window] latencies, for percentiles *)
   mutable ring_len : int;
   mutable ring_pos : int;
@@ -66,7 +74,7 @@ type t = {
   mutable eval_deadline_timeouts : int;
   mutable eval_node_evals : int;
   mutable eval_docs_built : int;
-  phase_ms : (string, float array) Hashtbl.t;  (** one-cell totals *)
+  phase_ms : (string, phase_total) Hashtbl.t;
 }
 
 type snapshot = {
@@ -147,7 +155,7 @@ let create () =
     unsat_bounded = 0;
     unknown = 0;
     deadline_timeouts = 0;
-    sums = F.init ();
+    acc = create_acc ();
     ring = Array.make window 0.;
     ring_len = 0;
     ring_pos = 0;
@@ -192,7 +200,7 @@ let reset (m : t) =
   m.unsat_bounded <- 0;
   m.unknown <- 0;
   m.deadline_timeouts <- 0;
-  Array.blit (F.init ()) 0 m.sums 0 F.count;
+  m.acc <- create_acc ();
   m.ring_len <- 0;
   m.ring_pos <- 0;
   m.fixpoint_states <- 0;
@@ -226,13 +234,11 @@ let reset (m : t) =
   m.eval_docs_built <- 0;
   Hashtbl.reset m.phase_ms
 
-let add (m : t) i ms = m.sums.(i) <- m.sums.(i) +. ms
-let raise_max (m : t) i ms = if ms > m.sums.(i) then m.sums.(i) <- ms
-
 let record_latency (m : t) ms =
-  if ms < m.sums.(F.latency_min) then m.sums.(F.latency_min) <- ms;
-  raise_max m F.latency_max ms;
-  add m F.latency_sum ms;
+  let a = m.acc in
+  if ms < a.latency_min then a.latency_min <- ms;
+  if ms > a.latency_max then a.latency_max <- ms;
+  a.latency_sum <- a.latency_sum +. ms;
   m.ring.(m.ring_pos) <- ms;
   m.ring_pos <- (m.ring_pos + 1) mod window;
   if m.ring_len < window then m.ring_len <- m.ring_len + 1
@@ -295,8 +301,9 @@ let record_eval (m : t) ~outcome ~cached ~ms ~node_evals =
   record_latency m ms
 
 let record_store_verify (m : t) ms =
-  add m F.store_verify_sum ms;
-  raise_max m F.store_verify_max ms
+  let a = m.acc in
+  a.store_verify_sum <- a.store_verify_sum +. ms;
+  if ms > a.store_verify_max then a.store_verify_max <- ms
 
 let record_disk_hit (m : t) ~verify_ms =
   m.disk_hits <- m.disk_hits + 1;
@@ -319,8 +326,8 @@ let record_trace (m : t) trace =
   Trace.iter_spans
     (fun name ms ->
       match Hashtbl.find_opt m.phase_ms name with
-      | Some total -> total.(0) <- total.(0) +. ms
-      | None -> Hashtbl.add m.phase_ms name [| ms |])
+      | Some p -> p.total <- p.total +. ms
+      | None -> Hashtbl.add m.phase_ms name { total = ms })
     trace
 
 (* Certificate checks are recorded separately from requests: a check is
@@ -329,8 +336,9 @@ let record_trace (m : t) trace =
 let record_cert (m : t) ~ok ~ms =
   if ok then m.certified <- m.certified + 1
   else m.cert_check_failures <- m.cert_check_failures + 1;
-  add m F.cert_latency_sum ms;
-  raise_max m F.cert_latency_max ms
+  let a = m.acc in
+  a.cert_latency_sum <- a.cert_latency_sum +. ms;
+  if ms > a.cert_latency_max then a.cert_latency_max <- ms
 
 let p95 (m : t) =
   if m.ring_len = 0 then 0.
@@ -354,12 +362,12 @@ let snapshot (m : t) : snapshot =
     unsat_bounded = m.unsat_bounded;
     unknown = m.unknown;
     deadline_timeouts = m.deadline_timeouts;
-    latency_min_ms = (if m.requests = 0 then 0. else m.sums.(F.latency_min));
+    latency_min_ms = (if m.requests = 0 then 0. else m.acc.latency_min);
     latency_mean_ms =
       (if m.requests = 0 then 0.
-       else m.sums.(F.latency_sum) /. float_of_int m.requests);
+       else m.acc.latency_sum /. float_of_int m.requests);
     latency_p95_ms = p95 m;
-    latency_max_ms = m.sums.(F.latency_max);
+    latency_max_ms = m.acc.latency_max;
     fixpoint_states = m.fixpoint_states;
     fixpoint_transitions = m.fixpoint_transitions;
     fixpoint_mergings = m.fixpoint_mergings;
@@ -375,8 +383,8 @@ let snapshot (m : t) : snapshot =
     cert_check_failures = m.cert_check_failures;
     cert_latency_mean_ms =
       (let n = m.certified + m.cert_check_failures in
-       if n = 0 then 0. else m.sums.(F.cert_latency_sum) /. float_of_int n);
-    cert_latency_max_ms = m.sums.(F.cert_latency_max);
+       if n = 0 then 0. else m.acc.cert_latency_sum /. float_of_int n);
+    cert_latency_max_ms = m.acc.cert_latency_max;
     single_flight = m.single_flight;
     crashes = m.crashes;
     degraded_retries = m.degraded_retries;
@@ -385,8 +393,8 @@ let snapshot (m : t) : snapshot =
     store_appends = m.store_appends;
     store_verify_mean_ms =
       (let n = m.disk_hits + m.store_self_evictions in
-       if n = 0 then 0. else m.sums.(F.store_verify_sum) /. float_of_int n);
-    store_verify_max_ms = m.sums.(F.store_verify_max);
+       if n = 0 then 0. else m.acc.store_verify_sum /. float_of_int n);
+    store_verify_max_ms = m.acc.store_verify_max;
     sat_requests = m.sat_requests;
     eval_requests = m.eval_requests;
     contains_requests = m.contains_requests;
@@ -401,7 +409,7 @@ let snapshot (m : t) : snapshot =
       (* Sorted for a deterministic JSON rendering. *)
       List.sort
         (fun (a, _) (b, _) -> String.compare a b)
-        (Hashtbl.fold (fun k total acc -> (k, total.(0)) :: acc) m.phase_ms []);
+        (Hashtbl.fold (fun k p acc -> (k, p.total) :: acc) m.phase_ms []);
   }
 
 let to_json (s : snapshot) =
