@@ -8,7 +8,10 @@
    selected-position set must be bit-identical between the two engines;
    quick mode additionally gates on the warm evaluator being >= 10x
    faster than the oracle, which is what BENCH_eval.json records and CI
-   uploads.
+   uploads. Two more legs are gated the same way: an encoded-XML
+   document, and a deep chain (600 nodes quick, 1000 full, 71 data
+   values) under star and data-comparison queries, timed cold on both
+   engines.
 
    Run with: xpds bench eval [--quick]
          or: dune exec bench/main.exe -- eval *)
@@ -99,6 +102,28 @@ let xml_queries =
     "<desc[ref & eps = eps]>"
   ]
 
+(* A deep-chain leg: one path of [n] nodes with 71 distinct data values,
+   so the star dynamic program runs over the longest possible rows and
+   data-class images span two words. *)
+let make_chain n =
+  let rec go id =
+    Data_tree.node
+      labels.(id mod Array.length labels)
+      (id * 7 mod 71)
+      (if id + 1 < n then [ go (id + 1) ] else [])
+  in
+  go 0
+
+let chain_queries =
+  [ "eps = (down)*[a]";
+    "eps != (down/down)*[b]";
+    "<(desc/down)*[c & eps = down/down]>";
+    "<(down/down)*[a & eps = down]>";
+    "down[a] = (down)*[b]";
+    "<desc[eps = (down[b])*/down[c]]>";
+    "eps = desc[d]"
+  ]
+
 let run ?(quick = false) ?(out = "BENCH_eval.json") () =
   let target = if quick then 1_300 else 3_000 in
   let tree = make_tree ~target in
@@ -177,6 +202,31 @@ let run ?(quick = false) ?(out = "BENCH_eval.json") () =
   in
   Format.printf "  xml positions agree: %b@." xml_agree;
 
+  (* Chain leg: star and data-comparison queries, gated position for
+     position against the oracle, each engine timed cold. *)
+  let chain_n = if quick then 600 else 1_000 in
+  let chain = make_chain chain_n in
+  let cenv = Semantics.env_of_tree chain in
+  let cev = Eval.create (Eval_doc.of_tree chain) in
+  let chain_runs =
+    List.map
+      (fun text ->
+        let q = Parser.node_of_string_exn text in
+        let o, o_s = time (fun () -> Semantics.sat_nodes cenv q) in
+        let c, c_s = time (fun () -> Eval.selected_positions cev q) in
+        Format.printf "  chain %-40s semantics %.3f s, eval %.4f s@." text o_s
+          c_s;
+        (text, sorted_positions o = sorted_positions c, o_s, c_s))
+      chain_queries
+  in
+  let chain_agree = List.for_all (fun (_, a, _, _) -> a) chain_runs in
+  let chain_sum f = List.fold_left (fun acc r -> acc +. f r) 0. chain_runs in
+  let chain_oracle_s = chain_sum (fun (_, _, o, _) -> o)
+  and chain_eval_s = chain_sum (fun (_, _, _, c) -> c) in
+  Format.printf "  chain (%d nodes): semantics %.3f s, eval cold %.3f s@."
+    chain_n chain_oracle_s chain_eval_s;
+  Format.printf "  chain positions agree: %b@." chain_agree;
+
   let speedup_cold = oracle_s /. cold_s in
   let speedup_warm = oracle_s /. warm_s in
   Format.printf "  speedup: %.1fx cold, %.1fx warm@." speedup_cold
@@ -191,6 +241,7 @@ let run ?(quick = false) ?(out = "BENCH_eval.json") () =
       ~gates:
         [ ("positions_agree", agree);
           ("xml_positions_agree", xml_agree);
+          ("chain_positions_agree", chain_agree);
           ("warm_speedup", fast_enough)
         ]
       [ ("doc_nodes", Json.Num (float_of_int n));
@@ -212,10 +263,27 @@ let run ?(quick = false) ?(out = "BENCH_eval.json") () =
             [ ("s", Json.Num warm_s);
               ("queries_per_s", Json.Num (float_of_int nq /. warm_s))
             ] );
+        ( "chain",
+          Json.Obj
+            [ ("nodes", Json.Num (float_of_int chain_n));
+              ("semantics_s", Json.Num chain_oracle_s);
+              ("eval_cold_s", Json.Num chain_eval_s);
+              ( "per_query",
+                Json.Arr
+                  (List.map
+                     (fun (text, _, o_s, c_s) ->
+                       Json.Obj
+                         [ ("query", Json.Str text);
+                           ("semantics_s", Json.Num o_s);
+                           ("eval_cold_s", Json.Num c_s)
+                         ])
+                     chain_runs) )
+            ] );
         ("speedup_cold", Json.Num speedup_cold);
         ("speedup_warm", Json.Num speedup_warm);
         ("positions_agree", Json.Bool agree);
-        ("xml_positions_agree", Json.Bool xml_agree)
+        ("xml_positions_agree", Json.Bool xml_agree);
+        ("chain_positions_agree", Json.Bool chain_agree)
       ]
   in
   if ok then 0 else 1

@@ -193,10 +193,9 @@ let hash t =
 let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.bits
 
 (* Word-skipping scan: visit only set bits, lowest first. *)
-let iter f t =
-  let bits = t.bits in
-  for wi = 0 to Array.length bits - 1 do
-    let w = ref bits.(wi) in
+let iter_words f src ~pos ~len =
+  for wi = 0 to len - 1 do
+    let w = ref src.(pos + wi) in
     if !w <> 0 then begin
       let base = wi * bits_per_word in
       while !w <> 0 do
@@ -206,6 +205,8 @@ let iter f t =
       done
     end
   done
+
+let iter f t = iter_words f t.bits ~pos:0 ~len:(Array.length t.bits)
 
 let fold f t init =
   let acc = ref init in

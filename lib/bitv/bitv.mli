@@ -133,6 +133,11 @@ val of_words : int -> int array -> int -> t
 (** [of_words width src pos] is the vector of that width whose words are
     [src.(pos) ..]; bits past [width] are ignored. *)
 
+val iter_words : (int -> unit) -> int array -> pos:int -> len:int -> unit
+(** [iter_words f src ~pos ~len] is {!iter} over the [len] raw words
+    [src.(pos) ..]: [f i] for every set bit [i], counted from bit 0 of
+    [src.(pos)], in ascending order, skipping zero words. *)
+
 val of_rows : row_width:int -> t array -> t
 (** [of_rows ~row_width rows] concatenates equal-width rows into one
     vector of width [row_width * Array.length rows]: bit [i·row_width+j]

@@ -935,7 +935,8 @@ let eval ?trace t (r : eval_request) =
       ~node_evals:0
   | Ok entry ->
     let limit = max 0 (Option.value r.limit ~default:default_position_limit) in
-    (* The raw query text keys the cache, not the canonical form:
+    (* The printed parsed query keys the cache (so texts differing
+       only in whitespace share an entry), not the canonical form:
        canonicalization is only proven semantics-preserving for
        satisfiability (root evaluation), while eval reports every
        selected position. *)

@@ -37,7 +37,8 @@ let data_free_cfg = { full_cfg with data = false; star = false }
 let child_only_cfg = { star_free_cfg with desc = false }
 let desc_only_cfg = { star_free_cfg with child = false }
 
-let gen_node_cfg cfg : node QCheck.Gen.t =
+(* The node and path generators of one fragment, by fuel. *)
+let gens_cfg cfg =
   let open QCheck.Gen in
   let lab =
     map
@@ -90,7 +91,13 @@ let gen_node_cfg cfg : node QCheck.Gen.t =
       in
       frequency cases st
   in
-  sized_size (int_bound 14) node
+  (node, path)
+
+let gen_node_cfg cfg : node QCheck.Gen.t =
+  QCheck.Gen.(sized_size (int_bound 14) (fst (gens_cfg cfg)))
+
+let gen_path_cfg cfg : path QCheck.Gen.t =
+  QCheck.Gen.(sized_size (int_bound 14) (snd (gens_cfg cfg)))
 
 let gen_node = gen_node_cfg full_cfg
 

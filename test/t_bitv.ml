@@ -54,7 +54,16 @@ let prop_iter_fold =
       && Bitv.for_all (fun i -> i mod 2 = 0) bx
          = IS.for_all (fun i -> i mod 2 = 0) sx
       && Bitv.elements (Bitv.filter (fun i -> i mod 3 = 0) bx)
-         = IS.elements (IS.filter (fun i -> i mod 3 = 0) sx))
+         = IS.elements (IS.filter (fun i -> i mod 3 = 0) sx)
+      (* raw-word iteration stays inside its window: the words around
+         it are all ones *)
+      &&
+      let wc = Bitv.word_count w in
+      let raw = Array.make (wc + 2) (-1) in
+      Bitv.blit_words bx raw 1;
+      let via_words = ref [] in
+      Bitv.iter_words (fun i -> via_words := i :: !via_words) raw ~pos:1 ~len:wc;
+      List.rev !via_words = IS.elements sx)
 
 let prop_builder =
   Gen_helpers.qtest ~count:500 "builder api agrees with functional ops"

@@ -1,9 +1,12 @@
 (* The bulk evaluation engine (lib/eval) against its oracles: Doc
    flattening round-trips and index invariants, ≥600 random differential
    (tree, formula) instances against the reference Semantics — star-free
-   and full regXPath — per-path relation agreement, SAT-witness replay
-   through both engines, and invertibility of the Appendix-A XML
-   encoding at the array level (including duplicate attribute names).
+   and full regXPath — per-path relation agreement, the same on wide
+   trees (multi-word payloads) and deep narrow ones under stars, the
+   node_evals accounting, deadlines at every poll of a star query,
+   SAT-witness replay through both engines, and invertibility of the
+   Appendix-A XML encoding at the array level (including duplicate
+   attribute names).
 
    Nothing here interns labels at module init: the engine-stat goldens
    in t_bitv pin the global intern order, so every tree/formula below is
@@ -104,6 +107,120 @@ let prop_diff_path_relations =
           = List.sort compare (Semantics.path_pairs env alpha))
         (Ast.path_subformulas phi))
 
+(* --- shapes beyond the small generators: multi-word payloads --- *)
+
+(* A tree from a parent array ([parent.(i) < i]), one label and datum
+   per node. *)
+let tree_of_parents ~parent ~label ~data =
+  let n = Array.length parent in
+  let kids = Array.make n [] in
+  for i = n - 1 downto 1 do
+    kids.(parent.(i)) <- i :: kids.(parent.(i))
+  done;
+  let rec build i =
+    Data_tree.node label.(i) data.(i) (List.map build kids.(i))
+  in
+  build 0
+
+let labels = [| "a"; "b"; "c" |]
+
+(* 64–160 nodes under uniformly random parents, with 64 or more
+   distinct data values: node sets, identity rows and data-class images
+   all span several words. *)
+let gen_wide_tree : Data_tree.t QCheck.Gen.t =
+ fun st ->
+  let n = 64 + Random.State.int st 97 in
+  let m = 64 + Random.State.int st (n - 63) in
+  let classes = Array.init m Fun.id in
+  for i = m - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let x = classes.(i) in
+    classes.(i) <- classes.(j);
+    classes.(j) <- x
+  done;
+  tree_of_parents
+    ~parent:
+      (Array.init n (fun i -> if i = 0 then -1 else Random.State.int st i))
+    ~label:(Array.init n (fun _ -> labels.(Random.State.int st 3)))
+    ~data:
+      (Array.init n (fun i ->
+           if i < m then classes.(i) else Random.State.int st m))
+
+(* 121–180 nodes, each the child of node i-1 or (sometimes) i-2: width
+   at most 2, height at least 60; data from 2, 4 or 80 values. *)
+let gen_deep_tree : Data_tree.t QCheck.Gen.t =
+ fun st ->
+  let n = 121 + Random.State.int st 60 in
+  let branching = Random.State.int st 3 in
+  let m = [| 2; 4; 80 |].(Random.State.int st 3) in
+  tree_of_parents
+    ~parent:
+      (Array.init n (fun i ->
+           if i = 0 then -1
+           else if i >= 2 && Random.State.int st 10 < branching then i - 2
+           else i - 1))
+    ~label:(Array.init n (fun _ -> labels.(Random.State.int st 3)))
+    ~data:(Array.init n (fun _ -> Random.State.int st m))
+
+let arb_shaped gen_tree gen_formula =
+  QCheck.make
+    ~print:(fun (phi, t) ->
+      Xpds_xpath.Pp.node_to_string phi ^ " on " ^ Data_tree.to_string t)
+    (QCheck.Gen.pair gen_formula gen_tree)
+
+(* Every node subformula's node set and every path subformula's rows
+   agree with the reference semantics, all on one evaluator (so images
+   of one path under several payloads share its memo entries). Pairs
+   are compared as pre-order ids: positions on deep trees are long. *)
+let agrees_everywhere (phi, t) =
+  let d = Doc.of_tree t in
+  let e = Eval.create d in
+  let env = Semantics.env_of_tree t in
+  let id p = Option.get (Doc.id_of_position d p) in
+  List.for_all
+    (fun psi -> Eval.selected_positions e psi = Semantics.sat_nodes env psi)
+    (Ast.node_subformulas phi)
+  && List.for_all
+       (fun alpha ->
+         let rows = Eval.path_rows e alpha in
+         let pairs = ref [] in
+         Array.iteri
+           (fun x r -> Bitv.iter (fun y -> pairs := (x, y) :: !pairs) r)
+           rows;
+         List.sort compare !pairs
+         = List.sort compare
+             (List.map
+                (fun (x, y) -> (id x, id y))
+                (Semantics.path_pairs env alpha)))
+       (Ast.path_subformulas phi)
+
+let prop_wide_trees =
+  Gen_helpers.qtest ~count:60
+    "eval = semantics on wide trees with > 63 nodes and data values"
+    (arb_shaped gen_wide_tree Gen_helpers.gen_node)
+    agrees_everywhere
+
+(* Formulas with a star under both kinds of image: ⟨α*[ψ]⟩ and a
+   comparison α* ~ β, next to a random regXPath formula. *)
+let gen_star_formula : Ast.node QCheck.Gen.t =
+  let open QCheck.Gen in
+  let sub = Gen_helpers.gen_node in
+  let path = Gen_helpers.gen_path_cfg Gen_helpers.full_cfg in
+  map
+    (fun ((alpha, beta), (psi, op), phi) ->
+      Ast.Or
+        ( Ast.And
+            ( Ast.Exists (Ast.Filter (Ast.Star alpha, psi)),
+              Ast.Cmp (Ast.Star alpha, op, beta) ),
+          phi ))
+    (triple (pair path path) (pair sub (oneofl [ Ast.Eq; Ast.Neq ])) sub)
+
+let prop_deep_trees =
+  Gen_helpers.qtest ~count:40
+    "eval = semantics on narrow trees of height >= 60 under stars"
+    (arb_shaped gen_deep_tree gen_star_formula)
+    agrees_everywhere
+
 (* --- memoization, batching, deadline --- *)
 
 let test_memo_sharing () =
@@ -119,6 +236,32 @@ let test_memo_sharing () =
   let (_ : Bitv.t) = Eval.nodes e (Ast.Not phi) in
   Alcotest.(check int) "superformula reuses the memo"
     (work + Data_tree.size t) (Eval.node_evals e)
+
+let test_path_charged_once () =
+  (* ⟨α⟩ takes α's reach image and α = β its data-class image: two
+     payloads, one charge per distinct sub-expression. *)
+  let t = Data_tree.of_string_exn "a:1(b:2(c:1),b:3(a:2),c:1)" in
+  let n = Data_tree.size t in
+  let parse = Xpds_xpath.Parser.node_of_string_exn in
+  let e = Eval.create (Doc.of_tree t) in
+  let (_ : Bitv.t) = Eval.nodes e (parse "<down[b]> & down[b] = desc") in
+  (* nodes ∧, ⟨⟩, =, b; paths down[b], down, desc *)
+  Alcotest.(check int) "every sub-expression once" (7 * n) (Eval.node_evals e);
+  let (_ : Bitv.t) = Eval.nodes e (parse "down[b] != desc") in
+  Alcotest.(check int) "a new comparison pays for itself only" (8 * n)
+    (Eval.node_evals e)
+
+let prop_charge_per_subformula =
+  Gen_helpers.qtest ~count:200
+    "a fresh evaluation charges n per distinct subformula"
+    (QCheck.pair Gen_helpers.arb_node (Gen_helpers.arb_tree ()))
+    (fun (phi, t) ->
+      let e = Eval.create (Doc.of_tree t) in
+      let (_ : Bitv.t) = Eval.nodes e phi in
+      Eval.node_evals e
+      = Data_tree.size t
+        * (List.length (Ast.node_subformulas phi)
+          + List.length (Ast.path_subformulas phi)))
 
 let test_batch () =
   let t = Data_tree.of_string_exn "a:1(b:1(c:2),b:2,a:1)" in
@@ -146,6 +289,46 @@ let test_deadline () =
   match Eval.nodes e (Ast.Exists (Ast.Axis Ast.Child)) with
   | (_ : Bitv.t) -> Alcotest.fail "deadline must fire"
   | exception Eval.Deadline -> ()
+
+let test_deadline_inside_star () =
+  (* A deadline at every poll of a star query on a 300-node chain with
+     75 data values; the interrupted evaluator, with the hook off, must
+     still give the reference answer, so no partial memo entry
+     survived. *)
+  let n = 300 in
+  let t =
+    tree_of_parents
+      ~parent:(Array.init n (fun i -> i - 1))
+      ~label:(Array.init n (fun i -> labels.(i mod 3)))
+      ~data:(Array.init n (fun i -> i * 7 mod 75))
+  in
+  let d = Doc.of_tree t in
+  let env = Semantics.env_of_tree t in
+  let phi =
+    Xpds_xpath.Parser.node_of_string_exn
+      "<(down/down[a | b])*[c & eps != desc]> | eps = (down[b])*/down[c]"
+  in
+  let expected = Semantics.sat_nodes env phi in
+  let polls = ref 0 and armed = ref false and fire_at = ref 0 in
+  let should_stop () =
+    incr polls;
+    !armed && !polls >= !fire_at
+  in
+  let (_ : Bitv.t) = Eval.nodes (Eval.create ~should_stop d) phi in
+  let total = !polls in
+  Alcotest.(check bool) "the query polls often" true (total >= 10);
+  for k = 1 to total do
+    polls := 0;
+    fire_at := k;
+    armed := true;
+    let e = Eval.create ~should_stop d in
+    (match Eval.nodes e phi with
+    | (_ : Bitv.t) -> Alcotest.failf "deadline at poll %d must fire" k
+    | exception Eval.Deadline -> ());
+    armed := false;
+    if Eval.selected_positions e phi <> expected then
+      Alcotest.failf "wrong answer after a deadline at poll %d" k
+  done
 
 (* --- SAT-witness replay --- *)
 
@@ -300,10 +483,17 @@ let suite =
       prop_diff_star_free;
       prop_diff_regxpath;
       prop_diff_path_relations;
+      prop_wide_trees;
+      prop_deep_trees;
       Alcotest.test_case "memo sharing across a batch" `Quick
         test_memo_sharing;
+      Alcotest.test_case "a path is charged once across payloads" `Quick
+        test_path_charged_once;
+      prop_charge_per_subformula;
       Alcotest.test_case "batch outcomes" `Quick test_batch;
       Alcotest.test_case "deadline" `Quick test_deadline;
+      Alcotest.test_case "deadline inside a star" `Quick
+        test_deadline_inside_star;
       Alcotest.test_case "SAT-witness replay" `Slow test_witness_replay;
       prop_xml_roundtrip;
       Alcotest.test_case "xml round trip with duplicate attrs" `Quick
