@@ -28,6 +28,16 @@ let formulas () =
   in
   families @ random
 
+(* Each formula's family, in corpus order: the family blocks above,
+   then the random formulas. *)
+let family_names () =
+  List.concat_map
+    (fun (name, n) -> List.init n (fun _ -> name))
+    [ ("child_chain", 16); ("data_chain", 5); ("desc_data", 3);
+      ("root_data", 3); ("reg_alternation", 2); ("mixed_axes", 10);
+      ("random", 64)
+    ]
+
 let requests fs =
   List.mapi
     (fun i phi ->

@@ -8,10 +8,12 @@
    [run ~quick:true] is the CI smoke mode: a handful of small families
    under a tight transition budget, asserting the verdict each family
    guarantees by construction, plus seq-vs-par and pruned-vs-exact
-   agreement gates. Returns 0 on success, 1 on any verdict mismatch (or
-   a pruned run slower than exact beyond tolerance) — a kernel
-   regression that flips a verdict fails the step rather than silently
-   skewing the numbers.
+   agreement gates and a transition-memo gate. Returns 0 on success, 1
+   on any verdict mismatch (or a pruned run slower than exact beyond
+   tolerance, or a memo that replays nothing) — a kernel regression
+   that flips a verdict fails the step rather than silently skewing the
+   numbers. Both modes print, per family, how many transitions the
+   transition memo replayed.
 
    Run with: xpds bench emptiness [--quick] [--no-prune]
          or: dune exec bench/main.exe -- emptiness *)
@@ -29,8 +31,9 @@ let verdict_of (r : Service.response) =
   Service.verdict_name r.Service.report.Sat.verdict
 
 (* One cold sequential pass over the corpus under the given pruning
-   mode; returns wall time, summed engine and pruning counters, and the
-   per-request verdicts (in corpus order, for agreement checks). *)
+   mode; returns wall time, summed engine and pruning counters, the
+   per-request verdicts (in corpus order, for agreement checks) and the
+   per-request stats. *)
 let corpus_pass ~domains ~prune () =
   let reqs = Corpus.requests (Corpus.formulas ()) in
   let svc =
@@ -56,7 +59,27 @@ let corpus_pass ~domains ~prune () =
   ( wall,
     (states, transitions, mergings),
     (subsumed, evicted, antichain),
-    List.map verdict_of resps )
+    List.map verdict_of resps,
+    List.map (fun (r : Service.response) -> r.Service.report.Sat.stats) resps
+  )
+
+(* Transitions and those the transition memo replayed, summed per
+   corpus family (in first-appearance order). *)
+let replayed_by_family stats =
+  let tbl = Hashtbl.create 8 and order = ref [] in
+  List.iter2
+    (fun fam (st : Emptiness.stats) ->
+      let t, r =
+        match Hashtbl.find_opt tbl fam with
+        | Some v -> v
+        | None ->
+          order := fam :: !order;
+          (0, 0)
+      in
+      Hashtbl.replace tbl fam
+        (t + st.Emptiness.n_transitions, r + st.Emptiness.n_replayed))
+    (Corpus.family_names ()) stats;
+  List.rev_map (fun fam -> (fam, Hashtbl.find tbl fam)) !order
 
 let full ~out ~domains ~prune () =
   let n = List.length (Corpus.formulas ()) in
@@ -64,15 +87,23 @@ let full ~out ~domains ~prune () =
     domains
     (if prune then "" else ", pruning off");
   let wall, (states, transitions, mergings), (subsumed, evicted, antichain),
-      verdicts =
+      verdicts, stats =
     corpus_pass ~domains ~prune ()
   in
+  let by_family = replayed_by_family stats in
+  let replayed = List.fold_left (fun a (_, (_, r)) -> a + r) 0 by_family in
   let per_s x = float_of_int x /. wall in
   let speedup = pr1_baseline_s /. wall in
   Format.printf "  cold: %.2f s (%.1f formulas/s)@." wall
     (float_of_int n /. wall);
   Format.printf "  engine: %d states, %d transitions, %d mergings@."
     states transitions mergings;
+  Format.printf "  transition memo: %d of %d transitions replayed@." replayed
+    transitions;
+  List.iter
+    (fun (fam, (t, r)) ->
+      Format.printf "    %-16s %8d of %8d replayed@." fam r t)
+    by_family;
   Format.printf "  throughput: %.0f states/s, %.0f mergings/s@."
     (per_s states) (per_s mergings);
   if prune then
@@ -89,7 +120,7 @@ let full ~out ~domains ~prune () =
   let exact_fields, agree =
     if not prune then ([], true)
     else begin
-      let exact_wall, _, _, exact_verdicts =
+      let exact_wall, _, _, exact_verdicts, _ =
         corpus_pass ~domains ~prune:false ()
       in
       let agree = verdicts = exact_verdicts in
@@ -116,10 +147,21 @@ let full ~out ~domains ~prune () =
             [ ("states", Json.Num (float_of_int states));
               ("transitions", Json.Num (float_of_int transitions));
               ("mergings", Json.Num (float_of_int mergings));
+              ("replayed", Json.Num (float_of_int replayed));
               ("states_per_s", Json.Num (per_s states));
               ("transitions_per_s", Json.Num (per_s transitions));
               ("mergings_per_s", Json.Num (per_s mergings))
             ] );
+        ( "replayed_by_family",
+          Json.Obj
+            (List.map
+               (fun (fam, (t, r)) ->
+                 ( fam,
+                   Json.Obj
+                     [ ("transitions", Json.Num (float_of_int t));
+                       ("replayed", Json.Num (float_of_int r))
+                     ] ))
+               by_family) );
         ( "pruning",
           Json.Obj
             ([ ("subsumed_pruned", Json.Num (float_of_int subsumed));
@@ -288,6 +330,32 @@ let pruned_vs_exact () =
         ]),
     List.for_all (fun (_, _, ok, _) -> ok) rows && fast_enough )
 
+(* The transition memo on a hit-heavy search: most of data_chain
+   unsat 3's transitions repeat an earlier one. A memo that never hits
+   passes every verdict and agreement gate and only loses the speed, so
+   this gate fails the run when nothing was replayed. Sequential and at
+   hard-solve's budget: the parallel engine has no memo. *)
+let memo_replays () =
+  let options =
+    Sat.Options.(default |> with_domains 1 |> with_max_transitions 20_000)
+  in
+  let st =
+    (Sat.decide ~options (Families.data_chain ~sat:false 3)).Sat.stats
+  in
+  let replayed = st.Emptiness.n_replayed in
+  let ok = replayed > 0 in
+  Format.printf
+    "  transition memo: data_chain_unsat_3 replayed %d of %d transitions  \
+     %s@."
+    replayed st.Emptiness.n_transitions
+    (if ok then "ok" else "NO REPLAYS");
+  ( Json.Obj
+      [ ("transitions", Json.Num (float_of_int st.Emptiness.n_transitions));
+        ("replayed", Json.Num (float_of_int replayed));
+        ("ok", Json.Bool ok)
+      ],
+    ok )
+
 let smoke ~out ~prune () =
   let cases = quick_cases () in
   Format.printf "emptiness bench (quick): %d cases%s@."
@@ -313,24 +381,29 @@ let smoke ~out ~prune () =
           | `Unsat, ("unsat" | "unsat_bounded") -> true
           | _ -> false
         in
-        Format.printf "  %-22s %-14s %s@." name verdict
-          (if ok then "ok" else "FAIL");
-        (name, verdict, ok))
+        let st = resp.Service.report.Sat.stats in
+        Format.printf "  %-22s %-14s %s  (%d of %d transitions replayed)@."
+          name verdict
+          (if ok then "ok" else "FAIL")
+          st.Emptiness.n_replayed st.Emptiness.n_transitions;
+        (name, verdict, ok, st.Emptiness.n_replayed))
       cases
   in
   let wall = Unix.gettimeofday () -. t0 in
-  let failed = List.filter (fun (_, _, ok) -> not ok) results in
+  let failed = List.filter (fun (_, _, ok, _) -> not ok) results in
   Format.printf "  %d/%d ok in %.2f s@."
     (List.length results - List.length failed)
     (List.length results) wall;
   let par_json, par_ok = seq_vs_par () in
   let prune_json, prune_ok = pruned_vs_exact () in
+  let memo_json, memo_ok = memo_replays () in
   let ok =
     Report.write ~out ~bench:"emptiness" ~mode:"quick" ~wall_s:wall
       ~gates:
         [ ("family_verdicts", failed = []);
           ("seq_vs_par_agree", par_ok);
-          ("pruned_vs_exact_agree", prune_ok)
+          ("pruned_vs_exact_agree", prune_ok);
+          ("memo_replays", memo_ok)
         ]
       [ ("prune", Json.Bool prune);
         ("cases", Json.Num (float_of_int (List.length results)));
@@ -338,15 +411,17 @@ let smoke ~out ~prune () =
         ( "results",
           Json.Obj
             (List.map
-               (fun (name, verdict, ok) ->
+               (fun (name, verdict, ok, replayed) ->
                  ( name,
                    Json.Obj
                      [ ("verdict", Json.Str verdict);
-                       ("ok", Json.Bool ok)
+                       ("ok", Json.Bool ok);
+                       ("replayed", Json.Num (float_of_int replayed))
                      ] ))
                results) );
         ("seq_vs_par", par_json);
-        ("pruned_vs_exact", prune_json)
+        ("pruned_vs_exact", prune_json);
+        ("memo_replays", memo_json)
       ]
   in
   if ok then 0 else 1

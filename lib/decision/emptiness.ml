@@ -43,6 +43,7 @@ type stats = {
   max_height_reached : int;
   par : par_stats;
   prune : prune_stats;
+  n_replayed : int;
 }
 
 type config = {
@@ -104,6 +105,23 @@ let poll_stop cfg =
   | Some stop when stop () -> raise (Limit deadline_exceeded)
   | _ -> ()
 
+(* The transition memo (DESIGN.md: Transition memo): children
+   projections interned to ids, and per (projection id, merging key) the
+   state ids the transition's results resolved to. *)
+module ProjTbl = Hashtbl.Make (struct
+  type t = Transition.projection
+
+  let equal = Transition.projection_equal
+  let hash = Transition.projection_hash
+end)
+
+module MemoTbl = Hashtbl.Make (struct
+  type t = int * Merging.Key.t
+
+  let equal (p1, k1) (p2, k2) = p1 = p2 && Merging.Key.equal k1 k2
+  let hash (p, k) = ((Merging.Key.hash k * 0x01000193) lxor p) land max_int
+end)
+
 (* Profile-keyed table for the hash-consed quotient: states with equal
    upward-observable footprints collapse to one representative. *)
 module ProfTbl = Hashtbl.Make (struct
@@ -153,13 +171,22 @@ type search = {
       (** the antichain frontier, newest first (dominance tier only) *)
   mutable subsumed_pruned : int;
   mutable basis_evicted : int;
+  (* the transition memo (sequential round only) *)
+  projs : int ProjTbl.t;  (** children projection -> projection id *)
+  replays : int array MemoTbl.t;
+      (** (projection id, merging key) -> per label, the ids its results
+          resolved to: [e.(l) .. e.(l+1) - 1] index label [l]'s ids *)
+  mutable replayed : int;
 }
 
+(* Admit a transition result at [height]; returns the id it resolved
+   to: its new id, an equal state's, or the representative it was pruned
+   against. Raises [Found] on an accepting state. *)
 let add_state s state prov height =
   match StateTbl.find_opt s.ids state with
   | Some id ->
     if height < s.heights.(id) then s.heights.(id) <- height;
-    None
+    id
   | None ->
     (* Subsumption pruning. Accepting states are never pruned: the
        [Found] acceptance below must fire exactly as in an exact run.
@@ -201,7 +228,7 @@ let add_state s state prov height =
          under a height cap as the state it stands for. *)
       StateTbl.add s.ids state rep;
       if height < s.heights.(rep) then s.heights.(rep) <- height;
-      None
+      rep
     | None -> begin
     (match profile with
     | Some p when s.mono ->
@@ -271,7 +298,7 @@ let add_state s state prov height =
       if s.mono then s.chain <- (id, p) :: s.chain
     | None -> ());
     if Ext_state.accepting state s.final then raise (Found id);
-    Some id
+    id
     end
 
 (* Non-decreasing id sequences of length [w] over [0..n], containing at
@@ -298,12 +325,15 @@ let bump_transitions s =
 
 (* The merging kernel both engines share. A combo's items are the
    visible values of its children, child by child, each with its
-   step-up (precomputed at state discovery). The resulting state
-   depends on a merging only through the multiset of its classes'
-   stepped-up bases (plus the root flag), so [Merging.iter] runs over
-   every merging — each one counts against the budgets — and
-   [Merging.fresh_key] picks the first of each key, in enumeration
-   order, as the one to apply. *)
+   step-up (precomputed at state discovery). With at most t0 classes,
+   the resulting state depends on a merging only through the multiset
+   of its classes' stepped-up bases (plus the root flag), so
+   [Merging.iter] runs over every merging — each one counts against the
+   budgets — and [Merging.fresh_key] picks the first of each key, in
+   enumeration order, as the one to apply. With more classes, the t0
+   truncation breaks ties by class index and mergings sharing a key may
+   differ; applying only the first is a deliberate approximation, and
+   such a search is bounded ([unsat_bounded]) anyway. *)
 let load_combo enum ~k_card ~val_su ~visible combo =
   Merging.clear enum ~width:k_card;
   for i = 0 to Array.length combo - 1 do
@@ -324,21 +354,89 @@ let distinct_merging enum ~initial =
   in
   (Merging.current enum, bases)
 
+(* Replay a memo entry: the transitions count and poll as if applied,
+   and each result lands on the id it resolved to when the entry was
+   written — by then it was admitted, aliased or a duplicate, so
+   [add_state]'s duplicate branch is all a recompute would run. *)
+let replay_entry s ~height ~n_labels e =
+  for l = 0 to n_labels - 1 do
+    bump_transitions s;
+    s.replayed <- s.replayed + 1;
+    for j = e.(l) to e.(l + 1) - 1 do
+      let id = e.(j) in
+      if height < s.heights.(id) then s.heights.(id) <- height
+    done
+  done
+
+(* Apply a fresh merging to every label, in order, and record the entry
+   once every result is admitted (a [Found] or [Limit] ends the search
+   first). *)
+let apply_merging s ~labels ~height ~combo ~children key =
+  let cfg = s.cfg in
+  let pf = (Transition.bip_of s.ctx).Bip.pf in
+  let merging, bases =
+    distinct_merging s.enum ~initial:pf.Pathfinder.initial
+  in
+  let ids =
+    List.map
+      (fun label ->
+        bump_transitions s;
+        List.map
+          (fun (r : Transition.result) ->
+            add_state s r.Transition.state
+              (PNode (label, combo, merging, r.Transition.class_values))
+              height)
+          (Transition.combine ?t0:cfg.t0 ?dup_cap:cfg.dup_cap ~bases s.ctx
+             label children merging))
+      labels
+  in
+  let n_labels = List.length ids in
+  let e =
+    Array.make
+      (n_labels + 1 + List.fold_left (fun n l -> n + List.length l) 0 ids)
+      0
+  in
+  let pos = ref (n_labels + 1) in
+  List.iteri
+    (fun l label_ids ->
+      e.(l) <- !pos;
+      List.iter
+        (fun id ->
+          e.(!pos) <- id;
+          incr pos)
+        label_ids)
+    ids;
+  e.(n_labels) <- !pos;
+  MemoTbl.add s.replays key e
+
+let projection_id s children =
+  let p = Transition.projection s.ctx children in
+  match ProjTbl.find_opt s.projs p with
+  | Some id -> id
+  | None ->
+    let id = ProjTbl.length s.projs in
+    ProjTbl.add s.projs p id;
+    id
+
 (* One saturation round: apply every unseen transition whose children
-   include at least one state discovered in the previous round. Returns
+   include at least one state discovered in the previous round. A
+   transition whose children projection and merging key were already
+   applied in this search is replayed from the memo instead. Returns
    whether new states appeared. *)
 let round s ~labels ~width ~height ~fresh_from ~pool =
   let cfg = s.cfg in
   let n = Array.length pool - 1 in
-  let new_seen = ref false in
+  let start = s.count in
   let is_fresh p = pool.(p) >= fresh_from in
   let m = Transition.bip_of s.ctx in
-  let pf = m.Bip.pf in
-  let k_card = pf.Pathfinder.n_states in
+  let k_card = m.Bip.pf.Pathfinder.n_states in
+  let t0 = match cfg.t0 with Some t -> t | None -> Transition.t0_default m in
+  let n_labels = List.length labels in
   for w = 1 to width do
     iter_combos ~n ~w ~is_fresh (fun combo ->
         let combo = Array.map (fun p -> pool.(p)) combo in
         let children = Array.map (fun id -> s.states.(id)) combo in
+        let proj = ref (-1) in
         load_combo s.enum ~k_card ~val_su:s.val_su ~visible:s.visible combo;
         Merging.iter ?budget:cfg.merge_budget s.enum (fun enum ->
             s.mergings <- s.mergings + 1;
@@ -349,32 +447,15 @@ let round s ~labels ~width ~height ~fresh_from ~pool =
               raise (Limit "merging budget");
             if s.mergings land 255 = 0 then poll_stop s.cfg;
             if Merging.fresh_key enum then begin
-              let merging, bases =
-                distinct_merging enum ~initial:pf.Pathfinder.initial
-              in
-              List.iter
-                (fun label ->
-                  bump_transitions s;
-                  let results =
-                    Transition.combine ?t0:cfg.t0 ?dup_cap:cfg.dup_cap
-                      ~bases s.ctx label children merging
-                  in
-                  List.iter
-                    (fun (r : Transition.result) ->
-                      match
-                        add_state s r.Transition.state
-                          (PNode
-                             (label, combo, merging,
-                              r.Transition.class_values))
-                          height
-                      with
-                      | Some _ -> new_seen := true
-                      | None -> ())
-                    results)
-                labels
+              if !proj < 0 then proj := projection_id s children;
+              let key = (!proj, Merging.transition_key enum ~t0) in
+              match MemoTbl.find_opt s.replays key with
+              | Some e -> replay_entry s ~height ~n_labels e
+              | None ->
+                apply_merging s ~labels ~height ~combo ~children key
             end))
   done;
-  !new_seen
+  s.count > start
 
 (* --- domain-parallel round ---
 
@@ -549,13 +630,12 @@ let replay_events s ~height ~new_seen combo events =
         bump_transitions s;
         List.iter
           (fun (r : Transition.result) ->
-            match
-              add_state s r.Transition.state
-                (PNode (label, combo, merging, r.Transition.class_values))
-                height
-            with
-            | Some _ -> new_seen := true
-            | None -> ())
+            let before = s.count in
+            ignore
+              (add_state s r.Transition.state
+                 (PNode (label, combo, merging, r.Transition.class_values))
+                 height);
+            if s.count > before then new_seen := true)
           results)
     events
 
@@ -816,19 +896,6 @@ let data_free (m : Bip.t) =
     (fun (k1, k2, op) -> k1 = k2 && op = Xpds_xpath.Ast.Eq)
     (Bip.ex_atoms m)
 
-let has_counting (m : Bip.t) =
-  Array.exists
-    (fun f ->
-      Bip.fold_form
-        (fun acc atom ->
-          acc
-          ||
-          match atom with
-          | Bip.FCountGe _ | Bip.FCountZero _ | Bip.FCountLt _ -> true
-          | Bip.FEx _ -> false)
-        false f)
-    m.Bip.mu
-
 module DfTbl = Hashtbl.Make (struct
   type t = Bitv.t * Bitv.t
 
@@ -915,7 +982,7 @@ let check_data_free ~config (m : Bip.t) =
      step_up(reach), so children can be deduplicated by that projection:
      combos then range over the (much fewer) distinct step-up values,
      with one representative state each for provenance. *)
-  let counting = has_counting m in
+  let counting = Transition.has_counting m in
   let su_tbl : unit BvTbl.t = BvTbl.create 64 in
   let su_reps = ref [] in
   let n_sus = ref 0 in
@@ -971,6 +1038,7 @@ let check_data_free ~config (m : Bip.t) =
       max_height_reached = height;
       par = seq_par_stats;
       prune = no_prune_stats;
+      n_replayed = 0;
     }
   in
   try
@@ -1141,6 +1209,9 @@ let check_full ?(config = default_config) ?(want_basis = false) (m : Bip.t) =
       chain = [];
       subsumed_pruned = 0;
       basis_evicted = 0;
+      projs = ProjTbl.create 16;
+      replays = MemoTbl.create 16;
+      replayed = 0;
     }
   in
   let workers = Parallel.effective ~domains:config.domains max_int in
@@ -1164,6 +1235,7 @@ let check_full ?(config = default_config) ?(want_basis = false) (m : Bip.t) =
           basis_evicted = s.basis_evicted;
           antichain_size = s.count - s.n_dead;
         };
+      n_replayed = s.replayed;
     }
   in
   let labels = m.Bip.labels in

@@ -69,6 +69,11 @@ type stats = {
   prune : prune_stats;
       (** subsumption-pruning counters; like [par], bit-identical
           across [domains] values *)
+  n_replayed : int;
+      (** transitions among [n_transitions] answered from the search's
+          transition memo instead of recomputed (sequential engine only;
+          0 on parallel rounds and the data-free fast path). Not part of
+          wire responses or metrics. *)
 }
 
 val seq_par_stats : par_stats

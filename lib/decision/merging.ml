@@ -59,8 +59,13 @@ let enumerate ?budget (items : (int * int) list) : t Seq.t =
 
    The emptiness round enumerates millions of mergings per solve, and a
    transition depends on a merging only through the multiset of its
-   classes' (root flag, stepped-up base union) — most mergings repeat a
-   key already seen for the same children. So the enumeration carries
+   classes' (root flag, stepped-up base union) as long as it has at most
+   t0 classes — most mergings repeat a key already seen for the same
+   children. With more classes, the t0 truncation breaks ties between
+   classes of equal reach size by class index, so two mergings with one
+   key can yield different states; keeping the first of each key is
+   then a deliberate approximation, covered by the bounded verdict
+   (DESIGN.md: Transition memo). So the enumeration carries
    each class's union as raw words beside the partition: a join ORs the
    item's words into its class (saving the old words), a backtrack
    stores them back. The canonical key is then a flat [int array] built
@@ -73,7 +78,7 @@ let enumerate ?budget (items : (int * int) list) : t Seq.t =
    number of classes, the root class's words, then the other classes'
    words in ascending order. The probe key is a longer scratch buffer;
    stored keys are exact copies. *)
-module KeyTbl = Hashtbl.Make (struct
+module Key = struct
   type t = int array
 
   let equal a b =
@@ -89,7 +94,9 @@ module KeyTbl = Hashtbl.Make (struct
       h := (!h lxor a.(i)) * 0x01000193
     done;
     (!h lxor (!h lsr 29)) land max_int
-end)
+end
+
+module KeyTbl = Hashtbl.Make (Key)
 
 type enum = {
   mutable width : int;  (** width of the items' vectors *)
@@ -112,6 +119,7 @@ type enum = {
   (* the canonical key *)
   mutable kbuf : int array;
   mutable order : int array;
+  mutable last : int array;  (** the key [fresh_key] last recorded *)
   seen : unit KeyTbl.t;
 }
 
@@ -132,6 +140,7 @@ let create () =
     assign = [||];
     kbuf = [||];
     order = [||];
+    last = [||];
     seen = KeyTbl.create 64;
   }
 
@@ -262,8 +271,25 @@ let fresh_key e =
   done;
   if KeyTbl.mem e.seen k then false
   else begin
-    KeyTbl.add e.seen (Array.sub k 0 (len + 1)) ();
+    let key = Array.sub k 0 (len + 1) in
+    KeyTbl.add e.seen key ();
+    e.last <- key;
     true
+  end
+
+let key e = e.last
+
+(* Past t0 classes the key keeps the class order: the same words, the
+   non-root classes in class index order. *)
+let transition_key e ~t0 =
+  let nw = e.nw and nc = e.n_classes in
+  if nc <= t0 then e.last
+  else begin
+    let len = 1 + (nc * nw) in
+    let k = Array.make (len + 1) nc in
+    k.(0) <- len;
+    Array.blit e.cwords 0 k 2 (nc * nw);
+    k
   end
 
 let current e =

@@ -37,8 +37,12 @@ val enumerate : ?budget:int -> (int * int) list -> t Seq.t
     vector each (the stepped-up description of the value); the
     enumeration keeps every class's union of its members' vectors as
     raw words, updated in place on each join and restored on backtrack,
-    and dedups partitions by the canonical key the transition depends
-    on: the multiset of (root flag, class union) pairs. One [enum] holds
+    and dedups partitions by a canonical key: the multiset of (root
+    flag, class union) pairs. A transition depends on a merging only
+    through that key when the merging has at most [t0] classes; with
+    more, the [t0] truncation breaks ties by class index, and keeping
+    the first merging of each key is a deliberate approximation (the
+    verdict is then bounded anyway). One [enum] holds
     every buffer and is reused from one item list to the next; it is
     single-owner scratch (one per domain). *)
 
@@ -74,6 +78,23 @@ val fresh_key : enum -> bool
     key — the multiset of (root flag, {!class_union}) over its classes —
     and records the key. The first partition of each key in
     enumeration order is the one that answers [true]. *)
+
+module Key : Hashtbl.HashedType with type t = int array
+(** Keys as {!key} and {!transition_key} return them: [k.(0)] is the
+    payload length, [k.(1)] the number of classes, then the classes'
+    union words, root class first. *)
+
+val key : enum -> Key.t
+(** The key the last {!fresh_key} answering [true] recorded: the
+    non-root classes in ascending word order. The array is shared with
+    the enumeration's seen set; do not mutate it. *)
+
+val transition_key : enum -> t0:int -> Key.t
+(** After {!fresh_key} answered [true]: what a transition under the
+    current partition depends on, beyond its children. With at most [t0]
+    classes that is {!key}; with more, the [t0] truncation breaks ties
+    by class index, so the non-root classes stay in class index order (a
+    fresh array). *)
 
 val current : enum -> t
 (** The current partition, materialized (as {!enumerate} would yield

@@ -61,7 +61,21 @@ type ctx = {
   cand : Bitv.builder;
       (** {!decide_c0}'s candidate root label, grown and shrunk in place *)
   proj : Bitv.builder;  (** [cand ∩ read_mask], maintained alongside *)
+  counting : bool;  (** μ has downward-counting atoms *)
 }
+
+let has_counting (m : Bip.t) =
+  Array.exists
+    (fun f ->
+      Bip.fold_form
+        (fun acc atom ->
+          acc
+          ||
+          match atom with
+          | Bip.FCountGe _ | Bip.FCountZero _ | Bip.FCountLt _ -> true
+          | _ -> false)
+        false f)
+    m.Bip.mu
 
 let make_ctx ?(project_pairs = false) (m : Bip.t) =
   let pf = m.Bip.pf in
@@ -158,6 +172,7 @@ let make_ctx ?(project_pairs = false) (m : Bip.t) =
     alift_tbl = AliftTbl.create 4096;
     cand = Bitv.builder m.Bip.q_card;
     proj = Bitv.builder m.Bip.q_card;
+    counting = has_counting m;
   }
 
 let bip_of ctx = ctx.m
@@ -236,6 +251,55 @@ let many_base ctx ~(children : Ext_state.t array) =
       ignore (Bitv.union_into (Pathfinder.step_up_m ctx.memo c.many) b))
     children;
   Bitv.freeze b
+
+(* What [combine] reads of its children besides the merging's class
+   bases. The case-1 lift Uᵀ·M·U is linear in M and a light's lifted
+   atom is an ∃ over children, so the matrices enter only through their
+   union; the children's labels only through the counting atoms. *)
+type projection = {
+  pj_many : Bitv.t;  (** the many base: ∪ step_up(c.many) *)
+  pj_eq : Bitv.t;  (** ∪ c.eq *)
+  pj_neq : Bitv.t;  (** ∪ c.neq *)
+  pj_states : Bitv.t array;
+      (** the children's [states], sorted; empty without counting atoms *)
+}
+
+let projection ctx (children : Ext_state.t array) =
+  let union f =
+    let b = Bitv.builder_of (f children.(0)) in
+    for i = 1 to Array.length children - 1 do
+      ignore (Bitv.union_into (f children.(i)) b)
+    done;
+    Bitv.freeze b
+  in
+  let pj_states =
+    if ctx.counting then begin
+      let a = Array.map (fun (c : Ext_state.t) -> c.states) children in
+      Array.sort Bitv.compare a;
+      a
+    end
+    else [||]
+  in
+  {
+    pj_many = many_base ctx ~children;
+    pj_eq = union (fun c -> c.Ext_state.eq);
+    pj_neq = union (fun c -> c.Ext_state.neq);
+    pj_states;
+  }
+
+let projection_equal a b =
+  Bitv.equal a.pj_many b.pj_many
+  && Bitv.equal a.pj_eq b.pj_eq
+  && Bitv.equal a.pj_neq b.pj_neq
+  && Array.length a.pj_states = Array.length b.pj_states
+  && Array.for_all2 Bitv.equal a.pj_states b.pj_states
+
+let projection_hash p =
+  let mix h b = (h * 0x01000193) lxor Bitv.hash b in
+  Array.fold_left mix
+    (mix (mix (Bitv.hash p.pj_many) p.pj_eq) p.pj_neq)
+    p.pj_states
+  land max_int
 
 (* Per-(partial C0) evaluation context: reach per class, the many set,
    and the full ∃(k1,k2)~ matrices, stored as one bit-row per k1. The

@@ -80,6 +80,27 @@ val combine :
     already union them for a canonical key pass them in to avoid
     recomputation. *)
 
+val has_counting : Xpds_automata.Bip.t -> bool
+(** μ has a downward-counting atom ([FCountGe], [FCountZero],
+    [FCountLt]): a transition then reads how many children carry each
+    BIP state. *)
+
+type projection
+(** Everything {!combine} reads of its children besides the class bases
+    of the merging: the many base [∪ step_up(c.many)], the unions of the
+    children's atom matrices, and — only when the automaton has counting
+    atoms — the sorted multiset of the children's BIP labels. *)
+
+val projection : ctx -> Ext_state.t array -> projection
+(** The projection of a non-empty children array. Two calls of
+    {!combine} on the same label whose children have equal projections
+    and whose mergings have the same class bases in the same class order
+    return equal states; when the merging has at most [t0] classes, the
+    class order does not matter either (DESIGN.md: Transition memo). *)
+
+val projection_equal : projection -> projection -> bool
+val projection_hash : projection -> int
+
 val visible_values : Xpds_automata.Bip.t -> Ext_state.t array -> (int * int) list
 (** The (child, value) items to be partitioned by a merging: values whose
     reach set survives one [up] step. *)

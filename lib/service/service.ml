@@ -327,6 +327,7 @@ let zero_stats =
     max_height_reached = 0;
     par = Emptiness.seq_par_stats;
     prune = Emptiness.no_prune_stats;
+    n_replayed = 0;
   }
 
 let synthetic_report ~algorithm canon why =

@@ -118,6 +118,7 @@ let to_report ~canon (r : t) : Sat.report =
         max_height_reached = r.max_height;
         par = Emptiness.seq_par_stats;
         prune = Emptiness.no_prune_stats;
+        n_replayed = 0;
       };
     witness_verified = r.witness_verified;
     automaton_q = r.automaton_q;
