@@ -18,6 +18,8 @@ type t = {
   mu : form array;
   final : Bitv.t;
   pf : Pathfinder.t;
+  deps : Bitv.t array;
+  components : int list list;
 }
 
 exception Ill_formed of string
@@ -43,19 +45,6 @@ let rec check_form ~q_card ~k_card ~positive = function
   | FCountLt (q, n) ->
     if q < 0 || q >= q_card then ill_formed "FCountLt: state q%d" q;
     if n < 1 then ill_formed "FCountLt: constant %d < 1" n
-
-let create ~labels ~mu ~final ~pf =
-  let q_card = Array.length mu in
-  if pf.Pathfinder.q_card <> q_card then
-    ill_formed "pathfinder alphabet |Q|=%d but automaton has %d states"
-      pf.Pathfinder.q_card q_card;
-  if Bitv.width final <> q_card then
-    ill_formed "final-state set has width %d, expected %d"
-      (Bitv.width final) q_card;
-  Array.iter
-    (check_form ~q_card ~k_card:pf.Pathfinder.n_states ~positive:true)
-    mu;
-  { labels; q_card; mu; final; pf }
 
 let fold_form f init form =
   let rec go acc = function
@@ -83,8 +72,7 @@ let max_count m =
          match atom with FCountGe (_, n) -> max acc n | _ -> acc))
     0 m.mu
 
-let reads_into m =
-  let pf = m.pf in
+let reads_into_pf ~q_card (pf : Pathfinder.t) =
   let k_card = pf.Pathfinder.n_states in
   (* Predecessor edges: (source k, read-label option) per target. *)
   let preds = Array.make k_card [] in
@@ -104,7 +92,7 @@ let reads_into m =
   Array.init k_card (fun k ->
       (* Backward cone from k; collect every read label on its edges. *)
       let cone = ref (Bitv.singleton k_card k) in
-      let reads = ref (Bitv.empty m.q_card) in
+      let reads = ref (Bitv.empty q_card) in
       let rec go k =
         List.iter
           (fun (src, label) ->
@@ -120,22 +108,23 @@ let reads_into m =
       go k;
       !reads)
 
-let dependencies m =
-  let into = reads_into m in
+let reads_into m = reads_into_pf ~q_card:m.q_card m.pf
+
+let compute_dependencies ~q_card ~mu pf =
+  let into = reads_into_pf ~q_card pf in
   Array.map
     (fold_form
        (fun acc atom ->
          match atom with
          | FEx (k1, k2, _) -> Bitv.union acc (Bitv.union into.(k1) into.(k2))
          | _ -> acc)
-       (Bitv.empty m.q_card))
-    m.mu
+       (Bitv.empty q_card))
+    mu
 
 (* Tarjan's SCC; result in reverse topological order, so we reverse it to
    get dependencies-first. *)
-let sccs m =
-  let deps = dependencies m in
-  let n = m.q_card in
+let compute_sccs deps =
+  let n = Array.length deps in
   let index = Array.make n (-1) in
   let lowlink = Array.make n 0 in
   let on_stack = Array.make n false in
@@ -176,13 +165,33 @@ let sccs m =
      on, so !components is dependencies-last; reverse it. *)
   List.rev !components
 
+let create ~labels ~mu ~final ~pf =
+  let q_card = Array.length mu in
+  if pf.Pathfinder.q_card <> q_card then
+    ill_formed "pathfinder alphabet |Q|=%d but automaton has %d states"
+      pf.Pathfinder.q_card q_card;
+  if Bitv.width final <> q_card then
+    ill_formed "final-state set has width %d, expected %d"
+      (Bitv.width final) q_card;
+  Array.iter
+    (check_form ~q_card ~k_card:pf.Pathfinder.n_states ~positive:true)
+    mu;
+  (* The same-node dependency graph and its SCCs are pure functions of
+     μ and P; every search over [m] reads them, so compute them once
+     here. Eagerly, not lazily: parallel searches share [m] across
+     domains and must never force a shared thunk. *)
+  let deps = compute_dependencies ~q_card ~mu pf in
+  { labels; q_card; mu; final; pf; deps; components = compute_sccs deps }
+
+let dependencies m = m.deps
+let sccs m = m.components
+
 let has_bounded_interleaving m =
-  let deps = dependencies m in
   List.for_all
     (function
-      | [ q ] -> not (Bitv.mem q deps.(q))
+      | [ q ] -> not (Bitv.mem q m.deps.(q))
       | _ -> false)
-    (sccs m)
+    m.components
 
 (* --- intersection --- *)
 

@@ -36,6 +36,8 @@ type t = private {
   mu : form array;  (** the transition function μ *)
   final : Bitv.t;  (** F ⊆ Q *)
   pf : Pathfinder.t;  (** P, with [pf.q_card = q_card] *)
+  deps : Bitv.t array;  (** {!dependencies}, computed by {!create} *)
+  components : int list list;  (** {!sccs}, computed by {!create} *)
 }
 
 exception Ill_formed of string
@@ -70,7 +72,12 @@ val max_count : t -> int
     into [k]. The translated automata of Theorem 3 are always acyclic
     here (tests read strictly smaller subformulas); hand-built automata
     may be cyclic — that is exactly the unbounded interleaving of
-    Appendix B. *)
+    Appendix B.
+
+    {!create} (and so {!intersect} and every translation) computes the
+    dependency graph and its SCCs once, eagerly; {!dependencies},
+    {!sccs} and {!has_bounded_interleaving} read them back in O(1)
+    (the last walks the component list) and never recompute. *)
 
 val reads_into : t -> Bitv.t array
 (** [reads_into m].(k) = the set of [q] read by some transition on some
@@ -78,7 +85,8 @@ val reads_into : t -> Bitv.t array
 
 val dependencies : t -> Bitv.t array
 (** [dependencies m].(q) = the states [q'] that must be decided at the
-    same node before [μ(q)] can be evaluated. *)
+    same node before [μ(q)] can be evaluated. The array is shared with
+    [m]: read it, do not write it. *)
 
 val sccs : t -> int list list
 (** Strongly connected components of the dependency graph in a

@@ -102,7 +102,7 @@ type memo = {
 }
 
 let memo pf =
-  { pf; closure_tbl = BvPairTbl.create 256; step_tbl = BvTbl.create 256 }
+  { pf; closure_tbl = BvPairTbl.create 16; step_tbl = BvTbl.create 16 }
 
 let memo_pf m = m.pf
 

@@ -973,7 +973,7 @@ let check_data_free ~config (m : Bip.t) =
       (fun c0 -> (c0, Pathfinder.closure_m memo ~label:c0 base))
       (List.fold_left step [ Bitv.empty m.Bip.q_card ] components)
   in
-  let ids = DfTbl.create 1024 in
+  let ids = DfTbl.create 16 in
   let states = ref [] in
   let count = ref 0 in
   let transitions = ref 0 in
@@ -983,7 +983,7 @@ let check_data_free ~config (m : Bip.t) =
      combos then range over the (much fewer) distinct step-up values,
      with one representative state each for provenance. *)
   let counting = Transition.has_counting m in
-  let su_tbl : unit BvTbl.t = BvTbl.create 64 in
+  let su_tbl : unit BvTbl.t = BvTbl.create 16 in
   let su_reps = ref [] in
   let n_sus = ref 0 in
   let note_su id (_, n) =
@@ -1054,7 +1054,7 @@ let check_data_free ~config (m : Bip.t) =
     (* Distinct combos frequently share the same step-up union, which —
        absent counting atoms — fully determines the transition; process
        one representative per union. *)
-    let seen_unions : unit BvTbl.t = BvTbl.create 1024 in
+    let seen_unions : unit BvTbl.t = BvTbl.create 16 in
     let expand ~snapshot ~pool ~n ~fresh_from ~changed =
       for w = 1 to min width (n + 1) do
         iter_combos ~n ~w
@@ -1142,14 +1142,6 @@ let check_data_free ~config (m : Bip.t) =
    could make a larger state lose capabilities ([t0] at least the paper
    bound, no [dup_cap], no [merge_budget]). *)
 let mono_gate (m : Bip.t) (config : config) =
-  let deps = Bip.dependencies m in
-  let trivial_sccs =
-    List.for_all
-      (function
-        | [ q ] -> not (Bitv.mem q deps.(q))
-        | _ -> false)
-      (Bip.sccs m)
-  in
   let rec monotone positive = function
     | Bip.FTrue | Bip.FFalse | Bip.FLab _ -> true
     | Bip.FNot f -> monotone (not positive) f
@@ -1158,7 +1150,7 @@ let mono_gate (m : Bip.t) (config : config) =
     | Bip.FEx _ | Bip.FCountGe _ -> positive
     | Bip.FCountZero _ | Bip.FCountLt _ -> false
   in
-  trivial_sccs
+  Bip.has_bounded_interleaving m
   && Array.for_all (monotone true) m.Bip.mu
   && (match config.t0 with
      | None -> true
@@ -1184,7 +1176,7 @@ let check_full ?(config = default_config) ?(want_basis = false) (m : Bip.t) =
       ctx;
       memo = Transition.memo_of ctx;
       cfg = config;
-      ids = StateTbl.create 1024;
+      ids = StateTbl.create 16;
       states = [||];
       provs = [||];
       heights = [||];
@@ -1203,7 +1195,7 @@ let check_full ?(config = default_config) ?(want_basis = false) (m : Bip.t) =
       par_imbalance_pct = 0;
       prune = config.prune && not want_basis;
       mono = config.prune && (not want_basis) && mono_gate m config;
-      profiles = ProfTbl.create 1024;
+      profiles = ProfTbl.create 16;
       alive = [||];
       n_dead = 0;
       chain = [];

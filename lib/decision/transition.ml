@@ -28,8 +28,6 @@ end)
 
 type ctx = {
   m : Bip.t;
-  components : int list list;
-  deps : Bitv.t array;
   rev_read : (int * int) list array;
       (** per target k: (q, source) non-moving edges into k *)
   rev_up : int list array;  (** per target k'': sources k' with up-edges *)
@@ -159,17 +157,15 @@ let make_ctx ?(project_pairs = false) (m : Bip.t) =
   in
   {
     m;
-    components = Bip.sccs m;
-    deps = Bip.dependencies m;
     rev_read;
     rev_up;
     read_mask;
     pair_mask;
     memo = Pathfinder.memo pf;
-    u_tbl = BvTbl.create 64;
-    v_tbl = BvTbl.create 64;
-    lift_tbl = LiftTbl.create 1024;
-    alift_tbl = AliftTbl.create 4096;
+    u_tbl = BvTbl.create 16;
+    v_tbl = BvTbl.create 16;
+    lift_tbl = LiftTbl.create 16;
+    alift_tbl = AliftTbl.create 16;
     cand = Bitv.builder m.Bip.q_card;
     proj = Bitv.builder m.Bip.q_card;
     counting = has_counting m;
@@ -179,17 +175,17 @@ let bip_of ctx = ctx.m
 let memo_of ctx = ctx.memo
 
 (* Domain-local replica: shares every immutable precomputation (the
-   automaton, SCCs, dependency sets, reverse indices, pair mask) but
+   automaton with its SCCs, reverse indices, pair mask) but
    gets fresh, empty memo/U/V caches so each worker domain can mutate
    its own scratch without synchronisation. *)
 let clone_ctx ctx =
   {
     ctx with
     memo = Pathfinder.memo (Pathfinder.memo_pf ctx.memo);
-    u_tbl = BvTbl.create 64;
-    v_tbl = BvTbl.create 64;
-    lift_tbl = LiftTbl.create 1024;
-    alift_tbl = AliftTbl.create 4096;
+    u_tbl = BvTbl.create 16;
+    v_tbl = BvTbl.create 16;
+    lift_tbl = LiftTbl.create 16;
+    alift_tbl = AliftTbl.create 16;
     cand = Bitv.builder ctx.m.Bip.q_card;
     proj = Bitv.builder ctx.m.Bip.q_card;
   }
@@ -612,7 +608,7 @@ let decide_c0 ctx ~label ~children ~ckey ~bases ~manyb =
   let out = ref [] in
   let rec walk pc0 light = function
     | [] -> out := (Bitv.freeze cand, pc0, light) :: !out
-    | [ q ] :: rest when not (Bitv.mem q ctx.deps.(q)) ->
+    | [ q ] :: rest when not (Bitv.mem q ctx.m.Bip.deps.(q)) ->
       if holds light q then
         with_state q pc0 light (fun pc0 light -> walk pc0 light rest)
       else walk pc0 light rest
@@ -631,7 +627,7 @@ let decide_c0 ctx ~label ~children ~ckey ~bases ~manyb =
       assign pc0 light comp
   in
   let pc0 = Bitv.freeze proj in
-  walk pc0 (light_of pc0) ctx.components;
+  walk pc0 (light_of pc0) ctx.m.Bip.components;
   List.rev !out
 
 (* Assemble the extended state for a fully decided root label. *)

@@ -405,6 +405,91 @@ let test_count_polarity () =
   | _ -> Alcotest.fail "negated #q>=n must be rejected"
   | exception Bip.Ill_formed _ -> ()
 
+(* --- cached dependency analysis --- *)
+
+(* The definitions [Bip.create] used to recompute on every call: the
+   same-node dependency sets and Tarjan's SCCs, dependencies first. The
+   fields [Bip.create] fills once must agree with them. *)
+let ref_dependencies m =
+  let into = Bip.reads_into m in
+  Array.map
+    (Bip.fold_form
+       (fun acc atom ->
+         match atom with
+         | Bip.FEx (k1, k2, _) ->
+           Bitv.union acc (Bitv.union into.(k1) into.(k2))
+         | _ -> acc)
+       (Bitv.empty m.Bip.q_card))
+    m.Bip.mu
+
+let ref_sccs m =
+  let deps = ref_dependencies m in
+  let n = m.Bip.q_card in
+  let index = Array.make n (-1) in
+  let lowlink = Array.make n 0 in
+  let on_stack = Array.make n false in
+  let stack = ref [] in
+  let counter = ref 0 in
+  let components = ref [] in
+  let rec strongconnect v =
+    index.(v) <- !counter;
+    lowlink.(v) <- !counter;
+    incr counter;
+    stack := v :: !stack;
+    on_stack.(v) <- true;
+    Bitv.iter
+      (fun w ->
+        if index.(w) = -1 then begin
+          strongconnect w;
+          lowlink.(v) <- min lowlink.(v) lowlink.(w)
+        end
+        else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w))
+      deps.(v);
+    if lowlink.(v) = index.(v) then begin
+      let rec pop acc =
+        match !stack with
+        | [] -> acc
+        | w :: rest ->
+          stack := rest;
+          on_stack.(w) <- false;
+          if w = v then w :: acc else pop (w :: acc)
+      in
+      components := pop [] :: !components
+    end
+  in
+  for v = 0 to n - 1 do
+    if index.(v) = -1 then strongconnect v
+  done;
+  List.rev !components
+
+let analyses_agree m =
+  let deps = Bip.dependencies m and expected = ref_dependencies m in
+  Array.length deps = Array.length expected
+  && Array.for_all2 Bitv.equal deps expected
+  && Bip.sccs m = ref_sccs m
+
+let test_cached_analyses_cyclic () =
+  Alcotest.(check bool) "chain BIP" true (analyses_agree (chain_bip ()))
+
+let prop_cached_analyses =
+  let doctype =
+    [ { Doctype.parent = "a"; at_least = [ (2, "b") ]; forbidden = [ "c" ] } ]
+  in
+  Gen_helpers.qtest ~count:200
+    "cached dependencies/SCCs = their definition"
+    (QCheck.pair Gen_helpers.arb_node Gen_helpers.arb_node)
+    (fun (phi, psi) ->
+      let m1 = Translate.bip_of_node ~labels:gen_labels phi in
+      let m2 =
+        (Translate.of_node_somewhere ~labels:gen_labels psi).Translate.automaton
+      in
+      List.for_all analyses_agree
+        [ m1;
+          m2;
+          Bip.intersect m1 m2;
+          Doctype.restrict m2 ~labels:m2.Bip.labels doctype
+        ])
+
 let suite =
   ( "automata",
     [ Alcotest.test_case "bitv basics" `Quick test_bitv_basics;
@@ -437,5 +522,8 @@ let suite =
       prop_intersection;
       Alcotest.test_case "counting atoms" `Quick test_counting_atoms;
       Alcotest.test_case "counting polarity check" `Quick
-        test_count_polarity
+        test_count_polarity;
+      Alcotest.test_case "cached analyses on a cyclic BIP" `Quick
+        test_cached_analyses_cyclic;
+      prop_cached_analyses
     ] )

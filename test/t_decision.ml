@@ -435,6 +435,38 @@ let test_data_containment () =
   | Containment.Fails _ -> ()
   | _ -> Alcotest.fail "existence should not imply ≠"
 
+(* --- per-search set-up --- *)
+
+(* A fresh solve must allocate nothing directly on the major heap: every
+   per-search table starts small and grows, and the automaton's
+   dependency analysis is computed once by [Bip.create]. Arrays above
+   the minor-heap size limit (256 words) are allocated straight in the
+   major heap; 1 024-bucket tables cost 2 050 such words per data-free
+   search and 7 172 per general-engine search. The first call warms up
+   process-wide state (label interning, lazy globals); the second is
+   measured. [domains = 1] keeps the parallel engine's per-worker
+   buffers out of the count whatever [XPDS_DOMAINS] says. *)
+let test_no_direct_major_alloc () =
+  let options = Sat.Options.with_domains 1 Sat.Options.default in
+  let direct_major_words f =
+    let _, promoted0, major0 = Gc.counters () in
+    f ();
+    let _, promoted1, major1 = Gc.counters () in
+    major1 -. major0 -. (promoted1 -. promoted0)
+  in
+  List.iter
+    (fun s ->
+      let phi = parse s in
+      ignore (Sat.decide ~options phi);
+      let words =
+        direct_major_words (fun () -> ignore (Sat.decide ~options phi))
+      in
+      Alcotest.(check (float 0.)) s 0. words)
+    [ "<down[a]>" (* data-free engine *);
+      "down[a] = down[b]";
+      "<down[a & down[b] != down[b]]>"
+    ]
+
 let suite =
   ( "decision",
     [ Alcotest.test_case "merging counts" `Quick test_merging_counts;
@@ -455,5 +487,7 @@ let suite =
       prop_witness_min_local_minimum;
       Alcotest.test_case "containment" `Quick test_containment;
       Alcotest.test_case "containment with data" `Quick
-        test_data_containment
+        test_data_containment;
+      Alcotest.test_case "no direct major-heap allocation per solve" `Quick
+        test_no_direct_major_alloc
     ] )
