@@ -7,8 +7,8 @@
 
    [run ~quick:true] is the CI smoke mode: a handful of small families
    under a tight transition budget, asserting the verdict each family
-   guarantees by construction, plus seq-vs-par and pruned-vs-exact
-   agreement gates and a transition-memo gate. Returns 0 on success, 1
+   guarantees by construction, plus a pruned-vs-exact agreement gate
+   and a transition-memo gate. Returns 0 on success, 1
    on any verdict mismatch (or a pruned run slower than exact beyond
    tolerance, or a memo that replays nothing) — a kernel regression
    that flips a verdict fails the step rather than silently skewing the
@@ -34,14 +34,13 @@ let verdict_of (r : Service.response) =
    mode; returns wall time, summed engine and pruning counters, the
    per-request verdicts (in corpus order, for agreement checks) and the
    per-request stats. *)
-let corpus_pass ~domains ~prune () =
+let corpus_pass ~prune () =
   let reqs = Corpus.requests (Corpus.formulas ()) in
   let svc =
-    Service.create
-      Service.Config.(default |> with_domains domains |> with_prune prune)
+    Service.create Service.Config.(default |> with_prune prune)
   in
   let t0 = Unix.gettimeofday () in
-  let resps = Service.solve_batch ~jobs:1 svc reqs in
+  let resps = Service.solve_batch svc reqs in
   let wall = Unix.gettimeofday () -. t0 in
   let states, transitions, mergings, subsumed, evicted, antichain =
     List.fold_left
@@ -81,14 +80,13 @@ let replayed_by_family stats =
     (Corpus.family_names ()) stats;
   List.rev_map (fun fam -> (fam, Hashtbl.find tbl fam)) !order
 
-let full ~out ~domains ~prune () =
+let full ~out ~prune () =
   let n = List.length (Corpus.formulas ()) in
-  Format.printf "emptiness bench: %d formulas, cold, %d domain(s)%s@." n
-    domains
+  Format.printf "emptiness bench: %d formulas, cold%s@." n
     (if prune then "" else ", pruning off");
   let wall, (states, transitions, mergings), (subsumed, evicted, antichain),
       verdicts, stats =
-    corpus_pass ~domains ~prune ()
+    corpus_pass ~prune ()
   in
   let by_family = replayed_by_family stats in
   let replayed = List.fold_left (fun a (_, (_, r)) -> a + r) 0 by_family in
@@ -121,7 +119,7 @@ let full ~out ~domains ~prune () =
     if not prune then ([], true)
     else begin
       let exact_wall, _, _, exact_verdicts, _ =
-        corpus_pass ~domains ~prune:false ()
+        corpus_pass ~prune:false ()
       in
       let agree = verdicts = exact_verdicts in
       Format.printf "  exact engine: %.2f s (pruned is %.2fx)  %s@."
@@ -137,8 +135,7 @@ let full ~out ~domains ~prune () =
   let ok =
     Report.write ~out ~bench:"emptiness" ~mode:"full" ~wall_s:wall
       ~gates:[ ("verdicts_agree", agree) ]
-      [ ("domains", Json.Num (float_of_int domains));
-        ("prune", Json.Bool prune);
+      [ ("prune", Json.Bool prune);
         ("formulas", Json.Num (float_of_int n));
         ("cold_wall_s", Json.Num wall);
         ("formulas_per_s", Json.Num (float_of_int n /. wall));
@@ -203,57 +200,6 @@ let quick_cases () =
     ("mixed_axes_sat_2", Families.mixed_axes ~sat:true 2, `Sat);
     ("mixed_axes_unsat_2", Families.mixed_axes ~sat:false 2, `Unsat)
   ]
-
-(* Sequential-vs-parallel agreement and timing on the heavier quick
-   families: the same formula decided at 1 and 4 domains must return
-   the same verdict and the same engine counters (the parallel merge is
-   deterministic), and we record both wall times in the JSON so CI
-   tracks the crossover. Agreement failures fail the run; a slower
-   parallel time does not (these instances are small — the speedup
-   criterion lives in the full-corpus mode). *)
-let seq_vs_par () =
-  let cases =
-    [ ("data_chain_sat_4", Families.data_chain ~sat:true 4);
-      ("data_chain_unsat_3", Families.data_chain ~sat:false 3);
-      ("mixed_axes_sat_3", Families.mixed_axes ~sat:true 3)
-    ]
-  in
-  let decide_with domains phi =
-    let options = Sat.Options.(default |> with_domains domains) in
-    let t0 = Unix.gettimeofday () in
-    let report = Sat.decide ~options phi in
-    (report, (Unix.gettimeofday () -. t0) *. 1000.)
-  in
-  Format.printf "  seq-vs-par agreement:@.";
-  let rows =
-    List.map
-      (fun (name, phi) ->
-        let seq, seq_ms = decide_with 1 phi in
-        let par, par_ms = decide_with 4 phi in
-        let v r = Service.verdict_name r.Sat.verdict in
-        let counters (r : Sat.report) =
-          let st = r.Sat.stats in
-          ( st.Emptiness.n_states,
-            st.Emptiness.n_transitions,
-            st.Emptiness.n_mergings,
-            st.Emptiness.max_height_reached )
-        in
-        let ok = v seq = v par && counters seq = counters par in
-        Format.printf "    %-22s seq %.1f ms, par %.1f ms  %s@." name
-          seq_ms par_ms
-          (if ok then "agree" else "DISAGREE");
-        ( name,
-          Json.Obj
-            [ ("verdict", Json.Str (v seq));
-              ("seq_ms", Json.Num seq_ms);
-              ("par_ms", Json.Num par_ms);
-              ("agree", Json.Bool ok)
-            ],
-          ok ))
-      cases
-  in
-  ( Json.Obj (List.map (fun (n, j, _) -> (n, j)) rows),
-    List.for_all (fun (_, _, ok) -> ok) rows )
 
 (* Pruned-vs-exact agreement and timing on the heavier quick families:
    the same formula decided with subsumption pruning on and off must
@@ -333,12 +279,10 @@ let pruned_vs_exact () =
 (* The transition memo on a hit-heavy search: most of data_chain
    unsat 3's transitions repeat an earlier one. A memo that never hits
    passes every verdict and agreement gate and only loses the speed, so
-   this gate fails the run when nothing was replayed. Sequential and at
-   hard-solve's budget: the parallel engine has no memo. *)
+   this gate fails the run when nothing was replayed. At hard-solve's
+   budget. *)
 let memo_replays () =
-  let options =
-    Sat.Options.(default |> with_domains 1 |> with_max_transitions 20_000)
-  in
+  let options = Sat.Options.(default |> with_max_transitions 20_000) in
   let st =
     (Sat.decide ~options (Families.data_chain ~sat:false 3)).Sat.stats
   in
@@ -394,14 +338,12 @@ let smoke ~out ~prune () =
   Format.printf "  %d/%d ok in %.2f s@."
     (List.length results - List.length failed)
     (List.length results) wall;
-  let par_json, par_ok = seq_vs_par () in
   let prune_json, prune_ok = pruned_vs_exact () in
   let memo_json, memo_ok = memo_replays () in
   let ok =
     Report.write ~out ~bench:"emptiness" ~mode:"quick" ~wall_s:wall
       ~gates:
         [ ("family_verdicts", failed = []);
-          ("seq_vs_par_agree", par_ok);
           ("pruned_vs_exact_agree", prune_ok);
           ("memo_replays", memo_ok)
         ]
@@ -419,14 +361,11 @@ let smoke ~out ~prune () =
                        ("replayed", Json.Num (float_of_int replayed))
                      ] ))
                results) );
-        ("seq_vs_par", par_json);
         ("pruned_vs_exact", prune_json);
         ("memo_replays", memo_json)
       ]
   in
   if ok then 0 else 1
 
-let run ?(quick = false) ?(out = "BENCH_emptiness.json") ?(domains = 1)
-    ?(prune = true) () =
-  if quick then smoke ~out ~prune ()
-  else full ~out ~domains ~prune ()
+let run ?(quick = false) ?(out = "BENCH_emptiness.json") ?(prune = true) () =
+  if quick then smoke ~out ~prune () else full ~out ~prune ()

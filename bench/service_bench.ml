@@ -1,13 +1,13 @@
 (* Service benchmark and serving-layer smoke.
 
-   Full mode: cold sequential vs parallel batch, warm (cached) batch,
-   verdict agreement and deadline behaviour over the shared corpus.
+   Full mode: cold batch, its agreement with one-at-a-time solves, warm
+   (cached) batch and deadline behaviour over the shared corpus.
    Emits BENCH_service.json (or [out]) plus a per-request trace sample
    in BENCH_service_trace.json — the phase breakdown CI uploads as an
    artifact.
 
    [run ~quick:true] is the CI smoke mode for the hardened serving
-   layer: verdicts by construction on a parallel batch, a forced
+   layer: verdicts by construction on a batch, a forced
    deadline (monotonic, admission-anchored, uncached), a 0 ms deadline
    (deterministic), a poisoned batch item (crash isolation: the rest of
    the batch must survive), a degraded-bounds retry, and a
@@ -71,31 +71,26 @@ let full ~out () =
   let cores = Domain.recommended_domain_count () in
   Format.printf "service bench: %d formulas, %d core(s)@." n cores;
 
-  (* Cold runs on fresh services: sequential then jobs=4. *)
-  let seq_svc = Service.create Service.Config.default in
-  let seq, seq_s =
-    time (fun () -> Service.solve_batch ~jobs:1 seq_svc reqs)
-  in
-  Format.printf "  sequential: %.2f s@." seq_s;
-  let par_svc = Service.create Service.Config.default in
-  let par, par_s =
-    time (fun () -> Service.solve_batch ~jobs:4 par_svc reqs)
-  in
-  Format.printf "  jobs=4:     %.2f s@." par_s;
+  (* Cold batch on a fresh service. *)
+  let svc = Service.create Service.Config.default in
+  let cold, cold_s = time (fun () -> Service.solve_batch svc reqs) in
+  Format.printf "  cold batch: %.2f s@." cold_s;
+  (* The batch must agree with one-at-a-time solves on a fresh service:
+     same ids, same verdicts. *)
+  let one_svc = Service.create Service.Config.default in
+  let one = List.map (Service.solve one_svc) reqs in
   let agree =
     List.for_all2
       (fun (a : Service.response) (b : Service.response) ->
-        verdict_of a = verdict_of b)
-      seq par
+        a.Service.id = b.Service.id && verdict_of a = verdict_of b)
+      cold one
   in
-  Format.printf "  verdicts agree: %b@." agree;
+  Format.printf "  batch agrees with one-at-a-time solves: %b@." agree;
 
   (* Warm re-run of the same batch: everything cacheable is a hit. *)
-  Service.reset_metrics par_svc;
-  let warm, warm_s =
-    time (fun () -> Service.solve_batch ~jobs:4 par_svc reqs)
-  in
-  let m = Service.metrics par_svc in
+  Service.reset_metrics svc;
+  let warm, warm_s = time (fun () -> Service.solve_batch svc reqs) in
+  let m = Service.metrics svc in
   let hit_rate =
     float_of_int m.Xpds.Service_metrics.cache_hits /. float_of_int n
   in
@@ -120,7 +115,7 @@ let full ~out () =
      deadline probe (queue/fixpoint-heavy and deadline-shaped traces). *)
   Report.write_raw ~out:(trace_out out)
     (trace_sample
-       (List.filteri (fun i _ -> i < 8) seq
+       (List.filteri (fun i _ -> i < 8) cold
        @ List.filteri (fun i _ -> i < 2) warm
        @ [ hard ]));
 
@@ -129,23 +124,17 @@ let full ~out () =
       ~gates:[ ("verdicts_agree", agree) ]
       [ ("formulas", Json.Num (float_of_int n));
         ("cores", Json.Num (float_of_int cores));
-        ("jobs_requested", Json.Num 4.);
-        ("jobs_effective", Json.Num (float_of_int (min 4 cores)));
         ( "cold",
           Json.Obj
-            [ ("sequential_s", Json.Num seq_s);
-              ("jobs4_s", Json.Num par_s);
-              ("parallel_speedup", Json.Num (seq_s /. par_s));
+            [ ("sequential_s", Json.Num cold_s);
               ( "sequential_throughput_per_s",
-                Json.Num (float_of_int n /. seq_s) );
-              ( "jobs4_throughput_per_s",
-                Json.Num (float_of_int n /. par_s) );
+                Json.Num (float_of_int n /. cold_s) );
               ("verdicts_agree", Json.Bool agree)
             ] );
         ( "warm_cache",
           Json.Obj
             [ ("rerun_s", Json.Num warm_s);
-              ("speedup", Json.Num (seq_s /. warm_s));
+              ("speedup", Json.Num (cold_s /. warm_s));
               ("cache_hit_rate", Json.Num hit_rate)
             ] );
         ( "deadline",
@@ -154,14 +143,7 @@ let full ~out () =
               ("verdict", Json.Str hard_verdict);
               ("elapsed_ms", Json.Num (hard_s *. 1000.))
             ] );
-        ("verdicts", Json.Obj (verdict_counts seq));
-        ( "note",
-          Json.Str
-            (if cores < 2 then
-               "single-core machine: the pool clamps jobs to 1, so the \
-                cold parallel_speedup is ~1; run on >1 core for domain \
-                parallelism"
-             else "") )
+        ("verdicts", Json.Obj (verdict_counts cold))
       ]
   in
   if ok then 0 else 1
@@ -175,8 +157,8 @@ let smoke ~out () =
     checks := (name, ok) :: !checks
   in
 
-  (* 1. Verdicts by construction, solved as a parallel batch (pool +
-     in-batch dedup under per-item result isolation). *)
+  (* 1. Verdicts by construction, solved as a batch (in-batch dedup
+     under per-item crash isolation). *)
   let cases =
     [ ("child_chain_sat_3", Families.child_chain ~sat:true 3, `Sat);
       ("child_chain_unsat_2", Families.child_chain ~sat:false 2, `Unsat);
@@ -189,7 +171,7 @@ let smoke ~out () =
   in
   let svc = Service.create Service.Config.default in
   let resps =
-    Service.solve_batch ~jobs:2 svc
+    Service.solve_batch svc
       (List.map
          (fun (name, phi, _) ->
            { Service.id = name; formula = phi; timeout_ms = None })
@@ -241,7 +223,7 @@ let smoke ~out () =
   Service.Chaos.set crash_svc
     (Some (fun id -> if id = "poison" then failwith "chaos"));
   let crash_resps =
-    Service.solve_batch ~jobs:2 crash_svc
+    Service.solve_batch crash_svc
       [ { Service.id = "ok1";
           formula = Families.child_chain ~sat:true 2;
           timeout_ms = None

@@ -151,7 +151,7 @@ let pipeline ~dir ~name reqs =
   let store, _ = open_store store_path in
   let svc = Service.create ~store Service.Config.default in
   let cold, cold_s =
-    time (fun () -> Service.solve_batch ~jobs:1 svc reqs)
+    time (fun () -> Service.solve_batch svc reqs)
   in
   Store.close store;
 
@@ -169,7 +169,7 @@ let pipeline ~dir ~name reqs =
   let warm_store, info = open_store warm_path in
   let warm_svc = Service.create ~store:warm_store Service.Config.default in
   let warm, warm_s =
-    time (fun () -> Service.solve_batch ~jobs:1 warm_svc reqs)
+    time (fun () -> Service.solve_batch warm_svc reqs)
   in
   let m = Service.metrics warm_svc in
   let agree =

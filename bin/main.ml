@@ -11,7 +11,7 @@
      xml        encode an XML file as a data tree (Appendix A)
      eval       evaluate queries over an XML/data-tree document
      serve      NDJSON request/response solver loop on stdin/stdout
-     batch      solve a file of formulas, optionally in parallel
+     batch      solve a file of formulas, one after another
      certify    re-check a stored certificate with the naive verifier
      cache      export/import/inspect persistent verdict stores
      bench      run a repository benchmark, write JSON results
@@ -47,20 +47,6 @@ let width_arg =
 let verbose_arg =
   let doc = "Print the full report rather than just the verdict." in
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
-
-let domains_arg =
-  let doc =
-    "Worker domains for the emptiness saturation (the parallel engine \
-     of Theorem 4's fixpoint). 0 means the default: \\$(b,XPDS_DOMAINS) \
-     when set, else 1 (sequential). Verdicts, statistics and \
-     certificates are bit-identical across domain counts."
-  in
-  Arg.(value & opt int 0 & info [ "domains" ] ~doc)
-
-(* 0 = "not set on the command line": fall back to Sat.Options.default,
-   which reads XPDS_DOMAINS. *)
-let resolve_domains d =
-  if d > 0 then d else Xpds.Sat.Options.default.Xpds.Sat.Options.domains
 
 let no_prune_arg =
   let doc =
@@ -154,15 +140,13 @@ let sat_cmd =
             "Write the certificate (JSON) to $(docv); implies \
              --certify.")
   in
-  let run formula width verbose json minimize certify cert_out domains
-      no_prune =
+  let run formula width verbose json minimize certify cert_out no_prune =
     let certify = certify || cert_out <> None in
     let eta = or_die (parse_node formula) in
     let options =
       Xpds.Sat.Options.(
         default |> with_width width |> with_minimize minimize
         |> with_certificate certify
-        |> with_domains (resolve_domains domains)
         |> with_prune (not no_prune))
     in
     let report = Xpds.Sat.decide ~options eta in
@@ -207,8 +191,7 @@ let sat_cmd =
           3 unknown, 4 certificate failure (with --certify).")
     Term.(
       const run $ formula_arg $ width_arg $ verbose_arg $ json_arg
-      $ minimize_arg $ certify_arg $ cert_out_arg $ domains_arg
-      $ no_prune_arg)
+      $ minimize_arg $ certify_arg $ cert_out_arg $ no_prune_arg)
 
 (* --- classify --- *)
 
@@ -310,11 +293,10 @@ let local_timeout_arg =
 
 (* The full PR-5 options surface, so the containment path honors the
    same deadlines/engine knobs as [sat]. *)
-let containment_options ~width ~domains ~no_prune ~timeout_ms =
+let containment_options ~width ~no_prune ~timeout_ms =
   let deadline = Option.map (fun ms -> Xpds.Trace.now_ms () +. ms) timeout_ms in
   Xpds.Sat.Options.(
     default |> with_width width
-    |> with_domains (resolve_domains domains)
     |> with_prune (not no_prune)
     |> with_should_stop
          (Option.map (fun d () -> Xpds.Trace.now_ms () > d) deadline))
@@ -343,10 +325,10 @@ let pp_answer direction = function
     Printf.printf "%s unknown (%s)\n" direction why
 
 let contains_cmd =
-  let run phi_s psi_s width json domains no_prune timeout_ms =
+  let run phi_s psi_s width json no_prune timeout_ms =
     let phi = or_die (parse_node phi_s) in
     let psi = or_die (parse_node psi_s) in
-    let options = containment_options ~width ~domains ~no_prune ~timeout_ms in
+    let options = containment_options ~width ~no_prune ~timeout_ms in
     let answer = Xpds.Containment.contained ~options phi psi in
     let code, name, fields = answer_fields answer in
     if json then
@@ -363,14 +345,14 @@ let contains_cmd =
           failing containment prints its counterexample tree in the \
           parseable label:datum syntax (feed it back to $(b,xpds check)).")
     Term.(
-      const run $ formula_arg $ psi_arg $ width_arg $ json_arg $ domains_arg
-      $ no_prune_arg $ local_timeout_arg)
+      const run $ formula_arg $ psi_arg $ width_arg $ json_arg $ no_prune_arg
+      $ local_timeout_arg)
 
 let equiv_cmd =
-  let run phi_s psi_s width json domains no_prune timeout_ms =
+  let run phi_s psi_s width json no_prune timeout_ms =
     let phi = or_die (parse_node phi_s) in
     let psi = or_die (parse_node psi_s) in
-    let options = containment_options ~width ~domains ~no_prune ~timeout_ms in
+    let options = containment_options ~width ~no_prune ~timeout_ms in
     let fwd, bwd = Xpds.Containment.equivalent ~options phi psi in
     let code_of a b =
       match (a, b) with
@@ -410,8 +392,8 @@ let equiv_cmd =
          "Decide [[PHI]] = [[PSI]] on all data trees (mutual inclusion, \
           Section 4.1).")
     Term.(
-      const run $ formula_arg $ psi_arg $ width_arg $ json_arg $ domains_arg
-      $ no_prune_arg $ local_timeout_arg)
+      const run $ formula_arg $ psi_arg $ width_arg $ json_arg $ no_prune_arg
+      $ local_timeout_arg)
 
 (* --- tiling --- *)
 
@@ -803,20 +785,17 @@ let open_store ~verify ~solver path =
     store
 
 let config_of ?(certificate = false) ?(retry_degraded = false)
-    ?(domains = 0) ?(prune = true) ~cache_capacity ~jobs () =
+    ?(prune = true) ~cache_capacity () =
   Xpds.Service.Config.(
     default |> with_certificate certificate
     |> with_retry_degraded retry_degraded
-    |> with_domains (resolve_domains domains)
     |> with_prune prune
-    |> with_cache_capacity cache_capacity
-    |> with_jobs (if jobs > 0 then jobs else Xpds.Pool.default_jobs ()))
+    |> with_cache_capacity cache_capacity)
 
-let service_of ?certificate ?retry_degraded ?domains ?prune ?store_path
-    ?(store_verify = Xpds.Store.Fingerprint) ~cache_capacity ~jobs () =
+let service_of ?certificate ?retry_degraded ?prune ?store_path
+    ?(store_verify = Xpds.Store.Fingerprint) ~cache_capacity () =
   let config =
-    config_of ?certificate ?retry_degraded ?domains ?prune ~cache_capacity
-      ~jobs ()
+    config_of ?certificate ?retry_degraded ?prune ~cache_capacity ()
   in
   let store =
     Option.map
@@ -904,8 +883,8 @@ let serve_cmd =
     in
     Arg.(value & opt int 64 & info [ "queue-depth" ] ~docv:"DEPTH" ~doc)
   in
-  let run timeout_ms cache stats certify trace degrade domains no_prune
-      docs store_path store_verify shards queue_depth =
+  let run timeout_ms cache stats certify trace degrade no_prune docs
+      store_path store_verify shards queue_depth =
     let parse_doc_spec spec =
       match String.index_opt spec '=' with
       | None ->
@@ -929,9 +908,9 @@ let serve_cmd =
     if shards = 0 then begin
       (* the in-process engine: one service, answers inline *)
       let svc, store =
-        service_of ~certificate:certify ~retry_degraded:degrade ~domains
+        service_of ~certificate:certify ~retry_degraded:degrade
           ~prune:(not no_prune) ?store_path ~store_verify
-          ~cache_capacity:cache ~jobs:0 ()
+          ~cache_capacity:cache ()
       in
       List.iter
         (fun spec ->
@@ -976,8 +955,8 @@ let serve_cmd =
       (* documents are loaded once, pre-fork; workers inherit them *)
       let docs = List.map (fun s -> parse_doc_spec s |> fun (n, f) -> (n, load_doc f)) docs in
       let config =
-        config_of ~certificate:false ~retry_degraded:degrade ~domains
-          ~prune:(not no_prune) ~cache_capacity:cache ~jobs:0 ()
+        config_of ~certificate:false ~retry_degraded:degrade
+          ~prune:(not no_prune) ~cache_capacity:cache ()
       in
       (* runs in the worker child, post-fork: each shard owns its
          store file and registers the shared documents *)
@@ -1073,7 +1052,7 @@ let serve_cmd =
           counting DTD rules.")
     Term.(
       const run $ timeout_arg $ cache_arg $ stats_arg $ certify_arg
-      $ trace_arg $ degrade_arg $ domains_arg $ no_prune_arg $ docs_arg
+      $ trace_arg $ degrade_arg $ no_prune_arg $ docs_arg
       $ store_arg $ store_verify_arg $ shards_arg $ queue_depth_arg)
 
 let batch_cmd =
@@ -1086,13 +1065,6 @@ let batch_cmd =
             "File with one formula per line (blank lines and lines \
              starting with # are skipped).")
   in
-  let jobs_arg =
-    let doc =
-      "Worker domains draining the batch (0 = the machine's \
-       recommended count)."
-    in
-    Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~doc)
-  in
   let cert_dir_arg =
     Arg.(
       value
@@ -1102,8 +1074,8 @@ let batch_cmd =
             "Write each response's certificate to $(docv)/<id>.cert.json; \
              implies --certify.")
   in
-  let run file jobs timeout_ms cache stats certify cert_dir trace degrade
-      domains no_prune store_path store_verify =
+  let run file timeout_ms cache stats certify cert_dir trace degrade
+      no_prune store_path store_verify =
     let certify = certify || cert_dir <> None in
     let ic = open_in file in
     let items = ref [] in
@@ -1119,7 +1091,7 @@ let batch_cmd =
      with End_of_file -> close_in ic);
     let items = List.rev !items in
     (* Two input formats: a formula per line (the original batch mode,
-       drained in parallel), or — when the first payload line opens a
+       solved in order with in-batch dedup), or — when the first payload line opens a
        JSON object — NDJSON request lines, each processed through the
        full wire layer in order, so a batch file can mix every protocol
        kind (sat, eval, contains, equiv, sat_under_doctype). *)
@@ -1128,9 +1100,9 @@ let batch_cmd =
     in
     if ndjson then begin
       let svc, store =
-        service_of ~certificate:certify ~retry_degraded:degrade ~domains
+        service_of ~certificate:certify ~retry_degraded:degrade
           ~prune:(not no_prune) ?store_path ~store_verify
-          ~cache_capacity:cache ~jobs ()
+          ~cache_capacity:cache ()
       in
       let extra_of (resp : Xpds.Service.response) =
         if certify then
@@ -1167,9 +1139,9 @@ let batch_cmd =
         items
     in
     let svc, store =
-      service_of ~certificate:certify ~retry_degraded:degrade ~domains
+      service_of ~certificate:certify ~retry_degraded:degrade
         ~prune:(not no_prune) ?store_path ~store_verify
-        ~cache_capacity:cache ~jobs ()
+        ~cache_capacity:cache ()
     in
     let responses = Xpds.Service.solve_batch svc requests in
     (match cert_dir with
@@ -1205,8 +1177,8 @@ let batch_cmd =
   Cmd.v
     (Cmd.info "batch"
        ~doc:
-         "Decide every formula in FILE on a pool of worker domains, \
-          printing one NDJSON response per formula (a crashing item \
+         "Decide every formula in FILE, one after another, printing \
+          one NDJSON response per formula (a crashing item \
           yields an {\"error\":..} response; the rest of the batch \
           still completes). When the first payload line opens a JSON \
           object, FILE is instead read as NDJSON protocol requests — \
@@ -1215,11 +1187,13 @@ let batch_cmd =
           order. With --certify every verdict is certified and \
           independently re-checked (exit 4 if any certificate fails); \
           with --trace, per-phase timings. With --store, a persistent \
-          verdict store warm-starts the cache across processes.")
+          verdict store warm-starts the cache across processes. For a \
+          multi-core run, send the same requests as NDJSON to \
+          $(b,xpds serve --shards N).")
     Term.(
-      const run $ file_arg $ jobs_arg $ timeout_arg $ cache_arg
-      $ stats_arg $ certify_arg $ cert_dir_arg $ trace_arg
-      $ degrade_arg $ domains_arg $ no_prune_arg $ store_arg
+      const run $ file_arg $ timeout_arg $ cache_arg $ stats_arg
+      $ certify_arg $ cert_dir_arg $ trace_arg $ degrade_arg
+      $ no_prune_arg $ store_arg
       $ store_verify_arg)
 
 (* --- certify --- *)
@@ -1475,12 +1449,10 @@ let bench_cmd =
       & opt string "BENCH_emptiness.json"
       & info [ "o"; "out" ] ~doc:"Where to write the JSON results.")
   in
-  let run target quick out domains no_prune shards queue_depth =
+  let run target quick out no_prune shards queue_depth =
     match target with
     | "emptiness" ->
-      exit
-        (Emptiness_bench.run ~quick ~out
-           ~domains:(resolve_domains domains) ~prune:(not no_prune) ())
+      exit (Emptiness_bench.run ~quick ~out ~prune:(not no_prune) ())
     | "certify" ->
       let out = if out = "BENCH_emptiness.json" then "BENCH_certify.json" else out in
       exit (Certify_bench.run ~quick ~out ())
@@ -1514,8 +1486,8 @@ let bench_cmd =
          "Run a repository benchmark and write machine-readable JSON \
           (cold wall-time and engine throughput for \"emptiness\").")
     Term.(
-      const run $ target_arg $ quick_arg $ out_arg $ domains_arg
-      $ no_prune_arg $ bench_shards_arg $ bench_queue_depth_arg)
+      const run $ target_arg $ quick_arg $ out_arg $ no_prune_arg
+      $ bench_shards_arg $ bench_queue_depth_arg)
 
 let () =
   let info =

@@ -178,8 +178,9 @@ let create ~labels ~mu ~final ~pf =
     mu;
   (* The same-node dependency graph and its SCCs are pure functions of
      μ and P; every search over [m] reads them, so compute them once
-     here. Eagerly, not lazily: parallel searches share [m] across
-     domains and must never force a shared thunk. *)
+     here. Eagerly, not lazily: every search reads both, so deferring
+     them saves nothing, and [m] stays a plain immutable value that any
+     domain can read. *)
   let deps = compute_dependencies ~q_card ~mu pf in
   { labels; q_card; mu; final; pf; deps; components = compute_sccs deps }
 

@@ -104,8 +104,6 @@ type memo = {
 let memo pf =
   { pf; closure_tbl = BvPairTbl.create 16; step_tbl = BvTbl.create 16 }
 
-let memo_pf m = m.pf
-
 let closure_m m ~label ks =
   let key = (label, ks) in
   match BvPairTbl.find_opt m.closure_tbl key with

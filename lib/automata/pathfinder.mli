@@ -57,7 +57,6 @@ val step_up : t -> Bitv.t -> Bitv.t
 type memo
 
 val memo : t -> memo
-val memo_pf : memo -> t
 
 val closure_m : memo -> label:Bitv.t -> Bitv.t -> Bitv.t
 (** Memoized {!closure}, keyed on the (label, base) pair. *)

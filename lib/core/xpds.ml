@@ -22,10 +22,10 @@
       {!Semantics} — the [xpds eval] subcommand and the service's
       [eval] verb);
     - {!Service}, {!Service_metrics}, {!Trace}, {!Lru}, {!Cache_key},
-      {!Pool}, {!Json}: the concurrent, cached solver service
-      (single-flight dedup, worker pool, monotonic admission-anchored
-      deadlines, per-request phase traces, NDJSON protocol — the
-      [xpds serve]/[xpds batch] subcommands);
+      {!Json}: the cached solver service (single-flight dedup,
+      monotonic admission-anchored deadlines, per-request phase traces,
+      NDJSON protocol — the [xpds serve]/[xpds batch] subcommands);
+      {!Shard}: the forked-shard router behind [xpds serve --shards N];
     - {!Cert}, {!Cert_naive}: checkable SAT/UNSAT certificates and
       their independent verifier (the [xpds certify]/[--certify]
       subcommands);
@@ -92,7 +92,6 @@ module Shard = Xpds_shard.Shard
 module Trace = Xpds_service.Trace
 module Lru = Xpds_service.Lru
 module Cache_key = Xpds_service.Cache_key
-module Pool = Xpds_service.Pool
 module Json = Json
 module Cert = Xpds_cert.Cert
 module Cert_naive = Xpds_cert.Naive

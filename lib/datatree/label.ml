@@ -1,9 +1,9 @@
 type t = int
 
 (* The intern table is global mutable state shared by every solver run;
-   the service's worker pool calls [of_string] from several domains at
-   once (e.g. Translate interning "@other"), so registration is guarded
-   by a mutex. Reads ([to_string]/[of_int]) stay lock-free: an id is
+   a library caller may solve from several domains at once (e.g. two
+   Translate runs interning "@other"; the service's single-flight tests
+   do), so registration is guarded by a mutex. Reads ([to_string]/[of_int]) stay lock-free: an id is
    only handed out after its name is written, and [names] grows by
    copying, so any array version with [i < !next] has a valid entry at
    [i]. *)

@@ -32,7 +32,7 @@ val contained :
 (** [contained phi psi] — does [[ϕ]] ⊆ [[ψ]] hold on every data tree?
     [options] (default {!Sat.Options.default}) configures the ϕ∧¬ψ
     search exactly as {!Sat.decide}: cooperative deadlines
-    ([should_stop]), widths/budgets, [domains], pruning, certificate
+    ([should_stop]), widths/budgets, pruning, certificate
     mode — so a served containment request honors the same deadline
     machinery as a sat request. *)
 

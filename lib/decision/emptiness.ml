@@ -2,30 +2,12 @@ module Bip = Xpds_automata.Bip
 module Pathfinder = Xpds_automata.Pathfinder
 module Label = Xpds_datatree.Label
 module Data_tree = Xpds_datatree.Data_tree
-module Parallel = Xpds_parallel.Parallel
 
 type outcome =
   | Nonempty of Data_tree.t
   | Empty
   | Bounded_empty
   | Resource_limit of string
-
-type par_stats = {
-  domains_used : int;
-  par_rounds : int;
-  par_waves : int;
-  par_combos : int;
-  par_imbalance_pct : int;
-}
-
-let seq_par_stats =
-  {
-    domains_used = 1;
-    par_rounds = 0;
-    par_waves = 0;
-    par_combos = 0;
-    par_imbalance_pct = 0;
-  }
 
 type prune_stats = {
   subsumed_pruned : int;
@@ -41,7 +23,6 @@ type stats = {
   n_transitions : int;
   n_mergings : int;
   max_height_reached : int;
-  par : par_stats;
   prune : prune_stats;
   n_replayed : int;
 }
@@ -55,7 +36,6 @@ type config = {
   max_states : int;
   max_transitions : int;
   should_stop : (unit -> bool) option;
-  domains : int;
   prune : bool;
 }
 
@@ -69,7 +49,6 @@ let default_config =
     max_states = 20_000;
     max_transitions = 200_000;
     should_stop = None;
-    domains = 1;
     prune = true;
   }
 
@@ -149,16 +128,7 @@ type search = {
   mutable transitions : int;
   mutable mergings : int;
   final : Bitv.t;
-  enum : Merging.enum;  (** the sequential round's merging scratch *)
-  (* parallel-engine bookkeeping (zero when running sequentially) *)
-  mutable wctxs : Transition.ctx array;
-      (** domain-local {!Transition.ctx} replicas, slot 0 = [ctx]; kept
-          across waves and rounds so worker memo tables stay warm *)
-  mutable par_domains_used : int;
-  mutable par_rounds : int;
-  mutable par_waves : int;
-  mutable par_combos : int;
-  mutable par_imbalance_pct : int;
+  enum : Merging.enum;  (** the round's merging scratch *)
   (* subsumption pruning (DESIGN.md: Subsumption pruning) *)
   prune : bool;  (** profile quotient enabled (config + not want_basis) *)
   mono : bool;  (** dominance/antichain tier enabled (monotone gate) *)
@@ -171,7 +141,7 @@ type search = {
       (** the antichain frontier, newest first (dominance tier only) *)
   mutable subsumed_pruned : int;
   mutable basis_evicted : int;
-  (* the transition memo (sequential round only) *)
+  (* the transition memo *)
   projs : int ProjTbl.t;  (** children projection -> projection id *)
   replays : int array MemoTbl.t;
       (** (projection id, merging key) -> per label, the ids its results
@@ -323,11 +293,11 @@ let bump_transitions s =
   if s.transitions > s.cfg.max_transitions then
     raise (Limit "transition budget")
 
-(* The merging kernel both engines share. A combo's items are the
-   visible values of its children, child by child, each with its
-   step-up (precomputed at state discovery). With at most t0 classes,
-   the resulting state depends on a merging only through the multiset
-   of its classes' stepped-up bases (plus the root flag), so
+(* The merging kernel. A combo's items are the visible values of its
+   children, child by child, each with its step-up (precomputed at
+   state discovery). With at most t0 classes, the resulting state
+   depends on a merging only through the multiset of its classes'
+   stepped-up bases (plus the root flag), so
    [Merging.iter] runs over every merging — each one counts against the
    budgets — and [Merging.fresh_key] picks the first of each key, in
    enumeration order, as the one to apply. With more classes, the t0
@@ -456,373 +426,6 @@ let round s ~labels ~width ~height ~fresh_from ~pool =
             end))
   done;
   s.count > start
-
-(* --- domain-parallel round ---
-
-   Within one round the candidate combos are fixed (ids 0..count-1 at
-   round start) and evaluating a combo — merging enumeration, canonical
-   key dedup, Transition.combine — only READS the basis snapshot. What
-   must stay sequential is the effectful tail: the budget counters,
-   state admission (dedup + the Found acceptance raise), provenance.
-
-   So workers never mutate the search. Each worker evaluates claimed
-   combos with a domain-local Transition ctx and records, per combo, an
-   event log: merging-counter increments and transition applications
-   with their computed result states. The coordinating domain then
-   replays the logs in exact sequential combo order, re-executing the
-   same counter updates and [add_state] calls the sequential engine
-   would perform — so verdicts, stats and the basis are bit-identical,
-   including which budget [Limit] fires first and on which state
-   [Found] triggers. (The only divergence is [should_stop] deadlines,
-   which are wall-clock driven and inherently nondeterministic; a fired
-   deadline always surfaces as the same [Resource_limit].)
-
-   Budget truncation: a worker tracks wave-local unit counts. Its
-   claims replay in claim order, so (wave-start counter + worker-local
-   count) is a LOWER bound on the replay-time cumulative counter at
-   each of its events; once that bound crosses a budget, replay is
-   guaranteed to raise at or before the event just recorded, and the
-   worker may stop without computing further results. Workers also
-   flush their local counts into shared atomics so that, once the
-   whole wave has provably exceeded a budget, everyone stops claiming
-   (those combos are left unprocessed; if replay ever reaches one — it
-   cannot, unless the bound reasoning is wrong — it falls back to
-   evaluating it inline, which is always correct). *)
-
-type ev =
-  | Ev_mergings of int  (** batched merging-counter increments *)
-  | Ev_apply of Label.t * Merging.t * Transition.result list
-      (** one [bump_transitions] + the results to admit, in order *)
-
-type co_status =
-  | Co_done  (** combo fully evaluated *)
-  | Co_stop_hard
-      (** truncated at a local budget crossing or an accepting result:
-          the log is replay-complete up to a guaranteed raise point *)
-  | Co_stop_poll
-      (** truncated by the poll hook (deadline / shared-budget
-          evidence): the log is NOT replay-complete *)
-
-(* Lexicographic cursor over a round's combos: non-decreasing id
-   sequences of length 1..width over 0..n whose maximum (= last
-   element) is >= fresh_from. Visits exactly the combos [iter_combos]
-   passes to its callback, in the same order — the freshness filter
-   becomes a skip: after a plain successor step, a last element below
-   fresh_from is bumped straight to fresh_from (every combo in between
-   shares the prefix and differs only in a too-small last element). *)
-type cursor = { mutable cw : int; mutable cur : int array; mutable fin : bool }
-
-let cursor_make ~n ~width ~fresh_from =
-  if width < 1 || n < 0 || fresh_from > n then
-    { cw = 0; cur = [||]; fin = true }
-  else { cw = 1; cur = [| fresh_from |]; fin = false }
-
-let cursor_next cu ~n ~width ~fresh_from =
-  let w = cu.cw in
-  let c = cu.cur in
-  let rec find i = if i < 0 then -1 else if c.(i) < n then i else find (i - 1) in
-  let i = find (w - 1) in
-  if i >= 0 then begin
-    let v = c.(i) + 1 in
-    for j = i to w - 1 do
-      c.(j) <- v
-    done;
-    if c.(w - 1) < fresh_from then c.(w - 1) <- fresh_from
-  end
-  else if w >= width then cu.fin <- true
-  else begin
-    cu.cw <- w + 1;
-    cu.cur <- Array.make (w + 1) 0;
-    cu.cur.(w) <- fresh_from
-  end
-
-(* Evaluate one combo into an event log. Mirrors the body of [round]'s
-   per-combo closure exactly, with counter increments recorded instead
-   of applied. [local_m]/[local_t] accumulate this worker's wave-local
-   units; [budget_m]/[budget_t] are the budgets minus the wave-start
-   counters, so [!local > budget] certifies a replay-time crossing.
-   [on_poll] is consulted where the sequential engine polls
-   [should_stop]; returning [true] aborts with [Co_stop_poll]. *)
-let eval_combo ~ctx ~enum ~cfg ~states ~val_su ~visible ~labels ~final
-    ~k_card ~budget_m ~budget_t ~local_m ~local_t ~on_poll combo =
-  let events = ref [] in
-  let pending = ref 0 in
-  let status = ref Co_done in
-  let flush () =
-    if !pending > 0 then begin
-      events := Ev_mergings !pending :: !events;
-      pending := 0
-    end
-  in
-  let children = Array.map (fun id -> states.(id)) combo in
-  let initial = (Transition.bip_of ctx).Bip.pf.Pathfinder.initial in
-  load_combo enum ~k_card ~val_su ~visible combo;
-  (try
-     Merging.iter ?budget:cfg.merge_budget enum
-       (fun enum ->
-         incr local_m;
-         incr pending;
-         if !local_m > budget_m then begin
-           (* replay will raise "merging budget" inside this batch *)
-           status := Co_stop_hard;
-           raise Exit
-         end;
-         if !local_m land 255 = 0 && on_poll () then begin
-           status := Co_stop_poll;
-           raise Exit
-         end;
-         if Merging.fresh_key enum then begin
-           flush ();
-           let merging, bases = distinct_merging enum ~initial in
-           List.iter
-             (fun label ->
-               incr local_t;
-               if !local_t > budget_t then begin
-                 (* replay raises "transition budget" at this bump;
-                    the results are never read *)
-                 events := Ev_apply (label, merging, []) :: !events;
-                 status := Co_stop_hard;
-                 raise Exit
-               end;
-               if on_poll () then begin
-                 status := Co_stop_poll;
-                 raise Exit
-               end;
-               let results =
-                 Transition.combine ?t0:cfg.t0 ?dup_cap:cfg.dup_cap ~bases
-                   ctx label children merging
-               in
-               events := Ev_apply (label, merging, results) :: !events;
-               if
-                 List.exists
-                   (fun (r : Transition.result) ->
-                     Ext_state.accepting r.Transition.state final)
-                   results
-               then begin
-                 (* replay raises Found inside this apply *)
-                 status := Co_stop_hard;
-                 raise Exit
-               end)
-             labels
-         end)
-   with Exit -> ());
-  flush ();
-  (List.rev !events, !status)
-
-(* Replay one combo's event log against the real search state. This is
-   the deterministic merge: identical counter arithmetic, identical
-   raise points, identical admission order as the sequential engine. *)
-let replay_events s ~height ~new_seen combo events =
-  List.iter
-    (fun ev ->
-      match ev with
-      | Ev_mergings k ->
-        let cap = 20 * s.cfg.max_transitions in
-        (* the sequential engine raises at the increment that first
-           crosses the cap, leaving the counter at cap+1 *)
-        if s.mergings + k > cap then begin
-          s.mergings <- cap + 1;
-          raise (Limit "merging budget")
-        end;
-        s.mergings <- s.mergings + k;
-        poll_stop s.cfg
-      | Ev_apply (label, merging, results) ->
-        bump_transitions s;
-        List.iter
-          (fun (r : Transition.result) ->
-            let before = s.count in
-            ignore
-              (add_state s r.Transition.state
-                 (PNode (label, combo, merging, r.Transition.class_values))
-                 height);
-            if s.count > before then new_seen := true)
-          results)
-    events
-
-let worker_ctxs s workers =
-  if Array.length s.wctxs < workers then
-    s.wctxs <-
-      Array.init workers (fun i ->
-          if i = 0 then s.ctx
-          else if i < Array.length s.wctxs then s.wctxs.(i)
-          else Transition.clone_ctx s.ctx);
-  s.wctxs
-
-let round_parallel s ~labels ~width ~height ~fresh_from ~workers ~pool =
-  let cfg = s.cfg in
-  let n = Array.length pool - 1 in
-  (* Position of the first fresh pool member: the pool is ascending, so
-     the cursor's max-position >= threshold test is exactly "contains a
-     fresh id". *)
-  let fresh_from =
-    let len = Array.length pool in
-    let rec go p = if p >= len || pool.(p) >= fresh_from then p else go (p + 1) in
-    go 0
-  in
-  let new_seen = ref false in
-  let m = Transition.bip_of s.ctx in
-  let k_card = m.Bip.pf.Pathfinder.n_states in
-  (* Basis snapshot: slots [0, count) are write-once; workers hold these
-     array refs, so later resizes (which swap in fresh arrays) are
-     invisible to them. *)
-  let states = s.states
-  and val_su = s.val_su
-  and visible = s.visible
-  and final = s.final in
-  let wctxs = worker_ctxs s workers in
-  let enums = Array.init workers (fun _ -> Merging.create ()) in
-  let cu = cursor_make ~n ~width ~fresh_from in
-  let wave_cap = workers * 64 in
-  let buf = Array.make wave_cap [||] in
-  let outs : ev list array = Array.make wave_cap [] in
-  let slot_combos = Array.make workers 0 in
-  let round_counted = ref false in
-  (* Exact sequential budgets for inline evaluation, where wave-start =
-     current counters and there is a single evaluator. *)
-  let inline_eval combo =
-    let deadline = ref false in
-    let on_poll () =
-      match cfg.should_stop with
-      | Some stop when stop () ->
-        deadline := true;
-        true
-      | _ -> false
-    in
-    let events, _ =
-      eval_combo ~ctx:s.ctx ~enum:s.enum ~cfg ~states ~val_su ~visible
-        ~labels ~final ~k_card
-        ~budget_m:((20 * cfg.max_transitions) - s.mergings)
-        ~budget_t:(cfg.max_transitions - s.transitions)
-        ~local_m:(ref 0) ~local_t:(ref 0) ~on_poll combo
-    in
-    replay_events s ~height ~new_seen combo events;
-    if !deadline then raise (Limit deadline_exceeded)
-  in
-  while not cu.fin do
-    let n_wave = ref 0 in
-    while !n_wave < wave_cap && not cu.fin do
-      buf.(!n_wave) <- Array.map (fun p -> pool.(p)) cu.cur;
-      incr n_wave;
-      cursor_next cu ~n ~width ~fresh_from
-    done;
-    let n_wave = !n_wave in
-    if n_wave > 0 then
-      if n_wave < 2 * workers then
-        (* too small to amortize a spawn: evaluate + replay inline,
-           which is byte-for-byte the sequential round on these combos *)
-        for i = 0 to n_wave - 1 do
-          inline_eval buf.(i)
-        done
-      else begin
-        if not !round_counted then begin
-          round_counted := true;
-          s.par_rounds <- s.par_rounds + 1
-        end;
-        s.par_waves <- s.par_waves + 1;
-        Array.fill slot_combos 0 workers 0;
-        Array.fill outs 0 n_wave [];
-        let next = Atomic.make 0 in
-        let stop_at = Atomic.make max_int in
-        let deadline_hit = Atomic.make false in
-        let shared_m = Atomic.make 0 in
-        let shared_t = Atomic.make 0 in
-        let budget_m = (20 * cfg.max_transitions) - s.mergings in
-        let budget_t = cfg.max_transitions - s.transitions in
-        let used =
-          Parallel.run_workers workers (fun slot ->
-              let ctx = wctxs.(slot) in
-              let local_m = ref 0
-              and local_t = ref 0
-              and fl_m = ref 0
-              and fl_t = ref 0
-              and soft = ref false in
-              let flush_shared () =
-                if !local_m > !fl_m then begin
-                  ignore (Atomic.fetch_and_add shared_m (!local_m - !fl_m));
-                  fl_m := !local_m
-                end;
-                if !local_t > !fl_t then begin
-                  ignore (Atomic.fetch_and_add shared_t (!local_t - !fl_t));
-                  fl_t := !local_t
-                end
-              in
-              let on_poll () =
-                flush_shared ();
-                if Atomic.get deadline_hit then true
-                else if
-                  match cfg.should_stop with
-                  | Some stop -> stop ()
-                  | None -> false
-                then begin
-                  Atomic.set deadline_hit true;
-                  true
-                end
-                else if
-                  Atomic.get shared_m > budget_m
-                  || Atomic.get shared_t > budget_t
-                then begin
-                  (* the wave as a whole has exceeded a budget: replay
-                     will raise before running out of recorded combos;
-                     stop claiming but don't lower stop_at (our own
-                     local bound may not have crossed) *)
-                  soft := true;
-                  true
-                end
-                else false
-              in
-              let rec lower i =
-                let cur = Atomic.get stop_at in
-                if i < cur && not (Atomic.compare_and_set stop_at cur i) then
-                  lower i
-              in
-              let rec claim () =
-                if not (Atomic.get deadline_hit) && not !soft then begin
-                  let i = Atomic.fetch_and_add next 1 in
-                  if i < n_wave && i <= Atomic.get stop_at then begin
-                    let events, status =
-                      eval_combo ~ctx ~enum:enums.(slot) ~cfg ~states
-                        ~val_su ~visible ~labels ~final ~k_card ~budget_m
-                        ~budget_t ~local_m ~local_t ~on_poll buf.(i)
-                    in
-                    flush_shared ();
-                    (match status with
-                    | Co_done ->
-                      outs.(i) <- events;
-                      slot_combos.(slot) <- slot_combos.(slot) + 1;
-                      claim ()
-                    | Co_stop_hard ->
-                      outs.(i) <- events;
-                      slot_combos.(slot) <- slot_combos.(slot) + 1;
-                      lower i
-                    | Co_stop_poll ->
-                      (* incomplete log: leave the sentinel so replay
-                         re-evaluates inline if it ever gets here *)
-                      ())
-                  end
-                end
-              in
-              claim ())
-        in
-        if used > s.par_domains_used then s.par_domains_used <- used;
-        let processed = Array.fold_left ( + ) 0 slot_combos in
-        s.par_combos <- s.par_combos + processed;
-        if used > 1 && processed > 0 then begin
-          let mx = Array.fold_left max 0 slot_combos in
-          let pct = mx * used * 100 / processed in
-          if pct > s.par_imbalance_pct then s.par_imbalance_pct <- pct
-        end;
-        if Atomic.get deadline_hit then raise (Limit deadline_exceeded);
-        (* Deterministic merge: replay recorded logs in combo order; an
-           unprocessed combo (sentinel [] — a processed combo always
-           logs at least one Ev_mergings) is evaluated inline. *)
-        for i = 0 to n_wave - 1 do
-          match outs.(i) with
-          | [] -> inline_eval buf.(i)
-          | events -> replay_events s ~height ~new_seen buf.(i) events
-        done
-      end
-  done;
-  !new_seen
 
 (* --- witness reconstruction --- *)
 
@@ -1036,7 +639,6 @@ let check_data_free ~config (m : Bip.t) =
       n_transitions = !transitions;
       n_mergings = 0;
       max_height_reached = height;
-      par = seq_par_stats;
       prune = no_prune_stats;
       n_replayed = 0;
     }
@@ -1187,12 +789,6 @@ let check_full ?(config = default_config) ?(want_basis = false) (m : Bip.t) =
       mergings = 0;
       final = m.Bip.final;
       enum = Merging.create ();
-      wctxs = [||];
-      par_domains_used = 1;
-      par_rounds = 0;
-      par_waves = 0;
-      par_combos = 0;
-      par_imbalance_pct = 0;
       prune = config.prune && not want_basis;
       mono = config.prune && (not want_basis) && mono_gate m config;
       profiles = ProfTbl.create 16;
@@ -1206,21 +802,12 @@ let check_full ?(config = default_config) ?(want_basis = false) (m : Bip.t) =
       replayed = 0;
     }
   in
-  let workers = Parallel.effective ~domains:config.domains max_int in
   let stats height =
     {
       n_states = s.count;
       n_transitions = s.transitions;
       n_mergings = s.mergings;
       max_height_reached = height;
-      par =
-        {
-          domains_used = s.par_domains_used;
-          par_rounds = s.par_rounds;
-          par_waves = s.par_waves;
-          par_combos = s.par_combos;
-          par_imbalance_pct = s.par_imbalance_pct;
-        };
       prune =
         {
           subsumed_pruned = s.subsumed_pruned;
@@ -1254,8 +841,7 @@ let check_full ?(config = default_config) ?(want_basis = false) (m : Bip.t) =
       else begin
         let prev_count = s.count in
         (* Round-start pool: the alive (non-evicted) basis, ascending.
-           Mid-round evictions only shrink the next round's pool, so
-           both engines enumerate the same combos. *)
+           Mid-round evictions only shrink the next round's pool. *)
         let pool =
           if s.n_dead = 0 then Array.init s.count Fun.id
           else begin
@@ -1270,13 +856,8 @@ let check_full ?(config = default_config) ?(want_basis = false) (m : Bip.t) =
             out
           end
         in
-        let changed =
-          if workers > 1 then
-            round_parallel s ~labels ~width ~height ~fresh_from ~workers
-              ~pool
-          else round s ~labels ~width ~height ~fresh_from ~pool
-        in
-        if changed then saturate (height + 1) prev_count
+        if round s ~labels ~width ~height ~fresh_from ~pool then
+          saturate (height + 1) prev_count
         else (height - 1, false)
       end
     in

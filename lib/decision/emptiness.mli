@@ -28,18 +28,6 @@ type outcome =
   | Resource_limit of string
       (** state or transition budget exhausted before saturation *)
 
-type par_stats = {
-  domains_used : int;
-      (** worker domains actually granted by the shared permit pool
-          (1 when the search ran sequentially) *)
-  par_rounds : int;  (** saturation rounds that dispatched parallel work *)
-  par_waves : int;  (** parallel waves (chunked frontier slices) run *)
-  par_combos : int;  (** combos evaluated by parallel workers *)
-  par_imbalance_pct : int;
-      (** worst per-wave load imbalance: busiest worker's combo share as
-          a percentage of the perfectly-balanced share (100 = even) *)
-}
-
 type prune_stats = {
   subsumed_pruned : int;
       (** candidate states dropped at admission: profile duplicates of
@@ -62,23 +50,15 @@ type stats = {
   n_transitions : int;  (** transition applications attempted *)
   n_mergings : int;  (** mergings enumerated *)
   max_height_reached : int;
-  par : par_stats;
-      (** parallel-engine counters; every field above this one is
-          bit-identical across [domains] values — only [par] reflects
-          the execution strategy *)
-  prune : prune_stats;
-      (** subsumption-pruning counters; like [par], bit-identical
-          across [domains] values *)
+  prune : prune_stats;  (** subsumption-pruning counters *)
   n_replayed : int;
       (** transitions among [n_transitions] answered from the search's
-          transition memo instead of recomputed (sequential engine only;
-          0 on parallel rounds and the data-free fast path). Not part of
-          wire responses or metrics. *)
+          transition memo instead of recomputed (0 on the data-free fast
+          path). Not part of wire responses or metrics. *)
 }
 
-val seq_par_stats : par_stats
-(** The all-sequential [par] value: [domains_used = 1], zero counters. *)
-
+(** Search knobs. The record mirrors {!Xpds_decision.Sat.Options.t}
+    field for field on the search-bound knobs. *)
 type config = {
   width : int option;
       (** max branching of the witness; default: the paper's [u0] *)
@@ -101,20 +81,6 @@ type config = {
           far — never with a (possibly wrong) [Empty]/[Bounded_empty],
           so the honesty model is preserved (see DESIGN.md). Default
           [None]. *)
-  domains : int;
-      (** worker domains for the saturation fixpoint (default 1 =
-          sequential). The general engine partitions each round's combo
-          frontier into waves evaluated by domain-local workers and
-          merges their event logs deterministically, so every verdict,
-          every stats field outside [par], and the certificate basis
-          are bit-identical to a [domains = 1] run. Domains beyond the
-          machine's recommended count — or beyond what the process-wide
-          {!Xpds_parallel.Parallel} permit pool can grant (e.g. inside
-          an already-parallel service batch) — degrade gracefully to
-          fewer workers. The data-free fast path ignores this knob: it
-          is already classical-automaton fast. This record deliberately
-          mirrors {!Xpds_decision.Sat.Options.t} field-for-field on the
-          search-bound knobs. *)
   prune : bool;
       (** subsumption pruning (default [true]). Admission collapses
           states with equal upward-observable profiles to one

@@ -43,7 +43,6 @@ module Options = struct
     merge_budget : int option;
     max_states : int;
     max_transitions : int;
-    domains : int;
     should_stop : (unit -> bool) option;
     on_phase : string -> unit;
     verify : bool;
@@ -53,17 +52,6 @@ module Options = struct
     prune : bool;
   }
 
-  (* The environment default lets a harness (CI runs the test suite
-     under XPDS_DOMAINS=1 and =4) steer every default-options solve
-     without threading a flag through each call site. *)
-  let domains_from_env () =
-    match Sys.getenv_opt "XPDS_DOMAINS" with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some d when d >= 1 -> d
-      | _ -> 1)
-    | None -> 1
-
   let default =
     {
       width = 3;
@@ -72,7 +60,6 @@ module Options = struct
       merge_budget = Some 5;
       max_states = Emptiness.default_config.Emptiness.max_states;
       max_transitions = Emptiness.default_config.Emptiness.max_transitions;
-      domains = domains_from_env ();
       should_stop = None;
       on_phase = ignore;
       verify = true;
@@ -88,7 +75,6 @@ module Options = struct
   let with_merge_budget merge_budget o = { o with merge_budget }
   let with_max_states max_states o = { o with max_states }
   let with_max_transitions max_transitions o = { o with max_transitions }
-  let with_domains domains o = { o with domains = max 1 domains }
   let with_should_stop should_stop o = { o with should_stop }
   let with_on_phase on_phase o = { o with on_phase }
   let with_verify verify o = { o with verify }
@@ -129,7 +115,6 @@ let decide ?(options = Options.default) eta =
       max_states = o.Options.max_states;
       max_transitions = o.Options.max_transitions;
       should_stop = o.Options.should_stop;
-      domains = o.Options.domains;
       (* Certificate runs must stay exact: the basis is the certificate,
          and a pruned basis is not the inductive set the independent
          checker replays ([check_with_basis] would force this anyway). *)
@@ -143,12 +128,6 @@ let decide ?(options = Options.default) eta =
       ^ string_of_int o.Options.width ^ ")"
     | None -> "full fixpoint (Thm 4, width=" ^ string_of_int o.Options.width ^ ")"
   in
-  (* The data-free fast path is always sequential; only the general
-     engine (which certificate mode forces) parallelizes. *)
-  let parallel_engine =
-    o.Options.domains > 1
-    && (o.Options.certificate || not (Emptiness.data_free m))
-  in
   (* The phase name tells traces which engine ran: pruning only acts in
      the general engine (the data-free fast path has no profiles to
      collapse), and certificate mode forces it off. *)
@@ -157,8 +136,7 @@ let decide ?(options = Options.default) eta =
   in
   let outcome, stats, basis =
     o.Options.on_phase
-      ((if parallel_engine then "fixpoint_parallel" else "fixpoint")
-      ^ if pruned_engine then "_pruned" else "");
+      (if pruned_engine then "fixpoint_pruned" else "fixpoint");
     if o.Options.certificate then Emptiness.check_with_basis ~config m
     else
       let outcome, stats = Emptiness.check_with_stats ~config m in
@@ -265,7 +243,6 @@ let decide_under_doctype ?(options = Options.default) ~doctype eta =
       max_states = o.Options.max_states;
       max_transitions = o.Options.max_transitions;
       should_stop = o.Options.should_stop;
-      domains = o.Options.domains;
       prune = o.Options.prune;
     }
   in
@@ -273,15 +250,11 @@ let decide_under_doctype ?(options = Options.default) ~doctype eta =
     "doctype-restricted full fixpoint (§4.1, width="
     ^ string_of_int o.Options.width ^ ")"
   in
-  let parallel_engine =
-    o.Options.domains > 1 && not (Emptiness.data_free m)
-  in
   let pruned_engine =
     config.Emptiness.prune && not (Emptiness.data_free m)
   in
   o.Options.on_phase
-    ((if parallel_engine then "fixpoint_parallel" else "fixpoint")
-    ^ if pruned_engine then "_pruned" else "");
+    (if pruned_engine then "fixpoint_pruned" else "fixpoint");
   let outcome, stats = Emptiness.check_with_stats ~config m in
   let paper_complete_widths =
     o.Options.width >= Emptiness.paper_width m

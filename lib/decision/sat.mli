@@ -62,8 +62,8 @@ type report = {
 (** Solver options, replacing the twelve optional arguments [decide]
     had accreted. Build one by functional update from {!Options.default}
     ([{ Options.default with width = 5 }]) or with the [with_*]
-    combinators ([Options.(default |> with_width 5 |> with_domains 4)]).
-    The search-bound fields ([width] … [domains]) deliberately mirror
+    combinators ([Options.(default |> with_width 5 |> with_max_states 50_000)]).
+    The search-bound fields ([width] … [max_transitions]) deliberately mirror
     {!Emptiness.config} field-for-field, with the option-typed budgets
     resolved to the practical defaults. *)
 module Options : sig
@@ -77,20 +77,13 @@ module Options : sig
         (** merging identification budget; default [Some 5] *)
     max_states : int;  (** resource budget; default 20_000 *)
     max_transitions : int;  (** resource budget; default 200_000 *)
-    domains : int;
-        (** worker domains for the emptiness fixpoint (default: the
-            [XPDS_DOMAINS] environment variable, else 1). Any value is
-            safe: verdicts, core stats and certificate bases are
-            bit-identical across domain counts, and requests beyond the
-            machine or the shared {!Xpds_parallel.Parallel} permit pool
-            degrade to fewer workers. *)
     should_stop : (unit -> bool) option;
         (** cooperative deadline hook ({!Emptiness.config}); a fired
             deadline yields [Unknown "deadline exceeded"] *)
     on_phase : string -> unit;
         (** observability hook: invoked with ["translate"],
-            ["fixpoint"] (or ["fixpoint_parallel"] when the parallel
-            engine is selected), and — on a nonempty outcome —
+            ["fixpoint"] (or ["fixpoint_pruned"] when subsumption
+            pruning acts), and — on a nonempty outcome —
             ["verify"], as the run enters each stage *)
     verify : bool;  (** replay the witness (default true) *)
     minimize : bool;
@@ -109,20 +102,12 @@ module Options : sig
 
   val default : t
 
-  val domains_from_env : unit -> int
-  (** [XPDS_DOMAINS] parsed and clamped to [>= 1]; 1 when unset or
-      unparsable. [default.domains] is initialised from this. *)
-
   val with_width : int -> t -> t
   val with_t0 : int option -> t -> t
   val with_dup_cap : int option -> t -> t
   val with_merge_budget : int option -> t -> t
   val with_max_states : int -> t -> t
   val with_max_transitions : int -> t -> t
-
-  val with_domains : int -> t -> t
-  (** clamps to [>= 1] *)
-
   val with_should_stop : (unit -> bool) option -> t -> t
   val with_on_phase : (string -> unit) -> t -> t
   val with_verify : bool -> t -> t

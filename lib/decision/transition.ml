@@ -174,22 +174,6 @@ let make_ctx ?(project_pairs = false) (m : Bip.t) =
 let bip_of ctx = ctx.m
 let memo_of ctx = ctx.memo
 
-(* Domain-local replica: shares every immutable precomputation (the
-   automaton with its SCCs, reverse indices, pair mask) but
-   gets fresh, empty memo/U/V caches so each worker domain can mutate
-   its own scratch without synchronisation. *)
-let clone_ctx ctx =
-  {
-    ctx with
-    memo = Pathfinder.memo (Pathfinder.memo_pf ctx.memo);
-    u_tbl = BvTbl.create 16;
-    v_tbl = BvTbl.create 16;
-    lift_tbl = LiftTbl.create 16;
-    alift_tbl = AliftTbl.create 16;
-    cand = Bitv.builder ctx.m.Bip.q_card;
-    proj = Bitv.builder ctx.m.Bip.q_card;
-  }
-
 let t0_default (m : Bip.t) =
   let k = m.pf.Pathfinder.n_states in
   (2 * k * k) + 2

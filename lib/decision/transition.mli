@@ -44,14 +44,6 @@ val memo_of : ctx -> Xpds_automata.Pathfinder.memo
     engine shares it to precompute per-state step-ups once at state
     discovery. A ctx and its memo are single-domain objects. *)
 
-val clone_ctx : ctx -> ctx
-(** A domain-local replica of a ctx: all immutable precomputations
-    (automaton, SCCs, dependency sets, reverse indices, pair mask) are
-    shared; the mutable caches (pathfinder memo, U/V tables) are fresh
-    and empty. The parallel emptiness engine gives each worker domain
-    its own clone; results are identical because every cache is a pure
-    memo over deterministic functions. *)
-
 val t0_default : Xpds_automata.Bip.t -> int
 (** The paper's bound [2|K|² + 2] on the number of described values. *)
 

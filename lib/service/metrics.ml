@@ -48,11 +48,6 @@ type t = {
   mutable fixpoint_states : int;
   mutable fixpoint_transitions : int;
   mutable fixpoint_mergings : int;
-  mutable par_rounds : int;
-  mutable par_waves : int;
-  mutable par_combos : int;
-  mutable par_imbalance_max_pct : int;
-  mutable domains_used_max : int;
   mutable subsumed_pruned : int;
   mutable basis_evicted : int;
   mutable antichain_size_max : int;
@@ -93,12 +88,6 @@ type snapshot = {
   fixpoint_states : int;
   fixpoint_transitions : int;
   fixpoint_mergings : int;
-  par_rounds : int;  (** saturation rounds that dispatched parallel work *)
-  par_waves : int;  (** parallel frontier waves run *)
-  par_combos : int;  (** combos evaluated by parallel workers *)
-  par_imbalance_max_pct : int;
-      (** worst per-wave load imbalance seen (100 = perfectly even) *)
-  domains_used_max : int;  (** most worker domains granted to one solve *)
   subsumed_pruned : int;
       (** candidate states dropped at admission by subsumption pruning *)
   basis_evicted : int;
@@ -162,11 +151,6 @@ let create () =
     fixpoint_states = 0;
     fixpoint_transitions = 0;
     fixpoint_mergings = 0;
-    par_rounds = 0;
-    par_waves = 0;
-    par_combos = 0;
-    par_imbalance_max_pct = 0;
-    domains_used_max = 1;
     subsumed_pruned = 0;
     basis_evicted = 0;
     antichain_size_max = 0;
@@ -206,11 +190,6 @@ let reset (m : t) =
   m.fixpoint_states <- 0;
   m.fixpoint_transitions <- 0;
   m.fixpoint_mergings <- 0;
-  m.par_rounds <- 0;
-  m.par_waves <- 0;
-  m.par_combos <- 0;
-  m.par_imbalance_max_pct <- 0;
-  m.domains_used_max <- 1;
   m.subsumed_pruned <- 0;
   m.basis_evicted <- 0;
   m.antichain_size_max <- 0;
@@ -266,14 +245,6 @@ let record ?(kind = `Sat) (m : t) ~verdict ~cached ~ms
     m.fixpoint_transitions <-
       m.fixpoint_transitions + stats.Emptiness.n_transitions;
     m.fixpoint_mergings <- m.fixpoint_mergings + stats.Emptiness.n_mergings;
-    let p = stats.Emptiness.par in
-    m.par_rounds <- m.par_rounds + p.Emptiness.par_rounds;
-    m.par_waves <- m.par_waves + p.Emptiness.par_waves;
-    m.par_combos <- m.par_combos + p.Emptiness.par_combos;
-    if p.Emptiness.par_imbalance_pct > m.par_imbalance_max_pct then
-      m.par_imbalance_max_pct <- p.Emptiness.par_imbalance_pct;
-    if p.Emptiness.domains_used > m.domains_used_max then
-      m.domains_used_max <- p.Emptiness.domains_used;
     let pr = stats.Emptiness.prune in
     m.subsumed_pruned <- m.subsumed_pruned + pr.Emptiness.subsumed_pruned;
     m.basis_evicted <- m.basis_evicted + pr.Emptiness.basis_evicted;
@@ -371,11 +342,6 @@ let snapshot (m : t) : snapshot =
     fixpoint_states = m.fixpoint_states;
     fixpoint_transitions = m.fixpoint_transitions;
     fixpoint_mergings = m.fixpoint_mergings;
-    par_rounds = m.par_rounds;
-    par_waves = m.par_waves;
-    par_combos = m.par_combos;
-    par_imbalance_max_pct = m.par_imbalance_max_pct;
-    domains_used_max = m.domains_used_max;
     subsumed_pruned = m.subsumed_pruned;
     basis_evicted = m.basis_evicted;
     antichain_size_max = m.antichain_size_max;
@@ -487,12 +453,6 @@ let to_json (s : snapshot) =
           [ ("states", Json.Num (float_of_int s.fixpoint_states));
             ("transitions", Json.Num (float_of_int s.fixpoint_transitions));
             ("mergings", Json.Num (float_of_int s.fixpoint_mergings));
-            ("par_rounds", Json.Num (float_of_int s.par_rounds));
-            ("par_waves", Json.Num (float_of_int s.par_waves));
-            ("par_combos", Json.Num (float_of_int s.par_combos));
-            ( "par_imbalance_max_pct",
-              Json.Num (float_of_int s.par_imbalance_max_pct) );
-            ("domains_used_max", Json.Num (float_of_int s.domains_used_max));
             ("subsumed_pruned", Json.Num (float_of_int s.subsumed_pruned));
             ("basis_evicted", Json.Num (float_of_int s.basis_evicted));
             ( "antichain_size_max",
@@ -525,8 +485,6 @@ let pp ppf (s : snapshot) =
      latency ms: min %.2f, mean %.2f, p95 %.2f, max %.2f@,\
      phase totals ms:%a@,\
      fixpoint totals: %d states, %d transitions, %d mergings@,\
-     parallel: %d rounds, %d waves, %d combos (worst imbalance %d%%, \
-     max %d domains)@,\
      pruning: %d subsumed, %d evicted (max antichain %d)@,\
      certificates: %d certified, %d check failures (mean %.2f ms, max \
      %.2f ms)@]"
@@ -549,7 +507,6 @@ let pp ppf (s : snapshot) =
           (fun (name, ms) -> Format.fprintf ppf " %s %.2f;" name ms)
           phases)
     s.phases_ms s.fixpoint_states s.fixpoint_transitions
-    s.fixpoint_mergings s.par_rounds s.par_waves s.par_combos
-    s.par_imbalance_max_pct s.domains_used_max s.subsumed_pruned
+    s.fixpoint_mergings s.subsumed_pruned
     s.basis_evicted s.antichain_size_max s.certified
     s.cert_check_failures s.cert_latency_mean_ms s.cert_latency_max_ms

@@ -26,16 +26,6 @@ type snapshot = {
   fixpoint_states : int;  (** summed {!Xpds_decision.Emptiness.stats} *)
   fixpoint_transitions : int;
   fixpoint_mergings : int;
-  par_rounds : int;
-      (** summed parallel-engine counters
-          ({!Xpds_decision.Emptiness.par_stats}): saturation rounds that
-          dispatched parallel work *)
-  par_waves : int;  (** parallel frontier waves run *)
-  par_combos : int;  (** combos evaluated by parallel workers *)
-  par_imbalance_max_pct : int;
-      (** worst per-wave load imbalance seen (100 = perfectly even) *)
-  domains_used_max : int;
-      (** most worker domains granted to a single solve *)
   subsumed_pruned : int;
       (** summed pruning counters
           ({!Xpds_decision.Emptiness.prune_stats}): candidate states

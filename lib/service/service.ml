@@ -27,14 +27,9 @@ module Config = struct
     verify : bool;
     certificate : bool;
     retry_degraded : bool;
-    domains : int;
-        (** worker domains per solve ({!Xpds_decision.Sat.Options});
-            deliberately NOT part of the cache fingerprint — parallel
-            and sequential runs produce bit-identical reports, so their
-            cache entries are interchangeable *)
     prune : bool;
         (** subsumption pruning ({!Xpds_decision.Sat.Options.prune});
-            like [domains], NOT part of the cache fingerprint — on
+            NOT part of the cache fingerprint — on
             searches that finish within budget the verdict is
             identical, and both modes answer honestly on budget-capped
             runs, so entries are interchangeable *)
@@ -43,7 +38,6 @@ module Config = struct
   type t = {
     solver : solver;
     cache_capacity : int;
-    jobs : int;
     max_doc_nodes : int;
     eval_cache_capacity : int;
     doc_cache_capacity : int;
@@ -60,7 +54,6 @@ module Config = struct
       verify = true;
       certificate = false;
       retry_degraded = false;
-      domains = Sat.Options.default.Sat.Options.domains;
       prune = Sat.Options.default.Sat.Options.prune;
     }
 
@@ -68,7 +61,6 @@ module Config = struct
     {
       solver = default_solver;
       cache_capacity = 4096;
-      jobs = Pool.default_jobs ();
       max_doc_nodes = 200_000;
       eval_cache_capacity = 4096;
       doc_cache_capacity = 64;
@@ -96,10 +88,8 @@ module Config = struct
   let with_retry_degraded retry_degraded t =
     { t with solver = { t.solver with retry_degraded } }
 
-  let with_domains domains t = { t with solver = { t.solver with domains } }
   let with_prune prune t = { t with solver = { t.solver with prune } }
   let with_cache_capacity cache_capacity t = { t with cache_capacity }
-  let with_jobs jobs t = { t with jobs }
   let with_max_doc_nodes max_doc_nodes t = { t with max_doc_nodes }
 
   let with_eval_cache_capacity eval_cache_capacity t =
@@ -114,10 +104,7 @@ module Config = struct
        height cap (the fixpoint must genuinely saturate), which can
        change the outcome class of a run. [retry_degraded] is too: a
        degraded retry can turn a budget [Unknown] into [Unsat_bounded].
-       [domains] is deliberately NOT: the parallel engine's
-       deterministic merge makes reports bit-identical across domain
-       counts, so cache entries are interchangeable — a feature, pinned
-       by tests. [prune] is NOT either: on in-budget searches pruning
+       [prune] is deliberately NOT: on in-budget searches pruning
        only changes how the fixpoint is explored, never the verdict,
        and budget-capped answers are honest ([Unknown]/[Unsat_bounded])
        in both modes. *)
@@ -325,7 +312,6 @@ let zero_stats =
     n_transitions = 0;
     n_mergings = 0;
     max_height_reached = 0;
-    par = Emptiness.seq_par_stats;
     prune = Emptiness.no_prune_stats;
     n_replayed = 0;
   }
@@ -361,10 +347,9 @@ let degrade (sc : Config.solver) =
    rendering) or doctype-constrained satisfiability. *)
 type task = Task_sat | Task_doctype of Doctype.t
 
-(* Runs on the solving domain (a pool worker for batch items). The
-   deadline is an absolute [Trace.now_ms] timestamp anchored at the
-   request's admission, so time spent queued counts against the budget
-   and a batch item can never exceed its caller-visible deadline.
+(* The deadline is an absolute [Trace.now_ms] timestamp anchored at
+   the request's admission, so time spent queued counts against the
+   budget and a batch item can never exceed its caller-visible deadline.
    Never raises: a crashing solver (or chaos hook) is folded into a
    [crash:] error report. *)
 let solve_uncached t ~trace ~deadline ~task ~id canon =
@@ -388,7 +373,6 @@ let solve_uncached t ~trace ~deadline ~task ~id canon =
         merge_budget = sc.merge_budget;
         max_states = sc.max_states;
         max_transitions = sc.max_transitions;
-        domains = sc.domains;
         prune = sc.prune;
         should_stop;
         on_phase = Trace.mark trace;
@@ -584,12 +568,10 @@ let solve ?trace t (r : request) =
   solve_keyed ?trace t ~kind:"sat" ~scope:"" ~metric:`Sat ~task:Task_sat
     ~id:r.id ~timeout_ms:r.timeout_ms r.formula
 
-let solve_batch ?jobs t requests =
-  let jobs = Option.value jobs ~default:t.cfg.jobs in
+let solve_batch t requests =
   (* Admission: every request's trace — and therefore its deadline — is
-     anchored now, on the calling domain (which also canonicalizes and
-     interns every label of the batch before the fan-out). The open
-     "queue" span is closed by the worker picking the item up. *)
+     anchored now, before any item is solved. The open "queue" span is
+     closed when the item's turn comes. *)
   let keyed =
     List.map
       (fun (r : request) ->
@@ -619,82 +601,44 @@ let solve_batch ?jobs t requests =
         (r, canon, key, tr, hint))
       requests
   in
-  (* One representative per distinct un-cached key; the worker pool only
-     sees those. *)
-  let rep_tbl : (Cache_key.t, int) Hashtbl.t = Hashtbl.create 64 in
-  let work = ref [] in
-  let n_work = ref 0 in
-  List.iter
-    (fun ((r : request), canon, key, tr, hint) ->
-      match hint with
-      | `Miss when not (Hashtbl.mem rep_tbl key) ->
-        Hashtbl.add rep_tbl key !n_work;
-        work := (r.id, canon, tr, deadline_of tr r.timeout_ms) :: !work;
-        incr n_work
-      | _ -> ())
-    keyed;
-  let work = Array.of_list (List.rev !work) in
-  let solve_one (id, canon, tr, deadline) =
-    solve_uncached t ~trace:tr ~deadline ~task:Task_sat ~id canon
+  (* Solve in request order. The first miss of each key solves it; its
+     in-batch duplicates reuse that report and are reported [cached].
+     [solve_uncached] folds a raising solver into an error report, so a
+     poisoned item degrades alone and the rest of the batch completes. *)
+  let solved : (Cache_key.t, Sat.report * bool) Hashtbl.t =
+    Hashtbl.create 64
   in
-  (* [Pool.run] falls back to a sequential map on the calling domain
-     when only one worker would be effective (1-core machine, jobs=1,
-     or a batch with at most one miss) — BENCH_service.json recorded a
-     0.91x "speedup" on one core from the spawn/join overhead. Each
-     slot is a [result]: one poisoned item degrades to an error
-     response below while the rest of the batch completes. *)
-  let solved = Pool.run ~jobs solve_one work in
-  (* Assemble in request order. The representative of each solved key is
-     the batch's one miss for that key; in-batch duplicates and cache
-     hits report [cached]. *)
-  let claimed = Hashtbl.create 64 in
   let finish_sat (r : request) =
     finish t ~id:r.id ~kind:"sat" ~scope:"" ~metric:`Sat
   in
   List.map
     (fun ((r : request), canon, key, tr, hint) ->
-      match Hashtbl.find_opt rep_tbl key with
-      | Some i -> (
-        match solved.(i) with
-        | Ok (report, degraded) ->
-          if Hashtbl.mem claimed key then
-            finish_sat r ~key ~canon ~trace:tr ~report ~tier:Tier_memory
-              ~degraded ~flight:false
-          else begin
-            Hashtbl.add claimed key ();
-            finish_sat r ~key ~canon ~trace:tr ~report ~tier:Tier_solve
-              ~degraded ~flight:false
-          end
-        | Error e ->
-          (* The worker itself was lost mid-item. [solve_uncached]
-             already folds solver exceptions into a crash report, so
-             this arm is the last-resort isolation. *)
-          let report =
-            synthetic_report ~algorithm:"aborted: worker lost" canon
-              (crash_prefix ^ Printexc.to_string e)
-          in
-          finish_sat r ~key ~canon ~trace:tr ~report ~tier:Tier_solve
-            ~degraded:false ~flight:false)
-      | None -> (
-        match hint with
-        | `Disk (report, verify_ms) ->
-          finish_sat r ~key ~canon ~trace:tr ~report
-            ~tier:(Tier_disk verify_ms) ~degraded:false ~flight:false
-        | _ -> (
-          match Mutex.protect t.lock (fun () -> Lru.find t.cache key) with
-          | Some report ->
-            finish_sat r ~key ~canon ~trace:tr ~report ~tier:Tier_memory
-              ~degraded:false ~flight:false
-          | None ->
-            (* Was cached at dispatch time but evicted since: solve
-               here. *)
-            let report, degraded =
-              solve_uncached t ~trace:tr
-                ~deadline:(deadline_of tr r.timeout_ms) ~task:Task_sat
-                ~id:r.id canon
-            in
-            finish_sat r ~key ~canon ~trace:tr ~report ~tier:Tier_solve
-              ~degraded ~flight:false)))
+      let memory report ~degraded =
+        finish_sat r ~key ~canon ~trace:tr ~report ~tier:Tier_memory
+          ~degraded ~flight:false
+      in
+      let solve () =
+        let report, degraded =
+          solve_uncached t ~trace:tr
+            ~deadline:(deadline_of tr r.timeout_ms) ~task:Task_sat
+            ~id:r.id canon
+        in
+        Hashtbl.add solved key (report, degraded);
+        finish_sat r ~key ~canon ~trace:tr ~report ~tier:Tier_solve
+          ~degraded ~flight:false
+      in
+      match (Hashtbl.find_opt solved key, hint) with
+      | Some (report, degraded), _ -> memory report ~degraded
+      | None, `Disk (report, verify_ms) ->
+        finish_sat r ~key ~canon ~trace:tr ~report
+          ~tier:(Tier_disk verify_ms) ~degraded:false ~flight:false
+      | None, `Miss -> solve ()
+      | None, `Mem -> (
+        match Mutex.protect t.lock (fun () -> Lru.find t.cache key) with
+        | Some report -> memory report ~degraded:false
+        | None ->
+          (* Was cached at admission but evicted since: solve here. *)
+          solve ()))
     keyed
 
 (* --- the containment verbs: ϕ ⊑ ψ as UNSAT(ϕ ∧ ¬ψ), paper §4.1 --- *)

@@ -15,9 +15,10 @@
       (counted separately in {!Metrics.snapshot.single_flight}). Only
       deterministic (cacheable) verdicts are shared: if the leader times
       out or crashes, each waiter retries under its own deadline;
-    - a {b worker pool} on OCaml 5 domains ({!Pool}) draining batches in
-      parallel ([solve_batch]), with in-batch deduplication so each
-      distinct key is solved once;
+    - {b batches} ([solve_batch]) solved one item after another on the
+      calling domain, with in-batch deduplication so each distinct key
+      is solved once (multi-core serving runs one service per forked
+      shard: {!Xpds_shard.Shard});
     - {b monotonic, admission-anchored deadlines}: [timeout_ms] arms the
       cooperative [should_stop] hook of
       {!Xpds_decision.Emptiness.config} against
@@ -44,9 +45,10 @@
     - {b metrics} ({!Metrics}): request/hit/verdict counters, latency
       min/mean/p95/max, fixpoint-stats aggregates, robustness counters.
 
-    A service value is safe to share across domains: the cache, the
-    in-flight table and the metrics are guarded by one internal mutex,
-    held only around O(1) bookkeeping — solving happens outside it.
+    A service value is safe to share across domains a library caller
+    spawns: the cache, the in-flight table and the metrics are guarded
+    by one internal mutex, held only around O(1) bookkeeping — solving
+    happens outside it.
 
     Caveat on shared flights: a waiter blocks until the leader lands,
     even past its own deadline when the leader's is longer (the shared
@@ -80,32 +82,22 @@ module Config : sig
             bounds (width−1, halved t0, dup_cap 1, merge_budget 2)
             instead of giving up — graceful degradation for fired
             budgets *)
-    domains : int;
-        (** worker domains per emptiness fixpoint
-            ({!Xpds_decision.Sat.Options}); drawn from the same
-            process-wide {!Xpds_parallel.Parallel} permit pool as the
-            batch workers, so [jobs x domains] never oversubscribes — a
-            parallel solve inside a busy batch degrades to sequential.
-            NOT part of the cache key: reports are bit-identical across
-            domain counts (deterministic parallel merge), so cached
-            entries are interchangeable. *)
     prune : bool;
         (** subsumption pruning in the emptiness fixpoint
             ({!Xpds_decision.Sat.Options.prune}); default [true].
-            Certificate runs force exact mode regardless. Like
-            [domains], NOT part of the cache key: verdicts agree on
+            Certificate runs force exact mode regardless. NOT part of
+            the cache key: verdicts agree on
             searches that finish within budget, and budget-capped
             answers are honest in both modes, so cached entries are
             interchangeable. *)
   }
   (** Knobs forwarded to {!Xpds_decision.Sat.decide}; part of the cache
-      key (except [domains] and [prune] — see above), so changing them
+      key (except [prune] — see above), so changing them
       never serves stale verdicts. *)
 
   type t = {
     solver : solver;
     cache_capacity : int;  (** LRU entries; default 4096 *)
-    jobs : int;  (** default batch parallelism; {!Pool.default_jobs} *)
     max_doc_nodes : int;
         (** admission bound for eval documents (inline or registered);
             larger documents answer a structured error. Default
@@ -135,13 +127,11 @@ module Config : sig
   val with_verify : bool -> t -> t
   val with_certificate : bool -> t -> t
   val with_retry_degraded : bool -> t -> t
-  val with_domains : int -> t -> t
   val with_prune : bool -> t -> t
 
   (** Combinators over the serving knobs. *)
 
   val with_cache_capacity : int -> t -> t
-  val with_jobs : int -> t -> t
   val with_max_doc_nodes : int -> t -> t
   val with_eval_cache_capacity : int -> t -> t
   val with_doc_cache_capacity : int -> t -> t
@@ -149,7 +139,7 @@ module Config : sig
   val fingerprint : solver -> string
   (** The cache-key configuration fingerprint of a solver config — the
       string both {!Cache_key.make} and the store header versioning are
-      keyed on. Excludes [domains] and [prune] (see {!solver}). *)
+      keyed on. Excludes [prune] (see {!solver}). *)
 end
 
 type request = {
@@ -198,14 +188,13 @@ val solve : ?trace:Trace.t -> t -> request -> response
     carries the wire-parse span and anchors the deadline at line
     receipt); by default a fresh one is created on entry. *)
 
-val solve_batch : ?jobs:int -> t -> request list -> response list
-(** Responses in request order. Cache hits are answered on the calling
-    domain; the distinct misses fan out over [jobs] domains (default
-    [(config t).jobs]). Duplicate keys within the batch are solved once
-    and the copies are reported [cached = true]. Deadlines are anchored
-    at batch admission, so queue wait counts against each item's
-    budget. A raising item yields an error response for that item only
-    — completed work is never discarded. *)
+val solve_batch : t -> request list -> response list
+(** Responses in request order. The distinct misses are solved one
+    after another on the calling domain; duplicate keys within the
+    batch are solved once and the copies are reported [cached = true].
+    Deadlines are anchored at batch admission, so queue wait counts
+    against each item's budget. A raising item yields an error response
+    for that item only and the rest of the batch completes. *)
 
 (* --- the containment verbs: every paper §4.1 decision problem --- *)
 

@@ -12,10 +12,8 @@
 
     All timestamps come from {!now_ms} — [CLOCK_MONOTONIC], immune to
     wall-clock steps — and are in milliseconds. A trace is owned by one
-    request and mutated only by the domain currently advancing that
-    request (admission on the caller, solving possibly on a pool
-    worker, with the pool join ordering the hand-offs), so it needs no
-    lock. *)
+    request and mutated only by the domain advancing that request, so
+    it needs no lock. *)
 
 type t
 

@@ -116,7 +116,6 @@ let to_report ~canon (r : t) : Sat.report =
         n_transitions = r.n_transitions;
         n_mergings = r.n_mergings;
         max_height_reached = r.max_height;
-        par = Emptiness.seq_par_stats;
         prune = Emptiness.no_prune_stats;
         n_replayed = 0;
       };

@@ -64,7 +64,7 @@ val of_report :
 
 val to_report : canon:Xpds_xpath.Ast.node -> t -> Xpds_decision.Sat.report
 (** Rebuild a servable report. The fragment is re-classified from
-    [canon] (authoritative), parallel/pruning counters are zeroed (no
+    [canon] (authoritative), pruning counters are zeroed (no
     fresh fixpoint ran), and [cert_seed] is [None]. *)
 
 val verdict_name : t -> string

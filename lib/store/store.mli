@@ -23,8 +23,9 @@
     probe reports a miss. Corruption is detected and evicted — never
     served.
 
-    Thread-safety: every operation takes the store's internal mutex;
-    a store can be shared by the service's worker domains. *)
+    Thread-safety: every operation takes the store's internal mutex,
+    so a store can be shared across domains like the service that holds
+    it. *)
 
 type verify_mode =
   | Fingerprint

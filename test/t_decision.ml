@@ -444,10 +444,9 @@ let test_data_containment () =
    major heap; 1 024-bucket tables cost 2 050 such words per data-free
    search and 7 172 per general-engine search. The first call warms up
    process-wide state (label interning, lazy globals); the second is
-   measured. [domains = 1] keeps the parallel engine's per-worker
-   buffers out of the count whatever [XPDS_DOMAINS] says. *)
+   measured. *)
 let test_no_direct_major_alloc () =
-  let options = Sat.Options.with_domains 1 Sat.Options.default in
+  let options = Sat.Options.default in
   let direct_major_words f =
     let _, promoted0, major0 = Gc.counters () in
     f ();

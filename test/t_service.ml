@@ -1,5 +1,5 @@
 (* Tests for the solver service: LRU cache, JSON wire format, cache-key
-   soundness, parallel batch agreement, deadlines. *)
+   soundness, batch agreement, deadlines. *)
 
 module Service = Xpds_service.Service
 module Lru = Xpds_service.Lru
@@ -215,7 +215,7 @@ let prop_key_equal_same_verdict =
       Service.verdict_name r1.Service.report.Sat.verdict
       = Service.verdict_name r2.Service.report.Sat.verdict)
 
-(* --- batch: parallel agrees with sequential --- *)
+(* --- batch: agrees with one-at-a-time solves --- *)
 
 (* A mixed bag from the bench families (kept in sync by hand — the test
    tree cannot depend on bench/). *)
@@ -272,33 +272,33 @@ let requests_of formulas =
       { Service.id = string_of_int i; formula = phi; timeout_ms = None })
     formulas
 
-let test_batch_parallel_agrees () =
-  let formulas = family_formulas () in
-  let seq =
-    Service.solve_batch ~jobs:1 (Service.create Service.Config.default) (requests_of formulas)
+let test_batch_agrees_with_solve () =
+  let requests = requests_of (family_formulas ()) in
+  let batch =
+    Service.solve_batch (Service.create Service.Config.default) requests
   in
-  let par =
-    Service.solve_batch ~jobs:4 (Service.create Service.Config.default) (requests_of formulas)
+  let one =
+    List.map (Service.solve (Service.create Service.Config.default)) requests
   in
   List.iter2
-    (fun (s : Service.response) (p : Service.response) ->
+    (fun (s : Service.response) (b : Service.response) ->
       Alcotest.(check string) ("id " ^ s.Service.id) s.Service.id
-        p.Service.id;
+        b.Service.id;
       Alcotest.(check string)
         ("verdict for " ^ s.Service.id)
         (Service.verdict_name s.Service.report.Sat.verdict)
-        (Service.verdict_name p.Service.report.Sat.verdict))
-    seq par;
+        (Service.verdict_name b.Service.report.Sat.verdict))
+    one batch;
   (* The duplicated formulas must be served as in-batch cache hits. *)
   let hits =
-    List.length (List.filter (fun r -> r.Service.cached) par)
+    List.length (List.filter (fun r -> r.Service.cached) batch)
   in
   Alcotest.(check bool) "some in-batch dedup hits" true (hits >= 2)
 
 let test_metrics_accounting () =
   let svc = Service.create Service.Config.default in
   let formulas = family_formulas () in
-  ignore (Service.solve_batch ~jobs:2 svc (requests_of formulas));
+  ignore (Service.solve_batch svc (requests_of formulas));
   let m = Service.metrics svc in
   let n = List.length formulas in
   Alcotest.(check int) "requests" n m.Xpds_service.Metrics.requests;
@@ -309,7 +309,7 @@ let test_metrics_accounting () =
     (m.Xpds_service.Metrics.cache_misses > 0);
   (* Run the same batch again: every request is now a cache hit. *)
   Service.reset_metrics svc;
-  ignore (Service.solve_batch ~jobs:2 svc (requests_of formulas));
+  ignore (Service.solve_batch svc (requests_of formulas));
   let m = Service.metrics svc in
   Alcotest.(check int) "all hits on re-run" n
     m.Xpds_service.Metrics.cache_hits
@@ -467,7 +467,7 @@ let test_batch_crash_isolation () =
       }
     ]
   in
-  let resps = Service.solve_batch ~jobs:2 svc reqs in
+  let resps = Service.solve_batch svc reqs in
   Service.Chaos.set svc None;
   Alcotest.(check int) "every item answered" 3 (List.length resps);
   List.iter2
@@ -799,8 +799,8 @@ let suite =
       prop_canonical_preserves_semantics;
       prop_commuted_same_key;
       prop_key_equal_same_verdict;
-      Alcotest.test_case "parallel batch agrees" `Quick
-        test_batch_parallel_agrees;
+      Alcotest.test_case "batch agrees with one-at-a-time solve" `Quick
+        test_batch_agrees_with_solve;
       Alcotest.test_case "metrics accounting" `Quick
         test_metrics_accounting;
       Alcotest.test_case "deadline honoured" `Quick test_deadline;
