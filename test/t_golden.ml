@@ -246,6 +246,18 @@ let transcript =
     ( `Main,
       {|{"id":"x12","kind":"contains","phi":"a","psi":"b","formula":"c"}|},
       {|{"v":1,"id":"x12","error":"unknown field \"formula\" (protocol v1 contains requests accept: v, id, kind, phi, psi, timeout_ms)"}|} );
+    ( `Main,
+      {|{"kind":"equiv","id":"x13","phi":"a","psi":"b","formula":"c"}|},
+      {|{"v":1,"id":"x13","error":"unknown field \"formula\" (protocol v1 equiv requests accept: v, id, kind, phi, psi, timeout_ms)"}|} );
+    ( `Main,
+      {|{"kind":"sat_under_doctype","id":"x14","formula":"a","doctype":[],"phi":"b"}|},
+      {|{"v":1,"id":"x14","error":"unknown field \"phi\" (protocol v1 sat_under_doctype requests accept: v, id, kind, formula, doctype, timeout_ms)"}|} );
+    ( `Main,
+      {|{"id":42,"formula":"a","timeout":5}|},
+      {|{"v":1,"id":"42","error":"unknown field \"timeout\" (protocol v1 sat requests accept: v, id, kind, formula, timeout_ms)"}|} );
+    ( `Main,
+      {|{"id":43,"formula":"a &"}|},
+      {|{"v":1,"id":"43","error":"bad formula: syntax error at offset 3: expected a node expression, found end of input"}|} );
   ]
 
 let test_transcript () =
