@@ -67,8 +67,7 @@ let run ?(quick = false) ?(out = "BENCH_certify.json") () =
     List.map
       (fun (name, phi, expect) ->
         let resp =
-          Service.solve svc
-            { Service.id = name; formula = phi; timeout_ms = None }
+          Corpus.solve svc (Corpus.sat_request name phi)
         in
         let verdict = Service.verdict_name resp.Service.report.Sat.verdict in
         let verdict_ok =

@@ -122,11 +122,10 @@ let full ~out () =
     List.map
       (fun (name, phi, psi, _) ->
         ( name,
-          Service.solve_contains svc
-            { Service.ct_id = name;
-              phi = f phi;
-              psi = f psi;
-              ct_timeout_ms = None
+          Corpus.solve svc
+            { Xpds.Request.id = name;
+              timeout_ms = None;
+              body = Contains { phi = f phi; psi = f psi }
             } ))
       contains_pairs
   in
@@ -177,11 +176,10 @@ let full ~out () =
     List.map
       (fun (name, phi, rules, expect) ->
         let served =
-          Service.solve_sat_under_doctype svc
-            { Service.dt_id = name;
-              dt_formula = f phi;
-              dt_rules = rules;
-              dt_timeout_ms = None
+          Corpus.solve svc
+            { Xpds.Request.id = name;
+              timeout_ms = None;
+              body = Doctype { formula = f phi; doctype = rules }
             }
         in
         let direct = Sat.decide_under_doctype ~options ~doctype:rules (f phi) in
@@ -336,12 +334,12 @@ let smoke ~out () =
   let sep_svc = Service.create Service.Config.default in
   let query = Containment.query phi psi in
   let _sat =
-    Service.solve sep_svc
-      { Service.id = "s"; formula = query; timeout_ms = None }
+    Corpus.solve sep_svc
+      (Corpus.sat_request "s" query)
   in
   let ct =
-    Service.solve_contains sep_svc
-      { Service.ct_id = "c"; phi; psi; ct_timeout_ms = None }
+    Corpus.solve sep_svc
+      { Xpds.Request.id = "c"; timeout_ms = None; body = Contains { phi; psi } }
   in
   check "kind_separated_no_alias" (not ct.Service.cached);
   check "kind_separated_two_entries" (Service.cache_length sep_svc = 2);

@@ -38,11 +38,13 @@ let family_names () =
       ("random", 64)
     ]
 
-let requests fs =
-  List.mapi
-    (fun i phi ->
-      { Xpds.Service.id = Printf.sprintf "f%03d" i;
-        formula = phi;
-        timeout_ms = None
-      })
-    fs
+let sat_request ?timeout_ms id phi = { Xpds.Request.id; timeout_ms; body = Sat phi }
+
+let requests fs = List.mapi (fun i phi -> sat_request (Printf.sprintf "f%03d" i) phi) fs
+
+(* One solver-backed request (sat, contains or sat_under_doctype)
+   through the service's single entry point, as its verdict response. *)
+let solve ?trace svc (r : Xpds.Request.t) =
+  match Xpds.Service.handle ?trace svc r with
+  | Sat_answer resp | Contains_answer resp | Doctype_answer resp -> resp
+  | Equiv_answer _ | Eval_answer _ -> invalid_arg "Corpus.solve: not a verdict request"

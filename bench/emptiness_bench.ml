@@ -315,8 +315,7 @@ let smoke ~out ~prune () =
     List.map
       (fun (name, phi, expect) ->
         let resp =
-          Service.solve svc
-            { Service.id = name; formula = phi; timeout_ms = None }
+          Corpus.solve svc (Corpus.sat_request name phi)
         in
         let verdict = verdict_of resp in
         let ok =

@@ -78,7 +78,7 @@ let full ~out () =
   (* The batch must agree with one-at-a-time solves on a fresh service:
      same ids, same verdicts. *)
   let one_svc = Service.create Service.Config.default in
-  let one = List.map (Service.solve one_svc) reqs in
+  let one = List.map (Corpus.solve one_svc) reqs in
   let agree =
     List.for_all2
       (fun (a : Service.response) (b : Service.response) ->
@@ -101,11 +101,9 @@ let full ~out () =
   let hard_svc = unbounded_svc () in
   let hard, hard_s =
     time (fun () ->
-        Service.solve hard_svc
-          { Service.id = "hard";
-            formula = Families.desc_data ~sat:false 3;
-            timeout_ms = Some 150.
-          })
+        Corpus.solve hard_svc
+          (Corpus.sat_request ~timeout_ms:150. "hard"
+             (Families.desc_data ~sat:false 3)))
   in
   let hard_verdict = verdict_of hard in
   Format.printf "  deadline probe: %s after %.0f ms@." hard_verdict
@@ -174,7 +172,7 @@ let smoke ~out () =
     Service.solve_batch svc
       (List.map
          (fun (name, phi, _) ->
-           { Service.id = name; formula = phi; timeout_ms = None })
+           Corpus.sat_request name phi)
          cases)
   in
   List.iter2
@@ -194,11 +192,8 @@ let smoke ~out () =
      uncached. *)
   let hard_svc = unbounded_svc () in
   let hard =
-    Service.solve hard_svc
-      { Service.id = "hard";
-        formula = Families.desc_data ~sat:false 3;
-        timeout_ms = Some 150.
-      }
+    Corpus.solve hard_svc
+      (Corpus.sat_request ~timeout_ms:150. "hard" (Families.desc_data ~sat:false 3))
   in
   check "forced_timeout_unknown" (verdict_of hard = "unknown");
   check "forced_timeout_uncached" (Service.cache_length hard_svc = 0);
@@ -208,11 +203,8 @@ let smoke ~out () =
 
   (* 3. A 0 ms budget fires deterministically at admission. *)
   let zero =
-    Service.solve hard_svc
-      { Service.id = "zero";
-        formula = Families.child_chain ~sat:true 2;
-        timeout_ms = Some 0.
-      }
+    Corpus.solve hard_svc
+      (Corpus.sat_request ~timeout_ms:0. "zero" (Families.child_chain ~sat:true 2))
   in
   check "zero_timeout_unknown" (verdict_of zero = "unknown");
   check "zero_timeout_uncached" (Service.cache_length hard_svc = 0);
@@ -224,18 +216,9 @@ let smoke ~out () =
     (Some (fun id -> if id = "poison" then failwith "chaos"));
   let crash_resps =
     Service.solve_batch crash_svc
-      [ { Service.id = "ok1";
-          formula = Families.child_chain ~sat:true 2;
-          timeout_ms = None
-        };
-        { Service.id = "poison";
-          formula = Families.data_chain ~sat:true 2;
-          timeout_ms = None
-        };
-        { Service.id = "ok2";
-          formula = Families.child_chain ~sat:false 2;
-          timeout_ms = None
-        }
+      [ Corpus.sat_request "ok1" (Families.child_chain ~sat:true 2);
+        Corpus.sat_request "poison" (Families.data_chain ~sat:true 2);
+        Corpus.sat_request "ok2" (Families.child_chain ~sat:false 2)
       ]
   in
   (match crash_resps with
@@ -258,11 +241,8 @@ let smoke ~out () =
         |> with_retry_degraded true)
   in
   let degraded =
-    Service.solve tiny_svc
-      { Service.id = "degraded";
-        formula = Families.desc_data ~sat:false 1;
-        timeout_ms = None
-      }
+    Corpus.solve tiny_svc
+      (Corpus.sat_request "degraded" (Families.desc_data ~sat:false 1))
   in
   check "degraded_retry_flagged" degraded.Service.degraded;
   check "degraded_retry_counted"

@@ -68,12 +68,9 @@ let open_store ?verify path =
    corruption sweep probe the store directly, without re-solving. *)
 let keyed_verdicts reqs responses =
   List.map2
-    (fun (r : Service.request) resp ->
-      let canon, key =
-        Xpds.Cache_key.make ~config_fingerprint:default_fp
-          r.Service.formula
-      in
-      (Xpds.Cache_key.hex key, canon, verdict_of resp))
+    (fun (r : Xpds.Request.t) resp ->
+      let k = Xpds.Request.key ~config_fingerprint:default_fp r.body in
+      (Xpds.Cache_key.hex k.digest, k.canon, verdict_of resp))
     reqs responses
 
 (* Probe every key of a possibly damaged store: a hit must agree with

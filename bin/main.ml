@@ -792,18 +792,53 @@ let config_of ?(certificate = false) ?(retry_degraded = false)
     |> with_prune prune
     |> with_cache_capacity cache_capacity)
 
-let service_of ?certificate ?retry_degraded ?prune ?store_path
-    ?(store_verify = Xpds.Store.Fingerprint) ~cache_capacity () =
-  let config =
-    config_of ?certificate ?retry_degraded ?prune ~cache_capacity ()
-  in
+(* The one service constructor of serve (in-process, and each forked
+   shard after the fork) and batch: opens the store — FILE.i for shard
+   i — and registers the --doc documents. *)
+let make_service ~config ?store_path ~store_verify ?(docs = []) ?shard () =
   let store =
     Option.map
-      (open_store ~verify:store_verify
-         ~solver:config.Xpds.Service.Config.solver)
+      (fun path ->
+        open_store ~verify:store_verify ~solver:config.Xpds.Service.Config.solver
+          (match shard with Some i -> path ^ "." ^ string_of_int i | None -> path))
       store_path
   in
-  (Xpds.Service.create ?store config, store)
+  let svc = Xpds.Service.create ?store config in
+  List.iter
+    (fun (name, doc) ->
+      match Xpds.Service.register_doc svc ~name doc with
+      | Ok () -> ()
+      | Error e ->
+        prerr_endline ("--doc " ^ name ^ ": " ^ e);
+        exit 2)
+    docs;
+  (svc, store)
+
+(* The --certify layer: trailing fields for each sat response, each
+   certificate written to DIR/<id>.cert.json under --cert-dir. The
+   second result reports whether every check so far passed. *)
+let certifier ~certify ?cert_dir svc =
+  let all_ok = ref true in
+  (match cert_dir with
+  | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
+  | _ -> ());
+  let extra_of (resp : Xpds.Service.response) =
+    if not certify then []
+    else begin
+      let fields, cert, ok =
+        certify_report ~svc ~trace:resp.Xpds.Service.trace resp.Xpds.Service.report
+      in
+      if not ok then all_ok := false;
+      (match (cert_dir, cert) with
+      | Some dir, Some cert ->
+        Xpds.Cert.to_file
+          (Filename.concat dir (resp.Xpds.Service.id ^ ".cert.json"))
+          cert
+      | _ -> ());
+      fields
+    end
+  in
+  (extra_of, fun () -> !all_ok)
 
 let print_store_info store =
   let num i = Xpds.Json.Num (float_of_int i) in
@@ -885,150 +920,99 @@ let serve_cmd =
   in
   let run timeout_ms cache stats certify trace degrade no_prune docs
       store_path store_verify shards queue_depth =
-    let parse_doc_spec spec =
-      match String.index_opt spec '=' with
-      | None ->
-        prerr_endline ("--doc " ^ spec ^ ": expected NAME=FILE");
-        exit 2
-      | Some i ->
-        ( String.sub spec 0 i,
-          String.sub spec (i + 1) (String.length spec - i - 1) )
+    if certify && shards > 0 then begin
+      prerr_endline "--certify is not supported with --shards";
+      exit 2
+    end;
+    (* documents are loaded once; forked workers inherit them *)
+    let docs =
+      List.map
+        (fun spec ->
+          match String.index_opt spec '=' with
+          | None ->
+            prerr_endline ("--doc " ^ spec ^ ": expected NAME=FILE");
+            exit 2
+          | Some i ->
+            ( String.sub spec 0 i,
+              load_doc (String.sub spec (i + 1) (String.length spec - i - 1)) ))
+        docs
     in
-    let register svc (name, doc) =
-      match Xpds.Service.register_doc svc ~name doc with
-      | Ok () -> ()
-      | Error e ->
-        prerr_endline ("--doc " ^ name ^ ": " ^ e);
-        exit 2
+    let config =
+      config_of ~certificate:certify ~retry_degraded:degrade
+        ~prune:(not no_prune) ~cache_capacity:cache ()
     in
+    let service = make_service ~config ?store_path ~store_verify ~docs in
     let emit line =
       print_endline line;
       flush stdout
     in
-    if shards = 0 then begin
-      (* the in-process engine: one service, answers inline *)
-      let svc, store =
-        service_of ~certificate:certify ~retry_degraded:degrade
-          ~prune:(not no_prune) ?store_path ~store_verify
-          ~cache_capacity:cache ()
+    let default_timeout_ms = default_timeout timeout_ms in
+    let eng, store =
+      if shards = 0 then begin
+        (* the in-process engine: one service, answers inline *)
+        let svc, store = service () in
+        let extra_of, _ = certifier ~certify svc in
+        (Xpds.Engine.in_process ?default_timeout_ms ~trace ~extra_of ~emit svc, store)
+      end
+      else
+        (* [make_service] runs in the worker child, post-fork: each shard
+           owns its store file *)
+        ( Xpds.Shard.engine ~queue_depth ?default_timeout_ms ~trace
+            ~make_service:(fun ~shard -> fst (service ~shard ()))
+            ~shards ~emit config,
+          None )
+    in
+    (* The router is asynchronous: worker responses turn ready while
+       the loop is waiting for input, and a synchronous client reads
+       each reply before sending its next line — so blocking in
+       [read_line] alone would deadlock it. [Engine.wait] selects on
+       stdin and the engine's own I/O together, pumping responses out
+       as soon as workers produce them; the in-process engine answers
+       inline and waits on stdin alone. Neither engine ever raises on a
+       line: garbage answers a structured {"error": ...} line. *)
+    let stdin_fd = Unix.stdin in
+    let inbuf = Buffer.create 4096 in
+    let chunk = Bytes.create 65536 in
+    let submit line = if String.trim line <> "" then Xpds.Engine.submit eng line in
+    let submit_buffered ~eof =
+      let s = Buffer.contents inbuf in
+      let rec go start =
+        match String.index_from_opt s start '\n' with
+        | Some i ->
+          submit (String.sub s start (i - start));
+          go (i + 1)
+        | None ->
+          Buffer.clear inbuf;
+          if eof then
+            (* a final line without its newline still gets a reply *)
+            submit (String.sub s start (String.length s - start))
+          else Buffer.add_substring inbuf s start (String.length s - start)
       in
-      List.iter
-        (fun spec ->
-          let name, file = parse_doc_spec spec in
-          register svc (name, load_doc file))
-        docs;
-      let extra_of (resp : Xpds.Service.response) =
-        if certify then
-          let fields, _, _ =
-            certify_report ~svc ~trace:resp.Xpds.Service.trace
-              resp.Xpds.Service.report
-          in
-          fields
-        else []
-      in
-      (* [handle_line] never raises: malformed JSON, unparsable
-         formulas and even a crashing solve answer a structured
-         {"error": ...} line — garbage on the socket must not kill the
-         server. *)
-      let eng =
-        Xpds.Engine.in_process
-          ?default_timeout_ms:(default_timeout timeout_ms) ~trace
-          ~extra_of ~emit svc
-      in
-      let rec loop () =
-        match read_line () with
-        | exception End_of_file -> ()
-        | line when String.trim line = "" -> loop ()
-        | line ->
-          Xpds.Engine.submit eng line;
-          loop ()
-      in
-      loop ();
-      if stats then print_metrics svc;
-      close_store ~stats store
-    end
-    else begin
-      if certify then begin
-        prerr_endline "--certify is not supported with --shards";
-        exit 2
-      end;
-      (* documents are loaded once, pre-fork; workers inherit them *)
-      let docs = List.map (fun s -> parse_doc_spec s |> fun (n, f) -> (n, load_doc f)) docs in
-      let config =
-        config_of ~certificate:false ~retry_degraded:degrade
-          ~prune:(not no_prune) ~cache_capacity:cache ()
-      in
-      (* runs in the worker child, post-fork: each shard owns its
-         store file and registers the shared documents *)
-      let make_service ~shard =
-        let store =
-          Option.map
-            (fun path ->
-              open_store ~verify:store_verify
-                ~solver:config.Xpds.Service.Config.solver
-                (path ^ "." ^ string_of_int shard))
-            store_path
-        in
-        let svc = Xpds.Service.create ?store config in
-        List.iter (register svc) docs;
-        svc
-      in
-      let eng =
-        Xpds.Shard.engine ~queue_depth
-          ?default_timeout_ms:(default_timeout timeout_ms) ~trace
-          ~make_service ~shards ~emit config
-      in
-      (* The router is asynchronous: worker responses turn ready while
-         the loop is waiting for input, and a synchronous client reads
-         each reply before sending its next line — so blocking in
-         [read_line] alone would deadlock it. [Engine.wait] selects on
-         stdin and the worker pipes together, pumping responses out as
-         soon as workers produce them. *)
-      let stdin_fd = Unix.stdin in
-      let inbuf = Buffer.create 4096 in
-      let chunk = Bytes.create 65536 in
-      let submit_buffered ~eof =
-        let s = Buffer.contents inbuf in
-        let rec go start =
-          match String.index_from_opt s start '\n' with
-          | Some i ->
-            Xpds.Engine.submit eng (String.sub s start (i - start));
-            go (i + 1)
-          | None ->
-            Buffer.clear inbuf;
-            if eof then begin
-              (* a final line without its newline still gets a reply *)
-              if start < String.length s then
-                Xpds.Engine.submit eng
-                  (String.sub s start (String.length s - start))
-            end
-            else Buffer.add_substring inbuf s start (String.length s - start)
-        in
-        go 0
-      in
-      let eof = ref false in
-      while not !eof do
-        let ready = Xpds.Engine.wait eng ~read_fds:[ stdin_fd ] 1.0 in
-        if ready <> [] then
-          match Unix.read stdin_fd chunk 0 (Bytes.length chunk) with
-          | exception
-              Unix.Unix_error
-                ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-            ()
-          | 0 ->
-            eof := true;
-            submit_buffered ~eof:true
-          | n ->
-            Buffer.add_subbytes inbuf chunk 0 n;
-            submit_buffered ~eof:false
-      done;
-      Xpds.Engine.drain eng;
-      if stats then
-        Option.iter
-          (fun j -> prerr_endline (Xpds.Json.to_string j))
-          (Xpds.Engine.metrics_json eng);
-      Xpds.Engine.close eng
-    end
+      go 0
+    in
+    let eof = ref false in
+    while not !eof do
+      let ready = Xpds.Engine.wait eng ~read_fds:[ stdin_fd ] 1.0 in
+      if ready <> [] then
+        match Unix.read stdin_fd chunk 0 (Bytes.length chunk) with
+        | exception
+            Unix.Unix_error
+              ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          ()
+        | 0 ->
+          eof := true;
+          submit_buffered ~eof:true
+        | n ->
+          Buffer.add_subbytes inbuf chunk 0 n;
+          submit_buffered ~eof:false
+    done;
+    Xpds.Engine.drain eng;
+    if stats then
+      Option.iter
+        (fun j -> prerr_endline (Xpds.Json.to_string j))
+        (Xpds.Engine.metrics_json eng);
+    Xpds.Engine.close eng;
+    close_store ~stats store
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1098,81 +1082,44 @@ let batch_cmd =
     let ndjson =
       match items with (_, text) :: _ -> text.[0] = '{' | [] -> false
     in
-    if ndjson then begin
-      let svc, store =
-        service_of ~certificate:certify ~retry_degraded:degrade
-          ~prune:(not no_prune) ?store_path ~store_verify
-          ~cache_capacity:cache ()
-      in
-      let extra_of (resp : Xpds.Service.response) =
-        if certify then
-          let fields, _, _ =
-            certify_report ~svc ~trace:resp.Xpds.Service.trace
-              resp.Xpds.Service.report
-          in
-          fields
-        else []
-      in
-      List.iter
-        (fun (_, text) ->
-          print_endline
-            (Xpds.Service.handle_line
-               ?default_timeout_ms:(default_timeout timeout_ms) ~trace
-               ~extra_of svc text))
-        items;
-      if stats then print_metrics svc;
-      close_store ~stats store
-    end
-    else begin
+    let default_timeout_ms = default_timeout timeout_ms in
     let requests =
-      List.map
-        (fun (lineno, text) ->
-          match Xpds.Parser.formula_of_string text with
-          | Error e ->
-            Printf.eprintf "%s:%d: %s\n%!" file lineno e;
-            exit 2
-          | Ok f ->
-            { Xpds.Service.id = Printf.sprintf "L%d" lineno;
-              formula = Xpds.Ast.as_node f;
-              timeout_ms = default_timeout timeout_ms
-            })
-        items
+      if ndjson then []
+      else
+        List.map
+          (fun (lineno, text) ->
+            match Xpds.Parser.formula_of_string text with
+            | Error e ->
+              Printf.eprintf "%s:%d: %s\n%!" file lineno e;
+              exit 2
+            | Ok f ->
+              { Xpds.Request.id = Printf.sprintf "L%d" lineno;
+                timeout_ms = default_timeout_ms;
+                body = Sat (Xpds.Ast.as_node f)
+              })
+          items
     in
-    let svc, store =
-      service_of ~certificate:certify ~retry_degraded:degrade
-        ~prune:(not no_prune) ?store_path ~store_verify
-        ~cache_capacity:cache ()
+    let config =
+      config_of ~certificate:certify ~retry_degraded:degrade
+        ~prune:(not no_prune) ~cache_capacity:cache ()
     in
-    let responses = Xpds.Service.solve_batch svc requests in
-    (match cert_dir with
-    | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
-    | _ -> ());
-    let all_ok = ref true in
-    List.iter
-      (fun resp ->
-        let extra =
-          if certify then begin
-            let fields, cert, ok =
-              certify_report ~svc ~trace:resp.Xpds.Service.trace
-                resp.Xpds.Service.report
-            in
-            if not ok then all_ok := false;
-            (match (cert_dir, cert) with
-            | Some dir, Some cert ->
-              Xpds.Cert.to_file
-                (Filename.concat dir (resp.Xpds.Service.id ^ ".cert.json"))
-                cert
-            | _ -> ());
-            fields
-          end
-          else []
-        in
-        print_endline (Xpds.Service.response_to_json ~trace ~extra resp))
-      responses;
+    let svc, store = make_service ~config ?store_path ~store_verify () in
+    let extra_of, certified = certifier ~certify ?cert_dir svc in
+    (if ndjson then
+       List.iter
+         (fun (_, text) ->
+           print_endline
+             (Xpds.Service.handle_line ?default_timeout_ms ~trace ~extra_of svc text))
+         items
+     else
+       List.iter
+         (fun resp ->
+           print_endline
+             (Xpds.Service.answer_to_json ~trace ~extra_of (Sat_answer resp)))
+         (Xpds.Service.solve_batch svc requests));
     if stats then print_metrics svc;
     close_store ~stats store;
-    if not !all_ok then exit 4
-    end
+    if not (certified ()) then exit 4
   in
   Cmd.v
     (Cmd.info "batch"

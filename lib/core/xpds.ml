@@ -21,8 +21,9 @@
       node sets, batched memoization, the differential oracle against
       {!Semantics} — the [xpds eval] subcommand and the service's
       [eval] verb);
-    - {!Service}, {!Service_metrics}, {!Trace}, {!Lru}, {!Cache_key},
-      {!Json}: the cached solver service (single-flight dedup,
+    - {!Service}, {!Request}, {!Eval_verb}, {!Service_metrics}, {!Trace},
+      {!Lru}, {!Cache_key}, {!Json}: the cached solver service (the one
+      request table of the wire protocol, single-flight dedup,
       monotonic admission-anchored deadlines, per-request phase traces,
       NDJSON protocol — the [xpds serve]/[xpds batch] subcommands);
       {!Shard}: the forked-shard router behind [xpds serve --shards N];
@@ -85,6 +86,8 @@ module Eval_batch = Xpds_eval.Batch
 module Eval_xml = Xpds_eval.Xml_codec
 module Eval_oracle = Xpds_eval.Oracle
 module Service = Xpds_service.Service
+module Request = Xpds_service.Request
+module Eval_verb = Xpds_service.Eval_verb
 module Service_metrics = Xpds_service.Metrics
 module Engine = Xpds_service.Engine
 module Admission = Xpds_service.Admission

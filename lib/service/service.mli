@@ -1,16 +1,20 @@
 (** A concurrent, cached, fault-tolerant front end to
     {!Xpds_decision.Sat}.
 
-    The solver is an expensive pure kernel; this module puts the usual
-    serving machinery in front of it:
+    Every verb of the wire protocol — sat, contains, equiv,
+    sat_under_doctype, eval — arrives as one decoded {!Request.t} and
+    goes through one entry point, {!handle}, and one renderer,
+    {!answer_to_json}; {!handle_line} is decode → default timeout →
+    {!handle} → render. The solver is an expensive pure kernel; this
+    module puts the usual serving machinery in front of it:
 
     - {b canonical cache keys} ({!Cache_key}): requests whose formulas
       agree up to {!Xpds_xpath.Rewrite.canonical} and run under the same
       solver configuration share one cache entry;
     - a {b bounded LRU result cache} ({!Lru}) — hits return the stored
       {!Xpds_decision.Sat.report} physically unchanged, in O(1);
-    - {b single-flight deduplication}: concurrent [solve] calls on the
-      same key share {e one} computation — the first miss leads and
+    - {b single-flight deduplication} ({!Flight}): concurrent requests
+      on the same key share {e one} computation — the first miss leads and
       solves, the rest wait on its result and report [cached = true]
       (counted separately in {!Metrics.snapshot.single_flight}). Only
       deterministic (cacheable) verdicts are shared: if the leader times
@@ -56,7 +60,10 @@
     honesty); a waiter whose budget died waiting then answers
     [Unknown "deadline exceeded"] immediately. [solve_batch] dedupes
     within its batch and against the cache, not against in-flight
-    [solve] calls. *)
+    requests.
+
+    The eval verb's registry, caches and evaluator memo live in
+    {!Eval_verb}, which the service holds. *)
 
 (** The one construction seam of a service: a plain record built from
     {!Config.default} with [with_*] combinators, mirroring
@@ -142,13 +149,6 @@ module Config : sig
       keyed on. Excludes [prune] (see {!solver}). *)
 end
 
-type request = {
-  id : string;
-  formula : Xpds_xpath.Ast.node;
-  timeout_ms : float option;
-      (** per-request deadline, anchored at admission *)
-}
-
 type response = {
   id : string;
   report : Xpds_decision.Sat.report;
@@ -164,9 +164,21 @@ type response = {
           computation). [cached = (tier <> "solve")]. *)
   ms : float;
       (** caller-visible latency: admission to completion, monotonic *)
-  key : Cache_key.t;
+  key : Cache_key.t;  (** {!Request.key}'s digest of the request *)
   trace : Trace.t;  (** phase timings of this request *)
 }
+(** The answer of one solver-backed request (sat, one contains
+    direction, sat_under_doctype). *)
+
+(** What {!handle} answers, one constructor per request kind. *)
+type answer =
+  | Sat_answer of response
+  | Contains_answer of response
+      (** read the verdict with {!contains_answer} *)
+  | Equiv_answer of { forward : response; backward : response; ms : float }
+      (** ϕ ⊑ ψ and ψ ⊑ ϕ as two contains responses; [ms] spans both *)
+  | Doctype_answer of response
+  | Eval_answer of Eval_verb.response
 
 type t
 
@@ -183,128 +195,34 @@ val create : ?store:Xpds_store.Store.t -> Config.t -> t
 
 val config : t -> Config.t
 
-val solve : ?trace:Trace.t -> t -> request -> response
-(** [?trace] threads in a pre-admitted trace (e.g. one that already
-    carries the wire-parse span and anchors the deadline at line
-    receipt); by default a fresh one is created on entry. *)
+val handle : ?trace:Trace.t -> t -> Request.t -> answer
+(** Serve one decoded request. Solver-backed kinds are keyed by
+    {!Request.key}, so a contains verdict never aliases a sat verdict
+    for the same formula, and the same formula under two doctypes
+    occupies two entries. Containment decides ϕ ⊑ ψ as unsatisfiability
+    of ϕ ∧ ¬ψ (paper §4.1); with the default [verify] config a [Fails]
+    counterexample has been replayed through {!Xpds_decision.Semantics}
+    before entering any cache. An equiv runs its forward direction on
+    the caller's trace under the full [timeout_ms] and its backward
+    direction with whatever budget remains; both share the contains
+    cache with direct contains requests. [?trace] threads in a
+    pre-admitted trace (e.g. one that already carries the wire-parse
+    span and anchors the deadline at line receipt); by default a fresh
+    one is created on entry. *)
 
-val solve_batch : t -> request list -> response list
-(** Responses in request order. The distinct misses are solved one
-    after another on the calling domain; duplicate keys within the
-    batch are solved once and the copies are reported [cached = true].
-    Deadlines are anchored at batch admission, so queue wait counts
-    against each item's budget. A raising item yields an error response
-    for that item only and the rest of the batch completes. *)
-
-(* --- the containment verbs: every paper §4.1 decision problem --- *)
-
-type contains_request = {
-  ct_id : string;
-  phi : Xpds_xpath.Ast.node;
-  psi : Xpds_xpath.Ast.node;
-  ct_timeout_ms : float option;
-}
-
-type equiv_request = {
-  eq_id : string;
-  eq_phi : Xpds_xpath.Ast.node;
-  eq_psi : Xpds_xpath.Ast.node;
-  eq_timeout_ms : float option;
-}
-
-type equiv_response = {
-  eq_rid : string;
-  forward : response;  (** ϕ ⊑ ψ, as a contains response *)
-  backward : response;  (** ψ ⊑ ϕ *)
-  eq_ms : float;
-}
-
-type doctype_request = {
-  dt_id : string;
-  dt_formula : Xpds_xpath.Ast.node;
-  dt_rules : Xpds_automata.Doctype.t;
-  dt_timeout_ms : float option;
-}
-
-val solve_contains : ?trace:Trace.t -> t -> contains_request -> response
-(** Decide ϕ ⊑ ψ as unsatisfiability of ϕ ∧ ¬ψ (paper §4.1), through
-    the full serving stack: the key is the canonical ϕ ∧ ¬ψ tagged with
-    kind ["contains"] — it never aliases a plain sat entry for the same
-    formula — and the deadline bounds the whole ϕ ∧ ¬ψ search. With the
-    default [verify] config, a [Fails] counterexample in the response's
-    report has been replayed through {!Xpds_decision.Semantics} before
-    entering any cache. Interpret the verdict with {!contains_answer}. *)
+val solve_batch : t -> Request.t list -> response list
+(** Sat requests only ([Invalid_argument] otherwise). Responses in
+    request order. The distinct misses are solved one after another on
+    the calling domain; duplicate keys within the batch are solved once
+    and the copies are reported [cached = true]. Deadlines are anchored
+    at batch admission, so queue wait counts against each item's
+    budget. A raising item yields an error response for that item only
+    and the rest of the batch completes. *)
 
 val contains_answer : response -> Xpds_decision.Containment.answer
-(** The containment reading of a {!solve_contains} (or per-direction
-    {!solve_equiv}) response: [Sat w ↦ Fails w], [Unsat ↦ Holds],
-    [Unsat_bounded ↦ Holds_bounded], [Unknown ↦ Unknown]. *)
-
-val solve_equiv : ?trace:Trace.t -> t -> equiv_request -> equiv_response
-(** Both directions as two {!solve_contains} calls sharing the contains
-    cache (a direction asked directly and as half of an equiv share one
-    entry). The forward direction runs on the caller's trace under the
-    full [eq_timeout_ms]; the backward direction gets whatever budget
-    remains. *)
-
-val solve_sat_under_doctype :
-  ?trace:Trace.t -> t -> doctype_request -> response
-(** Satisfiability under a counting document type
-    ({!Xpds_decision.Sat.decide_under_doctype}): BIP intersection +
-    emptiness, served with kind ["sat_under_doctype"] and the doctype's
-    {!Xpds_automata.Doctype.canonical_string} as the cache-key salt and
-    store scope — the same formula under two doctypes occupies two
-    entries. The rules should already be
-    {!Xpds_automata.Doctype.validate}d (the wire parser does). *)
-
-(* --- the eval verb: bulk evaluation over array-encoded documents --- *)
-
-type eval_source =
-  | Doc_named of string
-      (** a document registered with {!register_doc} *)
-  | Doc_xml of string  (** inline XML source ({!Xpds_datatree.Xml_doc}) *)
-  | Doc_tree of string
-      (** inline {!Xpds_datatree.Data_tree.of_string} syntax *)
-
-type eval_request = {
-  ev_id : string;
-  query : Xpds_xpath.Ast.node;
-  source : eval_source;
-  ev_timeout_ms : float option;
-      (** per-request deadline, anchored at admission — the evaluator's
-          cooperative [should_stop] hook, like the solver's *)
-  limit : int option;
-      (** positions materialised in the result; default 100 *)
-}
-
-type eval_result = {
-  root : bool;  (** does the query hold at the root? *)
-  count : int;  (** |[[ϕ]]| — total satisfying nodes *)
-  positions : string;
-      (** the first [limit] satisfying positions, in preorder, already
-          rendered as the JSON array text of the wire's ["nodes"] field
-          (each position in the {!Xpds_datatree.Path.to_string}
-          rendering, e.g. [["ε","0.1"]]). A result is rendered once,
-          when it is computed, and kept in that form in the result
-          cache: a cache hit re-renders nothing, and a cached entry is
-          one short string rather than a list of int lists. *)
-  truncated : bool;  (** [count > limit] *)
-  doc_nodes : int;
-  node_evals : int;
-      (** fresh node×subformula evaluations this request added to the
-          document's shared memo (0 on a pure memo replay) *)
-}
-
-type eval_response = {
-  ev_rid : string;
-  result : (eval_result, string) result;
-      (** [Error] carries a structured reason: unknown document,
-          oversized document, unparsable source, or
-          ["deadline exceeded"] *)
-  ev_cached : bool;
-  ev_ms : float;
-  ev_trace : Trace.t;
-}
+(** The containment reading of a contains direction: [Sat w ↦ Fails w],
+    [Unsat ↦ Holds], [Unsat_bounded ↦ Holds_bounded],
+    [Unknown ↦ Unknown]. *)
 
 val register_doc :
   t -> name:string -> Xpds_eval.Doc.t -> (unit, string) result
@@ -315,26 +233,13 @@ val register_doc :
 val registered_docs : t -> (string * int) list
 (** The registry: [(name, node count)], sorted by name. *)
 
-val eval : ?trace:Trace.t -> t -> eval_request -> eval_response
-(** Evaluate one query against one document. The serving machinery
-    mirrors [solve]: an LRU result cache keyed by
-    (document digest, query text, limit), single-flight deduplication
-    of concurrent identical requests, admission-anchored monotonic
-    deadlines, and metrics ({!Metrics.record_eval}). Beyond the result
-    cache, the document's evaluator {e memo} persists across requests:
-    distinct queries over one document share sub-expression results, so
-    a query batch pays for each distinct subformula once. Evaluations
-    on one document are serialised (the memo is single-domain mutable
-    state); different documents evaluate concurrently. Errors and
-    deadline timeouts are never cached or shared. *)
-
 val metrics : t -> Metrics.snapshot
 val reset_metrics : t -> unit
 val cache_length : t -> int
 
 val inflight_waiters : t -> int
 (** Number of requests currently blocked on another request's in-flight
-    computation (an ops gauge; also what the single-flight tests pin). *)
+    solve (an ops gauge; also what the single-flight tests pin). *)
 
 val record_cert : t -> ok:bool -> ms:float -> unit
 (** Count one certificate check in this service's metrics (under the
@@ -355,97 +260,43 @@ end
    versioned; schema in docs/protocol.md) --- *)
 
 val protocol_version : int
-(** The wire protocol version this build speaks (1). Every response and
-    error object carries it as ["v"]; requests may carry it and are
-    rejected with a structured error when it doesn't match. *)
+(** {!Request.protocol_version}. Every response and error object
+    carries it as ["v"]. *)
 
-type wire_request =
-  | Sat_request of request
-  | Eval_request of eval_request
-  | Contains_request of contains_request
-  | Equiv_request of equiv_request
-  | Doctype_request of doctype_request
+val answer_to_json :
+  ?trace:bool -> ?extra_of:(response -> (string * Json.t) list) -> answer -> string
+(** The one response renderer. Every line opens with the envelope
+    [{"v":1, "id":.., "kind":..}] (["kind"] omitted on sat lines) and
+    ends with ["trace":{..}] under [~trace:true].
 
-val wire_request_of_json : string -> (wire_request, string) result
-(** One request per line. The ["kind"] field selects the verb — absent
-    or ["sat"] for satisfiability, ["eval"] for document evaluation,
-    ["contains"]/["equiv"] for containment, ["sat_under_doctype"] for
-    doctype-constrained satisfiability — and each kind's schema is
-    {e closed}: a field outside the kind's set is a structured error
-    naming the field, as is a ["v"] other than {!protocol_version} (an
-    absent ["v"] means v1 — the pre-versioning format is exactly the v1
-    sat schema).
-
-    sat: [{"v":1, "id":"r1", "kind":"sat", "formula":"<desc[a]>",
-    "timeout_ms":500}] with {v, id, kind, formula, timeout_ms}.
-
-    eval: [{"v":1, "id":"q1", "kind":"eval", "formula":"<child[a]>",
-    "xml":"<r a='1'/>", "timeout_ms":500, "limit":10}] with
-    {v, id, kind, formula, doc, xml, tree, timeout_ms, limit} and
-    exactly one of ["doc"] (a registered name), ["xml"], ["tree"].
-
-    contains / equiv: [{"v":1, "id":"c1", "kind":"contains",
-    "phi":"<down[a & b]>", "psi":"<down[a]>", "timeout_ms":500}] with
-    {v, id, kind, phi, psi, timeout_ms}.
-
-    sat_under_doctype: [{"v":1, "id":"d1", "kind":"sat_under_doctype",
-    "formula":"<down[a]>", "doctype":[{"parent":"a",
-    "at_least":[[1,"b"]], "forbidden":["c"]}], "timeout_ms":500}] with
-    {v, id, kind, formula, doctype, timeout_ms}; ["doctype"] is an
-    array of closed rule objects ({parent, at_least, forbidden} — an
-    unknown rule field is an error) which must pass
-    {!Xpds_automata.Doctype.validate}: an invalid document type answers
-    a structured ["error"] line, never a crash report. *)
-
-val request_of_json : string -> (request, string) result
-(** {!wire_request_of_json} restricted to sat requests (the pre-eval
-    parser, kept for callers that only speak sat); any other kind is
-    an error. [id] may be a JSON string or number (defaults to [""]);
-    [formula] is the concrete syntax of {!Xpds_xpath.Parser};
-    [timeout_ms] is optional. *)
-
-val response_to_json :
-  ?trace:bool -> ?extra:(string * Json.t) list -> response -> string
-(** [{"v":1, "id":.., "verdict":.., "cached":.., "tier":.., "ms":..,
-    "fragment":..,
-    "states":.., "transitions":.., "reason":.. (when inconclusive),
-    "witness":.. (when sat), "verified":.. (when checked),
-    "degraded":true (after a degraded retry), "error":.. (when the
-    solve crashed), "trace":{..} (with [~trace:true])}]. [extra] fields
-    are appended verbatim — the [--certify] CLI layer uses this for its
+    sat and sat_under_doctype: [verdict, cached, tier, ms, fragment,
+    states, transitions], then ["witness"] and ["verified"] when sat —
+    paper notation for sat, the parseable
+    {!Xpds_datatree.Data_tree.to_compact_string} syntax (conforming to
+    the doctype) for sat_under_doctype — or ["reason"] when
+    inconclusive, then ["degraded":true] after a degraded retry and
+    ["error"] when the solve crashed. [extra_of] appends trailing
+    fields to sat lines — the [--certify] CLI layer uses this for its
     per-response certificate summary, keeping the service independent
-    of the certificate format. *)
+    of the certificate format.
 
-val contains_response_to_json : ?trace:bool -> response -> string
-(** [{"v":1, "id":.., "kind":"contains", "answer":"holds" |
-    "holds_bounded" | "fails" | "unknown", "counterexample":..
-    (when fails — {!Xpds_datatree.Data_tree.to_compact_string} syntax,
-    parseable by [of_string]), "verified":.. (when checked),
-    "reason":.. (when bounded/unknown), "cached":.., "tier":.., "ms":..,
-    "degraded"/"error" as in sat responses, "trace":{..} (with
-    [~trace:true])}]. *)
+    contains: [answer] (["holds" | "holds_bounded" | "fails" |
+    "unknown"]), ["counterexample"] (compact syntax) and ["verified"]
+    when it fails, ["reason"] when bounded or unknown, then [cached,
+    tier, ms] and the robustness fields. This direction object is what
+    an equiv line nests (see {!equiv_to_json}).
 
-val equiv_response_to_json : ?trace:bool -> equiv_response -> string
-(** [{"v":1, "id":.., "kind":"equiv", "equivalent":bool (omitted while
-    a needed direction is unknown — one failing direction settles
-    [false]), "forward":{..}, "backward":{..}, "ms":..}] where each
-    direction object carries the {!contains_response_to_json} body
-    fields (answer, counterexample, reason, cached, tier, ms). *)
+    eval: [root, count, nodes, nodes_truncated (when count > limit),
+    doc_nodes, node_evals] or [error], then [cached, ms]. *)
 
-val doctype_response_to_json : ?trace:bool -> response -> string
-(** The {!response_to_json} schema with ["kind":"sat_under_doctype"]
-    and the witness — a tree that satisfies the formula {e and}
-    conforms to the doctype — in the parseable compact syntax instead
-    of paper notation. *)
-
-val eval_response_to_json : ?trace:bool -> eval_response -> string
-(** [{"v":1, "id":.., "kind":"eval", "root":.., "count":.., "nodes":
-    [".." positions], "nodes_truncated":true (when [count > limit]),
-    "doc_nodes":.., "node_evals":.., "cached":.., "ms":..,
-    "trace":{..} (with [~trace:true])}] — or [{"v":1, "id":..,
-    "kind":"eval", "error":.., "cached":false, "ms":..}] when the
-    request failed (unknown/oversized/unparsable document, fired
-    deadline). *)
+val equiv_to_json : id:string -> ms:float -> Json.t -> Json.t -> string
+(** [equiv_to_json ~id ~ms forward backward] renders an equiv line
+    around two contains direction objects: [{"v":1, "id":..,
+    "kind":"equiv", "equivalent":bool, "forward":{..}, "backward":{..},
+    "ms":..}]. One failing direction settles [false] even when the other
+    is unknown; ["equivalent"] is omitted while a needed direction is
+    unknown. The shard router merges fanned-out directions through it
+    too. *)
 
 val error_to_json : ?id:string -> string -> string
 (** The structured error object the serve loop answers for lines it
@@ -459,16 +310,14 @@ val handle_line :
   t ->
   string ->
   string
-(** One NDJSON exchange: parse the line (the [parse] trace span; the
-    trace is admitted — and the deadline anchored — at line receipt),
-    dispatch on ["kind"] (solve, eval, contains, equiv,
-    sat_under_doctype), serialize. {b Never raises}:
-    malformed JSON, unparsable
-    formulas, and even a crashing solve all answer {!error_to_json} —
-    feeding a served socket garbage must not kill the server.
-    [extra_of] computes trailing response fields (the [--certify]
-    layer); [default_timeout_ms] applies to requests without their own
-    [timeout_ms]. *)
+(** One NDJSON exchange: {!Request.of_line} (the [parse] trace span;
+    the trace is admitted — and the deadline anchored — at line
+    receipt), [default_timeout_ms] for requests without their own
+    [timeout_ms], {!handle}, {!answer_to_json}. {b Never raises}:
+    malformed JSON, schema errors, unparsable formulas and even a
+    crashing solve all answer {!error_to_json}, with the id recovered
+    by {!Request.id_of_line} — feeding a served socket garbage must not
+    kill the server. *)
 
 val verdict_name : Xpds_decision.Sat.verdict -> string
 (** ["sat" | "unsat" | "unsat_bounded" | "unknown"]. *)

@@ -4,8 +4,7 @@ module Admission = Xpds_service.Admission
 module Metrics = Xpds_service.Metrics
 module Cache_key = Xpds_service.Cache_key
 module Trace = Xpds_service.Trace
-module Containment = Xpds_decision.Containment
-module Doctype = Xpds_automata.Doctype
+module Request = Xpds_service.Request
 
 (* --- routing --- *)
 
@@ -19,11 +18,6 @@ let shard_of_key ~shards (key : Cache_key.t) =
 
 type route = To of int | Fanout of { fwd : int; bwd : int }
 
-let contains_key ~config_fingerprint phi psi =
-  snd
-    (Cache_key.make ~kind:"contains" ~config_fingerprint
-       (Containment.query phi psi))
-
 (* The raw pieces the router needs from a request line: where it goes,
    which id to echo on shed/abort errors, which deadline admission
    reasons about, and — for equiv — the raw formula strings of the two
@@ -35,77 +29,38 @@ type plan = {
   pl_fanout : (string * string) option;  (** raw (phi, psi) of an equiv *)
 }
 
-let raw_str field line =
-  match Json.parse line with
-  | Ok v -> (
-    match Json.member field v with Some (Json.Str s) -> Some s | _ -> None)
-  | Error _ -> None
-
 let plan_of_line ~config_fingerprint ~shards line =
-  match Service.wire_request_of_json line with
-  | Ok (Service.Sat_request r) ->
-    { pl_route =
-        To
-          (shard_of_key ~shards
-             (snd (Cache_key.make ~config_fingerprint r.formula)));
-      pl_id = Some r.id;
-      pl_timeout_ms = r.timeout_ms;
-      pl_fanout = None
-    }
-  | Ok (Service.Contains_request r) ->
-    { pl_route =
-        To (shard_of_key ~shards (contains_key ~config_fingerprint r.phi r.psi));
-      pl_id = Some r.ct_id;
-      pl_timeout_ms = r.ct_timeout_ms;
-      pl_fanout = None
-    }
-  | Ok (Service.Doctype_request r) ->
-    { pl_route =
-        To
-          (shard_of_key ~shards
-             (snd
-                (Cache_key.make ~kind:"sat_under_doctype"
-                   ~salt:(Doctype.canonical_string r.dt_rules)
-                   ~config_fingerprint r.dt_formula)));
-      pl_id = Some r.dt_id;
-      pl_timeout_ms = r.dt_timeout_ms;
-      pl_fanout = None
-    }
-  | Ok (Service.Eval_request r) ->
-    (* routed for cache affinity: the same (document, query) pair
-       always revisits the same worker's eval cache *)
-    let salt =
-      match r.source with
-      | Service.Doc_named n -> "n:" ^ n
-      | Service.Doc_xml s -> "x:" ^ s
-      | Service.Doc_tree s -> "t:" ^ s
-    in
-    { pl_route =
-        To
-          (shard_of_key ~shards
-             (snd (Cache_key.make ~kind:"eval" ~salt ~config_fingerprint r.query)));
-      pl_id = Some r.ev_id;
-      pl_timeout_ms = r.ev_timeout_ms;
-      pl_fanout = None
-    }
-  | Ok (Service.Equiv_request r) ->
-    let fwd = contains_key ~config_fingerprint r.eq_phi r.eq_psi in
-    let bwd = contains_key ~config_fingerprint r.eq_psi r.eq_phi in
-    { pl_route =
-        Fanout
-          { fwd = shard_of_key ~shards fwd; bwd = shard_of_key ~shards bwd };
-      pl_id = Some r.eq_id;
-      pl_timeout_ms = r.eq_timeout_ms;
-      pl_fanout =
-        (match (raw_str "phi" line, raw_str "psi" line) with
-        | Some phi, Some psi -> Some (phi, psi)
+  let home body =
+    shard_of_key ~shards (Request.key ~config_fingerprint body).Request.digest
+  in
+  match Request.of_line line with
+  | Ok { id; timeout_ms; body = Equiv { phi; psi } } ->
+    let fwd, bwd = Request.directions phi psi in
+    let raw = function
+      | Ok v -> (
+        match (Json.member "phi" v, Json.member "psi" v) with
+        | Some (Json.Str phi), Some (Json.Str psi) -> Some (phi, psi)
         | _ -> None)
+      | Error _ -> None
+    in
+    { pl_route = Fanout { fwd = home fwd; bwd = home bwd };
+      pl_id = Some id;
+      pl_timeout_ms = timeout_ms;
+      pl_fanout = raw (Json.parse line)
     }
-  | Error _ ->
+  | Ok { id; timeout_ms; body } ->
+    (* eval routes for cache affinity: the same (document, query) pair
+       always revisits the same worker's eval cache *)
+    { pl_route = To (home body);
+      pl_id = Some id;
+      pl_timeout_ms = timeout_ms;
+      pl_fanout = None
+    }
+  | Error _ | (exception _) ->
     (* any worker answers the same structured error; hash the raw text
        so garbage spreads deterministically *)
     { pl_route = To (shard_of_key ~shards (Digest.string line));
-      pl_id = raw_str "id" line;
+      pl_id = Request.id_of_line line;
       pl_timeout_ms = None;
       pl_fanout = None
     }
@@ -280,7 +235,6 @@ type t = {
 }
 
 let protocol_v = float_of_int Service.protocol_version
-let round_ms ms = Json.Num (Float.round (ms *. 1000.) /. 1000.)
 
 let emit_overloaded t ~id ~retry_after_ms =
   t.emit
@@ -362,34 +316,8 @@ let settle_cell t cell =
   match (cell.fwd_resp, cell.bwd_resp) with
   | Some f, Some b when not cell.eq_settled ->
     cell.eq_settled <- true;
-    let settled_dir j =
-      match Json.member "answer" j with
-      | Some (Json.Str ("holds" | "holds_bounded")) -> Some true
-      | Some (Json.Str "fails") -> Some false
-      | _ -> None
-    in
-    (* one failing direction settles non-equivalence even when the
-       other is unknown — same rule as the in-process serializer *)
-    let equivalent =
-      match (settled_dir f, settled_dir b) with
-      | Some false, _ | _, Some false -> Some false
-      | Some true, Some true -> Some true
-      | _ -> None
-    in
-    t.emit
-      (Json.to_string
-         (Json.Obj
-            ([ ("v", Json.Num protocol_v);
-               ("id", Json.Str cell.eq_id);
-               ("kind", Json.Str "equiv")
-             ]
-            @ (match equivalent with
-              | Some b -> [ ("equivalent", Json.Bool b) ]
-              | None -> [])
-            @ [ ("forward", f);
-                ("backward", b);
-                ("ms", round_ms (Trace.now_ms () -. cell.eq_start))
-              ])))
+    let ms = Trace.now_ms () -. cell.eq_start in
+    t.emit (Service.equiv_to_json ~id:cell.eq_id ~ms f b)
   | _ -> ()
 
 let handle_response t w line =
@@ -427,9 +355,7 @@ let fail_entry ?(msg = dead_worker_error) t w e =
   if e.admitted then Admission.abandon w.adm;
   match e.pend with
   | P_probe slot -> slot := Some (Json.Obj [])
-  | P_plain ->
-    let id = raw_str "id" e.line in
-    t.emit (Service.error_to_json ?id msg)
+  | P_plain -> t.emit (Service.error_to_json ?id:(Request.id_of_line e.line) msg)
   | P_dir (cell, _) ->
     if not cell.eq_settled then begin
       cell.eq_settled <- true;
@@ -581,86 +507,84 @@ let contains_line ~id ~phi ~psi ~timeout_ms =
        | None -> []))
 
 let submit t line =
-  if String.trim line <> "" then begin
-    let now = Trace.now_ms () in
-    let shards = Array.length t.workers in
-    let plan = plan_of_line ~config_fingerprint:t.fingerprint ~shards line in
-    let timeout_ms =
-      match plan.pl_timeout_ms with
-      | Some _ as s -> s
-      | None -> t.default_timeout_ms
-    in
-    let deadline_ms = Option.map (fun ms -> now +. ms) timeout_ms in
-    match plan.pl_route with
-    | To i -> (
-      let w = t.workers.(i) in
-      w.routed <- w.routed + 1;
-      match Admission.check w.adm ~now_ms:now ~deadline_ms with
+  let now = Trace.now_ms () in
+  let shards = Array.length t.workers in
+  let plan = plan_of_line ~config_fingerprint:t.fingerprint ~shards line in
+  let timeout_ms =
+    match plan.pl_timeout_ms with
+    | Some _ as s -> s
+    | None -> t.default_timeout_ms
+  in
+  let deadline_ms = Option.map (fun ms -> now +. ms) timeout_ms in
+  match plan.pl_route with
+  | To i -> (
+    let w = t.workers.(i) in
+    w.routed <- w.routed + 1;
+    match Admission.check w.adm ~now_ms:now ~deadline_ms with
+    | Admission.Shed { retry_after_ms } ->
+      emit_overloaded t ~id:plan.pl_id ~retry_after_ms
+    | Admission.Admit ->
+      Admission.enqueue w.adm;
+      push t w { line; pend = P_plain; admitted = true; enq_ms = now })
+  | Fanout { fwd; bwd } -> (
+    let wf = t.workers.(fwd) and wb = t.workers.(bwd) in
+    wf.routed <- wf.routed + 1;
+    if bwd <> fwd then wb.routed <- wb.routed + 1;
+    let id = Option.value plan.pl_id ~default:"" in
+    match plan.pl_fanout with
+    | None ->
+      (* cannot happen: a parsed equiv carries raw phi/psi strings;
+         degrade to routing the whole line to the forward shard *)
+      push t wf { line; pend = P_plain; admitted = false; enq_ms = now }
+    | Some (phi, psi) -> (
+      (* both directions must be admitted before either enqueues, so
+         a half-shed equiv never occupies a slot. When they share a
+         shard the pair is checked as one two-slot unit — two
+         independent checks would each see the same depth and could
+         both admit at depth = bound - 1, pushing the queue past its
+         bound and under-counting the second direction's queue wait.
+         Across distinct shards both checks always run, and a shed
+         reports the larger of the two hints (protocol.md). *)
+      let verdict =
+        if fwd = bwd then
+          Admission.check ~slots:2 wf.adm ~now_ms:now ~deadline_ms
+        else
+          match
+            ( Admission.check wf.adm ~now_ms:now ~deadline_ms,
+              Admission.check wb.adm ~now_ms:now ~deadline_ms )
+          with
+          | Admission.Admit, Admission.Admit -> Admission.Admit
+          | ( Admission.Shed { retry_after_ms = a },
+              Admission.Shed { retry_after_ms = b } ) ->
+            Admission.Shed { retry_after_ms = Float.max a b }
+          | (Admission.Shed _ as s), _ | _, (Admission.Shed _ as s) -> s
+      in
+      match verdict with
       | Admission.Shed { retry_after_ms } ->
         emit_overloaded t ~id:plan.pl_id ~retry_after_ms
       | Admission.Admit ->
-        Admission.enqueue w.adm;
-        push t w { line; pend = P_plain; admitted = true; enq_ms = now })
-    | Fanout { fwd; bwd } -> (
-      let wf = t.workers.(fwd) and wb = t.workers.(bwd) in
-      wf.routed <- wf.routed + 1;
-      if bwd <> fwd then wb.routed <- wb.routed + 1;
-      let id = Option.value plan.pl_id ~default:"" in
-      match plan.pl_fanout with
-      | None ->
-        (* cannot happen: a parsed equiv carries raw phi/psi strings;
-           degrade to routing the whole line to the forward shard *)
-        push t wf { line; pend = P_plain; admitted = false; enq_ms = now }
-      | Some (phi, psi) -> (
-        (* both directions must be admitted before either enqueues, so
-           a half-shed equiv never occupies a slot. When they share a
-           shard the pair is checked as one two-slot unit — two
-           independent checks would each see the same depth and could
-           both admit at depth = bound - 1, pushing the queue past its
-           bound and under-counting the second direction's queue wait.
-           Across distinct shards both checks always run, and a shed
-           reports the larger of the two hints (protocol.md). *)
-        let verdict =
-          if fwd = bwd then
-            Admission.check ~slots:2 wf.adm ~now_ms:now ~deadline_ms
-          else
-            match
-              ( Admission.check wf.adm ~now_ms:now ~deadline_ms,
-                Admission.check wb.adm ~now_ms:now ~deadline_ms )
-            with
-            | Admission.Admit, Admission.Admit -> Admission.Admit
-            | ( Admission.Shed { retry_after_ms = a },
-                Admission.Shed { retry_after_ms = b } ) ->
-              Admission.Shed { retry_after_ms = Float.max a b }
-            | (Admission.Shed _ as s), _ | _, (Admission.Shed _ as s) -> s
+        Admission.enqueue wf.adm;
+        Admission.enqueue wb.adm;
+        let cell =
+          { eq_id = id;
+            eq_start = now;
+            fwd_resp = None;
+            bwd_resp = None;
+            eq_settled = false
+          }
         in
-        match verdict with
-        | Admission.Shed { retry_after_ms } ->
-          emit_overloaded t ~id:plan.pl_id ~retry_after_ms
-        | Admission.Admit ->
-          Admission.enqueue wf.adm;
-          Admission.enqueue wb.adm;
-          let cell =
-            { eq_id = id;
-              eq_start = now;
-              fwd_resp = None;
-              bwd_resp = None;
-              eq_settled = false
-            }
-          in
-          push t wf
-            { line = contains_line ~id ~phi ~psi ~timeout_ms;
-              pend = P_dir (cell, Fwd);
-              admitted = true;
-              enq_ms = now
-            };
-          push t wb
-            { line = contains_line ~id ~phi:psi ~psi:phi ~timeout_ms;
-              pend = P_dir (cell, Bwd);
-              admitted = true;
-              enq_ms = now
-            }))
-  end
+        push t wf
+          { line = contains_line ~id ~phi ~psi ~timeout_ms;
+            pend = P_dir (cell, Fwd);
+            admitted = true;
+            enq_ms = now
+          };
+        push t wb
+          { line = contains_line ~id ~phi:psi ~psi:phi ~timeout_ms;
+            pend = P_dir (cell, Bwd);
+            admitted = true;
+            enq_ms = now
+          }))
 
 (* --- metrics --- *)
 

@@ -4,8 +4,8 @@
     The router forks [shards] worker processes, each running its own
     {!Xpds_service.Service.t} and speaking the unmodified NDJSON v1
     protocol over a pair of pipes. Every request line is routed by its
-    deterministic canonical cache key — the same kind-tagged,
-    doctype-salted {!Xpds_service.Cache_key} the service caches under —
+    deterministic canonical cache key — {!Xpds_service.Request.key},
+    the same kind-tagged, doctype-salted key the service caches under —
     so a given formula always lands on the same worker and the
     per-shard LRU/disk tiers never alias across kinds or doctypes.
     [equiv] requests are fanned out: each direction travels to {e its}
@@ -21,8 +21,9 @@
 
     Worker crashes are isolated: the router notices the closed pipe,
     answers everything in flight on that shard with structured error
-    lines, respawns the worker (same shard index, so a per-shard disk
-    store is reattached), and counts the restart in the aggregated
+    lines (echoing the id {!Xpds_service.Request.id_of_line}
+    recovers), respawns the worker (same shard index, so a per-shard
+    disk store is reattached), and counts the restart in the aggregated
     metrics.
 
     The router is single-threaded ([Unix.select] over all worker

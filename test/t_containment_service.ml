@@ -4,6 +4,7 @@
    the closed wire schemas of the three new kinds. *)
 
 module Service = Xpds_service.Service
+module Request = Xpds_service.Request
 module Cache_key = Xpds_service.Cache_key
 module Containment = Xpds_decision.Containment
 module Sat = Xpds_decision.Sat
@@ -69,8 +70,8 @@ let test_contains_fails_verified =
     arb_pair
     (fun (phi, psi) ->
       let resp =
-        Service.solve_contains svc
-          { Service.ct_id = "q"; phi; psi; ct_timeout_ms = None }
+        Corpus.solve svc
+          { Request.id = "q"; timeout_ms = None; body = Contains { phi; psi } }
       in
       match Service.contains_answer resp with
       | Containment.Fails w ->
@@ -90,13 +91,16 @@ let test_contains_fails_verified =
 (* Equivalence is containment both ways, sharing the contains cache. *)
 let test_equiv_directions_agree () =
   let phi = f "<down[a & b]>" and psi = f "<down[a]>" in
-  let eq =
-    Service.solve_equiv svc
-      { Service.eq_id = "e"; eq_phi = phi; eq_psi = psi;
-        eq_timeout_ms = None }
+  let forward, backward =
+    match
+      Service.handle svc
+        { Request.id = "e"; timeout_ms = None; body = Equiv { phi; psi } }
+    with
+    | Service.Equiv_answer { forward; backward; _ } -> (forward, backward)
+    | _ -> Alcotest.fail "equiv answered another kind"
   in
   (* ϕ ⊑ ψ holds (possibly width-bounded); ψ ⊑ ϕ fails. *)
-  (match Service.contains_answer eq.Service.forward with
+  (match Service.contains_answer forward with
   | Containment.Holds | Containment.Holds_bounded _ -> ()
   | a ->
     Alcotest.failf "forward: %s"
@@ -104,16 +108,18 @@ let test_equiv_directions_agree () =
       | Containment.Fails _ -> "fails"
       | Containment.Unknown why -> "unknown: " ^ why
       | _ -> "?"));
-  (match Service.contains_answer eq.Service.backward with
+  (match Service.contains_answer backward with
   | Containment.Fails w ->
     Alcotest.(check bool) "backward counterexample replays" true
       (Semantics.check_somewhere w (And (psi, B.not_ phi)))
   | _ -> Alcotest.fail "backward should fail");
   (* A direct contains of the backward direction is now a cache hit. *)
   let again =
-    Service.solve_contains svc
-      { Service.ct_id = "again"; phi = psi; psi = phi;
-        ct_timeout_ms = None }
+    Corpus.solve svc
+      { Request.id = "again";
+        timeout_ms = None;
+        body = Contains { phi = psi; psi = phi }
+      }
   in
   Alcotest.(check bool) "equiv direction shared with contains" true
     again.Service.cached
@@ -139,9 +145,11 @@ let test_doctype_witnesses_conform =
     arb_doctype_case
     (fun (phi, rules) ->
       let resp =
-        Service.solve_sat_under_doctype svc
-          { Service.dt_id = "d"; dt_formula = phi; dt_rules = rules;
-            dt_timeout_ms = None }
+        Corpus.solve svc
+          { Request.id = "d";
+            timeout_ms = None;
+            body = Doctype { formula = phi; doctype = rules }
+          }
       in
       match resp.Service.report.Sat.verdict with
       | Sat.Sat w ->
@@ -164,14 +172,16 @@ let test_doctype_scope_separation () =
   in
   let sep = Service.create Service.Config.default in
   let plain =
-    Service.solve sep { Service.id = "p"; formula = phi; timeout_ms = None }
+    Corpus.solve sep { Request.id = "p"; timeout_ms = None; body = Sat phi }
   in
   Alcotest.(check string) "unconstrained sat" "sat"
     (Service.verdict_name plain.Service.report.Sat.verdict);
   let constrained =
-    Service.solve_sat_under_doctype sep
-      { Service.dt_id = "c"; dt_formula = phi; dt_rules = forbid;
-        dt_timeout_ms = None }
+    Corpus.solve sep
+      { Request.id = "c";
+        timeout_ms = None;
+        body = Doctype { formula = phi; doctype = forbid }
+      }
   in
   Alcotest.(check bool) "constrained not served from sat entry" false
     constrained.Service.cached;
@@ -181,9 +191,11 @@ let test_doctype_scope_separation () =
     Alcotest.failf "constrained should be unsat, got %s"
       (Service.verdict_name v));
   let unconstrained_again =
-    Service.solve_sat_under_doctype sep
-      { Service.dt_id = "e"; dt_formula = phi; dt_rules = [];
-        dt_timeout_ms = None }
+    Corpus.solve sep
+      { Request.id = "e";
+        timeout_ms = None;
+        body = Doctype { formula = phi; doctype = [] }
+      }
   in
   Alcotest.(check bool) "empty doctype is its own scope" false
     unconstrained_again.Service.cached;
@@ -213,11 +225,11 @@ let test_kind_tagged_keys () =
   (* Service level: pre-solving ϕ∧¬ψ as sat never answers contains. *)
   let sep = Service.create Service.Config.default in
   let _ =
-    Service.solve sep { Service.id = "s"; formula = query; timeout_ms = None }
+    Corpus.solve sep { Request.id = "s"; timeout_ms = None; body = Sat query }
   in
   let ct =
-    Service.solve_contains sep
-      { Service.ct_id = "c"; phi; psi; ct_timeout_ms = None }
+    Corpus.solve sep
+      { Request.id = "c"; timeout_ms = None; body = Contains { phi; psi } }
   in
   Alcotest.(check bool) "contains not aliased to sat" false
     ct.Service.cached;
@@ -232,7 +244,7 @@ let contains_sub s sub =
 
 let test_wire_schemas_closed () =
   let fails ~naming line =
-    match Service.wire_request_of_json line with
+    match Request.of_line line with
     | Ok _ -> Alcotest.failf "accepted: %s" line
     | Error e ->
       Alcotest.(check bool)
@@ -255,7 +267,7 @@ let test_wire_schemas_closed () =
   fails ~naming:"unsupported protocol version"
     {|{"v":2,"kind":"contains","phi":"a","psi":"a"}|};
   (* The unknown-kind error teaches all five verbs. *)
-  (match Service.wire_request_of_json {|{"kind":"frob","formula":"a"}|} with
+  (match Request.of_line {|{"kind":"frob","formula":"a"}|} with
   | Ok _ -> Alcotest.fail "unknown kind accepted"
   | Error e ->
     List.iter
@@ -264,29 +276,29 @@ let test_wire_schemas_closed () =
           (Printf.sprintf "unknown-kind error lists %s" verb)
           true (contains_sub e verb))
       [ "sat"; "eval"; "contains"; "equiv"; "sat_under_doctype" ]);
-  (* New kinds parse into their request records. *)
+  (* New kinds decode into their request bodies. *)
   (match
-     Service.wire_request_of_json
+     Request.of_line
        {|{"v":1,"id":"c","kind":"contains","phi":"<down[a]>","psi":"<down[b]>","timeout_ms":100}|}
    with
-  | Ok (Service.Contains_request r) ->
-    Alcotest.(check string) "contains id" "c" r.Service.ct_id;
+  | Ok ({ body = Request.Contains _; _ } as r) ->
+    Alcotest.(check string) "contains id" "c" r.Request.id;
     Alcotest.(check (option (float 0.))) "contains timeout" (Some 100.)
-      r.Service.ct_timeout_ms
+      r.Request.timeout_ms
   | Ok _ -> Alcotest.fail "contains parsed as another kind"
   | Error e -> Alcotest.failf "contains rejected: %s" e);
   match
-    Service.wire_request_of_json
+    Request.of_line
       {|{"kind":"sat_under_doctype","formula":"<down[a]>","doctype":[{"parent":"a","at_least":[[2,"b"]],"forbidden":["c"]}]}|}
   with
-  | Ok (Service.Doctype_request r) ->
-    Alcotest.(check int) "rules parsed" 1 (List.length r.Service.dt_rules)
+  | Ok { body = Request.Doctype { doctype; _ }; _ } ->
+    Alcotest.(check int) "rules parsed" 1 (List.length doctype)
   | Ok _ -> Alcotest.fail "doctype parsed as another kind"
   | Error e -> Alcotest.failf "doctype rejected: %s" e
 
 let test_wire_doctype_errors_structured () =
   let err line =
-    match Service.wire_request_of_json line with
+    match Request.of_line line with
     | Ok _ -> Alcotest.failf "accepted: %s" line
     | Error e -> e
   in

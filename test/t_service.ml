@@ -2,6 +2,7 @@
    soundness, batch agreement, deadlines. *)
 
 module Service = Xpds_service.Service
+module Request = Xpds_service.Request
 module Lru = Xpds_service.Lru
 (* [Json] is the standalone xpds_json library (unwrapped). *)
 module Cache_key = Xpds_service.Cache_key
@@ -74,15 +75,15 @@ let test_json_roundtrip () =
   | _ -> Alcotest.fail "\\u escape"
 
 let test_request_parsing () =
-  (match Service.request_of_json {|{"id":7,"formula":"<down[a]>"}|} with
+  (match Request.of_line {|{"id":7,"formula":"<down[a]>"}|} with
   | Ok r ->
-    Alcotest.(check string) "numeric id" "7" r.Service.id;
-    Alcotest.(check bool) "no timeout" true (r.Service.timeout_ms = None)
+    Alcotest.(check string) "numeric id" "7" r.Request.id;
+    Alcotest.(check bool) "no timeout" true (r.Request.timeout_ms = None)
   | Error e -> Alcotest.fail e);
-  (match Service.request_of_json {|{"formula":"<down["}|} with
+  (match Request.of_line {|{"formula":"<down["}|} with
   | Ok _ -> Alcotest.fail "bad formula accepted"
   | Error _ -> ());
-  match Service.request_of_json {|{"id":"x"}|} with
+  match Request.of_line {|{"id":"x"}|} with
   | Ok _ -> Alcotest.fail "missing formula accepted"
   | Error _ -> ()
 
@@ -99,18 +100,18 @@ let test_protocol_versioning () =
   Alcotest.(check int) "this build speaks v1" 1 Service.protocol_version;
   (* An explicit matching version is accepted... *)
   (match
-     Service.request_of_json {|{"v":1,"id":"a","formula":"<down[a]>"}|}
+     Request.of_line {|{"v":1,"id":"a","formula":"<down[a]>"}|}
    with
-  | Ok r -> Alcotest.(check string) "id" "a" r.Service.id
+  | Ok r -> Alcotest.(check string) "id" "a" r.Request.id
   | Error e -> Alcotest.failf "v:1 rejected: %s" e);
   (* ...an absent version means v1 (the pre-versioning format)... *)
-  (match Service.request_of_json {|{"formula":"<down[a]>"}|} with
+  (match Request.of_line {|{"formula":"<down[a]>"}|} with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "absent v rejected: %s" e);
   (* ...and any other version is a structured error naming both
      sides. *)
   (match
-     Service.request_of_json {|{"v":2,"id":"a","formula":"<down[a]>"}|}
+     Request.of_line {|{"v":2,"id":"a","formula":"<down[a]>"}|}
    with
   | Ok _ -> Alcotest.fail "v:2 accepted"
   | Error e ->
@@ -121,7 +122,7 @@ let test_protocol_versioning () =
   (* The schema is closed: a field outside {v,id,formula,timeout_ms}
      is rejected, not silently dropped. *)
   match
-    Service.request_of_json
+    Request.of_line
       {|{"id":"a","formula":"<down[a]>","timeout":5}|}
   with
   | Ok _ -> Alcotest.fail "unknown field accepted"
@@ -201,12 +202,12 @@ let prop_key_equal_same_verdict =
       let st = Random.State.make [| Hashtbl.hash phi; 17 |] in
       let phi' = shuffle_node st phi in
       let r1 =
-        Service.solve svc
-          { Service.id = "1"; formula = phi; timeout_ms = None }
+        Corpus.solve svc
+          { Request.id = "1"; timeout_ms = None; body = Sat phi }
       in
       let r2 =
-        Service.solve svc
-          { Service.id = "2"; formula = phi'; timeout_ms = None }
+        Corpus.solve svc
+          { Request.id = "2"; timeout_ms = None; body = Sat phi' }
       in
       if not r2.Service.cached then
         QCheck.Test.fail_reportf "no cache hit for commuted formula";
@@ -269,7 +270,7 @@ let family_formulas () =
 let requests_of formulas =
   List.mapi
     (fun i phi ->
-      { Service.id = string_of_int i; formula = phi; timeout_ms = None })
+      { Request.id = string_of_int i; timeout_ms = None; body = Sat phi })
     formulas
 
 let test_batch_agrees_with_solve () =
@@ -278,7 +279,7 @@ let test_batch_agrees_with_solve () =
     Service.solve_batch (Service.create Service.Config.default) requests
   in
   let one =
-    List.map (Service.solve (Service.create Service.Config.default)) requests
+    List.map (Corpus.solve (Service.create Service.Config.default)) requests
   in
   List.iter2
     (fun (s : Service.response) (b : Service.response) ->
@@ -338,10 +339,10 @@ let test_deadline () =
   in
   let start = Unix.gettimeofday () in
   let r =
-    Service.solve svc
-      { Service.id = "hard";
-        formula = hard_formula ();
-        timeout_ms = Some 150.
+    Corpus.solve svc
+      { Request.id = "hard";
+        timeout_ms = Some 150.;
+        body = Sat (hard_formula ())
       }
   in
   let elapsed_ms = (Unix.gettimeofday () -. start) *. 1000. in
@@ -367,10 +368,10 @@ let test_zero_timeout () =
   let svc = Service.create Service.Config.default in
   for i = 1 to 3 do
     let r =
-      Service.solve svc
-        { Service.id = "z" ^ string_of_int i;
-          formula = B.lab "a";
-          timeout_ms = Some 0.
+      Corpus.solve svc
+        { Request.id = "z" ^ string_of_int i;
+          timeout_ms = Some 0.;
+          body = Sat (B.lab "a")
         }
     in
     (match r.Service.report.Sat.verdict with
@@ -385,8 +386,8 @@ let test_zero_timeout () =
   (* The same formula with budget solves fine: the deadline verdict did
      not poison anything. *)
   let r =
-    Service.solve svc
-      { Service.id = "ok"; formula = B.lab "a"; timeout_ms = None }
+    Corpus.solve svc
+      { Request.id = "ok"; timeout_ms = None; body = Sat (B.lab "a") }
   in
   Alcotest.(check string) "solves after 0ms probes" "sat"
     (Service.verdict_name r.Service.report.Sat.verdict)
@@ -409,8 +410,8 @@ let test_single_flight () =
   let phi = family_formulas () |> List.hd in
   let racer i =
     Domain.spawn (fun () ->
-        Service.solve svc
-          { Service.id = string_of_int i; formula = phi; timeout_ms = None })
+        Corpus.solve svc
+          { Request.id = string_of_int i; timeout_ms = None; body = Sat phi })
   in
   let domains = List.init 4 racer in
   (* Wait (bounded) for the three followers to block on the flight, then
@@ -453,17 +454,14 @@ let test_batch_crash_isolation () =
   Service.Chaos.set svc
     (Some (fun id -> if id = "poison" then failwith "injected"));
   let reqs =
-    [ { Service.id = "ok1";
-        formula = B.lab "a";
-        timeout_ms = None
+    [ { Request.id = "ok1"; timeout_ms = None; body = Sat (B.lab "a") };
+      { Request.id = "poison";
+        timeout_ms = None;
+        body = Sat (B.exists (B.filter B.down (B.lab "b")))
       };
-      { Service.id = "poison";
-        formula = B.exists (B.filter B.down (B.lab "b"));
-        timeout_ms = None
-      };
-      { Service.id = "ok2";
-        formula = And (B.lab "c", B.not_ (B.lab "c"));
-        timeout_ms = None
+      { Request.id = "ok2";
+        timeout_ms = None;
+        body = Sat (And (B.lab "c", B.not_ (B.lab "c")))
       }
     ]
   in
@@ -471,8 +469,8 @@ let test_batch_crash_isolation () =
   Service.Chaos.set svc None;
   Alcotest.(check int) "every item answered" 3 (List.length resps);
   List.iter2
-    (fun (r : Service.request) (resp : Service.response) ->
-      Alcotest.(check string) "request order" r.Service.id
+    (fun (r : Request.t) (resp : Service.response) ->
+      Alcotest.(check string) "request order" r.Request.id
         resp.Service.id)
     reqs resps;
   (match resps with
@@ -498,10 +496,10 @@ let test_batch_crash_isolation () =
     (Service.cache_length svc);
   (* With the hook disarmed the same request heals. *)
   let healed =
-    Service.solve svc
-      { Service.id = "poison";
-        formula = B.exists (B.filter B.down (B.lab "b"));
-        timeout_ms = None
+    Corpus.solve svc
+      { Request.id = "poison";
+        timeout_ms = None;
+        body = Sat (B.exists (B.filter B.down (B.lab "b")))
       }
   in
   Alcotest.(check string) "poisoned key heals" "sat"
@@ -551,22 +549,22 @@ let test_handle_line_garbage () =
 let test_trace_phases () =
   let svc = Service.create Service.Config.default in
   let req =
-    { Service.id = "t";
-      formula = B.exists (B.filter B.down (B.lab "a"));
-      timeout_ms = None
+    { Request.id = "t";
+      timeout_ms = None;
+      body = Sat (B.exists (B.filter B.down (B.lab "a")))
     }
   in
   let phases r =
     List.map fst (Xpds_service.Trace.spans r.Service.trace)
   in
-  let cold = Service.solve svc req in
+  let cold = Corpus.solve svc req in
   let cold_phases = phases cold in
   List.iter
     (fun p ->
       Alcotest.(check bool) ("cold trace has " ^ p) true
         (List.mem p cold_phases))
     [ "canonicalize"; "cache_probe"; "solve"; "translate"; "fixpoint" ];
-  let warm = Service.solve svc req in
+  let warm = Corpus.solve svc req in
   Alcotest.(check bool) "warm solve is a hit" true warm.Service.cached;
   Alcotest.(check bool) "warm trace has no fixpoint" false
     (List.mem "fixpoint" (phases warm));
@@ -585,10 +583,10 @@ let test_degraded_retry () =
         |> with_retry_degraded retry_degraded)
   in
   let req =
-    { Service.id = "d"; formula = hard_formula (); timeout_ms = None }
+    { Request.id = "d"; timeout_ms = None; body = Sat (hard_formula ()) }
   in
   (* Without the flag the budget-exhausted Unknown stands. *)
-  let plain = Service.solve (tiny false) req in
+  let plain = Corpus.solve (tiny false) req in
   (match plain.Service.report.Sat.verdict with
   | Sat.Unknown _ -> ()
   | v ->
@@ -598,7 +596,7 @@ let test_degraded_retry () =
     plain.Service.degraded;
   (* With it, the retry runs under smaller bounds and is flagged. *)
   let svc = tiny true in
-  let r = Service.solve svc req in
+  let r = Corpus.solve svc req in
   Alcotest.(check bool) "degraded retry flagged" true r.Service.degraded;
   let m = Service.metrics svc in
   Alcotest.(check int) "degraded retry counted" 1
@@ -655,7 +653,7 @@ let test_eval_wire () =
 
 let test_eval_schema_closed () =
   let fails ~naming line =
-    match Service.wire_request_of_json line with
+    match Request.of_line line with
     | Ok _ -> Alcotest.failf "accepted: %s" line
     | Error e ->
       Alcotest.(check bool)
@@ -678,16 +676,13 @@ let test_eval_schema_closed () =
   fails ~naming:"unsupported protocol version"
     {|{"v":2,"kind":"eval","formula":"a","tree":"r:0"}|};
   (* ...and an eval line is not a sat request. *)
-  (match
-     Service.request_of_json {|{"kind":"eval","formula":"a","tree":"r:0"}|}
-   with
-  | Ok _ -> Alcotest.fail "eval accepted by the sat parser"
-  | Error _ -> ());
+  (match Request.of_line {|{"kind":"eval","formula":"a","tree":"r:0"}|} with
+  | Ok { body = Request.Sat _; _ } -> Alcotest.fail "eval decoded as a sat request"
+  | Ok _ | Error _ -> ());
   (* "kind":"sat" is accepted and equivalent to an absent kind. *)
-  match
-    Service.request_of_json {|{"kind":"sat","id":"s","formula":"<down[a]>"}|}
-  with
-  | Ok r -> Alcotest.(check string) "id" "s" r.Service.id
+  match Request.of_line {|{"kind":"sat","id":"s","formula":"<down[a]>"}|} with
+  | Ok { id; body = Request.Sat _; _ } -> Alcotest.(check string) "id" "s" id
+  | Ok _ -> Alcotest.fail "kind sat decoded as another kind"
   | Error e -> Alcotest.failf "kind sat rejected: %s" e
 
 let test_eval_errors_structured () =

@@ -1,12 +1,14 @@
 (* Tests for the multi-process shard router: routing determinism (the
    qcheck pin that a request's home shard is a pure function of its
-   canonical cache key), equiv fan-out routing, cross-process kind
+   canonical cache key, and the key the in-process service caches the
+   same request under), equiv fan-out routing, cross-process kind
    separation (a contains verdict cached on a shard is never served for
    a sat request), single-shard agreement with the in-process path,
-   worker-crash isolation + respawn via the chaos hook, and the metrics
-   merge rules. *)
+   worker-crash isolation + respawn via the chaos hook (abort lines
+   keep numeric ids), and the metrics merge rules. *)
 
 module Service = Xpds_service.Service
+module Request = Xpds_service.Request
 module Engine = Xpds_service.Engine
 module Cache_key = Xpds_service.Cache_key
 module Shard = Xpds_shard.Shard
@@ -84,6 +86,54 @@ let test_equiv_fanout () =
     Alcotest.(check int) "forward direction home" (dir phi psi) fwd;
     Alcotest.(check int) "backward direction home" (dir psi phi) bwd
   | Shard.To _ -> Alcotest.fail "equiv did not fan out"
+
+(* Every solver-backed kind routes by the key the worker's service
+   actually caches under — the one [Request.key] — so a route can never
+   drift from the service's kind tag or salt. A two-state budget keeps
+   the in-process solves short; it changes the fingerprint on both
+   sides alike. *)
+let route_cfg = Service.Config.(default |> with_max_states 2)
+let route_fp = Service.Config.fingerprint route_cfg.Service.Config.solver
+let route_svc = Service.create route_cfg
+
+let doctype_fixture =
+  {|[{"parent":"a","at_least":[[1,"b"]],"forbidden":["c"]},{"parent":"b","forbidden":["a"]}]|}
+
+let route_agrees_with_service ~shards line =
+  let key =
+    match Request.of_line line with
+    | Error e -> QCheck.Test.fail_reportf "%s: %s" line e
+    | Ok r -> (
+      match Service.handle route_svc r with
+      | Service.Sat_answer resp
+      | Service.Contains_answer resp
+      | Service.Doctype_answer resp ->
+        resp.Service.key
+      | _ -> QCheck.Test.fail_reportf "%s: not a verdict" line)
+  in
+  match Shard.route_line ~config_fingerprint:route_fp ~shards line with
+  | Shard.To s when s = Shard.shard_of_key ~shards key -> true
+  | Shard.To s ->
+    QCheck.Test.fail_reportf "%s: routed to %d, the service keyed shard %d" line s
+      (Shard.shard_of_key ~shards key)
+  | Shard.Fanout _ -> QCheck.Test.fail_reportf "%s fanned out" line
+
+let prop_route_matches_service_key =
+  Gen_helpers.qtest ~count:100 "sat/contains/doctype route = service key"
+    (QCheck.pair Gen_helpers.arb_node Gen_helpers.arb_node) (fun (phi, psi) ->
+      let phi = Pp.node_to_string phi and psi = Pp.node_to_string psi in
+      if
+        Result.is_error (Parser.formula_of_string phi)
+        || Result.is_error (Parser.formula_of_string psi)
+      then QCheck.assume_fail ();
+      let shards = 1 + (Hashtbl.hash (phi, psi) mod 7) in
+      let doctype_line =
+        Printf.sprintf {|{"kind":"sat_under_doctype","id":"d","formula":%s,"doctype":%s}|}
+          (Json.to_string (Json.Str phi)) doctype_fixture
+      in
+      List.for_all
+        (route_agrees_with_service ~shards)
+        [ sat_line phi; contains_line phi psi; doctype_line ])
 
 (* --- engine helpers --- *)
 
@@ -217,6 +267,18 @@ let test_crash_respawn () =
             "restart counted" (Some 1.)
             (Option.bind (Json.member "worker_restarts" r) Json.to_float)
         | None -> Alcotest.fail "no router section in metrics"))
+
+(* The router's own error lines echo numeric ids the way the in-process
+   path does: a worker death on {"id":7,...} answers "id":"7". *)
+let test_abort_keeps_numeric_id () =
+  with_engine ~shards:2 ~chaos_crash_id:"7" (fun eng lines ->
+      Engine.submit eng {|{"id":7,"formula":"<down[a]>"}|};
+      Engine.drain eng;
+      let abort = find_id "7" (lines ()) in
+      Alcotest.(check (option string))
+        "abort line names the request"
+        (Some "shard worker died; request aborted (worker respawned)")
+        (str_field "error" abort))
 
 (* --- metrics merge --- *)
 
@@ -373,6 +435,7 @@ let test_close_undrained () =
 let suite =
   ( "shard",
     [ prop_routing_deterministic;
+      prop_route_matches_service_key;
       Alcotest.test_case "equiv fanout routing" `Quick test_equiv_fanout;
       Alcotest.test_case "cross-process kind separation" `Quick
         test_kind_separation;
@@ -380,6 +443,8 @@ let suite =
         test_single_shard_agreement;
       Alcotest.test_case "crash isolation and respawn" `Quick
         test_crash_respawn;
+      Alcotest.test_case "abort line keeps a numeric id" `Quick
+        test_abort_keeps_numeric_id;
       Alcotest.test_case "metrics merge rules" `Quick test_merge_metrics;
       Alcotest.test_case "two-slot admission" `Quick test_admission_slots;
       Alcotest.test_case "wait delivers idle responses" `Quick

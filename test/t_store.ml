@@ -9,6 +9,7 @@ module Record = Xpds_store.Record
 module Log = Xpds_store.Log
 module Store = Xpds_store.Store
 module Service = Xpds_service.Service
+module Request = Xpds_service.Request
 module Metrics = Xpds_service.Metrics
 module Cache_key = Xpds_service.Cache_key
 module Lru = Xpds_service.Lru
@@ -65,8 +66,8 @@ let solved_store ?(name = "seed") formulas =
     List.map
       (fun f ->
         let resp =
-          Service.solve svc
-            { Service.id = f; formula = parse f; timeout_ms = None }
+          Corpus.solve svc
+            { Request.id = f; timeout_ms = None; body = Sat (parse f) }
         in
         let key, canon = keyed f in
         (key, canon, Service.verdict_name resp.Service.report.Sat.verdict))
@@ -533,19 +534,19 @@ let test_import_skips_existing () =
 let test_service_disk_tier () =
   let path = tmp_path "tier.xpds" in
   let req id f =
-    { Service.id; formula = parse f; timeout_ms = None }
+    { Request.id; timeout_ms = None; body = Sat (parse f) }
   in
   (* session 1: cold solve, admitted to the store *)
   let store, _ = open_rw path in
   let svc = Service.create ~store Service.Config.default in
-  let cold = Service.solve svc (req "cold" "<down[a]>") in
+  let cold = Corpus.solve svc (req "cold" "<down[a]>") in
   Alcotest.(check string) "cold is solve tier" "solve" cold.Service.tier;
   Store.close store;
   (* session 2: fresh process shape — empty LRU, warm store *)
   let store, info = open_rw path in
   Alcotest.(check int) "record persisted" 1 info.Store.records;
   let svc = Service.create ~store Service.Config.default in
-  let warm = Service.solve svc (req "warm" "<down[a]>") in
+  let warm = Corpus.solve svc (req "warm" "<down[a]>") in
   Alcotest.(check string) "warm is disk tier" "disk" warm.Service.tier;
   Alcotest.(check bool) "disk hit is cached=true" true warm.Service.cached;
   Alcotest.(check string)
@@ -553,14 +554,14 @@ let test_service_disk_tier () =
     (Service.verdict_name cold.Service.report.Sat.verdict)
     (Service.verdict_name warm.Service.report.Sat.verdict);
   (* the disk hit promoted the record to the LRU *)
-  let again = Service.solve svc (req "again" "<down[a]>") in
+  let again = Corpus.solve svc (req "again" "<down[a]>") in
   Alcotest.(check string) "then memory tier" "memory" again.Service.tier;
   let m = Service.metrics svc in
   Alcotest.(check int) "disk_hits metric" 1 m.Metrics.disk_hits;
   Alcotest.(check int) "both probes were cache hits" 2
     m.Metrics.cache_hits;
   (* the response JSON carries the tier *)
-  (match Json.parse (Service.response_to_json warm) with
+  (match Json.parse (Service.answer_to_json (Sat_answer warm)) with
   | Ok j -> (
     match Json.member "tier" j with
     | Some (Json.Str "disk") -> ()
@@ -573,8 +574,8 @@ let test_service_store_stats_json () =
   let store, _ = open_rw path in
   let svc = Service.create ~store Service.Config.default in
   ignore
-    (Service.solve svc
-       { Service.id = "x"; formula = parse "<down[a]>"; timeout_ms = None });
+    (Corpus.solve svc
+       { Request.id = "x"; timeout_ms = None; body = Sat (parse "<down[a]>") });
   let j = Metrics.to_json (Service.metrics svc) in
   (match Json.member "tiers" j with
   | Some (Json.Obj fields) ->
