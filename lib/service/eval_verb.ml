@@ -230,15 +230,14 @@ let eval t ~trace ~id ~deadline ~query ~source ~limit =
         (String.concat "\x00"
            [ entry.digest; Pp.node_to_string query; string_of_int limit ])
     in
-    let cached ~flight res =
-      finish t ~id ~trace ~result:(Ok res) ~cached:true ~flight ~node_evals:0
-    in
     Flight.run t.flight ~trace key
-      ~hit:(cached ~flight:false)
-      ~join:(fun res -> Some (cached ~flight:true res))
-      ~lead:(fun publish ->
+      ~hit:(fun res ->
+        finish t ~id ~trace ~result:(Ok res) ~cached:true ~flight:false ~node_evals:0)
+      ~join:(fun res ->
+        Some (finish t ~id ~trace ~result:(Ok res) ~cached:true ~flight:true ~node_evals:0))
+      ~lead:(fun ticket ->
         (* errors and deadline timeouts are never shared: a waiter's own
            deadline may differ *)
         let result, node_evals = eval_uncached entry ~trace ~deadline ~limit query in
-        publish (Result.to_option result);
+        Flight.publish t.flight ticket (Result.to_option result);
         finish t ~id ~trace ~result ~cached:false ~flight:false ~node_evals)

@@ -1,4 +1,5 @@
-type 'o cell = {
+type 'o ticket = {
+  key : string;
   mutable outcome : 'o option;
       (** [None] after landing when the leader produced nothing shareable *)
   mutable landed : bool;
@@ -10,7 +11,7 @@ type ('v, 'o) t = {
   lock : Mutex.t;
   cache : 'v Lru.t;
   admit : 'o -> 'v option;
-  cells : (string, 'o cell) Hashtbl.t;
+  cells : (string, 'o ticket) Hashtbl.t;
   probe_phase : string;
   wait_phase : string;
 }
@@ -23,67 +24,66 @@ let create ?(phase_prefix = "") ~lock ~cache ~admit () =
     probe_phase = phase_prefix ^ "cache_probe";
     wait_phase = phase_prefix ^ "flight_wait"
   }
+
 let waiters t = Hashtbl.fold (fun _ c acc -> acc + c.waiters) t.cells 0
 
-let run t ~trace key ~hit ~join ~lead =
-  let rec attempt () =
-    Trace.mark trace t.probe_phase;
-    let step =
-      Mutex.protect t.lock (fun () ->
-          match Lru.find t.cache key with
-          | Some v -> `Hit v
-          | None -> (
-            match Hashtbl.find_opt t.cells key with
-            | Some c ->
-              c.waiters <- c.waiters + 1;
-              `Join c
-            | None ->
-              let c =
-                { outcome = None;
-                  landed = false;
-                  waiters = 0;
-                  cond = Condition.create ()
-                }
-              in
-              Hashtbl.replace t.cells key c;
-              `Lead c))
-    in
-    match step with
-    | `Hit v -> hit v
-    | `Join c -> (
-      Trace.mark trace t.wait_phase;
-      let outcome =
-        Mutex.protect t.lock (fun () ->
-            while not c.landed do
-              Condition.wait c.cond t.lock
-            done;
-            c.waiters <- c.waiters - 1;
-            c.outcome)
-      in
-      match Option.bind outcome join with
-      | Some r -> r
-      | None ->
-        (* nothing shareable landed: try again ourselves, under our own
-           deadline *)
-        attempt ())
-    | `Lead c -> (
-      let publish outcome =
-        if not c.landed then
-          Mutex.protect t.lock (fun () ->
-              Option.iter (Lru.add t.cache key) (Option.bind outcome t.admit);
-              c.outcome <- outcome;
-              c.landed <- true;
-              Hashtbl.remove t.cells key;
-              Condition.broadcast c.cond)
-      in
-      (* a leader that raises (or returns without publishing) must never
-         strand its waiters *)
-      match lead publish with
-      | r ->
-        publish None;
-        r
-      | exception e ->
-        publish None;
-        raise e)
+let publish t c outcome =
+  if not c.landed then
+    Mutex.protect t.lock (fun () ->
+        Option.iter (Lru.add t.cache c.key) (Option.bind outcome t.admit);
+        c.outcome <- outcome;
+        c.landed <- true;
+        Hashtbl.remove t.cells c.key;
+        Condition.broadcast c.cond)
+
+let rec run t ~trace key ~hit ~join ~lead =
+  Trace.mark trace t.probe_phase;
+  let step =
+    Mutex.protect t.lock (fun () ->
+        match Lru.find t.cache key with
+        | Some v -> `Hit v
+        | None -> (
+          match Hashtbl.find_opt t.cells key with
+          | Some c ->
+            c.waiters <- c.waiters + 1;
+            `Join c
+          | None ->
+            let c =
+              { key;
+                outcome = None;
+                landed = false;
+                waiters = 0;
+                cond = Condition.create ()
+              }
+            in
+            Hashtbl.replace t.cells key c;
+            `Lead c))
   in
-  attempt ()
+  match step with
+  | `Hit v -> hit v
+  | `Join c -> (
+    Trace.mark trace t.wait_phase;
+    let outcome =
+      Mutex.protect t.lock (fun () ->
+          while not c.landed do
+            Condition.wait c.cond t.lock
+          done;
+          c.waiters <- c.waiters - 1;
+          c.outcome)
+    in
+    match Option.bind outcome join with
+    | Some r -> r
+    | None ->
+      (* nothing shareable landed: try again ourselves, under our own
+         deadline *)
+      run t ~trace key ~hit ~join ~lead)
+  | `Lead c -> (
+    (* a leader that raises (or returns without publishing) must never
+       strand its waiters *)
+    match lead c with
+    | r ->
+      publish t c None;
+      r
+    | exception e ->
+      publish t c None;
+      raise e)

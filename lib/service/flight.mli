@@ -20,23 +20,30 @@ val create :
     anything. The flight's trace spans are [cache_probe] and
     [flight_wait], each prefixed with [phase_prefix] (default [""]). *)
 
+type 'o ticket
+(** A leader's claim on a key, redeemed by {!publish}. *)
+
 val run :
   ('v, 'o) t ->
   trace:Trace.t ->
   string ->
   hit:('v -> 'r) ->
   join:('o -> 'r option) ->
-  lead:(('o option -> unit) -> 'r) ->
+  lead:('o ticket -> 'r) ->
   'r
 (** [run t ~trace key ~hit ~join ~lead] probes the cache (trace span
     [cache_probe]) and answers [hit v] on a hit. Otherwise, when another
     request leads on [key], it waits (span [flight_wait]) for the
     leader's outcome and answers [join o]; a leader that published
     [None], or an outcome [join] declines with [None], sends the request
-    round again. Otherwise it leads: [lead publish] computes, and must
-    call [publish] to land the outcome (admitting it to the cache and
-    waking the waiters) before it finishes its own answer. A leader that
-    raises lands [None]. *)
+    round again. Otherwise it leads: [lead ticket] computes, and must
+    {!publish} the outcome before it finishes its own answer. A leader
+    that raises, or returns without publishing, lands [None]. *)
+
+val publish : ('v, 'o) t -> 'o ticket -> 'o option -> unit
+(** Land a leader's outcome: admit it to the cache (through [admit]),
+    wake the waiters and release the key. Only the first call on a
+    ticket counts. *)
 
 val waiters : ('v, 'o) t -> int
 (** Requests currently waiting on a leader. The caller holds the lock. *)

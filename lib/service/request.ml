@@ -35,11 +35,13 @@ let formula name v =
     | Error e -> Error (Printf.sprintf "bad %s: %s" name e)
     | Ok f -> Ok (Ast.as_node f))
 
-(* The containment verbs carry two formulas, ϕ ("phi") and ψ ("psi"). *)
+(* The containment verbs carry two formulas, ϕ ("phi") and ψ ("psi").
+   The decoders on the request path match rather than bind, so a
+   request allocates no continuation closures. *)
 let phi_psi v =
-  let* phi = formula "phi" v in
-  let* psi = formula "psi" v in
-  Ok (phi, psi)
+  match formula "phi" v with
+  | Error e -> Error e
+  | Ok phi -> ( match formula "psi" v with Error e -> Error e | Ok psi -> Ok (phi, psi))
 
 let rule_fields = [ "parent"; "at_least"; "forbidden" ]
 
@@ -113,15 +115,24 @@ let eval_source v =
   let exactly_one =
     "an eval request carries exactly one of \"doc\", \"xml\", \"tree\""
   in
-  let* doc = str_field "doc" in
-  let* xml = str_field "xml" in
-  let* tree = str_field "tree" in
-  match (doc, xml, tree) with
-  | Some name, None, None -> Ok (Doc_named name)
-  | None, Some src, None -> Ok (Doc_xml src)
-  | None, None, Some src -> Ok (Doc_tree src)
-  | None, None, None -> Error ("missing document: " ^ exactly_one)
-  | _ -> Error ("ambiguous document: " ^ exactly_one)
+  match (str_field "doc", str_field "xml", str_field "tree") with
+  | Error e, _, _ | _, Error e, _ | _, _, Error e -> Error e
+  | Ok (Some name), Ok None, Ok None -> Ok (Doc_named name)
+  | Ok None, Ok (Some src), Ok None -> Ok (Doc_xml src)
+  | Ok None, Ok None, Ok (Some src) -> Ok (Doc_tree src)
+  | Ok None, Ok None, Ok None -> Error ("missing document: " ^ exactly_one)
+  | Ok _, Ok _, Ok _ -> Error ("ambiguous document: " ^ exactly_one)
+
+let eval_body v =
+  match formula "formula" v with
+  | Error e -> Error e
+  | Ok query -> (
+    match eval_source v with
+    | Error e -> Error e
+    | Ok source -> (
+      match Json.member "limit" v with
+      | Some j when Json.to_int j = None -> Error "\"limit\" must be an integer"
+      | limit -> Ok (Eval { query; source; limit = Option.bind limit Json.to_int })))
 
 (* --- the request table: one row per kind --- *)
 
@@ -141,13 +152,7 @@ let table =
     { name = "eval";
       fields =
         [ "v"; "id"; "kind"; "formula"; "doc"; "xml"; "tree"; "timeout_ms"; "limit" ];
-      decode =
-        (fun v ->
-          let* query = formula "formula" v in
-          let* source = eval_source v in
-          match Json.member "limit" v with
-          | Some j when Json.to_int j = None -> Error "\"limit\" must be an integer"
-          | limit -> Ok (Eval { query; source; limit = Option.bind limit Json.to_int }))
+      decode = eval_body
     };
     { name = "contains";
       fields = phi_psi_fields;
@@ -163,9 +168,12 @@ let table =
       fields = [ "v"; "id"; "kind"; "formula"; "doctype"; "timeout_ms" ];
       decode =
         (fun v ->
-          let* formula = formula "formula" v in
-          let* doctype = doctype_rules v in
-          Ok (Doctype { formula; doctype }))
+          match formula "formula" v with
+          | Error e -> Error e
+          | Ok formula -> (
+            match doctype_rules v with
+            | Error e -> Error e
+            | Ok doctype -> Ok (Doctype { formula; doctype })))
     }
   ]
 
@@ -181,52 +189,56 @@ let id_of_line line =
   | Error _ -> None
   | exception _ -> None
 
+let v1 = Json.Num (float_of_int protocol_version)
+
+let rec row_named k = function
+  | [] -> None
+  | row :: rest -> if row.name = k then Some row else row_named k rest
+
+(* A request object of a known kind: unknown fields first, then the
+   version, then the body. Each row's schema is closed — an unknown
+   field is an error (not a silent ignore), so a client typo'd
+   "timeout" or a v2-only field fails loudly instead of quietly
+   changing semantics. *)
+let of_row row fields v =
+  match List.find_opt (fun (k, _) -> not (List.mem k row.fields)) fields with
+  | Some (k, _) ->
+    Error
+      (Printf.sprintf "unknown field %S (protocol v%d %s requests accept: %s)" k
+         protocol_version row.name (String.concat ", " row.fields))
+  | None -> (
+    match Json.member "v" v with
+    | Some other when other <> v1 ->
+      Error
+        (Printf.sprintf "unsupported protocol version %s (this server speaks v%d)"
+           (Json.to_string other) protocol_version)
+    | _ -> (
+      (* an absent "v" means v1: the pre-versioning wire format is
+         exactly the v1 schema, so old clients keep working *)
+      match row.decode v with
+      | Error e -> Error e
+      | Ok body ->
+        Ok
+          { id = id_of_json v;
+            timeout_ms = Option.bind (Json.member "timeout_ms" v) Json.to_float;
+            body
+          }))
+
 let of_line line =
   match Json.parse line with
   | Error e -> Error (Printf.sprintf "bad JSON: %s" e)
-  | Ok (Json.Obj fields as v) ->
-    (* The kind selects the row; each row's schema is closed — an
-       unknown field is an error (not a silent ignore), so a client
-       typo'd "timeout" or a v2-only field fails loudly instead of
-       quietly changing semantics. *)
-    let* row =
-      match Json.member "kind" v with
-      | None -> Ok (List.hd table)
-      | Some (Json.Str k) -> (
-        match List.find_opt (fun row -> row.name = k) table with
-        | Some row -> Ok row
-        | None ->
-          Error
-            (Printf.sprintf "unknown request kind %S (protocol v%d speaks: %s)" k
-               protocol_version
-               (String.concat ", " (List.map (fun row -> row.name) table))))
-      | Some _ -> Error "\"kind\" must be a string"
-    in
-    let* () =
-      match List.find_opt (fun (k, _) -> not (List.mem k row.fields)) fields with
-      | Some (k, _) ->
+  | Ok (Json.Obj fields as v) -> (
+    match Json.member "kind" v with
+    | None -> of_row (List.hd table) fields v
+    | Some (Json.Str k) -> (
+      match row_named k table with
+      | Some row -> of_row row fields v
+      | None ->
         Error
-          (Printf.sprintf "unknown field %S (protocol v%d %s requests accept: %s)" k
-             protocol_version row.name (String.concat ", " row.fields))
-      | None -> Ok ()
-    in
-    let* () =
-      match Json.member "v" v with
-      (* an absent "v" means v1: the pre-versioning wire format is
-         exactly the v1 schema, so old clients keep working *)
-      | None -> Ok ()
-      | Some (Json.Num f) when f = float_of_int protocol_version -> Ok ()
-      | Some other ->
-        Error
-          (Printf.sprintf "unsupported protocol version %s (this server speaks v%d)"
-             (Json.to_string other) protocol_version)
-    in
-    let* body = row.decode v in
-    Ok
-      { id = id_of_json v;
-        timeout_ms = Option.bind (Json.member "timeout_ms" v) Json.to_float;
-        body
-      }
+          (Printf.sprintf "unknown request kind %S (protocol v%d speaks: %s)" k
+             protocol_version
+             (String.concat ", " (List.map (fun row -> row.name) table))))
+    | Some _ -> Error "\"kind\" must be a string")
   | Ok _ -> Error "request must be a JSON object"
 
 (* --- what a body is keyed on --- *)

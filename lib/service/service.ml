@@ -392,20 +392,20 @@ let solve_keyed t ~trace ~id ~timeout_ms (body : Request.body) =
       if cacheable report then
         Some (finish ~tier:Tier_memory ~report ~degraded ~flight:true)
       else None)
-    ~lead:(fun publish ->
+    ~lead:(fun ticket ->
       (* The memory tier missed: try the disk tier before spawning a
          solve. A verified disk hit lands the flight like a solve would
          — waiters join it, and it is promoted to the memory tier. *)
       match store_probe t ~trace key with
       | Some (report, verify_ms) ->
-        publish (Some (report, false));
+        Flight.publish t.flight ticket (Some (report, false));
         finish ~tier:(Tier_disk verify_ms) ~report ~degraded:false ~flight:false
       | None ->
         let report, degraded =
           solve_uncached t ~trace ~deadline:(deadline_of trace timeout_ms) ~id
             body key.canon
         in
-        publish (Some (report, degraded));
+        Flight.publish t.flight ticket (Some (report, degraded));
         finish ~tier:Tier_solve ~report ~degraded ~flight:false)
 
 let solve_batch t (requests : Request.t list) =
@@ -478,13 +478,12 @@ let solve_batch t (requests : Request.t list) =
           solve ()))
     keyed
 
-let handle ?trace t (r : Request.t) =
+let handle ?trace t ({ id; timeout_ms; body } : Request.t) =
   let trace = match trace with Some tr -> tr | None -> Trace.create () in
-  let solve = solve_keyed t ~id:r.id in
-  match r.body with
-  | Sat _ -> Sat_answer (solve ~trace ~timeout_ms:r.timeout_ms r.body)
-  | Contains _ -> Contains_answer (solve ~trace ~timeout_ms:r.timeout_ms r.body)
-  | Doctype _ -> Doctype_answer (solve ~trace ~timeout_ms:r.timeout_ms r.body)
+  match body with
+  | Sat _ -> Sat_answer (solve_keyed t ~trace ~id ~timeout_ms body)
+  | Contains _ -> Contains_answer (solve_keyed t ~trace ~id ~timeout_ms body)
+  | Doctype _ -> Doctype_answer (solve_keyed t ~trace ~id ~timeout_ms body)
   | Equiv { phi; psi } ->
     (* The forward direction runs on the caller's trace (which carries
        the wire-parse span and anchors the deadline at admission); the
@@ -493,23 +492,23 @@ let handle ?trace t (r : Request.t) =
        through the contains cache, so a direction asked directly and as
        half of an equiv share one entry. *)
     let fwd, bwd = Request.directions phi psi in
-    let forward = solve ~trace ~timeout_ms:r.timeout_ms fwd in
+    let forward = solve_keyed t ~trace ~id ~timeout_ms fwd in
     let backward =
       let tr2 = Trace.create () in
       let remaining =
         Option.map
           (fun d -> Float.max 0. (d -. Trace.admitted tr2))
-          (deadline_of trace r.timeout_ms)
+          (deadline_of trace timeout_ms)
       in
-      solve ~trace:tr2 ~timeout_ms:remaining bwd
+      solve_keyed t ~trace:tr2 ~id ~timeout_ms:remaining bwd
     in
     Mutex.protect t.lock (fun () -> Metrics.record_equiv t.meters);
     Equiv_answer
       { forward; backward; ms = Trace.now_ms () -. Trace.admitted trace }
   | Eval { query; source; limit } ->
     Eval_answer
-      (Eval_verb.eval t.eval ~trace ~id:r.id
-         ~deadline:(deadline_of trace r.timeout_ms) ~query ~source ~limit)
+      (Eval_verb.eval t.eval ~trace ~id ~deadline:(deadline_of trace timeout_ms)
+         ~query ~source ~limit)
 
 let contains_answer (resp : response) =
   Containment.answer_of_verdict resp.report.Sat.verdict
@@ -526,10 +525,14 @@ let verdict_name = function
 
 let round_ms ms = Json.Num (Float.round (ms *. 1000.) /. 1000.)
 
-let envelope ?kind id =
-  ("v", Json.Num (float_of_int protocol_version))
+let version_field = ("v", Json.Num (float_of_int protocol_version))
+
+(* [("v", 1); ("id", id); ("kind", kind)] ahead of [fields]; [kind] is
+   omitted on sat lines. *)
+let envelope ?kind id fields =
+  version_field
   :: ("id", Json.Str id)
-  :: (match kind with Some k -> [ ("kind", Json.Str k) ] | None -> [])
+  :: (match kind with Some k -> ("kind", Json.Str k) :: fields | None -> fields)
 
 let trace_fields trace tr = if trace then [ ("trace", Trace.to_json tr) ] else []
 
@@ -565,16 +568,15 @@ let verdict_line ?kind ~witness ~trace ~extra resp =
   Json.to_string
     (Json.Obj
        (envelope ?kind resp.id
-       @ [ ("verdict", Json.Str (verdict_name report.Sat.verdict));
-           ("cached", Json.Bool resp.cached);
-           ("tier", Json.Str resp.tier);
-           ("ms", round_ms resp.ms);
-           ("fragment", Json.Str (Fragment.name report.Sat.fragment));
-           ("states", stat report.Sat.stats.Emptiness.n_states);
-           ("transitions", stat report.Sat.stats.Emptiness.n_transitions)
-         ]
-       @ verdict_fields @ robustness_fields_of resp @ trace_fields trace resp.trace
-       @ extra))
+          (("verdict", Json.Str (verdict_name report.Sat.verdict))
+          :: ("cached", Json.Bool resp.cached)
+          :: ("tier", Json.Str resp.tier)
+          :: ("ms", round_ms resp.ms)
+          :: ("fragment", Json.Str (Fragment.name report.Sat.fragment))
+          :: ("states", stat report.Sat.stats.Emptiness.n_states)
+          :: ("transitions", stat report.Sat.stats.Emptiness.n_transitions)
+          :: (verdict_fields @ robustness_fields_of resp
+             @ trace_fields trace resp.trace @ extra))))
 
 let answer_name = function
   | Containment.Holds -> "holds"
@@ -623,8 +625,8 @@ let equiv_to_json ~id ~ms forward backward =
   Json.to_string
     (Json.Obj
        (envelope ~kind:"equiv" id
-       @ equivalent
-       @ [ ("forward", forward); ("backward", backward); ("ms", round_ms ms) ]))
+          (equivalent
+          @ [ ("forward", forward); ("backward", backward); ("ms", round_ms ms) ])))
 
 let eval_line ~trace (resp : Eval_verb.response) =
   let body =
@@ -643,9 +645,10 @@ let eval_line ~trace (resp : Eval_verb.response) =
   Json.to_string
     (Json.Obj
        (envelope ~kind:"eval" resp.id
-       @ body
-       @ [ ("cached", Json.Bool resp.cached); ("ms", round_ms resp.ms) ]
-       @ trace_fields trace resp.trace))
+          (body
+          @ ("cached", Json.Bool resp.cached)
+            :: ("ms", round_ms resp.ms)
+            :: trace_fields trace resp.trace)))
 
 let answer_to_json ?(trace = false) ?(extra_of = fun _ -> []) = function
   | Sat_answer r ->
@@ -654,8 +657,7 @@ let answer_to_json ?(trace = false) ?(extra_of = fun _ -> []) = function
     verdict_line ~kind:"sat_under_doctype" ~witness:Data_tree.to_compact_string
       ~trace ~extra:[] r
   | Contains_answer r ->
-    Json.to_string
-      (Json.Obj (envelope ~kind:"contains" r.id @ direction_fields ~trace r))
+    Json.to_string (Json.Obj (envelope ~kind:"contains" r.id (direction_fields ~trace r)))
   | Equiv_answer { forward; backward; ms } ->
     equiv_to_json ~id:forward.id ~ms
       (Json.Obj (direction_fields ~trace forward))
@@ -665,8 +667,8 @@ let answer_to_json ?(trace = false) ?(extra_of = fun _ -> []) = function
 let error_to_json ?id msg =
   Json.to_string
     (Json.Obj
-       ([ ("v", Json.Num (float_of_int protocol_version)) ]
-       @ (match id with Some id -> [ ("id", Json.Str id) ] | None -> [])
+       (version_field
+       :: (match id with Some id -> [ ("id", Json.Str id) ] | None -> [])
        @ [ ("error", Json.Str msg) ]))
 
 (* One line in, one line out, and no exception ever escapes: a served

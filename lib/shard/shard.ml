@@ -161,7 +161,6 @@ let worker_loop ~svc ~default_timeout_ms ~trace in_fd out_fd =
   let rec loop () =
     match input_line ic with
     | exception End_of_file -> Unix._exit 0
-    | line when String.trim line = "" -> loop ()
     | line when line = sentinel ->
       output_string oc
         (sentinel ^ " "

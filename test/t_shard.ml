@@ -237,6 +237,22 @@ let test_single_shard_agreement () =
           Alcotest.(check string) "line agrees" (norm want) (norm have))
         reference got)
 
+(* Both engines answer a blank line like any other unparsable line;
+   only the serve loop skips blank input. A worker that swallowed it
+   would leave the router waiting for a reply that never comes. *)
+let test_blank_line_answered () =
+  with_engine ~shards:1 (fun eng lines ->
+      List.iter (Engine.submit eng) [ ""; sat_line ~id:"b1" "<down[a]>" ];
+      Engine.drain eng;
+      match lines () with
+      | [ blank; b1 ] ->
+        Alcotest.(check string) "blank line gets the in-process error"
+          (Service.handle_line (Service.create Service.Config.default) "")
+          blank;
+        Alcotest.(check (option string)) "next reply in order" (Some "b1")
+          (str_field "id" b1)
+      | got -> Alcotest.failf "%d replies to 2 lines" (List.length got))
+
 (* --- crash isolation and respawn --- *)
 
 let test_crash_respawn () =
@@ -441,6 +457,7 @@ let suite =
         test_kind_separation;
       Alcotest.test_case "single-shard agreement" `Quick
         test_single_shard_agreement;
+      Alcotest.test_case "blank line answered" `Quick test_blank_line_answered;
       Alcotest.test_case "crash isolation and respawn" `Quick
         test_crash_respawn;
       Alcotest.test_case "abort line keeps a numeric id" `Quick
