@@ -36,17 +36,16 @@ let plan_of_line ~config_fingerprint ~shards line =
   match Request.of_line line with
   | Ok { id; timeout_ms; body = Equiv { phi; psi } } ->
     let fwd, bwd = Request.directions phi psi in
-    let raw = function
-      | Ok v -> (
-        match (Json.member "phi" v, Json.member "psi" v) with
-        | Some (Json.Str phi), Some (Json.Str psi) -> Some (phi, psi)
-        | _ -> None)
-      | Error _ -> None
-    in
+    let raw = Result.to_option (Json.parse line) in
     { pl_route = Fanout { fwd = home fwd; bwd = home bwd };
       pl_id = Some id;
       pl_timeout_ms = timeout_ms;
-      pl_fanout = raw (Json.parse line)
+      pl_fanout =
+        (match
+           (Option.bind raw (Json.member "phi"), Option.bind raw (Json.member "psi"))
+         with
+        | Some (Json.Str phi), Some (Json.Str psi) -> Some (phi, psi)
+        | _ -> None)
     }
   | Ok { id; timeout_ms; body } ->
     (* eval routes for cache affinity: the same (document, query) pair
