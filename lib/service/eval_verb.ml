@@ -94,27 +94,27 @@ let registered_docs t =
       Hashtbl.fold (fun name e acc -> (name, e.doc.Eval_doc.n) :: acc) t.docs [])
   |> List.sort compare
 
-(* Named sources hit the registry; inline sources are parsed and
-   flattened at most once per source text (LRU by source digest), so a
-   client replaying queries against the same inline document reuses the
-   entry — and with it the evaluator's cross-request memo. *)
+(* Inline sources are parsed and flattened at most once per source text
+   (LRU by source digest), so a client replaying queries against the
+   same inline document reuses the entry — and with it the evaluator's
+   cross-request memo. *)
+let inline_entry t ~tag text build =
+  let skey = Digest.string (tag ^ text) in
+  match Mutex.protect t.lock (fun () -> Lru.find t.inline_docs skey) with
+  | Some e -> Ok e
+  | None -> (
+    match build text with
+    | Error _ as e -> e
+    | Ok doc when doc.Eval_doc.n > t.max_doc_nodes ->
+      Error (oversized_doc_error t doc.Eval_doc.n)
+    | Ok doc ->
+      let entry = entry_of_doc doc in
+      Mutex.protect t.lock (fun () ->
+          Metrics.record_doc_built t.meters;
+          Lru.add t.inline_docs skey entry);
+      Ok entry)
+
 let resolve_entry t (source : Request.source) =
-  let built tag text build =
-    let skey = Digest.string (tag ^ text) in
-    match Mutex.protect t.lock (fun () -> Lru.find t.inline_docs skey) with
-    | Some e -> Ok e
-    | None -> (
-      match build text with
-      | Error _ as e -> e
-      | Ok doc when doc.Eval_doc.n > t.max_doc_nodes ->
-        Error (oversized_doc_error t doc.Eval_doc.n)
-      | Ok doc ->
-        let entry = entry_of_doc doc in
-        Mutex.protect t.lock (fun () ->
-            Metrics.record_doc_built t.meters;
-            Lru.add t.inline_docs skey entry);
-        Ok entry)
-  in
   match source with
   | Doc_named name -> (
     match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.docs name) with
@@ -126,12 +126,12 @@ let resolve_entry t (source : Request.source) =
             or register it at startup)"
            name))
   | Doc_xml text ->
-    built "xml:" text (fun text ->
+    inline_entry t ~tag:"xml:" text (fun text ->
         match Xml_doc.parse text with
         | Error e -> Error (Printf.sprintf "bad xml: %s" e)
         | Ok xml -> Ok (Eval_doc.of_xml xml))
   | Doc_tree text ->
-    built "tree:" text (fun text ->
+    inline_entry t ~tag:"tree:" text (fun text ->
         match Data_tree.of_string text with
         | Error e -> Error (Printf.sprintf "bad tree: %s" e)
         | Ok tree -> Ok (Eval_doc.of_tree tree))
