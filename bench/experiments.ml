@@ -301,7 +301,7 @@ let e7 () =
       let qs, ks, sizes =
         List.fold_left
           (fun (qs, ks, sizes) phi ->
-            let m = Xpds.Translate.bip_of_node phi in
+            let m = Xpds.Translate.of_node phi in
             ( m.Xpds.Bip.q_card :: qs,
               m.Xpds.Bip.pf.Xpds.Pathfinder.n_states :: ks,
               Xpds.Measure.size_node phi :: sizes ))
@@ -395,9 +395,7 @@ let e9 () =
         [ { Xpds.Doctype.parent = "a"; at_least = [ (n, "b") ]; forbidden = [] } ]
       in
       let phi = Xpds.Parser.node_of_string_exn "<desc[a & <down[b]>]>" in
-      let m =
-        (Xpds.Translate.of_node_somewhere ~labels phi).Xpds.Translate.automaton
-      in
+      let m = Xpds.Translate.of_node_somewhere ~labels phi in
       let restricted = Xpds.Doctype.restrict m ~labels schema in
       let config =
         { Xpds.Emptiness.default_config with

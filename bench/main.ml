@@ -30,7 +30,7 @@ let bechamel_suite () =
           ignore (Experiments.decide (Families.desc_data ~sat:true 2)));
       quick "e7:translate" (fun () ->
           ignore
-            (Xpds.Translate.bip_of_node (Families.desc_data ~sat:true 3)));
+            (Xpds.Translate.of_node (Families.desc_data ~sat:true 3)));
       quick "e10:containment" (fun () ->
           ignore
             (Xpds.Containment.contained

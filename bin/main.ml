@@ -266,7 +266,7 @@ let translate_cmd =
   in
   let run formula dot =
     let eta = or_die (parse_node formula) in
-    let m = Xpds.Translate.bip_of_node eta in
+    let m = Xpds.Translate.of_node eta in
     if dot then print_string (Xpds.Dot.bip m)
     else begin
       Format.printf "%a@." Xpds.Bip.pp m;

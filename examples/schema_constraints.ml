@@ -50,9 +50,7 @@ let () =
      by the emptiness procedure conforms to the schema. *)
   let check name query =
     let phi = Xpds.Parser.node_of_string_exn query in
-    let m =
-      (Xpds.Translate.of_node_somewhere ~labels phi).Xpds.Translate.automaton
-    in
+    let m = Xpds.Translate.of_node_somewhere ~labels phi in
     let restricted = Xpds.Doctype.restrict m ~labels schema in
     let config =
       { Xpds.Emptiness.default_config with

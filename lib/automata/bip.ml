@@ -72,54 +72,92 @@ let max_count m =
          match atom with FCountGe (_, n) -> max acc n | _ -> acc))
     0 m.mu
 
-let reads_into_pf ~q_card (pf : Pathfinder.t) =
+(* The transitions into each pathfinder state, in compressed rows: those
+   into [k] are [off.(k) .. off.(k+1)-1], each with its source [src] and
+   the q it reads ([lbl], -1 for a moving transition). *)
+type preds = { off : int array; src : int array; lbl : int array }
+
+let predecessors (pf : Pathfinder.t) =
   let k_card = pf.Pathfinder.n_states in
-  (* Predecessor edges: (source k, read-label option) per target. *)
-  let preds = Array.make k_card [] in
-  Array.iteri
-    (fun k targets ->
-      List.iter (fun k' -> preds.(k') <- (k, None) :: preds.(k')) targets)
-    pf.Pathfinder.up;
-  Array.iteri
-    (fun q per_k ->
-      Array.iteri
-        (fun k targets ->
-          List.iter
-            (fun k' -> preds.(k') <- (k, Some q) :: preds.(k'))
-            targets)
-        per_k)
-    pf.Pathfinder.read;
-  Array.init k_card (fun k ->
-      (* Backward cone from k; collect every read label on its edges. *)
-      let cone = ref (Bitv.singleton k_card k) in
-      let reads = ref (Bitv.empty q_card) in
-      let rec go k =
+  let off = Array.make (k_card + 1) 0 in
+  (* Most cells are empty: match before a closure is built for one. *)
+  let count _ row =
+    for k = 0 to k_card - 1 do
+      match row.(k) with
+      | [] -> ()
+      | targets ->
+        List.iter (fun k' -> off.(k' + 1) <- off.(k' + 1) + 1) targets
+    done
+  in
+  count (-1) pf.Pathfinder.up;
+  Array.iteri count pf.Pathfinder.read;
+  for k = 1 to k_card do
+    off.(k) <- off.(k) + off.(k - 1)
+  done;
+  let p =
+    { off; src = Array.make off.(k_card) 0; lbl = Array.make off.(k_card) 0 }
+  in
+  let next = Array.sub off 0 k_card in
+  let fill q row =
+    for k = 0 to k_card - 1 do
+      match row.(k) with
+      | [] -> ()
+      | targets ->
         List.iter
-          (fun (src, label) ->
-            (match label with
-            | Some q -> reads := Bitv.add q !reads
-            | None -> ());
-            if not (Bitv.mem src !cone) then begin
-              cone := Bitv.add src !cone;
-              go src
-            end)
-          preds.(k)
-      in
-      go k;
-      !reads)
+          (fun k' ->
+            p.src.(next.(k')) <- k;
+            p.lbl.(next.(k')) <- q;
+            next.(k') <- next.(k') + 1)
+          targets
+    done
+  in
+  fill (-1) pf.Pathfinder.up;
+  Array.iteri fill pf.Pathfinder.read;
+  p
 
-let reads_into m = reads_into_pf ~q_card:m.q_card m.pf
+(* The q read on the transitions into the backward cone of [k]. *)
+let cone_reads ~q_card p k =
+  let cone = Bitv.builder (Array.length p.off - 1)
+  and out = Bitv.builder q_card in
+  let rec visit k =
+    Bitv.add_in_place k cone;
+    for i = p.off.(k) to p.off.(k + 1) - 1 do
+      if p.lbl.(i) >= 0 then Bitv.add_in_place p.lbl.(i) out;
+      if not (Bitv.builder_mem p.src.(i) cone) then visit p.src.(i)
+    done
+  in
+  visit k;
+  Bitv.freeze out
 
+let reads_into m =
+  let preds = predecessors m.pf in
+  Array.init m.pf.Pathfinder.n_states (cone_reads ~q_card:m.q_card preds)
+
+(* Cones only for the pathfinder states some FEx atom names; a state
+   whose μ has no FEx atom shares one empty set. *)
 let compute_dependencies ~q_card ~mu pf =
-  let into = reads_into_pf ~q_card pf in
-  Array.map
-    (fold_form
-       (fun acc atom ->
-         match atom with
-         | FEx (k1, k2, _) -> Bitv.union acc (Bitv.union into.(k1) into.(k2))
-         | _ -> acc)
-       (Bitv.empty q_card))
-    mu
+  let none = Bitv.empty q_card in
+  let into = Array.make pf.Pathfinder.n_states none in
+  let preds = lazy (predecessors pf) in
+  let reads k =
+    if into.(k) == none then
+      into.(k) <- cone_reads ~q_card (Lazy.force preds) k;
+    into.(k)
+  in
+  (* Most μ(q) name one sink or none: share its cone, and union only
+     what adds bits. *)
+  let add acc r =
+    match acc with
+    | None -> Some r
+    | Some a -> if Bitv.subset r a then acc else Some (Bitv.union a r)
+  in
+  let rec atoms acc = function
+    | FEx (k1, k2, _) -> add (add acc (reads k1)) (reads k2)
+    | FNot f -> atoms acc f
+    | FAnd (f, g) | FOr (f, g) -> atoms (atoms acc f) g
+    | FTrue | FFalse | FLab _ | FCountGe _ | FCountZero _ | FCountLt _ -> acc
+  in
+  Array.map (fun f -> Option.value (atoms None f) ~default:none) mu
 
 (* Tarjan's SCC; result in reverse topological order, so we reverse it to
    get dependencies-first. *)

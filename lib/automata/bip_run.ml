@@ -10,33 +10,49 @@ type node_info = {
   info_children : node_info list;
 }
 
-(* Reach sets at node [n] under a (partial) label λ(n): close the
-   stepped-up children reach sets — plus kI for the node's own datum —
-   under the non-moving transitions enabled by λ(n). *)
-let compute_reach (m : Bip.t) ~label ~datum ~(children : node_info list) :
-    (int * Bitv.t) list =
-  let pf = m.Bip.pf in
-  let k_card = pf.Pathfinder.n_states in
-  let table : (int, Bitv.t) Hashtbl.t = Hashtbl.create 16 in
-  let add d ks =
-    let cur =
-      Option.value (Hashtbl.find_opt table d) ~default:(Bitv.empty k_card)
-    in
-    Hashtbl.replace table d (Bitv.union cur ks)
+(* The label-independent part of Reach at a node: per datum d, sorted by
+   d, the union of the children's step-ups of their d-reach sets, plus
+   kI ([k_initial], {kI} as a set) for the node's own datum. *)
+let base (pf : Pathfinder.t) ~k_initial ~datum ~(children : node_info list) =
+  let entries =
+    match children with
+    | [] -> []
+    | [ c ] -> c.reach
+    | _ ->
+      List.sort
+        (fun (d1, _) (d2, _) -> Int.compare d1 d2)
+        (List.concat_map (fun c -> c.reach) children)
   in
-  List.iter
-    (fun child ->
-      List.iter
-        (fun (d, ks) -> add d (Pathfinder.step_up pf ks))
-        child.reach)
-    children;
-  add datum (Bitv.singleton k_card pf.Pathfinder.initial);
-  Hashtbl.fold
-    (fun d ks acc ->
+  (* [own]: the node's datum has no entry yet. *)
+  let rec group own entries =
+    match entries with
+    | [] -> if own then [ (datum, k_initial) ] else []
+    | (d, _) :: _ when own && datum < d ->
+      (datum, k_initial) :: group false entries
+    | (d, _) :: _ ->
+      let b = Bitv.builder pf.Pathfinder.n_states in
+      if d = datum then Bitv.add_in_place pf.Pathfinder.initial b;
+      let rec absorb = function
+        | (d', ks) :: rest when d' = d ->
+          Bitv.iter
+            (fun k -> ignore (Bitv.union_into pf.Pathfinder.up_bits.(k) b))
+            ks;
+          absorb rest
+        | rest -> rest
+      in
+      let rest = absorb entries in
+      (d, Bitv.freeze b) :: group (own && d <> datum) rest
+  in
+  group true entries
+
+(* Reach sets under a (partial) label λ(n): the base closed under the
+   non-moving transitions λ(n) enables, empty sets dropped. *)
+let close (pf : Pathfinder.t) ~label base =
+  List.filter_map
+    (fun (d, ks) ->
       let closed = Pathfinder.closure pf ~label ks in
-      if Bitv.is_empty closed then acc else (d, closed) :: acc)
-    table []
-  |> List.sort (fun (d1, _) (d2, _) -> Int.compare d1 d2)
+      if Bitv.is_empty closed then None else Some (d, closed))
+    base
 
 let eval_ex reach k1 k2 (op : Xpds_xpath.Ast.op) =
   match op with
@@ -63,7 +79,7 @@ let rec eval_form (m : Bip.t) ~tree_label ~reach ~(children : node_info list)
   | Bip.FOr (f, g) ->
     eval_form m ~tree_label ~reach ~children f
     || eval_form m ~tree_label ~reach ~children g
-  | Bip.FEx (k1, k2, op) -> eval_ex reach k1 k2 op
+  | Bip.FEx (k1, k2, op) -> eval_ex (reach ()) k1 k2 op
   | Bip.FCountGe (q, n) ->
     let count =
       List.length (List.filter (fun c -> Bitv.mem q c.states) children)
@@ -76,11 +92,12 @@ let rec eval_form (m : Bip.t) ~tree_label ~reach ~(children : node_info list)
 
 let max_component_size = 20
 
-(* Decide the states of one SCC [comp] given the already-decided label. *)
-let decide_component m ~tree_label ~datum ~children ~deps label comp =
+(* Decide the states of one SCC [comp] given the already-decided label;
+   [reach_under label] closes the node's base under a label. *)
+let decide_component m ~tree_label ~reach_under ~children ~deps label comp =
   match comp with
   | [ q ] when not (Bitv.mem q deps.(q)) ->
-    let reach = compute_reach m ~label ~datum ~children in
+    let reach () = reach_under label in
     if eval_form m ~tree_label ~reach ~children m.Bip.mu.(q) then
       Bitv.add q label
     else label
@@ -99,7 +116,7 @@ let decide_component m ~tree_label ~datum ~children ~deps label comp =
         let candidate =
           List.fold_left (fun acc q -> Bitv.add q acc) label chosen
         in
-        let reach = compute_reach m ~label:candidate ~datum ~children in
+        let reach () = reach_under candidate in
         let ok =
           List.for_all
             (fun q ->
@@ -128,25 +145,37 @@ let decide_component m ~tree_label ~datum ~children ~deps label comp =
 let run m tree =
   let components = Bip.sccs m in
   let deps = Bip.dependencies m in
-  if
-    not
-      (List.for_all
-         (fun l -> List.exists (Label.equal l) m.Bip.labels)
-         (Data_tree.labels tree))
-  then
+  let rec in_sigma t =
+    List.exists (Label.equal (Data_tree.label t)) m.Bip.labels
+    && List.for_all in_sigma (Data_tree.children t)
+  in
+  if not (in_sigma tree) then
     raise
       (Bip.Ill_formed "the data tree uses labels outside the automaton's Σ");
+  let pf = m.Bip.pf in
+  let no_states = Bitv.empty m.Bip.q_card in
+  let k_initial = Bitv.singleton pf.Pathfinder.n_states pf.Pathfinder.initial in
   let rec go t =
     let children = List.map go (Data_tree.children t) in
     let tree_label = Data_tree.label t in
-    let datum = Data_tree.data t in
+    let base = base pf ~k_initial ~datum:(Data_tree.data t) ~children in
+    (* μ reaches an FEx atom only now and then: close the base lazily,
+       and again only when the label has grown since. *)
+    let last = ref None in
+    let reach_under label =
+      match !last with
+      | Some (l, reach) when l == label -> reach
+      | _ ->
+        let reach = close pf ~label base in
+        last := Some (label, reach);
+        reach
+    in
     let label =
       List.fold_left
-        (decide_component m ~tree_label ~datum ~children ~deps)
-        (Bitv.empty m.Bip.q_card) components
+        (decide_component m ~tree_label ~reach_under ~children ~deps)
+        no_states components
     in
-    let reach = compute_reach m ~label ~datum ~children in
-    { states = label; reach; info_children = children }
+    { states = label; reach = reach_under label; info_children = children }
   in
   go tree
 

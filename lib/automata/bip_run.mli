@@ -13,7 +13,15 @@
     Besides the run itself we compute, per node [n] and data value [d],
     the paper's [Reach(d)] — the pathfinder states [k] such that some run
     over [λ(T|n)] starting at a [d]-valued node ends at [n] in [k]. This
-    is the semantic object the emptiness abstraction describes. *)
+    is the semantic object the emptiness abstraction describes.
+
+    Each node builds the label-independent part of its reach sets once
+    (per datum, the union of the children's step-ups, plus [kI] for its
+    own datum) and closes it under the partial label [λ(n)] only when a
+    transition formula reaches an [∃(k1,k2)~] atom, and again only when
+    the label has grown since: the closure under a given label is the
+    same whenever it is taken, so the run and its reach sets do not
+    depend on how lazily they are computed. *)
 
 exception No_run of string
 (** No labelling satisfies the fixpoint (unbounded interleaving only). *)

@@ -49,7 +49,7 @@ let data_tree t =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let nfa (a : Nfa.t) =
+let nfa (a : Xpds_xpath.Ast.node Nfa.t) =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "digraph nfa {\n  rankdir=LR;\n  node [shape=circle];\n";
   Bitv.iter

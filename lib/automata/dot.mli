@@ -8,7 +8,7 @@ val data_tree : Xpds_datatree.Data_tree.t -> string
     class, which makes the witness trees of the decision procedure
     readable at a glance. *)
 
-val nfa : Nfa.t -> string
+val nfa : Xpds_xpath.Ast.node Nfa.t -> string
 (** Test letters are printed with the concrete formula syntax; [↓] edges
     are bold. Initial states get an inbound arrow, final states a double
     circle. *)

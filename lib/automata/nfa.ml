@@ -1,17 +1,27 @@
-type letter = Test of Xpds_xpath.Ast.node | Down
+type 'a letter = Test of 'a | Down
 
-type t = {
+type 'a t = {
   n_states : int;
   initials : Bitv.t;
   finals : Bitv.t;
-  edges : (int * letter * int) list;
+  edges : (int * 'a letter * int) list;
 }
 
+type ('p, 'a) step =
+  | Self
+  | Child
+  | Descendant
+  | Seq of 'p * 'p
+  | Union of 'p * 'p
+  | Filter of 'p * 'a
+  | Guard of 'a * 'p
+  | Star of 'p
+
 (* Thompson-style construction with ε-edges, then ε-elimination. *)
-type builder = {
+type 'a builder = {
   mutable next : int;
   mutable eps : (int * int) list;
-  mutable labelled : (int * letter * int) list;
+  mutable labelled : (int * 'a letter * int) list;
 }
 
 let fresh b =
@@ -22,93 +32,178 @@ let fresh b =
 let add_eps b s t = b.eps <- (s, t) :: b.eps
 let add_edge b s l t = b.labelled <- (s, l, t) :: b.labelled
 
-open Xpds_xpath.Ast
-
 (* Returns (entry, exit) of a fragment recognizing word(α). *)
-let rec compile b = function
-  | Axis Self ->
+let rec thompson view b p =
+  match view p with
+  | Self ->
     let s = fresh b in
     (s, s)
-  | Axis Child ->
+  | Child ->
     let s = fresh b and e = fresh b in
     add_edge b s Down e;
     (s, e)
-  | Axis Descendant ->
+  | Descendant ->
     let s = fresh b in
     add_edge b s Down s;
     (s, s)
   | Seq (p, q) ->
-    let s1, e1 = compile b p in
-    let s2, e2 = compile b q in
+    let s1, e1 = thompson view b p in
+    let s2, e2 = thompson view b q in
     add_eps b e1 s2;
     (s1, e2)
   | Union (p, q) ->
     let s = fresh b and e = fresh b in
-    let s1, e1 = compile b p in
-    let s2, e2 = compile b q in
+    let s1, e1 = thompson view b p in
+    let s2, e2 = thompson view b q in
     add_eps b s s1;
     add_eps b s s2;
     add_eps b e1 e;
     add_eps b e2 e;
     (s, e)
   | Filter (p, phi) ->
-    let s1, e1 = compile b p in
+    let s1, e1 = thompson view b p in
     let e = fresh b in
     add_edge b e1 (Test phi) e;
     (s1, e)
   | Guard (phi, p) ->
     let s = fresh b in
-    let s1, e1 = compile b p in
+    let s1, e1 = thompson view b p in
     add_edge b s (Test phi) s1;
     (s, e1)
   | Star p ->
     let s = fresh b in
-    let s1, e1 = compile b p in
+    let s1, e1 = thompson view b p in
     add_eps b s s1;
     add_eps b e1 s;
     (s, s)
 
-let eps_closure n eps =
-  (* closure.(s) = set of states ε-reachable from s (including s). *)
-  let succ = Array.make n [] in
-  List.iter (fun (s, t) -> succ.(s) <- t :: succ.(s)) eps;
-  Array.init n (fun s ->
-      let visited = ref (Bitv.singleton n s) in
-      let rec go s =
-        List.iter
-          (fun t ->
-            if not (Bitv.mem t !visited) then begin
-              visited := Bitv.add t !visited;
-              go t
-            end)
-          succ.(s)
-      in
-      go s;
-      !visited)
+let compile view p =
+  let b = { next = 0; eps = []; labelled = [] } in
+  let entry, exit = thompson view b p in
+  let n = b.next in
+  (* The ε-closures as one n×n bit matrix: bit [p·n + r] iff r is
+     ε-reachable from p (p included). Without ε-edges (no Seq, Union or
+     Star) every closure is a singleton. *)
+  let stack = Array.make n 0 in
+  let eps_to =
+    if b.eps = [] then Int.equal
+    else begin
+      let succ = Array.make n [] in
+      List.iter (fun (s, t) -> succ.(s) <- t :: succ.(s)) b.eps;
+      let closure = Bitv.builder (n * n) in
+      for p = 0 to n - 1 do
+        let row = p * n in
+        Bitv.add_in_place (row + p) closure;
+        stack.(0) <- p;
+        let sp = ref 1 in
+        while !sp > 0 do
+          decr sp;
+          List.iter
+            (fun t ->
+              if not (Bitv.builder_mem (row + t) closure) then begin
+                Bitv.add_in_place (row + t) closure;
+                stack.(!sp) <- t;
+                incr sp
+              end)
+            succ.(stack.(!sp))
+        done
+      done;
+      fun p r -> Bitv.builder_mem ((p * n) + r) closure
+    end
+  in
+  (* The ε-free automaton has p --l--> q whenever some r ∈ closure(p) has
+     r --l--> q, and p is final iff exit ∈ closure(p). Each labelled edge
+     is the only one of its kind into its target (every fragment's ↓ and
+     test edges enter distinct states), so sorting them by (kind, target)
+     orders the edges of each source totally, without duplicates. *)
+  let key (_, l, q) = match l with Down -> q | Test _ -> n + q in
+  let labelled =
+    Array.of_list
+      (List.sort (fun e1 e2 -> Int.compare (key e1) (key e2)) b.labelled)
+  in
+  (* Trim on the fly: keep the states reachable from [entry] (bit 1 of
+     [mark]) and co-reachable to a final state (bit 2). *)
+  let mark = Array.make n 0 in
+  mark.(entry) <- 1;
+  stack.(0) <- entry;
+  let sp = ref 1 in
+  while !sp > 0 do
+    decr sp;
+    let p = stack.(!sp) in
+    Array.iter
+      (fun (r, _, q) ->
+        if mark.(q) land 1 = 0 && eps_to p r then begin
+          mark.(q) <- mark.(q) lor 1;
+          stack.(!sp) <- q;
+          incr sp
+        end)
+      labelled
+  done;
+  for p = 0 to n - 1 do
+    if eps_to p exit then begin
+      mark.(p) <- mark.(p) lor 2;
+      stack.(!sp) <- p;
+      incr sp
+    end
+  done;
+  while !sp > 0 do
+    decr sp;
+    let q = stack.(!sp) in
+    Array.iter
+      (fun (r, _, q') ->
+        if q' = q then
+          for p = 0 to n - 1 do
+            if mark.(p) land 2 = 0 && eps_to p r then begin
+              mark.(p) <- mark.(p) lor 2;
+              stack.(!sp) <- p;
+              incr sp
+            end
+          done)
+      labelled
+  done;
+  (* Renumber the kept states in order; [mark.(p)] becomes p's new number,
+     or -1. *)
+  let count = ref 0 in
+  for p = 0 to n - 1 do
+    if mark.(p) = 3 then begin
+      mark.(p) <- !count;
+      incr count
+    end
+    else mark.(p) <- -1
+  done;
+  let n' = !count in
+  let edges = ref [] and finals = Bitv.builder n' in
+  for p = n - 1 downto 0 do
+    if mark.(p) >= 0 then begin
+      if eps_to p exit then Bitv.add_in_place mark.(p) finals;
+      for i = Array.length labelled - 1 downto 0 do
+        let r, l, q = labelled.(i) in
+        if mark.(q) >= 0 && eps_to p r then
+          edges := (mark.(p), l, mark.(q)) :: !edges
+      done
+    end
+  done;
+  {
+    n_states = n';
+    initials =
+      (if n' = 0 then Bitv.empty 0 else Bitv.singleton n' mark.(entry));
+    finals = Bitv.freeze finals;
+    edges = !edges;
+  }
 
 let of_path alpha =
-  let b = { next = 0; eps = []; labelled = [] } in
-  let entry, exit = compile b alpha in
-  let n = b.next in
-  let closure = eps_closure n b.eps in
-  (* p --l--> q whenever some r ∈ closure(p) has r --l--> q. *)
-  let edges =
-    List.concat_map
-      (fun (r, l, q) ->
-        List.filter_map
-          (fun p -> if Bitv.mem r closure.(p) then Some (p, l, q) else None)
-          (List.init n Fun.id))
-      b.labelled
-    |> List.sort_uniq Stdlib.compare
-  in
-  let finals =
-    (* p is final iff exit ∈ closure(p). *)
-    List.fold_left
-      (fun acc p -> if Bitv.mem exit closure.(p) then Bitv.add p acc else acc)
-      (Bitv.empty n)
-      (List.init n Fun.id)
-  in
-  { n_states = n; initials = Bitv.singleton n entry; finals; edges }
+  let open Xpds_xpath.Ast in
+  compile
+    (function
+      | Axis Self -> Self
+      | Axis Child -> Child
+      | Axis Descendant -> Descendant
+      | Seq (p, q) -> Seq (p, q)
+      | Union (p, q) -> Union (p, q)
+      | Filter (p, phi) -> Filter (p, phi)
+      | Guard (phi, p) -> Guard (phi, p)
+      | Star p -> Star p)
+    alpha
 
 let reverse a =
   {
@@ -116,56 +211,6 @@ let reverse a =
     initials = a.finals;
     finals = a.initials;
     edges = List.map (fun (s, l, t) -> (t, l, s)) a.edges;
-  }
-
-let trim a =
-  let reach from step =
-    let visited = ref from in
-    let frontier = ref from in
-    while not (Bitv.is_empty !frontier) do
-      let next =
-        List.fold_left
-          (fun acc (s, _, t) ->
-            let src, dst = step (s, t) in
-            if Bitv.mem src !frontier && not (Bitv.mem dst !visited) then
-              Bitv.add dst acc
-            else acc)
-          (Bitv.empty a.n_states) a.edges
-      in
-      visited := Bitv.union !visited next;
-      frontier := next
-    done;
-    !visited
-  in
-  let forward = reach a.initials (fun (s, t) -> (s, t)) in
-  let backward = reach a.finals (fun (s, t) -> (t, s)) in
-  let keep = Bitv.inter forward backward in
-  let renumber = Array.make a.n_states (-1) in
-  let count = ref 0 in
-  Bitv.iter
-    (fun s ->
-      renumber.(s) <- !count;
-      incr count)
-    keep;
-  {
-    n_states = !count;
-    initials =
-      Bitv.fold
-        (fun s acc -> Bitv.add renumber.(s) acc)
-        (Bitv.inter a.initials keep)
-        (Bitv.empty !count);
-    finals =
-      Bitv.fold
-        (fun s acc -> Bitv.add renumber.(s) acc)
-        (Bitv.inter a.finals keep)
-        (Bitv.empty !count);
-    edges =
-      List.filter_map
-        (fun (s, l, t) ->
-          if Bitv.mem s keep && Bitv.mem t keep then
-            Some (renumber.(s), l, renumber.(t))
-          else None)
-        a.edges;
   }
 
 let accepts a word =

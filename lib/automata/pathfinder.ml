@@ -24,18 +24,35 @@ let create ~n_states ~initial ~q_card ~up ~read =
       check_k k';
       up_arr.(k) <- k' :: up_arr.(k))
     up;
-  let read_arr = Array.make_matrix q_card n_states [] in
+  (* The letters that no transition reads share one empty row. *)
+  let no_reads = Array.make n_states [] in
+  let read_arr = Array.make q_card no_reads in
   List.iter
     (fun (q, k, k') ->
       check_q q;
       check_k k;
       check_k k';
+      if read_arr.(q) == no_reads then read_arr.(q) <- Array.make n_states [];
       read_arr.(q).(k) <- k' :: read_arr.(q).(k))
     read;
+  let none = Bitv.empty n_states in
   let up_bits =
-    Array.map (fun targets -> Bitv.of_list n_states targets) up_arr
+    Array.map
+      (function [] -> none | targets -> Bitv.of_list n_states targets)
+      up_arr
   in
   { n_states; initial; q_card; up = up_arr; read = read_arr; up_bits }
+
+(* Push the targets of one transition list that [b] lacks. *)
+let rec push_new b stack sp = function
+  | [] -> ()
+  | k' :: rest ->
+    if not (Bitv.builder_mem k' b) then begin
+      Bitv.add_in_place k' b;
+      stack.(!sp) <- k';
+      incr sp
+    end;
+    push_new b stack sp rest
 
 let closure p ~label ks =
   (* Worklist fixpoint over the non-moving transitions enabled by the
@@ -51,21 +68,12 @@ let closure p ~label ks =
         stack.(!sp) <- k;
         incr sp)
       ks;
-    let qs = Array.of_list (Bitv.elements label) in
-    let nq = Array.length qs in
+    let k = ref 0 in
+    let visit q = push_new b stack sp p.read.(q).(!k) in
     while !sp > 0 do
       decr sp;
-      let k = stack.(!sp) in
-      for i = 0 to nq - 1 do
-        List.iter
-          (fun k' ->
-            if not (Bitv.builder_mem k' b) then begin
-              Bitv.add_in_place k' b;
-              stack.(!sp) <- k';
-              incr sp
-            end)
-          p.read.(qs.(i)).(k)
-      done
+      k := stack.(!sp);
+      Bitv.iter visit label
     done;
     Bitv.freeze b
   end

@@ -15,10 +15,13 @@ type t = private {
   initial : int;  (** k_I *)
   q_card : int;  (** |Q| of the owning BIP automaton *)
   up : int list array;  (** [up.(k)] = ν(up, k) *)
-  read : int list array array;  (** [read.(q).(k)] = ν(q, k) *)
+  read : int list array array;
+      (** [read.(q).(k)] = ν(q, k); the rows of letters no transition
+          reads are one shared empty row — read them, never write *)
   up_bits : Bitv.t array;
       (** [up_bits.(k)] = ν(up, k) as a bit set — precomputed at
-          {!create} so a step-up is a word-level union per member *)
+          {!create} so a step-up is a word-level union per member; the
+          states without moving transitions share one empty set *)
 }
 
 val create :

@@ -11,35 +11,28 @@
     exactly when the NFA completes — so a pathfinder run outputs
     [(k_α, d)] at a node [x] iff [α] reaches a [d]-valued node from [x].
     Then [μ(q_{α~β}) = ∃(k_α,k_β)~] and [μ(q_{⟨α⟩}) = ∃(k_α,k_α)=];
-    boolean structure is inlined.
+    boolean structure is inlined. Σ is the labels [η] tests, the
+    [?labels] given, and a fresh label [a⊥] (["@other"]).
+
+    Numbering, which every downstream search observes: [q_ψ] follows
+    {!Xpds_xpath.Ast.node_subformulas} ([q_⊤] last when [η] lacks
+    [True]); tested paths take their pathfinder states in the order
+    of the node subformulas that test them. The translation walks [η]
+    once and numbers subexpressions by hash-consing on their children's
+    ids, so no syntax tree is ever hashed or compared.
 
     One deliberate deviation from the paper's text: when [ε ∈ L(α)] (the
     path can end where it starts, e.g. [α = ↓∗]), the entry transition
     can move directly from [k_I] to [k_α], so that the node's own datum
     is retrieved; the paper's transition table omits this corner. *)
 
-type t = {
-  automaton : Bip.t;
-  state_of : Xpds_xpath.Ast.node -> int option;
-      (** the BIP state [q_ψ] of a node subformula of η *)
-  sink_of : Xpds_xpath.Ast.path -> int option;
-      (** the pathfinder sink [k_α] of a tested path of η *)
-  top_state : int;  (** [q_⊤] *)
-  other_label : Xpds_datatree.Label.t;
-      (** the fresh label [a⊥] added to Σ *)
-}
-
-val of_node : ?labels:Xpds_datatree.Label.t list -> Xpds_xpath.Ast.node -> t
+val of_node : ?labels:Xpds_datatree.Label.t list -> Xpds_xpath.Ast.node -> Bip.t
 (** Translate [η]; acceptance means [η] holds {e at the root}. [?labels]
     adds extra alphabet symbols to Σ beyond those occurring in [η] (the
     automaton's language is over Σ-trees, so tests and emptiness must
     agree on Σ). *)
 
 val of_node_somewhere :
-  ?labels:Xpds_datatree.Label.t list -> Xpds_xpath.Ast.node -> t
+  ?labels:Xpds_datatree.Label.t list -> Xpds_xpath.Ast.node -> Bip.t
 (** Translate [⟨↓∗[η]⟩] — acceptance means [[η]]_T ≠ ∅, the
     satisfiability of Definition 1. *)
-
-val bip_of_node :
-  ?labels:Xpds_datatree.Label.t list -> Xpds_xpath.Ast.node -> Bip.t
-(** [of_node] projected to the automaton. *)

@@ -32,9 +32,17 @@ let popcount w =
 (* Number of trailing zeros of a one-bit word [b] (a power of two). *)
 let ntz_pow2 b = popcount (b - 1)
 
+(* A one-word array — the words of every set of width at most 63, which
+   is nearly every set the automata and the solver build — is allocated
+   inline: [Array.make] and [Array.copy] are C calls, which cost more
+   than a whole operation on such a set. *)
+let one_word w = [| w |]
+let zeros n = if n = 1 then one_word 0 else Array.make n 0
+let copy_words a = if Array.length a = 1 then one_word a.(0) else Array.copy a
+
 let empty width =
   if width < 0 then invalid_arg "Bitv.empty: negative width";
-  { width; bits = Array.make (words width) 0; h = -1 }
+  { width; bits = zeros (words width); h = -1 }
 
 let check_index t i =
   if i < 0 || i >= t.width then
@@ -58,20 +66,28 @@ let mem i t =
 
 let add i t =
   check_index t i;
-  let bits = Array.copy t.bits in
+  let bits = copy_words t.bits in
   bits.(i / bits_per_word) <-
     bits.(i / bits_per_word) lor (1 lsl (i mod bits_per_word));
   { t with bits; h = -1 }
 
 let remove i t =
   check_index t i;
-  let bits = Array.copy t.bits in
+  let bits = copy_words t.bits in
   bits.(i / bits_per_word) <-
     bits.(i / bits_per_word) land lnot (1 lsl (i mod bits_per_word));
   { t with bits; h = -1 }
 
 let singleton width i = add i (empty width)
-let of_list width l = List.fold_left (fun acc i -> add i acc) (empty width) l
+let of_list width l =
+  let t = empty width in
+  List.iter
+    (fun i ->
+      check_index t i;
+      t.bits.(i / bits_per_word) <-
+        t.bits.(i / bits_per_word) lor (1 lsl (i mod bits_per_word)))
+    l;
+  t
 let width t = t.width
 
 (* Word-level range fill: interior words are written whole, so filling
@@ -102,14 +118,14 @@ let of_range width ~lo ~hi =
     invalid_arg
       (Printf.sprintf "Bitv.of_range: [%d..%d] out of bounds (width %d)" lo
          hi width);
-  let bits = Array.make (words width) 0 in
+  let bits = zeros (words width) in
   if lo <= hi then fill_range bits lo hi;
   { width; bits; h = -1 }
 
 let union a b =
   check_same a b;
   let n = Array.length a.bits in
-  let bits = Array.make n 0 in
+  let bits = zeros n in
   for i = 0 to n - 1 do
     bits.(i) <- a.bits.(i) lor b.bits.(i)
   done;
@@ -118,7 +134,7 @@ let union a b =
 let inter a b =
   check_same a b;
   let n = Array.length a.bits in
-  let bits = Array.make n 0 in
+  let bits = zeros n in
   for i = 0 to n - 1 do
     bits.(i) <- a.bits.(i) land b.bits.(i)
   done;
@@ -127,7 +143,7 @@ let inter a b =
 let diff a b =
   check_same a b;
   let n = Array.length a.bits in
-  let bits = Array.make n 0 in
+  let bits = zeros n in
   for i = 0 to n - 1 do
     bits.(i) <- a.bits.(i) land lnot b.bits.(i)
   done;
@@ -255,13 +271,16 @@ type builder = { b_width : int; b_bits : int array }
 
 let builder width =
   if width < 0 then invalid_arg "Bitv.builder: negative width";
-  { b_width = width; b_bits = Array.make (words width) 0 }
+  { b_width = width; b_bits = zeros (words width) }
 
-let builder_of t = { b_width = t.width; b_bits = Array.copy t.bits }
+let builder_of t = { b_width = t.width; b_bits = copy_words t.bits }
 
 let builder_width b = b.b_width
 
-let builder_reset b = Array.fill b.b_bits 0 (Array.length b.b_bits) 0
+let builder_reset b =
+  for i = 0 to Array.length b.b_bits - 1 do
+    b.b_bits.(i) <- 0
+  done
 
 let add_in_place i b =
   if i < 0 || i >= b.b_width then
@@ -308,7 +327,7 @@ let union_into src b =
   done;
   !changed
 
-let freeze b = { width = b.b_width; bits = Array.copy b.b_bits; h = -1 }
+let freeze b = { width = b.b_width; bits = copy_words b.b_bits; h = -1 }
 
 (* --- raw words ---------------------------------------------------------
 

@@ -149,7 +149,7 @@ let check_unsat ~work_budget eta label_names bounds (basis : Ext_state.t array)
     =
   let labels = List.map Label.of_string label_names in
   let m =
-    Translate.bip_of_node ~labels
+    Translate.of_node ~labels
       (Ast.Exists (Ast.Filter (Ast.Axis Ast.Descendant, eta)))
   in
   let k_card = m.Bip.pf.Pathfinder.n_states in

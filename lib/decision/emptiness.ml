@@ -495,9 +495,16 @@ let build_witness s id0 =
    performance. *)
 
 let data_free (m : Bip.t) =
-  List.for_all
-    (fun (k1, k2, op) -> k1 = k2 && op = Xpds_xpath.Ast.Eq)
-    (Bip.ex_atoms m)
+  let rec free = function
+    | Bip.FEx (k1, k2, Xpds_xpath.Ast.Eq) -> k1 = k2
+    | Bip.FEx (_, _, Xpds_xpath.Ast.Neq) -> false
+    | Bip.FNot f -> free f
+    | Bip.FAnd (f, g) | Bip.FOr (f, g) -> free f && free g
+    | Bip.FTrue | Bip.FFalse | Bip.FLab _ | Bip.FCountGe _ | Bip.FCountZero _
+    | Bip.FCountLt _ ->
+      true
+  in
+  Array.for_all free m.Bip.mu
 
 module DfTbl = Hashtbl.Make (struct
   type t = Bitv.t * Bitv.t

@@ -101,7 +101,7 @@ let decide ?(options = Options.default) eta =
      shortcut is turned off and the search runs to a true fixpoint
      within the width/t0/dup/merge bounds. *)
   let bound = if o.Options.certificate then None else bound in
-  let m = Translate.bip_of_node ~labels:o.Options.extra_labels
+  let m = Translate.of_node ~labels:o.Options.extra_labels
       (Xpds_xpath.Ast.Exists
          (Xpds_xpath.Ast.Filter (Xpds_xpath.Ast.Axis Descendant, eta)))
   in
@@ -223,7 +223,7 @@ let decide_under_doctype ?(options = Options.default) ~doctype eta =
     o.Options.extra_labels
     @ List.map Xpds_datatree.Label.of_string (Doctype.rule_labels doctype)
   in
-  let m0 = Translate.bip_of_node ~labels
+  let m0 = Translate.of_node ~labels
       (Xpds_xpath.Ast.Exists
          (Xpds_xpath.Ast.Filter (Xpds_xpath.Ast.Axis Descendant, eta)))
   in

@@ -158,7 +158,7 @@ let check_against_semantics m (info : Bip_run.node_info)
       (List.length described) (List.length semantic)
 
 let run_one phi tree =
-  let m = Translate.bip_of_node ~labels:gen_labels phi in
+  let m = Translate.of_node ~labels:gen_labels phi in
   match Bip_run.run m tree with
   | info ->
     let ctx = Transition.make_ctx m in

@@ -192,13 +192,13 @@ let test_example3_equals_xpath () =
 
 let test_translate_paper_example () =
   let phi = parse "<desc[b & down[b] != down[b]]>" in
-  let m = Translate.bip_of_node ~labels:[ Label.of_string "a" ] phi in
+  let m = Translate.of_node ~labels:[ Label.of_string "a" ] phi in
   Alcotest.(check bool) "accepts example 1" true
     (Bip_run.accepts m (Data_tree.example_fig1 ()))
 
 let test_translate_bounded_interleaving () =
   let phi = parse "<desc[b & down[b] != down[b]]> & eps = desc[a]" in
-  let m = Translate.bip_of_node phi in
+  let m = Translate.of_node phi in
   Alcotest.(check bool) "translated automata are stratified" true
     (Bip.has_bounded_interleaving m)
 
@@ -212,7 +212,7 @@ let prop_translate_agrees_with_semantics =
   Gen_helpers.qtest ~count:400 "Theorem 3: BIP run = reference semantics"
     arb
     (fun (phi, t) ->
-      let m = Translate.bip_of_node ~labels:gen_labels phi in
+      let m = Translate.of_node ~labels:gen_labels phi in
       Bip_run.accepts m t = Semantics.check t phi)
 
 let prop_translate_somewhere =
@@ -223,7 +223,7 @@ let prop_translate_somewhere =
   Gen_helpers.qtest ~count:200 "somewhere-translation = Definition 1" arb
     (fun (phi, t) ->
       let m =
-        (Translate.of_node_somewhere ~labels:gen_labels phi).automaton
+        Translate.of_node_somewhere ~labels:gen_labels phi
       in
       Bip_run.accepts m t = Semantics.check_somewhere t phi)
 
@@ -233,7 +233,7 @@ let prop_translate_polynomial =
   Gen_helpers.qtest ~count:200 "translation size is polynomial"
     Gen_helpers.arb_node
     (fun phi ->
-      let m = Translate.bip_of_node phi in
+      let m = Translate.of_node phi in
       let n = Xpds_xpath.Measure.size_node phi in
       m.Bip.q_card <= n + 1
       && m.Bip.pf.Pathfinder.n_states <= (10 * n * n) + 10)
@@ -254,7 +254,7 @@ let prop_subtree_duplication =
           Data_tree.make (Data_tree.label t) (Data_tree.data t)
             (List.rev (last :: last :: rest))
         in
-        let m = Translate.bip_of_node ~labels:gen_labels phi in
+        let m = Translate.of_node ~labels:gen_labels phi in
         Bip_run.accepts m t = Bip_run.accepts m dup)
 
 (* Appendix B's remark: the property "there is a chain of equal data down
@@ -303,12 +303,66 @@ let test_chain_bip () =
     (Bip_run.accepts m chain_broken);
   Alcotest.(check bool) "b accepted" true (Bip_run.accepts m plain_b)
 
+(* One state, one pathfinder move that reads it: μ(q0) looks at whether
+   the node's own datum is retrieved by reading q0 at that very node, so
+   the only candidate labellings are ∅ and {q0}. [negated] makes q0 hold
+   iff it does not (no consistent labelling); otherwise both are
+   consistent. *)
+let self_reading_bip ~negated =
+  let pf =
+    Pathfinder.create ~n_states:2 ~initial:0 ~q_card:1 ~up:[]
+      ~read:[ (0, 0, 1) ]
+  in
+  let ex = Bip.FEx (1, 1, Xpds_xpath.Ast.Eq) in
+  Bip.create
+    ~labels:[ Label.of_string "a" ]
+    ~mu:[| (if negated then Bip.FNot ex else ex) |]
+    ~final:(Bitv.singleton 1 0)
+    ~pf
+
+let test_cyclic_outcomes () =
+  let leaf = Data_tree.node "a" 1 [] in
+  (match Bip_run.run (self_reading_bip ~negated:true) leaf with
+  | _ -> Alcotest.fail "q0 <-> not q0 must have no run"
+  | exception Bip_run.No_run _ -> ());
+  match Bip_run.run (self_reading_bip ~negated:false) leaf with
+  | _ -> Alcotest.fail "q0 <-> q0 must have two runs"
+  | exception Bip_run.Ambiguous_run _ -> ()
+
+(* The whole run of the chain BIP, node by node: λ(n) and Reach(d). *)
+let rec show_run (info : Bip_run.node_info) =
+  let ints s = String.concat "," (List.map string_of_int (Bitv.elements s)) in
+  Printf.sprintf "{%s|%s|%s}" (ints info.Bip_run.states)
+    (String.concat ";"
+       (List.map
+          (fun (d, ks) -> Printf.sprintf "%d:%s" d (ints ks))
+          info.Bip_run.reach))
+    (String.concat "" (List.map show_run info.Bip_run.info_children))
+
+let test_chain_run () =
+  let m = chain_bip () in
+  let run t = show_run (Bip_run.run m t) in
+  Alcotest.(check string) "equal-data chain"
+    "{0,1|5:2;7:0,1,2,3|{0,1|7:0,1,2,3|{0,1|7:0,1,3|}}{0,1|5:0,1,3|}}"
+    (run
+       (Data_tree.node "a" 7
+          [ Data_tree.node "a" 7 [ Data_tree.node "b" 7 [] ];
+            Data_tree.node "b" 5 []
+          ]));
+  Alcotest.(check string) "broken chain"
+    "{1|7:0,3;8:2|{0,1|8:0,1,2,3|{0,1|8:0,1,3|}{1|8:0,3|}}}"
+    (run
+       (Data_tree.node "a" 7
+          [ Data_tree.node "a" 8
+              [ Data_tree.node "b" 8 []; Data_tree.node "a" 8 [] ]
+          ]))
+
 (* --- Appendix B: back-translation BIP -> regXPath(v,=) --- *)
 
 let test_back_translation_example () =
   (* Round trip a concrete formula through the automaton and back. *)
   let phi = parse "<desc[b & down[b] != down[b]]>" in
-  let m = Translate.bip_of_node ~labels:gen_labels phi in
+  let m = Translate.of_node ~labels:gen_labels phi in
   let phi' = Interleaving.to_node m in
   let trees =
     Data_tree.example_fig1 ()
@@ -333,7 +387,7 @@ let prop_back_translation =
   in
   Gen_helpers.qtest ~count:100 "Prop 6: BIP -> regXPath round trip" arb
     (fun (phi, t) ->
-      let m = Translate.bip_of_node ~labels:gen_labels phi in
+      let m = Translate.of_node ~labels:gen_labels phi in
       QCheck.assume (Bip.has_bounded_interleaving m);
       (* State elimination can blow up on large pathfinders; keep the
          round trip to sizes where the regenerated formula stays
@@ -357,8 +411,8 @@ let prop_intersection =
   Gen_helpers.qtest ~count:150 "intersection = conjunction of languages"
     arb
     (fun (phi, psi, t) ->
-      let m1 = Translate.bip_of_node ~labels:gen_labels phi in
-      let m2 = Translate.bip_of_node ~labels:gen_labels psi in
+      let m1 = Translate.of_node ~labels:gen_labels phi in
+      let m2 = Translate.of_node ~labels:gen_labels psi in
       let m = Bip.intersect m1 m2 in
       Bip_run.accepts m t
       = (Bip_run.accepts m1 t && Bip_run.accepts m2 t))
@@ -479,9 +533,9 @@ let prop_cached_analyses =
     "cached dependencies/SCCs = their definition"
     (QCheck.pair Gen_helpers.arb_node Gen_helpers.arb_node)
     (fun (phi, psi) ->
-      let m1 = Translate.bip_of_node ~labels:gen_labels phi in
+      let m1 = Translate.of_node ~labels:gen_labels phi in
       let m2 =
-        (Translate.of_node_somewhere ~labels:gen_labels psi).Translate.automaton
+        Translate.of_node_somewhere ~labels:gen_labels psi
       in
       List.for_all analyses_agree
         [ m1;
@@ -489,6 +543,97 @@ let prop_cached_analyses =
           Bip.intersect m1 m2;
           Doctype.restrict m2 ~labels:m2.Bip.labels doctype
         ])
+
+(* --- pinned translations ---
+
+   MD5 digests of [Bip.pp] (and of Σ, by name) for fixed formulas. The
+   translation's state numbering, the order of each pathfinder
+   transition list and Σ are observable downstream (exploration order,
+   stats, witnesses), so a rewrite of [Translate], [Nfa], [Pathfinder]
+   or [Bip.create] must keep every digest. *)
+
+let digest_of_bip m =
+  let sigma =
+    List.sort String.compare (List.map Label.to_string m.Bip.labels)
+  in
+  Digest.to_hex
+    (Digest.string
+       (Format.asprintf "%a|%s" Bip.pp m (String.concat "," sigma)))
+
+let pinned_doctype =
+  [ { Doctype.parent = "a"; at_least = [ (2, "b") ]; forbidden = [ "c" ] };
+    { Doctype.parent = "b"; at_least = []; forbidden = [ "a" ] }
+  ]
+
+let pinned_automata () =
+  let node s = Translate.of_node (parse s) in
+  let somewhere ?labels s =
+    Translate.of_node_somewhere ?labels (parse s)
+  in
+  let xy = List.map Label.of_string [ "x"; "y" ] in
+  [ ("label", node "a");
+    ("true", node "true");
+    ("self", node "<eps>");
+    ("child", node "<down>");
+    ("descendant", node "<desc>");
+    ("seq filter", node "<down/down[b]>");
+    ("union", node "<down[a] | desc[b]>");
+    ("guard", node "<[a]down/desc>");
+    ("star", node "<(down[a]/down)*>");
+    ("star union filter", node "<(down | desc[c])*[a]>");
+    ("eq", node "down[a] = desc[b]");
+    ("eq self", node "eps = down/down[a]");
+    ("neq", node "desc[b] != down/down");
+    ("star eq", node "down* = desc");
+    ("boolean", node "~(a & <down[b]>) | c");
+    ("paper example", node "<desc[b & down[b] != down[b]]>");
+    ("mixed", node "a & ~<down[a]> & (down[b] = down[c] | false)");
+    ("nested tests", node "<down[<down[a]>]/desc[eps != down]>");
+    ("shared subformulas", node "<desc[a]> & (<desc[a]> | down[a] = down[a])");
+    ( "extra labels",
+      Translate.of_node ~labels:xy (parse "<down[a]> & ~x") );
+    ("somewhere", somewhere "down[a] != down[a]");
+    ( "somewhere labels",
+      somewhere ~labels:xy "<(down/down)*[b]> & ~c & eps = [b]desc" );
+    ( "intersect",
+      Bip.intersect (node "<down[a]>") (somewhere "down = desc[b]") );
+    ( "doctype",
+      Doctype.restrict (somewhere "<down[b]> & ~(eps = down)")
+        ~labels:(List.map Label.of_string [ "a"; "b"; "c" ])
+        pinned_doctype )
+  ]
+
+let pinned_digests =
+  [ ("label", "31df44b684c534f7ebc35425b77de633");
+    ("true", "a66fb65eca19cb2b764578e73407298a");
+    ("self", "7fe2f06a29d06581721222f508cc50c5");
+    ("child", "2a27518dc078c175326eea30c0ed290e");
+    ("descendant", "9f36a2cdfb186d9f8d43e980b136ad31");
+    ("seq filter", "48752a3e7e7d1016c1f5d9ca15fd6e05");
+    ("union", "4cca511b8e33f575b08a3947aed067e6");
+    ("guard", "32cad59e9aedad734cea020e62ae2d04");
+    ("star", "a18f8b9f95f3ff561ea1dc5a8cbbe680");
+    ("star union filter", "19d3201b4eb5576687828b9479211891");
+    ("eq", "1caef9f5a604f7e7cb0a706ac5a9bdf2");
+    ("eq self", "f9cfdaa01de4d8513a1d8b4b12b36a38");
+    ("neq", "fbf966869f24233691daf07b9971dbff");
+    ("star eq", "ae93755f3a816220da8626c03f89cd22");
+    ("boolean", "8196bd75a8ba793403001a1e034f85ab");
+    ("paper example", "39962cb49d121f5281bff6e5c2efe8a1");
+    ("mixed", "a714aa2edc3420c234793cab076214cd");
+    ("nested tests", "aa942401cc9eba4094de19c336e00cf9");
+    ("shared subformulas", "5e0891b098bf786db6b2e26650c15f77");
+    ("extra labels", "d499dc252c9ccabb3bd0731bae7cd95a");
+    ("somewhere", "378cbfed2e98b3c4532c5d6b3bfaf41f");
+    ("somewhere labels", "943f07dfe1ea3914e9a8007ccf43ec45");
+    ("intersect", "13b6d968df8ebedb8e11d69b0fbe91ed");
+    ("doctype", "9adca65fa8804c7123615a270f1e7e38")
+  ]
+
+let test_pinned_translations () =
+  Alcotest.(check (list (pair string string)))
+    "Bip.pp digests" pinned_digests
+    (List.map (fun (name, m) -> (name, digest_of_bip m)) (pinned_automata ()))
 
 let suite =
   ( "automata",
@@ -525,5 +670,11 @@ let suite =
         test_count_polarity;
       Alcotest.test_case "cached analyses on a cyclic BIP" `Quick
         test_cached_analyses_cyclic;
-      prop_cached_analyses
+      prop_cached_analyses;
+      Alcotest.test_case "pinned translations" `Quick
+        test_pinned_translations;
+      Alcotest.test_case "cyclic components: no run, two runs" `Quick
+        test_cyclic_outcomes;
+      Alcotest.test_case "chain BIP run, node by node" `Quick
+        test_chain_run
     ] )

@@ -159,7 +159,7 @@ let prop_keyed_enumeration =
 (* --- leaf transitions --- *)
 
 let leaf_states formula label =
-  let m = Xpds_automata.Translate.bip_of_node formula in
+  let m = Xpds_automata.Translate.of_node formula in
   let ctx = Transition.make_ctx m in
   List.map (fun r -> r.Transition.state) (Transition.leaf ctx (Label.of_string label))
 
@@ -172,7 +172,7 @@ let test_leaf_state () =
   | [ c ] ->
     Alcotest.(check int) "one described value" 1
       (Array.length c.Ext_state.values);
-    let m = Xpds_automata.Translate.bip_of_node phi in
+    let m = Xpds_automata.Translate.of_node phi in
     let ki = m.Xpds_automata.Bip.pf.Xpds_automata.Pathfinder.initial in
     Alcotest.(check bool) "kI reaches the root datum" true
       (Bitv.mem ki c.Ext_state.values.(0));

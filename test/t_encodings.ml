@@ -302,10 +302,7 @@ let prop_doctype_agrees =
 
 let test_doctype_restrict () =
   let phi = Xpds_xpath.Parser.node_of_string_exn "<desc[a & <down[b]>]>" in
-  let m =
-    (Xpds_automata.Translate.of_node_somewhere ~labels:dt_labels phi)
-      .Xpds_automata.Translate.automaton
-  in
+  let m = Xpds_automata.Translate.of_node_somewhere ~labels:dt_labels phi in
   let restricted = Doctype.restrict m ~labels:dt_labels schema in
   let config =
     { Xpds_decision.Emptiness.default_config with
@@ -328,10 +325,7 @@ let test_doctype_restrict () =
 let test_doctype_unsat_under_schema () =
   (* "an a-node with a c-child" contradicts the schema. *)
   let phi = Xpds_xpath.Parser.node_of_string_exn "<desc[a & <down[c]>]>" in
-  let m =
-    (Xpds_automata.Translate.of_node_somewhere ~labels:dt_labels phi)
-      .Xpds_automata.Translate.automaton
-  in
+  let m = Xpds_automata.Translate.of_node_somewhere ~labels:dt_labels phi in
   let restricted = Doctype.restrict m ~labels:dt_labels schema in
   let config =
     { Xpds_decision.Emptiness.default_config with

@@ -25,7 +25,7 @@ open Xpds_xpath.Ast
 
 (* The automaton [Sat.decide] searches for [phi]. *)
 let automaton phi =
-  Translate.bip_of_node
+  Translate.of_node
     ~labels:(List.map Label.of_string Gen_helpers.default_labels)
     (Exists (Filter (Axis Descendant, Xpds_xpath.Rewrite.simplify phi)))
 

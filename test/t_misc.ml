@@ -137,7 +137,7 @@ let test_dot_outputs () =
     (String.length dot > 50
     && String.sub dot 0 7 = "digraph"
     && dot.[String.length dot - 2] = '}');
-  let m = Xpds.Translate.bip_of_node (parse "<desc[a]>") in
+  let m = Xpds.Translate.of_node (parse "<desc[a]>") in
   let bip_dot = Xpds.Dot.bip m in
   Alcotest.(check bool) "bip dot well formed" true
     (String.length bip_dot > 50 && String.sub bip_dot 0 7 = "digraph");
