@@ -75,28 +75,31 @@ let has_counting (m : Bip.t) =
         false f)
     m.Bip.mu
 
+(* [edge] onto the list of each of [targets], without a closure. *)
+let rec add_reversed rev edge = function
+  | [] -> ()
+  | k :: targets ->
+    rev.(k) <- edge :: rev.(k);
+    add_reversed rev edge targets
+
 let make_ctx ?(project_pairs = false) (m : Bip.t) =
   let pf = m.Bip.pf in
   let k_card = pf.Pathfinder.n_states in
   let rev_read = Array.make k_card [] in
   let read_mask = Bitv.builder pf.Pathfinder.q_card in
-  Array.iteri
-    (fun q per_k ->
-      Array.iteri
-        (fun k targets ->
-          List.iter
-            (fun k' ->
-              Bitv.add_in_place q read_mask;
-              rev_read.(k') <- (q, k) :: rev_read.(k'))
-            targets)
-        per_k)
-    pf.Pathfinder.read;
+  let read = pf.Pathfinder.read in
+  for q = 0 to Array.length read - 1 do
+    let per_k = read.(q) in
+    for k = 0 to Array.length per_k - 1 do
+      if per_k.(k) <> [] then begin
+        Bitv.add_in_place q read_mask;
+        add_reversed rev_read (q, k) per_k.(k)
+      end
+    done
+  done;
   let read_mask = Bitv.freeze read_mask in
   let rev_up = Array.make k_card [] in
-  Array.iteri
-    (fun k targets ->
-      List.iter (fun k' -> rev_up.(k') <- k :: rev_up.(k')) targets)
-    pf.Pathfinder.up;
+  Array.iteri (fun k targets -> add_reversed rev_up k targets) pf.Pathfinder.up;
   let k_card_sq = k_card * k_card in
   let pair_mask =
     (* The mask closure is worst-case O(K^4); beyond ~128 pathfinder
@@ -104,55 +107,64 @@ let make_ctx ?(project_pairs = false) (m : Bip.t) =
     if (not project_pairs) || k_card > 128 then None
     else begin
       (* Backward set under the *full* label (superset of any C0):
-         V_full(k) = sources whose one up-step can reach k. *)
+         V_full(k) = sources whose one up-step can reach k. One [seen]
+         builder and one stack serve every k: a state is pushed at most
+         once per walk. *)
+      let seen = Bitv.builder k_card and stack = Array.make k_card 0 in
       let v_full =
         Array.init k_card (fun k ->
-            let b = ref (Bitv.singleton k_card k) in
-            let stack = ref [ k ] in
-            while !stack <> [] do
-              match !stack with
-              | [] -> ()
-              | cur :: rest ->
-                stack := rest;
-                List.iter
-                  (fun ((_ : int), src) ->
-                    if not (Bitv.mem src !b) then begin
-                      b := Bitv.add src !b;
-                      stack := src :: !stack
-                    end)
-                  rev_read.(cur)
+            let v = Bitv.builder k_card in
+            Bitv.builder_reset seen;
+            Bitv.add_in_place k seen;
+            stack.(0) <- k;
+            let top = ref 1 in
+            while !top > 0 do
+              decr top;
+              let cur = stack.(!top) in
+              List.iter (fun k' -> Bitv.add_in_place k' v) rev_up.(cur);
+              List.iter
+                (fun ((_ : int), src) ->
+                  if not (Bitv.builder_mem src seen) then begin
+                    Bitv.add_in_place src seen;
+                    stack.(!top) <- src;
+                    incr top
+                  end)
+                rev_read.(cur)
             done;
-            Bitv.fold
-              (fun k'' acc ->
-                List.fold_left
-                  (fun acc k' -> Bitv.add k' acc)
-                  acc rev_up.(k''))
-              !b (Bitv.empty k_card))
+            Bitv.freeze v)
       in
       (* Relevant pairs: the μ-atoms, the diagonal (used by the
          structural invariants), closed under simultaneous backward
-         steps (the lifted case-1 queries). *)
-      let mask = ref (Bitv.empty k_card_sq) in
-      let queue = Queue.create () in
+         steps (the lifted case-1 queries). The mask stays symmetric,
+         so each flat pair index k1·K+k2 enters the queue at most once. *)
+      let mask = Bitv.builder k_card_sq in
+      let queue = Array.make k_card_sq 0 and tail = ref 0 in
+      let push p =
+        Bitv.add_in_place p mask;
+        queue.(!tail) <- p;
+        incr tail
+      in
       let add k1 k2 =
         let p = (k1 * k_card) + k2 in
-        if not (Bitv.mem p !mask) then begin
-          mask := Bitv.add p (Bitv.add ((k2 * k_card) + k1) !mask);
-          Queue.add (k1, k2) queue;
-          if k1 <> k2 then Queue.add (k2, k1) queue
+        if not (Bitv.builder_mem p mask) then begin
+          push p;
+          if k1 <> k2 then push ((k2 * k_card) + k1)
         end
       in
       List.iter (fun (k1, k2, _) -> add k1 k2) (Bip.ex_atoms m);
       for k = 0 to k_card - 1 do
         add k k
       done;
-      while not (Queue.is_empty queue) do
-        let k1, k2 = Queue.pop queue in
+      let head = ref 0 in
+      while !head < !tail do
+        let p = queue.(!head) in
+        incr head;
+        let v2 = v_full.(p mod k_card) in
         Bitv.iter
-          (fun k'1 -> Bitv.iter (fun k'2 -> add k'1 k'2) v_full.(k2))
-          v_full.(k1)
+          (fun k'1 -> Bitv.iter (fun k'2 -> add k'1 k'2) v2)
+          v_full.(p / k_card)
       done;
-      Some !mask
+      Some (Bitv.freeze mask)
     end
   in
   {

@@ -4,9 +4,16 @@
     provides just enough of RFC 8259 for its three consumers — the
     [xpds serve] NDJSON loop, the [--json] CLI renderings
     ({!Xpds.Serialize}) and the certificate files ({!Xpds_cert}):
-    objects, arrays, strings (with escapes, including [\uXXXX] below
-    U+0800), numbers, booleans, null. Numbers are represented as
-    [float], like every small JSON library. *)
+    objects, arrays, strings, numbers, booleans, null. Numbers are
+    represented as [float], like every small JSON library.
+
+    Strings take every RFC 8259 escape. A [\uXXXX] escape outside the
+    surrogate range U+D800–U+DFFF is that code point of the BMP in
+    UTF-8; a high surrogate followed by a [\u] low surrogate is one
+    code point above U+FFFF, in 4-byte UTF-8; a surrogate on its own is
+    an error ([bad \u escape]). Raw bytes, control characters
+    included, are taken as they are; the reader does not check that
+    they are UTF-8. *)
 
 type t =
   | Null
@@ -21,13 +28,15 @@ type t =
           {!parse} never returns it. *)
 
 val parse : string -> (t, string) result
-(** Parse one JSON value; trailing non-whitespace is an error. *)
+(** Parse one JSON value; trailing non-whitespace is an error. An
+    [Error] names what went wrong and the byte offset where. *)
 
 val to_string : t -> string
 (** Compact (single-line) rendering, suitable for NDJSON. *)
 
 val member : string -> t -> t option
-(** Field lookup in an [Obj]; [None] on other constructors. *)
+(** Field lookup in an [Obj]; the first field of that name wins.
+    [None] on other constructors. *)
 
 val to_float : t -> float option
 val to_str : t -> string option

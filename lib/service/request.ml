@@ -53,7 +53,11 @@ let rule_fields = [ "parent"; "at_least"; "forbidden" ]
 let doctype_rules v =
   let rule = function
     | Json.Obj fields as r -> (
-      match List.find_opt (fun (k, _) -> not (List.mem k rule_fields)) fields with
+      match
+        List.find_opt
+          (fun (k, _) -> not (List.exists (String.equal k) rule_fields))
+          fields
+      with
       | Some (k, _) ->
         Error
           (Printf.sprintf
@@ -201,7 +205,11 @@ let rec row_named k = function
    "timeout" or a v2-only field fails loudly instead of quietly
    changing semantics. *)
 let of_row row fields v =
-  match List.find_opt (fun (k, _) -> not (List.mem k row.fields)) fields with
+  match
+    List.find_opt
+      (fun (k, _) -> not (List.exists (String.equal k) row.fields))
+      fields
+  with
   | Some (k, _) ->
     Error
       (Printf.sprintf "unknown field %S (protocol v%d %s requests accept: %s)" k

@@ -95,6 +95,39 @@ let test_crc_chaining () =
   let chained = Crc32.string ~crc:(Crc32.string "hello ") "world" in
   Alcotest.(check int) "chained = whole" whole chained
 
+(* Bit by bit, no table: the definition the sliced kernel must match. *)
+let crc_bitwise s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 1 to 8 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    s;
+  !c lxor 0xFFFFFFFF
+
+(* Every length 0-64 at a random offset into a random buffer, so the
+   4-byte loop meets every alignment and every tail length; and each
+   such slice chained through [~crc] at a random split point. *)
+let test_crc_kernel () =
+  let st = Random.State.make [| 20 |] in
+  let buf = String.init 256 (fun _ -> Char.chr (Random.State.int st 256)) in
+  for round = 1 to 8 do
+    for len = 0 to 64 do
+      let off = Random.State.int st (String.length buf - len + 1) in
+      let s = String.sub buf off len in
+      let name = Printf.sprintf "round %d, length %d at %d" round len off in
+      let whole = Crc32.string s in
+      Alcotest.(check int) name (crc_bitwise s) whole;
+      let cut = Random.State.int st (len + 1) in
+      Alcotest.(check int) (name ^ ", split at " ^ string_of_int cut) whole
+        (Crc32.string
+           ~crc:(Crc32.string (String.sub s 0 cut))
+           (String.sub s cut (len - cut)))
+    done
+  done
+
 (* --- record JSON round trips --- *)
 
 let tree_gen =
@@ -634,6 +667,7 @@ let suite =
   ( "store",
     [ Alcotest.test_case "crc32 known answer" `Quick test_crc_known_answer;
       Alcotest.test_case "crc32 chaining" `Quick test_crc_chaining;
+      Alcotest.test_case "crc32 sliced kernel = bitwise" `Quick test_crc_kernel;
       QCheck_alcotest.to_alcotest record_roundtrip;
       Alcotest.test_case "log truncated tail" `Quick test_log_truncated_tail;
       Alcotest.test_case "log bad magic" `Quick test_log_bad_magic;
