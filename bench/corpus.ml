@@ -1,9 +1,8 @@
 (* The shared benchmark corpus: ≥100 formulas across the Fig. 4
    fragments — every bench family at several sizes, plus seeded random
-   formulas. Deterministic by construction (fixed seeds), and shared by
-   the service and emptiness benchmarks so their wall-times are
-   comparable across PRs: do not reorder or resize without renaming the
-   emitted BENCH_*.json baselines. *)
+   formulas. Deterministic by construction (fixed seeds). It is the
+   cold corpus behind BENCH_emptiness.json and the smoke's store leg:
+   do not reorder or resize it without regenerating that artifact. *)
 
 let formulas () =
   let families =
@@ -27,16 +26,6 @@ let formulas () =
         Gen_formula.gen ~state:(Random.State.make [| 0xBE5E; i |]) ())
   in
   families @ random
-
-(* Each formula's family, in corpus order: the family blocks above,
-   then the random formulas. *)
-let family_names () =
-  List.concat_map
-    (fun (name, n) -> List.init n (fun _ -> name))
-    [ ("child_chain", 16); ("data_chain", 5); ("desc_data", 3);
-      ("root_data", 3); ("reg_alternation", 2); ("mixed_axes", 10);
-      ("random", 64)
-    ]
 
 let sat_request ?timeout_ms id phi = { Xpds.Request.id; timeout_ms; body = Sat phi }
 

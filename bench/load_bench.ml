@@ -1,4 +1,4 @@
-(* Open-loop load harness: `xpds bench load [--quick]`.
+(* Open-loop load harness over the sharded router.
 
    A fixed-arrival-rate generator over a pool of small formulas (and
    containment pairs) whose answers are known from an in-process
@@ -6,7 +6,7 @@
    offers load at multiples of it from well under to well past
    saturation. Open-loop means arrivals never wait for completions:
    when the engine falls behind, queues build and the admission layer
-   must shed — the regime the closed-loop benches never reach.
+   must shed.
 
    Per load point: latency distribution (p50/p95/p99/max), goodput
    (correct definite answers per second), shed rate. The gates are
@@ -22,8 +22,11 @@
    worker respawns (counted in the aggregated metrics), and the next
    wave is answered cleanly.
 
-   Run with: xpds bench load [--quick] [--shards N] [--queue-depth D]
-         or: dune exec bench/main.exe -- load *)
+   [run ()] is the full sweep behind BENCH_load.json; the smoke target
+   runs [sweep ~quick:true] (fewer points, a smaller pool) for its
+   gates. Both use 2 shards with admission queues of depth 64.
+
+   Run with: dune exec bench/main.exe -- load *)
 
 module Service = Xpds.Service
 module Engine = Xpds.Engine
@@ -93,10 +96,20 @@ let percentile sorted q =
   if n = 0 then 0.
   else sorted.(min (n - 1) (int_of_float (q *. float_of_int n)))
 
-let run ?(quick = false) ?(shards = 2) ?(queue_depth = 64)
-    ?(out = "BENCH_load.json") () =
+let shards = 2
+
+let queue_depth = 64
+
+(* A tiny per-worker cache keeps steady-state requests genuine solves
+   (the pool cycles, a big LRU would turn the sweep into a pipe
+   benchmark). *)
+let config = Service.Config.(default |> with_cache_capacity 2)
+
+(* The sweep and crash leg: its gates, its report fields and its wall
+   time. *)
+let sweep ~quick () =
   let t_start = Unix.gettimeofday () in
-  Format.printf "load bench%s: %d shard(s), queue depth %d@."
+  Format.printf "load%s: %d shards, queue depth %d@."
     (if quick then " (quick)" else "")
     shards queue_depth;
   let cases = Array.of_list (pool ~quick ()) in
@@ -128,10 +141,7 @@ let run ?(quick = false) ?(shards = 2) ?(queue_depth = 64)
     Array.for_all (fun c -> c <> "unknown" && c <> "missing") expected
   in
 
-  (* The engine under test. A tiny per-worker cache keeps steady-state
-     requests genuine solves (the pool cycles, a big LRU would turn the
-     sweep into a pipe benchmark); the chaos id arms the crash leg. *)
-  let config = Service.Config.(default |> with_cache_capacity 2) in
+  (* The engine under test; the chaos id arms the crash leg. *)
   let inflight : (string, entry) Hashtbl.t = Hashtbl.create 1024 in
   let emit line =
     let t = now_ms () in
@@ -337,31 +347,30 @@ let run ?(quick = false) ?(shards = 2) ?(queue_depth = 64)
     (if crash_ok then "ok" else "FAIL");
   Engine.close eng;
 
-  let wall = Unix.gettimeofday () -. t_start in
-  let ok =
-    Report.write ~out ~bench:"load"
-      ~mode:(if quick then "quick" else "full")
-      ~config ~wall_s:wall
-      ~gates:
-        [ ("no_wrong_verdicts", !total_wrong = 0);
-          ("all_answered", !total_unanswered = 0);
-          ("reference_definite", reference_definite);
-          ("crash_isolation", crash_ok)
-        ]
-      [ ("shards", Json.Num (float_of_int shards));
-        ("queue_depth", Json.Num (float_of_int queue_depth));
-        ("pool", Json.Num (float_of_int n_cases));
-        ("capacity_rps", Json.Num capacity);
-        ("timeout_ms", Json.Num timeout_ms);
-        ("points", Json.Arr point_jsons);
-        ( "crash",
-          Json.Obj
-            [ ("aborted_with_error", Json.Num (float_of_int crash.errors));
-              ("worker_restarts", Json.Num (float_of_int restarts));
-              ( "clean_wave_answered",
-                Json.Num (float_of_int (wave2.correct + wave2.unknown)) )
-            ] );
-        ("metrics", metrics)
-      ]
-  in
-  if ok then 0 else 1
+  ( [ ("no_wrong_verdicts", !total_wrong = 0);
+      ("all_answered", !total_unanswered = 0);
+      ("reference_definite", reference_definite);
+      ("crash_isolation", crash_ok)
+    ],
+    [ ("shards", Json.Num (float_of_int shards));
+      ("queue_depth", Json.Num (float_of_int queue_depth));
+      ("pool", Json.Num (float_of_int n_cases));
+      ("capacity_rps", Json.Num capacity);
+      ("timeout_ms", Json.Num timeout_ms);
+      ("points", Json.Arr point_jsons);
+      ( "crash",
+        Json.Obj
+          [ ("aborted_with_error", Json.Num (float_of_int crash.errors));
+            ("worker_restarts", Json.Num (float_of_int restarts));
+            ( "clean_wave_answered",
+              Json.Num (float_of_int (wave2.correct + wave2.unknown)) )
+          ] );
+      ("metrics", metrics)
+    ],
+    Unix.gettimeofday () -. t_start )
+
+let run () =
+  let gates, fields, wall_s = sweep ~quick:false () in
+  if Report.write ~out:"BENCH_load.json" ~bench:"load" ~config ~wall_s ~gates fields
+  then 0
+  else 1

@@ -1,48 +1,35 @@
-(* The one BENCH_*.json emitter.
+(* The BENCH_*.json emitter shared by the emptiness and load entries.
 
-   Every bench artifact shares an envelope — which bench, which mode,
-   the solver configuration fingerprint it ran under, wall clock, and
-   the named pass/fail gates CI acts on — followed by the bench's own
-   payload fields. Keeping the envelope in one place means a new bench
-   (the load harness was the motivating case) is born on the common
-   schema instead of hand-rolling a seventh writer, and a dashboard can
-   read "did it pass, how long, under what solver" without knowing any
-   bench's private layout. *)
+   Both artifacts share an envelope — which bench, the solver
+   configuration fingerprint it ran under, wall clock, and the named
+   pass/fail gates — followed by the bench's own payload fields, so a
+   reader can tell "did it pass, how long, under what solver" without
+   knowing either bench's private layout. *)
 
 module Json = Xpds.Json
 
-(* [write ~out ~bench ~mode ?config ?wall_s ~gates fields] writes
+(* [write ~out ~bench ?config ~wall_s ~gates fields] writes
 
-     { "bench": .., "mode": .., "config_fingerprint": ..,
-       "wall_s": .. (when given),
-       "gates": {name: bool, ..}, "gates_passed": bool (when any),
+     { "bench": .., "config_fingerprint": .., "wall_s": ..,
+       "gates": {name: bool, ..}, "gates_passed": bool,
        ...fields }
 
    and returns whether every gate passed (the bench's exit status). *)
-let write ~out ~bench ?(mode = "full") ?config ?wall_s ?(gates = [])
+let write ~out ~bench ?(config = Xpds.Service.Config.default) ~wall_s ~gates
     fields =
-  let solver =
-    match config with
-    | Some (c : Xpds.Service.Config.t) -> c.Xpds.Service.Config.solver
-    | None -> Xpds.Service.Config.default_solver
-  in
   let passed = List.for_all snd gates in
   let json =
     Json.Obj
       ([ ("bench", Json.Str bench);
-         ("mode", Json.Str mode);
          ( "config_fingerprint",
-           Json.Str (Xpds.Service.Config.fingerprint solver) )
+           Json.Str
+             (Xpds.Service.Config.fingerprint config.Xpds.Service.Config.solver)
+         );
+         ("wall_s", Json.Num (Float.round (wall_s *. 1000.) /. 1000.));
+         ( "gates",
+           Json.Obj (List.map (fun (n, ok) -> (n, Json.Bool ok)) gates) );
+         ("gates_passed", Json.Bool passed)
        ]
-      @ (match wall_s with
-        | Some s -> [ ("wall_s", Json.Num (Float.round (s *. 1000.) /. 1000.)) ]
-        | None -> [])
-      @ (if gates = [] then []
-         else
-           [ ( "gates",
-               Json.Obj (List.map (fun (n, ok) -> (n, Json.Bool ok)) gates) );
-             ("gates_passed", Json.Bool passed)
-           ])
       @ fields)
   in
   let oc = open_out out in
@@ -51,12 +38,3 @@ let write ~out ~bench ?(mode = "full") ?config ?wall_s ?(gates = [])
   close_out oc;
   Format.printf "  wrote %s@." out;
   passed
-
-(* Side artifacts that keep their own shape (the service bench's trace
-   sample): same writer mechanics, no envelope. *)
-let write_raw ~out json =
-  let oc = open_out out in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Format.printf "  wrote %s@." out

@@ -14,7 +14,6 @@
      batch      solve a file of formulas, one after another
      certify    re-check a stored certificate with the naive verifier
      cache      export/import/inspect persistent verdict stores
-     bench      run a repository benchmark, write JSON results
 
    sat/serve/batch also take --certify: solve in certificate mode,
    emit a checkable certificate per verdict and verify it on the spot
@@ -1355,87 +1354,6 @@ let cache_cmd =
           inspect files offline ([stats]).")
     [ export_cmd; import_cmd; stats_cmd ]
 
-(* --- bench --- *)
-
-let bench_cmd =
-  let target_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"TARGET"
-          ~doc:"Benchmark to run: \"emptiness\", \"certify\", \
-                \"service\", \"eval\", \"store\", \"containment\" or \
-                \"load\".")
-  in
-  let bench_shards_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "shards" ]
-          ~doc:
-            "Worker processes for the \"load\" harness (the topology \
-             under test).")
-  in
-  let bench_queue_depth_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "queue-depth" ]
-          ~doc:
-            "Per-shard admission queue bound for the \"load\" harness.")
-  in
-  let quick_arg =
-    let doc =
-      "CI smoke mode: a handful of small families under a tight \
-       transition budget, asserting the verdict each family guarantees \
-       by construction; nonzero exit on any mismatch."
-    in
-    Arg.(value & flag & info [ "quick" ] ~doc)
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt string "BENCH_emptiness.json"
-      & info [ "o"; "out" ] ~doc:"Where to write the JSON results.")
-  in
-  let run target quick out no_prune shards queue_depth =
-    match target with
-    | "emptiness" ->
-      exit (Emptiness_bench.run ~quick ~out ~prune:(not no_prune) ())
-    | "certify" ->
-      let out = if out = "BENCH_emptiness.json" then "BENCH_certify.json" else out in
-      exit (Certify_bench.run ~quick ~out ())
-    | "service" ->
-      let out = if out = "BENCH_emptiness.json" then "BENCH_service.json" else out in
-      exit (Service_bench.run ~quick ~out ())
-    | "eval" ->
-      let out = if out = "BENCH_emptiness.json" then "BENCH_eval.json" else out in
-      exit (Eval_bench.run ~quick ~out ())
-    | "store" ->
-      let out = if out = "BENCH_emptiness.json" then "BENCH_store.json" else out in
-      exit (Store_bench.run ~quick ~out ())
-    | "containment" ->
-      let out = if out = "BENCH_emptiness.json" then "BENCH_containment.json" else out in
-      exit (Containment_bench.run ~quick ~out ())
-    | "load" ->
-      let out = if out = "BENCH_emptiness.json" then "BENCH_load.json" else out in
-      exit
-        (Load_bench.run ~quick ~out ~shards:(max 1 shards)
-           ~queue_depth:(max 1 queue_depth) ())
-    | other ->
-      prerr_endline
-        ("unknown bench target " ^ other
-       ^ " (have: emptiness, certify, service, eval, store, containment, \
-          load)");
-      exit 2
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:
-         "Run a repository benchmark and write machine-readable JSON \
-          (cold wall-time and engine throughput for \"emptiness\").")
-    Term.(
-      const run $ target_arg $ quick_arg $ out_arg $ no_prune_arg
-      $ bench_shards_arg $ bench_queue_depth_arg)
-
 let () =
   let info =
     Cmd.info "xpds" ~version:"1.0.0"
@@ -1448,6 +1366,5 @@ let () =
        (Cmd.group info
           [ sat_cmd; classify_cmd; check_cmd; explain_cmd; translate_cmd;
             contains_cmd; equiv_cmd; tiling_cmd; qbf_cmd; gen_cmd; repl_cmd;
-            xml_cmd; eval_cmd; serve_cmd; batch_cmd; certify_cmd; cache_cmd;
-            bench_cmd
+            xml_cmd; eval_cmd; serve_cmd; batch_cmd; certify_cmd; cache_cmd
           ]))

@@ -165,6 +165,9 @@ let goldens =
      0, `Quick);
     ("child_chain_unsat_2", Families.child_chain ~sat:false 2,
      "unsat_bounded", 8, 12, 0, 3, `Quick);
+    (* pinned later, from the word-keyed engine *)
+    ("child_chain_sat_3", Families.child_chain ~sat:true 3, "sat", 6, 9, 0,
+     0, `Quick);
     ("child_chain_sat_4", Families.child_chain ~sat:true 4, "sat", 8, 11,
      0, 0, `Quick);
     ("data_chain_sat_2", Families.data_chain ~sat:true 2, "sat", 9, 16, 25,

@@ -88,8 +88,53 @@ let test_contains_fails_verified =
       | Containment.Holds | Containment.Holds_bounded _
       | Containment.Unknown _ -> true)
 
+(* Fixed pairs with their known answers: the served answer matches it
+   and the direct library call, every [Fails] replays, and a second
+   pass is served from the cache. *)
+let contains_pairs =
+  [ ("<down[a & b]>", "<down[a & b]>", "holds");
+    ("<down[a & b]>", "<down[a]>", "holds");
+    ("<down[a]>", "<down[a & b]>", "fails");
+    ("<down[a]>", "<down[b]>", "fails");
+    ("<down[a & <down[b & c]>]>", "<down[<down[b]>]>", "holds");
+    ("<down[<down[b]>]>", "<down[a & <down[b]>]>", "fails");
+    ("down[a] != down[a]", "down[a] != down[a]", "holds");
+    ("down[a] != down[a]", "<down[a]>", "holds");
+    ("<down[a]>", "down[a] != down[a]", "fails")
+  ]
+
+let answer_class = function
+  | Containment.Holds | Containment.Holds_bounded _ -> "holds"
+  | Containment.Fails _ -> "fails"
+  | Containment.Unknown _ -> "unknown"
+
 (* Equivalence is containment both ways, sharing the contains cache. *)
 let test_equiv_directions_agree () =
+  let fresh = Service.create Service.Config.default in
+  let serve (phi, psi, _) =
+    Corpus.solve fresh
+      { Request.id = "p";
+        timeout_ms = None;
+        body = Contains { phi = f phi; psi = f psi }
+      }
+  in
+  List.iter
+    (fun ((phi, psi, expect) as pair) ->
+      let name = phi ^ " in " ^ psi in
+      let served = Service.contains_answer (serve pair) in
+      Alcotest.(check string) (name ^ ": known answer") expect
+        (answer_class served);
+      Alcotest.(check string) (name ^ ": direct call agrees")
+        (answer_class (Containment.contained (f phi) (f psi)))
+        (answer_class served);
+      match served with
+      | Containment.Fails w ->
+        Alcotest.(check bool) (name ^ ": counterexample replays") true
+          (Semantics.check_somewhere w (And (f phi, B.not_ (f psi))))
+      | _ -> ())
+    contains_pairs;
+  Alcotest.(check bool) "second pass all cached" true
+    (List.for_all (fun pair -> (serve pair).Service.cached) contains_pairs);
   let phi = f "<down[a & b]>" and psi = f "<down[a]>" in
   let forward, backward =
     match
@@ -151,6 +196,10 @@ let test_doctype_witnesses_conform =
             body = Doctype { formula = phi; doctype = rules }
           }
       in
+      let direct = Sat.decide_under_doctype ~doctype:rules phi in
+      Service.verdict_name resp.Service.report.Sat.verdict
+      = Service.verdict_name direct.Sat.verdict
+      &&
       match resp.Service.report.Sat.verdict with
       | Sat.Sat w ->
         let labels =
@@ -343,13 +392,28 @@ let test_wire_end_to_end () =
     | Ok v -> Json.member name v
     | Error _ -> None
   in
-  (* contains: a fails answer whose counterexample parses. *)
-  let fails =
+  let str name line = Option.bind (member name line) Json.to_str in
+  (* contains: a holds answer, kind-tagged. *)
+  let holds =
     serve
-      {|{"kind":"contains","id":"w1","phi":"<down[a]>","psi":"<down[a & b]>"}|}
+      {|{"kind":"contains","id":"w0","phi":"<down[a & b]>","psi":"<down[a]>"}|}
   in
+  Alcotest.(check bool) "wire holds" true
+    (match str "answer" holds with
+    | Some ("holds" | "holds_bounded") -> true
+    | _ -> false);
+  Alcotest.(check (option string)) "contains kind" (Some "contains")
+    (str "kind" holds);
+  (* contains: a fails answer whose counterexample was verified and
+     parses. *)
+  let fails_line =
+    {|{"kind":"contains","id":"w1","phi":"<down[a]>","psi":"<down[a & b]>"}|}
+  in
+  let fails = serve fails_line in
   Alcotest.(check (option string)) "wire answer" (Some "fails")
-    (Option.bind (member "answer" fails) Json.to_str);
+    (str "answer" fails);
+  Alcotest.(check (option bool)) "counterexample verified" (Some true)
+    (Option.bind (member "verified" fails) Json.to_bool);
   (match Option.bind (member "counterexample" fails) Json.to_str with
   | None -> Alcotest.fail "no counterexample on the wire"
   | Some text -> (
@@ -359,24 +423,44 @@ let test_wire_end_to_end () =
         (Semantics.check_somewhere w
            (And (f "<down[a]>", B.not_ (f "<down[a & b]>"))))
     | Error e -> Alcotest.failf "wire counterexample unparsable: %s" e));
-  (* equiv: settled false with the failing direction visible. *)
+  (* The same line again is a memory hit. *)
+  Alcotest.(check (option bool)) "re-served from cache" (Some true)
+    (Option.bind (member "cached" (serve fails_line)) Json.to_bool);
+  (* equiv: a syntactic variant is equivalent; a strict weakening is
+     not, and its failing direction carries the counterexample. *)
+  let eq =
+    serve {|{"kind":"equiv","id":"w4","phi":"<down[a & b]>","psi":"<down[b & a]>"}|}
+  in
+  Alcotest.(check (option bool)) "equivalent true" (Some true)
+    (Option.bind (member "equivalent" eq) Json.to_bool);
   let neq =
     serve {|{"kind":"equiv","id":"w2","phi":"<down[a & b]>","psi":"<down[a]>"}|}
   in
   Alcotest.(check (option bool)) "equivalent false" (Some false)
     (Option.bind (member "equivalent" neq) Json.to_bool);
+  (match member "backward" neq with
+  | Some dir ->
+    Alcotest.(check (option string)) "backward fails" (Some "fails")
+      (Option.bind (Json.member "answer" dir) Json.to_str);
+    Alcotest.(check bool) "backward counterexample" true
+      (Json.member "counterexample" dir <> None)
+  | None -> Alcotest.fail "no backward direction");
   (* sat_under_doctype: kind-tagged response, parseable witness. *)
   let dt =
     serve
       {|{"kind":"sat_under_doctype","id":"w3","formula":"<down[a]>","doctype":[{"parent":"a","at_least":[[1,"b"]]}]}|}
   in
   Alcotest.(check (option string)) "doctype kind" (Some "sat_under_doctype")
-    (Option.bind (member "kind" dt) Json.to_str);
-  (match Option.bind (member "witness" dt) Json.to_str with
+    (str "kind" dt);
+  Alcotest.(check (option string)) "doctype sat" (Some "sat")
+    (str "verdict" dt);
+  (match str "witness" dt with
   | None -> Alcotest.fail "no witness on the wire"
   | Some text -> (
     match Data_tree.of_string text with
     | Ok w ->
+      Alcotest.(check bool) "wire witness satisfies the formula" true
+        (Semantics.check_somewhere w (f "<down[a]>"));
       Alcotest.(check bool) "wire witness conforms" true
         (Doctype.conforms
            ~labels:[ Label.of_string "a"; Label.of_string "b" ]
@@ -384,6 +468,15 @@ let test_wire_end_to_end () =
                forbidden = [] } ]
            w)
     | Error e -> Alcotest.failf "wire witness unparsable: %s" e));
+  (* ...and unsat under a rule that forbids what the formula needs. *)
+  let dt_unsat =
+    serve
+      {|{"kind":"sat_under_doctype","id":"w5","formula":"<down[a & <down[c]>]>","doctype":[{"parent":"a","forbidden":["c"]}]}|}
+  in
+  Alcotest.(check bool) "doctype unsat" true
+    (match str "verdict" dt_unsat with
+    | Some ("unsat" | "unsat_bounded") -> true
+    | _ -> false);
   (* A schema-invalid line that still parses as JSON answers a
      structured error carrying the recovered request id. *)
   let bad =
@@ -394,14 +487,14 @@ let test_wire_end_to_end () =
     (Option.bind (member "id" bad) Json.to_str);
   Alcotest.(check bool) "error is structured" true
     (member "error" bad <> None);
-  (* Metrics: the three wire exchanges above landed in their own
-     per-kind buckets (equiv counts its two directions as contains). *)
+  (* Metrics: the wire exchanges above landed in their own per-kind
+     buckets (equiv counts its two directions as contains). *)
   let m = Service.metrics t in
   Alcotest.(check int) "contains bucket"
-    3 m.Xpds_service.Metrics.contains_requests;
-  Alcotest.(check int) "equiv bucket" 1 m.Xpds_service.Metrics.equiv_requests;
+    7 m.Xpds_service.Metrics.contains_requests;
+  Alcotest.(check int) "equiv bucket" 2 m.Xpds_service.Metrics.equiv_requests;
   Alcotest.(check int) "doctype bucket"
-    1 m.Xpds_service.Metrics.doctype_requests
+    2 m.Xpds_service.Metrics.doctype_requests
 
 let suite =
   ( "containment_service",

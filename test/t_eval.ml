@@ -3,8 +3,10 @@
    (tree, formula) instances against the reference Semantics — star-free
    and full regXPath — per-path relation agreement, the same on wide
    trees (multi-word payloads) and deep narrow ones under stars, the
-   node_evals accounting, deadlines at every poll of a star query,
-   SAT-witness replay through both engines, and invertibility of the
+   node_evals accounting, batch outcomes on fixed documents (a
+   600-node chain with 71 data values, an XML library), deadlines at
+   every poll of a star query, SAT-witness replay through both engines,
+   and invertibility of the
    Appendix-A XML encoding at the array level (including duplicate
    attribute names).
 
@@ -263,25 +265,66 @@ let prop_charge_per_subformula =
         * (List.length (Ast.node_subformulas phi)
           + List.length (Ast.path_subformulas phi)))
 
-let test_batch () =
-  let t = Data_tree.of_string_exn "a:1(b:1(c:2),b:2,a:1)" in
-  let formulas =
-    List.map Xpds_xpath.Parser.node_of_string_exn
-      [ "<down[b]>"; "eps = down[b]"; "<desc[c]> & !b"; "false" ]
-  in
-  let b = Batch.run (Doc.of_tree t) formulas in
-  let env = Semantics.env_of_tree t in
+(* Batch outcomes against the reference semantics, position for
+   position, on three documents: a small tree; a 600-node chain with 71
+   data values under star and data-comparison queries (the star's
+   dynamic program over the longest rows, data-class images spanning two
+   words); and an XML library flattened by [Doc.of_xml], against the
+   semantics of its Appendix-A encoding. *)
+let check_batch name doc env queries =
+  let formulas = List.map Xpds_xpath.Parser.node_of_string_exn queries in
+  let b = Batch.run doc formulas in
   List.iter2
-    (fun phi o ->
-      Alcotest.(check bool) "batch root = semantics root"
+    (fun (q, phi) o ->
+      let what = Printf.sprintf "%s, %s: " name q in
+      Alcotest.(check bool) (what ^ "batch root = semantics root")
         (Semantics.holds_at_root env phi)
         o.Batch.root;
       let expected = Semantics.sat_nodes env phi in
-      Alcotest.(check int) "batch count" (List.length expected)
+      Alcotest.(check int) (what ^ "batch count") (List.length expected)
         o.Batch.count;
-      Alcotest.(check bool) "batch positions" true
+      Alcotest.(check bool) (what ^ "batch positions") true
         (List.equal Path.equal expected (Batch.positions b o)))
-    formulas b.Batch.outcomes
+    (List.combine queries formulas)
+    b.Batch.outcomes
+
+let test_batch () =
+  let t = Data_tree.of_string_exn "a:1(b:1(c:2),b:2,a:1)" in
+  check_batch "small tree" (Doc.of_tree t) (Semantics.env_of_tree t)
+    [ "<down[b]>"; "eps = down[b]"; "<desc[c]> & !b"; "false" ];
+  let n = 600 in
+  let chain =
+    tree_of_parents
+      ~parent:(Array.init n (fun i -> i - 1))
+      ~label:(Array.init n (fun i -> [| "a"; "b"; "c"; "d"; "lib" |].(i mod 5)))
+      ~data:(Array.init n (fun i -> i * 7 mod 71))
+  in
+  check_batch "chain" (Doc.of_tree chain) (Semantics.env_of_tree chain)
+    [ "eps = (down)*[a]";
+      "eps != (down/down)*[b]";
+      "<(desc/down)*[c & eps = down/down]>";
+      "<(down/down)*[a & eps = down]>";
+      "down[a] = (down)*[b]";
+      "<desc[eps = (down[b])*/down[c]]>";
+      "eps = desc[d]"
+    ];
+  let xml =
+    Xml_doc.parse_exn
+      ("<lib>"
+      ^ String.concat ""
+          (List.init 60 (fun i ->
+               Printf.sprintf
+                 "<book id='%d' shelf='s%d'><ref to='%d'/><ref to='%d'/></book>"
+                 i (i mod 7) ((i + 1) mod 60) (i * 3 mod 60)))
+      ^ "</lib>")
+  in
+  check_batch "xml" (Doc.of_xml xml)
+    (Semantics.env_of_tree (Xml_doc.to_data_tree xml))
+    [ "<down[book & <down[ref]>]>";
+      "<desc[to]>";
+      "<desc[book & down[id] != down[shelf]]>";
+      "<desc[ref & eps = eps]>"
+    ]
 
 let test_deadline () =
   let t = Data_tree.of_string_exn "a:1(b:2,c:3)" in

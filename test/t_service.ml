@@ -218,54 +218,30 @@ let prop_key_equal_same_verdict =
 
 (* --- batch: agrees with one-at-a-time solves --- *)
 
-(* A mixed bag from the bench families (kept in sync by hand — the test
-   tree cannot depend on bench/). *)
-let family_formulas () =
-  let child_chain ~sat n =
-    let rec nest k =
-      if k = 0 then B.lab "a"
-      else B.exists (B.filter B.down (And (B.lab "a", nest (k - 1))))
-    in
-    if sat then nest n
-    else
-      And
-        ( nest n,
-          B.everywhere (B.not_ (B.exists (B.filter B.down (B.lab "a")))) )
-  in
-  let data_chain ~sat n =
-    let rec down_k k =
-      if k = 1 then B.down else Seq (B.down, down_k (k - 1))
-    in
-    let deep = B.eq B.eps (down_k n) in
-    let shallow =
-      List.init (n - 1) (fun i -> B.not_ (B.eq B.eps (down_k (i + 1))))
-    in
-    if sat then B.conj (deep :: shallow)
-    else B.conj ((deep :: shallow) @ [ B.not_ (B.exists B.down) ])
-  in
-  let desc_data ~sat k =
-    let li i = Printf.sprintf "a%d" i and ri i = Printf.sprintf "b%d" i in
-    let conjuncts =
-      List.init k (fun i ->
-          And
-            ( B.eq (B.desc_lab (li i)) (B.desc_lab (ri i)),
-              B.neq (B.desc_lab (li i)) (B.desc_lab (ri ((i + 1) mod k)))
-            ))
-    in
-    let base = B.conj conjuncts in
-    if sat then base
-    else And (base, B.everywhere (B.not_ (B.lab (li 0))))
-  in
+(* A mixed bag of the bench families, each with the answer it has by
+   construction ([`Any] where the default budget runs out first). *)
+let family_cases () =
   List.concat
-    [ List.init 4 (fun i -> child_chain ~sat:true (i + 1));
-      List.init 2 (fun i -> child_chain ~sat:false (i + 1));
-      List.init 3 (fun i -> data_chain ~sat:true (i + 2));
-      [ data_chain ~sat:false 2; desc_data ~sat:true 1;
-        desc_data ~sat:true 2; desc_data ~sat:false 1
+    [ List.init 4 (fun i -> (Families.child_chain ~sat:true (i + 1), `Sat));
+      List.init 2 (fun i -> (Families.child_chain ~sat:false (i + 1), `Unsat));
+      List.init 2 (fun i -> (Families.data_chain ~sat:true (i + 2), `Sat));
+      [ (Families.data_chain ~sat:true 4, `Any);
+        (Families.data_chain ~sat:false 2, `Unsat);
+        (Families.desc_data ~sat:true 1, `Sat);
+        (Families.desc_data ~sat:true 2, `Sat);
+        (Families.desc_data ~sat:false 1, `Any);
+        (Families.root_data 2, `Sat);
+        (Families.reg_alternation ~sat:true (), `Sat);
+        (Families.mixed_axes ~sat:true 2, `Sat);
+        (Families.mixed_axes ~sat:false 2, `Unsat)
       ];
       (* duplicates exercise in-batch dedup *)
-      [ child_chain ~sat:true 2; data_chain ~sat:true 3 ]
+      [ (Families.child_chain ~sat:true 2, `Sat);
+        (Families.data_chain ~sat:true 3, `Sat)
+      ]
     ]
+
+let family_formulas () = List.map fst (family_cases ())
 
 let requests_of formulas =
   List.mapi
@@ -274,7 +250,8 @@ let requests_of formulas =
     formulas
 
 let test_batch_agrees_with_solve () =
-  let requests = requests_of (family_formulas ()) in
+  let cases = family_cases () in
+  let requests = requests_of (List.map fst cases) in
   let batch =
     Service.solve_batch (Service.create Service.Config.default) requests
   in
@@ -290,6 +267,16 @@ let test_batch_agrees_with_solve () =
         (Service.verdict_name s.Service.report.Sat.verdict)
         (Service.verdict_name b.Service.report.Sat.verdict))
     one batch;
+  List.iter2
+    (fun (_, expect) (b : Service.response) ->
+      let v = Service.verdict_name b.Service.report.Sat.verdict in
+      Alcotest.(check bool)
+        (Printf.sprintf "verdict by construction for %s: %s" b.Service.id v)
+        true
+        (match (expect, v) with
+        | `Sat, "sat" | `Unsat, ("unsat" | "unsat_bounded") | `Any, _ -> true
+        | _ -> false))
+    cases batch;
   (* The duplicated formulas must be served as in-batch cache hits. *)
   let hits =
     List.length (List.filter (fun r -> r.Service.cached) batch)
@@ -359,7 +346,9 @@ let test_deadline () =
     (Printf.sprintf "returned within tolerance (%.0f ms)" elapsed_ms)
     true (elapsed_ms < 5_000.);
   (* Deadline verdicts must not poison the cache. *)
-  Alcotest.(check int) "not cached" 0 (Service.cache_length svc)
+  Alcotest.(check int) "not cached" 0 (Service.cache_length svc);
+  Alcotest.(check int) "deadline counted" 1
+    (Service.metrics svc).Xpds_service.Metrics.deadline_timeouts
 
 (* A 0 ms budget is already exhausted at admission: the response must be
    a deterministic [Unknown "deadline exceeded"] — no fixpoint work, no
@@ -515,6 +504,7 @@ let test_handle_line_garbage () =
       "{\"id\":\"g\"}";
       "{\"formula\": \"<down[\"}";
       "{\"formula\": [1,2]}";
+      "{\"formula\": 42}";
       "[\"not\",\"an\",\"object\"]";
       "{\"formula\": \"<down[a]>\""
     ]
@@ -530,6 +520,16 @@ let test_handle_line_garbage () =
           true
           (Json.member "error" v <> None))
     garbage;
+  (* A non-numeric timeout is ignored, not an error. *)
+  (match
+     Json.parse
+       (Service.handle_line svc
+          {|{"formula": "<down[a]>", "timeout_ms": "soon"}|})
+   with
+  | Ok v ->
+    Alcotest.(check bool) "non-numeric timeout still solves" true
+      (Json.member "error" v = None)
+  | Error e -> Alcotest.failf "reply not JSON: %s" e);
   (* The service survived the abuse: a well-formed line still solves. *)
   let reply =
     Service.handle_line ~trace:true svc

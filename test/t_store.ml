@@ -440,7 +440,8 @@ let test_full_mode_marks_replayed_witness () =
    Flip every byte of a real store file (one mutant per offset) and
    probe all keys of each mutant: the only acceptable outcomes are a
    verified hit that agrees with the solver's verdict, an eviction, or
-   a miss. The mutant count is asserted so the suite keeps its
+   a miss. The same holds for a copy with a torn tail, whose prefix must
+   still open. The mutant count is asserted so the suite keeps its
    advertised coverage as fixtures evolve. *)
 
 let test_byte_flip_mutants () =
@@ -448,6 +449,17 @@ let test_byte_flip_mutants () =
   let clean = read_file path in
   let n = String.length clean in
   let served_wrong = ref 0 and mutants = ref 0 in
+  let probe_all store =
+    List.iter
+      (fun (key, canon, verdict) ->
+        match Store.probe store ~key ~canon with
+        | Store.Miss | Store.Evicted _ -> ()
+        | Store.Hit (report, _) ->
+          if Service.verdict_name report.Sat.verdict <> verdict then
+            incr served_wrong)
+      facts;
+    Store.close store
+  in
   for off = 0 to n - 1 do
     incr mutants;
     let b = Bytes.of_string clean in
@@ -456,18 +468,18 @@ let test_byte_flip_mutants () =
     write_file mpath (Bytes.to_string b);
     (match Store.open_ro mpath with
     | Error _ -> () (* whole file rejected *)
-    | Ok (store, _) ->
-      List.iter
-        (fun (key, canon, verdict) ->
-          match Store.probe store ~key ~canon with
-          | Store.Miss | Store.Evicted _ -> ()
-          | Store.Hit (report, _) ->
-            if Service.verdict_name report.Sat.verdict <> verdict then
-              incr served_wrong)
-        facts;
-      Store.close store);
+    | Ok (store, _) -> probe_all store);
     Sys.remove mpath
   done;
+  (* A crash mid-append: the torn tail is dropped, the prefix served. *)
+  let tpath = tmp_path "torn.xpds" in
+  write_file tpath (String.sub clean 0 (n - 5));
+  (match Store.open_ro tpath with
+  | Error e -> Alcotest.failf "torn store rejected: %s" e
+  | Ok (store, info) ->
+    Alcotest.(check bool) "torn tail recovered" true
+      (info.Store.recovered_bytes > 0);
+    probe_all store);
   Alcotest.(check int) "no mutant ever serves a wrong verdict" 0
     !served_wrong;
   Alcotest.(check bool)
@@ -537,7 +549,7 @@ let test_import_skips_existing () =
   let snap = tmp_path "imp2.snap" in
   (match Store.export ~src:path ~dst:snap with
   | Error e -> Alcotest.failf "export: %s" e
-  | Ok _ -> ());
+  | Ok info -> Alcotest.(check int) "nothing skipped" 0 info.Store.skipped);
   (* importing into the source store is a no-op: every key exists *)
   (match Store.import_into ~snapshot:snap ~store_path:path with
   | Error e -> Alcotest.failf "import: %s" e
