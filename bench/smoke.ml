@@ -27,10 +27,7 @@ module Cert = Xpds.Cert
 module Store = Xpds.Store
 module Metrics = Xpds.Service_metrics
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+let time = Table.time
 
 let verdict_of (r : Service.response) =
   Service.verdict_name r.Service.report.Sat.verdict
