@@ -5,9 +5,6 @@
    - certify: every verdict on the certify corpus yields a certificate
      that survives its JSON encoding and passes the independent
      checker ([Cert.check]);
-   - pruned vs exact: the same formulas with subsumption pruning on and
-     off agree on the verdict, pruning never grows the state set, and
-     the pruned total wall is within 1.25x of exact;
    - eval: on a ~1 300-node document the array evaluator agrees with
      the reference semantics position for position, and its warm
      (memoised) replay is >= 10x faster than the oracle;
@@ -89,50 +86,6 @@ let certify () =
     ok
   in
   [ ("certificates_check", List.for_all Fun.id (List.map checked cases)) ]
-
-(* --- pruned vs exact --- *)
-
-(* The heavier quick families, each decided with pruning on and off.
-   The timing gate is on the summed wall, not per case: these are
-   millisecond instances, and 1.25x absorbs timer noise while still
-   catching a pruning overhead regression. *)
-let pruned_vs_exact () =
-  let cases =
-    [ ("data_chain_sat_4", Families.data_chain ~sat:true 4);
-      ("data_chain_unsat_3", Families.data_chain ~sat:false 3);
-      ("mixed_axes_sat_3", Families.mixed_axes ~sat:true 3);
-      ("reg_alt_sat", Families.reg_alternation ~sat:true ())
-    ]
-  in
-  let decide prune phi =
-    time (fun () ->
-        Sat.decide ~options:Sat.Options.(default |> with_prune prune) phi)
-  in
-  let rows =
-    List.map
-      (fun (name, phi) ->
-        let pruned, pruned_s = decide true phi in
-        let exact, exact_s = decide false phi in
-        let v (r : Sat.report) = Service.verdict_name r.Sat.verdict in
-        let states (r : Sat.report) = r.Sat.stats.Emptiness.n_states in
-        let ok = v pruned = v exact && states pruned <= states exact in
-        Format.printf
-          "  prune   %-20s pruned %6.1f ms (%d states), exact %6.1f ms (%d \
-           states)  %s@."
-          name (pruned_s *. 1000.) (states pruned) (exact_s *. 1000.)
-          (states exact)
-          (if ok then "agree" else "DISAGREE");
-        (ok, pruned_s, exact_s))
-      cases
-  in
-  let total f = List.fold_left (fun a r -> a +. f r) 0. rows in
-  let pruned_s = total (fun (_, p, _) -> p)
-  and exact_s = total (fun (_, _, e) -> e) in
-  Format.printf "  prune   totals: pruned %.1f ms, exact %.1f ms@."
-    (pruned_s *. 1000.) (exact_s *. 1000.);
-  [ ("pruned_vs_exact_agree", List.for_all (fun (ok, _, _) -> ok) rows);
-    ("pruned_within_1.25x_exact", pruned_s <= exact_s *. 1.25)
-  ]
 
 (* --- eval --- *)
 
@@ -273,7 +226,7 @@ let run () =
   let gates =
     List.concat_map
       (fun leg -> leg ())
-      [ certify; pruned_vs_exact; eval; store;
+      [ certify; eval; store;
         (fun () ->
           let gates, _, _ = Load_bench.sweep ~quick:true () in
           gates)

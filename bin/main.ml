@@ -47,16 +47,6 @@ let verbose_arg =
   let doc = "Print the full report rather than just the verdict." in
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
 
-let no_prune_arg =
-  let doc =
-    "Disable subsumption pruning in the emptiness fixpoint and run the \
-     exact engine (every reachable extended state kept). Pruning is on \
-     by default and never changes the verdict of a search that \
-     finishes within budget; certificate runs are always exact \
-     regardless of this flag."
-  in
-  Arg.(value & flag & info [ "no-prune" ] ~doc)
-
 (* --- sat --- *)
 
 let json_arg =
@@ -139,14 +129,13 @@ let sat_cmd =
             "Write the certificate (JSON) to $(docv); implies \
              --certify.")
   in
-  let run formula width verbose json minimize certify cert_out no_prune =
+  let run formula width verbose json minimize certify cert_out =
     let certify = certify || cert_out <> None in
     let eta = or_die (parse_node formula) in
     let options =
       Xpds.Sat.Options.(
         default |> with_width width |> with_minimize minimize
-        |> with_certificate certify
-        |> with_prune (not no_prune))
+        |> with_certificate certify)
     in
     let report = Xpds.Sat.decide ~options eta in
     let cert_fields, cert, cert_ok =
@@ -190,7 +179,7 @@ let sat_cmd =
           3 unknown, 4 certificate failure (with --certify).")
     Term.(
       const run $ formula_arg $ width_arg $ verbose_arg $ json_arg
-      $ minimize_arg $ certify_arg $ cert_out_arg $ no_prune_arg)
+      $ minimize_arg $ certify_arg $ cert_out_arg)
 
 (* --- classify --- *)
 
@@ -292,11 +281,10 @@ let local_timeout_arg =
 
 (* The full PR-5 options surface, so the containment path honors the
    same deadlines/engine knobs as [sat]. *)
-let containment_options ~width ~no_prune ~timeout_ms =
+let containment_options ~width ~timeout_ms =
   let deadline = Option.map (fun ms -> Xpds.Trace.now_ms () +. ms) timeout_ms in
   Xpds.Sat.Options.(
     default |> with_width width
-    |> with_prune (not no_prune)
     |> with_should_stop
          (Option.map (fun d () -> Xpds.Trace.now_ms () > d) deadline))
 
@@ -324,10 +312,10 @@ let pp_answer direction = function
     Printf.printf "%s unknown (%s)\n" direction why
 
 let contains_cmd =
-  let run phi_s psi_s width json no_prune timeout_ms =
+  let run phi_s psi_s width json timeout_ms =
     let phi = or_die (parse_node phi_s) in
     let psi = or_die (parse_node psi_s) in
-    let options = containment_options ~width ~no_prune ~timeout_ms in
+    let options = containment_options ~width ~timeout_ms in
     let answer = Xpds.Containment.contained ~options phi psi in
     let code, name, fields = answer_fields answer in
     if json then
@@ -344,14 +332,14 @@ let contains_cmd =
           failing containment prints its counterexample tree in the \
           parseable label:datum syntax (feed it back to $(b,xpds check)).")
     Term.(
-      const run $ formula_arg $ psi_arg $ width_arg $ json_arg $ no_prune_arg
+      const run $ formula_arg $ psi_arg $ width_arg $ json_arg
       $ local_timeout_arg)
 
 let equiv_cmd =
-  let run phi_s psi_s width json no_prune timeout_ms =
+  let run phi_s psi_s width json timeout_ms =
     let phi = or_die (parse_node phi_s) in
     let psi = or_die (parse_node psi_s) in
-    let options = containment_options ~width ~no_prune ~timeout_ms in
+    let options = containment_options ~width ~timeout_ms in
     let fwd, bwd = Xpds.Containment.equivalent ~options phi psi in
     let code_of a b =
       match (a, b) with
@@ -391,7 +379,7 @@ let equiv_cmd =
          "Decide [[PHI]] = [[PSI]] on all data trees (mutual inclusion, \
           Section 4.1).")
     Term.(
-      const run $ formula_arg $ psi_arg $ width_arg $ json_arg $ no_prune_arg
+      const run $ formula_arg $ psi_arg $ width_arg $ json_arg
       $ local_timeout_arg)
 
 (* --- tiling --- *)
@@ -784,11 +772,10 @@ let open_store ~verify ~solver path =
     store
 
 let config_of ?(certificate = false) ?(retry_degraded = false)
-    ?(prune = true) ~cache_capacity () =
+    ~cache_capacity () =
   Xpds.Service.Config.(
     default |> with_certificate certificate
     |> with_retry_degraded retry_degraded
-    |> with_prune prune
     |> with_cache_capacity cache_capacity)
 
 (* The one service constructor of serve (in-process, and each forked
@@ -917,8 +904,8 @@ let serve_cmd =
     in
     Arg.(value & opt int 64 & info [ "queue-depth" ] ~docv:"DEPTH" ~doc)
   in
-  let run timeout_ms cache stats certify trace degrade no_prune docs
-      store_path store_verify shards queue_depth =
+  let run timeout_ms cache stats certify trace degrade docs store_path
+      store_verify shards queue_depth =
     if certify && shards > 0 then begin
       prerr_endline "--certify is not supported with --shards";
       exit 2
@@ -938,7 +925,7 @@ let serve_cmd =
     in
     let config =
       config_of ~certificate:certify ~retry_degraded:degrade
-        ~prune:(not no_prune) ~cache_capacity:cache ()
+        ~cache_capacity:cache ()
     in
     let service = make_service ~config ?store_path ~store_verify ~docs in
     let emit line =
@@ -1035,8 +1022,8 @@ let serve_cmd =
           counting DTD rules.")
     Term.(
       const run $ timeout_arg $ cache_arg $ stats_arg $ certify_arg
-      $ trace_arg $ degrade_arg $ no_prune_arg $ docs_arg
-      $ store_arg $ store_verify_arg $ shards_arg $ queue_depth_arg)
+      $ trace_arg $ degrade_arg $ docs_arg $ store_arg $ store_verify_arg
+      $ shards_arg $ queue_depth_arg)
 
 let batch_cmd =
   let file_arg =
@@ -1058,7 +1045,7 @@ let batch_cmd =
              implies --certify.")
   in
   let run file timeout_ms cache stats certify cert_dir trace degrade
-      no_prune store_path store_verify =
+      store_path store_verify =
     let certify = certify || cert_dir <> None in
     let ic = open_in file in
     let items = ref [] in
@@ -1100,7 +1087,7 @@ let batch_cmd =
     in
     let config =
       config_of ~certificate:certify ~retry_degraded:degrade
-        ~prune:(not no_prune) ~cache_capacity:cache ()
+        ~cache_capacity:cache ()
     in
     let svc, store = make_service ~config ?store_path ~store_verify () in
     let extra_of, certified = certifier ~certify ?cert_dir svc in
@@ -1138,8 +1125,7 @@ let batch_cmd =
           $(b,xpds serve --shards N).")
     Term.(
       const run $ file_arg $ timeout_arg $ cache_arg $ stats_arg
-      $ certify_arg $ cert_dir_arg $ trace_arg $ degrade_arg
-      $ no_prune_arg $ store_arg
+      $ certify_arg $ cert_dir_arg $ trace_arg $ degrade_arg $ store_arg
       $ store_verify_arg)
 
 (* --- certify --- *)

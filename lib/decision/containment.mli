@@ -32,9 +32,9 @@ val contained :
 (** [contained phi psi] — does [[ϕ]] ⊆ [[ψ]] hold on every data tree?
     [options] (default {!Sat.Options.default}) configures the ϕ∧¬ψ
     search exactly as {!Sat.decide}: cooperative deadlines
-    ([should_stop]), widths/budgets, pruning, certificate
-    mode — so a served containment request honors the same deadline
-    machinery as a sat request. *)
+    ([should_stop]), widths/budgets, certificate mode — so a served
+    containment request honors the same deadline machinery as a sat
+    request. *)
 
 val equivalent :
   ?options:Sat.Options.t ->

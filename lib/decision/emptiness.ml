@@ -9,21 +9,11 @@ type outcome =
   | Bounded_empty
   | Resource_limit of string
 
-type prune_stats = {
-  subsumed_pruned : int;
-  basis_evicted : int;
-  antichain_size : int;
-}
-
-let no_prune_stats =
-  { subsumed_pruned = 0; basis_evicted = 0; antichain_size = 0 }
-
 type stats = {
   n_states : int;
   n_transitions : int;
   n_mergings : int;
   max_height_reached : int;
-  prune : prune_stats;
   n_replayed : int;
 }
 
@@ -36,7 +26,6 @@ type config = {
   max_states : int;
   max_transitions : int;
   should_stop : (unit -> bool) option;
-  prune : bool;
 }
 
 let default_config =
@@ -49,9 +38,7 @@ let default_config =
     max_states = 20_000;
     max_transitions = 200_000;
     should_stop = None;
-    prune = true;
   }
-
 
 let paper_width (m : Bip.t) =
   let k = m.pf.Pathfinder.n_states in
@@ -101,15 +88,6 @@ module MemoTbl = Hashtbl.Make (struct
   let hash (p, k) = ((Merging.Key.hash k * 0x01000193) lxor p) land max_int
 end)
 
-(* Profile-keyed table for the hash-consed quotient: states with equal
-   upward-observable footprints collapse to one representative. *)
-module ProfTbl = Hashtbl.Make (struct
-  type t = Ext_state.profile
-
-  let equal = Ext_state.profile_equal
-  let hash = Ext_state.profile_hash
-end)
-
 type search = {
   ctx : Transition.ctx;
   memo : Pathfinder.memo;
@@ -129,18 +107,6 @@ type search = {
   mutable mergings : int;
   final : Bitv.t;
   enum : Merging.enum;  (** the round's merging scratch *)
-  (* subsumption pruning (DESIGN.md: Subsumption pruning) *)
-  prune : bool;  (** profile quotient enabled (config + not want_basis) *)
-  mono : bool;  (** dominance/antichain tier enabled (monotone gate) *)
-  profiles : int ProfTbl.t;  (** profile -> representative id *)
-  mutable alive : bool array;
-      (** per id: still a frontier member (not evicted); dead states
-          keep their slot, tag and provenance but leave future pools *)
-  mutable n_dead : int;
-  mutable chain : (int * Ext_state.profile) list;
-      (** the antichain frontier, newest first (dominance tier only) *)
-  mutable subsumed_pruned : int;
-  mutable basis_evicted : int;
   (* the transition memo *)
   projs : int ProjTbl.t;  (** children projection -> projection id *)
   replays : int array MemoTbl.t;
@@ -150,75 +116,14 @@ type search = {
 }
 
 (* Admit a transition result at [height]; returns the id it resolved
-   to: its new id, an equal state's, or the representative it was pruned
-   against. Raises [Found] on an accepting state. *)
+   to: its new id or an equal state's. Raises [Found] on an accepting
+   state. *)
 let add_state s state prov height =
   match StateTbl.find_opt s.ids state with
   | Some id ->
     if height < s.heights.(id) then s.heights.(id) <- height;
     id
   | None ->
-    (* Subsumption pruning. Accepting states are never pruned: the
-       [Found] acceptance below must fire exactly as in an exact run.
-       Tier 1 (always on with [prune]): the profile quotient — a state
-       whose upward-observable footprint equals an already-admitted
-       one is interchangeable with it in every parent context and is
-       dropped. Tier 2 (monotone gate only): antichain dominance — a
-       state pointwise below a frontier member is dropped, and newly
-       dominated frontier members are evicted from future pools. *)
-    let profile =
-      if s.prune && not (Ext_state.accepting state s.final) then
-        Some
-          (Ext_state.profile
-             ~su:(fun v -> Pathfinder.step_up_m s.memo v)
-             state)
-      else None
-    in
-    let subsumer =
-      match profile with
-      | None -> None
-      | Some p -> (
-        match ProfTbl.find_opt s.profiles p with
-        | Some _ as rep -> rep
-        | None ->
-          if s.mono then
-            List.find_map
-              (fun (id_b, pb) ->
-                if Ext_state.subsumed_by p pb then Some id_b else None)
-              s.chain
-          else None)
-    in
-    match subsumer with
-    | Some rep ->
-      s.subsumed_pruned <- s.subsumed_pruned + 1;
-      (* Alias the pruned state to its representative in [ids]: later
-         proposals of the same state take the cheap exact-dup path
-         above instead of rebuilding the profile every round. Folding
-         its height in keeps the representative at least as explorable
-         under a height cap as the state it stands for. *)
-      StateTbl.add s.ids state rep;
-      if height < s.heights.(rep) then s.heights.(rep) <- height;
-      rep
-    | None -> begin
-    (match profile with
-    | Some p when s.mono ->
-      (* Retroactive eviction: frontier members now dominated by the
-         newcomer leave the antichain and every future round's pool. *)
-      let evicted, kept =
-        List.partition
-          (fun (_, pa) -> Ext_state.subsumed_by pa p)
-          s.chain
-      in
-      if evicted <> [] then begin
-        List.iter
-          (fun (id_a, _) ->
-            s.alive.(id_a) <- false;
-            s.n_dead <- s.n_dead + 1;
-            s.basis_evicted <- s.basis_evicted + 1)
-          evicted;
-        s.chain <- kept
-      end
-    | _ -> ());
     if s.count >= s.cfg.max_states then raise (Limit "state budget");
     let id = s.count in
     if id >= Array.length s.states then begin
@@ -237,10 +142,7 @@ let add_state s state prov height =
       s.val_su <- val_su';
       let visible' = Array.make cap [||] in
       Array.blit s.visible 0 visible' 0 id;
-      s.visible <- visible';
-      let alive' = Array.make cap true in
-      Array.blit s.alive 0 alive' 0 id;
-      s.alive <- alive'
+      s.visible <- visible'
     end;
     s.states.(id) <- state;
     Ext_state.set_tag state id;
@@ -259,17 +161,10 @@ let add_state s state prov height =
       if not (Bitv.is_empty sus.(v)) then vis := v :: !vis
     done;
     s.visible.(id) <- Array.of_list !vis;
-    s.alive.(id) <- true;
     s.count <- id + 1;
     StateTbl.add s.ids state id;
-    (match profile with
-    | Some p ->
-      ProfTbl.add s.profiles p id;
-      if s.mono then s.chain <- (id, p) :: s.chain
-    | None -> ());
     if Ext_state.accepting state s.final then raise (Found id);
     id
-    end
 
 (* Non-decreasing id sequences of length [w] over [0..n], containing at
    least one id from [fresh] (a predicate). *)
@@ -326,7 +221,7 @@ let distinct_merging enum ~initial =
 
 (* Replay a memo entry: the transitions count and poll as if applied,
    and each result lands on the id it resolved to when the entry was
-   written — by then it was admitted, aliased or a duplicate, so
+   written — by then it was admitted or a duplicate, so
    [add_state]'s duplicate branch is all a recompute would run. *)
 let replay_entry s ~height ~n_labels e =
   for l = 0 to n_labels - 1 do
@@ -393,18 +288,17 @@ let projection_id s children =
    transition whose children projection and merging key were already
    applied in this search is replayed from the memo instead. Returns
    whether new states appeared. *)
-let round s ~labels ~width ~height ~fresh_from ~pool =
+let round s ~labels ~width ~height ~fresh_from =
   let cfg = s.cfg in
-  let n = Array.length pool - 1 in
   let start = s.count in
-  let is_fresh p = pool.(p) >= fresh_from in
+  let n = start - 1 in
+  let is_fresh id = id >= fresh_from in
   let m = Transition.bip_of s.ctx in
   let k_card = m.Bip.pf.Pathfinder.n_states in
   let t0 = match cfg.t0 with Some t -> t | None -> Transition.t0_default m in
   let n_labels = List.length labels in
   for w = 1 to width do
     iter_combos ~n ~w ~is_fresh (fun combo ->
-        let combo = Array.map (fun p -> pool.(p)) combo in
         let children = Array.map (fun id -> s.states.(id)) combo in
         let proj = ref (-1) in
         load_combo s.enum ~k_card ~val_su:s.val_su ~visible:s.visible combo;
@@ -646,7 +540,6 @@ let check_data_free ~config (m : Bip.t) =
       n_transitions = !transitions;
       n_mergings = 0;
       max_height_reached = height;
-      prune = no_prune_stats;
       n_replayed = 0;
     }
   in
@@ -743,30 +636,6 @@ let check_data_free ~config (m : Bip.t) =
    Certificate runs keep the full atom matrices ([project_pairs:false]):
    the pair-mask projection is an engine-internal state-space
    optimization the naive checker deliberately knows nothing about. *)
-(* The dominance tier is only a sound pruning order when the transition
-   relation is monotone in the child order: positive-polarity data atoms
-   (an extra ∃(k1,k2)~ can only enable more behaviour), no
-   downward-counting atoms, acyclic BIP dependencies (the cyclic
-   labelling enumeration checks both directions of μ), and no caps that
-   could make a larger state lose capabilities ([t0] at least the paper
-   bound, no [dup_cap], no [merge_budget]). *)
-let mono_gate (m : Bip.t) (config : config) =
-  let rec monotone positive = function
-    | Bip.FTrue | Bip.FFalse | Bip.FLab _ -> true
-    | Bip.FNot f -> monotone (not positive) f
-    | Bip.FAnd (f, g) | Bip.FOr (f, g) ->
-      monotone positive f && monotone positive g
-    | Bip.FEx _ | Bip.FCountGe _ -> positive
-    | Bip.FCountZero _ | Bip.FCountLt _ -> false
-  in
-  Bip.has_bounded_interleaving m
-  && Array.for_all (monotone true) m.Bip.mu
-  && (match config.t0 with
-     | None -> true
-     | Some t -> t >= Transition.t0_default m)
-  && config.dup_cap = None
-  && config.merge_budget = None
-
 let check_full ?(config = default_config) ?(want_basis = false) (m : Bip.t) =
   let ctx = Transition.make_ctx ~project_pairs:(not want_basis) m in
   let width =
@@ -796,14 +665,6 @@ let check_full ?(config = default_config) ?(want_basis = false) (m : Bip.t) =
       mergings = 0;
       final = m.Bip.final;
       enum = Merging.create ();
-      prune = config.prune && not want_basis;
-      mono = config.prune && (not want_basis) && mono_gate m config;
-      profiles = ProfTbl.create 16;
-      alive = [||];
-      n_dead = 0;
-      chain = [];
-      subsumed_pruned = 0;
-      basis_evicted = 0;
       projs = ProjTbl.create 16;
       replays = MemoTbl.create 16;
       replayed = 0;
@@ -815,12 +676,6 @@ let check_full ?(config = default_config) ?(want_basis = false) (m : Bip.t) =
       n_transitions = s.transitions;
       n_mergings = s.mergings;
       max_height_reached = height;
-      prune =
-        {
-          subsumed_pruned = s.subsumed_pruned;
-          basis_evicted = s.basis_evicted;
-          antichain_size = s.count - s.n_dead;
-        };
       n_replayed = s.replayed;
     }
   in
@@ -847,23 +702,7 @@ let check_full ?(config = default_config) ?(want_basis = false) (m : Bip.t) =
       if height > max_h then (height - 1, true)
       else begin
         let prev_count = s.count in
-        (* Round-start pool: the alive (non-evicted) basis, ascending.
-           Mid-round evictions only shrink the next round's pool. *)
-        let pool =
-          if s.n_dead = 0 then Array.init s.count Fun.id
-          else begin
-            let out = Array.make (s.count - s.n_dead) 0 in
-            let j = ref 0 in
-            for id = 0 to s.count - 1 do
-              if s.alive.(id) then begin
-                out.(!j) <- id;
-                incr j
-              end
-            done;
-            out
-          end
-        in
-        if round s ~labels ~width ~height ~fresh_from ~pool then
+        if round s ~labels ~width ~height ~fresh_from then
           saturate (height + 1) prev_count
         else (height - 1, false)
       end

@@ -28,29 +28,11 @@ type outcome =
   | Resource_limit of string
       (** state or transition budget exhausted before saturation *)
 
-type prune_stats = {
-  subsumed_pruned : int;
-      (** candidate states dropped at admission: profile duplicates of
-          an admitted representative, or (dominance tier) pointwise
-          below an antichain member *)
-  basis_evicted : int;
-      (** admitted states retroactively evicted from future rounds'
-          pools when a newly admitted state dominates them (dominance
-          tier only) *)
-  antichain_size : int;
-      (** surviving frontier at the end of the search: admitted states
-          minus evictions (equals [n_states] on exact runs) *)
-}
-
-val no_prune_stats : prune_stats
-(** All-zero counters (exact runs, the data-free fast path). *)
-
 type stats = {
   n_states : int;  (** distinct extended states reached *)
   n_transitions : int;  (** transition applications attempted *)
   n_mergings : int;  (** mergings enumerated *)
   max_height_reached : int;
-  prune : prune_stats;  (** subsumption-pruning counters *)
   n_replayed : int;
       (** transitions among [n_transitions] answered from the search's
           transition memo instead of recomputed (0 on the data-free fast
@@ -81,18 +63,6 @@ type config = {
           far — never with a (possibly wrong) [Empty]/[Bounded_empty],
           so the honesty model is preserved (see DESIGN.md). Default
           [None]. *)
-  prune : bool;
-      (** subsumption pruning (default [true]). Admission collapses
-          states with equal upward-observable profiles to one
-          representative, and — when the automaton passes the monotone
-          gate — keeps only an antichain of the pointwise-maximal
-          profiles, evicting dominated basis members. Exact behaviour
-          ([false]) is forced for certificate runs
-          ({!check_with_basis}) regardless of this flag. On searches
-          that complete without hitting a resource budget the verdict
-          is unaffected; budget-capped searches may cover a different
-          (usually larger) portion of the state space. See DESIGN.md,
-          "Subsumption pruning". *)
 }
 
 val deadline_exceeded : string

@@ -151,93 +151,6 @@ let hash t =
       t.unique,
       Bitv.hash t.many )
 
-(* --- subsumption (DESIGN.md §9, "Subsumption pruning") ---
-
-   The upward-observable footprint of an extended state: its parents
-   consult only [states] (counting atoms, acceptance), the atom matrices
-   (the case-1 lift), [step_up many] (the many-source rule), and the
-   step-ups of the described values (class bases — a value with an empty
-   step-up is invisible to every merging). [unique] and the value
-   descriptions themselves are never read above the node, so states
-   agreeing on this footprint are interchangeable as children. *)
-
-type profile = {
-  p_states : Bitv.t;
-  p_eq : Bitv.t;
-  p_neq : Bitv.t;
-  p_su_many : Bitv.t;
-  p_sus : Bitv.t array;
-      (** step-ups of the visible described values, sorted *)
-}
-
-let profile ~su t =
-  let p_sus =
-    Array.of_list
-      (List.filter_map
-         (fun v ->
-           let s = su v in
-           if Bitv.is_empty s then None else Some s)
-         (Array.to_list t.values))
-  in
-  Array.sort Bitv.compare p_sus;
-  { p_states = t.states; p_eq = t.eq; p_neq = t.neq;
-    p_su_many = su t.many; p_sus }
-
-let profile_equal a b =
-  Bitv.equal a.p_states b.p_states
-  && Bitv.equal a.p_eq b.p_eq && Bitv.equal a.p_neq b.p_neq
-  && Bitv.equal a.p_su_many b.p_su_many
-  && Array.length a.p_sus = Array.length b.p_sus
-  && Array.for_all2 Bitv.equal a.p_sus b.p_sus
-
-let profile_hash p =
-  Hashtbl.hash
-    ( Bitv.hash p.p_states,
-      Bitv.hash p.p_eq,
-      Bitv.hash p.p_neq,
-      Bitv.hash p.p_su_many,
-      Array.map Bitv.hash p.p_sus )
-
-(* Injection of [a]'s visible step-ups into [b]'s with pointwise ⊆:
-   Kuhn's augmenting paths over a bipartite graph of at most t0 items a
-   side (word-level [Bitv.subset] edges). *)
-let sus_inject a b =
-  let na = Array.length a and nb = Array.length b in
-  na <= nb
-  && begin
-       let matched = Array.make nb (-1) in
-       let rec augment i seen =
-         let rec go j =
-           if j >= nb then false
-           else if (not seen.(j)) && Bitv.subset a.(i) b.(j) then begin
-             seen.(j) <- true;
-             if matched.(j) < 0 || augment matched.(j) seen then begin
-               matched.(j) <- i;
-               true
-             end
-             else go (j + 1)
-           end
-           else go (j + 1)
-         in
-         go 0
-       in
-       let rec all i =
-         i >= na || (augment i (Array.make nb false) && all (i + 1))
-       in
-       all 0
-     end
-
-(* [subsumed_by a b] — the pointwise order: every upward-observable
-   capability of [a] is one of [b]. Sound as a pruning order only under
-   the monotone gate (Emptiness.mono_gate): positive-polarity data
-   atoms, no FCountZero/FCountLt, trivial SCCs. *)
-let subsumed_by a b =
-  Bitv.subset a.p_states b.p_states
-  && Bitv.subset a.p_eq b.p_eq
-  && Bitv.subset a.p_neq b.p_neq
-  && Bitv.subset a.p_su_many b.p_su_many
-  && sus_inject a.p_sus b.p_sus
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>ext-state: C=%a many=%a@," Bitv.pp t.states
     Bitv.pp t.many;

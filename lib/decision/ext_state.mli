@@ -87,33 +87,6 @@ val compare : t -> t -> int
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
-(** {1 Subsumption}
-
-    The upward-observable footprint of an extended state — what its
-    parents can ever consult: [states] (counting atoms, acceptance),
-    the atom matrices (the case-1 lift), [step_up many], and the
-    step-ups of the visible described values. [unique] and the raw
-    reach sets are unobservable above the node. *)
-
-type profile
-
-val profile : su:(Bitv.t -> Bitv.t) -> t -> profile
-(** [profile ~su t] with [su] the (memoized) pathfinder step-up. *)
-
-val profile_equal : profile -> profile -> bool
-(** Equal-profile states are interchangeable as children: every parent
-    transition produces literally the same result states from either.
-    Unconditionally sound as a basis quotient. *)
-
-val profile_hash : profile -> int
-
-val subsumed_by : profile -> profile -> bool
-(** [subsumed_by a b] — pointwise order: [b] covers every observable
-    capability of [a] (componentwise ⊆, plus an injection of [a]'s
-    visible value step-ups into [b]'s, word-level {!Bitv.subset} on
-    every edge). A valid pruning order only under the monotone gate
-    (see {!Emptiness}). *)
-
 val pair_index : k_card:int -> int -> int -> int
 val empty_matrix : k_card:int -> Bitv.t
 val matrix_add : k_card:int -> int -> int -> Bitv.t -> Bitv.t

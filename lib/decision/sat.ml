@@ -49,7 +49,6 @@ module Options = struct
     minimize : bool;
     extra_labels : Xpds_datatree.Label.t list;
     certificate : bool;
-    prune : bool;
   }
 
   let default =
@@ -66,7 +65,6 @@ module Options = struct
       minimize = false;
       extra_labels = [];
       certificate = false;
-      prune = true;
     }
 
   let with_width width o = { o with width }
@@ -81,7 +79,6 @@ module Options = struct
   let with_minimize minimize o = { o with minimize }
   let with_extra_labels extra_labels o = { o with extra_labels }
   let with_certificate certificate o = { o with certificate }
-  let with_prune prune o = { o with prune }
 end
 
 let saturated_reason width m =
@@ -115,10 +112,6 @@ let decide ?(options = Options.default) eta =
       max_states = o.Options.max_states;
       max_transitions = o.Options.max_transitions;
       should_stop = o.Options.should_stop;
-      (* Certificate runs must stay exact: the basis is the certificate,
-         and a pruned basis is not the inductive set the independent
-         checker replays ([check_with_basis] would force this anyway). *)
-      prune = o.Options.prune && not o.Options.certificate;
     }
   in
   let algorithm =
@@ -128,15 +121,8 @@ let decide ?(options = Options.default) eta =
       ^ string_of_int o.Options.width ^ ")"
     | None -> "full fixpoint (Thm 4, width=" ^ string_of_int o.Options.width ^ ")"
   in
-  (* The phase name tells traces which engine ran: pruning only acts in
-     the general engine (the data-free fast path has no profiles to
-     collapse), and certificate mode forces it off. *)
-  let pruned_engine =
-    config.Emptiness.prune && not (Emptiness.data_free m)
-  in
   let outcome, stats, basis =
-    o.Options.on_phase
-      (if pruned_engine then "fixpoint_pruned" else "fixpoint");
+    o.Options.on_phase "fixpoint";
     if o.Options.certificate then Emptiness.check_with_basis ~config m
     else
       let outcome, stats = Emptiness.check_with_stats ~config m in
@@ -243,18 +229,13 @@ let decide_under_doctype ?(options = Options.default) ~doctype eta =
       max_states = o.Options.max_states;
       max_transitions = o.Options.max_transitions;
       should_stop = o.Options.should_stop;
-      prune = o.Options.prune;
     }
   in
   let algorithm =
     "doctype-restricted full fixpoint (§4.1, width="
     ^ string_of_int o.Options.width ^ ")"
   in
-  let pruned_engine =
-    config.Emptiness.prune && not (Emptiness.data_free m)
-  in
-  o.Options.on_phase
-    (if pruned_engine then "fixpoint_pruned" else "fixpoint");
+  o.Options.on_phase "fixpoint";
   let outcome, stats = Emptiness.check_with_stats ~config m in
   let paper_complete_widths =
     o.Options.width >= Emptiness.paper_width m

@@ -82,8 +82,7 @@ module Options : sig
             deadline yields [Unknown "deadline exceeded"] *)
     on_phase : string -> unit;
         (** observability hook: invoked with ["translate"],
-            ["fixpoint"] (or ["fixpoint_pruned"] when subsumption
-            pruning acts), and — on a nonempty outcome —
+            ["fixpoint"], and — on a nonempty outcome —
             ["verify"], as the run enters each stage *)
     verify : bool;  (** replay the witness (default true) *)
     minimize : bool;
@@ -93,11 +92,6 @@ module Options : sig
     certificate : bool;
         (** run in certificate mode and fill
             {!field-report.cert_seed} *)
-    prune : bool;
-        (** subsumption pruning in the emptiness fixpoint
-            ({!Emptiness.config}, default [true]). Certificate runs are
-            always exact regardless of this flag: the basis shipped to
-            the independent checker must be the full inductive set. *)
   }
 
   val default : t
@@ -114,7 +108,6 @@ module Options : sig
   val with_minimize : bool -> t -> t
   val with_extra_labels : Xpds_datatree.Label.t list -> t -> t
   val with_certificate : bool -> t -> t
-  val with_prune : bool -> t -> t
 end
 
 val decide : ?options:Options.t -> Xpds_xpath.Ast.node -> report

@@ -37,6 +37,7 @@ val make_ctx : ?project_pairs:bool -> Xpds_automata.Bip.t -> ctx
     their closure under the case-1 backward steps) — a state-space
     reduction that preserves every observable answer; the emptiness
     engine turns it on. *)
+
 val bip_of : ctx -> Xpds_automata.Bip.t
 
 val memo_of : ctx -> Xpds_automata.Pathfinder.memo

@@ -48,9 +48,6 @@ type t = {
   mutable fixpoint_states : int;
   mutable fixpoint_transitions : int;
   mutable fixpoint_mergings : int;
-  mutable subsumed_pruned : int;
-  mutable basis_evicted : int;
-  mutable antichain_size_max : int;
   mutable certified : int;
   mutable cert_check_failures : int;
   mutable single_flight : int;
@@ -88,12 +85,6 @@ type snapshot = {
   fixpoint_states : int;
   fixpoint_transitions : int;
   fixpoint_mergings : int;
-  subsumed_pruned : int;
-      (** candidate states dropped at admission by subsumption pruning *)
-  basis_evicted : int;
-      (** admitted states retroactively evicted by a dominating state *)
-  antichain_size_max : int;
-      (** largest surviving frontier across uncached solves *)
   certified : int;
   cert_check_failures : int;
   cert_latency_mean_ms : float;
@@ -151,9 +142,6 @@ let create () =
     fixpoint_states = 0;
     fixpoint_transitions = 0;
     fixpoint_mergings = 0;
-    subsumed_pruned = 0;
-    basis_evicted = 0;
-    antichain_size_max = 0;
     certified = 0;
     cert_check_failures = 0;
     single_flight = 0;
@@ -190,9 +178,6 @@ let reset (m : t) =
   m.fixpoint_states <- 0;
   m.fixpoint_transitions <- 0;
   m.fixpoint_mergings <- 0;
-  m.subsumed_pruned <- 0;
-  m.basis_evicted <- 0;
-  m.antichain_size_max <- 0;
   m.certified <- 0;
   m.cert_check_failures <- 0;
   m.single_flight <- 0;
@@ -244,12 +229,7 @@ let record ?(kind = `Sat) (m : t) ~verdict ~cached ~ms
     m.fixpoint_states <- m.fixpoint_states + stats.Emptiness.n_states;
     m.fixpoint_transitions <-
       m.fixpoint_transitions + stats.Emptiness.n_transitions;
-    m.fixpoint_mergings <- m.fixpoint_mergings + stats.Emptiness.n_mergings;
-    let pr = stats.Emptiness.prune in
-    m.subsumed_pruned <- m.subsumed_pruned + pr.Emptiness.subsumed_pruned;
-    m.basis_evicted <- m.basis_evicted + pr.Emptiness.basis_evicted;
-    if pr.Emptiness.antichain_size > m.antichain_size_max then
-      m.antichain_size_max <- pr.Emptiness.antichain_size
+    m.fixpoint_mergings <- m.fixpoint_mergings + stats.Emptiness.n_mergings
   end
 
 (* Eval requests share the latency distribution with solver requests
@@ -342,9 +322,6 @@ let snapshot (m : t) : snapshot =
     fixpoint_states = m.fixpoint_states;
     fixpoint_transitions = m.fixpoint_transitions;
     fixpoint_mergings = m.fixpoint_mergings;
-    subsumed_pruned = m.subsumed_pruned;
-    basis_evicted = m.basis_evicted;
-    antichain_size_max = m.antichain_size_max;
     certified = m.certified;
     cert_check_failures = m.cert_check_failures;
     cert_latency_mean_ms =
@@ -452,11 +429,7 @@ let to_json (s : snapshot) =
         Json.Obj
           [ ("states", Json.Num (float_of_int s.fixpoint_states));
             ("transitions", Json.Num (float_of_int s.fixpoint_transitions));
-            ("mergings", Json.Num (float_of_int s.fixpoint_mergings));
-            ("subsumed_pruned", Json.Num (float_of_int s.subsumed_pruned));
-            ("basis_evicted", Json.Num (float_of_int s.basis_evicted));
-            ( "antichain_size_max",
-              Json.Num (float_of_int s.antichain_size_max) )
+            ("mergings", Json.Num (float_of_int s.fixpoint_mergings))
           ] );
       ( "certificates",
         Json.Obj
@@ -485,7 +458,6 @@ let pp ppf (s : snapshot) =
      latency ms: min %.2f, mean %.2f, p95 %.2f, max %.2f@,\
      phase totals ms:%a@,\
      fixpoint totals: %d states, %d transitions, %d mergings@,\
-     pruning: %d subsumed, %d evicted (max antichain %d)@,\
      certificates: %d certified, %d check failures (mean %.2f ms, max \
      %.2f ms)@]"
     s.requests s.sat_requests s.eval_requests s.contains_requests
@@ -507,6 +479,5 @@ let pp ppf (s : snapshot) =
           (fun (name, ms) -> Format.fprintf ppf " %s %.2f;" name ms)
           phases)
     s.phases_ms s.fixpoint_states s.fixpoint_transitions
-    s.fixpoint_mergings s.subsumed_pruned
-    s.basis_evicted s.antichain_size_max s.certified
+    s.fixpoint_mergings s.certified
     s.cert_check_failures s.cert_latency_mean_ms s.cert_latency_max_ms

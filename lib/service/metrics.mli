@@ -26,14 +26,6 @@ type snapshot = {
   fixpoint_states : int;  (** summed {!Xpds_decision.Emptiness.stats} *)
   fixpoint_transitions : int;
   fixpoint_mergings : int;
-  subsumed_pruned : int;
-      (** summed pruning counters
-          ({!Xpds_decision.Emptiness.prune_stats}): candidate states
-          dropped at admission by subsumption pruning *)
-  basis_evicted : int;
-      (** admitted states retroactively evicted by a dominating state *)
-  antichain_size_max : int;
-      (** largest surviving frontier across uncached solves *)
   certified : int;  (** certificate checks that passed *)
   cert_check_failures : int;  (** certificate checks that were rejected *)
   cert_latency_mean_ms : float;  (** mean certificate-check latency *)

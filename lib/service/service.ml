@@ -19,12 +19,6 @@ module Config = struct
     verify : bool;
     certificate : bool;
     retry_degraded : bool;
-    prune : bool;
-        (** subsumption pruning ({!Xpds_decision.Sat.Options.prune});
-            NOT part of the cache fingerprint — on
-            searches that finish within budget the verdict is
-            identical, and both modes answer honestly on budget-capped
-            runs, so entries are interchangeable *)
   }
 
   type t = {
@@ -46,7 +40,6 @@ module Config = struct
       verify = true;
       certificate = false;
       retry_degraded = false;
-      prune = Sat.Options.default.Sat.Options.prune;
     }
 
   let default =
@@ -80,7 +73,6 @@ module Config = struct
   let with_retry_degraded retry_degraded t =
     { t with solver = { t.solver with retry_degraded } }
 
-  let with_prune prune t = { t with solver = { t.solver with prune } }
   let with_cache_capacity cache_capacity t = { t with cache_capacity }
   let with_max_doc_nodes max_doc_nodes t = { t with max_doc_nodes }
 
@@ -95,11 +87,7 @@ module Config = struct
     (* [certificate] is part of the key: certificate mode disables the
        height cap (the fixpoint must genuinely saturate), which can
        change the outcome class of a run. [retry_degraded] is too: a
-       degraded retry can turn a budget [Unknown] into [Unsat_bounded].
-       [prune] is deliberately NOT: on in-budget searches pruning
-       only changes how the fixpoint is explored, never the verdict,
-       and budget-capped answers are honest ([Unknown]/[Unsat_bounded])
-       in both modes. *)
+       degraded retry can turn a budget [Unknown] into [Unsat_bounded]. *)
     Printf.sprintf "w%d;t0=%s;dup=%s;mb=%s;ms=%d;mt=%d;v=%b;c=%b;rd=%b"
       sc.width (opt sc.t0) (opt sc.dup_cap) (opt sc.merge_budget)
       sc.max_states sc.max_transitions sc.verify sc.certificate
@@ -210,7 +198,6 @@ let zero_stats =
     n_transitions = 0;
     n_mergings = 0;
     max_height_reached = 0;
-    prune = Emptiness.no_prune_stats;
     n_replayed = 0;
   }
 
@@ -267,7 +254,6 @@ let solve_uncached t ~trace ~deadline ~id (body : Request.body) canon =
         merge_budget = sc.merge_budget;
         max_states = sc.max_states;
         max_transitions = sc.max_transitions;
-        prune = sc.prune;
         should_stop;
         on_phase = Trace.mark trace;
         verify = sc.verify;
@@ -316,11 +302,12 @@ let deadline_of trace timeout_ms =
 
 (* [key]'s kind and scope tag the store record; [metric] picks the
    metrics bucket. The memory tier is filled by whoever produced the
-   verdict (the flight's leader, or [solve_batch]). *)
-let finish t ~id ~(key : Request.key) ~metric ~trace ~tier ~report ~degraded
-    ~flight =
+   verdict (the flight's leader, or [solve_batch]). [ms] counts from
+   the [Trace.now_ms] timestamp [start]. *)
+let finish t ~start ~id ~(key : Request.key) ~metric ~trace ~tier ~report
+    ~degraded ~flight =
   Trace.finish trace;
-  let ms = Trace.elapsed_ms trace in
+  let ms = Trace.now_ms () -. start in
   let cached = match tier with Tier_solve -> false | _ -> true in
   (* Store traffic first, on the store's own lock — admission of a fresh
      verdict, or the memory-hit note that completes the store's
@@ -380,7 +367,9 @@ let solve_keyed t ~trace ~id ~timeout_ms (body : Request.body) =
     | Doctype _ -> `Doctype
     | Sat _ | Eval _ -> `Sat
   in
-  let finish = finish t ~id ~key ~metric ~trace in
+  let finish =
+    finish t ~start:(Trace.admitted trace) ~id ~key ~metric ~trace
+  in
   Flight.run t.flight ~trace key.digest
     ~hit:(fun report ->
       finish ~tier:Tier_memory ~report ~degraded:false ~flight:false)
@@ -411,7 +400,8 @@ let solve_keyed t ~trace ~id ~timeout_ms (body : Request.body) =
 let solve_batch t (requests : Request.t list) =
   (* Admission: every request's trace — and therefore its deadline — is
      anchored now, before any item is solved. The open "queue" span is
-     closed when the item's turn comes. *)
+     closed when the item's turn comes, and the item's [ms] counts from
+     then: the wait behind earlier items is not its own latency. *)
   let keyed =
     List.map
       (fun (r : Request.t) ->
@@ -451,7 +441,9 @@ let solve_batch t (requests : Request.t list) =
   in
   List.map
     (fun ((r : Request.t), (key : Request.key), tr, hint) ->
-      let finish = finish t ~id:r.id ~key ~metric:`Sat ~trace:tr in
+      let finish =
+        finish t ~start:(Trace.now_ms ()) ~id:r.id ~key ~metric:`Sat ~trace:tr
+      in
       let memory report ~degraded =
         finish ~report ~tier:Tier_memory ~degraded ~flight:false
       in

@@ -89,18 +89,9 @@ module Config : sig
             bounds (width−1, halved t0, dup_cap 1, merge_budget 2)
             instead of giving up — graceful degradation for fired
             budgets *)
-    prune : bool;
-        (** subsumption pruning in the emptiness fixpoint
-            ({!Xpds_decision.Sat.Options.prune}); default [true].
-            Certificate runs force exact mode regardless. NOT part of
-            the cache key: verdicts agree on
-            searches that finish within budget, and budget-capped
-            answers are honest in both modes, so cached entries are
-            interchangeable. *)
   }
   (** Knobs forwarded to {!Xpds_decision.Sat.decide}; part of the cache
-      key (except [prune] — see above), so changing them
-      never serves stale verdicts. *)
+      key, so changing them never serves stale verdicts. *)
 
   type t = {
     solver : solver;
@@ -134,7 +125,6 @@ module Config : sig
   val with_verify : bool -> t -> t
   val with_certificate : bool -> t -> t
   val with_retry_degraded : bool -> t -> t
-  val with_prune : bool -> t -> t
 
   (** Combinators over the serving knobs. *)
 
@@ -146,7 +136,7 @@ module Config : sig
   val fingerprint : solver -> string
   (** The cache-key configuration fingerprint of a solver config — the
       string both {!Cache_key.make} and the store header versioning are
-      keyed on. Excludes [prune] (see {!solver}). *)
+      keyed on. *)
 end
 
 type response = {

@@ -253,29 +253,28 @@ let fork_worker t i ~req_r ~req_w ~resp_r ~resp_w =
   flush stdout;
   flush stderr;
   match Unix.fork () with
-  | 0 ->
-    (try
-       Unix.close req_w;
-       Unix.close resp_r;
-       (* drop the parent ends of every other live worker's pipes, so a
-          dead sibling's pipe reads EOF as soon as the router closes it *)
-       Array.iter
-         (fun w ->
-           if w.w_index <> i && w.w_alive then begin
-             (try Unix.close w.wfd with Unix.Unix_error _ -> ());
-             try Unix.close w.rfd with Unix.Unix_error _ -> ()
-           end)
-         t.workers;
-       let svc = t.make_service ~shard:i in
-       (match t.chaos_crash_id with
-       | Some cid ->
-         Service.Chaos.set svc
-           (Some (fun id -> if id = cid then Unix._exit 66))
-       | None -> ());
-       worker_loop ~svc ~default_timeout_ms:t.default_timeout_ms
-         ~trace:t.trace req_r resp_w
-     with _ -> Unix._exit 2);
-    assert false
+  | 0 -> (
+    try
+      Unix.close req_w;
+      Unix.close resp_r;
+      (* drop the parent ends of every other live worker's pipes, so a
+         dead sibling's pipe reads EOF as soon as the router closes it *)
+      Array.iter
+        (fun w ->
+          if w.w_index <> i && w.w_alive then begin
+            (try Unix.close w.wfd with Unix.Unix_error _ -> ());
+            try Unix.close w.rfd with Unix.Unix_error _ -> ()
+          end)
+        t.workers;
+      let svc = t.make_service ~shard:i in
+      (match t.chaos_crash_id with
+      | Some cid ->
+        Service.Chaos.set svc
+          (Some (fun id -> if id = cid then Unix._exit 66))
+      | None -> ());
+      worker_loop ~svc ~default_timeout_ms:t.default_timeout_ms
+        ~trace:t.trace req_r resp_w
+    with _ -> Unix._exit 2)
   | pid -> pid
 
 let spawn t i =

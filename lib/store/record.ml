@@ -116,7 +116,6 @@ let to_report ~canon (r : t) : Sat.report =
         n_transitions = r.n_transitions;
         n_mergings = r.n_mergings;
         max_height_reached = r.max_height;
-        prune = Emptiness.no_prune_stats;
         n_replayed = 0;
       };
     witness_verified = r.witness_verified;

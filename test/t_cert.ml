@@ -235,6 +235,26 @@ let prop_random_witness_corruption =
         incr mutants_tried;
         Result.is_error (Cert.check (with_witness cert w')))
 
+(* QCheck: every certificate emitted for a random star-free formula
+   passes the independent checker. A budget [Unknown] emits none. *)
+let random_cert_options =
+  Sat.Options.(
+    default |> with_certificate true |> with_max_states 2_000
+    |> with_max_transitions 30_000
+    |> with_extra_labels
+         (List.map Xpds_datatree.Label.of_string Gen_helpers.default_labels))
+
+let prop_random_certificates_check =
+  Gen_helpers.qtest ~count:30 "random formulas' certificates check"
+    (Gen_helpers.arb_node_cfg Gen_helpers.star_free_cfg)
+    (fun phi ->
+      match Cert.of_report (Sat.decide ~options:random_cert_options phi) with
+      | Error _ -> true
+      | Ok cert -> (
+        match Cert.check cert with
+        | Ok _ -> true
+        | Error e -> QCheck.Test.fail_reportf "certificate rejected: %s" e))
+
 let test_mutant_count () =
   Alcotest.(check bool)
     (Printf.sprintf "tried %d mutants (>= 100)" !mutants_tried)
@@ -296,6 +316,7 @@ let suite =
       Alcotest.test_case "witness label mutants rejected" `Quick
         test_witness_label_mutants;
       prop_random_witness_corruption;
+      prop_random_certificates_check;
       Alcotest.test_case "mutation count >= 100" `Quick test_mutant_count;
       Alcotest.test_case "metrics certificate counters" `Quick
         test_metrics_cert_shape

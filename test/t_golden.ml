@@ -56,10 +56,10 @@ let transcript =
   [
     ( `Main,
       {|{"id":"s1","formula":"<desc[b & down[b] != down[b]]>"}|},
-      {|{"v":1,"id":"s1","verdict":"sat","cached":false,"tier":"solve","ms":#,"fragment":"XPath(v*,v,=)","states":5,"transitions":11,"witness":"⟨b,2⟩(⟨b,2⟩, ⟨b,3⟩)","verified":true}|} );
+      {|{"v":1,"id":"s1","verdict":"sat","cached":false,"tier":"solve","ms":#,"fragment":"XPath(v*,v,=)","states":7,"transitions":11,"witness":"⟨b,2⟩(⟨b,2⟩, ⟨b,3⟩)","verified":true}|} );
     ( `Main,
       {|{"v":1,"id":"s2","kind":"sat","formula":"<desc[down[b] != down[b] & b]>"}|},
-      {|{"v":1,"id":"s2","verdict":"sat","cached":true,"tier":"memory","ms":#,"fragment":"XPath(v*,v,=)","states":5,"transitions":11,"witness":"⟨b,2⟩(⟨b,2⟩, ⟨b,3⟩)","verified":true}|} );
+      {|{"v":1,"id":"s2","verdict":"sat","cached":true,"tier":"memory","ms":#,"fragment":"XPath(v*,v,=)","states":7,"transitions":11,"witness":"⟨b,2⟩(⟨b,2⟩, ⟨b,3⟩)","verified":true}|} );
     ( `Main,
       {|{"id":"s3","formula":"a & ~a"}|},
       {|{"v":1,"id":"s3","verdict":"unsat_bounded","cached":false,"tier":"solve","ms":#,"fragment":"XPath(v)","states":1,"transitions":2,"reason":"saturated at width 3 (paper bound 152)"}|} );

@@ -52,7 +52,7 @@ type tally = {
 
 exception Enough
 
-(* The engine's first [rounds] rounds without admission pruning: the
+(* The engine's first [rounds] rounds: the
    leaves, then per round every combo of up to [width] states that
    holds one from the previous round (at most [max_combos] a round),
    under every merging [Merging.fresh_key] selects, for every label. *)
@@ -213,8 +213,8 @@ let test_deadline_on_replay () =
       (10, 5, 9, 12);
       (100, 42, 99, 132);
       (1000, 79, 981, 4724);
-      (5000, 278, 4845, 39451);
-      (20000, 316, 19661, 86589)
+      (5000, 1077, 4845, 39451);
+      (20000, 1417, 19661, 86589)
     ]
 
 (* The replay counter: most of this search's transitions repeat an

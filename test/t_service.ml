@@ -436,6 +436,25 @@ let test_single_flight () =
   Alcotest.(check int) "single-flight joins" 3
     m.Xpds_service.Metrics.single_flight
 
+(* A batch item's [ms] is its own latency, counted from its turn: the
+   quick second item does not inherit the first item's solve time. *)
+let test_batch_item_ms () =
+  let svc = Service.create Service.Config.default in
+  let reqs =
+    requests_of
+      [ Families.data_chain ~sat:true 3;
+        B.exists (B.filter B.down (B.lab "a"))
+      ]
+  in
+  match Service.solve_batch svc reqs with
+  | [ slow; quick ] ->
+    Alcotest.(check bool)
+      (Printf.sprintf "second item %.3f ms < first item %.3f ms"
+         quick.Service.ms slow.Service.ms)
+      true
+      (quick.Service.ms < slow.Service.ms)
+  | _ -> Alcotest.fail "expected two responses"
+
 (* --- crash isolation --- *)
 
 let test_batch_crash_isolation () =
@@ -804,6 +823,8 @@ let suite =
       Alcotest.test_case "single-flight dedup" `Quick test_single_flight;
       Alcotest.test_case "batch crash isolation" `Quick
         test_batch_crash_isolation;
+      Alcotest.test_case "batch item ms from its turn" `Quick
+        test_batch_item_ms;
       Alcotest.test_case "serve loop survives garbage" `Quick
         test_handle_line_garbage;
       Alcotest.test_case "trace phases" `Quick test_trace_phases;
