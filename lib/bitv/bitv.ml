@@ -189,7 +189,12 @@ let compare a b =
 
 (* Dedicated mixer (FNV-style over words): the polymorphic hash samples
    only a prefix of the word array and hashes boxed structure; the
-   decision tables key on bit vectors heavily enough for that to show. *)
+   decision tables key on bit vectors heavily enough for that to show.
+   A multiply carries bits only upwards, so the low bits of the FNV
+   accumulator depend only on the low bits of each word; [Hashtbl.Make]
+   takes its bucket index from exactly those bits. Murmur3's 64-bit
+   finalizer (its multipliers cut to 62 bits) spreads every bit over
+   the low ones. *)
 let hash t =
   if t.h >= 0 then t.h
   else begin
@@ -201,7 +206,11 @@ let hash t =
       let w = w lxor (w lsr 31) in
       h := (!h lxor (w land 0x3FFFFFFF)) * 0x01000193
     done;
-    let h = !h land max_int in
+    let h = !h lxor (!h lsr 33) in
+    let h = h * 0x3f51afd7ed558ccd in
+    let h = h lxor (h lsr 33) in
+    let h = h * 0x04ceb9fe1a85ec53 in
+    let h = (h lxor (h lsr 33)) land max_int in
     t.h <- h;
     h
   end

@@ -57,8 +57,9 @@ val compare : t -> t -> int
 
 val hash : t -> int
 (** Dedicated FNV-style mix over the whole word array (the polymorphic
-    hash samples only a prefix). Non-negative; equal vectors hash
-    equal. Suitable for [Hashtbl.Make]: [Bitv] itself satisfies
+    hash samples only a prefix), finished by Murmur3's finalizer so
+    that the low bits depend on every bit. Non-negative; equal vectors
+    hash equal. Suitable for [Hashtbl.Make]: [Bitv] itself satisfies
     [Hashtbl.HashedType]. *)
 
 val cardinal : t -> int

@@ -81,53 +81,29 @@ module Options = struct
   let with_certificate certificate o = { o with certificate }
 end
 
+let rules_version = 1
+
 let saturated_reason width m =
   "saturated at width " ^ string_of_int width ^ " (paper bound "
   ^ string_of_int (Emptiness.paper_width m)
   ^ ")"
 
-let decide ?(options = Options.default) eta =
-  let o = options in
-  o.Options.on_phase "translate";
-  let eta = Xpds_xpath.Rewrite.simplify eta in
-  let fragment = Fragment.classify eta in
-  let bound = Fragment.poly_depth_bound eta in
-  (* Certificate mode needs the fixpoint to saturate genuinely: a
-     height-capped basis is not inductively closed (the engine may
-     still discover states one level up), so the Theorem-6 height
-     shortcut is turned off and the search runs to a true fixpoint
-     within the width/t0/dup/merge bounds. *)
-  let bound = if o.Options.certificate then None else bound in
-  let m = Translate.of_node ~labels:o.Options.extra_labels
-      (Xpds_xpath.Ast.Exists
-         (Xpds_xpath.Ast.Filter (Xpds_xpath.Ast.Axis Descendant, eta)))
-  in
-  let config =
-    {
-      Emptiness.width = Some o.Options.width;
-      t0 = o.Options.t0;
-      dup_cap = o.Options.dup_cap;
-      merge_budget = o.Options.merge_budget;
-      max_height = bound;
-      max_states = o.Options.max_states;
-      max_transitions = o.Options.max_transitions;
-      should_stop = o.Options.should_stop;
-    }
-  in
-  let algorithm =
-    match bound with
-    | Some b ->
-      "height-bounded fixpoint (Thm 6, H=" ^ string_of_int b ^ ", width="
-      ^ string_of_int o.Options.width ^ ")"
-    | None -> "full fixpoint (Thm 4, width=" ^ string_of_int o.Options.width ^ ")"
-  in
-  let outcome, stats, basis =
-    o.Options.on_phase "fixpoint";
-    if o.Options.certificate then Emptiness.check_with_basis ~config m
-    else
-      let outcome, stats = Emptiness.check_with_stats ~config m in
-      (outcome, stats, None)
-  in
+let engine_config o max_height =
+  {
+    Emptiness.width = Some o.Options.width;
+    t0 = o.Options.t0;
+    dup_cap = o.Options.dup_cap;
+    merge_budget = o.Options.merge_budget;
+    max_height;
+    max_states = o.Options.max_states;
+    max_transitions = o.Options.max_transitions;
+    should_stop = o.Options.should_stop;
+  }
+
+(* The verdict of a saturated search of [m]: certified only when the
+   widths meet the paper's bounds (the height bound, when there is one,
+   is the fragment's exact poly-depth bound). *)
+let saturated_verdict ?(prefix = "") o m =
   let paper_complete_widths =
     o.Options.width >= Emptiness.paper_width m
     && (match o.Options.t0 with
@@ -135,6 +111,130 @@ let decide ?(options = Options.default) eta =
        | None -> true)
     && o.Options.dup_cap = None
     && o.Options.merge_budget = None
+  in
+  if paper_complete_widths then Unsat
+  else Unsat_bounded (prefix ^ saturated_reason o.Options.width m)
+
+(* The automaton, height bound and engine configuration of one search
+   of the simplified [eta]. Certificate mode needs the fixpoint to
+   saturate genuinely: a height-capped basis is not inductively closed
+   (the engine may still discover states one level up), so the
+   Theorem-6 height shortcut is turned off and the search runs to a
+   true fixpoint within the width/t0/dup/merge bounds. *)
+let prepare o eta =
+  let bound =
+    if o.Options.certificate then None else Fragment.poly_depth_bound eta
+  in
+  let m =
+    Translate.of_node ~labels:o.Options.extra_labels
+      (Xpds_xpath.Ast.Exists
+         (Xpds_xpath.Ast.Filter (Xpds_xpath.Ast.Axis Descendant, eta)))
+  in
+  (m, bound, engine_config o bound)
+
+let algorithm_name o = function
+  | Some b ->
+    "height-bounded fixpoint (Thm 6, H=" ^ string_of_int b ^ ", width="
+    ^ string_of_int o.Options.width ^ ")"
+  | None -> "full fixpoint (Thm 4, width=" ^ string_of_int o.Options.width ^ ")"
+
+let general_search ?(options = Options.default) eta =
+  let m, _, config = prepare options (Xpds_xpath.Rewrite.simplify eta) in
+  (m, config)
+
+(* --- the data-free relaxation ---
+
+   [relax true ϕ] over-approximates ϕ and [relax false ϕ]
+   under-approximates it, node by node on every data tree: a positive
+   [α ~ β] needs an [α]-endpoint and a [β]-endpoint, so it becomes
+   [⟨α⟩ ∧ ⟨β⟩]; a negative one becomes [⊥]. Negation flips the
+   polarity, and every other connective, path filter and guard is
+   monotone, so the polarity passes into them unchanged. *)
+let rec relax pos (phi : Xpds_xpath.Ast.node) : Xpds_xpath.Ast.node =
+  match phi with
+  | True | False | Lab _ -> phi
+  | Not a -> Not (relax (not pos) a)
+  | And (a, b) -> And (relax pos a, relax pos b)
+  | Or (a, b) -> Or (relax pos a, relax pos b)
+  | Exists p -> Exists (relax_path pos p)
+  | Cmp (p, _, q) ->
+    if pos then And (Exists (relax_path pos p), Exists (relax_path pos q))
+    else False
+
+and relax_path pos (p : Xpds_xpath.Ast.path) : Xpds_xpath.Ast.path =
+  match p with
+  | Axis _ -> p
+  | Seq (a, b) -> Seq (relax_path pos a, relax_path pos b)
+  | Union (a, b) -> Union (relax_path pos a, relax_path pos b)
+  | Filter (a, phi) -> Filter (relax_path pos a, relax pos phi)
+  | Guard (phi, a) -> Guard (relax pos phi, relax_path pos a)
+  | Star a -> Star (relax_path pos a)
+
+let data_free_relaxation = relax true
+
+let rec has_negation (phi : Xpds_xpath.Ast.node) =
+  match phi with
+  | True | False | Lab _ -> false
+  | Not _ -> true
+  | And (a, b) | Or (a, b) -> has_negation a || has_negation b
+  | Exists p -> path_has_negation p
+  | Cmp (p, _, q) -> path_has_negation p || path_has_negation q
+
+and path_has_negation (p : Xpds_xpath.Ast.path) =
+  match p with
+  | Axis _ -> false
+  | Seq (a, b) | Union (a, b) -> path_has_negation a || path_has_negation b
+  | Filter (a, phi) | Guard (phi, a) -> has_negation phi || path_has_negation a
+  | Star a -> path_has_negation a
+
+let relaxation_prefix = "data-free relaxation: "
+
+(* Decide the relaxation of the simplified [eta] as [decide] would, and
+   keep its answer only when it is unsatisfiable: every model of ϕ is a
+   model of ϕ′. Skipped in certificate mode (the basis must come from
+   ϕ's own automaton), for data-free ϕ, and when the simplified ϕ′ is
+   negation-free (then it can be unsatisfiable only through a label
+   clash, so the extra search seldom pays for itself). [None] leaves
+   the run in its "translate" phase, for ϕ's own translation. *)
+let decide_relaxation o fragment eta =
+  if o.Options.certificate || not (Fragment.features eta).Fragment.uses_data
+  then None
+  else
+    let relaxed = Xpds_xpath.Rewrite.simplify (data_free_relaxation eta) in
+    if not (has_negation relaxed) then None
+    else
+      let m, bound, config = prepare o relaxed in
+      o.Options.on_phase "fixpoint";
+      let answer verdict stats =
+        Some
+          {
+            verdict;
+            fragment;
+            algorithm = relaxation_prefix ^ algorithm_name o bound;
+            stats;
+            witness_verified = None;
+            automaton_q = m.Bip.q_card;
+            automaton_k = m.Bip.pf.Pathfinder.n_states;
+            cert_seed = None;
+          }
+      in
+      match Emptiness.check_with_stats ~config m with
+      | Emptiness.Empty, stats -> answer Unsat stats
+      | Emptiness.Bounded_empty, stats ->
+        answer (saturated_verdict ~prefix:relaxation_prefix o m) stats
+      | (Emptiness.Nonempty _ | Emptiness.Resource_limit _), _ ->
+        o.Options.on_phase "translate";
+        None
+
+(* The general engine on the simplified [eta]. *)
+let decide_general o fragment eta =
+  let m, bound, config = prepare o eta in
+  let outcome, stats, basis =
+    o.Options.on_phase "fixpoint";
+    if o.Options.certificate then Emptiness.check_with_basis ~config m
+    else
+      let outcome, stats = Emptiness.check_with_stats ~config m in
+      (outcome, stats, None)
   in
   let verdict, witness_verified =
     match outcome with
@@ -154,15 +254,7 @@ let decide ?(options = Options.default) eta =
       in
       (Sat w, verified)
     | Emptiness.Empty -> (Unsat, None)
-    | Emptiness.Bounded_empty ->
-      if paper_complete_widths then
-        (* The height bound is the fragment's poly-depth bound, which is
-           exact; with paper-complete width/t0 the answer is certified. *)
-        (Unsat, None)
-      else
-        ( Unsat_bounded
-            (saturated_reason o.Options.width m),
-          None )
+    | Emptiness.Bounded_empty -> (saturated_verdict o m, None)
     | Emptiness.Resource_limit what -> (Unknown what, None)
   in
   let cert_seed =
@@ -182,13 +274,22 @@ let decide ?(options = Options.default) eta =
   {
     verdict;
     fragment;
-    algorithm;
+    algorithm = algorithm_name o bound;
     stats;
     witness_verified;
     automaton_q = m.Bip.q_card;
     automaton_k = m.Bip.pf.Pathfinder.n_states;
     cert_seed;
   }
+
+let decide ?(options = Options.default) eta =
+  let o = options in
+  o.Options.on_phase "translate";
+  let eta = Xpds_xpath.Rewrite.simplify eta in
+  let fragment = Fragment.classify eta in
+  match decide_relaxation o fragment eta with
+  | Some report -> report
+  | None -> decide_general o fragment eta
 
 module Doctype = Xpds_automata.Doctype
 
@@ -219,32 +320,13 @@ let decide_under_doctype ?(options = Options.default) ~doctype eta =
      wire callers validate first. *)
   o.Options.on_phase "doctype_restrict";
   let m = Doctype.restrict m0 ~labels:m0.Bip.labels doctype in
-  let config =
-    {
-      Emptiness.width = Some o.Options.width;
-      t0 = o.Options.t0;
-      dup_cap = o.Options.dup_cap;
-      merge_budget = o.Options.merge_budget;
-      max_height = None;
-      max_states = o.Options.max_states;
-      max_transitions = o.Options.max_transitions;
-      should_stop = o.Options.should_stop;
-    }
-  in
+  let config = engine_config o None in
   let algorithm =
     "doctype-restricted full fixpoint (§4.1, width="
     ^ string_of_int o.Options.width ^ ")"
   in
   o.Options.on_phase "fixpoint";
   let outcome, stats = Emptiness.check_with_stats ~config m in
-  let paper_complete_widths =
-    o.Options.width >= Emptiness.paper_width m
-    && (match o.Options.t0 with
-       | Some t -> t >= Transition.t0_default m
-       | None -> true)
-    && o.Options.dup_cap = None
-    && o.Options.merge_budget = None
-  in
   let conforming t = Doctype.conforms ~labels:m0.Bip.labels doctype t in
   let verdict, witness_verified =
     match outcome with
@@ -267,12 +349,7 @@ let decide_under_doctype ?(options = Options.default) ~doctype eta =
       in
       (Sat w, verified)
     | Emptiness.Empty -> (Unsat, None)
-    | Emptiness.Bounded_empty ->
-      if paper_complete_widths then (Unsat, None)
-      else
-        ( Unsat_bounded
-            (saturated_reason o.Options.width m),
-          None )
+    | Emptiness.Bounded_empty -> (saturated_verdict o m, None)
     | Emptiness.Resource_limit what -> (Unknown what, None)
   in
   {

@@ -112,7 +112,43 @@ end
 
 val decide : ?options:Options.t -> Xpds_xpath.Ast.node -> report
 (** Decide SAT (Definition 1: is [[η]]_T ≠ ∅ for some data tree T?)
-    under {!Options.default} or the given options. *)
+    under {!Options.default} or the given options.
+
+    When η has a data test, outside certificate mode, [decide] first
+    decides the simplified {!data_free_relaxation} η′ of η, under the
+    same options (η′'s own Theorem-6 height bound, the same budgets and
+    [should_stop]), provided η′ still contains a negation. If η′ is
+    unsatisfiable, so is η: the report is η′'s verdict ([Unsat] exactly
+    where [decide η′] answers [Unsat], otherwise [Unsat_bounded] with
+    the reason prefixed by ["data-free relaxation: "]), with the stats
+    and automaton sizes of η′'s search and η's fragment. Otherwise the
+    general engine runs on η with its full budgets, exactly as
+    {!general_search} describes. The phases are the same either way:
+    ["translate"] and ["fixpoint"] (each entered twice when the
+    relaxation did not answer). *)
+
+val data_free_relaxation : Xpds_xpath.Ast.node -> Xpds_xpath.Ast.node
+(** The data-free relaxation η′ of η: every positive [α ~ β] becomes
+    [⟨α⟩ ∧ ⟨β⟩] and every negative one [⊥], with the polarity tracked
+    through negations and into path filters and guards. Every node that
+    satisfies η on a data tree satisfies η′, so η′ unsatisfiable implies
+    η unsatisfiable. *)
+
+val general_search :
+  ?options:Options.t ->
+  Xpds_xpath.Ast.node ->
+  Xpds_automata.Bip.t * Emptiness.config
+(** The automaton and engine configuration of the general-engine run
+    that {!decide} makes on η when the relaxation does not answer:
+    [Emptiness.check_with_stats ~config m] reproduces that run's outcome
+    and stats (certificate mode uses [Emptiness.check_with_basis]). *)
+
+val rules_version : int
+(** The version of the rules by which {!decide} turns a formula and its
+    options into a verdict. It changes whenever some formula can get a
+    different verdict under the same options (an [Unknown] that now
+    decides counts), so caches and stores keyed on it never serve a
+    verdict of older rules. *)
 
 val decide_under_doctype :
   ?options:Options.t ->

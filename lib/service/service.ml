@@ -84,12 +84,15 @@ module Config = struct
 
   let fingerprint (sc : solver) =
     let opt = function None -> "-" | Some i -> string_of_int i in
-    (* [certificate] is part of the key: certificate mode disables the
-       height cap (the fixpoint must genuinely saturate), which can
-       change the outcome class of a run. [retry_degraded] is too: a
-       degraded retry can turn a budget [Unknown] into [Unsat_bounded]. *)
-    Printf.sprintf "w%d;t0=%s;dup=%s;mb=%s;ms=%d;mt=%d;v=%b;c=%b;rd=%b"
-      sc.width (opt sc.t0) (opt sc.dup_cap) (opt sc.merge_budget)
+    (* [Sat.rules_version] leads: verdicts decided under other rules
+       (including budget [Unknown]s, which are cached and stored) must
+       not be served. [certificate] is part of the key: certificate mode
+       disables the height cap (the fixpoint must genuinely saturate),
+       which can change the outcome class of a run. [retry_degraded] is
+       too: a degraded retry can turn a budget [Unknown] into
+       [Unsat_bounded]. *)
+    Printf.sprintf "r%d;w%d;t0=%s;dup=%s;mb=%s;ms=%d;mt=%d;v=%b;c=%b;rd=%b"
+      Sat.rules_version sc.width (opt sc.t0) (opt sc.dup_cap) (opt sc.merge_budget)
       sc.max_states sc.max_transitions sc.verify sc.certificate
       sc.retry_degraded
 end

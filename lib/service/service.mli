@@ -136,7 +136,8 @@ module Config : sig
   val fingerprint : solver -> string
   (** The cache-key configuration fingerprint of a solver config — the
       string both {!Cache_key.make} and the store header versioning are
-      keyed on. *)
+      keyed on. It leads with {!Xpds_decision.Sat.rules_version}, so a
+      cache or store written under other verdict rules never hits. *)
 end
 
 type response = {

@@ -127,27 +127,46 @@ let prop_hash_compare =
       && ((not (Bitv.equal bx by)) || Bitv.hash bx = Bitv.hash by)
       && Bitv.hash bx >= 0)
 
+(* [Hashtbl.Make] indexes its buckets by the low bits of the hash, so
+   those must depend on every bit: the 400 one-bit vectors of width 400
+   spread over at least 100 of the 128 values of the low seven bits
+   (an FNV mix without a finalizer reaches 31). *)
+let test_hash_low_bits () =
+  let seen = Array.make 128 false in
+  for i = 0 to 399 do
+    seen.(Bitv.hash (Bitv.of_list 400 [ i ]) land 127) <- true
+  done;
+  let n = Array.fold_left (fun n b -> if b then n + 1 else n) 0 seen in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of 128 low-bit values reached" n)
+    true (n >= 100)
+
 (* --- emptiness engine regression ---
 
-   Verdict and exact exploration stats of [Sat.decide] on the bench
-   families, pinned from the pre-rewrite engine. The canonical-key and
-   memoization changes are only re-representations of what the search
-   already deduplicated, so every count must survive byte-for-byte —
-   including the budget-exhaustion rows, which pin the exploration
-   *order* too. *)
+   Verdict and exact exploration stats of the general engine on the
+   bench families, pinned from the pre-rewrite engine. The
+   canonical-key and memoization changes are only re-representations of
+   what the search already deduplicated, so every count must survive
+   byte-for-byte — including the budget-exhaustion rows, which pin the
+   exploration *order* too. The engine is called directly, on the
+   automaton and configuration [Sat.decide] gives it
+   ([Sat.general_search]): [decide] answers some of these formulas
+   from their data-free relaxation first (pinned separately below). *)
 
-let verdict_name (r : Xpds.Sat.report) =
-  match r.Xpds.Sat.verdict with
-  | Xpds.Sat.Sat _ -> "sat"
-  | Xpds.Sat.Unsat -> "unsat"
-  | Xpds.Sat.Unsat_bounded _ -> "unsat_bounded"
-  | Xpds.Sat.Unknown w -> "unknown:" ^ w
+let outcome_name = function
+  | Xpds.Emptiness.Nonempty _ -> "sat"
+  | Xpds.Emptiness.Empty -> "unsat"
+  | Xpds.Emptiness.Bounded_empty -> "unsat_bounded"
+  | Xpds.Emptiness.Resource_limit w -> "unknown:" ^ w
+
+let engine ?options phi =
+  let m, config = Xpds.Sat.general_search ?options phi in
+  Xpds.Emptiness.check_with_stats ~config m
 
 let check_golden (name, phi, verdict, states, transitions, mergings, height)
     () =
-  let r = Xpds.Sat.decide phi in
-  let st = r.Xpds.Sat.stats in
-  Alcotest.(check string) (name ^ " verdict") verdict (verdict_name r);
+  let outcome, st = engine phi in
+  Alcotest.(check string) (name ^ " verdict") verdict (outcome_name outcome);
   Alcotest.(check int) (name ^ " states") states
     st.Xpds.Emptiness.n_states;
   Alcotest.(check int) (name ^ " transitions") transitions
@@ -211,9 +230,8 @@ let check_budget_golden (name, phi, verdict, states, transitions, mergings)
   let options =
     { Xpds.Sat.Options.default with max_transitions = 20_000 }
   in
-  let r = Xpds.Sat.decide ~options phi in
-  let st = r.Xpds.Sat.stats in
-  Alcotest.(check string) (name ^ " verdict") verdict (verdict_name r);
+  let outcome, st = engine ~options phi in
+  Alcotest.(check string) (name ^ " verdict") verdict (outcome_name outcome);
   Alcotest.(check int) (name ^ " states") states
     st.Xpds.Emptiness.n_states;
   Alcotest.(check int) (name ^ " transitions") transitions
@@ -241,8 +259,56 @@ let budget_cases =
         (check_budget_golden g))
     budget_goldens
 
+(* [Sat.decide] on the families its data-free relaxation answers, at
+   the default budget and at hard-solve's 20k-transition budget (the
+   same answer: the relaxation's search is far below both). The states
+   and transitions are the relaxation's. *)
+let verdict_name (r : Xpds.Sat.report) =
+  match r.Xpds.Sat.verdict with
+  | Xpds.Sat.Sat _ -> "sat"
+  | Xpds.Sat.Unsat -> "unsat"
+  | Xpds.Sat.Unsat_bounded why -> "unsat_bounded:" ^ why
+  | Xpds.Sat.Unknown w -> "unknown:" ^ w
+
+let relaxed_goldens =
+  [ ("data_chain_unsat_2", Families.data_chain ~sat:false 2, 2805, 3, 3);
+    ("data_chain_unsat_3", Families.data_chain ~sat:false 3, 3624, 4, 4);
+    ("desc_data_unsat_1", Families.desc_data ~sat:false 1, 2120, 4, 15);
+    ("reg_alt_unsat", Families.reg_alternation ~sat:false (), 10149, 11, 18)
+  ]
+
+let check_relaxed (name, phi, paper, states, transitions) () =
+  List.iter
+    (fun max_transitions ->
+      let options = { Xpds.Sat.Options.default with max_transitions } in
+      let r = Xpds.Sat.decide ~options phi in
+      let st = r.Xpds.Sat.stats in
+      let name = Printf.sprintf "%s (max %d)" name max_transitions in
+      Alcotest.(check string) (name ^ " verdict")
+        (Printf.sprintf
+           "unsat_bounded:data-free relaxation: saturated at width 3 \
+            (paper bound %d)"
+           paper)
+        (verdict_name r);
+      Alcotest.(check int) (name ^ " states") states
+        st.Xpds.Emptiness.n_states;
+      Alcotest.(check int) (name ^ " transitions") transitions
+        st.Xpds.Emptiness.n_transitions;
+      Alcotest.(check int) (name ^ " mergings") 0
+        st.Xpds.Emptiness.n_mergings)
+    [ Xpds.Sat.Options.default.max_transitions; 20_000 ]
+
+let relaxed_cases =
+  List.map
+    (fun ((name, _, _, _, _) as g) ->
+      Alcotest.test_case ("relaxation stats: " ^ name) `Quick
+        (check_relaxed g))
+    relaxed_goldens
+
 let suite =
   ( "bitv",
     [ prop_set_ops; prop_iter_fold; prop_builder; prop_range_fill;
-      prop_hash_compare ]
-    @ regression_cases @ budget_cases )
+      prop_hash_compare;
+      Alcotest.test_case "hash spreads over the low bits" `Quick
+        test_hash_low_bits ]
+    @ regression_cases @ budget_cases @ relaxed_cases )

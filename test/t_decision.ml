@@ -340,6 +340,73 @@ let prop_fast_path_consistent =
       | Some x, Some y -> x = y
       | _ -> true)
 
+(* --- the data-free relaxation --- *)
+
+(* [[ϕ]] ⊆ [[ϕ′]] on every data tree, so every model of ϕ is a model
+   of ϕ′. *)
+let prop_relaxation_over_approximates =
+  Gen_helpers.qtest ~count:500 "data-free relaxation over-approximates"
+    (QCheck.pair Gen_helpers.arb_node (Gen_helpers.arb_tree ()))
+    (fun (phi, t) ->
+      let relaxed = Sat.data_free_relaxation phi in
+      let env = Semantics.env_of_tree t in
+      List.for_all
+        (fun x -> Semantics.holds_at env relaxed x)
+        (Semantics.sat_nodes env phi)
+      && ((not (Semantics.check_somewhere t phi))
+         || Semantics.check_somewhere t relaxed))
+
+(* [α] without its filters and guards: [⟨α⟩] implies [⟨skeleton α⟩]. *)
+let rec skeleton (p : Ast.path) : Ast.path =
+  match p with
+  | Ast.Axis _ -> p
+  | Ast.Seq (a, b) -> Ast.Seq (skeleton a, skeleton b)
+  | Ast.Union (a, b) -> Ast.Union (skeleton a, skeleton b)
+  | Ast.Filter (a, _) | Ast.Guard (_, a) -> skeleton a
+  | Ast.Star a -> Ast.Star (skeleton a)
+
+(* Formulas ψ ∧ α ~ β ∧ ¬⟨γ⟩ over the data fragments, where γ is either
+   random or the skeleton of α (then the relaxation is unsatisfiable by
+   construction): whenever [Sat.decide] answers from the relaxation, the
+   general engine, run directly on the formula's own automaton, finds
+   no model either. *)
+let prop_relaxation_agrees_with_engine =
+  let arb =
+    QCheck.make
+      ~print:(fun phi -> Xpds_xpath.Pp.node_to_string phi)
+      QCheck.Gen.(
+        oneofl
+          Gen_helpers.[ child_only_cfg; desc_only_cfg; star_free_cfg; full_cfg ]
+        >>= fun cfg ->
+        let path = Gen_helpers.gen_path_cfg cfg in
+        quad (Gen_helpers.gen_node_cfg cfg) (pair path path)
+          (oneofl [ Ast.Eq; Ast.Neq ])
+          (pair bool path)
+        >|= fun (psi, (a, b), op, (strip, g)) ->
+        Ast.And
+          ( Ast.And (psi, Ast.Cmp (a, op, b)),
+            Ast.Not (Ast.Exists (if strip then skeleton a else g)) ))
+  in
+  Gen_helpers.qtest ~count:300 "relaxation answers: the engine finds no model"
+    arb
+    (fun phi ->
+      let options =
+        Sat.Options.(
+          default |> with_max_states 2_000 |> with_max_transitions 30_000
+          |> with_extra_labels gen_labels)
+      in
+      let r = Sat.decide ~options phi in
+      if not (String.starts_with ~prefix:"data-free relaxation" r.Sat.algorithm)
+      then true
+      else
+        let m, config = Sat.general_search ~options phi in
+        match Emptiness.check_with_stats ~config m with
+        | Emptiness.Nonempty w, _ ->
+          QCheck.Test.fail_reportf "the relaxation said %s, but %s is a model"
+            (Format.asprintf "%a" Sat.pp_verdict r.Sat.verdict)
+            (Data_tree.to_string w)
+        | _ -> true)
+
 (* --- witness minimization --- *)
 
 let test_witness_min () =
@@ -481,6 +548,8 @@ let suite =
       prop_solver_vs_model_search_star;
       prop_witness_shape;
       prop_fast_path_consistent;
+      prop_relaxation_over_approximates;
+      prop_relaxation_agrees_with_engine;
       Alcotest.test_case "witness minimization" `Quick test_witness_min;
       prop_witness_min_sound;
       prop_witness_min_local_minimum;

@@ -258,6 +258,14 @@ let transcript =
     ( `Main,
       {|{"id":43,"formula":"a &"}|},
       {|{"v":1,"id":"43","error":"bad formula: syntax error at offset 3: expected a node expression, found end of input"}|} );
+    (* Decided by the data-free relaxation: a positive α ~ β needs
+       ⟨α⟩ ∧ ⟨β⟩. *)
+    ( `Main,
+      {|{"id":"r1","formula":"desc[a] = desc[b] & ~<desc[a]>"}|},
+      {|{"v":1,"id":"r1","verdict":"unsat_bounded","cached":false,"tier":"solve","ms":#,"fragment":"XPath(v*,=)\\eps","states":4,"transitions":15,"reason":"data-free relaxation: saturated at width 3 (paper bound 2120)"}|} );
+    ( `Main,
+      {|{"kind":"contains","id":"r2","phi":"desc[a] != desc[b]","psi":"<desc[a]>"}|},
+      {|{"v":1,"id":"r2","kind":"contains","answer":"holds_bounded","reason":"data-free relaxation: saturated at width 3 (paper bound 2120)","cached":false,"tier":"solve","ms":#}|} );
   ]
 
 let test_transcript () =

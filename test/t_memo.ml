@@ -182,6 +182,14 @@ let test_reg_alternation () =
 
 let data_chain_unsat_3 = Families.data_chain ~sat:false 3
 
+(* The general engine on the automaton and configuration [Sat.decide]
+   gives it ([Sat.general_search]), called directly: [decide] answers
+   data_chain unsat 3 from its data-free relaxation before the engine
+   runs. *)
+let engine options phi =
+  let m, config = Sat.general_search ~options phi in
+  Emptiness.check_with_stats ~config m
+
 (* [should_stop] fires on its [n]-th poll. The engine polls at every
    transition, replayed or not, and every 256 mergings, so the counts
    at the stop are those of the engine without a memo (pinned there). *)
@@ -196,13 +204,12 @@ let test_deadline_on_replay () =
       let options =
         Sat.Options.(default |> with_should_stop (Some stop))
       in
-      let r = Sat.decide ~options data_chain_unsat_3 in
-      let st = r.Sat.stats in
+      let outcome, st = engine options data_chain_unsat_3 in
       let name = Printf.sprintf "poll %d" n in
       Alcotest.(check string) (name ^ " verdict")
         ("unknown " ^ Emptiness.deadline_exceeded)
-        (match r.Sat.verdict with
-        | Sat.Unknown why -> "unknown " ^ why
+        (match outcome with
+        | Emptiness.Resource_limit why -> "unknown " ^ why
         | _ -> "decided");
       Alcotest.(check (list int)) (name ^ " states/transitions/mergings")
         [ states; transitions; mergings ]
@@ -220,11 +227,9 @@ let test_deadline_on_replay () =
 (* The replay counter: most of this search's transitions repeat an
    earlier one. *)
 let test_replay_counter () =
-  let seq =
-    (Sat.decide
-       ~options:Sat.Options.(default |> with_max_transitions 20_000)
-       data_chain_unsat_3)
-      .Sat.stats
+  let _, seq =
+    engine Sat.Options.(default |> with_max_transitions 20_000)
+      data_chain_unsat_3
   in
   Alcotest.(check bool) "most transitions replayed" true
     (2 * seq.Emptiness.n_replayed > seq.Emptiness.n_transitions);

@@ -305,16 +305,10 @@ let test_metrics_accounting () =
 (* --- deadlines --- *)
 
 (* A formula whose saturation blows past any small deadline once the
-   resource budgets are lifted: the unsat desc-data family forces the
-   full fixpoint. *)
-let hard_formula () =
-  let li i = Printf.sprintf "a%d" i and ri i = Printf.sprintf "b%d" i in
-  B.conj
-    (List.init 3 (fun i ->
-         And
-           ( B.eq (B.desc_lab (li i)) (B.desc_lab (ri i)),
-             B.neq (B.desc_lab (li i)) (B.desc_lab (ri ((i + 1) mod 3))) ))
-    @ [ B.everywhere (B.not_ (B.lab (li 0))) ])
+   resource budgets are lifted. Its data-free relaxation [⟨↓⁴⟩] is
+   negation-free, so [Sat.decide] goes straight to the general engine;
+   a formula that the relaxation decides would answer at once. *)
+let hard_formula () = Families.data_chain ~sat:true 4
 
 let test_deadline () =
   let svc =
