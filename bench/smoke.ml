@@ -191,9 +191,9 @@ let store () =
   (* Cold: solve into a fresh store, then export a compacted snapshot. *)
   let cold_path = path "cold.xpds" and snapshot = path "cold.snap" in
   let store = open_store cold_path in
+  let solve_all svc = List.map (Corpus.solve svc) reqs in
   let cold, cold_s =
-    time (fun () ->
-        Service.solve_batch (Service.create ~store Service.Config.default) reqs)
+    time (fun () -> solve_all (Service.create ~store Service.Config.default))
   in
   Store.close store;
   let export =
@@ -205,7 +205,7 @@ let store () =
      fresh-process shape. *)
   let store = open_store snapshot in
   let svc = Service.create ~store Service.Config.default in
-  let warm, warm_s = time (fun () -> Service.solve_batch svc reqs) in
+  let warm, warm_s = time (fun () -> solve_all svc) in
   Store.close store;
   List.iter Sys.remove [ cold_path; snapshot ];
   Unix.rmdir dir;

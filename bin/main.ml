@@ -4,10 +4,14 @@
      sat        decide satisfiability of a formula
      classify   fragment and resource bounds of a formula (Fig. 4)
      check      evaluate a formula on a given data tree
+     explain    show where every subformula holds on a data tree
      translate  show the Theorem-3 BIP automaton of a formula
-     contain    decide containment of two node expressions
+     contains   decide containment of two node expressions
+     equiv      decide equivalence of two node expressions
      tiling     solve + encode the built-in tiling examples
      qbf        decide a QBF and its Prop-8 XPath encoding
+     gen        generate random formulas of a chosen fragment
+     repl       interactive session against a data tree
      xml        encode an XML file as a data tree (Appendix A)
      eval       evaluate queries over an XML/data-tree document
      serve      NDJSON request/response solver loop on stdin/stdout
@@ -771,11 +775,9 @@ let open_store ~verify ~solver path =
         info.Xpds.Store.recovered_bytes;
     store
 
-let config_of ?(certificate = false) ?(retry_degraded = false)
-    ~cache_capacity () =
+let config_of ~certificate ~cache_capacity =
   Xpds.Service.Config.(
     default |> with_certificate certificate
-    |> with_retry_degraded retry_degraded
     |> with_cache_capacity cache_capacity)
 
 (* The one service constructor of serve (in-process, and each forked
@@ -854,18 +856,10 @@ let default_timeout t = if t > 0. then Some t else None
 let trace_arg =
   let doc =
     "Attach per-request phase timings (parse, canonicalize, cache \
-     probe, queue wait, translate/fixpoint/verify, certificate) to \
-     every response as a \"trace\" object."
+     probe, translate/fixpoint/verify, certificate) to every response \
+     as a \"trace\" object."
   in
   Arg.(value & flag & info [ "trace" ] ~doc)
-
-let degrade_arg =
-  let doc =
-    "Graceful degradation: retry a budget-exhausted \"unknown\" once \
-     under smaller search bounds (responses gain \"degraded\":true) \
-     instead of giving up."
-  in
-  Arg.(value & flag & info [ "degrade" ] ~doc)
 
 let print_metrics svc =
   prerr_endline
@@ -904,8 +898,8 @@ let serve_cmd =
     in
     Arg.(value & opt int 64 & info [ "queue-depth" ] ~docv:"DEPTH" ~doc)
   in
-  let run timeout_ms cache stats certify trace degrade docs store_path
-      store_verify shards queue_depth =
+  let run timeout_ms cache stats certify trace docs store_path store_verify
+      shards queue_depth =
     if certify && shards > 0 then begin
       prerr_endline "--certify is not supported with --shards";
       exit 2
@@ -923,10 +917,7 @@ let serve_cmd =
               load_doc (String.sub spec (i + 1) (String.length spec - i - 1)) ))
         docs
     in
-    let config =
-      config_of ~certificate:certify ~retry_degraded:degrade
-        ~cache_capacity:cache ()
-    in
+    let config = config_of ~certificate:certify ~cache_capacity:cache in
     let service = make_service ~config ?store_path ~store_verify ~docs in
     let emit line =
       print_endline line;
@@ -1022,8 +1013,8 @@ let serve_cmd =
           counting DTD rules.")
     Term.(
       const run $ timeout_arg $ cache_arg $ stats_arg $ certify_arg
-      $ trace_arg $ degrade_arg $ docs_arg $ store_arg $ store_verify_arg
-      $ shards_arg $ queue_depth_arg)
+      $ trace_arg $ docs_arg $ store_arg $ store_verify_arg $ shards_arg
+      $ queue_depth_arg)
 
 let batch_cmd =
   let file_arg =
@@ -1044,8 +1035,8 @@ let batch_cmd =
             "Write each response's certificate to $(docv)/<id>.cert.json; \
              implies --certify.")
   in
-  let run file timeout_ms cache stats certify cert_dir trace degrade
-      store_path store_verify =
+  let run file timeout_ms cache stats certify cert_dir trace store_path
+      store_verify =
     let certify = certify || cert_dir <> None in
     let ic = open_in file in
     let items = ref [] in
@@ -1060,49 +1051,43 @@ let batch_cmd =
        done
      with End_of_file -> close_in ic);
     let items = List.rev !items in
-    (* Two input formats: a formula per line (the original batch mode,
-       solved in order with in-batch dedup), or — when the first payload line opens a
-       JSON object — NDJSON request lines, each processed through the
-       full wire layer in order, so a batch file can mix every protocol
-       kind (sat, eval, contains, equiv, sat_under_doctype). *)
+    (* Two input formats: a formula per line, each a sat request with
+       id L<line>, or — when the first payload line opens a JSON object
+       — NDJSON request lines, so a batch file can mix every protocol
+       kind (sat, eval, contains, equiv, sat_under_doctype). Either way
+       each line is parsed and admitted when its turn comes (its trace,
+       and so its deadline, starts then) and goes through
+       [Service.handle]; a formula line answers exactly what the same
+       formula sent as an NDJSON line answers. *)
     let ndjson =
       match items with (_, text) :: _ -> text.[0] = '{' | [] -> false
     in
     let default_timeout_ms = default_timeout timeout_ms in
-    let requests =
-      if ndjson then []
-      else
-        List.map
-          (fun (lineno, text) ->
-            match Xpds.Parser.formula_of_string text with
-            | Error e ->
-              Printf.eprintf "%s:%d: %s\n%!" file lineno e;
-              exit 2
-            | Ok f ->
-              { Xpds.Request.id = Printf.sprintf "L%d" lineno;
-                timeout_ms = default_timeout_ms;
-                body = Sat (Xpds.Ast.as_node f)
-              })
-          items
-    in
-    let config =
-      config_of ~certificate:certify ~retry_degraded:degrade
-        ~cache_capacity:cache ()
-    in
+    let config = config_of ~certificate:certify ~cache_capacity:cache in
     let svc, store = make_service ~config ?store_path ~store_verify () in
     let extra_of, certified = certifier ~certify ?cert_dir svc in
-    (if ndjson then
-       List.iter
-         (fun (_, text) ->
-           print_endline
-             (Xpds.Service.handle_line ?default_timeout_ms ~trace ~extra_of svc text))
-         items
-     else
-       List.iter
-         (fun resp ->
-           print_endline
-             (Xpds.Service.answer_to_json ~trace ~extra_of (Sat_answer resp)))
-         (Xpds.Service.solve_batch svc requests));
+    let answer (lineno, text) =
+      if ndjson then
+        Xpds.Service.handle_line ?default_timeout_ms ~trace ~extra_of svc text
+      else begin
+        let tr = Xpds.Trace.create () in
+        Xpds.Trace.mark tr "parse";
+        match Xpds.Parser.formula_of_string text with
+        | Error e ->
+          Printf.eprintf "%s:%d: %s\n%!" file lineno e;
+          exit 2
+        | Ok f ->
+          let r =
+            { Xpds.Request.id = Printf.sprintf "L%d" lineno;
+              timeout_ms = default_timeout_ms;
+              body = Sat (Xpds.Ast.as_node f)
+            }
+          in
+          Xpds.Service.answer_to_json ~trace ~extra_of
+            (Xpds.Service.handle ~trace:tr svc r)
+      end
+    in
+    List.iter (fun item -> print_endline (answer item)) items;
     if stats then print_metrics svc;
     close_store ~stats store;
     if not (certified ()) then exit 4
@@ -1125,8 +1110,7 @@ let batch_cmd =
           $(b,xpds serve --shards N).")
     Term.(
       const run $ file_arg $ timeout_arg $ cache_arg $ stats_arg
-      $ certify_arg $ cert_dir_arg $ trace_arg $ degrade_arg $ store_arg
-      $ store_verify_arg)
+      $ certify_arg $ cert_dir_arg $ trace_arg $ store_arg $ store_verify_arg)
 
 (* --- certify --- *)
 

@@ -42,7 +42,7 @@ type t = {
   max_doc_nodes : int;
   docs : (string, entry) Hashtbl.t;  (** named registry *)
   inline_docs : entry Lru.t;  (** inline sources, by source digest *)
-  flight : (result, result) Flight.t;  (** the result cache *)
+  flight : result Flight.t;  (** the result cache *)
 }
 
 let create ~lock ~meters ~max_doc_nodes ~doc_cache_capacity ~eval_cache_capacity =
@@ -54,7 +54,7 @@ let create ~lock ~meters ~max_doc_nodes ~doc_cache_capacity ~eval_cache_capacity
     flight =
       Flight.create ~phase_prefix:"eval_" ~lock
         ~cache:(Lru.create ~capacity:eval_cache_capacity)
-        ~admit:Option.some ()
+        ~admit:(fun _ -> true) ()
   }
 
 let oversized_doc_error t n =

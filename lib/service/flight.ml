@@ -1,17 +1,17 @@
-type 'o ticket = {
+type 'v ticket = {
   key : string;
-  mutable outcome : 'o option;
+  mutable outcome : 'v option;
       (** [None] after landing when the leader produced nothing shareable *)
   mutable landed : bool;
   mutable waiters : int;
   cond : Condition.t;
 }
 
-type ('v, 'o) t = {
+type 'v t = {
   lock : Mutex.t;
   cache : 'v Lru.t;
-  admit : 'o -> 'v option;
-  cells : (string, 'o ticket) Hashtbl.t;
+  admit : 'v -> bool;
+  cells : (string, 'v ticket) Hashtbl.t;
   probe_phase : string;
   wait_phase : string;
 }
@@ -30,7 +30,9 @@ let waiters t = Hashtbl.fold (fun _ c acc -> acc + c.waiters) t.cells 0
 let publish t c outcome =
   if not c.landed then
     Mutex.protect t.lock (fun () ->
-        Option.iter (Lru.add t.cache c.key) (Option.bind outcome t.admit);
+        Option.iter
+          (fun v -> if t.admit v then Lru.add t.cache c.key v)
+          outcome;
         c.outcome <- outcome;
         c.landed <- true;
         Hashtbl.remove t.cells c.key;

@@ -5,45 +5,46 @@
     for its outcome instead of computing it a second time. The service
     runs one flight for solver verdicts and one for eval results. *)
 
-type ('v, 'o) t
-(** A flight whose cache holds ['v] and whose leaders publish ['o]. *)
+type 'v t
+(** A flight whose leaders publish ['v] and whose cache holds the ['v]s
+    it admits. *)
 
 val create :
   ?phase_prefix:string ->
   lock:Mutex.t ->
   cache:'v Lru.t ->
-  admit:('o -> 'v option) ->
+  admit:('v -> bool) ->
   unit ->
-  ('v, 'o) t
+  'v t
 (** [lock] guards [cache] and the in-flight table (the service mutex);
-    [admit] picks what a published outcome leaves in the cache, if
-    anything. The flight's trace spans are [cache_probe] and
-    [flight_wait], each prefixed with [phase_prefix] (default [""]). *)
+    [admit] decides whether a published outcome enters the cache. The
+    flight's trace spans are [cache_probe] and [flight_wait], each
+    prefixed with [phase_prefix] (default [""]). *)
 
-type 'o ticket
+type 'v ticket
 (** A leader's claim on a key, redeemed by {!publish}. *)
 
 val run :
-  ('v, 'o) t ->
+  'v t ->
   trace:Trace.t ->
   string ->
   hit:('v -> 'r) ->
-  join:('o -> 'r option) ->
-  lead:('o ticket -> 'r) ->
+  join:('v -> 'r option) ->
+  lead:('v ticket -> 'r) ->
   'r
 (** [run t ~trace key ~hit ~join ~lead] probes the cache (trace span
     [cache_probe]) and answers [hit v] on a hit. Otherwise, when another
     request leads on [key], it waits (span [flight_wait]) for the
-    leader's outcome and answers [join o]; a leader that published
+    leader's outcome and answers [join v]; a leader that published
     [None], or an outcome [join] declines with [None], sends the request
     round again. Otherwise it leads: [lead ticket] computes, and must
     {!publish} the outcome before it finishes its own answer. A leader
     that raises, or returns without publishing, lands [None]. *)
 
-val publish : ('v, 'o) t -> 'o ticket -> 'o option -> unit
+val publish : 'v t -> 'v ticket -> 'v option -> unit
 (** Land a leader's outcome: admit it to the cache (through [admit]),
     wake the waiters and release the key. Only the first call on a
     ticket counts. *)
 
-val waiters : ('v, 'o) t -> int
+val waiters : 'v t -> int
 (** Requests currently waiting on a leader. The caller holds the lock. *)

@@ -52,7 +52,6 @@ type t = {
   mutable cert_check_failures : int;
   mutable single_flight : int;
   mutable crashes : int;
-  mutable degraded_retries : int;
   mutable disk_hits : int;
   mutable store_self_evictions : int;
   mutable store_appends : int;
@@ -91,7 +90,6 @@ type snapshot = {
   cert_latency_max_ms : float;
   single_flight : int;
   crashes : int;
-  degraded_retries : int;
   disk_hits : int;
       (** the subset of [cache_hits] answered by the persistent store's
           disk tier (verified on load) *)
@@ -146,7 +144,6 @@ let create () =
     cert_check_failures = 0;
     single_flight = 0;
     crashes = 0;
-    degraded_retries = 0;
     disk_hits = 0;
     store_self_evictions = 0;
     store_appends = 0;
@@ -182,7 +179,6 @@ let reset (m : t) =
   m.cert_check_failures <- 0;
   m.single_flight <- 0;
   m.crashes <- 0;
-  m.degraded_retries <- 0;
   m.disk_hits <- 0;
   m.store_self_evictions <- 0;
   m.store_appends <- 0;
@@ -270,9 +266,6 @@ let record_equiv (m : t) = m.equiv_requests <- m.equiv_requests + 1
 let record_single_flight (m : t) = m.single_flight <- m.single_flight + 1
 let record_crash (m : t) = m.crashes <- m.crashes + 1
 
-let record_degraded (m : t) =
-  m.degraded_retries <- m.degraded_retries + 1
-
 let record_trace (m : t) trace =
   Trace.iter_spans
     (fun name ms ->
@@ -330,7 +323,6 @@ let snapshot (m : t) : snapshot =
     cert_latency_max_ms = m.acc.cert_latency_max;
     single_flight = m.single_flight;
     crashes = m.crashes;
-    degraded_retries = m.degraded_retries;
     disk_hits = m.disk_hits;
     store_self_evictions = m.store_self_evictions;
     store_appends = m.store_appends;
@@ -389,10 +381,9 @@ let to_json (s : snapshot) =
           ] );
       ("single_flight", Json.Num (float_of_int s.single_flight));
       ("crashes", Json.Num (float_of_int s.crashes));
-      ("degraded_retries", Json.Num (float_of_int s.degraded_retries));
       ( "tiers",
         (* Where requests were answered: memory = the in-process caches
-           (including flight joins and in-batch duplicates), disk = the
+           (including flight joins), disk = the
            persistent store, solve = fresh computation. *)
         Json.Obj
           [ ( "memory",
@@ -443,41 +434,3 @@ let to_json (s : snapshot) =
                 ] )
           ] )
     ]
-
-let pp ppf (s : snapshot) =
-  Format.fprintf ppf
-    "@[<v>requests: %d (sat %d, eval %d, contains %d, equiv %d, \
-     doctype %d; hits %d, misses %d, single-flight %d)@,\
-     eval: %d hits, %d errors, %d deadline, %d node-evals, %d docs \
-     built@,\
-     verdicts: sat %d, unsat %d, unsat_bounded %d, unknown %d (%d \
-     deadline)@,\
-     robustness: %d crashes isolated, %d degraded retries@,\
-     tiers: %d memory, %d disk, %d solved; store: %d self-evictions, \
-     %d appends (verify mean %.2f ms, max %.2f ms)@,\
-     latency ms: min %.2f, mean %.2f, p95 %.2f, max %.2f@,\
-     phase totals ms:%a@,\
-     fixpoint totals: %d states, %d transitions, %d mergings@,\
-     certificates: %d certified, %d check failures (mean %.2f ms, max \
-     %.2f ms)@]"
-    s.requests s.sat_requests s.eval_requests s.contains_requests
-    s.equiv_requests s.doctype_requests s.cache_hits s.cache_misses
-    s.single_flight s.eval_cache_hits s.eval_errors
-    s.eval_deadline_timeouts s.eval_node_evals s.eval_docs_built s.sat
-    s.unsat
-    s.unsat_bounded s.unknown s.deadline_timeouts s.crashes
-    s.degraded_retries
-    (s.cache_hits - s.disk_hits)
-    s.disk_hits s.cache_misses s.store_self_evictions s.store_appends
-    s.store_verify_mean_ms s.store_verify_max_ms s.latency_min_ms
-    s.latency_mean_ms
-    s.latency_p95_ms s.latency_max_ms
-    (fun ppf phases ->
-      if phases = [] then Format.pp_print_string ppf " (none)"
-      else
-        List.iter
-          (fun (name, ms) -> Format.fprintf ppf " %s %.2f;" name ms)
-          phases)
-    s.phases_ms s.fixpoint_states s.fixpoint_transitions
-    s.fixpoint_mergings s.certified
-    s.cert_check_failures s.cert_latency_mean_ms s.cert_latency_max_ms

@@ -36,8 +36,6 @@ type snapshot = {
   crashes : int;
       (** requests whose solve raised and was isolated into an error
           response *)
-  degraded_retries : int;
-      (** budget-exhausted requests retried once with degraded bounds *)
   disk_hits : int;
       (** the subset of [cache_hits] answered by the persistent store
           ({!Xpds_store.Store}) after verify-on-load — the disk tier;
@@ -140,9 +138,6 @@ val record_single_flight : t -> unit
 val record_crash : t -> unit
 (** Count one isolated solver crash (an error response was served). *)
 
-val record_degraded : t -> unit
-(** Count one degraded-bounds retry after a budget-exhausted verdict. *)
-
 val record_trace : t -> Trace.t -> unit
 (** Fold a completed request's phase spans into the per-phase totals. *)
 
@@ -154,4 +149,3 @@ val record_cert : t -> ok:bool -> ms:float -> unit
 val snapshot : t -> snapshot
 val reset : t -> unit
 val to_json : snapshot -> Json.t
-val pp : Format.formatter -> snapshot -> unit

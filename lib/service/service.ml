@@ -18,7 +18,6 @@ module Config = struct
     max_transitions : int;
     verify : bool;
     certificate : bool;
-    retry_degraded : bool;
   }
 
   type t = {
@@ -39,7 +38,6 @@ module Config = struct
       max_transitions = Emptiness.default_config.Emptiness.max_transitions;
       verify = true;
       certificate = false;
-      retry_degraded = false;
     }
 
   let default =
@@ -70,9 +68,6 @@ module Config = struct
   let with_certificate certificate t =
     { t with solver = { t.solver with certificate } }
 
-  let with_retry_degraded retry_degraded t =
-    { t with solver = { t.solver with retry_degraded } }
-
   let with_cache_capacity cache_capacity t = { t with cache_capacity }
   let with_max_doc_nodes max_doc_nodes t = { t with max_doc_nodes }
 
@@ -88,20 +83,16 @@ module Config = struct
        (including budget [Unknown]s, which are cached and stored) must
        not be served. [certificate] is part of the key: certificate mode
        disables the height cap (the fixpoint must genuinely saturate),
-       which can change the outcome class of a run. [retry_degraded] is
-       too: a degraded retry can turn a budget [Unknown] into
-       [Unsat_bounded]. *)
-    Printf.sprintf "r%d;w%d;t0=%s;dup=%s;mb=%s;ms=%d;mt=%d;v=%b;c=%b;rd=%b"
+       which can change the outcome class of a run. *)
+    Printf.sprintf "r%d;w%d;t0=%s;dup=%s;mb=%s;ms=%d;mt=%d;v=%b;c=%b"
       Sat.rules_version sc.width (opt sc.t0) (opt sc.dup_cap) (opt sc.merge_budget)
       sc.max_states sc.max_transitions sc.verify sc.certificate
-      sc.retry_degraded
 end
 
 type response = {
   id : string;
   report : Sat.report;
   cached : bool;
-  degraded : bool;
   tier : string;  (** "memory" | "disk" | "solve" *)
   ms : float;
   key : Cache_key.t;
@@ -115,9 +106,9 @@ type answer =
   | Doctype_answer of response
   | Eval_answer of Eval_verb.response
 
-(* Which tier answered: the in-process caches (including flight joins
-   and in-batch duplicates), the persistent store (carrying its
-   verify-on-load latency), or a fresh solve. *)
+(* Which tier answered: the in-process caches (including flight joins),
+   the persistent store (carrying its verify-on-load latency), or a
+   fresh solve. *)
 type tier = Tier_memory | Tier_disk of float | Tier_solve
 
 let tier_name = function
@@ -132,8 +123,7 @@ type t = {
       (** the disk tier under the LRU; guarded by its own mutex, so
           probes and admissions happen outside the service lock *)
   cache : Sat.report Lru.t;
-  flight : (Sat.report, Sat.report * bool) Flight.t;
-      (** over [cache]; a leader publishes [(report, degraded)] *)
+  flight : Sat.report Flight.t;  (** over [cache] *)
   meters : Metrics.t;
   lock : Mutex.t;
   chaos : (string -> unit) option Atomic.t;
@@ -167,10 +157,7 @@ let create ?store (config : Config.t) =
     fingerprint = Config.fingerprint config.solver;
     store;
     cache;
-    flight =
-      Flight.create ~lock ~cache
-        ~admit:(fun (report, _) -> if cacheable report then Some report else None)
-        ();
+    flight = Flight.create ~lock ~cache ~admit:cacheable ();
     meters;
     lock;
     chaos = Atomic.make None;
@@ -216,38 +203,22 @@ let synthetic_report ~algorithm canon why =
     cert_seed = None;
   }
 
-(* The degraded bounds of the graceful-degradation retry: a strictly
-   smaller search space, so a formula that exhausted the state budget
-   under the primary bounds has a chance to saturate (yielding an honest
-   [Unsat_bounded]/[Sat]) instead of answering a bare [Unknown]. *)
-let degrade (sc : Config.solver) =
-  {
-    sc with
-    width = max 1 (sc.width - 1);
-    t0 = Some (match sc.t0 with Some t -> max 2 (t / 2) | None -> 3);
-    dup_cap = Some 1;
-    merge_budget = Some 2;
-  }
-
 (* The deadline is an absolute [Trace.now_ms] timestamp anchored at
-   the request's admission, so time spent queued counts against the
-   budget and a batch item can never exceed its caller-visible deadline.
-   Never raises: a crashing solver (or chaos hook) is folded into a
-   [crash:] error report. [body] picks the decision procedure: plain
+   the request's admission, so time spent waiting on a flight counts
+   against the budget and a request can never exceed its caller-visible
+   deadline. Never raises: a crashing solver (or chaos hook) is folded
+   into a [crash:] error report. [body] picks the decision procedure: plain
    satisfiability (also the ϕ∧¬ψ query of the containment verbs) or
    doctype-constrained satisfiability. *)
 let solve_uncached t ~trace ~deadline ~id (body : Request.body) canon =
   Trace.mark trace "solve";
   let sc = t.cfg.solver in
-  let expired () =
+  let expired =
     match deadline with
     | Some d -> Trace.now_ms () >= d
     | None -> false
   in
-  let run (sc : Config.solver) =
-    let should_stop =
-      Option.map (fun d () -> Trace.now_ms () > d) deadline
-    in
+  let run () =
     let options =
       {
         Sat.Options.default with
@@ -257,60 +228,43 @@ let solve_uncached t ~trace ~deadline ~id (body : Request.body) canon =
         merge_budget = sc.merge_budget;
         max_states = sc.max_states;
         max_transitions = sc.max_transitions;
-        should_stop;
+        should_stop = Option.map (fun d () -> Trace.now_ms () > d) deadline;
         on_phase = Trace.mark trace;
         verify = sc.verify;
         certificate = sc.certificate;
       }
     in
+    (match Atomic.get t.chaos with Some f -> f id | None -> ());
     match body with
     | Doctype { doctype; _ } -> Sat.decide_under_doctype ~options ~doctype canon
     | _ -> Sat.decide ~options canon
   in
-  let crash e =
-    synthetic_report ~algorithm:"aborted: the solver raised" canon
-      (crash_prefix ^ Printexc.to_string e)
-  in
-  let report, degraded =
-    if expired () then
+  let report =
+    if expired then
       (* Admission-anchored budget already gone (e.g. timeout_ms = 0, or
-         the queue wait consumed it): answer deterministically without
+         a flight wait consumed it): answer deterministically without
          starting a fixpoint. *)
-      ( synthetic_report ~algorithm:"rejected: deadline at admission"
-          canon Emptiness.deadline_exceeded,
-        false )
+      synthetic_report ~algorithm:"rejected: deadline at admission" canon
+        Emptiness.deadline_exceeded
     else
-      match
-        (match Atomic.get t.chaos with Some f -> f id | None -> ());
-        run sc
-      with
-      | exception e -> (crash e, false)
-      | report -> (
-        match report.Sat.verdict with
-        | Sat.Unknown why
-          when sc.retry_degraded && why <> Emptiness.deadline_exceeded ->
-          (* Budget exhausted, not a deadline: one retry under degraded
-             bounds (still subject to the same absolute deadline). *)
-          Trace.mark trace "retry_degraded";
-          (match run (degrade sc) with
-          | exception e -> (crash e, true)
-          | report' -> (report', true))
-        | _ -> (report, false))
+      match run () with
+      | report -> report
+      | exception e ->
+        synthetic_report ~algorithm:"aborted: the solver raised" canon
+          (crash_prefix ^ Printexc.to_string e)
   in
   Trace.finish trace;
-  (report, degraded)
+  report
 
 let deadline_of trace timeout_ms =
   Option.map (fun ms -> Trace.admitted trace +. ms) timeout_ms
 
 (* [key]'s kind and scope tag the store record; [metric] picks the
-   metrics bucket. The memory tier is filled by whoever produced the
-   verdict (the flight's leader, or [solve_batch]). [ms] counts from
-   the [Trace.now_ms] timestamp [start]. *)
-let finish t ~start ~id ~(key : Request.key) ~metric ~trace ~tier ~report
-    ~degraded ~flight =
+   metrics bucket. The memory tier is filled by the flight's leader.
+   [ms] counts from the request's admission. *)
+let finish t ~id ~(key : Request.key) ~metric ~trace ~tier ~report ~flight =
   Trace.finish trace;
-  let ms = Trace.now_ms () -. start in
+  let ms = Trace.elapsed_ms trace in
   let cached = match tier with Tier_solve -> false | _ -> true in
   (* Store traffic first, on the store's own lock — admission of a fresh
      verdict, or the memory-hit note that completes the store's
@@ -333,10 +287,9 @@ let finish t ~start ~id ~(key : Request.key) ~metric ~trace ~tier ~report
       | _ -> ());
       if admitted then Metrics.record_store_append t.meters;
       if flight then Metrics.record_single_flight t.meters;
-      if (not cached) && degraded then Metrics.record_degraded t.meters;
       if (not cached) && is_crash report then Metrics.record_crash t.meters;
       Metrics.record_trace t.meters trace);
-  { id; report; cached; degraded; tier = tier_name tier; ms; key = key.digest; trace }
+  { id; report; cached; tier = tier_name tier; ms; key = key.digest; trace }
 
 (* Probe the disk tier for [key]. Only called after the memory tier
    missed; a record failing verify-on-load self-evicts inside the store
@@ -370,19 +323,16 @@ let solve_keyed t ~trace ~id ~timeout_ms (body : Request.body) =
     | Doctype _ -> `Doctype
     | Sat _ | Eval _ -> `Sat
   in
-  let finish =
-    finish t ~start:(Trace.admitted trace) ~id ~key ~metric ~trace
-  in
+  let finish = finish t ~id ~key ~metric ~trace in
   Flight.run t.flight ~trace key.digest
-    ~hit:(fun report ->
-      finish ~tier:Tier_memory ~report ~degraded:false ~flight:false)
-    ~join:(fun (report, degraded) ->
+    ~hit:(fun report -> finish ~tier:Tier_memory ~report ~flight:false)
+    ~join:(fun report ->
       (* a crashed or deadline-bound leader's verdict is not shared: our
          own admission-anchored deadline still applies, so a request
          whose budget died waiting answers [Unknown "deadline
          exceeded"] immediately *)
       if cacheable report then
-        Some (finish ~tier:Tier_memory ~report ~degraded ~flight:true)
+        Some (finish ~tier:Tier_memory ~report ~flight:true)
       else None)
     ~lead:(fun ticket ->
       (* The memory tier missed: try the disk tier before spawning a
@@ -390,88 +340,15 @@ let solve_keyed t ~trace ~id ~timeout_ms (body : Request.body) =
          — waiters join it, and it is promoted to the memory tier. *)
       match store_probe t ~trace key with
       | Some (report, verify_ms) ->
-        Flight.publish t.flight ticket (Some (report, false));
-        finish ~tier:(Tier_disk verify_ms) ~report ~degraded:false ~flight:false
+        Flight.publish t.flight ticket (Some report);
+        finish ~tier:(Tier_disk verify_ms) ~report ~flight:false
       | None ->
-        let report, degraded =
+        let report =
           solve_uncached t ~trace ~deadline:(deadline_of trace timeout_ms) ~id
             body key.canon
         in
-        Flight.publish t.flight ticket (Some (report, degraded));
-        finish ~tier:Tier_solve ~report ~degraded ~flight:false)
-
-let solve_batch t (requests : Request.t list) =
-  (* Admission: every request's trace — and therefore its deadline — is
-     anchored now, before any item is solved. The open "queue" span is
-     closed when the item's turn comes, and the item's [ms] counts from
-     then: the wait behind earlier items is not its own latency. *)
-  let keyed =
-    List.map
-      (fun (r : Request.t) ->
-        (match r.body with
-        | Sat _ -> ()
-        | _ -> invalid_arg "Service.solve_batch: sat requests only");
-        let tr = Trace.create () in
-        Trace.mark tr "canonicalize";
-        let key = Request.key ~config_fingerprint:t.fingerprint r.body in
-        Trace.mark tr "cache_probe";
-        let in_cache =
-          Mutex.protect t.lock (fun () -> Lru.mem t.cache key.digest)
-        in
-        (* Memory miss: probe the disk tier before admitting the item as
-           work. A verified disk hit is promoted to the memory tier
-           immediately, so in-batch duplicates of its key probe as
-           memory hits. *)
-        let hint =
-          if in_cache then `Mem
-          else
-            match store_probe t ~trace:tr key with
-            | Some (report, verify_ms) ->
-              Mutex.protect t.lock (fun () -> Lru.add t.cache key.digest report);
-              `Disk (report, verify_ms)
-            | None -> `Miss
-        in
-        Trace.mark tr "queue";
-        (r, key, tr, hint))
-      requests
-  in
-  (* Solve in request order. The first miss of each key solves it; its
-     in-batch duplicates reuse that report and are reported [cached].
-     [solve_uncached] folds a raising solver into an error report, so a
-     poisoned item degrades alone and the rest of the batch completes. *)
-  let solved : (Cache_key.t, Sat.report * bool) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  List.map
-    (fun ((r : Request.t), (key : Request.key), tr, hint) ->
-      let finish =
-        finish t ~start:(Trace.now_ms ()) ~id:r.id ~key ~metric:`Sat ~trace:tr
-      in
-      let memory report ~degraded =
-        finish ~report ~tier:Tier_memory ~degraded ~flight:false
-      in
-      let solve () =
-        let report, degraded =
-          solve_uncached t ~trace:tr
-            ~deadline:(deadline_of tr r.timeout_ms) ~id:r.id r.body key.canon
-        in
-        Hashtbl.add solved key.digest (report, degraded);
-        if cacheable report then
-          Mutex.protect t.lock (fun () -> Lru.add t.cache key.digest report);
-        finish ~report ~tier:Tier_solve ~degraded ~flight:false
-      in
-      match (Hashtbl.find_opt solved key.digest, hint) with
-      | Some (report, degraded), _ -> memory report ~degraded
-      | None, `Disk (report, verify_ms) ->
-        finish ~report ~tier:(Tier_disk verify_ms) ~degraded:false ~flight:false
-      | None, `Miss -> solve ()
-      | None, `Mem -> (
-        match Mutex.protect t.lock (fun () -> Lru.find t.cache key.digest) with
-        | Some report -> memory report ~degraded:false
-        | None ->
-          (* Was cached at admission but evicted since: solve here. *)
-          solve ()))
-    keyed
+        Flight.publish t.flight ticket (Some report);
+        finish ~tier:Tier_solve ~report ~flight:false)
 
 let handle ?trace t ({ id; timeout_ms; body } : Request.t) =
   let trace = match trace with Some tr -> tr | None -> Trace.create () in
@@ -537,8 +414,6 @@ let verified_fields (report : Sat.report) =
   | None -> []
 
 let robustness_fields_of resp =
-  (if resp.degraded then [ ("degraded", Json.Bool true) ] else [])
-  @
   if is_crash resp.report then
     (* A poisoned request: same structured ["error"] field the serve
        loop uses for unparsable lines, so clients have one place to

@@ -19,32 +19,23 @@
       (counted separately in {!Metrics.snapshot.single_flight}). Only
       deterministic (cacheable) verdicts are shared: if the leader times
       out or crashes, each waiter retries under its own deadline;
-    - {b batches} ([solve_batch]) solved one item after another on the
-      calling domain, with in-batch deduplication so each distinct key
-      is solved once (multi-core serving runs one service per forked
-      shard: {!Xpds_shard.Shard});
     - {b monotonic, admission-anchored deadlines}: [timeout_ms] arms the
       cooperative [should_stop] hook of
       {!Xpds_decision.Emptiness.config} against
       [CLOCK_MONOTONIC] ({!Trace.now_ms} — immune to wall-clock steps),
-      with the budget anchored at the request's {e admission}: a batch
-      item burns its budget while queued and can never exceed its
-      caller-visible deadline. A fired deadline yields
+      with the budget anchored at the request's {e admission}: a request
+      burns its budget while it waits on a flight and can never exceed
+      its caller-visible deadline. A fired deadline yields
       [Unknown "deadline exceeded"] — never a wrong certified verdict —
       and such time-dependent results are {e not} cached (every
       deterministic verdict, including budget-limited [Unknown]s, is);
     - {b crash isolation}: a request whose solve raises is folded into
       an [Unknown "crash: ..."] error report (never cached, surfaced as
-      an ["error"] field on the wire); in a batch the poisoned item
-      degrades alone and every other verdict is still returned;
-    - {b graceful degradation}: with [retry_degraded] set, a
-      budget-exhausted [Unknown] (not a deadline) is retried once under
-      strictly smaller bounds, trading completeness for an honest
-      [Unsat_bounded]/[Sat] instead of an opaque [Unknown] — the
-      response is flagged [degraded];
+      an ["error"] field on the wire); the requests after it are served
+      as usual;
     - {b per-request tracing} ({!Trace}): every response carries phase
-      timings (parse → canonicalize → cache probe → queue →
-      translate/fixpoint/verify → certificate) plus queue-wait,
+      timings (parse → canonicalize → cache probe →
+      translate/fixpoint/verify → certificate) plus flight-wait,
       aggregated per-phase into {!Metrics};
     - {b metrics} ({!Metrics}): request/hit/verdict counters, latency
       min/mean/p95/max, fixpoint-stats aggregates, robustness counters.
@@ -52,15 +43,15 @@
     A service value is safe to share across domains a library caller
     spawns: the cache, the in-flight table and the metrics are guarded
     by one internal mutex, held only around O(1) bookkeeping — solving
-    happens outside it.
+    happens outside it. [xpds serve] and [xpds batch] call {!handle}
+    once per request, one after another; multi-core serving runs one
+    service per forked shard ({!Xpds_shard.Shard}).
 
     Caveat on shared flights: a waiter blocks until the leader lands,
     even past its own deadline when the leader's is longer (the shared
     verdict is deterministic, so this only ever trades latency, never
     honesty); a waiter whose budget died waiting then answers
-    [Unknown "deadline exceeded"] immediately. [solve_batch] dedupes
-    within its batch and against the cache, not against in-flight
-    requests.
+    [Unknown "deadline exceeded"] immediately.
 
     The eval verb's registry, caches and evaluator memo live in
     {!Eval_verb}, which the service holds. *)
@@ -84,11 +75,6 @@ module Config : sig
         (** run in certificate mode: reports carry a
             {!Xpds_decision.Sat.cert_seed} from which {!Xpds_cert.Cert}
             builds a checkable certificate *)
-    retry_degraded : bool;
-        (** retry a budget-exhausted [Unknown] once under degraded
-            bounds (width−1, halved t0, dup_cap 1, merge_budget 2)
-            instead of giving up — graceful degradation for fired
-            budgets *)
   }
   (** Knobs forwarded to {!Xpds_decision.Sat.decide}; part of the cache
       key, so changing them never serves stale verdicts. *)
@@ -108,8 +94,7 @@ module Config : sig
   }
 
   val default_solver : solver
-  (** The practical defaults of {!Xpds_decision.Sat.decide};
-      [retry_degraded] off. *)
+  (** The practical defaults of {!Xpds_decision.Sat.decide}. *)
 
   val default : t
 
@@ -124,7 +109,6 @@ module Config : sig
   val with_max_transitions : int -> t -> t
   val with_verify : bool -> t -> t
   val with_certificate : bool -> t -> t
-  val with_retry_degraded : bool -> t -> t
 
   (** Combinators over the serving knobs. *)
 
@@ -144,13 +128,11 @@ type response = {
   id : string;
   report : Xpds_decision.Sat.report;
   cached : bool;
-      (** served without a fresh solve: from the result cache, by
-          joining an in-flight computation, or as an in-batch duplicate *)
-  degraded : bool;
-      (** this verdict came from a degraded-bounds retry *)
+      (** served without a fresh solve: from the result cache or by
+          joining an in-flight computation *)
   tier : string;
       (** which tier answered: ["memory"] (the in-process caches —
-          including flight joins and in-batch duplicates), ["disk"] (the
+          including flight joins), ["disk"] (the
           persistent store, after verify-on-load) or ["solve"] (fresh
           computation). [cached = (tier <> "solve")]. *)
   ms : float;
@@ -200,15 +182,6 @@ val handle : ?trace:Trace.t -> t -> Request.t -> answer
     pre-admitted trace (e.g. one that already carries the wire-parse
     span and anchors the deadline at line receipt); by default a fresh
     one is created on entry. *)
-
-val solve_batch : t -> Request.t list -> response list
-(** Sat requests only ([Invalid_argument] otherwise). Responses in
-    request order. The distinct misses are solved one after another on
-    the calling domain; duplicate keys within the batch are solved once
-    and the copies are reported [cached = true]. Deadlines are anchored
-    at batch admission, so queue wait counts against each item's
-    budget. A raising item yields an error response for that item only
-    and the rest of the batch completes. *)
 
 val contains_answer : response -> Xpds_decision.Containment.answer
 (** The containment reading of a contains direction: [Sat w ↦ Fails w],
@@ -265,11 +238,10 @@ val answer_to_json :
     paper notation for sat, the parseable
     {!Xpds_datatree.Data_tree.to_compact_string} syntax (conforming to
     the doctype) for sat_under_doctype — or ["reason"] when
-    inconclusive, then ["degraded":true] after a degraded retry and
-    ["error"] when the solve crashed. [extra_of] appends trailing
-    fields to sat lines — the [--certify] CLI layer uses this for its
-    per-response certificate summary, keeping the service independent
-    of the certificate format.
+    inconclusive, then ["error"] when the solve crashed. [extra_of]
+    appends trailing fields to sat lines — the [--certify] CLI layer
+    uses this for its per-response certificate summary, keeping the
+    service independent of the certificate format.
 
     contains: [answer] (["holds" | "holds_bounded" | "fails" |
     "unknown"]), ["counterexample"] (compact syntax) and ["verified"]

@@ -2,13 +2,13 @@
 
     A trace is created when a request is {e admitted} (enters the
     service, or is read off the wire) and accumulates a flat sequence of
-    named spans: [parse], [canonicalize], [cache_probe], [queue],
+    named spans: [parse], [canonicalize], [cache_probe], [store_probe],
     [solve] and the solver's own sub-phases ([translate], [fixpoint],
     [verify], …), [flight_wait] when the request joined an in-flight
-    computation, [retry_degraded], [certificate]. The admission
-    timestamp doubles as the anchor of the request's deadline
-    ({!Service}): a queued batch item burns its budget while it waits,
-    so it can never exceed its caller-visible deadline.
+    computation, [certificate]. The admission timestamp doubles as the
+    anchor of the request's deadline ({!Service}): a request burns its
+    budget while it waits on a flight, so it can never exceed its
+    caller-visible deadline.
 
     All timestamps come from {!now_ms} — [CLOCK_MONOTONIC], immune to
     wall-clock steps — and are in milliseconds. A trace is owned by one

@@ -295,7 +295,7 @@ let test_metrics_cert_shape () =
     "top-level keys"
     [ "requests"; "cache_hits"; "cache_misses"; "verdicts";
       "deadline_timeouts"; "requests_by_kind"; "eval"; "single_flight";
-      "crashes"; "degraded_retries"; "tiers"; "store"; "phase_totals_ms";
+      "crashes"; "tiers"; "store"; "phase_totals_ms";
       "latency_ms"; "fixpoint"; "certificates"
     ]
     keys

@@ -232,24 +232,24 @@ let default_fp = Service.Config.(fingerprint default_solver)
    "a{1*b|c}"), as [Cache_key.hex]. The fingerprint leads with
    [Sat.rules_version], so a rules change moves every pin. *)
 let key_pins =
-  [ ("<desc[b & down[b] != down[b]]>", "bf8700083392dc155c11d49cc69af524",
-     "96a3d8c03be0cd095c95c8f837fe63ad", "0c2e1aacb681da5c57b20d21973c5975");
-    ("a & ~a", "96ef1e202751af41d8fc5e43cd34bf1b",
-     "a0702ac4ad8a8f98761c65e9f30cbc1d", "af4a5ff4920bc4e141b098b52d4caf32");
-    ("<down[\"a b\"]> & ~<down[c]>", "5fd6b2302686dbfce6f59beaaf851148",
-     "b5ee0b2f6744761ef9bb72fa8ba7a945", "7cb5c4d3f42f72c1943400114ade9b35");
+  [ ("<desc[b & down[b] != down[b]]>", "da994c93c7cd058a6f6c7ac641a8a99f",
+     "ec163f2aaeea0bf3606ba048055a5118", "9a2b89adda25177af00464d38599502b");
+    ("a & ~a", "f5d807bcaf3085d5aa671a8d744198c6",
+     "4da1acf7e7986517c5e870001aafde56", "88edd32818b2c6824215e54c7b282398");
+    ("<down[\"a b\"]> & ~<down[c]>", "d0a34a09c3746b49b41be372833d7c7c",
+     "aad791abd731d5a92a5f2224f42d1324", "1bb7aacc17e809f19b98f733f9191d34");
     ("<down[\"q\\\"uote\"]> | \"back\\\\slash\"",
-     "3787005e5abd7ff4560be1920e2216f5", "fe0ac12724d2444b585b89980c29db73",
-     "18ceffaa44e1807aa1fa4a528f15066b");
-    ("<down[\"tab\tx\"]>", "f17ceed58e22d012c62c314cd68f0428",
-     "03d1a5030d7b2b6070952f1c7872585f", "06980f53113b324448cd1093490d4253");
-    ("<down[\"\195\169t\195\169\"]>", "83110099695139c4dfcf281967ff758a",
-     "213d0463eb7bc9ac0fc47eaf6e27b8ae", "46f10942b2f2b6bdcb775c81f419a3cd");
+     "073c3a51bf4e863ae67e3ae9643e95b0", "47b95fc7b56aac2ed8cf4618a6e6a2db",
+     "dc47204fe0c54256c23d14119cc2e3c1");
+    ("<down[\"tab\tx\"]>", "56d61360f6fe71cb4579109085bc920f",
+     "cb181e08834e3431ed6768652b15e694", "5e7dc8c0e668e350dffaa3386836971f");
+    ("<down[\"\195\169t\195\169\"]>", "954b890b9e01b76e48a87c15c67b061c",
+     "fc2c8208200242a5769a6553928b14f9", "c8660e890babe42564984e5322f0d0ba");
     ("desc[a] = desc[b]/down[c] & ~(eps[c] != (down|desc))",
-     "4eeca5eab1afe74f4c20b5fa1fff0900", "df97dfda2140fb962bf47371f3d41f3f",
-     "81001fdc06940744f9bb0d9d0d6130d5");
-    ("<(down/desc)*[a]>", "15a132411aa4f1218f5f81b5c9e3a22d",
-     "7f5e8196252781f97412dc195cfbf74f", "740f79565ed9c5973e5dd6919d3966a6")
+     "6c75d92aac4759d47ed3cc2597b7986c", "4c041db324216d0df01484640f2bde93",
+     "ced02e9d71d441eaca1c1a9d21ed69c2");
+    ("<(down/desc)*[a]>", "a98909d652ce3fd77ad38aeb60ac1bc2",
+     "7ca9c17a415cb53b4b81221c79cf3aec", "d40298e419f8746593ca61057d19c8dd")
   ]
 
 let test_cache_key_pins () =

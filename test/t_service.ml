@@ -1,5 +1,5 @@
 (* Tests for the solver service: LRU cache, JSON wire format, cache-key
-   soundness, batch agreement, deadlines. *)
+   soundness, agreement of a shared service with fresh ones, deadlines. *)
 
 module Service = Xpds_service.Service
 module Request = Xpds_service.Request
@@ -235,7 +235,7 @@ let family_cases () =
         (Families.mixed_axes ~sat:true 2, `Sat);
         (Families.mixed_axes ~sat:false 2, `Unsat)
       ];
-      (* duplicates exercise in-batch dedup *)
+      (* duplicates exercise the result cache *)
       [ (Families.child_chain ~sat:true 2, `Sat);
         (Families.data_chain ~sat:true 3, `Sat)
       ]
@@ -249,14 +249,18 @@ let requests_of formulas =
       { Request.id = string_of_int i; timeout_ms = None; body = Sat phi })
     formulas
 
+(* A request list solved in order on one service answers what each
+   request answers on a service of its own. *)
 let test_batch_agrees_with_solve () =
   let cases = family_cases () in
   let requests = requests_of (List.map fst cases) in
   let batch =
-    Service.solve_batch (Service.create Service.Config.default) requests
+    List.map (Corpus.solve (Service.create Service.Config.default)) requests
   in
   let one =
-    List.map (Corpus.solve (Service.create Service.Config.default)) requests
+    List.map
+      (fun r -> Corpus.solve (Service.create Service.Config.default) r)
+      requests
   in
   List.iter2
     (fun (s : Service.response) (b : Service.response) ->
@@ -277,16 +281,19 @@ let test_batch_agrees_with_solve () =
         | `Sat, "sat" | `Unsat, ("unsat" | "unsat_bounded") | `Any, _ -> true
         | _ -> false))
     cases batch;
-  (* The duplicated formulas must be served as in-batch cache hits. *)
+  (* The duplicated formulas must be served as cache hits. *)
   let hits =
     List.length (List.filter (fun r -> r.Service.cached) batch)
   in
-  Alcotest.(check bool) "some in-batch dedup hits" true (hits >= 2)
+  Alcotest.(check bool) "some dedup hits" true (hits >= 2)
 
 let test_metrics_accounting () =
   let svc = Service.create Service.Config.default in
   let formulas = family_formulas () in
-  ignore (Service.solve_batch svc (requests_of formulas));
+  let solve_all () =
+    List.iter (fun r -> ignore (Corpus.solve svc r)) (requests_of formulas)
+  in
+  solve_all ();
   let m = Service.metrics svc in
   let n = List.length formulas in
   Alcotest.(check int) "requests" n m.Xpds_service.Metrics.requests;
@@ -295,9 +302,9 @@ let test_metrics_accounting () =
    + m.Xpds_service.Metrics.cache_misses);
   Alcotest.(check bool) "some misses" true
     (m.Xpds_service.Metrics.cache_misses > 0);
-  (* Run the same batch again: every request is now a cache hit. *)
+  (* Solve the same list again: every request is now a cache hit. *)
   Service.reset_metrics svc;
-  ignore (Service.solve_batch svc (requests_of formulas));
+  solve_all ();
   let m = Service.metrics svc in
   Alcotest.(check int) "all hits on re-run" n
     m.Xpds_service.Metrics.cache_hits
@@ -430,25 +437,6 @@ let test_single_flight () =
   Alcotest.(check int) "single-flight joins" 3
     m.Xpds_service.Metrics.single_flight
 
-(* A batch item's [ms] is its own latency, counted from its turn: the
-   quick second item does not inherit the first item's solve time. *)
-let test_batch_item_ms () =
-  let svc = Service.create Service.Config.default in
-  let reqs =
-    requests_of
-      [ Families.data_chain ~sat:true 3;
-        B.exists (B.filter B.down (B.lab "a"))
-      ]
-  in
-  match Service.solve_batch svc reqs with
-  | [ slow; quick ] ->
-    Alcotest.(check bool)
-      (Printf.sprintf "second item %.3f ms < first item %.3f ms"
-         quick.Service.ms slow.Service.ms)
-      true
-      (quick.Service.ms < slow.Service.ms)
-  | _ -> Alcotest.fail "expected two responses"
-
 (* --- crash isolation --- *)
 
 let test_batch_crash_isolation () =
@@ -467,7 +455,7 @@ let test_batch_crash_isolation () =
       }
     ]
   in
-  let resps = Service.solve_batch svc reqs in
+  let resps = List.map (Corpus.solve svc) reqs in
   Service.Chaos.set svc None;
   Alcotest.(check int) "every item answered" 3 (List.length resps);
   List.iter2
@@ -585,38 +573,6 @@ let test_trace_phases () =
   let m = Service.metrics svc in
   Alcotest.(check bool) "fixpoint aggregated in metrics" true
     (List.mem_assoc "fixpoint" m.Xpds_service.Metrics.phases_ms)
-
-(* --- graceful degradation --- *)
-
-let test_degraded_retry () =
-  let tiny retry_degraded =
-    Service.create
-      Service.Config.(
-        default |> with_max_states 10 |> with_max_transitions 40
-        |> with_retry_degraded retry_degraded)
-  in
-  let req =
-    { Request.id = "d"; timeout_ms = None; body = Sat (hard_formula ()) }
-  in
-  (* Without the flag the budget-exhausted Unknown stands. *)
-  let plain = Corpus.solve (tiny false) req in
-  (match plain.Service.report.Sat.verdict with
-  | Sat.Unknown _ -> ()
-  | v ->
-    Alcotest.failf "expected budget Unknown, got %s"
-      (Service.verdict_name v));
-  Alcotest.(check bool) "not flagged without the knob" false
-    plain.Service.degraded;
-  (* With it, the retry runs under smaller bounds and is flagged. *)
-  let svc = tiny true in
-  let r = Corpus.solve svc req in
-  Alcotest.(check bool) "degraded retry flagged" true r.Service.degraded;
-  let m = Service.metrics svc in
-  Alcotest.(check int) "degraded retry counted" 1
-    m.Xpds_service.Metrics.degraded_retries;
-  Alcotest.(check bool) "retry phase traced" true
-    (List.mem_assoc "retry_degraded"
-       (Xpds_service.Trace.spans r.Service.trace))
 
 (* --- the eval verb on the wire (docs/protocol.md, kind "eval") --- *)
 
@@ -817,12 +773,9 @@ let suite =
       Alcotest.test_case "single-flight dedup" `Quick test_single_flight;
       Alcotest.test_case "batch crash isolation" `Quick
         test_batch_crash_isolation;
-      Alcotest.test_case "batch item ms from its turn" `Quick
-        test_batch_item_ms;
       Alcotest.test_case "serve loop survives garbage" `Quick
         test_handle_line_garbage;
       Alcotest.test_case "trace phases" `Quick test_trace_phases;
-      Alcotest.test_case "degraded retry" `Quick test_degraded_retry;
       Alcotest.test_case "eval wire" `Quick test_eval_wire;
       Alcotest.test_case "eval schema closed" `Quick
         test_eval_schema_closed;
