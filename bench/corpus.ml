@@ -37,3 +37,15 @@ let solve ?trace svc (r : Xpds.Request.t) =
   match Xpds.Service.handle ?trace svc r with
   | Sat_answer resp | Contains_answer resp | Doctype_answer resp -> resp
   | Equiv_answer _ | Eval_answer _ -> invalid_arg "Corpus.solve: not a verdict request"
+
+(* A number of a metrics JSON object ({!Xpds.Service.metrics}) by path,
+   e.g. [metric m [ "store"; "disk_hits" ]]; fails when it is absent. *)
+let metric m path =
+  let field j k =
+    match Xpds.Json.member k j with
+    | Some v -> v
+    | None -> failwith ("Corpus.metric: no " ^ String.concat "." path)
+  in
+  match Xpds.Json.to_float (List.fold_left field m path) with
+  | Some x -> x
+  | None -> failwith ("Corpus.metric: not a number: " ^ String.concat "." path)

@@ -22,7 +22,6 @@ module Sat = Xpds.Sat
 module Emptiness = Xpds.Emptiness
 module Cert = Xpds.Cert
 module Store = Xpds.Store
-module Metrics = Xpds.Service_metrics
 
 let time = Table.time
 
@@ -209,15 +208,16 @@ let store () =
   Store.close store;
   List.iter Sys.remove [ cold_path; snapshot ];
   Unix.rmdir dir;
-  let m = Service.metrics svc in
+  let metric = Corpus.metric (Service.metrics svc) in
+  let disk_hits = metric [ "store"; "disk_hits" ] in
   Format.printf
-    "  store   %d formulas: cold %.2f s, warm %.4f s (%.0fx), %d disk hits@."
-    (List.length reqs) cold_s warm_s (cold_s /. warm_s) m.Metrics.disk_hits;
+    "  store   %d formulas: cold %.2f s, warm %.4f s (%.0fx), %.0f disk hits@."
+    (List.length reqs) cold_s warm_s (cold_s /. warm_s) disk_hits;
   [ ( "warm_verdicts_agree",
       List.map verdict_of cold = List.map verdict_of warm );
-    ("warm_no_solves", m.Metrics.cache_misses = 0);
-    ("warm_disk_tier_hit", m.Metrics.disk_hits > 0);
-    ("warm_duplicate_on_memory_tier", m.Metrics.cache_hits > m.Metrics.disk_hits);
+    ("warm_no_solves", metric [ "cache_misses" ] = 0.);
+    ("warm_disk_tier_hit", disk_hits > 0.);
+    ("warm_duplicate_on_memory_tier", metric [ "cache_hits" ] > disk_hits);
     ("export_nothing_skipped", export.Store.skipped = 0);
     ("warm_speedup_100x", cold_s >= 100. *. warm_s)
   ]

@@ -862,9 +862,7 @@ let trace_arg =
   Arg.(value & flag & info [ "trace" ] ~doc)
 
 let print_metrics svc =
-  prerr_endline
-    (Xpds.Json.to_string
-       (Xpds.Service_metrics.to_json (Xpds.Service.metrics svc)))
+  prerr_endline (Xpds.Json.to_string (Xpds.Service.metrics svc))
 
 let serve_cmd =
   let docs_arg =

@@ -35,6 +35,5 @@ let in_process ?default_timeout_ms ?trace ?extra_of ~emit svc =
   make
     ~submit:(fun line ->
       emit (Service.handle_line ?default_timeout_ms ?trace ?extra_of svc line))
-    ~metrics_json:(fun () ->
-      Some (Metrics.to_json (Service.metrics svc)))
+    ~metrics_json:(fun () -> Some (Service.metrics svc))
     ()

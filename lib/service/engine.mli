@@ -64,8 +64,9 @@ val wait : t -> ?read_fds:Unix.file_descr list -> float -> Unix.file_descr list
     select on [read_fds]. *)
 
 val metrics_json : t -> Json.t option
-(** Aggregate metrics snapshot: the {!Metrics.to_json} object for the
-    in-process engine, the cross-worker merge for the shard router. *)
+(** The metrics JSON: {!Service.metrics} for the in-process engine, the
+    cross-worker merge ({!Xpds_shard.Shard.merge_metrics}) plus a
+    ["router"] section for the shard router. *)
 
 val close : t -> unit
 (** Release engine resources (shut down worker processes, close

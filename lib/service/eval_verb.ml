@@ -45,7 +45,12 @@ type t = {
   flight : result Flight.t;  (** the result cache *)
 }
 
-let create ~lock ~meters ~max_doc_nodes ~doc_cache_capacity ~eval_cache_capacity =
+(* LRU entries of the inline-document cache (flattened documents keyed
+   by source digest) and of the result cache. *)
+let doc_cache_capacity = 64
+let eval_cache_capacity = 4096
+
+let create ~lock ~meters ~max_doc_nodes =
   { lock;
     meters;
     max_doc_nodes;

@@ -50,11 +50,10 @@ val create :
   lock:Mutex.t ->
   meters:Metrics.t ->
   max_doc_nodes:int ->
-  doc_cache_capacity:int ->
-  eval_cache_capacity:int ->
   t
 (** [lock] is the service mutex; it guards the registry, the caches and
-    [meters]. *)
+    [meters]. The result cache holds 4096 entries, the inline-document
+    cache 64. *)
 
 val register_doc : t -> name:string -> Xpds_eval.Doc.t -> (unit, string) Stdlib.result
 (** Register a flattened document under [name] (replacing any previous

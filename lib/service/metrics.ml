@@ -18,17 +18,6 @@ type acc = {
   mutable store_verify_max : float;
 }
 
-let create_acc () =
-  {
-    latency_min = infinity;
-    latency_max = 0.;
-    latency_sum = 0.;
-    cert_latency_sum = 0.;
-    cert_latency_max = 0.;
-    store_verify_sum = 0.;
-    store_verify_max = 0.;
-  }
-
 (* A per-phase total, flat for the same reason. *)
 type phase_total = { mutable total : float }
 
@@ -41,7 +30,7 @@ type t = {
   mutable unsat_bounded : int;
   mutable unknown : int;
   mutable deadline_timeouts : int;
-  mutable acc : acc;
+  acc : acc;
   ring : float array;  (** last [window] latencies, for percentiles *)
   mutable ring_len : int;
   mutable ring_pos : int;
@@ -68,61 +57,6 @@ type t = {
   phase_ms : (string, phase_total) Hashtbl.t;
 }
 
-type snapshot = {
-  requests : int;
-  cache_hits : int;
-  cache_misses : int;
-  sat : int;
-  unsat : int;
-  unsat_bounded : int;
-  unknown : int;
-  deadline_timeouts : int;
-  latency_min_ms : float;
-  latency_mean_ms : float;
-  latency_p95_ms : float;
-  latency_max_ms : float;
-  fixpoint_states : int;
-  fixpoint_transitions : int;
-  fixpoint_mergings : int;
-  certified : int;
-  cert_check_failures : int;
-  cert_latency_mean_ms : float;
-  cert_latency_max_ms : float;
-  single_flight : int;
-  crashes : int;
-  disk_hits : int;
-      (** the subset of [cache_hits] answered by the persistent store's
-          disk tier (verified on load) *)
-  store_self_evictions : int;
-      (** store records dropped at probe time by verify-on-load *)
-  store_appends : int;  (** verdicts persisted to the store *)
-  store_verify_mean_ms : float;
-      (** mean verify-on-load latency (hits and self-evictions) *)
-  store_verify_max_ms : float;
-  sat_requests : int;  (** requests of kind [sat] (solver verdicts) *)
-  eval_requests : int;  (** requests of kind [eval] (bulk evaluation) *)
-  contains_requests : int;
-      (** requests of kind [contains] — including the two directions of
-          every [equiv] request, which are containment solves sharing
-          the contains cache entries *)
-  equiv_requests : int;
-      (** wire-level [equiv] requests (each also counted as two
-          [contains] solves) *)
-  doctype_requests : int;  (** requests of kind [sat_under_doctype] *)
-  eval_cache_hits : int;
-  eval_errors : int;
-      (** eval requests answered with a structured error (bad document,
-          oversized, unknown name — not deadlines) *)
-  eval_deadline_timeouts : int;
-  eval_node_evals : int;
-      (** total node×subformula evaluations performed by uncached eval
-          requests *)
-  eval_docs_built : int;
-      (** documents flattened into array form (registry registrations
-          and inline-document cache misses) *)
-  phases_ms : (string * float) list;
-}
-
 let create () =
   {
     requests = 0;
@@ -133,7 +67,16 @@ let create () =
     unsat_bounded = 0;
     unknown = 0;
     deadline_timeouts = 0;
-    acc = create_acc ();
+    acc =
+      {
+        latency_min = infinity;
+        latency_max = 0.;
+        latency_sum = 0.;
+        cert_latency_sum = 0.;
+        cert_latency_max = 0.;
+        store_verify_sum = 0.;
+        store_verify_max = 0.;
+      };
     ring = Array.make window 0.;
     ring_len = 0;
     ring_pos = 0;
@@ -159,40 +102,6 @@ let create () =
     eval_docs_built = 0;
     phase_ms = Hashtbl.create 16;
   }
-
-let reset (m : t) =
-  m.requests <- 0;
-  m.cache_hits <- 0;
-  m.cache_misses <- 0;
-  m.sat <- 0;
-  m.unsat <- 0;
-  m.unsat_bounded <- 0;
-  m.unknown <- 0;
-  m.deadline_timeouts <- 0;
-  m.acc <- create_acc ();
-  m.ring_len <- 0;
-  m.ring_pos <- 0;
-  m.fixpoint_states <- 0;
-  m.fixpoint_transitions <- 0;
-  m.fixpoint_mergings <- 0;
-  m.certified <- 0;
-  m.cert_check_failures <- 0;
-  m.single_flight <- 0;
-  m.crashes <- 0;
-  m.disk_hits <- 0;
-  m.store_self_evictions <- 0;
-  m.store_appends <- 0;
-  m.sat_requests <- 0;
-  m.eval_requests <- 0;
-  m.contains_requests <- 0;
-  m.equiv_requests <- 0;
-  m.doctype_requests <- 0;
-  m.eval_cache_hits <- 0;
-  m.eval_errors <- 0;
-  m.eval_deadline_timeouts <- 0;
-  m.eval_node_evals <- 0;
-  m.eval_docs_built <- 0;
-  Hashtbl.reset m.phase_ms
 
 let record_latency (m : t) ms =
   let a = m.acc in
@@ -296,141 +205,96 @@ let p95 (m : t) =
     xs.(rank)
   end
 
-let snapshot (m : t) : snapshot =
-  {
-    requests = m.requests;
-    cache_hits = m.cache_hits;
-    cache_misses = m.cache_misses;
-    sat = m.sat;
-    unsat = m.unsat;
-    unsat_bounded = m.unsat_bounded;
-    unknown = m.unknown;
-    deadline_timeouts = m.deadline_timeouts;
-    latency_min_ms = (if m.requests = 0 then 0. else m.acc.latency_min);
-    latency_mean_ms =
-      (if m.requests = 0 then 0.
-       else m.acc.latency_sum /. float_of_int m.requests);
-    latency_p95_ms = p95 m;
-    latency_max_ms = m.acc.latency_max;
-    fixpoint_states = m.fixpoint_states;
-    fixpoint_transitions = m.fixpoint_transitions;
-    fixpoint_mergings = m.fixpoint_mergings;
-    certified = m.certified;
-    cert_check_failures = m.cert_check_failures;
-    cert_latency_mean_ms =
-      (let n = m.certified + m.cert_check_failures in
-       if n = 0 then 0. else m.acc.cert_latency_sum /. float_of_int n);
-    cert_latency_max_ms = m.acc.cert_latency_max;
-    single_flight = m.single_flight;
-    crashes = m.crashes;
-    disk_hits = m.disk_hits;
-    store_self_evictions = m.store_self_evictions;
-    store_appends = m.store_appends;
-    store_verify_mean_ms =
-      (let n = m.disk_hits + m.store_self_evictions in
-       if n = 0 then 0. else m.acc.store_verify_sum /. float_of_int n);
-    store_verify_max_ms = m.acc.store_verify_max;
-    sat_requests = m.sat_requests;
-    eval_requests = m.eval_requests;
-    contains_requests = m.contains_requests;
-    equiv_requests = m.equiv_requests;
-    doctype_requests = m.doctype_requests;
-    eval_cache_hits = m.eval_cache_hits;
-    eval_errors = m.eval_errors;
-    eval_deadline_timeouts = m.eval_deadline_timeouts;
-    eval_node_evals = m.eval_node_evals;
-    eval_docs_built = m.eval_docs_built;
-    phases_ms =
-      (* Sorted for a deterministic JSON rendering. *)
-      List.sort
-        (fun (a, _) (b, _) -> String.compare a b)
-        (Hashtbl.fold (fun k p acc -> (k, p.total) :: acc) m.phase_ms []);
-  }
+let count n = Json.Num (float_of_int n)
+let mean sum n = Json.Num (if n = 0 then 0. else sum /. float_of_int n)
 
-let to_json (s : snapshot) =
+(* A mean over a subset of the requests carries its sample count [n],
+   by which the shard router weights it when merging. *)
+let sampled ~n ~sum ~max =
+  Json.Obj [ ("n", count n); ("mean", mean sum n); ("max", Json.Num max) ]
+
+let to_json (m : t) =
+  let a = m.acc in
   Json.Obj
-    [ ("requests", Json.Num (float_of_int s.requests));
-      ("cache_hits", Json.Num (float_of_int s.cache_hits));
-      ("cache_misses", Json.Num (float_of_int s.cache_misses));
+    [ ("requests", count m.requests);
+      ("cache_hits", count m.cache_hits);
+      ("cache_misses", count m.cache_misses);
       ( "verdicts",
         Json.Obj
-          [ ("sat", Json.Num (float_of_int s.sat));
-            ("unsat", Json.Num (float_of_int s.unsat));
-            ("unsat_bounded", Json.Num (float_of_int s.unsat_bounded));
-            ("unknown", Json.Num (float_of_int s.unknown))
+          [ ("sat", count m.sat);
+            ("unsat", count m.unsat);
+            ("unsat_bounded", count m.unsat_bounded);
+            ("unknown", count m.unknown)
           ] );
-      ("deadline_timeouts", Json.Num (float_of_int s.deadline_timeouts));
+      ("deadline_timeouts", count m.deadline_timeouts);
       ( "requests_by_kind",
         Json.Obj
-          [ ("sat", Json.Num (float_of_int s.sat_requests));
-            ("eval", Json.Num (float_of_int s.eval_requests));
-            ("contains", Json.Num (float_of_int s.contains_requests));
-            ("equiv", Json.Num (float_of_int s.equiv_requests));
-            ( "sat_under_doctype",
-              Json.Num (float_of_int s.doctype_requests) )
+          [ ("sat", count m.sat_requests);
+            ("eval", count m.eval_requests);
+            ("contains", count m.contains_requests);
+            ("equiv", count m.equiv_requests);
+            ("sat_under_doctype", count m.doctype_requests)
           ] );
       ( "eval",
         Json.Obj
-          [ ("requests", Json.Num (float_of_int s.eval_requests));
-            ("cache_hits", Json.Num (float_of_int s.eval_cache_hits));
-            ("errors", Json.Num (float_of_int s.eval_errors));
-            ( "deadline_timeouts",
-              Json.Num (float_of_int s.eval_deadline_timeouts) );
-            ("node_evals", Json.Num (float_of_int s.eval_node_evals));
-            ("docs_built", Json.Num (float_of_int s.eval_docs_built))
+          [ ("requests", count m.eval_requests);
+            ("cache_hits", count m.eval_cache_hits);
+            ("errors", count m.eval_errors);
+            ("deadline_timeouts", count m.eval_deadline_timeouts);
+            ("node_evals", count m.eval_node_evals);
+            ("docs_built", count m.eval_docs_built)
           ] );
-      ("single_flight", Json.Num (float_of_int s.single_flight));
-      ("crashes", Json.Num (float_of_int s.crashes));
+      ("single_flight", count m.single_flight);
+      ("crashes", count m.crashes);
       ( "tiers",
         (* Where requests were answered: memory = the in-process caches
            (including flight joins), disk = the
            persistent store, solve = fresh computation. *)
         Json.Obj
-          [ ( "memory",
-              Json.Num (float_of_int (s.cache_hits - s.disk_hits)) );
-            ("disk", Json.Num (float_of_int s.disk_hits));
-            ("solve", Json.Num (float_of_int s.cache_misses))
+          [ ("memory", count (m.cache_hits - m.disk_hits));
+            ("disk", count m.disk_hits);
+            ("solve", count m.cache_misses)
           ] );
       ( "store",
         Json.Obj
-          [ ("disk_hits", Json.Num (float_of_int s.disk_hits));
-            ( "self_evictions",
-              Json.Num (float_of_int s.store_self_evictions) );
-            ("appends", Json.Num (float_of_int s.store_appends));
+          [ ("disk_hits", count m.disk_hits);
+            ("self_evictions", count m.store_self_evictions);
+            ("appends", count m.store_appends);
             ( "verify_ms",
-              Json.Obj
-                [ ("mean", Json.Num s.store_verify_mean_ms);
-                  ("max", Json.Num s.store_verify_max_ms)
-                ] )
+              sampled
+                ~n:(m.disk_hits + m.store_self_evictions)
+                ~sum:a.store_verify_sum ~max:a.store_verify_max )
           ] );
       ( "phase_totals_ms",
+        (* Sorted by phase name for a deterministic rendering. *)
         Json.Obj
-          (List.map
-             (fun (name, ms) ->
-               (name, Json.Num (Float.round (ms *. 1000.) /. 1000.)))
-             s.phases_ms) );
+          (List.sort
+             (fun (a, _) (b, _) -> String.compare a b)
+             (Hashtbl.fold
+                (fun name p acc ->
+                  (name, Json.Num (Float.round (p.total *. 1000.) /. 1000.))
+                  :: acc)
+                m.phase_ms [])) );
       ( "latency_ms",
         Json.Obj
-          [ ("min", Json.Num s.latency_min_ms);
-            ("mean", Json.Num s.latency_mean_ms);
-            ("p95", Json.Num s.latency_p95_ms);
-            ("max", Json.Num s.latency_max_ms)
+          [ ("min", Json.Num (if m.requests = 0 then 0. else a.latency_min));
+            ("mean", mean a.latency_sum m.requests);
+            ("p95", Json.Num (p95 m));
+            ("max", Json.Num a.latency_max)
           ] );
       ( "fixpoint",
         Json.Obj
-          [ ("states", Json.Num (float_of_int s.fixpoint_states));
-            ("transitions", Json.Num (float_of_int s.fixpoint_transitions));
-            ("mergings", Json.Num (float_of_int s.fixpoint_mergings))
+          [ ("states", count m.fixpoint_states);
+            ("transitions", count m.fixpoint_transitions);
+            ("mergings", count m.fixpoint_mergings)
           ] );
       ( "certificates",
         Json.Obj
-          [ ("certified", Json.Num (float_of_int s.certified));
-            ( "check_failures",
-              Json.Num (float_of_int s.cert_check_failures) );
+          [ ("certified", count m.certified);
+            ("check_failures", count m.cert_check_failures);
             ( "latency_ms",
-              Json.Obj
-                [ ("mean", Json.Num s.cert_latency_mean_ms);
-                  ("max", Json.Num s.cert_latency_max_ms)
-                ] )
+              sampled
+                ~n:(m.certified + m.cert_check_failures)
+                ~sum:a.cert_latency_sum ~max:a.cert_latency_max )
           ] )
     ]

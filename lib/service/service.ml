@@ -11,51 +11,26 @@ module Containment = Xpds_decision.Containment
 module Config = struct
   type solver = {
     width : int;
-    t0 : int option;
-    dup_cap : int option;
-    merge_budget : int option;
     max_states : int;
     max_transitions : int;
-    verify : bool;
     certificate : bool;
   }
 
-  type t = {
-    solver : solver;
-    cache_capacity : int;
-    max_doc_nodes : int;
-    eval_cache_capacity : int;
-    doc_cache_capacity : int;
-  }
+  type t = { solver : solver; cache_capacity : int; max_doc_nodes : int }
 
   let default_solver =
+    let d = Sat.Options.default in
     {
-      width = 3;
-      t0 = Some 6;
-      dup_cap = Some 2;
-      merge_budget = Some 5;
-      max_states = Emptiness.default_config.Emptiness.max_states;
-      max_transitions = Emptiness.default_config.Emptiness.max_transitions;
-      verify = true;
+      width = d.Sat.Options.width;
+      max_states = d.max_states;
+      max_transitions = d.max_transitions;
       certificate = false;
     }
 
   let default =
-    {
-      solver = default_solver;
-      cache_capacity = 4096;
-      max_doc_nodes = 200_000;
-      eval_cache_capacity = 4096;
-      doc_cache_capacity = 64;
-    }
+    { solver = default_solver; cache_capacity = 4096; max_doc_nodes = 200_000 }
 
-  let with_solver solver t = { t with solver }
   let with_width width t = { t with solver = { t.solver with width } }
-  let with_t0 t0 t = { t with solver = { t.solver with t0 } }
-  let with_dup_cap dup_cap t = { t with solver = { t.solver with dup_cap } }
-
-  let with_merge_budget merge_budget t =
-    { t with solver = { t.solver with merge_budget } }
 
   let with_max_states max_states t =
     { t with solver = { t.solver with max_states } }
@@ -63,30 +38,26 @@ module Config = struct
   let with_max_transitions max_transitions t =
     { t with solver = { t.solver with max_transitions } }
 
-  let with_verify verify t = { t with solver = { t.solver with verify } }
-
   let with_certificate certificate t =
     { t with solver = { t.solver with certificate } }
 
   let with_cache_capacity cache_capacity t = { t with cache_capacity }
   let with_max_doc_nodes max_doc_nodes t = { t with max_doc_nodes }
 
-  let with_eval_cache_capacity eval_cache_capacity t =
-    { t with eval_cache_capacity }
-
-  let with_doc_cache_capacity doc_cache_capacity t =
-    { t with doc_cache_capacity }
-
   let fingerprint (sc : solver) =
     let opt = function None -> "-" | Some i -> string_of_int i in
+    let d = Sat.Options.default in
     (* [Sat.rules_version] leads: verdicts decided under other rules
        (including budget [Unknown]s, which are cached and stored) must
        not be served. [certificate] is part of the key: certificate mode
        disables the height cap (the fixpoint must genuinely saturate),
-       which can change the outcome class of a run. *)
+       which can change the outcome class of a run. The bounds a service
+       cannot set are rendered from [Sat.Options.default], which
+       [solve_uncached] runs under. *)
     Printf.sprintf "r%d;w%d;t0=%s;dup=%s;mb=%s;ms=%d;mt=%d;v=%b;c=%b"
-      Sat.rules_version sc.width (opt sc.t0) (opt sc.dup_cap) (opt sc.merge_budget)
-      sc.max_states sc.max_transitions sc.verify sc.certificate
+      Sat.rules_version sc.width (opt d.Sat.Options.t0) (opt d.dup_cap)
+      (opt d.merge_budget) sc.max_states sc.max_transitions d.verify
+      sc.certificate
 end
 
 type response = {
@@ -161,18 +132,14 @@ let create ?store (config : Config.t) =
     meters;
     lock;
     chaos = Atomic.make None;
-    eval =
-      Eval_verb.create ~lock ~meters ~max_doc_nodes:config.max_doc_nodes
-        ~doc_cache_capacity:config.doc_cache_capacity
-        ~eval_cache_capacity:config.eval_cache_capacity;
+    eval = Eval_verb.create ~lock ~meters ~max_doc_nodes:config.max_doc_nodes;
   }
 
 let config t = t.cfg
-let metrics t = Mutex.protect t.lock (fun () -> Metrics.snapshot t.meters)
+let metrics t = Mutex.protect t.lock (fun () -> Metrics.to_json t.meters)
 
 let record_cert t ~ok ~ms =
   Mutex.protect t.lock (fun () -> Metrics.record_cert t.meters ~ok ~ms)
-let reset_metrics t = Mutex.protect t.lock (fun () -> Metrics.reset t.meters)
 let cache_length t = Mutex.protect t.lock (fun () -> Lru.length t.cache)
 let inflight_waiters t = Mutex.protect t.lock (fun () -> Flight.waiters t.flight)
 let register_doc t = Eval_verb.register_doc t.eval
@@ -223,14 +190,10 @@ let solve_uncached t ~trace ~deadline ~id (body : Request.body) canon =
       {
         Sat.Options.default with
         Sat.Options.width = sc.width;
-        t0 = sc.t0;
-        dup_cap = sc.dup_cap;
-        merge_budget = sc.merge_budget;
         max_states = sc.max_states;
         max_transitions = sc.max_transitions;
         should_stop = Option.map (fun d () -> Trace.now_ms () > d) deadline;
         on_phase = Trace.mark trace;
-        verify = sc.verify;
         certificate = sc.certificate;
       }
     in

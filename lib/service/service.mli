@@ -16,7 +16,7 @@
     - {b single-flight deduplication} ({!Flight}): concurrent requests
       on the same key share {e one} computation — the first miss leads and
       solves, the rest wait on its result and report [cached = true]
-      (counted separately in {!Metrics.snapshot.single_flight}). Only
+      (counted separately as ["single_flight"] in {!metrics}). Only
       deterministic (cacheable) verdicts are shared: if the leader times
       out or crashes, each waiter retries under its own deadline;
     - {b monotonic, admission-anchored deadlines}: [timeout_ms] arms the
@@ -65,19 +65,16 @@
 module Config : sig
   type solver = {
     width : int;
-    t0 : int option;
-    dup_cap : int option;
-    merge_budget : int option;
     max_states : int;
     max_transitions : int;
-    verify : bool;
     certificate : bool;
         (** run in certificate mode: reports carry a
             {!Xpds_decision.Sat.cert_seed} from which {!Xpds_cert.Cert}
             builds a checkable certificate *)
   }
-  (** Knobs forwarded to {!Xpds_decision.Sat.decide}; part of the cache
-      key, so changing them never serves stale verdicts. *)
+  (** Knobs forwarded to {!Xpds_decision.Sat.decide}, which runs every
+      other option at {!Xpds_decision.Sat.Options.default}; part of the
+      cache key, so changing them never serves stale verdicts. *)
 
   type t = {
     solver : solver;
@@ -86,11 +83,6 @@ module Config : sig
         (** admission bound for eval documents (inline or registered);
             larger documents answer a structured error. Default
             200_000. *)
-    eval_cache_capacity : int;
-        (** LRU entries of the eval result cache; default 4096 *)
-    doc_cache_capacity : int;
-        (** LRU entries of the inline-document cache (flattened
-            documents keyed by source digest); default 64 *)
   }
 
   val default_solver : solver
@@ -100,22 +92,15 @@ module Config : sig
 
   (** Combinators over the solver knobs. *)
 
-  val with_solver : solver -> t -> t
   val with_width : int -> t -> t
-  val with_t0 : int option -> t -> t
-  val with_dup_cap : int option -> t -> t
-  val with_merge_budget : int option -> t -> t
   val with_max_states : int -> t -> t
   val with_max_transitions : int -> t -> t
-  val with_verify : bool -> t -> t
   val with_certificate : bool -> t -> t
 
   (** Combinators over the serving knobs. *)
 
   val with_cache_capacity : int -> t -> t
   val with_max_doc_nodes : int -> t -> t
-  val with_eval_cache_capacity : int -> t -> t
-  val with_doc_cache_capacity : int -> t -> t
 
   val fingerprint : solver -> string
   (** The cache-key configuration fingerprint of a solver config — the
@@ -173,9 +158,8 @@ val handle : ?trace:Trace.t -> t -> Request.t -> answer
     {!Request.key}, so a contains verdict never aliases a sat verdict
     for the same formula, and the same formula under two doctypes
     occupies two entries. Containment decides ϕ ⊑ ψ as unsatisfiability
-    of ϕ ∧ ¬ψ (paper §4.1); with the default [verify] config a [Fails]
-    counterexample has been replayed through {!Xpds_decision.Semantics}
-    before entering any cache. An equiv runs its forward direction on
+    of ϕ ∧ ¬ψ (paper §4.1); a [Fails] counterexample has been replayed
+    through {!Xpds_decision.Semantics} before entering any cache. An equiv runs its forward direction on
     the caller's trace under the full [timeout_ms] and its backward
     direction with whatever budget remains; both share the contains
     cache with direct contains requests. [?trace] threads in a
@@ -197,8 +181,10 @@ val register_doc :
 val registered_docs : t -> (string * int) list
 (** The registry: [(name, node count)], sorted by name. *)
 
-val metrics : t -> Metrics.snapshot
-val reset_metrics : t -> unit
+val metrics : t -> Json.t
+(** The {!Metrics.to_json} object of this service, built under the
+    service mutex. *)
+
 val cache_length : t -> int
 
 val inflight_waiters : t -> int

@@ -1,7 +1,6 @@
 module Service = Xpds_service.Service
 module Engine = Xpds_service.Engine
 module Admission = Xpds_service.Admission
-module Metrics = Xpds_service.Metrics
 module Cache_key = Xpds_service.Cache_key
 module Trace = Xpds_service.Trace
 module Request = Xpds_service.Request
@@ -76,7 +75,8 @@ let contains_sub hay needle =
 
 let averaged_keys = [ "mean"; "p50"; "p95"; "p99"; "est_ms" ]
 
-(* Latency-shape fields carry each numeric leaf's weight — its source
+(* Latency-shape fields carry each numeric leaf's weight — the sample
+   count [n] of the object holding it when it has one, else its source
    snapshot's top-level request count — so a shard that served 10,000
    requests dominates one that served 10 instead of counting the same.
    Merged percentiles remain approximations either way (an average of
@@ -108,7 +108,14 @@ let rec merge_values ~key (vs : (float * Json.t) list) =
   | (_, Json.Obj _) :: _ ->
     let objs =
       List.filter_map
-        (function w, Json.Obj f -> Some (w, f) | _ -> None)
+        (function
+          | w, Json.Obj f ->
+            (* a mean over a subset of the requests: weighted by its n *)
+            let w =
+              match List.assoc_opt "n" f with Some (Json.Num n) -> n | _ -> w
+            in
+            Some (w, f)
+          | _ -> None)
         vs
     in
     (* union of keys, in first-appearance order *)
@@ -162,8 +169,7 @@ let worker_loop ~svc ~default_timeout_ms ~trace in_fd out_fd =
     | exception End_of_file -> Unix._exit 0
     | line when line = sentinel ->
       output_string oc
-        (sentinel ^ " "
-        ^ Json.to_string (Metrics.to_json (Service.metrics svc)));
+        (sentinel ^ " " ^ Json.to_string (Service.metrics svc));
       output_char oc '\n';
       flush oc;
       loop ()
@@ -602,7 +608,9 @@ let router_json t =
                 0 t.workers)) );
       (* how the cross-worker merge above combined latency shapes *)
       ( "latency_merge",
-        Json.Str "request-weighted means; percentiles are approximations" )
+        Json.Str
+          "means weighted by n, else by requests; percentiles are \
+           approximations" )
     ]
 
 let metrics_json t =

@@ -93,9 +93,11 @@ val merge_metrics : Json.t list -> Json.t
     aggregate: numeric fields are summed, except [*min*]/[*max*] fields
     (min/max) and latency-shape fields ([mean], [p50], [p95], [p99],
     [est_ms]) — those average over the snapshots that carry them,
-    weighted by each snapshot's top-level [requests] count so a shard
-    that served 10,000 requests dominates one that served 10 (plain
-    average when every weight is zero). A weighted average of per-shard
+    weighted by the sample count [n] of the object holding them when it
+    has one (the store-verify and certificate-check means), else by
+    each snapshot's top-level [requests] count, so a shard that served
+    10,000 requests dominates one that served 10 (plain average when
+    every weight is zero). A weighted average of per-shard
     percentiles is still an approximation of the fleet percentile, and
     the router section labels it as one ([latency_merge]). Strings and
     booleans take the first snapshot's value; objects merge recursively

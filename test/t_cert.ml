@@ -261,21 +261,21 @@ let test_mutant_count () =
     true
     (!mutants_tried >= 100)
 
-(* --- metrics snapshot shape --- *)
+(* --- metrics JSON shape --- *)
 
-(* Pin the snapshot fields and the JSON rendering of the certificate
-   counters so dashboard consumers notice schema drift in review. *)
+(* Pin the JSON rendering of the certificate counters so dashboard
+   consumers notice schema drift in review. *)
 let test_metrics_cert_shape () =
   let m = Metrics.create () in
   Metrics.record_cert m ~ok:true ~ms:2.0;
   Metrics.record_cert m ~ok:true ~ms:4.0;
   Metrics.record_cert m ~ok:false ~ms:6.0;
-  let s = Metrics.snapshot m in
-  Alcotest.(check int) "certified" 2 s.Metrics.certified;
-  Alcotest.(check int) "failures" 1 s.Metrics.cert_check_failures;
-  Alcotest.(check (float 1e-9)) "mean" 4.0 s.Metrics.cert_latency_mean_ms;
-  Alcotest.(check (float 1e-9)) "max" 6.0 s.Metrics.cert_latency_max_ms;
-  let json = Metrics.to_json s in
+  let json = Metrics.to_json m in
+  let cert path = Corpus.metric json ("certificates" :: path) in
+  Alcotest.(check (float 0.)) "certified" 2. (cert [ "certified" ]);
+  Alcotest.(check (float 0.)) "failures" 1. (cert [ "check_failures" ]);
+  Alcotest.(check (float 1e-9)) "mean" 4.0 (cert [ "latency_ms"; "mean" ]);
+  Alcotest.(check (float 1e-9)) "max" 6.0 (cert [ "latency_ms"; "max" ]);
   let certs =
     match Json.member "certificates" json with
     | Some c -> c
@@ -283,7 +283,7 @@ let test_metrics_cert_shape () =
   in
   Alcotest.(check string)
     "certificates JSON"
-    {|{"certified":2,"check_failures":1,"latency_ms":{"mean":4,"max":6}}|}
+    {|{"certified":2,"check_failures":1,"latency_ms":{"n":3,"mean":4,"max":6}}|}
     (Json.to_string certs);
   (* The top-level keys, pinned: a renamed or dropped field must fail. *)
   let keys =

@@ -13,7 +13,6 @@ module Pp = Xpds_xpath.Pp
 module Path = Xpds_datatree.Path
 module Label = Xpds_datatree.Label
 module Service = Xpds_service.Service
-module Metrics = Xpds_service.Metrics
 module Cache_key = Xpds_service.Cache_key
 module Store = Xpds_store.Store
 
@@ -318,8 +317,8 @@ let test_old_store_refused () =
           (Json.member "tier" v = Some (Json.Str "solve"))
       | Error e -> Alcotest.failf "reply not JSON (%s): %s" e reply)
     store_requests;
-  let m = Service.metrics svc in
-  Alcotest.(check int) "no disk hits" 0 m.Metrics.disk_hits;
+  Alcotest.(check (float 0.)) "no disk hits" 0.
+    (Corpus.metric (Service.metrics svc) [ "store"; "disk_hits" ]);
   Store.close store;
   Sys.remove path
 

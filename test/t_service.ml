@@ -293,21 +293,75 @@ let test_metrics_accounting () =
   let solve_all () =
     List.iter (fun r -> ignore (Corpus.solve svc r)) (requests_of formulas)
   in
+  let metric path = Corpus.metric (Service.metrics svc) path in
   solve_all ();
-  let m = Service.metrics svc in
-  let n = List.length formulas in
-  Alcotest.(check int) "requests" n m.Xpds_service.Metrics.requests;
-  Alcotest.(check int) "hits+misses" n
-    (m.Xpds_service.Metrics.cache_hits
-   + m.Xpds_service.Metrics.cache_misses);
-  Alcotest.(check bool) "some misses" true
-    (m.Xpds_service.Metrics.cache_misses > 0);
+  let n = float_of_int (List.length formulas) in
+  Alcotest.(check (float 0.)) "requests" n (metric [ "requests" ]);
+  Alcotest.(check (float 0.)) "hits+misses" n
+    (metric [ "cache_hits" ] +. metric [ "cache_misses" ]);
+  Alcotest.(check bool) "some misses" true (metric [ "cache_misses" ] > 0.);
   (* Solve the same list again: every request is now a cache hit. *)
-  Service.reset_metrics svc;
+  let hits = metric [ "cache_hits" ] in
   solve_all ();
-  let m = Service.metrics svc in
-  Alcotest.(check int) "all hits on re-run" n
-    m.Xpds_service.Metrics.cache_hits
+  Alcotest.(check (float 0.)) "all hits on re-run" n
+    (metric [ "cache_hits" ] -. hits)
+
+(* The metrics JSON, byte for byte, after fixed calls to every
+   recorder: every [ms] is fixed, so a renamed key, a moved field, a
+   changed rounding or a miscounted derived value (means, p95, min,
+   the memory tier) fails here. *)
+let test_metrics_json_pin () =
+  let module Metrics = Xpds_service.Metrics in
+  let module Trace = Xpds_service.Trace in
+  let m = Metrics.create () in
+  let stats n =
+    { Emptiness.n_states = n; n_transitions = 2 * n; n_mergings = 3 * n;
+      max_height_reached = 0; n_replayed = 0 }
+  in
+  let record ?kind verdict ~cached ms =
+    Metrics.record ?kind m ~verdict ~cached ~ms ~stats:(stats 5)
+  in
+  let leaf = Xpds_datatree.(Data_tree.leaf (Label.of_string "a") 0) in
+  record (Sat.Sat leaf) ~cached:false 1.5;
+  record Sat.Unsat ~cached:true 0.25;
+  record ~kind:`Contains (Sat.Unsat_bounded "bounds") ~cached:false 4.;
+  record ~kind:`Contains (Sat.Unknown Emptiness.deadline_exceeded)
+    ~cached:false 10.125;
+  record ~kind:`Doctype (Sat.Unknown "transition budget") ~cached:true 0.75;
+  (* twelve latencies in all, so p95 (rank 10 of 0..11) is not the max *)
+  List.iter (fun ms -> record Sat.Unsat ~cached:true ms) [ 0.5; 3.; 6. ];
+  Metrics.record_eval m ~outcome:`Ok ~cached:false ~ms:2. ~node_evals:40;
+  Metrics.record_eval m ~outcome:`Ok ~cached:true ~ms:0.125 ~node_evals:0;
+  Metrics.record_eval m ~outcome:`Error ~cached:false ~ms:0.5 ~node_evals:0;
+  Metrics.record_eval m ~outcome:`Deadline ~cached:false ~ms:7. ~node_evals:12;
+  Metrics.record_disk_hit m ~verify_ms:0.5;
+  Metrics.record_store_self_eviction m ~verify_ms:2.;
+  Metrics.record_store_append m;
+  Metrics.record_single_flight m;
+  Metrics.record_crash m;
+  Metrics.record_equiv m;
+  Metrics.record_doc_built m;
+  Metrics.record_cert m ~ok:true ~ms:3.;
+  Metrics.record_cert m ~ok:false ~ms:1.5;
+  let trace = Trace.create () in
+  Trace.add_ms trace "parse" 0.0125;
+  Trace.add_ms trace "fixpoint" 2.5;
+  Trace.add_ms trace "parse" 0.1;
+  Metrics.record_trace m trace;
+  Alcotest.(check string) "metrics JSON"
+    (String.concat ""
+       [ {|{"requests":12,"cache_hits":6,"cache_misses":6,|};
+         {|"verdicts":{"sat":1,"unsat":4,"unsat_bounded":1,"unknown":2},"deadline_timeouts":1,|};
+         {|"requests_by_kind":{"sat":5,"eval":4,"contains":2,"equiv":1,"sat_under_doctype":1},|};
+         {|"eval":{"requests":4,"cache_hits":1,"errors":1,"deadline_timeouts":1,"node_evals":52,"docs_built":1},|};
+         {|"single_flight":1,"crashes":1,|};
+         {|"tiers":{"memory":5,"disk":1,"solve":6},|};
+         {|"store":{"disk_hits":1,"self_evictions":1,"appends":1,"verify_ms":{"n":2,"mean":1.25,"max":2}},|};
+         {|"phase_totals_ms":{"fixpoint":2.5,"parse":0.113},|};
+         {|"latency_ms":{"min":0.125,"mean":2.97917,"p95":7,"max":10.125},|};
+         {|"fixpoint":{"states":15,"transitions":30,"mergings":45},|};
+         {|"certificates":{"certified":1,"check_failures":1,"latency_ms":{"n":2,"mean":2.25,"max":3}}}|} ])
+    (Json.to_string (Metrics.to_json m))
 
 (* --- deadlines --- *)
 
@@ -348,8 +402,8 @@ let test_deadline () =
     true (elapsed_ms < 5_000.);
   (* Deadline verdicts must not poison the cache. *)
   Alcotest.(check int) "not cached" 0 (Service.cache_length svc);
-  Alcotest.(check int) "deadline counted" 1
-    (Service.metrics svc).Xpds_service.Metrics.deadline_timeouts
+  Alcotest.(check (float 0.)) "deadline counted" 1.
+    (Corpus.metric (Service.metrics svc) [ "deadline_timeouts" ])
 
 (* A 0 ms budget is already exhausted at admission: the response must be
    a deterministic [Unknown "deadline exceeded"] — no fixpoint work, no
@@ -431,11 +485,11 @@ let test_single_flight () =
   Alcotest.(check int) "three shared responses" 3
     (List.length (List.filter (fun r -> r.Service.cached) resps));
   let m = Service.metrics svc in
-  Alcotest.(check int) "requests" 4 m.Xpds_service.Metrics.requests;
-  Alcotest.(check int) "exactly one fixpoint ran" 1
-    m.Xpds_service.Metrics.cache_misses;
-  Alcotest.(check int) "single-flight joins" 3
-    m.Xpds_service.Metrics.single_flight
+  Alcotest.(check (float 0.)) "requests" 4. (Corpus.metric m [ "requests" ]);
+  Alcotest.(check (float 0.)) "exactly one fixpoint ran" 1.
+    (Corpus.metric m [ "cache_misses" ]);
+  Alcotest.(check (float 0.)) "single-flight joins" 3.
+    (Corpus.metric m [ "single_flight" ])
 
 (* --- crash isolation --- *)
 
@@ -480,7 +534,7 @@ let test_batch_crash_isolation () =
       | _ -> false)
   | _ -> Alcotest.fail "arity");
   let m = Service.metrics svc in
-  Alcotest.(check int) "crash counted" 1 m.Xpds_service.Metrics.crashes;
+  Alcotest.(check (float 0.)) "crash counted" 1. (Corpus.metric m [ "crashes" ]);
   (* The crash report is never cached; the healthy verdicts are. *)
   Alcotest.(check int) "only healthy verdicts cached" 2
     (Service.cache_length svc);
@@ -570,9 +624,8 @@ let test_trace_phases () =
   Alcotest.(check bool) "warm trace has no fixpoint" false
     (List.mem "fixpoint" (phases warm));
   (* The phase totals fed the metrics aggregate. *)
-  let m = Service.metrics svc in
   Alcotest.(check bool) "fixpoint aggregated in metrics" true
-    (List.mem_assoc "fixpoint" m.Xpds_service.Metrics.phases_ms)
+    (Corpus.metric (Service.metrics svc) [ "phase_totals_ms"; "fixpoint" ] >= 0.)
 
 (* --- the eval verb on the wire (docs/protocol.md, kind "eval") --- *)
 
@@ -609,16 +662,16 @@ let test_eval_wire () =
   Alcotest.(check bool) "replayed" true
     (Json.member "cached" v2 = Some (Json.Bool true));
   let m = Service.metrics svc in
-  Alcotest.(check int) "eval requests" 2
-    m.Xpds_service.Metrics.eval_requests;
-  Alcotest.(check int) "no sat requests" 0
-    m.Xpds_service.Metrics.sat_requests;
-  Alcotest.(check int) "eval cache hit" 1
-    m.Xpds_service.Metrics.eval_cache_hits;
-  Alcotest.(check int) "one doc built" 1
-    m.Xpds_service.Metrics.eval_docs_built;
+  Alcotest.(check (float 0.)) "eval requests" 2.
+    (Corpus.metric m [ "eval"; "requests" ]);
+  Alcotest.(check (float 0.)) "no sat requests" 0.
+    (Corpus.metric m [ "requests_by_kind"; "sat" ]);
+  Alcotest.(check (float 0.)) "eval cache hit" 1.
+    (Corpus.metric m [ "eval"; "cache_hits" ]);
+  Alcotest.(check (float 0.)) "one doc built" 1.
+    (Corpus.metric m [ "eval"; "docs_built" ]);
   Alcotest.(check bool) "node evals counted" true
-    (m.Xpds_service.Metrics.eval_node_evals > 0)
+    (Corpus.metric m [ "eval"; "node_evals" ] > 0.)
 
 let test_eval_schema_closed () =
   let fails ~naming line =
@@ -691,10 +744,10 @@ let test_eval_errors_structured () =
     Alcotest.(check bool) "registration names the bound" true
       (contains e "max_doc_nodes"));
   let m = Service.metrics svc in
-  Alcotest.(check int) "errors counted" 3
-    m.Xpds_service.Metrics.eval_errors;
-  Alcotest.(check int) "errors are not cache entries" 0
-    m.Xpds_service.Metrics.eval_cache_hits
+  Alcotest.(check (float 0.)) "errors counted" 3.
+    (Corpus.metric m [ "eval"; "errors" ]);
+  Alcotest.(check (float 0.)) "errors are not cache entries" 0.
+    (Corpus.metric m [ "eval"; "cache_hits" ])
 
 let test_eval_registry () =
   let svc = Service.create Service.Config.default in
@@ -746,9 +799,8 @@ let test_eval_limit_and_deadline () =
          {|{"kind":"eval","formula":"b","tree":"r:0(a:1)","timeout_ms":0}|})
   in
   Alcotest.(check string) "deadline reason" Emptiness.deadline_exceeded e;
-  let m = Service.metrics svc in
-  Alcotest.(check int) "deadline counted" 1
-    m.Xpds_service.Metrics.eval_deadline_timeouts
+  Alcotest.(check (float 0.)) "deadline counted" 1.
+    (Corpus.metric (Service.metrics svc) [ "eval"; "deadline_timeouts" ])
 
 let suite =
   ( "service",
@@ -767,6 +819,7 @@ let suite =
         test_batch_agrees_with_solve;
       Alcotest.test_case "metrics accounting" `Quick
         test_metrics_accounting;
+      Alcotest.test_case "metrics JSON pin" `Quick test_metrics_json_pin;
       Alcotest.test_case "deadline honoured" `Quick test_deadline;
       Alcotest.test_case "zero timeout deterministic" `Quick
         test_zero_timeout;

@@ -323,14 +323,12 @@ let test_merge_metrics () =
             ] )
       ]
   in
-  let m = Shard.merge_metrics [ a; b ] in
-  let num path =
-    let rec go v = function
-      | [] -> Json.to_float v
-      | k :: rest -> Option.bind (Json.member k v) (fun v -> go v rest)
-    in
-    go m path
+  let num_in v path =
+    List.fold_left (fun v k -> Option.bind v (Json.member k)) (Some v) path
+    |> Fun.flip Option.bind Json.to_float
   in
+  let m = Shard.merge_metrics [ a; b ] in
+  let num = num_in m in
   Alcotest.(check (option (float 0.))) "counters sum" (Some 7.) (num [ "requests" ]);
   (* means are request-weighted: (3*10 + 4*20) / (3 + 4), not the
      unweighted 15 — a busy shard dominates an idle one *)
@@ -355,17 +353,46 @@ let test_merge_metrics () =
         ("lat", Json.Obj [ ("mean", Json.Num 0.) ])
       ]
   in
-  let m3 = Shard.merge_metrics [ a; b; idle ] in
-  let num3 path =
-    let rec go v = function
-      | [] -> Json.to_float v
-      | k :: rest -> Option.bind (Json.member k v) (fun v -> go v rest)
-    in
-    go m3 path
-  in
+  let num3 = num_in (Shard.merge_metrics [ a; b; idle ]) in
   Alcotest.(check (option (float 0.)))
     "zero-request shard carries zero weight" (Some (110. /. 7.))
-    (num3 [ "lat"; "mean" ])
+    (num3 [ "lat"; "mean" ]);
+  (* A mean over a subset of the requests is weighted by its own sample
+     count [n], not by the shard's requests: A serves 1000 requests and
+     verifies 1 disk record in 10 ms, B serves 10 and verifies 10 in
+     1 ms each, so the mean over the 11 verifies is 20/11 (weighting by
+     requests gives 9.91). Certificate checks likewise. *)
+  let module Metrics = Xpds_service.Metrics in
+  let stats =
+    { Xpds_decision.Emptiness.n_states = 0; n_transitions = 0; n_mergings = 0;
+      max_height_reached = 0; n_replayed = 0 }
+  in
+  let shard ~requests ~probes ~ms =
+    let m = Metrics.create () in
+    for _ = 1 to requests do
+      Metrics.record m ~verdict:Xpds_decision.Sat.Unsat ~cached:true ~ms:0.1 ~stats
+    done;
+    for _ = 1 to probes do
+      Metrics.record_disk_hit m ~verify_ms:ms;
+      Metrics.record_cert m ~ok:true ~ms
+    done;
+    Metrics.to_json m
+  in
+  let num4 =
+    num_in
+      (Shard.merge_metrics
+         [ shard ~requests:1000 ~probes:1 ~ms:10.;
+           shard ~requests:10 ~probes:10 ~ms:1.
+         ])
+  in
+  Alcotest.(check (option (float 1e-9)))
+    "verify mean weighted by its n" (Some (20. /. 11.))
+    (num4 [ "store"; "verify_ms"; "mean" ]);
+  Alcotest.(check (option (float 1e-9)))
+    "certificate mean weighted by its n" (Some (20. /. 11.))
+    (num4 [ "certificates"; "latency_ms"; "mean" ]);
+  Alcotest.(check (option (float 0.)))
+    "n sums" (Some 11.) (num4 [ "store"; "verify_ms"; "n" ])
 
 (* --- admission slots --- *)
 

@@ -10,7 +10,6 @@ module Log = Xpds_store.Log
 module Store = Xpds_store.Store
 module Service = Xpds_service.Service
 module Request = Xpds_service.Request
-module Metrics = Xpds_service.Metrics
 module Cache_key = Xpds_service.Cache_key
 module Lru = Xpds_service.Lru
 module Data_tree = Xpds_datatree.Data_tree
@@ -602,9 +601,10 @@ let test_service_disk_tier () =
   let again = Corpus.solve svc (req "again" "<down[a]>") in
   Alcotest.(check string) "then memory tier" "memory" again.Service.tier;
   let m = Service.metrics svc in
-  Alcotest.(check int) "disk_hits metric" 1 m.Metrics.disk_hits;
-  Alcotest.(check int) "both probes were cache hits" 2
-    m.Metrics.cache_hits;
+  Alcotest.(check (float 0.)) "disk_hits metric" 1.
+    (Corpus.metric m [ "store"; "disk_hits" ]);
+  Alcotest.(check (float 0.)) "both probes were cache hits" 2.
+    (Corpus.metric m [ "cache_hits" ]);
   (* the response JSON carries the tier *)
   (match Json.parse (Service.answer_to_json (Sat_answer warm)) with
   | Ok j -> (
@@ -621,7 +621,7 @@ let test_service_store_stats_json () =
   ignore
     (Corpus.solve svc
        { Request.id = "x"; timeout_ms = None; body = Sat (parse "<down[a]>") });
-  let j = Metrics.to_json (Service.metrics svc) in
+  let j = Service.metrics svc in
   (match Json.member "tiers" j with
   | Some (Json.Obj fields) ->
     Alcotest.(check bool)
