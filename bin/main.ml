@@ -51,6 +51,20 @@ let verbose_arg =
   let doc = "Print the full report rather than just the verdict." in
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
 
+(* --- the one-shot verbs: sat, contains, equiv, eval ---
+
+   Each sends its request (with an empty id, unless eval's query text)
+   through [Service.handle] on a fresh service, the path every served
+   line takes: --json prints the wire line, and the text output renders
+   the same response. *)
+
+let request ?(id = "") ?timeout_ms body = { Xpds.Request.id; timeout_ms; body }
+
+let solver_service ~width ~certify =
+  Xpds.Service.create
+    Xpds.Service.Config.(
+      default |> with_width width |> with_certificate certify)
+
 (* --- sat --- *)
 
 let json_arg =
@@ -68,9 +82,9 @@ let certify_arg =
    ~certificate:true. Returns the JSON summary fields, the certificate
    itself (for --cert-out / --cert-dir), and whether the pipeline is
    healthy: an UNKNOWN verdict has no certificate and that is fine; an
-   emission error or a rejected check is a failure. Check outcomes are
-   recorded in [svc]'s metrics when a service is in play. *)
-let certify_report ?svc ?trace (report : Xpds.Sat.report) =
+   emission error or a rejected check is a failure. The check is
+   counted in [svc]'s metrics and timed on [trace]. *)
+let certify_report ~svc ~trace (report : Xpds.Sat.report) =
   match report.Xpds.Sat.verdict with
   | Xpds.Sat.Unknown _ ->
     ([ ("certificate", Xpds.Json.Str "unavailable") ], None, true)
@@ -86,11 +100,8 @@ let certify_report ?svc ?trace (report : Xpds.Sat.report) =
       let t0 = Xpds.Trace.now_ms () in
       let result = Xpds.Cert.check cert in
       let ms = Xpds.Trace.now_ms () -. t0 in
-      Option.iter
-        (fun svc ->
-          Xpds.Service.record_cert svc ~ok:(Result.is_ok result) ~ms)
-        svc;
-      Option.iter (fun tr -> Xpds.Trace.add_ms tr "certificate" ms) trace;
+      Xpds.Service.record_cert svc ~ok:(Result.is_ok result) ~ms;
+      Xpds.Trace.add_ms trace "certificate" ms;
       let ms_field =
         ("certificate_ms", Xpds.Json.Num (Float.round (ms *. 1000.) /. 1000.))
       in
@@ -136,14 +147,21 @@ let sat_cmd =
   let run formula width verbose json minimize certify cert_out =
     let certify = certify || cert_out <> None in
     let eta = or_die (parse_node formula) in
-    let options =
-      Xpds.Sat.Options.(
-        default |> with_width width |> with_minimize minimize
-        |> with_certificate certify)
+    let svc = solver_service ~width ~certify in
+    let resp =
+      match Xpds.Service.handle svc (request (Sat eta)) with
+      | Xpds.Service.Sat_answer r -> r
+      | _ -> invalid_arg "a sat request answers a sat answer"
     in
-    let report = Xpds.Sat.decide ~options eta in
+    let resp =
+      if minimize then
+        { resp with Xpds.Service.report = Xpds.Sat.minimize eta resp.report }
+      else resp
+    in
+    let report = resp.Xpds.Service.report in
     let cert_fields, cert, cert_ok =
-      if certify then certify_report report else ([], None, true)
+      if certify then certify_report ~svc ~trace:resp.trace report
+      else ([], None, true)
     in
     (match (cert_out, cert) with
     | Some file, Some cert -> Xpds.Cert.to_file file cert
@@ -151,20 +169,10 @@ let sat_cmd =
       Printf.eprintf "%s not written: no certificate emitted\n%!" file
     | None, _ -> ());
     if json then
-      (* report_to_json ends in "}": splice the certificate summary in
-         rather than printing a second document. *)
-      let base = Xpds.Serialize.report_to_json report in
-      if cert_fields = [] then print_endline base
-      else begin
-        let spliced =
-          String.sub base 0 (String.length base - 1)
-          ^ ","
-          ^
-          let obj = Xpds.Json.to_string (Xpds.Json.Obj cert_fields) in
-          String.sub obj 1 (String.length obj - 1)
-        in
-        print_endline spliced
-      end
+      print_endline
+        (Xpds.Service.answer_to_json
+           ~extra_of:(fun _ -> cert_fields)
+           (Xpds.Service.Sat_answer resp))
     else begin
       if verbose then Format.printf "%a@." Xpds.Sat.pp_report report
       else Format.printf "%a@." Xpds.Sat.pp_verdict report.Xpds.Sat.verdict;
@@ -283,27 +291,6 @@ let local_timeout_arg =
   let doc = "Deadline in milliseconds for the \xcf\x86\xe2\x88\xa7\xc2\xac\xcf\x88 search(es)." in
   Arg.(value & opt (some float) None & info [ "timeout-ms" ] ~doc)
 
-(* The full PR-5 options surface, so the containment path honors the
-   same deadlines/engine knobs as [sat]. *)
-let containment_options ~width ~timeout_ms =
-  let deadline = Option.map (fun ms -> Xpds.Trace.now_ms () +. ms) timeout_ms in
-  Xpds.Sat.Options.(
-    default |> with_width width
-    |> with_should_stop
-         (Option.map (fun d () -> Xpds.Trace.now_ms () > d) deadline))
-
-let answer_fields = function
-  | Xpds.Containment.Holds -> (0, "holds", [])
-  | Xpds.Containment.Holds_bounded why ->
-    (0, "holds_bounded", [ ("reason", Xpds.Json.Str why) ])
-  | Xpds.Containment.Fails w ->
-    ( 1,
-      "fails",
-      [ ("counterexample", Xpds.Json.Str (Xpds.Data_tree.to_compact_string w))
-      ] )
-  | Xpds.Containment.Unknown why ->
-    (3, "unknown", [ ("reason", Xpds.Json.Str why) ])
-
 let pp_answer direction = function
   | Xpds.Containment.Holds ->
     Printf.printf "%s holds (certified)\n" direction
@@ -315,73 +302,72 @@ let pp_answer direction = function
   | Xpds.Containment.Unknown why ->
     Printf.printf "%s unknown (%s)\n" direction why
 
+(* Answer a contains or equiv request, printing its wire line under
+   --json. *)
+let containment phi_s psi_s ~width ~json ~timeout_ms body =
+  let phi = or_die (parse_node phi_s) and psi = or_die (parse_node psi_s) in
+  let answer =
+    Xpds.Service.handle
+      (solver_service ~width ~certify:false)
+      (request ?timeout_ms (body phi psi))
+  in
+  if json then print_endline (Xpds.Service.answer_to_json answer);
+  answer
+
+(* contains and equiv exit 0 when the answer holds, 1 when it fails and
+   3 when it is unknown. *)
+let exit_holds = function
+  | Some true -> exit 0
+  | Some false -> exit 1
+  | None -> exit 3
+
 let contains_cmd =
   let run phi_s psi_s width json timeout_ms =
-    let phi = or_die (parse_node phi_s) in
-    let psi = or_die (parse_node psi_s) in
-    let options = containment_options ~width ~timeout_ms in
-    let answer = Xpds.Containment.contained ~options phi psi in
-    let code, name, fields = answer_fields answer in
-    if json then
-      print_endline
-        (Xpds.Json.to_string
-           (Xpds.Json.Obj (("answer", Xpds.Json.Str name) :: fields)))
-    else pp_answer "containment" answer;
-    exit code
+    match
+      containment phi_s psi_s ~width ~json ~timeout_ms (fun phi psi ->
+          Xpds.Request.Contains { phi; psi })
+    with
+    | Xpds.Service.Contains_answer r ->
+      if not json then pp_answer "containment" (Xpds.Service.contains_answer r);
+      exit_holds (Xpds.Service.holds r)
+    | _ -> invalid_arg "a contains request answers a contains answer"
   in
   Cmd.v
     (Cmd.info "contains"
        ~doc:
          "Decide [[PHI]] <= [[PSI]] on all data trees (Section 4.1); a \
           failing containment prints its counterexample tree in the \
-          parseable label:datum syntax (feed it back to $(b,xpds check)).")
+          parseable label:datum syntax (feed it back to $(b,xpds check)). \
+          Exit: 0 holds, 1 fails, 3 unknown.")
     Term.(
       const run $ formula_arg $ psi_arg $ width_arg $ json_arg
       $ local_timeout_arg)
 
 let equiv_cmd =
   let run phi_s psi_s width json timeout_ms =
-    let phi = or_die (parse_node phi_s) in
-    let psi = or_die (parse_node psi_s) in
-    let options = containment_options ~width ~timeout_ms in
-    let fwd, bwd = Xpds.Containment.equivalent ~options phi psi in
-    let code_of a b =
-      match (a, b) with
-      | ( (Xpds.Containment.Holds | Xpds.Containment.Holds_bounded _),
-          (Xpds.Containment.Holds | Xpds.Containment.Holds_bounded _) ) -> 0
-      | Xpds.Containment.Fails _, _ | _, Xpds.Containment.Fails _ -> 1
-      | _ -> 3
-    in
-    let code = code_of fwd bwd in
-    if json then begin
-      let dir a =
-        let _, name, fields = answer_fields a in
-        Xpds.Json.Obj (("answer", Xpds.Json.Str name) :: fields)
-      in
-      let eq_field =
-        if code = 0 then [ ("equivalent", Xpds.Json.Bool true) ]
-        else if code = 1 then [ ("equivalent", Xpds.Json.Bool false) ]
-        else []
-      in
-      print_endline
-        (Xpds.Json.to_string
-           (Xpds.Json.Obj
-              (eq_field @ [ ("forward", dir fwd); ("backward", dir bwd) ])))
-    end
-    else begin
-      pp_answer "phi <= psi" fwd;
-      pp_answer "psi <= phi" bwd;
-      if code = 0 then print_endline "equivalent"
-      else if code = 1 then print_endline "not equivalent"
-      else print_endline "equivalence unknown"
-    end;
-    exit code
+    match
+      containment phi_s psi_s ~width ~json ~timeout_ms (fun phi psi ->
+          Xpds.Request.Equiv { phi; psi })
+    with
+    | Xpds.Service.Equiv_answer { forward; backward; _ } ->
+      let equivalent = Xpds.Service.equivalent ~forward ~backward in
+      if not json then begin
+        pp_answer "phi <= psi" (Xpds.Service.contains_answer forward);
+        pp_answer "psi <= phi" (Xpds.Service.contains_answer backward);
+        print_endline
+          (match equivalent with
+          | Some true -> "equivalent"
+          | Some false -> "not equivalent"
+          | None -> "equivalence unknown")
+      end;
+      exit_holds equivalent
+    | _ -> invalid_arg "an equiv request answers an equiv answer"
   in
   Cmd.v
     (Cmd.info "equiv"
        ~doc:
          "Decide [[PHI]] = [[PSI]] on all data trees (mutual inclusion, \
-          Section 4.1).")
+          Section 4.1). Exit: 0 equivalent, 1 not equivalent, 3 unknown.")
     Term.(
       const run $ formula_arg $ psi_arg $ width_arg $ json_arg
       $ local_timeout_arg)
@@ -636,68 +622,41 @@ let eval_cmd =
   in
   let run file queries json limit =
     let doc = load_doc file in
-    let ev = Xpds.Eval.create doc in
-    (* One shared evaluator across the whole query list: common
-       subformulas are computed once (the memo the service also uses). *)
-    let results =
-      List.map
-        (fun qs ->
-          let set = Xpds.Eval.nodes ev (or_die (parse_node qs)) in
-          let count = Xpds.Bitv.cardinal set in
-          let shown = ref [] in
-          let taken = ref 0 in
-          (try
-             Xpds.Bitv.iter
-               (fun x ->
-                 if !taken >= limit then raise Exit;
-                 shown := Xpds.Eval_doc.position doc x :: !shown;
-                 incr taken)
-               set
-           with Exit -> ());
-          (qs, count, Xpds.Bitv.mem 0 set, List.rev !shown))
-        queries
+    let queries = List.map (fun qs -> (qs, or_die (parse_node qs))) queries in
+    (* One service holds the document, so the queries share its
+       evaluator memo: common subformulas are computed once. *)
+    let svc =
+      Xpds.Service.create
+        Xpds.Service.Config.(default |> with_max_doc_nodes max_int)
     in
-    if json then
-      print_endline
-        (Xpds.Json.to_string
-           (Xpds.Json.Obj
-              [ ("file", Xpds.Json.Str file);
-                ( "doc_nodes",
-                  Xpds.Json.Num (float_of_int doc.Xpds.Eval_doc.n) );
-                ( "node_evals",
-                  Xpds.Json.Num (float_of_int (Xpds.Eval.node_evals ev)) );
-                ( "results",
-                  Xpds.Json.Arr
-                    (List.map
-                       (fun (q, count, root, shown) ->
-                         Xpds.Json.Obj
-                           [ ("query", Xpds.Json.Str q);
-                             ( "count",
-                               Xpds.Json.Num (float_of_int count) );
-                             ("root", Xpds.Json.Bool root);
-                             ( "nodes",
-                               Xpds.Json.Arr
-                                 (List.map
-                                    (fun p ->
-                                      Xpds.Json.Str (Xpds.Path.to_string p))
-                                    shown) )
-                           ])
-                       results) )
-              ]))
-    else begin
-      Format.printf "%s: %d nodes@." file doc.Xpds.Eval_doc.n;
-      List.iter
-        (fun (q, count, root, shown) ->
-          Format.printf "%s: %d node%s%s@." q count
-            (if count = 1 then "" else "s")
-            (if root then " (holds at the root)" else "");
-          List.iter
-            (fun p -> Format.printf "  %s@." (Xpds.Path.to_string p))
-            shown;
-          if count > List.length shown then
-            Format.printf "  ... (+%d more)@." (count - List.length shown))
-        results
-    end
+    or_die (Xpds.Service.register_doc svc ~name:file doc);
+    if not json then Format.printf "%s: %d nodes@." file doc.Xpds.Eval_doc.n;
+    List.iter
+      (fun (qs, query) ->
+        let answer =
+          Xpds.Service.handle svc
+            (request ~id:qs
+               (Eval { query; source = Doc_named file; limit = Some limit }))
+        in
+        if json then print_endline (Xpds.Service.answer_to_json answer)
+        else
+          match answer with
+          | Xpds.Service.Eval_answer { result = Ok r; _ } ->
+            Format.printf "%s: %d node%s%s@." qs r.count
+              (if r.count = 1 then "" else "s")
+              (if r.root then " (holds at the root)" else "");
+            let shown =
+              match Xpds.Json.parse r.positions with
+              | Ok (Xpds.Json.Arr ps) -> List.filter_map Xpds.Json.to_str ps
+              | _ -> []
+            in
+            List.iter (fun p -> Format.printf "  %s@." p) shown;
+            if r.truncated then
+              Format.printf "  ... (+%d more)@." (r.count - List.length shown)
+          | Xpds.Service.Eval_answer { result = Error e; _ } ->
+            Format.printf "%s: error: %s@." qs e
+          | _ -> invalid_arg "an eval request answers an eval answer")
+      queries
   in
   Cmd.v
     (Cmd.info "eval"
@@ -876,10 +835,10 @@ let serve_cmd =
   let shards_arg =
     let doc =
       "Serve through N forked worker processes instead of in-process: \
-       each request is routed to a worker by its deterministic \
-       canonical cache key (kind-tagged and doctype-salted, so \
-       per-shard caches never alias), equiv requests fan their two \
-       directions out to their home shards, and worker crashes are \
+       each request line is routed whole to a worker by its \
+       deterministic canonical cache key (kind-tagged and \
+       doctype-salted, so per-shard caches never alias; an equiv by \
+       its forward direction's contains key), and worker crashes are \
        isolated and respawned. 0 (the default) serves in-process. \
        With --store FILE, shard $(i,i) persists to FILE.$(i,i)."
     in

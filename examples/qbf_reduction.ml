@@ -18,9 +18,9 @@ let show name q =
     Xpds.Sat.decide
       ~options:
         Xpds.Sat.Options.(
-          default |> with_max_states 100_000
-          |> with_max_transitions 2_000_000 |> with_minimize true)
+          default |> with_max_states 100_000 |> with_max_transitions 2_000_000)
       phi
+    |> Xpds.Sat.minimize phi
   in
   (match report.Xpds.Sat.verdict with
   | Xpds.Sat.Sat w ->

@@ -65,37 +65,3 @@ let node_to_json n =
        [ ("text", str (Xpds_xpath.Pp.node_to_string n));
          ("ast", node_json n)
        ])
-
-let report_to_json (r : Xpds_decision.Sat.report) =
-  let verdict, witness =
-    match r.Xpds_decision.Sat.verdict with
-    | Xpds_decision.Sat.Sat w -> ("sat", Some w)
-    | Xpds_decision.Sat.Unsat -> ("unsat", None)
-    | Xpds_decision.Sat.Unsat_bounded _ -> ("unsat_bounded", None)
-    | Xpds_decision.Sat.Unknown _ -> ("unknown", None)
-  in
-  Json.to_string
-    (Json.Obj
-       ([ ("verdict", str verdict);
-          ( "fragment",
-            str (Xpds_xpath.Fragment.name r.Xpds_decision.Sat.fragment) );
-          ("algorithm", str r.Xpds_decision.Sat.algorithm);
-          ( "states",
-            int r.Xpds_decision.Sat.stats.Xpds_decision.Emptiness.n_states );
-          ( "transitions",
-            int
-              r.Xpds_decision.Sat.stats
-                .Xpds_decision.Emptiness.n_transitions );
-          ( "automaton",
-            Json.Obj
-              [ ("q", int r.Xpds_decision.Sat.automaton_q);
-                ("k", int r.Xpds_decision.Sat.automaton_k)
-              ] )
-        ]
-       @ (match witness with
-         | Some w -> [ ("witness", tree_json w) ]
-         | None -> [])
-       @
-       match r.Xpds_decision.Sat.witness_verified with
-       | Some b -> [ ("witness_verified", Json.Bool b) ]
-       | None -> []))

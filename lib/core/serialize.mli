@@ -1,5 +1,5 @@
-(** JSON rendering of trees, formulas and solver reports — the CLI's
-    [--json] output, for piping into other tooling. Emit-only, built on
+(** JSON rendering of trees and formulas — [xpds xml --json], for
+    piping into other tooling. Emit-only, built on
     the shared {!Json} library (lib/json). *)
 
 val tree_to_json : Xpds_datatree.Data_tree.t -> string
@@ -8,7 +8,3 @@ val tree_to_json : Xpds_datatree.Data_tree.t -> string
 val node_to_json : Xpds_xpath.Ast.node -> string
 (** Structural AST rendering, with ["kind"] discriminators, plus the
     concrete syntax under ["text"]. *)
-
-val report_to_json : Xpds_decision.Sat.report -> string
-(** Verdict, fragment, algorithm, statistics, automaton sizes, witness
-    (as a tree) when satisfiable. *)

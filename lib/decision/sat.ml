@@ -46,7 +46,6 @@ module Options = struct
     should_stop : (unit -> bool) option;
     on_phase : string -> unit;
     verify : bool;
-    minimize : bool;
     extra_labels : Xpds_datatree.Label.t list;
     certificate : bool;
   }
@@ -62,7 +61,6 @@ module Options = struct
       should_stop = None;
       on_phase = ignore;
       verify = true;
-      minimize = false;
       extra_labels = [];
       certificate = false;
     }
@@ -76,7 +74,6 @@ module Options = struct
   let with_should_stop should_stop o = { o with should_stop }
   let with_on_phase on_phase o = { o with on_phase }
   let with_verify verify o = { o with verify }
-  let with_minimize minimize o = { o with minimize }
   let with_extra_labels extra_labels o = { o with extra_labels }
   let with_certificate certificate o = { o with certificate }
 end
@@ -226,6 +223,11 @@ let decide_relaxation o fragment eta =
         o.Options.on_phase "translate";
         None
 
+(* Both replays of a witness: the reference semantics of [eta] and a
+   run of its automaton [m]. *)
+let witness_holds m eta w =
+  Semantics.check_somewhere w eta && Bip_run.accepts m w
+
 (* The general engine on the simplified [eta]. *)
 let decide_general o fragment eta =
   let m, bound, config = prepare o eta in
@@ -240,17 +242,8 @@ let decide_general o fragment eta =
     match outcome with
     | Emptiness.Nonempty w ->
       o.Options.on_phase "verify";
-      let w =
-        if o.Options.minimize then
-          Witness_min.minimize
-            ~check:(fun t -> Semantics.check_somewhere t eta)
-            w eta
-        else w
-      in
       let verified =
-        if o.Options.verify then
-          Some (Semantics.check_somewhere w eta && Bip_run.accepts m w)
-        else None
+        if o.Options.verify then Some (witness_holds m eta w) else None
       in
       (Sat w, verified)
     | Emptiness.Empty -> (Unsat, None)
@@ -332,14 +325,6 @@ let decide_under_doctype ?(options = Options.default) ~doctype eta =
     match outcome with
     | Emptiness.Nonempty w ->
       o.Options.on_phase "verify";
-      let w =
-        if o.Options.minimize then
-          Witness_min.minimize
-            ~check:(fun t ->
-              Semantics.check_somewhere t eta && conforming t)
-            w eta
-        else w
-      in
       let verified =
         if o.Options.verify then
           Some
@@ -362,6 +347,16 @@ let decide_under_doctype ?(options = Options.default) ~doctype eta =
     automaton_k = m.Bip.pf.Pathfinder.n_states;
     cert_seed = None;
   }
+
+let minimize eta report =
+  let eta = Xpds_xpath.Rewrite.simplify eta in
+  let holds t = Semantics.check_somewhere t eta in
+  match report.verdict with
+  | Sat w when holds w ->
+    let m, _, _ = prepare Options.default eta in
+    let w = Witness_min.minimize ~check:holds w eta in
+    { report with verdict = Sat w; witness_verified = Some (witness_holds m eta w) }
+  | _ -> report
 
 let satisfiable ?width eta =
   let options =

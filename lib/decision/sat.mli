@@ -85,8 +85,6 @@ module Options : sig
             ["fixpoint"], and — on a nonempty outcome —
             ["verify"], as the run enters each stage *)
     verify : bool;  (** replay the witness (default true) *)
-    minimize : bool;
-        (** shrink the witness with {!Witness_min.minimize} first *)
     extra_labels : Xpds_datatree.Label.t list;
         (** force labels into the automaton alphabet *)
     certificate : bool;
@@ -105,7 +103,6 @@ module Options : sig
   val with_should_stop : (unit -> bool) option -> t -> t
   val with_on_phase : (string -> unit) -> t -> t
   val with_verify : bool -> t -> t
-  val with_minimize : bool -> t -> t
   val with_extra_labels : Xpds_datatree.Label.t list -> t -> t
   val with_certificate : bool -> t -> t
 end
@@ -168,6 +165,15 @@ val decide_under_doctype :
     semantics {e and} [Doctype.conforms]. Certificate mode is forced
     off: the basis checker replays the bare-formula automaton and has
     no doctype notion. *)
+
+val minimize : Xpds_xpath.Ast.node -> report -> report
+(** [minimize η r] shrinks the witness of a [Sat] report [r] for η —
+    one {!decide} answered, possibly for an equivalent formula such as
+    η's canonical form — with {!Witness_min.minimize}, and replays the
+    shrunk tree through the reference semantics and the run of η's
+    automaton, so [witness_verified] describes the tree the report now
+    carries. Any other report, or a witness on which η does not hold,
+    is returned unchanged. *)
 
 val satisfiable : ?width:int -> Xpds_xpath.Ast.node -> bool option
 (** [Some b] when the verdict is [Sat]/[Unsat]/[Unsat_bounded] (the

@@ -24,17 +24,14 @@ let alpha = 0.2
    made-up constant. *)
 let estimate_ms t = if t.samples = 0 then 0. else t.ewma_ms
 
-let check ?(slots = 1) t ~now_ms ~deadline_ms =
-  let slots = max 1 slots in
+let check t ~now_ms ~deadline_ms =
   let est = estimate_ms t in
-  if t.depth + slots > t.max_depth then begin
+  if t.depth >= t.max_depth then begin
     t.shed <- t.shed + 1;
-    (* the queue must shrink enough for all [slots] to fit before a
-       retry can even be considered; one service time per excess
-       request *)
+    (* the queue must shrink by one before a retry can even be
+       considered; one service time per excess request *)
     let retry_after_ms =
-      max 1.
-        (float_of_int (t.depth + slots - t.max_depth) *. Float.max est 1.)
+      max 1. (float_of_int (t.depth + 1 - t.max_depth) *. Float.max est 1.)
     in
     Shed { retry_after_ms }
   end
@@ -42,7 +39,7 @@ let check ?(slots = 1) t ~now_ms ~deadline_ms =
     match deadline_ms with
     | Some deadline
       when est > 0.
-           && now_ms +. (float_of_int (t.depth + slots) *. est) > deadline ->
+           && now_ms +. (float_of_int (t.depth + 1) *. est) > deadline ->
       t.shed <- t.shed + 1;
       (* the request in front must drain before this deadline class
          fits; hint one queue-drain's worth of waiting *)

@@ -31,19 +31,12 @@ type verdict =
       (** hint: how long until the queue has likely drained enough for
           a retry of the same request to be admitted *)
 
-val check :
-  ?slots:int -> t -> now_ms:float -> deadline_ms:float option -> verdict
+val check : t -> now_ms:float -> deadline_ms:float option -> verdict
 (** Admission decision for a request arriving at [now_ms] whose
     absolute monotonic deadline is [deadline_ms] (none = no deadline,
-    only the depth bound applies). [slots] (default 1, clamped to
-    [>= 1]) is how many queue entries the request will occupy if
-    admitted — an [equiv] whose two directions share a shard reserves
-    both at once, so the pair is judged against the depth bound and the
-    deadline as a unit ([Admit] means there is room for all [slots],
-    and the {e last} of them still meets the deadline) instead of two
-    independent checks racing past the bound. [check] does not change
-    queue state (a [Shed] bumps the shed counter): on [Admit] the
-    caller must follow with one {!enqueue} per slot. *)
+    only the depth bound applies). [check] does not change queue state
+    (a [Shed] bumps the shed counter): on [Admit] the caller must follow
+    with {!enqueue}. *)
 
 val enqueue : t -> unit
 (** Record one admitted request entering the queue. *)

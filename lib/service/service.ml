@@ -439,27 +439,20 @@ let direction_fields ~trace (resp : response) =
     ]
   @ robustness_fields_of resp @ trace_fields trace resp.trace
 
-let equiv_to_json ~id ~ms forward backward =
-  let settled dir =
-    match Json.member "answer" dir with
-    | Some (Json.Str ("holds" | "holds_bounded")) -> Some true
-    | Some (Json.Str "fails") -> Some false
-    | _ -> None
-  in
-  (* One failing direction settles non-equivalence even when the other
-     is unknown; "equivalent" is omitted (not guessed) while any needed
-     direction is still unknown. *)
-  let equivalent =
-    match (settled forward, settled backward) with
-    | Some false, _ | _, Some false -> [ ("equivalent", Json.Bool false) ]
-    | Some true, Some true -> [ ("equivalent", Json.Bool true) ]
-    | _ -> []
-  in
-  Json.to_string
-    (Json.Obj
-       (envelope ~kind:"equiv" id
-          (equivalent
-          @ [ ("forward", forward); ("backward", backward); ("ms", round_ms ms) ])))
+let holds r =
+  match contains_answer r with
+  | Containment.Holds | Containment.Holds_bounded _ -> Some true
+  | Containment.Fails _ -> Some false
+  | Containment.Unknown _ -> None
+
+(* One failing direction settles non-equivalence even when the other
+   is unknown; [None] (no "equivalent" field) while a needed direction
+   is still unknown. *)
+let equivalent ~forward ~backward =
+  match (holds forward, holds backward) with
+  | Some false, _ | _, Some false -> Some false
+  | Some true, Some true -> Some true
+  | _ -> None
 
 let eval_line ~trace (resp : Eval_verb.response) =
   let body =
@@ -492,9 +485,17 @@ let answer_to_json ?(trace = false) ?(extra_of = fun _ -> []) = function
   | Contains_answer r ->
     Json.to_string (Json.Obj (envelope ~kind:"contains" r.id (direction_fields ~trace r)))
   | Equiv_answer { forward; backward; ms } ->
-    equiv_to_json ~id:forward.id ~ms
-      (Json.Obj (direction_fields ~trace forward))
-      (Json.Obj (direction_fields ~trace backward))
+    let direction r = Json.Obj (direction_fields ~trace r) in
+    Json.to_string
+      (Json.Obj
+         (envelope ~kind:"equiv" forward.id
+            ((match equivalent ~forward ~backward with
+             | Some b -> [ ("equivalent", Json.Bool b) ]
+             | None -> [])
+            @ [ ("forward", direction forward);
+                ("backward", direction backward);
+                ("ms", round_ms ms)
+              ])))
   | Eval_answer r -> eval_line ~trace r
 
 let error_to_json ?id msg =

@@ -172,6 +172,17 @@ val contains_answer : response -> Xpds_decision.Containment.answer
     [Unsat ↦ Holds], [Unsat_bounded ↦ Holds_bounded],
     [Unknown ↦ Unknown]. *)
 
+val holds : response -> bool option
+(** The yes/no reading of a contains direction: [Some true] when it
+    holds (certified or bounded), [Some false] when it fails, [None]
+    when unknown. *)
+
+val equivalent : forward:response -> backward:response -> bool option
+(** The verdict of an equiv from its two directions: [Some false] as
+    soon as one direction fails (even when the other is unknown),
+    [Some true] when both hold (certified or bounded), [None] while a
+    needed direction is unknown. *)
+
 val register_doc :
   t -> name:string -> Xpds_eval.Doc.t -> (unit, string) result
 (** Register a flattened document under [name] (replacing any previous
@@ -233,19 +244,14 @@ val answer_to_json :
     "unknown"]), ["counterexample"] (compact syntax) and ["verified"]
     when it fails, ["reason"] when bounded or unknown, then [cached,
     tier, ms] and the robustness fields. This direction object is what
-    an equiv line nests (see {!equiv_to_json}).
+    an equiv line nests.
+
+    equiv: [equivalent] (see {!equivalent}; omitted while a needed
+    direction is unknown), then ["forward"] and ["backward"] — one
+    contains direction object each — and [ms], which spans both.
 
     eval: [root, count, nodes, nodes_truncated (when count > limit),
     doc_nodes, node_evals] or [error], then [cached, ms]. *)
-
-val equiv_to_json : id:string -> ms:float -> Json.t -> Json.t -> string
-(** [equiv_to_json ~id ~ms forward backward] renders an equiv line
-    around two contains direction objects: [{"v":1, "id":..,
-    "kind":"equiv", "equivalent":bool, "forward":{..}, "backward":{..},
-    "ms":..}]. One failing direction settles [false] even when the other
-    is unknown; ["equivalent"] is omitted while a needed direction is
-    unknown. The shard router merges fanned-out directions through it
-    too. *)
 
 val error_to_json : ?id:string -> string -> string
 (** The structured error object the serve loop answers for lines it

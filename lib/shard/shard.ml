@@ -15,56 +15,38 @@ let shard_of_key ~shards (key : Cache_key.t) =
        more than any realistic shard count *)
     ((b 0 lsl 16) lor (b 1 lsl 8) lor b 2) mod shards
 
-type route = To of int | Fanout of { fwd : int; bwd : int }
-
 (* The raw pieces the router needs from a request line: where it goes,
-   which id to echo on shed/abort errors, which deadline admission
-   reasons about, and — for equiv — the raw formula strings of the two
-   fanned-out contains sub-requests. *)
+   which id to echo on shed/abort errors, and which deadline admission
+   reasons about. *)
 type plan = {
-  pl_route : route;
+  pl_shard : int;
   pl_id : string option;
   pl_timeout_ms : float option;
-  pl_fanout : (string * string) option;  (** raw (phi, psi) of an equiv *)
 }
 
 let plan_of_line ~config_fingerprint ~shards line =
-  let home body =
-    shard_of_key ~shards (Request.key ~config_fingerprint body).Request.digest
-  in
   match Request.of_line line with
-  | Ok { id; timeout_ms; body = Equiv { phi; psi } } ->
-    let fwd, bwd = Request.directions phi psi in
-    let raw = Result.to_option (Json.parse line) in
-    { pl_route = Fanout { fwd = home fwd; bwd = home bwd };
-      pl_id = Some id;
-      pl_timeout_ms = timeout_ms;
-      pl_fanout =
-        (match
-           (Option.bind raw (Json.member "phi"), Option.bind raw (Json.member "psi"))
-         with
-        | Some (Json.Str phi), Some (Json.Str psi) -> Some (phi, psi)
-        | _ -> None)
-    }
   | Ok { id; timeout_ms; body } ->
-    (* eval routes for cache affinity: the same (document, query) pair
-       always revisits the same worker's eval cache *)
-    { pl_route = To (home body);
+    (* every kind routes by its own key: an equiv by its forward
+       direction's contains key, an eval for cache affinity (the same
+       (document, query) pair always revisits the same worker's eval
+       cache) *)
+    { pl_shard =
+        shard_of_key ~shards
+          (Request.key ~config_fingerprint body).Request.digest;
       pl_id = Some id;
-      pl_timeout_ms = timeout_ms;
-      pl_fanout = None
+      pl_timeout_ms = timeout_ms
     }
   | Error _ | (exception _) ->
     (* any worker answers the same structured error; hash the raw text
        so garbage spreads deterministically *)
-    { pl_route = To (shard_of_key ~shards (Digest.string line));
+    { pl_shard = shard_of_key ~shards (Digest.string line);
       pl_id = Request.id_of_line line;
-      pl_timeout_ms = None;
-      pl_fanout = None
+      pl_timeout_ms = None
     }
 
 let route_line ~config_fingerprint ~shards line =
-  (plan_of_line ~config_fingerprint ~shards line).pl_route
+  (plan_of_line ~config_fingerprint ~shards line).pl_shard
 
 (* --- metrics aggregation --- *)
 
@@ -183,28 +165,14 @@ let worker_loop ~svc ~default_timeout_ms ~trace in_fd out_fd =
 
 (* --- the router --- *)
 
-type dir = Fwd | Bwd
-
-(* Router-side correlation of an equiv's two fanned-out directions. *)
-type equiv_cell = {
-  eq_id : string;
-  eq_start : float;
-  mutable fwd_resp : Json.t option;
-  mutable bwd_resp : Json.t option;
-  mutable eq_settled : bool;  (** merged response (or abort error) emitted *)
-}
-
 type pending =
-  | P_plain  (** worker response line forwarded verbatim *)
-  | P_dir of equiv_cell * dir
-  | P_probe of Json.t option ref  (** metrics sentinel reply slot *)
+  | P_plain
+      (** an admitted request; the worker's response line is forwarded
+          verbatim *)
+  | P_probe of Json.t option ref
+      (** metrics sentinel reply slot (probes bypass admission) *)
 
-type entry = {
-  line : string;
-  pend : pending;
-  admitted : bool;  (** went through admission (probes bypass it) *)
-  enq_ms : float;
-}
+type entry = { line : string; pend : pending; enq_ms : float }
 
 type worker = {
   w_index : int;
@@ -302,27 +270,6 @@ let spawn t i =
 
 (* --- response handling --- *)
 
-let direction_of_line line =
-  (* a contains response minus its envelope (v, id, kind) is exactly
-     the equiv direction object of the in-process serializer *)
-  match Json.parse line with
-  | Ok (Json.Obj fields) ->
-    Json.Obj
-      (List.filter (fun (k, _) -> k <> "v" && k <> "id" && k <> "kind") fields)
-  | _ ->
-    Json.Obj
-      [ ("answer", Json.Str "unknown");
-        ("reason", Json.Str "unparsable shard response")
-      ]
-
-let settle_cell t cell =
-  match (cell.fwd_resp, cell.bwd_resp) with
-  | Some f, Some b when not cell.eq_settled ->
-    cell.eq_settled <- true;
-    let ms = Trace.now_ms () -. cell.eq_start in
-    t.emit (Service.equiv_to_json ~id:cell.eq_id ~ms f b)
-  | _ -> ()
-
 let handle_response t w line =
   match Queue.take_opt w.sent with
   | None -> ()  (* a stray line; FIFO means this cannot happen *)
@@ -330,15 +277,10 @@ let handle_response t w line =
     let now = Trace.now_ms () in
     let started = Float.max e.enq_ms w.last_done in
     w.last_done <- now;
-    if e.admitted then Admission.complete w.adm ~service_ms:(now -. started);
     (match e.pend with
-    | P_plain -> t.emit line
-    | P_dir (cell, d) ->
-      let dirobj = direction_of_line line in
-      (match d with
-      | Fwd -> cell.fwd_resp <- Some dirobj
-      | Bwd -> cell.bwd_resp <- Some dirobj);
-      settle_cell t cell
+    | P_plain ->
+      Admission.complete w.adm ~service_ms:(now -. started);
+      t.emit line
     | P_probe slot ->
       let n = String.length sentinel in
       let payload =
@@ -355,15 +297,11 @@ let handle_response t w line =
 (* --- worker death and respawn --- *)
 
 let fail_entry ?(msg = dead_worker_error) t w e =
-  if e.admitted then Admission.abandon w.adm;
   match e.pend with
   | P_probe slot -> slot := Some (Json.Obj [])
-  | P_plain -> t.emit (Service.error_to_json ?id:(Request.id_of_line e.line) msg)
-  | P_dir (cell, _) ->
-    if not cell.eq_settled then begin
-      cell.eq_settled <- true;
-      t.emit (Service.error_to_json ~id:cell.eq_id msg)
-    end
+  | P_plain ->
+    Admission.abandon w.adm;
+    t.emit (Service.error_to_json ?id:(Request.id_of_line e.line) msg)
 
 (* A worker that keeps dying on arrival (say, its per-shard store path
    is unopenable) must not put the router into an infinite
@@ -495,20 +433,6 @@ let push t w e =
     ignore (pump_io t ~timeout:0.)
   end
 
-let contains_line ~id ~phi ~psi ~timeout_ms =
-  Json.to_string
-    (Json.Obj
-       ([ ("v", Json.Num protocol_v);
-          ("id", Json.Str id);
-          ("kind", Json.Str "contains");
-          ("phi", Json.Str phi);
-          ("psi", Json.Str psi)
-        ]
-       @
-       match timeout_ms with
-       | Some ms -> [ ("timeout_ms", Json.Num ms) ]
-       | None -> []))
-
 let submit t line =
   let now = Trace.now_ms () in
   let shards = Array.length t.workers in
@@ -519,75 +443,14 @@ let submit t line =
     | None -> t.default_timeout_ms
   in
   let deadline_ms = Option.map (fun ms -> now +. ms) timeout_ms in
-  match plan.pl_route with
-  | To i -> (
-    let w = t.workers.(i) in
-    w.routed <- w.routed + 1;
-    match Admission.check w.adm ~now_ms:now ~deadline_ms with
-    | Admission.Shed { retry_after_ms } ->
-      emit_overloaded t ~id:plan.pl_id ~retry_after_ms
-    | Admission.Admit ->
-      Admission.enqueue w.adm;
-      push t w { line; pend = P_plain; admitted = true; enq_ms = now })
-  | Fanout { fwd; bwd } -> (
-    let wf = t.workers.(fwd) and wb = t.workers.(bwd) in
-    wf.routed <- wf.routed + 1;
-    if bwd <> fwd then wb.routed <- wb.routed + 1;
-    let id = Option.value plan.pl_id ~default:"" in
-    match plan.pl_fanout with
-    | None ->
-      (* cannot happen: a parsed equiv carries raw phi/psi strings;
-         degrade to routing the whole line to the forward shard *)
-      push t wf { line; pend = P_plain; admitted = false; enq_ms = now }
-    | Some (phi, psi) -> (
-      (* both directions must be admitted before either enqueues, so
-         a half-shed equiv never occupies a slot. When they share a
-         shard the pair is checked as one two-slot unit — two
-         independent checks would each see the same depth and could
-         both admit at depth = bound - 1, pushing the queue past its
-         bound and under-counting the second direction's queue wait.
-         Across distinct shards both checks always run, and a shed
-         reports the larger of the two hints (protocol.md). *)
-      let verdict =
-        if fwd = bwd then
-          Admission.check ~slots:2 wf.adm ~now_ms:now ~deadline_ms
-        else
-          match
-            ( Admission.check wf.adm ~now_ms:now ~deadline_ms,
-              Admission.check wb.adm ~now_ms:now ~deadline_ms )
-          with
-          | Admission.Admit, Admission.Admit -> Admission.Admit
-          | ( Admission.Shed { retry_after_ms = a },
-              Admission.Shed { retry_after_ms = b } ) ->
-            Admission.Shed { retry_after_ms = Float.max a b }
-          | (Admission.Shed _ as s), _ | _, (Admission.Shed _ as s) -> s
-      in
-      match verdict with
-      | Admission.Shed { retry_after_ms } ->
-        emit_overloaded t ~id:plan.pl_id ~retry_after_ms
-      | Admission.Admit ->
-        Admission.enqueue wf.adm;
-        Admission.enqueue wb.adm;
-        let cell =
-          { eq_id = id;
-            eq_start = now;
-            fwd_resp = None;
-            bwd_resp = None;
-            eq_settled = false
-          }
-        in
-        push t wf
-          { line = contains_line ~id ~phi ~psi ~timeout_ms;
-            pend = P_dir (cell, Fwd);
-            admitted = true;
-            enq_ms = now
-          };
-        push t wb
-          { line = contains_line ~id ~phi:psi ~psi:phi ~timeout_ms;
-            pend = P_dir (cell, Bwd);
-            admitted = true;
-            enq_ms = now
-          }))
+  let w = t.workers.(plan.pl_shard) in
+  w.routed <- w.routed + 1;
+  match Admission.check w.adm ~now_ms:now ~deadline_ms with
+  | Admission.Shed { retry_after_ms } ->
+    emit_overloaded t ~id:plan.pl_id ~retry_after_ms
+  | Admission.Admit ->
+    Admission.enqueue w.adm;
+    push t w { line; pend = P_plain; enq_ms = now }
 
 (* --- metrics --- *)
 
@@ -620,11 +483,7 @@ let metrics_json t =
         let slot = ref None in
         if w.w_alive then
           push t w
-            { line = sentinel;
-              pend = P_probe slot;
-              admitted = false;
-              enq_ms = Trace.now_ms ()
-            }
+            { line = sentinel; pend = P_probe slot; enq_ms = Trace.now_ms () }
         else slot := Some (Json.Obj []);
         slot)
       t.workers

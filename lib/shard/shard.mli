@@ -7,11 +7,11 @@
     deterministic canonical cache key — {!Xpds_service.Request.key},
     the same kind-tagged, doctype-salted key the service caches under —
     so a given formula always lands on the same worker and the
-    per-shard LRU/disk tiers never alias across kinds or doctypes.
-    [equiv] requests are fanned out: each direction travels to {e its}
-    home shard as a [contains] request (sharing that shard's contains
-    cache with direct queries), and the router merges the two direction
-    responses into the v1 equiv schema.
+    per-shard LRU/disk tiers never alias across kinds or doctypes. An
+    [equiv] line travels whole, like every other kind, to the shard of
+    its key — its forward direction's contains key — and that worker
+    answers both directions through {!Xpds_service.Service.handle}, as
+    the in-process engine does: one line in, one line out.
 
     Admission is bounded and deadline-aware ({!Xpds_service.Admission}):
     a request that cannot meet its deadline given the target shard's
@@ -37,18 +37,13 @@ val shard_of_key : shards:int -> Xpds_service.Cache_key.t -> int
 (** Deterministic shard index from a canonical cache key (a uniform
     MD5 digest): the first three key bytes, big-endian, mod [shards]. *)
 
-type route =
-  | To of int  (** whole line to this shard *)
-  | Fanout of { fwd : int; bwd : int }
-      (** an [equiv]: forward/backward directions to their home shards *)
-
-val route_line : config_fingerprint:string -> shards:int -> string -> route
-(** Where a raw request line goes. [sat], [contains] and
-    [sat_under_doctype] requests route by their canonical cache key;
-    [eval] requests by the digest of (source identity, canonical
-    query); lines that do not parse route by a digest of the raw text
-    (any worker answers the same structured error). Total — never
-    raises. *)
+val route_line : config_fingerprint:string -> shards:int -> string -> int
+(** The shard a raw request line goes to. [sat], [contains], [equiv]
+    and [sat_under_doctype] requests route by {!Xpds_service.Request.key}
+    (an equiv's is its forward direction's contains key); [eval]
+    requests by the digest of (source identity, canonical query); lines
+    that do not parse route by a digest of the raw text (any worker
+    answers the same structured error). Total — never raises. *)
 
 (** {1 The engine} *)
 

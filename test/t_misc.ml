@@ -117,19 +117,6 @@ let test_serialize_node () =
         in
         has "\"kind\":\"and\"" && has "\"axis\":\"child\""))
 
-let test_serialize_report () =
-  let r = Xpds_decision.Sat.decide (parse "a") in
-  let json = Xpds.Serialize.report_to_json r in
-  let has sub =
-    let rec go i =
-      i + String.length sub <= String.length json
-      && (String.sub json i (String.length sub) = sub || go (i + 1))
-    in
-    go 0
-  in
-  Alcotest.(check bool) "sat verdict with witness" true
-    (has "\"verdict\":\"sat\"" && has "\"witness\"")
-
 let test_dot_outputs () =
   let t = Data_tree.example_fig1 () in
   let dot = Xpds.Dot.data_tree t in
@@ -165,7 +152,6 @@ let suite =
       Alcotest.test_case "fancy printing" `Quick test_fancy_printing;
       Alcotest.test_case "serialize tree" `Quick test_serialize_tree;
       Alcotest.test_case "serialize node" `Quick test_serialize_node;
-      Alcotest.test_case "serialize report" `Quick test_serialize_report;
       Alcotest.test_case "dot outputs" `Quick test_dot_outputs;
       Alcotest.test_case "label bounds" `Quick test_label_of_int_bounds
     ] )

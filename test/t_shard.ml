@@ -1,7 +1,8 @@
 (* Tests for the multi-process shard router: routing determinism (the
    qcheck pin that a request's home shard is a pure function of its
    canonical cache key, and the key the in-process service caches the
-   same request under), equiv fan-out routing, cross-process kind
+   same request under), equiv routing and end-to-end answers and
+   metrics, admission bounds, cross-process kind
    separation (a contains verdict cached on a shard is never served for
    a sat request), single-shard agreement with the in-process path,
    worker-crash isolation + respawn via the chaos hook (abort lines
@@ -49,43 +50,34 @@ let prop_routing_deterministic =
         let r2 = Shard.route_line ~config_fingerprint:fp ~shards line in
         let _, key = Cache_key.make ~config_fingerprint:fp ast in
         let home = Shard.shard_of_key ~shards key in
-        (match r1 with
-        | Shard.To s ->
-          if s <> home then
-            QCheck.Test.fail_reportf "routed to %d, key says %d" s home;
-          if s < 0 || s >= shards then
-            QCheck.Test.fail_reportf "shard %d out of range [0,%d)" s
-              shards
-        | Shard.Fanout _ ->
-          QCheck.Test.fail_report "sat request fanned out");
+        if r1 <> home then
+          QCheck.Test.fail_reportf "routed to %d, key says %d" r1 home;
+        if r1 < 0 || r1 >= shards then
+          QCheck.Test.fail_reportf "shard %d out of range [0,%d)" r1 shards;
         r1 = r2)
 
-(* An equiv fans out to the two directions' home shards — the shards
-   the equivalent standalone contains requests would land on. *)
-let test_equiv_fanout () =
+let equiv_line ?(id = "e") phi psi =
+  Json.to_string
+    (Json.Obj
+       [ ("kind", Json.Str "equiv");
+         ("id", Json.Str id);
+         ("phi", Json.Str phi);
+         ("psi", Json.Str psi)
+       ])
+
+(* An equiv travels whole to the shard its forward direction would
+   land on as a standalone contains request, whatever shard the
+   backward direction's key points at. *)
+let test_equiv_routes_forward () =
   let phi = "<down[a & b]>" and psi = "<down[a]>" in
-  let shards = 5 in
-  let dir p q =
-    match
-      Shard.route_line ~config_fingerprint:fp ~shards (contains_line p q)
-    with
-    | Shard.To s -> s
-    | Shard.Fanout _ -> Alcotest.fail "contains fanned out"
-  in
-  let line =
-    Json.to_string
-      (Json.Obj
-         [ ("kind", Json.Str "equiv");
-           ("id", Json.Str "e");
-           ("phi", Json.Str phi);
-           ("psi", Json.Str psi)
-         ])
-  in
-  match Shard.route_line ~config_fingerprint:fp ~shards line with
-  | Shard.Fanout { fwd; bwd } ->
-    Alcotest.(check int) "forward direction home" (dir phi psi) fwd;
-    Alcotest.(check int) "backward direction home" (dir psi phi) bwd
-  | Shard.To _ -> Alcotest.fail "equiv did not fan out"
+  List.iter
+    (fun shards ->
+      let route = Shard.route_line ~config_fingerprint:fp ~shards in
+      Alcotest.(check int)
+        (Printf.sprintf "forward key's shard of %d" shards)
+        (route (contains_line phi psi))
+        (route (equiv_line phi psi)))
+    [ 1; 2; 5; 7 ]
 
 (* Every solver-backed kind routes by the key the worker's service
    actually caches under — the one [Request.key] — so a route can never
@@ -107,16 +99,17 @@ let route_agrees_with_service ~shards line =
       match Service.handle route_svc r with
       | Service.Sat_answer resp
       | Service.Contains_answer resp
-      | Service.Doctype_answer resp ->
+      | Service.Doctype_answer resp
+      | Service.Equiv_answer { forward = resp; _ } ->
         resp.Service.key
-      | _ -> QCheck.Test.fail_reportf "%s: not a verdict" line)
+      | Service.Eval_answer _ ->
+        QCheck.Test.fail_reportf "%s: not a verdict" line)
   in
-  match Shard.route_line ~config_fingerprint:route_fp ~shards line with
-  | Shard.To s when s = Shard.shard_of_key ~shards key -> true
-  | Shard.To s ->
-    QCheck.Test.fail_reportf "%s: routed to %d, the service keyed shard %d" line s
-      (Shard.shard_of_key ~shards key)
-  | Shard.Fanout _ -> QCheck.Test.fail_reportf "%s fanned out" line
+  let s = Shard.route_line ~config_fingerprint:route_fp ~shards line in
+  s = Shard.shard_of_key ~shards key
+  || QCheck.Test.fail_reportf "%s: routed to %d, the service keyed shard %d"
+       line s
+       (Shard.shard_of_key ~shards key)
 
 let prop_route_matches_service_key =
   Gen_helpers.qtest ~count:100 "sat/contains/doctype route = service key"
@@ -133,7 +126,7 @@ let prop_route_matches_service_key =
       in
       List.for_all
         (route_agrees_with_service ~shards)
-        [ sat_line phi; contains_line phi psi; doctype_line ])
+        [ sat_line phi; contains_line phi psi; equiv_line phi psi; doctype_line ])
 
 (* --- engine helpers --- *)
 
@@ -209,6 +202,9 @@ let rec scrub = function
   | Json.Arr l -> Json.Arr (List.map scrub l)
   | v -> v
 
+let norm l =
+  match Json.parse l with Ok v -> Json.to_string (scrub v) | Error _ -> l
+
 let test_single_shard_agreement () =
   let reqs =
     [ {|{"id":"a1","formula":"<down[a]>"}|};
@@ -229,13 +225,34 @@ let test_single_shard_agreement () =
         "one answer per request" (List.length reqs) (List.length got);
       List.iter2
         (fun want have ->
-          let norm l =
-            match Json.parse l with
-            | Ok v -> Json.to_string (scrub v)
-            | Error _ -> l
-          in
           Alcotest.(check string) "line agrees" (norm want) (norm have))
         reference got)
+
+let metric m path =
+  List.fold_left (fun v k -> Option.bind v (Json.member k)) (Some m) path
+  |> Fun.flip Option.bind Json.to_float
+
+(* An equiv through two shards answers the in-process line, modulo
+   solve times, and the merged metrics count it as an equiv — one
+   worker served it whole. *)
+let test_equiv_end_to_end () =
+  let req = equiv_line ~id:"e2" "<down[a & b]>" "<down[b & a]>" in
+  let want =
+    Service.handle_line (Service.create Service.Config.default) req
+  in
+  with_engine ~shards:2 (fun eng lines ->
+      Engine.submit eng req;
+      Engine.drain eng;
+      (match lines () with
+      | [ have ] ->
+        Alcotest.(check string) "line agrees" (norm want) (norm have)
+      | got -> Alcotest.failf "%d replies to 1 line" (List.length got));
+      match Engine.metrics_json eng with
+      | None -> Alcotest.fail "no aggregated metrics"
+      | Some m ->
+        Alcotest.(check (option (float 0.)))
+          "requests_by_kind.equiv" (Some 1.)
+          (metric m [ "requests_by_kind"; "equiv" ]))
 
 (* Both engines answer a blank line like any other unparsable line;
    only the serve loop skips blank input. A worker that swallowed it
@@ -323,12 +340,8 @@ let test_merge_metrics () =
             ] )
       ]
   in
-  let num_in v path =
-    List.fold_left (fun v k -> Option.bind v (Json.member k)) (Some v) path
-    |> Fun.flip Option.bind Json.to_float
-  in
   let m = Shard.merge_metrics [ a; b ] in
-  let num = num_in m in
+  let num = metric m in
   Alcotest.(check (option (float 0.))) "counters sum" (Some 7.) (num [ "requests" ]);
   (* means are request-weighted: (3*10 + 4*20) / (3 + 4), not the
      unweighted 15 — a busy shard dominates an idle one *)
@@ -353,7 +366,7 @@ let test_merge_metrics () =
         ("lat", Json.Obj [ ("mean", Json.Num 0.) ])
       ]
   in
-  let num3 = num_in (Shard.merge_metrics [ a; b; idle ]) in
+  let num3 = metric (Shard.merge_metrics [ a; b; idle ]) in
   Alcotest.(check (option (float 0.)))
     "zero-request shard carries zero weight" (Some (110. /. 7.))
     (num3 [ "lat"; "mean" ]);
@@ -379,7 +392,7 @@ let test_merge_metrics () =
     Metrics.to_json m
   in
   let num4 =
-    num_in
+    metric
       (Shard.merge_metrics
          [ shard ~requests:1000 ~probes:1 ~ms:10.;
            shard ~requests:10 ~probes:10 ~ms:1.
@@ -394,37 +407,33 @@ let test_merge_metrics () =
   Alcotest.(check (option (float 0.)))
     "n sums" (Some 11.) (num4 [ "store"; "verify_ms"; "n" ])
 
-(* --- admission slots --- *)
+(* --- admission --- *)
 
-(* An equiv whose two directions share a shard reserves both queue
-   slots atomically: a two-slot check at depth = bound - 1 must shed
-   where two independent one-slot checks would each admit. *)
-let test_admission_slots () =
+(* A request is admitted while the queue has room and its deadline can
+   be met behind the requests already queued, and shed otherwise. *)
+let test_admission_bounds () =
   let module Admission = Xpds_service.Admission in
   let adm = Admission.create ~max_depth:2 () in
   Admission.enqueue adm;
   (match Admission.check adm ~now_ms:0. ~deadline_ms:None with
   | Admission.Admit -> ()
   | Admission.Shed _ -> Alcotest.fail "one slot fits at depth 1 of 2");
-  (match Admission.check ~slots:2 adm ~now_ms:0. ~deadline_ms:None with
+  Admission.enqueue adm;
+  (match Admission.check adm ~now_ms:0. ~deadline_ms:None with
   | Admission.Shed _ -> ()
-  | Admission.Admit -> Alcotest.fail "two slots admitted past the bound");
-  (* the pair fits from an empty queue *)
-  let adm2 = Admission.create ~max_depth:2 () in
-  (match Admission.check ~slots:2 adm2 ~now_ms:0. ~deadline_ms:None with
-  | Admission.Admit -> ()
-  | Admission.Shed _ -> Alcotest.fail "two slots shed from an empty queue");
-  (* the deadline check charges the pair for the *last* slot: with a
-     10ms estimate, two slots need 20ms of budget *)
-  let adm3 = Admission.create ~max_depth:16 () in
-  Admission.enqueue adm3;
-  Admission.complete adm3 ~service_ms:10.;
-  (match Admission.check ~slots:2 adm3 ~now_ms:0. ~deadline_ms:(Some 15.) with
+  | Admission.Admit -> Alcotest.fail "admitted past the depth bound");
+  (* with a 10ms estimate and one request queued, completion lands
+     around 20ms *)
+  let adm2 = Admission.create ~max_depth:16 () in
+  Admission.enqueue adm2;
+  Admission.complete adm2 ~service_ms:10.;
+  Admission.enqueue adm2;
+  (match Admission.check adm2 ~now_ms:0. ~deadline_ms:(Some 15.) with
   | Admission.Shed _ -> ()
-  | Admission.Admit -> Alcotest.fail "second slot cannot meet 15ms deadline");
-  match Admission.check ~slots:2 adm3 ~now_ms:0. ~deadline_ms:(Some 25.) with
+  | Admission.Admit -> Alcotest.fail "cannot meet a 15ms deadline");
+  match Admission.check adm2 ~now_ms:0. ~deadline_ms:(Some 25.) with
   | Admission.Admit -> ()
-  | Admission.Shed _ -> Alcotest.fail "both slots fit a 25ms deadline"
+  | Admission.Shed _ -> Alcotest.fail "fits a 25ms deadline"
 
 (* --- wait: responses flow without further submissions --- *)
 
@@ -479,7 +488,10 @@ let suite =
   ( "shard",
     [ prop_routing_deterministic;
       prop_route_matches_service_key;
-      Alcotest.test_case "equiv fanout routing" `Quick test_equiv_fanout;
+      Alcotest.test_case "equiv routes to its forward key's shard" `Quick
+        test_equiv_routes_forward;
+      Alcotest.test_case "equiv end to end through two shards" `Quick
+        test_equiv_end_to_end;
       Alcotest.test_case "cross-process kind separation" `Quick
         test_kind_separation;
       Alcotest.test_case "single-shard agreement" `Quick
@@ -490,7 +502,8 @@ let suite =
       Alcotest.test_case "abort line keeps a numeric id" `Quick
         test_abort_keeps_numeric_id;
       Alcotest.test_case "metrics merge rules" `Quick test_merge_metrics;
-      Alcotest.test_case "two-slot admission" `Quick test_admission_slots;
+      Alcotest.test_case "admission depth and deadline bounds" `Quick
+        test_admission_bounds;
       Alcotest.test_case "wait delivers idle responses" `Quick
         test_wait_delivers_idle_responses;
       Alcotest.test_case "close without drain" `Quick test_close_undrained
