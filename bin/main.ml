@@ -56,7 +56,8 @@ let verbose_arg =
    Each sends its request (with an empty id, unless eval's query text)
    through [Service.handle] on a fresh service, the path every served
    line takes: --json prints the wire line, and the text output renders
-   the same response. *)
+   the same response. The repl's sat command and qbf's encoding check
+   go the same way, so they report what [xpds sat] reports. *)
 
 let request ?(id = "") ?timeout_ms body = { Xpds.Request.id; timeout_ms; body }
 
@@ -64,6 +65,11 @@ let solver_service ~width ~certify =
   Xpds.Service.create
     Xpds.Service.Config.(
       default |> with_width width |> with_certificate certify)
+
+let sat_response svc phi =
+  match Xpds.Service.handle svc (request (Sat phi)) with
+  | Xpds.Service.Sat_answer r -> r
+  | _ -> invalid_arg "a sat request answers a sat answer"
 
 (* --- sat --- *)
 
@@ -148,11 +154,7 @@ let sat_cmd =
     let certify = certify || cert_out <> None in
     let eta = or_die (parse_node formula) in
     let svc = solver_service ~width ~certify in
-    let resp =
-      match Xpds.Service.handle svc (request (Sat eta)) with
-      | Xpds.Service.Sat_answer r -> r
-      | _ -> invalid_arg "a sat request answers a sat answer"
-    in
+    let resp = sat_response svc eta in
     let resp =
       if minimize then
         { resp with Xpds.Service.report = Xpds.Sat.minimize eta resp.report }
@@ -414,9 +416,8 @@ let qbf_cmd =
       (Xpds.Measure.size_node phi)
       (Xpds.Fragment.name (Xpds.Fragment.classify phi));
     let report =
-      Xpds.Sat.decide
-        ~options:Xpds.Sat.Options.(default |> with_width width)
-        phi
+      (sat_response (solver_service ~width ~certify:false) phi)
+        .Xpds.Service.report
     in
     Format.printf "encoding satisfiable: %a@." Xpds.Sat.pp_verdict
       report.Xpds.Sat.verdict
@@ -478,6 +479,7 @@ let gen_cmd =
 let repl_cmd =
   let run () =
     let tree = ref (Xpds.Data_tree.example_fig1 ()) in
+    let svc = Xpds.Service.create Xpds.Service.Config.default in
     print_endline
       "xpds repl — commands: tree <t>, show, check <formula>, sat \
        <formula>, classify <formula>, explain <formula>, quit";
@@ -517,7 +519,8 @@ let repl_cmd =
         | "sat" -> (
           match parse_node arg with
           | Ok phi ->
-            Format.printf "%a@." Xpds.Sat.pp_report (Xpds.Sat.decide phi)
+            Format.printf "%a@." Xpds.Sat.pp_report
+              (sat_response svc phi).Xpds.Service.report
           | Error e -> print_endline e)
         | "classify" -> (
           match parse_node arg with

@@ -12,12 +12,18 @@ type form =
   | FCountZero of int
   | FCountLt of int * int
 
+(* The transitions into each pathfinder state, in compressed rows: those
+   into [k] are [off.(k) .. off.(k+1)-1], each with its source [src] and
+   the q it reads ([lbl], -1 for a moving transition). *)
+type preds = { off : int array; src : int array; lbl : int array }
+
 type t = {
   labels : Label.t list;
   q_card : int;
   mu : form array;
   final : Bitv.t;
   pf : Pathfinder.t;
+  preds : preds;
   deps : Bitv.t array;
   components : int list list;
 }
@@ -72,11 +78,6 @@ let max_count m =
          match atom with FCountGe (_, n) -> max acc n | _ -> acc))
     0 m.mu
 
-(* The transitions into each pathfinder state, in compressed rows: those
-   into [k] are [off.(k) .. off.(k+1)-1], each with its source [src] and
-   the q it reads ([lbl], -1 for a moving transition). *)
-type preds = { off : int array; src : int array; lbl : int array }
-
 let predecessors (pf : Pathfinder.t) =
   let k_card = pf.Pathfinder.n_states in
   let off = Array.make (k_card + 1) 0 in
@@ -130,18 +131,15 @@ let cone_reads ~q_card p k =
   Bitv.freeze out
 
 let reads_into m =
-  let preds = predecessors m.pf in
-  Array.init m.pf.Pathfinder.n_states (cone_reads ~q_card:m.q_card preds)
+  Array.init m.pf.Pathfinder.n_states (cone_reads ~q_card:m.q_card m.preds)
 
 (* Cones only for the pathfinder states some FEx atom names; a state
    whose μ has no FEx atom shares one empty set. *)
-let compute_dependencies ~q_card ~mu pf =
+let compute_dependencies ~q_card ~mu ~preds pf =
   let none = Bitv.empty q_card in
   let into = Array.make pf.Pathfinder.n_states none in
-  let preds = lazy (predecessors pf) in
   let reads k =
-    if into.(k) == none then
-      into.(k) <- cone_reads ~q_card (Lazy.force preds) k;
+    if into.(k) == none then into.(k) <- cone_reads ~q_card preds k;
     into.(k)
   in
   (* Most μ(q) name one sink or none: share its cone, and union only
@@ -214,13 +212,23 @@ let create ~labels ~mu ~final ~pf =
   Array.iter
     (check_form ~q_card ~k_card:pf.Pathfinder.n_states ~positive:true)
     mu;
-  (* The same-node dependency graph and its SCCs are pure functions of
-     μ and P; every search over [m] reads them, so compute them once
-     here. Eagerly, not lazily: every search reads both, so deferring
-     them saves nothing, and [m] stays a plain immutable value that any
-     domain can read. *)
-  let deps = compute_dependencies ~q_card ~mu pf in
-  { labels; q_card; mu; final; pf; deps; components = compute_sccs deps }
+  (* The reverse pathfinder index, the same-node dependency graph and
+     its SCCs are pure functions of μ and P; every search over [m] reads
+     them, so compute them once here. Eagerly, not lazily: every search
+     reads all three, so deferring them saves nothing, and [m] stays a
+     plain immutable value that any domain can read. *)
+  let preds = predecessors pf in
+  let deps = compute_dependencies ~q_card ~mu ~preds pf in
+  {
+    labels;
+    q_card;
+    mu;
+    final;
+    pf;
+    preds;
+    deps;
+    components = compute_sccs deps;
+  }
 
 let dependencies m = m.deps
 let sccs m = m.components

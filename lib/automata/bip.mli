@@ -30,12 +30,23 @@ type form =
           uses it only inside a [#q_invalid = 0] constraint, which
           restores duplication closure for the composed automaton. *)
 
+(** The reverse pathfinder index: the transitions into each pathfinder
+    state, in compressed rows. Those into [k] are
+    [off.(k) .. off.(k+1)-1]; entry [i] comes from [src.(i)] and reads
+    the BIP state [lbl.(i)], or is a moving ([up]) transition when
+    [lbl.(i) = -1]. *)
+type preds = private { off : int array; src : int array; lbl : int array }
+
 type t = private {
   labels : Xpds_datatree.Label.t list;  (** Σ *)
   q_card : int;  (** |Q|; states are [0 .. q_card-1] *)
   mu : form array;  (** the transition function μ *)
   final : Bitv.t;  (** F ⊆ Q *)
   pf : Pathfinder.t;  (** P, with [pf.q_card = q_card] *)
+  preds : preds;
+      (** the reverse index of [pf], computed by {!create}; the
+          dependency cones and the emptiness engine's backward sets
+          walk it. Shared: read it, do not write it. *)
   deps : Bitv.t array;  (** {!dependencies}, computed by {!create} *)
   components : int list list;  (** {!sccs}, computed by {!create} *)
 }

@@ -357,128 +357,6 @@ let of_words width src pos =
     bits.(n - 1) <- bits.(n - 1) land ((1 lsl tail) - 1);
   { width; bits; h = -1 }
 
-(* --- flattened boolean matrices -------------------------------------- *)
-
-let of_rows ~row_width rows =
-  Array.iter
-    (fun r ->
-      if r.width <> row_width then invalid_arg "Bitv.of_rows: width mismatch")
-    rows;
-  let width = row_width * Array.length rows in
-  let bits = Array.make (words width) 0 in
-  Array.iteri
-    (fun i r ->
-      let base = i * row_width in
-      let d0 = base / bits_per_word and sh = base mod bits_per_word in
-      Array.iteri
-        (fun j w ->
-          if w <> 0 then begin
-            let d = d0 + j in
-            bits.(d) <- bits.(d) lor (w lsl sh);
-            if sh > 0 then begin
-              let spill = w lsr (bits_per_word - sh) in
-              if spill <> 0 then bits.(d + 1) <- bits.(d + 1) lor spill
-            end
-          end)
-        r.bits)
-    rows;
-  { width; bits; h = -1 }
-
-(* OR a row into a flattened-matrix builder at row [i] — the in-place
-   counterpart of one [of_rows] step, for hot loops that assemble a
-   matrix without materializing per-row vectors. *)
-let union_into_row_unsafe src ~row_width i b =
-  let bits = b.b_bits in
-  let sbits = src.bits in
-  let base = i * row_width in
-  let d0 = base / bits_per_word and sh = base mod bits_per_word in
-  for j = 0 to Array.length sbits - 1 do
-    let w = sbits.(j) in
-    if w <> 0 then begin
-      let d = d0 + j in
-      bits.(d) <- bits.(d) lor (w lsl sh);
-      if sh > 0 then begin
-        let spill = w lsr (bits_per_word - sh) in
-        if spill <> 0 then bits.(d + 1) <- bits.(d + 1) lor spill
-      end
-    end
-  done
-
-let union_into_row src ~row_width i b =
-  if src.width <> row_width then
-    invalid_arg "Bitv.union_into_row: width mismatch";
-  if i < 0 || ((i + 1) * row_width) > b.b_width then
-    invalid_arg "Bitv.union_into_row: row out of bounds";
-  union_into_row_unsafe src ~row_width i b
-
-(* The outer-product kernel of the transition's matrix fill: OR [src]
-   into row [i] for every [i ∈ rows], word-skipping over [rows] with no
-   per-bit closure. *)
-let union_rows_into src ~rows ~row_width b =
-  if src.width <> row_width then
-    invalid_arg "Bitv.union_rows_into: width mismatch";
-  if rows.width * row_width > b.b_width then
-    invalid_arg "Bitv.union_rows_into: rows out of bounds";
-  let rbits = rows.bits in
-  for wi = 0 to Array.length rbits - 1 do
-    let w = ref rbits.(wi) in
-    if !w <> 0 then begin
-      let base = wi * bits_per_word in
-      while !w <> 0 do
-        let bbit = !w land - !w in
-        union_into_row_unsafe src ~row_width (base + ntz_pow2 bbit) b;
-        w := !w lxor bbit
-      done
-    end
-  done
-
-(* Row-vs-vector disjointness without materializing the row: the word
-   extraction of [row] fused with the overlap test, short-circuiting. *)
-let row_disjoint m ~row_width i v =
-  if v.width <> row_width then
-    invalid_arg "Bitv.row_disjoint: width mismatch";
-  let base = i * row_width in
-  let nm = Array.length m.bits in
-  let n = Array.length v.bits in
-  let rec go j =
-    j >= n
-    || begin
-         let p = base + (j * bits_per_word) in
-         let d = p / bits_per_word and sh = p mod bits_per_word in
-         let w = if d >= 0 && d < nm then m.bits.(d) lsr sh else 0 in
-         let w =
-           if sh > 0 && d + 1 >= 0 && d + 1 < nm then
-             w lor (m.bits.(d + 1) lsl (bits_per_word - sh))
-           else w
-         in
-         w land v.bits.(j) = 0 && go (j + 1)
-       end
-  in
-  go 0
-
-let row m ~row_width i =
-  if row_width < 0 then invalid_arg "Bitv.row: negative width";
-  let n = words row_width in
-  let bits = Array.make n 0 in
-  let base = i * row_width in
-  let nm = Array.length m.bits in
-  for j = 0 to n - 1 do
-    let p = base + (j * bits_per_word) in
-    let d = p / bits_per_word and sh = p mod bits_per_word in
-    let w = if d >= 0 && d < nm then m.bits.(d) lsr sh else 0 in
-    let w =
-      if sh > 0 && d + 1 >= 0 && d + 1 < nm then
-        w lor (m.bits.(d + 1) lsl (bits_per_word - sh))
-      else w
-    in
-    bits.(j) <- w
-  done;
-  (* Clear anything beyond [row_width] (from the next row, or from the
-     matrix tail). *)
-  let tail = row_width mod bits_per_word in
-  if n > 0 && tail > 0 then bits.(n - 1) <- bits.(n - 1) land ((1 lsl tail) - 1);
-  { width = row_width; bits; h = -1 }
-
 let filter p t =
   let b = builder t.width in
   iter (fun i -> if p i then add_in_place i b) t;

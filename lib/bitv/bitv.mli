@@ -139,31 +139,4 @@ val iter_words : (int -> unit) -> int array -> pos:int -> len:int -> unit
     [src.(pos) ..]: [f i] for every set bit [i], counted from bit 0 of
     [src.(pos)], in ascending order, skipping zero words. *)
 
-val of_rows : row_width:int -> t array -> t
-(** [of_rows ~row_width rows] concatenates equal-width rows into one
-    vector of width [row_width * Array.length rows]: bit [i·row_width+j]
-    is bit [j] of [rows.(i)]. Used to flatten K×K boolean matrices.
-    Word-level (shift-or), not per-bit.
-    @raise Invalid_argument if some row has a different width. *)
-
-val row : t -> row_width:int -> int -> t
-(** [row m ~row_width i] extracts row [i] of a matrix flattened by
-    {!of_rows}. *)
-
-val row_disjoint : t -> row_width:int -> int -> t -> bool
-(** [row_disjoint m ~row_width i v] — row [i] of the flattened matrix
-    [m] is disjoint from [v], without materializing the row. *)
-
-val union_into_row : t -> row_width:int -> int -> builder -> unit
-(** [union_into_row src ~row_width i b] ORs [src] into row [i] of the
-    flattened-matrix builder [b] (width a multiple of [row_width]) —
-    one {!of_rows} step, in place.
-    @raise Invalid_argument on width mismatch or row out of bounds. *)
-
-val union_rows_into : t -> rows:t -> row_width:int -> builder -> unit
-(** [union_rows_into src ~rows ~row_width b] ORs [src] into row [i] of
-    [b] for every [i ∈ rows] — the outer-product fill [rows × src] of a
-    flattened matrix, without a per-row closure.
-    @raise Invalid_argument on width mismatch or rows out of bounds. *)
-
 val pp : Format.formatter -> t -> unit

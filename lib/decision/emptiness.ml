@@ -233,14 +233,19 @@ let replay_entry s ~height ~n_labels e =
     done
   done
 
-(* Apply a fresh merging to every label, in order, and record the entry
-   once every result is admitted (a [Found] or [Limit] ends the search
-   first). *)
+(* Apply a fresh merging to every label, in order, through one
+   transition step, and record the entry once every result is admitted
+   (a [Found] or [Limit] ends the search first). *)
 let apply_merging s ~labels ~height ~combo ~children key =
   let cfg = s.cfg in
   let pf = (Transition.bip_of s.ctx).Bip.pf in
   let merging, bases =
     distinct_merging s.enum ~initial:pf.Pathfinder.initial
+  in
+  (* One step for every label: its lights do not depend on the label. *)
+  let step =
+    Transition.step ?t0:cfg.t0 ?dup_cap:cfg.dup_cap ~bases s.ctx children
+      merging
   in
   let ids =
     List.map
@@ -251,8 +256,7 @@ let apply_merging s ~labels ~height ~combo ~children key =
             add_state s r.Transition.state
               (PNode (label, combo, merging, r.Transition.class_values))
               height)
-          (Transition.combine ?t0:cfg.t0 ?dup_cap:cfg.dup_cap ~bases s.ctx
-             label children merging))
+          (Transition.apply s.ctx step label))
       labels
   in
   let n_labels = List.length ids in
@@ -633,9 +637,10 @@ let check_data_free ~config (m : Bip.t) =
    height cap): that set is an inductive invariant — leaves land in it,
    transitions from it stay in it, and no member is accepting — i.e. an
    UNSAT certificate checkable by an independent verifier (lib/cert).
-   Certificate runs keep the full atom matrices ([project_pairs:false]):
-   the pair-mask projection is an engine-internal state-space
-   optimization the naive checker deliberately knows nothing about. *)
+   Certificate runs keep the full K×K atom matrices (the identity pair
+   index, [project_pairs:false]): the projected pair space is an
+   engine-internal state-space optimization the naive checker
+   deliberately knows nothing about. *)
 let check_full ?(config = default_config) ?(want_basis = false) (m : Bip.t) =
   let ctx = Transition.make_ctx ~project_pairs:(not want_basis) m in
   let width =

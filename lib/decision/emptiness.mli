@@ -95,9 +95,10 @@ val check_with_basis :
     every bounded transition from it stays in it, and no member is
     accepting — i.e. the basis of a checkable UNSAT certificate
     ({!Xpds_cert.Cert}). Certificate runs always use the general engine
-    (never the data-free fast path) and keep the full, unprojected atom
-    matrices, so the basis states are exactly what an independent
-    transition evaluator reproduces. [None] on [Nonempty],
+    (never the data-free fast path) and keep the full K×K atom matrices
+    (the identity pair index, {!Ext_state.identity}), so the basis
+    states are exactly what an independent transition evaluator
+    reproduces. [None] on [Nonempty],
     [Resource_limit], or a height-capped saturation. *)
 
 val is_nonempty : ?config:config -> Xpds_automata.Bip.t -> bool option

@@ -1,3 +1,31 @@
+type index =
+  | Identity of int
+  | Pairs of { k_card : int; pos : int array; fst : int array; snd : int array }
+
+let identity k_card = Identity k_card
+
+let pairs ~k_card ~pos ~fst ~snd =
+  if Array.length pos <> k_card * k_card then
+    invalid_arg "Ext_state.pairs: position table is not K x K";
+  if Array.length fst <> Array.length snd then
+    invalid_arg "Ext_state.pairs: pair columns of different lengths";
+  Pairs { k_card; pos; fst; snd }
+
+let index_width = function
+  | Identity k_card -> k_card * k_card
+  | Pairs p -> Array.length p.fst
+
+let position ix k1 k2 =
+  match ix with
+  | Identity k_card -> (k1 * k_card) + k2
+  | Pairs p -> p.pos.((k1 * p.k_card) + k2)
+
+let pair_fst ix i =
+  match ix with Identity k_card -> i / k_card | Pairs p -> p.fst.(i)
+
+let pair_snd ix i =
+  match ix with Identity k_card -> i mod k_card | Pairs p -> p.snd.(i)
+
 type t = {
   states : Bitv.t;
   eq : Bitv.t;
@@ -5,21 +33,22 @@ type t = {
   values : Bitv.t array;
   unique : int array;
   many : Bitv.t;
+  index : index;
   mutable tag : int;
 }
 
 let pair_index ~k_card k1 k2 = (k1 * k_card) + k2
-let empty_matrix ~k_card = Bitv.empty (k_card * k_card)
-
-let matrix_add ~k_card k1 k2 m =
-  Bitv.add (pair_index ~k_card k1 k2) (Bitv.add (pair_index ~k_card k2 k1) m)
-
-let matrix_mem ~k_card k1 k2 m = Bitv.mem (pair_index ~k_card k1 k2) m
 
 let k_card_of t = Array.length t.unique
-let nonzero t k = matrix_mem ~k_card:(k_card_of t) k k t.eq
-let eq_at t k1 k2 = matrix_mem ~k_card:(k_card_of t) k1 k2 t.eq
-let neq_at t k1 k2 = matrix_mem ~k_card:(k_card_of t) k1 k2 t.neq
+let observable t k1 k2 = position t.index k1 k2 >= 0
+
+let atom_at m t k1 k2 =
+  let i = position t.index k1 k2 in
+  i >= 0 && Bitv.mem i m
+
+let eq_at t k1 k2 = atom_at t.eq t k1 k2
+let neq_at t k1 k2 = atom_at t.neq t k1 k2
+let nonzero t k = eq_at t k k
 let accepting t final = not (Bitv.is_empty (Bitv.inter t.states final))
 
 let validate t =
@@ -30,21 +59,19 @@ let validate t =
     || Bitv.compare t.values.(i) t.values.(i + 1) <= 0
        && values_sorted (i + 1)
   in
+  let symmetric m =
+    Bitv.for_all
+      (fun i -> atom_at m t (pair_snd t.index i) (pair_fst t.index i))
+      m
+  in
   if Array.exists Bitv.is_empty t.values then err "empty value description"
   else if not (values_sorted 0) then err "values not sorted"
   else if
-    not
-      (Bitv.for_all
-         (fun p ->
-           let k1 = p / k_card and k2 = p mod k_card in
-           matrix_mem ~k_card k2 k1 t.eq)
-         t.eq
-      && Bitv.for_all
-           (fun p ->
-             let k1 = p / k_card and k2 = p mod k_card in
-             matrix_mem ~k_card k2 k1 t.neq)
-           t.neq)
-  then err "atom matrices not symmetric"
+    Bitv.width t.eq <> index_width t.index
+    || Bitv.width t.neq <> index_width t.index
+  then err "atom matrices do not have the pair index's width"
+  else if not (symmetric t.eq && symmetric t.neq) then
+    err "atom matrices not symmetric"
   else
     let check_k k =
       let memberships =
@@ -73,10 +100,10 @@ let validate t =
     in
     go 0
 
-(* Canonical form: sort the value multiset and remap [unique]
-   accordingly. Two values with equal descriptions are interchangeable
-   (no [unique] can point at either — both would contain that k, making
-   it many), so any stable assignment is canonical. *)
+(* Canonical form, over the identity index: sort the value multiset and
+   remap [unique] accordingly. Two values with equal descriptions are
+   interchangeable (no [unique] can point at either — both would contain
+   that k, making it many), so any stable assignment is canonical. *)
 let canonicalize ~states ~eq ~neq ~values ~unique ~many =
   (* stable insertion sort of the value indices: a handful of values *)
   let n = Array.length values in
@@ -96,7 +123,16 @@ let canonicalize ~states ~eq ~neq ~values ~unique ~many =
   let unique' =
     Array.map (fun u -> if u < 0 then -1 else position.(u)) unique
   in
-  { states; eq; neq; values = values'; unique = unique'; many; tag = -1 }
+  {
+    states;
+    eq;
+    neq;
+    values = values';
+    unique = unique';
+    many;
+    index = Identity (Array.length unique);
+    tag = -1;
+  }
 
 let make ~states ~eq ~neq ~values ~unique ~many =
   let t = canonicalize ~states ~eq ~neq ~values ~unique ~many in
@@ -105,10 +141,11 @@ let make ~states ~eq ~neq ~values ~unique ~many =
   | Error msg -> invalid_arg ("Ext_state.make: " ^ msg)
 
 (* The engine hot path assembles states whose invariants hold by
-   construction (lib/decision/transition.ml); skipping the O(|K|·t0)
-   validation there is worth ~10% of a cold solve. Everything else goes
-   through [make]. *)
-let make_unchecked = canonicalize
+   construction, values already in canonical order
+   (lib/decision/transition.ml); skipping the O(|K|·t0) validation there
+   is worth ~10% of a cold solve. Everything else goes through [make]. *)
+let make_unchecked ~index ~states ~eq ~neq ~values ~unique ~many =
+  { states; eq; neq; values; unique; many; index; tag = -1 }
 
 let tag t = t.tag
 let set_tag t id = t.tag <- id

@@ -14,15 +14,50 @@
     descriptions plus, per pathfinder state [k], an explicit multiplicity:
     [unique.(k) = i] when [k] retrieves exactly the described value [i]
     ([D=]), membership in [many] when it retrieves ≥ 2 values, and
-    neither when it retrieves none. We also keep the {e full} atom
-    valuation over K×K (not just the atoms of [μ]) because the paper's
-    transition case 1 consults child valuations for arbitrary pairs. *)
+    neither when it retrieves none.
+
+    The atom valuation is kept over a {e pair space} (see {!index}):
+    the pairs [(k1,k2)] whose truth can ever be consulted. The paper's
+    transition case 1 consults a child's valuation at pairs other than
+    the atoms of [μ] (those reached backwards from an atom through
+    [up] and non-moving steps), so the space is the μ-atoms and the
+    diagonal closed under those backward steps, as computed by
+    {!Transition.make_ctx}. Without that closure the space is all of
+    K×K in row-major order, the {!identity} index: certificates use it,
+    so that an independent checker needs no knowledge of the engine's
+    projection and reads the full valuation. *)
+
+type index
+(** A pair index: the positions of the pairs of a pair space. *)
+
+val identity : int -> index
+(** [identity k_card]: all of K×K, pair [(k1,k2)] at position
+    [k1·|K|+k2]. *)
+
+val pairs :
+  k_card:int -> pos:int array -> fst:int array -> snd:int array -> index
+(** A symmetric subset of K×K: [pos] maps [k1·|K|+k2] to the pair's
+    position, or to [-1] when the pair is outside the space, and
+    position [i] holds the pair [(fst.(i), snd.(i))]. The arrays are
+    taken as they are, not copied; [fst]/[snd] must list exactly the
+    pairs [pos] numbers, at their positions, and the set must be
+    symmetric.
+    @raise Invalid_argument if [pos] is not of length [k_card²] or the
+    columns differ in length. *)
+
+val index_width : index -> int
+(** The number of pairs: the width of an [eq]/[neq] vector. *)
+
+val position : index -> int -> int -> int
+(** [position ix k1 k2]: the position of [(k1,k2)], or [-1] when the
+    pair is outside the space. *)
 
 type t = private {
   states : Bitv.t;  (** C(v) ⊆ Q — the BIP run label at the root. *)
   eq : Bitv.t;
-      (** width |K|², bit [k1·|K|+k2] set iff [∃(k1,k2)=] holds at the
-          root. Symmetric. *)
+      (** over the pair space of [index]: bit [position index k1 k2] set
+          iff [∃(k1,k2)=] holds at the root. Symmetric. With the
+          identity index, bit [k1·|K|+k2] of a |K|²-bit vector. *)
   neq : Bitv.t;  (** same encoding for [∃(k1,k2)≠]. Symmetric. *)
   values : Bitv.t array;
       (** described data values as reach sets; pairwise-distinct values
@@ -32,6 +67,10 @@ type t = private {
       (** per [k]: index into [values] if [k] retrieves exactly one
           value, else [-1]. *)
   many : Bitv.t;  (** the [k] retrieving ≥ 2 values. *)
+  index : index;
+      (** the pair space of [eq]/[neq]; one index is shared by every
+          state of a search, and {!equal}/{!compare}/{!hash} ignore
+          it. *)
   mutable tag : int;
       (** hash-consing identity: the basis id assigned at admission
           into an emptiness search ([-1] until then). Unique per search,
@@ -48,10 +87,12 @@ val make :
   many:Bitv.t ->
   t
 (** Canonicalizes (sorts [values], remaps [unique]) and validates the
-    structural invariants.
+    structural invariants. The atom matrices are over the {!identity}
+    index of [|K| = Array.length unique].
     @raise Invalid_argument if an invariant fails (see {!validate}). *)
 
 val make_unchecked :
+  index:index ->
   states:Bitv.t ->
   eq:Bitv.t ->
   neq:Bitv.t ->
@@ -59,9 +100,10 @@ val make_unchecked :
   unique:int array ->
   many:Bitv.t ->
   t
-(** [make] without the invariant validation — for the transition hot
-    path, whose assembly establishes the invariants by construction.
-    Still canonicalizes. *)
+(** [make] over the given pair index, without the invariant validation
+    or the canonicalization — for the transition hot path, whose
+    assembly establishes both by construction: [values] must already
+    be sorted, and [unique] index into that order. *)
 
 val tag : t -> int
 val set_tag : t -> int -> unit
@@ -72,12 +114,18 @@ val validate : t -> (unit, string) result
     [k ∉ many]; [k ∈ values.(i)] implies [k] is nonzero (diagonal of
     [eq]); [k ∈ values.(i)] and [k ∈ values.(j)] for [i≠j] implies
     [k ∈ many]; [many ∩ {k | unique.(k) ≥ 0} = ∅]; atom matrices
-    symmetric; values nonempty and sorted. *)
+    of the index's width and symmetric; values nonempty and sorted. *)
 
 val nonzero : t -> int -> bool
-(** [k] retrieves at least one value — the diagonal [∃(k,k)=]. *)
+(** [k] retrieves at least one value — the diagonal [∃(k,k)=] (the
+    diagonal is in every pair space). *)
+
+val observable : t -> int -> int -> bool
+(** [(k1,k2)] is in the state's pair space. *)
 
 val eq_at : t -> int -> int -> bool
+(** The truth of [∃(k1,k2)=]; [false] outside the pair space. *)
+
 val neq_at : t -> int -> int -> bool
 val accepting : t -> Bitv.t -> bool
 (** [accepting c final] — [C(v) ∩ F ≠ ∅]. *)
@@ -88,8 +136,4 @@ val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
 val pair_index : k_card:int -> int -> int -> int
-val empty_matrix : k_card:int -> Bitv.t
-val matrix_add : k_card:int -> int -> int -> Bitv.t -> Bitv.t
-(** Sets both [(k1,k2)] and [(k2,k1)]. *)
-
-val matrix_mem : k_card:int -> int -> int -> Bitv.t -> bool
+(** [k1·|K|+k2]: the position of [(k1,k2)] under the identity index. *)

@@ -7,55 +7,46 @@ type result = { state : Ext_state.t; class_values : int array }
 
 module BvTbl = Hashtbl.Make (Bitv)
 
-(* Memo key for the case-1 lifted matrices: (root label, hash-consed
-   child tag). Tags are unique per search and assigned at admission, so
-   every child of every combo after the leaf round carries one. *)
-module LiftTbl = Hashtbl.Make (struct
-  type t = Bitv.t * int
+(* Everything a transition reads of a root label candidate besides its
+   full labelling, for one read projection [pc0] (the candidate's states
+   that label read edges): the backward sets and the case-1 lifts. The
+   arrays are filled on demand; [unset] and [no_lift] mark the entries
+   not computed yet. *)
+type label_ctx = {
+  pc0 : Bitv.t;
+  v : int array array;
+      (** per k: V(k), the sources from which one up-step can reach k
+          under [pc0] *)
+  back : int array array;
+      (** per pair position i = (k1,k2): the positions of the observable
+          pairs of V(k1) × V(k2) — the child pairs case 1 lifts onto i *)
+  mutable lifts : int array array;
+      (** per child tag: the child's (eq, neq) lifted through case 1,
+          over the pair space, as the raw words of eq then those of
+          neq. A basis state is combined into thousands of combos under
+          few distinct projections, so the lift amortizes to an array
+          read *)
+}
 
-  let equal (c1, t1) (c2, t2) = t1 = t2 && Bitv.equal c1 c2
-  let hash (c, t) = (Bitv.hash c * 0x01000193) lxor t land max_int
-end)
-
-(* Key for the per-combo atom cache: (root label, children tags). *)
-module AliftTbl = Hashtbl.Make (struct
-  type t = Bitv.t * int array
-
-  let equal (c1, a1) (c2, a2) = a1 = a2 && Bitv.equal c1 c2
-  let hash (c, a) =
-    (Bitv.hash c * 0x01000193) lxor Hashtbl.hash a land max_int
-end)
+let unset = [| -1 |]
+let no_lift = [| 0 |]
+let bpw = Sys.int_size
 
 type ctx = {
   m : Bip.t;
-  rev_read : (int * int) list array;
-      (** per target k: (q, source) non-moving edges into k *)
-  rev_up : int list array;  (** per target k'': sources k' with up-edges *)
   read_mask : Bitv.t;
       (** BIP states labelling at least one read edge. Closures, backward
-          sets and lifted matrices consult a candidate root label only
-          through these states, so candidates agreeing on the projection
-          share every per-label cache entry *)
-  pair_mask : Bitv.t option;
-      (** when set: the K x K pairs the automaton can ever consult; the
-          stored atom matrices are projected onto it, collapsing
-          extended states that differ only in unobservable pairs *)
+          sets and lifts consult a candidate root label only through
+          these states, so candidates agreeing on the projection share
+          one label context *)
+  index : Ext_state.index;
+      (** the pair space of every atom matrix the ctx builds *)
+  fst : int array;
+  snd : int array;  (** per pair position: the pair's two states *)
   memo : Pathfinder.memo;
       (** per-search closure/step-up caches (not thread-safe: a ctx must
           stay on the domain that created it) *)
-  u_tbl : Bitv.t array BvTbl.t;
-      (** per root label c0: U(k') = cl(step_up {k'}), the case-1 lift *)
-  v_tbl : Bitv.t option array BvTbl.t;
-      (** per root label c0: per-k backward sets, filled on demand *)
-  lift_tbl : (Bitv.t * Bitv.t) LiftTbl.t;
-      (** per (c0, child tag): the child's lifted (eq, neq) contribution
-          Uᵀ·M·U as flat K×K matrices — a basis state is combined into
-          thousands of combos under few distinct root labels, so the
-          matrix product amortizes to a table lookup *)
-  alift_tbl : (int * bool) list ref AliftTbl.t;
-      (** per (c0, packed children tags): case-1 atom answers, encoded
-          atom → truth. The lifted part of an atom is independent of the
-          merging, so it is shared across every merging of a combo *)
+  label_ctxs : label_ctx BvTbl.t;  (** per read projection *)
   cand : Bitv.builder;
       (** {!decide_c0}'s candidate root label, grown and shrunk in place *)
   proj : Bitv.builder;  (** [cand ∩ read_mask], maintained alongside *)
@@ -75,36 +66,21 @@ let has_counting (m : Bip.t) =
         false f)
     m.Bip.mu
 
-(* [edge] onto the list of each of [targets], without a closure. *)
-let rec add_reversed rev edge = function
-  | [] -> ()
-  | k :: targets ->
-    rev.(k) <- edge :: rev.(k);
-    add_reversed rev edge targets
-
 let make_ctx ?(project_pairs = false) (m : Bip.t) =
-  let pf = m.Bip.pf in
+  let pf = m.Bip.pf and preds = m.Bip.preds in
   let k_card = pf.Pathfinder.n_states in
-  let rev_read = Array.make k_card [] in
-  let read_mask = Bitv.builder pf.Pathfinder.q_card in
-  let read = pf.Pathfinder.read in
-  for q = 0 to Array.length read - 1 do
-    let per_k = read.(q) in
-    for k = 0 to Array.length per_k - 1 do
-      if per_k.(k) <> [] then begin
-        Bitv.add_in_place q read_mask;
-        add_reversed rev_read (q, k) per_k.(k)
-      end
-    done
-  done;
-  let read_mask = Bitv.freeze read_mask in
-  let rev_up = Array.make k_card [] in
-  Array.iteri (fun k targets -> add_reversed rev_up k targets) pf.Pathfinder.up;
-  let k_card_sq = k_card * k_card in
-  let pair_mask =
+  let read_mask = Bitv.builder m.Bip.q_card in
+  Array.iter
+    (fun q -> if q >= 0 then Bitv.add_in_place q read_mask)
+    preds.Bip.lbl;
+  let index, fst, snd =
     (* The mask closure is worst-case O(K^4); beyond ~128 pathfinder
        states its cost outweighs the state-space savings. *)
-    if (not project_pairs) || k_card > 128 then None
+    if (not project_pairs) || k_card > 128 then
+      let k_card_sq = k_card * k_card in
+      ( Ext_state.identity k_card,
+        Array.init k_card_sq (fun p -> p / k_card),
+        Array.init k_card_sq (fun p -> p mod k_card) )
     else begin
       (* Backward set under the *full* label (superset of any C0):
          V_full(k) = sources whose one up-step can reach k. One [seen]
@@ -121,32 +97,35 @@ let make_ctx ?(project_pairs = false) (m : Bip.t) =
             while !top > 0 do
               decr top;
               let cur = stack.(!top) in
-              List.iter (fun k' -> Bitv.add_in_place k' v) rev_up.(cur);
-              List.iter
-                (fun ((_ : int), src) ->
-                  if not (Bitv.builder_mem src seen) then begin
-                    Bitv.add_in_place src seen;
-                    stack.(!top) <- src;
-                    incr top
-                  end)
-                rev_read.(cur)
+              for i = preds.Bip.off.(cur) to preds.Bip.off.(cur + 1) - 1 do
+                let src = preds.Bip.src.(i) in
+                if preds.Bip.lbl.(i) < 0 then Bitv.add_in_place src v
+                else if not (Bitv.builder_mem src seen) then begin
+                  Bitv.add_in_place src seen;
+                  stack.(!top) <- src;
+                  incr top
+                end
+              done
             done;
             Bitv.freeze v)
       in
-      (* Relevant pairs: the μ-atoms, the diagonal (used by the
+      (* Observable pairs: the μ-atoms, the diagonal (used by the
          structural invariants), closed under simultaneous backward
-         steps (the lifted case-1 queries). The mask stays symmetric,
-         so each flat pair index k1·K+k2 enters the queue at most once. *)
-      let mask = Bitv.builder k_card_sq in
+         steps (the lifted case-1 queries). A pair is numbered when it
+         enters the queue, so the queue is the index's position table;
+         the set stays symmetric, and each flat pair k1·K+k2 enters the
+         queue at most once. *)
+      let k_card_sq = k_card * k_card in
+      let pos = Array.make k_card_sq (-1) in
       let queue = Array.make k_card_sq 0 and tail = ref 0 in
       let push p =
-        Bitv.add_in_place p mask;
+        pos.(p) <- !tail;
         queue.(!tail) <- p;
         incr tail
       in
       let add k1 k2 =
         let p = (k1 * k_card) + k2 in
-        if not (Bitv.builder_mem p mask) then begin
+        if pos.(p) < 0 then begin
           push p;
           if k1 <> k2 then push ((k2 * k_card) + k1)
         end
@@ -164,20 +143,19 @@ let make_ctx ?(project_pairs = false) (m : Bip.t) =
           (fun k'1 -> Bitv.iter (fun k'2 -> add k'1 k'2) v2)
           v_full.(p / k_card)
       done;
-      Some (Bitv.freeze mask)
+      let fst = Array.init !tail (fun i -> queue.(i) / k_card)
+      and snd = Array.init !tail (fun i -> queue.(i) mod k_card) in
+      (Ext_state.pairs ~k_card ~pos ~fst ~snd, fst, snd)
     end
   in
   {
     m;
-    rev_read;
-    rev_up;
-    read_mask;
-    pair_mask;
+    read_mask = Bitv.freeze read_mask;
+    index;
+    fst;
+    snd;
     memo = Pathfinder.memo pf;
-    u_tbl = BvTbl.create 16;
-    v_tbl = BvTbl.create 16;
-    lift_tbl = LiftTbl.create 16;
-    alift_tbl = AliftTbl.create 16;
+    label_ctxs = BvTbl.create 16;
     cand = Bitv.builder m.Bip.q_card;
     proj = Bitv.builder m.Bip.q_card;
     counting = has_counting m;
@@ -201,22 +179,6 @@ let visible_values (m : Bip.t) children =
                 else [ (i, v) ])
               (Array.to_list c.values)))
        (Array.to_list children))
-
-(* The case-1 lift U(k') = cl(step_up {k'}, c0): one closure per
-   pathfinder state per distinct root label — cached on the ctx because
-   every assembled state under the same c0 reuses the whole array. *)
-let u_of ctx ~c0 =
-  match BvTbl.find_opt ctx.u_tbl c0 with
-  | Some u -> u
-  | None ->
-    let pf = ctx.m.Bip.pf in
-    let u =
-      Array.init pf.Pathfinder.n_states (fun k' ->
-          Pathfinder.closure_m ctx.memo ~label:c0
-            pf.Pathfinder.up_bits.(k'))
-    in
-    BvTbl.add ctx.u_tbl c0 u;
-    u
 
 (* The per-class base at the root: step-ups of the members' described
    values (all memoized), plus k_I for the root class. *)
@@ -245,8 +207,8 @@ let many_base ctx ~(children : Ext_state.t array) =
   Bitv.freeze b
 
 (* What [combine] reads of its children besides the merging's class
-   bases. The case-1 lift Uᵀ·M·U is linear in M and a light's lifted
-   atom is an ∃ over children, so the matrices enter only through their
+   bases. A case-1 lift, in a state or in a light's atom, is an ∃ over
+   the children's pairs, so the matrices enter only through their
    union; the children's labels only through the counting atoms. *)
 type projection = {
   pj_many : Bitv.t;  (** the many base: ∪ step_up(c.many) *)
@@ -293,249 +255,212 @@ let projection_hash p =
     p.pj_states
   land max_int
 
-(* Per-(partial C0) evaluation context: reach per class, the many set,
-   and the full ∃(k1,k2)~ matrices, stored as one bit-row per k1. The
-   matrices combine the paper's cases: values shared through a merging
-   class (cases 2-4), pairs lifted from a child's own valuation through
-   step-up + closure (case 1), and the many-source rule (case 4'). The
-   lifted part is a boolean matrix product  Uᵀ · eq_i · U  computed
-   row-wise on bit vectors, keeping a transition polynomial with a small
-   constant. *)
-type eval = {
-  r : Bitv.t array;  (** per merging class: reach at the root *)
-  many0 : Bitv.t;  (** M: states inheriting >= 2 values *)
-  eq : Bitv.t;  (** flat K×K matrix: bit k1·K+k2 iff ∃(k1,k2)= *)
-  neq : Bitv.t;
-}
-
-(* Case 1: one child's own matrices lifted through U(k') =
-   cl(step_up {k'}) — the boolean product Uᵀ·M·U as flat matrices.
-   Memoized per (c0, child tag): a basis state re-enters combos far
-   more often than new (c0, child) pairs appear. *)
-let lift_of ctx ~c0 ~u ~k_card (c : Ext_state.t) =
-  let compute () =
-    let lift_matrix matrix =
-      let rows = Array.init k_card (fun _ -> Bitv.builder k_card) in
-      for k'1 = 0 to k_card - 1 do
-        let child_row = Bitv.row matrix ~row_width:k_card k'1 in
-        if not (Bitv.is_empty child_row) then begin
-          (* m1 = ∪ { u.(k'2) | child k'1 ~ k'2 } *)
-          let b = Bitv.builder k_card in
-          Bitv.iter
-            (fun k'2 -> ignore (Bitv.union_into u.(k'2) b))
-            child_row;
-          let m1 = Bitv.freeze b in
-          if not (Bitv.is_empty m1) then
-            Bitv.iter
-              (fun k1 -> ignore (Bitv.union_into m1 rows.(k1)))
-              u.(k'1)
-        end
-      done;
-      Bitv.of_rows ~row_width:k_card (Array.map Bitv.freeze rows)
+(* The label context of a read projection, made on first use. *)
+let label_ctx ctx pc0 =
+  match BvTbl.find_opt ctx.label_ctxs pc0 with
+  | Some lc -> lc
+  | None ->
+    let lc =
+      {
+        pc0;
+        v = Array.make ctx.m.Bip.pf.Pathfinder.n_states unset;
+        back = Array.make (Array.length ctx.fst) unset;
+        lifts = [||];
+      }
     in
-    (lift_matrix c.Ext_state.eq, lift_matrix c.Ext_state.neq)
+    BvTbl.add ctx.label_ctxs pc0 lc;
+    lc
+
+(* V(k): walk the non-moving edges enabled by [pc0] backwards from k and
+   collect the sources of the up-edges into every state met. *)
+let v_of ctx lc k =
+  let v = lc.v.(k) in
+  if v != unset then v
+  else begin
+    let preds = ctx.m.Bip.preds in
+    let k_card = ctx.m.Bip.pf.Pathfinder.n_states in
+    let seen = Bitv.builder k_card and found = Bitv.builder k_card in
+    let out = ref [] in
+    let rec visit cur =
+      Bitv.add_in_place cur seen;
+      for i = preds.Bip.off.(cur) to preds.Bip.off.(cur + 1) - 1 do
+        let src = preds.Bip.src.(i) and q = preds.Bip.lbl.(i) in
+        if q < 0 then begin
+          if not (Bitv.builder_mem src found) then begin
+            Bitv.add_in_place src found;
+            out := src :: !out
+          end
+        end
+        else if Bitv.mem q lc.pc0 && not (Bitv.builder_mem src seen) then
+          visit src
+      done
+    in
+    visit k;
+    let v = Array.of_list !out in
+    lc.v.(k) <- v;
+    v
+  end
+
+(* The positions case 1 lifts onto pair position [i]. The pair space is
+   closed under backward steps under the full label, so every pair of
+   V(k1) × V(k2) is observable; the test only guards the contract. *)
+let back_of ctx lc i =
+  let b = lc.back.(i) in
+  if b != unset then b
+  else begin
+    let v1 = v_of ctx lc ctx.fst.(i) and v2 = v_of ctx lc ctx.snd.(i) in
+    let out = ref [] in
+    Array.iter
+      (fun k'1 ->
+        Array.iter
+          (fun k'2 ->
+            let j = Ext_state.position ctx.index k'1 k'2 in
+            if j >= 0 then out := j :: !out)
+          v2)
+      v1;
+    let b = Array.of_list !out in
+    lc.back.(i) <- b;
+    b
+  end
+
+let meets back m = Array.exists (fun j -> Bitv.mem j m) back
+
+(* Case 1 for one child: pair i of the parent is lifted from the child
+   iff the child's matrix meets back(i). Memoized per (label context,
+   child tag). *)
+let lift_of ctx lc (c : Ext_state.t) =
+  let compute () =
+    let w = Array.length ctx.fst in
+    let nw = Bitv.word_count w in
+    let words = Array.make (2 * nw) 0 in
+    let eq = c.Ext_state.eq and neq = c.Ext_state.neq in
+    let any_eq = not (Bitv.is_empty eq)
+    and any_neq = not (Bitv.is_empty neq) in
+    if any_eq || any_neq then
+      for i = 0 to w - 1 do
+        let b = back_of ctx lc i in
+        let j = i / bpw and bit = 1 lsl (i mod bpw) in
+        if any_eq && meets b eq then words.(j) <- words.(j) lor bit;
+        if any_neq && meets b neq then
+          words.(nw + j) <- words.(nw + j) lor bit
+      done;
+    words
   in
   let tag = Ext_state.tag c in
   if tag < 0 then compute ()
   else begin
-    let key = (c0, tag) in
-    match LiftTbl.find_opt ctx.lift_tbl key with
-    | Some l -> l
-    | None ->
+    if tag >= Array.length lc.lifts then begin
+      let lifts = Array.make (max 64 (2 * tag)) no_lift in
+      Array.blit lc.lifts 0 lifts 0 (Array.length lc.lifts);
+      lc.lifts <- lifts
+    end;
+    let l = lc.lifts.(tag) in
+    if l != no_lift then l
+    else begin
       let l = compute () in
-      LiftTbl.add ctx.lift_tbl key l;
+      lc.lifts.(tag) <- l;
       l
+    end
   end
 
-(* [r] and [many0] are the class reaches and the many set under [c0]
-   (the closures of the class bases and of the many base). *)
-let build_eval ctx ~c0 ~(children : Ext_state.t array) ~r ~many0 =
-  let pf = ctx.m.Bip.pf in
-  let k_card = pf.Pathfinder.n_states in
-  let nonzero =
-    let b = Bitv.builder_of many0 in
-    Array.iter (fun re -> ignore (Bitv.union_into re b)) r;
-    Bitv.freeze b
-  in
-  let eq_b = Bitv.builder (k_card * k_card) in
-  let neq_b = Bitv.builder (k_card * k_card) in
-  (* Shared class values: all pairs within one class are equal; pairs
-     from two distinct classes are unequal. Rows are OR-ed straight
-     into the flat matrices. *)
-  let n_classes = Array.length r in
-  let others_b = Bitv.builder k_card in
-  for e = 0 to n_classes - 1 do
-    Bitv.builder_reset others_b;
-    for e2 = 0 to n_classes - 1 do
-      if e2 <> e then ignore (Bitv.union_into r.(e2) others_b)
-    done;
-    let others = Bitv.freeze others_b in
-    Bitv.union_rows_into r.(e) ~rows:r.(e) ~row_width:k_card eq_b;
-    Bitv.union_rows_into others ~rows:r.(e) ~row_width:k_card neq_b
-  done;
-  (* Many-source inequality: a many state differs from anything
-     retrieving a value. *)
-  Bitv.union_rows_into nonzero ~rows:many0 ~row_width:k_card neq_b;
-  Bitv.union_rows_into many0 ~rows:nonzero ~row_width:k_card neq_b;
-  (* Case 1, per child, through the memo. *)
-  let u = u_of ctx ~c0 in
-  Array.iter
-    (fun (c : Ext_state.t) ->
-      let leq, lneq = lift_of ctx ~c0 ~u ~k_card c in
-      ignore (Bitv.union_into leq eq_b);
-      ignore (Bitv.union_into lneq neq_b))
-    children;
-  { r; many0; eq = Bitv.freeze eq_b; neq = Bitv.freeze neq_b }
-
-(* A light evaluation context for deciding C(v0): only the class reach
-   sets and the many set are materialized; case-1 lifted pairs are
-   answered per query through the backward sets
-   V(k) = { k' | one up-step from k' can reach k under C0 }, memoized
-   per (c0, k) on the ctx. This keeps μ-evaluation cheap even for large
-   pathfinders — the full K x K matrices are only built once per
-   assembled state. *)
+(* The evaluation context of one read projection [pc0] for one merging
+   of one children array: the class reach sets and the many set under
+   [pc0], the class membership of each state, the projection's label
+   context, and a per-atom memo. μ's data atoms are answered from these:
+   values shared through a merging class (cases 2-4), the many-source
+   rule (case 4'), and pairs lifted from a child's own valuation through
+   the backward sets (case 1). Every answer depends on the root label
+   only through [pc0], so one light serves every label of the merging. *)
 type light = {
-  lr : Bitv.t array;
-  lmany0 : Bitv.t;
-  lc0 : Bitv.t;
-  lv : Bitv.t option array;
-      (** the ctx's per-(c0,k) backward-set cache, fetched once *)
-  mutable latoms : (int * bool) list;
-      (** per-atom memo: encoded (k1,k2,op) → truth; atoms recur across
-          the μ of different BIP states under one candidate c0 — a handful
-          per light, so an assoc list beats a hash table *)
-  lalift : (int * bool) list ref;
-      (** case-1 (lifted) atom answers, shared across every merging of
-          the (c0, children) pair through {!ctx.alift_tbl} *)
+  lr : Bitv.t array;  (** per merging class: reach at the root *)
+  lmany0 : Bitv.t;  (** M: states inheriting >= 2 values *)
+  lcls : int array;
+      (** per k: the class whose reach holds k, -1 when none does, -2
+          when several do *)
+  lmember : int array;
+      (** per k, with at most [Sys.int_size] classes (else empty): the
+          classes whose reach holds k, as a bit mask *)
+  llc : label_ctx;
+  latoms : int array;
+      (** per-atom memo, two bits (known, truth) per code 2·i+op of an
+          atom over pair position i; atoms recur across the μ of
+          different BIP states and labels *)
 }
 
-(* Small-int assoc scan — the caches above hold < a dozen entries. *)
-let rec assoc_find code = function
-  | [] -> None
-  | (c, (b : bool)) :: rest ->
-    if c = code then Some b else assoc_find code rest
-
-(* The class reaches and the many set under the (projected) root label
-   [c0]: the closures of the class bases and of the many base. *)
-let reaches ctx ~c0 ~bases ~manyb =
-  let cl x = Pathfinder.closure_m ctx.memo ~label:c0 x in
-  (Array.map cl bases, cl manyb)
-
-let build_light ctx ~c0 ~ckey ~bases ~manyb =
+(* The class reaches and the many set under the read projection [pc0]
+   (the closures of the class bases and of the many base), and the
+   class membership, in one pass over the reaches' set bits. *)
+let build_light ctx ~pc0 ~bases ~manyb =
   let k_card = ctx.m.Bip.pf.Pathfinder.n_states in
-  let lv =
-    match BvTbl.find_opt ctx.v_tbl c0 with
-    | Some arr -> arr
-    | None ->
-      let arr = Array.make k_card None in
-      BvTbl.add ctx.v_tbl c0 arr;
-      arr
+  let cl x = Pathfinder.closure_m ctx.memo ~label:pc0 x in
+  let lr = Array.map cl bases in
+  let n_classes = Array.length lr in
+  let lcls = Array.make k_card (-1) in
+  let lmember =
+    if n_classes <= Sys.int_size then Array.make k_card 0 else [||]
   in
-  let lalift =
-    match ckey with
-    | None -> ref []  (* untagged children: no sharing possible *)
-    | Some ck -> (
-      let key = (c0, ck) in
-      match AliftTbl.find_opt ctx.alift_tbl key with
-      | Some r -> r
-      | None ->
-        let r = ref [] in
-        AliftTbl.add ctx.alift_tbl key r;
-        r)
-  in
-  let lr, lmany0 = reaches ctx ~c0 ~bases ~manyb in
-  { lr; lmany0; lc0 = c0; lv; latoms = []; lalift }
+  for e = 0 to n_classes - 1 do
+    Bitv.iter
+      (fun k ->
+        lcls.(k) <- (if lcls.(k) = -1 then e else -2);
+        if Array.length lmember > 0 then
+          lmember.(k) <- lmember.(k) lor (1 lsl e))
+      lr.(e)
+  done;
+  {
+    lr;
+    lmany0 = (if Bitv.is_empty manyb then manyb else cl manyb);
+    lcls;
+    lmember;
+    llc = label_ctx ctx pc0;
+    latoms = Array.make (((2 * Array.length ctx.fst) + 30) / 31) 0;
+  }
 
-let v_of ctx light k =
-  let k_card = ctx.m.Bip.pf.Xpds_automata.Pathfinder.n_states in
-  let cache = light.lv in
-  match cache.(k) with
-  | Some v -> v
-  | None ->
-    (* Backward non-moving closure of {k} under the current root label. *)
-    let b = ref (Bitv.singleton k_card k) in
-    let stack = ref [ k ] in
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | cur :: rest ->
-        stack := rest;
-        List.iter
-          (fun (q, src) ->
-            if Bitv.mem q light.lc0 && not (Bitv.mem src !b) then begin
-              b := Bitv.add src !b;
-              stack := src :: !stack
-            end)
-          ctx.rev_read.(cur)
-    done;
-    let v =
-      Bitv.fold
-        (fun k'' acc ->
-          List.fold_left (fun acc k' -> Bitv.add k' acc) acc ctx.rev_up.(k''))
-        !b (Bitv.empty k_card)
-    in
-    cache.(k) <- Some v;
-    v
+(* Cases 2-4: one class reaches both ks; two distinct classes do. *)
+let class_eq l k1 k2 =
+  let c1 = l.lcls.(k1) and c2 = l.lcls.(k2) in
+  c1 <> -1 && c2 <> -1
+  && ((c1 >= 0 && c1 = c2)
+     || (c1 = -2 || c2 = -2)
+        &&
+        if Array.length l.lmember > 0 then
+          l.lmember.(k1) land l.lmember.(k2) <> 0
+        else Array.exists (fun r -> Bitv.mem k1 r && Bitv.mem k2 r) l.lr)
 
-let light_nonzero light k =
-  Bitv.mem k light.lmany0 || Array.exists (fun r -> Bitv.mem k r) light.lr
+let class_neq l k1 k2 =
+  let c1 = l.lcls.(k1) and c2 = l.lcls.(k2) in
+  c1 <> -1 && c2 <> -1 && not (c1 >= 0 && c1 = c2)
 
-let light_atom_raw ctx light (children : Ext_state.t array) ~code k1 k2
+let light_nonzero l k = l.lcls.(k) <> -1 || Bitv.mem k l.lmany0
+
+let light_atom_raw ctx light (children : Ext_state.t array) ~i k1 k2
     (op : Xpds_xpath.Ast.op) =
-  let k_card = ctx.m.Bip.pf.Pathfinder.n_states in
   let lifted matrix_of =
-    match assoc_find code !(light.lalift) with
-    | Some b -> b
-    | None ->
-      let v1 = v_of ctx light k1 and v2 = v_of ctx light k2 in
-      let b =
-        (not (Bitv.is_empty v1))
-        && (not (Bitv.is_empty v2))
-        && Array.exists
-             (fun (c : Ext_state.t) ->
-               let m = matrix_of c in
-               Bitv.exists
-                 (fun k'1 ->
-                   not (Bitv.row_disjoint m ~row_width:k_card k'1 v2))
-                 v1)
-             children
-      in
-      light.lalift := (code, b) :: !(light.lalift);
-      b
+    let b = back_of ctx light.llc i in
+    Array.exists (fun (c : Ext_state.t) -> meets b (matrix_of c)) children
   in
   match op with
   | Eq ->
-    Array.exists (fun r -> Bitv.mem k1 r && Bitv.mem k2 r) light.lr
-    || lifted (fun (c : Ext_state.t) -> c.Ext_state.eq)
+    class_eq light k1 k2 || lifted (fun (c : Ext_state.t) -> c.Ext_state.eq)
   | Neq ->
-    let n = Array.length light.lr in
-    let distinct_classes =
-      let found = ref false in
-      for e1 = 0 to n - 1 do
-        if (not !found) && Bitv.mem k1 light.lr.(e1) then
-          for e2 = 0 to n - 1 do
-            if (not !found) && e2 <> e1 && Bitv.mem k2 light.lr.(e2) then
-              found := true
-          done
-      done;
-      !found
-    in
-    distinct_classes
+    class_neq light k1 k2
     || (Bitv.mem k1 light.lmany0 && light_nonzero light k2)
     || (Bitv.mem k2 light.lmany0 && light_nonzero light k1)
     || lifted (fun (c : Ext_state.t) -> c.Ext_state.neq)
 
+(* [make_ctx] seeds the pair space with μ's atoms, so [i >= 0]; an
+   atom's memo cell is two bits, 31 cells to a word. *)
 let light_atom ctx light children k1 k2 (op : Xpds_xpath.Ast.op) =
-  let k_card = ctx.m.Bip.pf.Pathfinder.n_states in
-  let code =
-    (((k1 * k_card) + k2) * 2) + (match op with Eq -> 0 | Neq -> 1)
-  in
-  match assoc_find code light.latoms with
-  | Some b -> b
-  | None ->
-    let b = light_atom_raw ctx light children ~code k1 k2 op in
-    light.latoms <- (code, b) :: light.latoms;
+  let i = Ext_state.position ctx.index k1 k2 in
+  let code = (2 * i) + (match op with Eq -> 0 | Neq -> 1) in
+  let w = code / 31 and sh = 2 * (code mod 31) in
+  let cell = light.latoms.(w) lsr sh in
+  if cell land 1 <> 0 then cell land 2 <> 0
+  else begin
+    let b = light_atom_raw ctx light children ~i k1 k2 op in
+    light.latoms.(w) <- light.latoms.(w) lor ((if b then 3 else 1) lsl sh);
     b
+  end
 
 let count_states (children : Ext_state.t array) q =
   Array.fold_left
@@ -563,154 +488,190 @@ let rec eval_form_light ctx (children : Ext_state.t array) ~label ~light =
       children
   | Bip.FCountLt (q, n) -> count_states children q < n
 
+(* One merging of one children array, ready to apply under any root
+   label: the class bases, the many base, and the lights of the read
+   projections met so far, which every label of the merging shares. *)
+type step = {
+  t0 : int;
+  dup_cap : int option;
+  children : Ext_state.t array;
+  bases : Bitv.t array;
+  manyb : Bitv.t;
+  mutable lights : (Bitv.t * light Lazy.t) list;
+}
+
+(* The light of [pc0], made lazily: forced only when a data atom is
+   reached or a state assembled. *)
+let light_of ctx st pc0 =
+  let rec find = function
+    | (p, l) :: rest -> if Bitv.equal p pc0 then l else find rest
+    | [] ->
+      let l =
+        lazy (build_light ctx ~pc0 ~bases:st.bases ~manyb:st.manyb)
+      in
+      st.lights <- (pc0, l) :: st.lights;
+      l
+  in
+  find st.lights
+
 (* Decide C(v0) component by component; returns every consistent root
-   label with its read projection and that projection's light (a
-   singleton for stratified automata). The components are walked depth
-   first over one mutable candidate: a trivial component adds its state
-   when μ holds under the candidate so far; a cyclic one tries every
-   labelling of its states (with each state, then without, in component
-   order) and keeps those where μ agrees with the labelling under the
-   completed candidate. Consistent labels come out in the order of a
+   label with the light of its read projection (a singleton for
+   stratified automata). The components are walked depth first over one
+   mutable candidate: a trivial component adds its state when μ holds
+   under the candidate so far; a cyclic one tries every labelling of its
+   states (with each state, then without, in component order) and keeps
+   those where μ agrees with the labelling under the completed
+   candidate. Consistent labels come out in the order of a
    component-by-component breadth-first search: both list the leaves of
    the same choice tree from left to right.
 
    μ sees the candidate only through the light of its read projection
    (every answer a light gives depends on the label only through enabled
-   read edges), so a light is shared along the walk and a new one is
-   made — lazily, forced only when a data atom is reached — only when an
-   added state labels a read edge. *)
-let decide_c0 ctx ~label ~children ~ckey ~bases ~manyb =
-  let m = ctx.m in
+   read edges), so a light is shared along the walk, and the light
+   changes only when an added state labels a read edge. *)
+let decide_c0 ctx st ~label =
+  let m = ctx.m and children = st.children in
   let cand = ctx.cand and proj = ctx.proj in
   Bitv.builder_reset cand;
   Bitv.builder_reset proj;
-  let light_of pc0 = lazy (build_light ctx ~c0:pc0 ~ckey ~bases ~manyb) in
   let holds light q =
     eval_form_light ctx children ~label ~light m.Bip.mu.(q)
   in
-  (* [with_state q pc0 light k] runs [k] with [q] added to the candidate
-     and the projection/light that go with it, then takes [q] out. *)
-  let with_state q pc0 light k =
+  (* [with_state q light k] runs [k] with [q] added to the candidate
+     and the light that goes with it, then takes [q] out. *)
+  let with_state q light k =
     Bitv.add_in_place q cand;
     if Bitv.mem q ctx.read_mask then begin
       Bitv.add_in_place q proj;
-      let pc0 = Bitv.freeze proj in
-      k pc0 (light_of pc0);
+      k (light_of ctx st (Bitv.freeze proj));
       Bitv.remove_in_place q proj
     end
-    else k pc0 light;
+    else k light;
     Bitv.remove_in_place q cand
   in
   let out = ref [] in
-  let rec walk pc0 light = function
-    | [] -> out := (Bitv.freeze cand, pc0, light) :: !out
-    | [ q ] :: rest when not (Bitv.mem q ctx.m.Bip.deps.(q)) ->
-      if holds light q then
-        with_state q pc0 light (fun pc0 light -> walk pc0 light rest)
-      else walk pc0 light rest
+  let rec walk light = function
+    | [] -> out := (Bitv.freeze cand, light) :: !out
+    | [ q ] :: rest when not (Bitv.mem q m.Bip.deps.(q)) ->
+      if holds light q then with_state q light (fun light -> walk light rest)
+      else walk light rest
     | comp :: rest ->
-      let rec assign pc0 light = function
+      let rec assign light = function
         | [] ->
           if
             List.for_all
               (fun q -> holds light q = Bitv.builder_mem q cand)
               comp
-          then walk pc0 light rest
+          then walk light rest
         | q :: qs ->
-          with_state q pc0 light (fun pc0 light -> assign pc0 light qs);
-          assign pc0 light qs
+          with_state q light (fun light -> assign light qs);
+          assign light qs
       in
-      assign pc0 light comp
+      assign light comp
   in
-  let pc0 = Bitv.freeze proj in
-  walk pc0 (light_of pc0) ctx.m.Bip.components;
+  walk (light_of ctx st (Bitv.freeze proj)) m.Bip.components;
   List.rev !out
 
-(* Assemble the extended state for a fully decided root label. *)
-let assemble ?t0 ?dup_cap ctx ~(children : Ext_state.t array) ~bases
-    ~manyb ~c0 ~pc0 ~light =
-  let m = ctx.m in
-  let pf = m.Bip.pf in
-  let k_card = pf.Pathfinder.n_states in
-  let t0 = match t0 with Some t -> t | None -> t0_default m in
-  (* The matrices only see the label through enabled read edges, so
-     they are built under the read projection [pc0], which maximises
-     sharing of the per-label caches. The full c0 still becomes the
-     state's labelling below. The reaches under [pc0] are those of its
-     light when deciding C(v0) already built it. *)
-  let r, many0 =
-    if Lazy.is_val light then
-      let l = Lazy.force light in
-      (l.lr, l.lmany0)
-    else reaches ctx ~c0:pc0 ~bases ~manyb
-  in
-  let ev = build_eval ctx ~c0:pc0 ~children ~r ~many0 in
-  let n_classes = Array.length bases in
-  (* Multiplicities: one pass over the set bits of the class reaches —
-     a k seen twice (or already in M) is many, seen once is unique. *)
+(* The parent's atom matrices over the pair space, in one pass over its
+   pairs, accumulated word by word: the class cases and the many-source
+   rule as the light answers them, and the children's lifts for case 1. *)
+let build_eval ctx (l : light) ~(children : Ext_state.t array) =
+  let fst = ctx.fst and snd = ctx.snd and cls = l.lcls in
+  let w = Array.length fst in
+  let nw = Bitv.word_count w in
+  let words = Array.make (2 * nw) 0 in
+  let any_many = not (Bitv.is_empty l.lmany0) in
+  let is_many = Array.make (if any_many then Array.length cls else 0) false in
+  Bitv.iter (fun k -> is_many.(k) <- true) l.lmany0;
+  for j = 0 to nw - 1 do
+    let lo = j * bpw in
+    let eqw = ref 0 and neqw = ref 0 in
+    for i = lo to min w (lo + bpw) - 1 do
+      let k1 = fst.(i) and k2 = snd.(i) in
+      let bit = 1 lsl (i - lo) in
+      if class_eq l k1 k2 then eqw := !eqw lor bit;
+      if
+        class_neq l k1 k2
+        || any_many
+           && ((is_many.(k1) && (cls.(k2) <> -1 || is_many.(k2)))
+              || (is_many.(k2) && (cls.(k1) <> -1 || is_many.(k1))))
+      then neqw := !neqw lor bit
+    done;
+    words.(j) <- !eqw;
+    words.(nw + j) <- !neqw
+  done;
+  Array.iter
+    (fun c ->
+      let lw = lift_of ctx l.llc c in
+      for j = 0 to (2 * nw) - 1 do
+        words.(j) <- words.(j) lor lw.(j)
+      done)
+    children;
+  (Bitv.of_words w words 0, Bitv.of_words w words nw)
+
+(* Assemble the extended state for a fully decided root label [c0].
+   Everything but the labelling is read through [light], the light of
+   c0's read projection. *)
+let assemble ctx st ~c0 ~light =
+  let l = Lazy.force light in
+  let k_card = ctx.m.Bip.pf.Pathfinder.n_states in
+  let r = l.lr and many0 = l.lmany0 and cls = l.lcls in
+  let n_classes = Array.length r in
+  (* Multiplicities: a k in two classes (or already in M) is many, in
+     one is unique. The root class and every unique target are
+     mandatory: never dropped when capping at t0. *)
   let unique = Array.make k_card (-1) in
-  let many_b = Bitv.builder_of ev.many0 in
-  Array.iteri
-    (fun e re ->
-      Bitv.iter
-        (fun k ->
-          if unique.(k) < 0 && not (Bitv.builder_mem k many_b) then
-            unique.(k) <- e
-          else begin
-            Bitv.add_in_place k many_b;
-            unique.(k) <- -1
-          end)
-        re)
-    ev.r;
+  let mandatory = Array.make n_classes false in
+  if n_classes > 0 then mandatory.(0) <- true;
+  let many_b = Bitv.builder_of many0 in
+  for k = 0 to k_card - 1 do
+    let e = cls.(k) in
+    if e = -2 then Bitv.add_in_place k many_b
+    else if e >= 0 && not (Bitv.mem k many0) then begin
+      unique.(k) <- e;
+      mandatory.(e) <- true
+    end
+  done;
   let many = Bitv.freeze many_b in
-  (* Atom matrices, projected onto the observable pairs when the ctx
-     asks for it. *)
-  let project m =
-    match ctx.pair_mask with None -> m | Some mask -> Bitv.inter m mask
-  in
-  let eq = project ev.eq in
-  let neq = project ev.neq in
-  (* Described values: every class with a nonempty reach, root first;
-     never drop the root class or a unique target when capping at t0. *)
-  let keep =
-    List.filter (fun e -> not (Bitv.is_empty ev.r.(e)))
-      (List.init n_classes Fun.id)
-  in
-  let target = Array.make n_classes false in
-  Array.iter (fun u -> if u >= 0 then target.(u) <- true) unique;
-  let mandatory e = e = 0 || target.(e) in
-  (* Values with identical descriptions are interchangeable except for
+  let eq, neq = build_eval ctx l ~children:st.children in
+  (* Described values: every class with a nonempty reach, root first.
+     Values with identical descriptions are interchangeable except for
      their pairwise distinctness; keep at most [dup_cap] copies of each
      description among the optional ones (a practical knob — the paper
      keeps everything up to t0). *)
-  let keep =
-    match dup_cap with
-    | None -> keep
-    | Some cap ->
-      (* [seen]: the optional classes met so far, kept or not *)
-      let rec filter seen = function
-        | [] -> []
-        | e :: rest when mandatory e -> e :: filter seen rest
-        | e :: rest ->
-          let n =
-            List.fold_left
-              (fun n e' -> if Bitv.equal ev.r.(e') ev.r.(e) then n + 1 else n)
-              0 seen
-          in
-          if n < cap then e :: filter (e :: seen) rest
-          else filter (e :: seen) rest
-      in
-      filter [] keep
+  let copies e =
+    let n = ref 0 in
+    for e' = 0 to e - 1 do
+      if (not mandatory.(e')) && Bitv.equal r.(e') r.(e) then incr n
+    done;
+    !n
   in
-  let keep =
-    if List.length keep <= t0 then keep
+  let kept = Array.make n_classes 0 and n_kept = ref 0 in
+  for e = 0 to n_classes - 1 do
+    if
+      (not (Bitv.is_empty r.(e)))
+      &&
+      match st.dup_cap with
+      | Some cap when not mandatory.(e) -> copies e < cap
+      | _ -> true
+    then begin
+      kept.(!n_kept) <- e;
+      incr n_kept
+    end
+  done;
+  let kept =
+    if !n_kept <= st.t0 then Array.sub kept 0 !n_kept
     else begin
-      let mand, opt = List.partition mandatory keep in
-      let budget = max 0 (t0 - List.length mand) in
+      let mand, opt =
+        List.partition
+          (fun e -> mandatory.(e))
+          (Array.to_list (Array.sub kept 0 !n_kept))
+      in
+      let budget = max 0 (st.t0 - List.length mand) in
       let opt_sorted =
         List.sort
           (fun e1 e2 ->
-            Int.compare (Bitv.cardinal ev.r.(e2)) (Bitv.cardinal ev.r.(e1)))
+            Int.compare (Bitv.cardinal r.(e2)) (Bitv.cardinal r.(e1)))
           opt
       in
       let rec take n = function
@@ -718,41 +679,36 @@ let assemble ?t0 ?dup_cap ctx ~(children : Ext_state.t array) ~bases
         | _ when n = 0 -> []
         | x :: rest -> x :: take (n - 1) rest
       in
-      List.sort Int.compare (mand @ take budget opt_sorted)
+      Array.of_list (List.sort Int.compare (mand @ take budget opt_sorted))
     end
   in
-  (* Dropped classes: their unique pointers cannot exist (mandatory), but
-     their ks keep multiplicity; dropping only hides the description. *)
-  let kept_index = Array.make n_classes (-1) in
-  List.iteri (fun pos e -> kept_index.(e) <- pos) keep;
-  let values = Array.of_list (List.map (fun e -> ev.r.(e)) keep) in
-  let unique_kept =
-    Array.map (fun u -> if u >= 0 then kept_index.(u) else -1) unique
-  in
-  let state =
-    Ext_state.make_unchecked ~states:c0 ~eq ~neq ~values
-      ~unique:unique_kept ~many
-  in
-  (* Map each class to its index in the canonical (sorted) state: find the
-     position of its description. Equal descriptions are interchangeable,
-     so matching by multiset is sound; assign greedily. *)
-  let sorted = state.Ext_state.values in
-  let used = Array.make (Array.length sorted) false in
-  let rec position desc j =
-    if j >= Array.length sorted then -1
-    else if (not used.(j)) && Bitv.equal sorted.(j) desc then begin
-      used.(j) <- true;
-      j
-    end
-    else position desc (j + 1)
-  in
+  (* The canonical order: the kept classes stably sorted by description
+     (a handful: insertion sort). A class's value is its rank; dropped
+     classes keep their ks' multiplicity and only lose the
+     description. *)
+  for i = 1 to Array.length kept - 1 do
+    let x = kept.(i) in
+    let j = ref i in
+    while !j > 0 && Bitv.compare r.(kept.(!j - 1)) r.(x) > 0 do
+      kept.(!j) <- kept.(!j - 1);
+      decr j
+    done;
+    kept.(!j) <- x
+  done;
   let class_values = Array.make n_classes (-1) in
-  List.iteri (fun pos e -> class_values.(e) <- position values.(pos) 0) keep;
+  Array.iteri (fun rank e -> class_values.(e) <- rank) kept;
+  let state =
+    Ext_state.make_unchecked ~index:ctx.index ~states:c0 ~eq ~neq
+      ~values:(Array.map (fun e -> r.(e)) kept)
+      ~unique:
+        (Array.map (fun e -> if e >= 0 then class_values.(e) else -1) unique)
+      ~many
+  in
   { state; class_values }
 
-let combine ?t0 ?dup_cap ?bases ctx label children (classes : Merging.t) =
-  (* Class bases and the many base do not depend on the root label
-     candidate: compute them once and share across the whole c0
+let step ?t0 ?dup_cap ?bases ctx children (classes : Merging.t) =
+  (* Class bases and the many base do not depend on the root label:
+     compute them once and share them across every label, the whole c0
      enumeration and the final assembly. The fixpoint already unions
      exactly these sets for its canonical merging key and passes them
      in; external callers fall back to computing them here. *)
@@ -763,20 +719,23 @@ let combine ?t0 ?dup_cap ?bases ctx label children (classes : Merging.t) =
       Array.of_list
         (List.map (fun kl -> class_base ctx ~children kl) classes)
   in
-  let manyb = many_base ctx ~children in
-  (* Children identity for the per-combo atom cache; [None] when some
-     child is untagged (external callers) — then no sharing. *)
-  let ckey =
-    if Array.for_all (fun c -> Ext_state.tag c >= 0) children then
-      Some (Array.map Ext_state.tag children)
-    else None
-  in
-  let c0s = decide_c0 ctx ~label ~children ~ckey ~bases ~manyb in
+  {
+    t0 = (match t0 with Some t -> t | None -> t0_default ctx.m);
+    dup_cap;
+    children;
+    bases;
+    manyb = many_base ctx ~children;
+    lights = [];
+  }
+
+let apply ctx st label =
   List.map
-    (fun (c0, pc0, light) ->
-      assemble ?t0 ?dup_cap ctx ~children ~bases ~manyb ~c0 ~pc0 ~light)
-    c0s
+    (fun (c0, light) -> assemble ctx st ~c0 ~light)
+    (decide_c0 ctx st ~label)
 (* Distinct c0 give distinct states; no dedup needed. *)
+
+let combine ?t0 ?dup_cap ?bases ctx label children classes =
+  apply ctx (step ?t0 ?dup_cap ?bases ctx children classes) label
 
 let leaf ?t0 ?dup_cap ctx label =
   combine ?t0 ?dup_cap ctx label [||]

@@ -32,11 +32,17 @@ type ctx
 (** Precomputed per-automaton data (SCCs, dependency sets). *)
 
 val make_ctx : ?project_pairs:bool -> Xpds_automata.Bip.t -> ctx
-(** [project_pairs] (default false) masks the stored atom matrices to
-    the pairs the automaton can ever consult (μ-atoms, the diagonal, and
-    their closure under the case-1 backward steps) — a state-space
-    reduction that preserves every observable answer; the emptiness
-    engine turns it on. *)
+(** The pair index of the states the ctx builds ({!Ext_state.index}).
+    With [project_pairs] (default false) it numbers only the pairs the
+    automaton can ever consult: the μ-atoms and the diagonal, closed
+    under the simultaneous backward steps of case 1 (the pairs of
+    [V(k1) × V(k2)] under the full label). The closure's queue numbers
+    the pairs as they enter it, so the index costs no pass beyond the
+    closure. A projected state carries one bit per such pair, which
+    collapses states that differ only in unobservable pairs and
+    preserves every observable answer; the emptiness engine turns it on
+    except in certificate runs. Without [project_pairs], or beyond 128
+    pathfinder states, the index is the identity: K×K, row-major. *)
 
 val bip_of : ctx -> Xpds_automata.Bip.t
 
@@ -53,6 +59,27 @@ val leaf :
 (** Extended states of the one-node tree with the given label.
     [dup_cap] keeps at most that many non-mandatory copies of identical
     descriptions (practical knob; [None] = paper behaviour). *)
+
+type step
+(** One merging of one children array, ready to apply under any root
+    label: its class bases, its many base, and the lights made so far
+    (the class reaches and atom answers under one read projection of
+    the root label). A light depends on the label only through its read
+    projection, so every label applied to a step shares them. *)
+
+val step :
+  ?t0:int ->
+  ?dup_cap:int ->
+  ?bases:Bitv.t array ->
+  ctx ->
+  Ext_state.t array ->
+  Merging.t ->
+  step
+(** See {!combine} for the arguments. *)
+
+val apply : ctx -> step -> Xpds_datatree.Label.t -> result list
+(** [apply ctx (step ?t0 ?dup_cap ?bases ctx children merging) label]
+    = [combine ?t0 ?dup_cap ?bases ctx label children merging]. *)
 
 val combine :
   ?t0:int ->

@@ -5,13 +5,15 @@
    truth computed by Bip_run:
 
    - the atom matrices must equal the semantic truth of every
-     ∃(k1,k2)~,
+     ∃(k1,k2)~ in the ctx's pair space: all of K×K by default, the
+     observable pairs under [make_ctx ~project_pairs:true],
    - unique/many must equal the semantic multiplicities,
    - with no caps, the described values must be exactly the data values
      with a nonempty reach at the node, each with its exact reach set.
 
    This validates the transition function pointwise, independently of
-   the emptiness search. *)
+   the emptiness search. A last property runs the search itself in both
+   pair spaces and compares the verdicts. *)
 
 open Xpds_decision
 module Bip = Xpds_automata.Bip
@@ -92,9 +94,10 @@ let check_against_semantics m (info : Bip_run.node_info)
       (fun (d, ks) -> if Bitv.mem k ks then Some d else None)
       info.Bip_run.reach
   in
-  (* Atom matrices = semantic truth. *)
+  (* Atom matrices = semantic truth, on the pairs the state keeps. *)
   for k1 = 0 to k_card - 1 do
     for k2 = 0 to k_card - 1 do
+      if Ext_state.observable state k1 k2 then begin
       let sem_eq =
         List.exists
           (fun (_, ks) -> Bitv.mem k1 ks && Bitv.mem k2 ks)
@@ -117,6 +120,7 @@ let check_against_semantics m (info : Bip_run.node_info)
         Alcotest.failf "neq(%d,%d): abstraction %b, semantics %b" k1 k2
           (Ext_state.neq_at state k1 k2)
           sem_neq
+      end
     done
   done;
   (* Multiplicities. *)
@@ -157,13 +161,18 @@ let check_against_semantics m (info : Bip_run.node_info)
     Alcotest.failf "described values differ from semantic reach (%d vs %d)"
       (List.length described) (List.length semantic)
 
+(* The root's extended state, checked against the semantics, in the
+   full K×K space and in the projected one. *)
 let run_one phi tree =
   let m = Translate.of_node ~labels:gen_labels phi in
   match Bip_run.run m tree with
   | info ->
-    let ctx = Transition.make_ctx m in
-    let state, value_datum = abstract ctx m info tree in
-    check_against_semantics m info state value_datum;
+    List.iter
+      (fun project_pairs ->
+        let ctx = Transition.make_ctx ~project_pairs m in
+        let state, value_datum = abstract ctx m info tree in
+        check_against_semantics m info state value_datum)
+      [ false; true ];
     true
   | exception Bip.Ill_formed _ -> true (* labels outside Σ *)
 
@@ -182,11 +191,61 @@ let test_abstraction_paper_example () =
     Xpds_xpath.Parser.node_of_string_exn "<desc[b & down[b] != down[b]]>"
   in
   Alcotest.(check bool) "example 1" true
-    (run_one phi (Data_tree.example_fig1 ()))
+    (run_one phi (Data_tree.example_fig1 ()));
+  (* the projected space is a proper part of K×K here, so the second
+     pass of [run_one] skips pairs *)
+  let m = Translate.of_node ~labels:gen_labels phi in
+  let k_card = m.Bip.pf.Xpds_automata.Pathfinder.n_states in
+  let state =
+    (List.hd
+       (Transition.leaf
+          (Transition.make_ctx ~project_pairs:true m)
+          (Label.of_string "b")))
+      .Transition.state
+  in
+  Alcotest.(check bool) "projected pair space is smaller than K×K" true
+    (Ext_state.index_width state.Ext_state.index < k_card * k_card)
+
+(* The emptiness search in the projected pair space (the engine's
+   default) and in the full one (certificate mode) never disagree
+   between sat and unsat; a search that runs out of budget on either
+   side says nothing. Random formulas are mostly satisfiable, so a
+   third of the cases are [a & ~b] and a third [a & ~a]. *)
+let prop_pair_spaces_agree =
+  let options =
+    Xpds_decision.Sat.Options.(default |> with_max_transitions 10_000)
+  in
+  let arb =
+    let open QCheck.Gen in
+    let g = Gen_helpers.gen_node_cfg Gen_helpers.star_free_cfg in
+    QCheck.make ~print:Xpds_xpath.Pp.node_to_string
+      (oneof
+         [ g;
+           map2 (fun a b -> Xpds_xpath.Ast.And (a, Xpds_xpath.Ast.Not b)) g g;
+           map (fun a -> Xpds_xpath.Ast.And (a, Xpds_xpath.Ast.Not a)) g
+         ])
+  in
+  let verdict = function
+    | Emptiness.Nonempty _ -> Some true
+    | Emptiness.Empty | Emptiness.Bounded_empty -> Some false
+    | Emptiness.Resource_limit _ -> None
+  in
+  Gen_helpers.qtest ~count:100 "projected and full-space searches agree" arb
+    (fun phi ->
+      let m, config = Xpds_decision.Sat.general_search ~options phi in
+      let projected, _ = Emptiness.check_with_stats ~config m in
+      let full, _, _ = Emptiness.check_with_basis ~config m in
+      match (verdict projected, verdict full) with
+      | Some a, Some b when a <> b ->
+        QCheck.Test.fail_reportf "projected %s, full space %s"
+          (if a then "sat" else "unsat")
+          (if b then "sat" else "unsat")
+      | _ -> true)
 
 let suite =
   ( "abstraction",
     [ Alcotest.test_case "paper example tree" `Quick
         test_abstraction_paper_example;
-      prop_abstraction_exact
+      prop_abstraction_exact;
+      prop_pair_spaces_agree
     ] )

@@ -198,6 +198,13 @@ let goldens =
      "unknown:transition budget", 206, 200001, 361968, 0, `Slow);
     ("root_data_1", Families.root_data 1, "sat", 1, 1, 0, 1, `Quick);
     ("root_data_2", Families.root_data 2, "sat", 4, 5, 1, 2, `Quick);
+    (* root_data 3-5: several labels per merging, so these pin the
+       sharing of one set of lights across the labels of a merging;
+       row 5 is hard-solve's heaviest sat formula *)
+    ("root_data_3", Families.root_data 3, "sat", 33, 51, 13, 2, `Quick);
+    ("root_data_4", Families.root_data 4, "sat", 308, 599, 149, 2, `Quick);
+    ("root_data_5", Families.root_data 5, "sat", 2992, 12863, 2429, 3,
+     `Quick);
     (* The reg_alt counts are sensitive to the global label-intern
        order, which depends on what else the linked binary interned at
        init; these values are for this test binary (a standalone run of

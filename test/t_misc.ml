@@ -1,23 +1,11 @@
-(* Edge cases across the stack: bit-matrix helpers, semantics corner
-   cases, explanations, printing. *)
+(* Edge cases across the stack: semantics corner cases, explanations,
+   printing. *)
 
 open Xpds_xpath
 (* Bitv is the shared xpds.bitv library (unwrapped). *)
 module Data_tree = Xpds_datatree.Data_tree
 
 let parse = Parser.node_of_string_exn
-
-let prop_bitv_rows_roundtrip =
-  Gen_helpers.qtest ~count:200 "Bitv.of_rows / Bitv.row roundtrip"
-    QCheck.(list_of_size (QCheck.Gen.int_range 1 6) (list (int_bound 19)))
-    (fun rows_spec ->
-      let rows =
-        List.map (fun l -> Bitv.of_list 20 l) rows_spec |> Array.of_list
-      in
-      let flat = Bitv.of_rows ~row_width:20 rows in
-      Array.for_all
-        (fun i -> Bitv.equal rows.(i) (Bitv.row flat ~row_width:20 i))
-        (Array.init (Array.length rows) Fun.id))
 
 let test_star_of_eps_terminates () =
   (* α* where α relates every node to itself: the closure must not
@@ -103,20 +91,6 @@ let test_serialize_tree () =
     "{\"label\":\"a\",\"data\":1,\"children\":[{\"label\":\"b\",\"data\":2,\"children\":[]}]}"
     (Xpds.Serialize.tree_to_json t)
 
-let test_serialize_node () =
-  let phi = parse "a & <down>" in
-  let json = Xpds.Serialize.node_to_json phi in
-  Alcotest.(check bool) "mentions text" true
-    (String.length json > 20
-    && (let has sub =
-          let rec go i =
-            i + String.length sub <= String.length json
-            && (String.sub json i (String.length sub) = sub || go (i + 1))
-          in
-          go 0
-        in
-        has "\"kind\":\"and\"" && has "\"axis\":\"child\""))
-
 let test_dot_outputs () =
   let t = Data_tree.example_fig1 () in
   let dot = Xpds.Dot.data_tree t in
@@ -139,8 +113,7 @@ let test_label_of_int_bounds () =
 
 let suite =
   ( "misc",
-    [ prop_bitv_rows_roundtrip;
-      Alcotest.test_case "star of eps terminates" `Quick
+    [ Alcotest.test_case "star of eps terminates" `Quick
         test_star_of_eps_terminates;
       Alcotest.test_case "guarded star" `Quick test_star_guard;
       Alcotest.test_case "empty filters" `Quick test_empty_filter_semantics;
@@ -151,7 +124,6 @@ let suite =
         test_tree_of_string_errors;
       Alcotest.test_case "fancy printing" `Quick test_fancy_printing;
       Alcotest.test_case "serialize tree" `Quick test_serialize_tree;
-      Alcotest.test_case "serialize node" `Quick test_serialize_node;
       Alcotest.test_case "dot outputs" `Quick test_dot_outputs;
       Alcotest.test_case "label bounds" `Quick test_label_of_int_bounds
     ] )
