@@ -382,9 +382,7 @@ let e8 () =
 
 let e9 () =
   let columns =
-    [ ("n (>= n bs)", 12); ("verdict", 8); ("states", 8); ("width", 6);
-      ("time", 9)
-    ]
+    [ ("n (>= n bs)", 12); ("verdict", 8); ("states", 8); ("time", 9) ]
   in
   Table.print_header
     "E9: counting document types (Sec 4.1) — sweep of n0" columns;
@@ -398,13 +396,7 @@ let e9 () =
       let m = Xpds.Translate.of_node_somewhere ~labels phi in
       let restricted = Xpds.Doctype.restrict m ~labels schema in
       let config =
-        { Xpds.Emptiness.default_config with
-          Xpds.Emptiness.width = Some (n + 2);
-          t0 = Some 6;
-          dup_cap = Some 2;
-          merge_budget = Some 5;
-          max_states = solver_budget
-        }
+        { Xpds.Emptiness.default_config with max_states = solver_budget }
       in
       let (outcome, stats), t =
         Table.time (fun () ->
@@ -418,7 +410,6 @@ let e9 () =
           | Xpds.Emptiness.Bounded_empty -> "UNSAT*"
           | Xpds.Emptiness.Resource_limit _ -> "unknown");
           string_of_int stats.Xpds.Emptiness.n_states;
-          string_of_int (n + 2);
           Table.seconds t
         ])
     [ 1; 2; 3; 4; 5 ]

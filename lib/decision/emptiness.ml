@@ -51,8 +51,6 @@ module StateTbl = Hashtbl.Make (struct
   let hash = Ext_state.hash
 end)
 
-module BvTbl = Hashtbl.Make (Bitv)
-
 type prov =
   | PLeaf of Label.t * int array  (** label, class_values *)
   | PNode of Label.t * int array * Merging.t * int array
@@ -382,15 +380,19 @@ let build_witness s id0 =
   in
   fst (build id0)
 
-(* --- data-free fast path ---
+(* --- data-free union closure ---
 
    When every data atom of μ is a diagonal equality ∃(k,k)= (which is how
    Theorem 3 renders ⟨α⟩; genuine data tests produce off-diagonal or ≠
    atoms), the atom only asks whether k is reachable at the root — data
    values are irrelevant, no merging is needed, and the extended state
-   collapses to (C, reachable-K). This covers the data-free rows of
-   Fig. 4 (XPath(↓), XPath(↓∗), XPath(↓,↓∗)) with classical tree-automaton
-   performance. *)
+   collapses to (C, reachable-K). A parent then sees its children only
+   through the union of their step-ups (and the counts of the counted
+   states), so the multisets of children collapse to their observables,
+   which are the closure of the empty one under adding one more pool
+   member. Saturating that closure is exact at any branching: the
+   horizontal-language argument for bottom-up automata, applied to the
+   data-free rows of Fig. 4 (XPath(↓), XPath(↓∗), XPath(↓,↓∗)). *)
 
 let data_free (m : Bip.t) =
   let rec free = function
@@ -404,33 +406,68 @@ let data_free (m : Bip.t) =
   in
   Array.for_all free m.Bip.mu
 
+(* What a parent observes of a multiset of children: the union of their
+   step-ups and, per counted state, how many children carry it, capped
+   at the largest bound a counting atom compares that count with. A
+   single child's observable is its key in the pool, and adding a child
+   to a multiset adds the two observables. *)
 module DfTbl = Hashtbl.Make (struct
-  type t = Bitv.t * Bitv.t
+  type t = Bitv.t * int array
 
-  let equal (a1, b1) (a2, b2) = Bitv.equal a1 a2 && Bitv.equal b1 b2
-  let hash (a, b) = ((Bitv.hash a * 0x9E3779B1) lxor Bitv.hash b) land max_int
+  let equal (u1, c1) (u2, c2) = Bitv.equal u1 u2 && c1 = c2
+  let hash (u, c) =
+    ((Bitv.hash u * 0x9E3779B1) lxor Hashtbl.hash c) land max_int
 end)
+
+(* Per state of [m], the largest bound a counting atom compares its
+   count with (1 for [#q = 0]); 0 for a state no atom counts. *)
+let count_caps (m : Bip.t) =
+  let cap = Array.make m.Bip.q_card 0 in
+  Array.iter
+    (Bip.fold_form
+       (fun () -> function
+         | Bip.FCountGe (q, n) | Bip.FCountLt (q, n) ->
+           cap.(q) <- max cap.(q) n
+         | Bip.FCountZero q -> cap.(q) <- max cap.(q) 1
+         | _ -> ())
+       ())
+    m.Bip.mu;
+  cap
 
 exception Df_found of Data_tree.t
 
+type 'a grow = { mutable items : 'a array; mutable len : int }
+
+let push g x =
+  if g.len = Array.length g.items then begin
+    let items = Array.make (max 16 (2 * g.len)) x in
+    Array.blit g.items 0 items 0 g.len;
+    g.items <- items
+  end;
+  g.items.(g.len) <- x;
+  g.len <- g.len + 1
+
 let check_data_free ~config (m : Bip.t) =
   let pf = m.Bip.pf in
-  let k_card = pf.Pathfinder.n_states in
   let memo = Pathfinder.memo pf in
   let components = Bip.sccs m in
   let deps = Bip.dependencies m in
   let labels = m.Bip.labels in
-  (* Evaluate μ with reach-set semantics, SCC by SCC. *)
-  let decide_c0 ~label ~(children : (Bitv.t * Bitv.t) list) =
-    let base =
-      let b = Bitv.builder k_card in
-      Bitv.add_in_place pf.Pathfinder.initial b;
-      List.iter
-        (fun (_, n) ->
-          ignore (Bitv.union_into (Pathfinder.step_up_m memo n) b))
-        children;
-      Bitv.freeze b
-    in
+  let cap = count_caps m in
+  let counted =
+    List.init m.Bip.q_card Fun.id
+    |> List.filter (fun q -> cap.(q) > 0)
+    |> Array.of_list
+  in
+  let caps = Array.map (fun q -> cap.(q)) counted in
+  let slot = Array.make m.Bip.q_card (-1) in
+  Array.iteri (fun i q -> slot.(q) <- i) counted;
+  (* The (C, reach) states of a node labelled [label] whose children
+     show the observable [(u, cnt)]: μ with reach-set semantics, SCC by
+     SCC. *)
+  let states_of (u, cnt) label =
+    let base = Bitv.add pf.Pathfinder.initial u in
+    let count q = if slot.(q) < 0 then 0 else cnt.(slot.(q)) in
     let rec eval c0 reach = function
       | Bip.FTrue -> true
       | Bip.FFalse -> false
@@ -439,15 +476,9 @@ let check_data_free ~config (m : Bip.t) =
       | Bip.FAnd (f, g) -> eval c0 reach f && eval c0 reach g
       | Bip.FOr (f, g) -> eval c0 reach f || eval c0 reach g
       | Bip.FEx (k, _, _) -> Bitv.mem k (Lazy.force reach)
-      | Bip.FCountGe (q, n) ->
-        List.length
-          (List.filter (fun (c, _) -> Bitv.mem q c) children)
-        >= n
-      | Bip.FCountZero q ->
-        List.for_all (fun (c, _) -> not (Bitv.mem q c)) children
-      | Bip.FCountLt (q, n) ->
-        List.length (List.filter (fun (c, _) -> Bitv.mem q c) children)
-        < n
+      | Bip.FCountGe (q, n) -> count q >= n
+      | Bip.FCountZero q -> count q = 0
+      | Bip.FCountLt (q, n) -> count q < n
     in
     let step c0s component =
       List.concat_map
@@ -481,151 +512,106 @@ let check_data_free ~config (m : Bip.t) =
       (fun c0 -> (c0, Pathfinder.closure_m memo ~label:c0 base))
       (List.fold_left step [ Bitv.empty m.Bip.q_card ] components)
   in
-  let ids = DfTbl.create 16 in
-  let states = ref [] in
-  let count = ref 0 in
+  (* The pool: one entry per key, with the production (label and
+     children observable) that first reached it. The observables: each
+     with the observable it extends and the pool member it adds. *)
+  let pool_ids = DfTbl.create 16 in
+  let pool = { items = [||]; len = 0 } in
+  let obs_ids = DfTbl.create 16 in
+  let obs = { items = [||]; len = 0 } in
   let transitions = ref 0 in
-  let provs : (Label.t * int array) list ref = ref [] in
-  (* Without counting atoms a child influences the parent only through
-     step_up(reach), so children can be deduplicated by that projection:
-     combos then range over the (much fewer) distinct step-up values,
-     with one representative state each for provenance. *)
-  let counting = Transition.has_counting m in
-  let su_tbl : unit BvTbl.t = BvTbl.create 16 in
-  let su_reps = ref [] in
-  let n_sus = ref 0 in
-  let note_su id (_, n) =
-    if not counting then begin
-      let su = Pathfinder.step_up_m memo n in
-      if not (BvTbl.mem su_tbl su) then begin
-        BvTbl.add su_tbl su ();
-        su_reps := id :: !su_reps;
-        incr n_sus
-      end
-    end
-  in
-  let add label children_ids st =
-    (* Acceptance is a property of this very production (C depends on the
-       label), so test it before deduplication. *)
-    if not (Bitv.is_empty (Bitv.inter (fst st) m.Bip.final)) then begin
-      let provs = Array.of_list (List.rev !provs) in
-      let rec build id =
-        let label, kids = provs.(id) in
-        Data_tree.make label 0 (Array.to_list (Array.map build kids))
-      in
-      let children =
-        Array.to_list (Array.map build children_ids)
-      in
-      raise (Df_found (Data_tree.make label 0 children))
-    end;
-    (* Without counting atoms only the reach set is observable upward;
-       key the state table on it alone. *)
-    let key =
-      if counting then st else (Bitv.empty m.Bip.q_card, snd st)
-    in
-    if not (DfTbl.mem ids key) then begin
-      if !count >= config.max_states then raise (Limit "state budget");
-      DfTbl.add ids key !count;
-      states := st :: !states;
-      provs := (label, children_ids) :: !provs;
-      note_su !count st;
-      incr count;
-      true
-    end
-    else false
-  in
-  let width =
-    match config.width with Some w -> w | None -> paper_width m
-  in
-  let max_h = match config.max_height with Some h -> h | None -> max_int in
+  let extensions = ref 0 in
   let stats height =
     {
-      n_states = !count;
+      n_states = pool.len;
       n_transitions = !transitions;
       n_mergings = 0;
       max_height_reached = height;
       n_replayed = 0;
     }
   in
-  try
+  let rec children o acc =
+    let _, prev, child = obs.items.(o) in
+    if prev < 0 then acc else children prev (tree child :: acc)
+  and tree p =
+    let _, label, o = pool.items.(p) in
+    Data_tree.make label 0 (children o [])
+  in
+  (* Every label's transitions from the new observable [o]. Acceptance
+     is a property of the production (C depends on the label), so it is
+     tested before the key dedup. *)
+  let transit o =
+    let key, _, _ = obs.items.(o) in
     List.iter
       (fun label ->
         poll_stop config;
         incr transitions;
+        if !transitions > config.max_transitions then
+          raise (Limit "transition budget");
         List.iter
-          (fun st -> ignore (add label [||] st))
-          (decide_c0 ~label ~children:[]))
-      labels;
-    let all_states () = Array.of_list (List.rev !states) in
-    (* Distinct combos frequently share the same step-up union, which —
-       absent counting atoms — fully determines the transition; process
-       one representative per union. *)
-    let seen_unions : unit BvTbl.t = BvTbl.create 16 in
-    let expand ~snapshot ~pool ~n ~fresh_from ~changed =
-      for w = 1 to min width (n + 1) do
-        iter_combos ~n ~w
-          ~is_fresh:(fun i -> i >= fresh_from)
-          (fun combo ->
-            let ids = Array.map (fun i -> pool.(i)) combo in
-            let children =
-              Array.to_list (Array.map (fun id -> snapshot.(id)) ids)
+          (fun (c0, reach) ->
+            if not (Bitv.disjoint c0 m.Bip.final) then
+              raise (Df_found (Data_tree.make label 0 (children o [])));
+            let pkey =
+              ( Pathfinder.step_up_m memo reach,
+                Array.map (fun q -> if Bitv.mem q c0 then 1 else 0) counted )
             in
-            let skip =
-              (not counting)
-              &&
-              let u =
-                let b = Bitv.builder k_card in
-                List.iter
-                  (fun (_, nset) ->
-                    ignore
-                      (Bitv.union_into (Pathfinder.step_up_m memo nset) b))
-                  children;
-                Bitv.freeze b
-              in
-              if BvTbl.mem seen_unions u then true
-              else begin
-                BvTbl.add seen_unions u ();
-                false
-              end
-            in
-            if not skip then
-              List.iter
-                (fun label ->
-                  poll_stop config;
-                  incr transitions;
-                  if !transitions > config.max_transitions then
-                    raise (Limit "transition budget");
-                  List.iter
-                    (fun st -> if add label ids st then changed := true)
-                    (decide_c0 ~label ~children))
-                labels)
-      done
-    in
-    let rec saturate height fresh_pool_from =
-      if height > max_h then (height - 1, true)
-      else begin
-        let snapshot = all_states () in
-        let pool =
-          if counting then Array.init (Array.length snapshot) Fun.id
-          else Array.of_list (List.rev !su_reps)
-        in
-        let n = Array.length pool - 1 in
-        let changed = ref false in
-        expand ~snapshot ~pool ~n ~fresh_from:fresh_pool_from ~changed;
-        if !changed then saturate (height + 1) (n + 1)
-        else (height - 1, false)
-      end
-    in
-    let reached, capped = saturate 2 0 in
-    let paper_complete =
-      match config.width with
-      | Some w -> w >= paper_width m
-      | None -> true
-    in
-    let outcome =
-      if capped || not paper_complete then Bounded_empty else Empty
-    in
-    (outcome, stats reached)
+            if not (DfTbl.mem pool_ids pkey) then begin
+              if pool.len >= config.max_states then
+                raise (Limit "state budget");
+              DfTbl.add pool_ids pkey pool.len;
+              push pool (pkey, label, o)
+            end)
+          (states_of key label))
+      labels
+  in
+  let add_obs key prev child =
+    if not (DfTbl.mem obs_ids key) then begin
+      DfTbl.add obs_ids key obs.len;
+      push obs (key, prev, child);
+      transit (obs.len - 1)
+    end
+  in
+  let extend o p =
+    incr extensions;
+    if !extensions land 255 = 0 then poll_stop config;
+    let (u, cnt), _, _ = obs.items.(o) in
+    let (su, one), _, _ = pool.items.(p) in
+    add_obs
+      ( Bitv.union u su,
+        Array.mapi (fun i c -> min caps.(i) (c + one.(i))) cnt )
+      o p
+  in
+  (* Round [h] combines the pool members found in round [h - 1] with
+     every known observable, then closes the new observables under the
+     whole pool; the new observables' transitions are round [h]'s
+     members. Returns the last round that found one. *)
+  let rec saturate h fresh_from =
+    let pool_end = pool.len in
+    if fresh_from = pool_end then h - 2
+    else begin
+      let known = obs.len in
+      for o = 0 to known - 1 do
+        for p = fresh_from to pool_end - 1 do
+          extend o p
+        done
+      done;
+      let o = ref known in
+      while !o < obs.len do
+        for p = 0 to pool_end - 1 do
+          extend !o p
+        done;
+        incr o
+      done;
+      saturate (h + 1) pool_end
+    end
+  in
+  try
+    (* The leaves: the transitions of the empty observable. *)
+    add_obs
+      (Bitv.empty pf.Pathfinder.n_states, Array.map (fun _ -> 0) counted)
+      (-1) (-1);
+    (Empty, stats (saturate 2 0))
   with
   | Df_found w -> (Nonempty w, stats 0)
   | Limit what -> (Resource_limit what, stats 0)

@@ -16,12 +16,13 @@
     trade completeness of the Nonempty answer for speed (Empty answers
     from a truncated search are reported as [Bounded_empty]). The
     [max_height] bound is the Theorem-6 mechanism: with a poly-depth
-    fragment's bound it is exact. *)
+    fragment's bound it is exact. A {!data_free} automaton takes the
+    exact data-free union closure instead. *)
 
 type outcome =
   | Nonempty of Xpds_datatree.Data_tree.t
       (** a witness tree accepted by the automaton *)
-  | Empty  (** the fixpoint saturated under the paper-complete bounds *)
+  | Empty  (** saturated under the paper's bounds, or data-free *)
   | Bounded_empty
       (** saturated, but under user bounds smaller than the paper's
           (width/t0) — no witness exists {e within} those bounds *)
@@ -35,12 +36,14 @@ type stats = {
   max_height_reached : int;
   n_replayed : int;
       (** transitions among [n_transitions] answered from the search's
-          transition memo instead of recomputed (0 on the data-free fast
-          path). Not part of wire responses or metrics. *)
+          transition memo instead of recomputed (0 on the data-free union
+          closure). Not part of wire responses or metrics. *)
 }
 
 (** Search knobs. The record mirrors {!Xpds_decision.Sat.Options.t}
-    field for field on the search-bound knobs. *)
+    field for field on the search-bound knobs. The data-free union
+    closure reads only [max_states], [max_transitions] and
+    [should_stop]. *)
 type config = {
   width : int option;
       (** max branching of the witness; default: the paper's [u0] *)
@@ -57,8 +60,9 @@ type config = {
   max_transitions : int;  (** resource budget; default 200_000 *)
   should_stop : (unit -> bool) option;
       (** cooperative cancellation hook (deadlines): polled at every
-          transition application and periodically inside merging
-          enumeration. When it returns [true] the search aborts with
+          transition application, periodically inside merging
+          enumeration and every 256 extensions of the data-free union
+          closure. When it returns [true] the search aborts with
           [Resource_limit "deadline exceeded"] and the stats gathered so
           far — never with a (possibly wrong) [Empty]/[Bounded_empty],
           so the honesty model is preserved (see DESIGN.md). Default
@@ -75,11 +79,13 @@ val paper_width : Xpds_automata.Bip.t -> int
 
 val data_free : Xpds_automata.Bip.t -> bool
 (** Every data atom of μ is a diagonal equality [∃(k,k)=] — how
-    Theorem 3 renders [⟨α⟩] for data-free formulas. Such automata take a
-    dedicated fast path: the atom only asks reachability of [k], so the
-    extended state collapses to [(C, reach)] with no value tracking or
-    merging (the data-free rows of Fig. 4 at classical tree-automaton
-    speed). *)
+    Theorem 3 renders [⟨α⟩] for data-free formulas. Such automata take
+    the data-free union closure: the extended state collapses to
+    [(C, reach)], and a parent sees its children only through the union
+    of their step-ups and the capped counts of the counted states.
+    Saturating those observables is exact at any width (DESIGN.md §3b
+    item 6); a witness node has at most [|K|] plus the sum of the caps
+    children. *)
 
 val check : ?config:config -> Xpds_automata.Bip.t -> outcome
 val check_with_stats : ?config:config -> Xpds_automata.Bip.t -> outcome * stats

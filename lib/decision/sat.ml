@@ -78,7 +78,7 @@ module Options = struct
   let with_certificate certificate o = { o with certificate }
 end
 
-let rules_version = 1
+let rules_version = 2
 
 let saturated_reason width m =
   "saturated at width " ^ string_of_int width ^ " (paper bound "
@@ -97,10 +97,10 @@ let engine_config o max_height =
     should_stop = o.Options.should_stop;
   }
 
-(* The verdict of a saturated search of [m]: certified only when the
-   widths meet the paper's bounds (the height bound, when there is one,
-   is the fragment's exact poly-depth bound). *)
-let saturated_verdict ?(prefix = "") o m =
+(* The verdict of a width-bounded saturated search of [m]: certified
+   only when the widths meet the paper's bounds (the height bound, when
+   there is one, is the fragment's exact poly-depth bound). *)
+let saturated_verdict o m =
   let paper_complete_widths =
     o.Options.width >= Emptiness.paper_width m
     && (match o.Options.t0 with
@@ -110,7 +110,7 @@ let saturated_verdict ?(prefix = "") o m =
     && o.Options.merge_budget = None
   in
   if paper_complete_widths then Unsat
-  else Unsat_bounded (prefix ^ saturated_reason o.Options.width m)
+  else Unsat_bounded (saturated_reason o.Options.width m)
 
 (* The automaton, height bound and engine configuration of one search
    of the simplified [eta]. Certificate mode needs the fixpoint to
@@ -129,11 +129,15 @@ let prepare o eta =
   in
   (m, bound, engine_config o bound)
 
-let algorithm_name o = function
-  | Some b ->
-    "height-bounded fixpoint (Thm 6, H=" ^ string_of_int b ^ ", width="
-    ^ string_of_int o.Options.width ^ ")"
-  | None -> "full fixpoint (Thm 4, width=" ^ string_of_int o.Options.width ^ ")"
+let algorithm_name o m bound =
+  if Emptiness.data_free m then "data-free union closure"
+  else
+    match bound with
+    | Some b ->
+      "height-bounded fixpoint (Thm 6, H=" ^ string_of_int b ^ ", width="
+      ^ string_of_int o.Options.width ^ ")"
+    | None ->
+      "full fixpoint (Thm 4, width=" ^ string_of_int o.Options.width ^ ")"
 
 let general_search ?(options = Options.default) eta =
   let m, _, config = prepare options (Xpds_xpath.Rewrite.simplify eta) in
@@ -188,11 +192,13 @@ let relaxation_prefix = "data-free relaxation: "
 
 (* Decide the relaxation of the simplified [eta] as [decide] would, and
    keep its answer only when it is unsatisfiable: every model of ϕ is a
-   model of ϕ′. Skipped in certificate mode (the basis must come from
-   ϕ's own automaton), for data-free ϕ, and when the simplified ϕ′ is
-   negation-free (then it can be unsatisfiable only through a label
-   clash, so the extra search seldom pays for itself). [None] leaves
-   the run in its "translate" phase, for ϕ's own translation. *)
+   model of ϕ′. ϕ′ is data-free, so its search is the exact union
+   closure and an empty ϕ′ is an unconditional [Unsat]. Skipped in
+   certificate mode (the basis must come from ϕ's own automaton), for
+   data-free ϕ, and when the simplified ϕ′ is negation-free (then it
+   can be unsatisfiable only through a label clash, so the extra search
+   seldom pays for itself). [None] leaves the run in its "translate"
+   phase, for ϕ's own translation. *)
 let decide_relaxation o fragment eta =
   if o.Options.certificate || not (Fragment.features eta).Fragment.uses_data
   then None
@@ -202,24 +208,20 @@ let decide_relaxation o fragment eta =
     else
       let m, bound, config = prepare o relaxed in
       o.Options.on_phase "fixpoint";
-      let answer verdict stats =
+      match Emptiness.check_with_stats ~config m with
+      | Emptiness.Empty, stats ->
         Some
           {
-            verdict;
+            verdict = Unsat;
             fragment;
-            algorithm = relaxation_prefix ^ algorithm_name o bound;
+            algorithm = relaxation_prefix ^ algorithm_name o m bound;
             stats;
             witness_verified = None;
             automaton_q = m.Bip.q_card;
             automaton_k = m.Bip.pf.Pathfinder.n_states;
             cert_seed = None;
           }
-      in
-      match Emptiness.check_with_stats ~config m with
-      | Emptiness.Empty, stats -> answer Unsat stats
-      | Emptiness.Bounded_empty, stats ->
-        answer (saturated_verdict ~prefix:relaxation_prefix o m) stats
-      | (Emptiness.Nonempty _ | Emptiness.Resource_limit _), _ ->
+      | _ ->
         o.Options.on_phase "translate";
         None
 
@@ -267,7 +269,7 @@ let decide_general o fragment eta =
   {
     verdict;
     fragment;
-    algorithm = algorithm_name o bound;
+    algorithm = algorithm_name o m bound;
     stats;
     witness_verified;
     automaton_q = m.Bip.q_card;
@@ -314,10 +316,7 @@ let decide_under_doctype ?(options = Options.default) ~doctype eta =
   o.Options.on_phase "doctype_restrict";
   let m = Doctype.restrict m0 ~labels:m0.Bip.labels doctype in
   let config = engine_config o None in
-  let algorithm =
-    "doctype-restricted full fixpoint (§4.1, width="
-    ^ string_of_int o.Options.width ^ ")"
-  in
+  let algorithm = "doctype-restricted (§4.1) " ^ algorithm_name o m None in
   o.Options.on_phase "fixpoint";
   let outcome, stats = Emptiness.check_with_stats ~config m in
   let conforming t = Doctype.conforms ~labels:m0.Bip.labels doctype t in

@@ -4,22 +4,23 @@
     Fig. 4: classify the formula ({!Xpds_xpath.Fragment}), translate to a
     BIP automaton (Theorem 3, via the [⟨↓∗[η]⟩] wrapper so that
     acceptance means [[η]] ≠ ∅), then run the emptiness fixpoint
-    (Theorem 4) — height-bounded (Theorem 6) when the fragment has the
-    poly-depth model property.
+    (Theorem 4): the exact data-free union closure when the automaton is
+    {!Emptiness.data_free}, otherwise the general engine, height-bounded
+    (Theorem 6) when the fragment has the poly-depth model property.
 
     Honesty of answers: a [Sat] verdict always carries a witness tree
-    (replayed through the reference semantics when [verify] is set). An
-    unsatisfiability verdict is [Unsat] only when the search bounds meet
-    the paper's completeness bounds (u0/t0, and the fragment's depth
-    bound when height-bounded); the paper-complete branching width
-    [u0 = (2|K|²+|K|+2)|K|] is astronomically conservative, so with the
-    practical default width the saturated-but-not-provably-complete case
-    is reported as [Unsat_bounded] — empirically reliable (cross-checked
-    against {!Model_search} in the test suite) but not certified. *)
+    (replayed through the reference semantics when [verify] is set). The
+    data-free union closure (and so the data-free relaxation) is exact:
+    its unsatisfiability is [Unsat]. The general engine answers [Unsat]
+    only when its bounds meet the paper's (u0/t0, and the fragment's
+    depth bound when height-bounded); [u0 = (2|K|²+|K|+2)|K|] is
+    astronomically conservative, so at the practical default width it
+    reports [Unsat_bounded] — cross-checked against {!Model_search} in
+    the test suite, but not certified. *)
 
 type verdict =
   | Sat of Xpds_datatree.Data_tree.t
-  | Unsat  (** certified: bounds meet the paper's completeness bounds *)
+  | Unsat  (** unconditional: data-free, or under the paper's bounds *)
   | Unsat_bounded of string
       (** fixpoint saturated under the given (smaller) bounds *)
   | Unknown of string  (** resource budget exhausted *)
@@ -68,7 +69,7 @@ type report = {
     resolved to the practical defaults. *)
 module Options : sig
   type t = {
-    width : int;  (** branching bound; practical default 3 *)
+    width : int;  (** general engine only: branching bound; default 3 *)
     t0 : int option;
         (** description bound; default [Some 6], [None] = paper bound *)
     dup_cap : int option;
@@ -113,13 +114,12 @@ val decide : ?options:Options.t -> Xpds_xpath.Ast.node -> report
 
     When η has a data test, outside certificate mode, [decide] first
     decides the simplified {!data_free_relaxation} η′ of η, under the
-    same options (η′'s own Theorem-6 height bound, the same budgets and
-    [should_stop]), provided η′ still contains a negation. If η′ is
-    unsatisfiable, so is η: the report is η′'s verdict ([Unsat] exactly
-    where [decide η′] answers [Unsat], otherwise [Unsat_bounded] with
-    the reason prefixed by ["data-free relaxation: "]), with the stats
-    and automaton sizes of η′'s search and η's fragment. Otherwise the
-    general engine runs on η with its full budgets, exactly as
+    same budgets and [should_stop], provided η′ still contains a
+    negation. If η′ is empty (its search is the exact union closure),
+    so is η: the report is [Unsat], with the stats and automaton sizes
+    of η′'s search, η's fragment, and an algorithm starting
+    ["data-free relaxation: "]. Otherwise the general engine runs on η
+    with its full budgets, exactly as
     {!general_search} describes. The phases are the same either way:
     ["translate"] and ["fixpoint"] (each entered twice when the
     relaxation did not answer). *)
@@ -159,12 +159,13 @@ val decide_under_doctype :
     raises [Invalid_argument] — validate first), the Theorem-3
     automaton is intersected with the conformance automaton
     ({!Xpds_automata.Doctype.restrict}), and emptiness runs the full
-    Theorem-4 fixpoint — the Theorem-6 height shortcut is justified for
-    the bare formula only, never for the intersection. A [Sat] witness
-    is verified (under [options.verify]) against the reference
-    semantics {e and} [Doctype.conforms]. Certificate mode is forced
-    off: the basis checker replays the bare-formula automaton and has
-    no doctype notion. *)
+    Theorem-4 fixpoint (the union closure, when data-free) — the
+    Theorem-6 height shortcut is justified for the bare formula only,
+    never for the intersection. A [Sat] witness is verified (under
+    [options.verify]) against the reference semantics {e and}
+    [Doctype.conforms]. Certificate mode is forced off: the basis
+    checker replays the bare-formula automaton and has no doctype
+    notion. *)
 
 val minimize : Xpds_xpath.Ast.node -> report -> report
 (** [minimize η r] shrinks the witness of a [Sat] report [r] for η —

@@ -305,15 +305,41 @@ let prop_solver_vs_model_search_star =
 (* --- small-model property (paper §6): witnesses have polynomial
    branching and bounded shared values between disjoint subtrees --- *)
 
+(* Per automaton, [|K|] plus the sum over counted states of the largest
+   bound a counting atom compares the count with: each child that the
+   data-free union closure adds to a witness node grows the union of
+   step-ups or one capped count, so no witness node has more children. *)
+let data_free_branching (m : Xpds_automata.Bip.t) =
+  let open Xpds_automata in
+  let cap = Array.make m.Bip.q_card 0 in
+  Array.iter
+    (Bip.fold_form
+       (fun () -> function
+         | Bip.FCountGe (q, n) | Bip.FCountLt (q, n) ->
+           cap.(q) <- max cap.(q) n
+         | Bip.FCountZero q -> cap.(q) <- max cap.(q) 1
+         | _ -> ())
+       ())
+    m.Bip.mu;
+  m.Bip.pf.Pathfinder.n_states + Array.fold_left ( + ) 0 cap
+
 let prop_witness_shape =
   Gen_helpers.qtest ~count:40 "witnesses respect the small-model shape"
     (Gen_helpers.arb_node_cfg Gen_helpers.star_free_cfg)
     (fun phi ->
-      match
-        (budgeted_decide phi).Sat.verdict
-      with
+      let r = budgeted_decide phi in
+      match r.Sat.verdict with
+      | Sat.Sat w when r.Sat.algorithm = "data-free union closure" ->
+        let m, _ =
+          Sat.general_search
+            ~options:
+              Sat.Options.(default |> with_extra_labels gen_labels)
+            phi
+        in
+        Data_tree.branching w <= data_free_branching m
       | Sat.Sat w ->
-        (* Branching bounded by the width config (3 by default). *)
+        (* General engine: branching bounded by the width config (3 by
+           default). *)
         Data_tree.branching w <= 3
       | _ -> true)
 
@@ -336,8 +362,64 @@ let prop_fast_path_consistent =
         | Sat.Unsat | Sat.Unsat_bounded _ -> Some false
         | Sat.Unknown _ -> None
       in
-      match (b fast.Sat.verdict, b general.Sat.verdict) with
-      | Some x, Some y -> x = y
+      match (fast.Sat.verdict, general.Sat.verdict) with
+      | Sat.Sat _, Sat.Unsat_bounded _ ->
+        (* The general engine stays width-bounded: a model wider than
+           its width is the one disagreement, and the fast path's
+           witness must replay. *)
+        fast.Sat.witness_verified = Some true
+      | f, g -> (
+        match (b f, b g) with Some x, Some y -> x = y | _ -> true))
+
+(* Every data-free [Unsat] is unconditional, so no model exists at any
+   width; bounded model search looks one child wider than the general
+   engine's width 3. Half the formulas are ψ ∧ ⟨↓[ℓ₁ ∧ χ₁]⟩ ∧ … ∧
+   ⟨↓[ℓ₄ ∧ χ₄]⟩ with the four labels a, b, c and ¬a ∧ ¬b ∧ ¬c shuffled
+   (χᵢ mostly ⊤), so every model has four children; they are checked
+   exhaustively at height 2 (1 364 trees), since the depth-first
+   enumeration never moves a height-3 tree's first child within the
+   tree budget. A closure cut at three children fails this property on
+   about 40 % of them. *)
+let prop_data_free_unsat_no_model =
+  let gen =
+    let open QCheck.Gen in
+    let node = Gen_helpers.gen_node_cfg Gen_helpers.data_free_cfg in
+    let small n =
+      sized_size (int_bound n)
+        (fst (Gen_helpers.gens_cfg Gen_helpers.data_free_cfg))
+    in
+    let lab l = Ast.Lab (Label.of_string l) in
+    let other = Ast.Not (Ast.Or (lab "a", Ast.Or (lab "b", lab "c"))) in
+    let down phi = Ast.Exists (Ast.Filter (Ast.Axis Ast.Child, phi)) in
+    let wide =
+      shuffle_l [ lab "a"; lab "b"; lab "c"; other ] >>= fun ls ->
+      let chi = frequency [ (3, return Ast.True); (1, small 3) ] in
+      pair (small 6) (list_repeat 4 chi) >|= fun (psi, chis) ->
+      ( List.fold_left2
+          (fun acc l chi -> Ast.And (acc, down (Ast.And (l, chi))))
+          psi ls chis,
+        2 )
+    in
+    frequency [ (1, pair node (return 3)); (1, wide) ]
+  in
+  Gen_helpers.qtest ~count:100 "data-free unsat: model search finds no model"
+    (QCheck.make
+       ~print:(fun (phi, _) -> Xpds_xpath.Pp.node_to_string phi)
+       gen)
+    (fun (phi, max_height) ->
+      match (budgeted_decide phi).Sat.verdict with
+      | Sat.Unsat -> (
+        match
+          Model_search.search ~max_height ~max_width:4 ~max_data:1
+            ~max_trees:60_000
+            (Ast.Exists (Ast.Filter (Ast.Axis Ast.Descendant, phi)))
+        with
+        | Model_search.Sat t ->
+          QCheck.Test.fail_reportf "unsat, but %s is a model"
+            (Data_tree.to_string t)
+        | Model_search.Unsat_within_bounds _
+        | Model_search.Budget_exhausted _ ->
+          true)
       | _ -> true)
 
 (* --- the data-free relaxation --- *)
@@ -548,6 +630,7 @@ let suite =
       prop_solver_vs_model_search_star;
       prop_witness_shape;
       prop_fast_path_consistent;
+      prop_data_free_unsat_no_model;
       prop_relaxation_over_approximates;
       prop_relaxation_agrees_with_engine;
       Alcotest.test_case "witness minimization" `Quick test_witness_min;

@@ -62,25 +62,30 @@ let transcript =
       {|{"v":1,"id":"s2","verdict":"sat","cached":true,"tier":"memory","ms":#,"fragment":"XPath(v*,v,=)","states":7,"transitions":11,"witness":"⟨b,2⟩(⟨b,2⟩, ⟨b,3⟩)","verified":true}|} );
     ( `Main,
       {|{"id":"s3","formula":"a & ~a"}|},
-      {|{"v":1,"id":"s3","verdict":"unsat_bounded","cached":false,"tier":"solve","ms":#,"fragment":"XPath(v)","states":1,"transitions":2,"reason":"saturated at width 3 (paper bound 152)"}|} );
+      {|{"v":1,"id":"s3","verdict":"unsat","cached":false,"tier":"solve","ms":#,"fragment":"XPath(v)","states":1,"transitions":2}|} );
     ( `Main,
       {|{"id":7,"formula":"<down[\"a b\"]>"}|},
-      {|{"v":1,"id":"7","verdict":"sat","cached":false,"tier":"solve","ms":#,"fragment":"XPath(v)","states":2,"transitions":5,"witness":"⟨@other,0⟩(⟨a b,0⟩)","verified":true}|} );
+      {|{"v":1,"id":"7","verdict":"sat","cached":false,"tier":"solve","ms":#,"fragment":"XPath(v)","states":2,"transitions":3,"witness":"⟨@other,0⟩(⟨a b,0⟩)","verified":true}|} );
     ( `Main,
       {|{"id":"s5","formula":"<down[abcdefghijklmnopqrstuvwxyz]> & <down[bcdefghijklmnopqrstuvwxyza]> & <down[cdefghijklmnopqrstuvwxyzab]>"}|},
-      {|{"v":1,"id":"s5","verdict":"sat","cached":false,"tier":"solve","ms":#,"fragment":"XPath(v)","states":28,"transitions":33,"witness":"⟨@other,0⟩(⟨abcdefghijklmnopqrstuvwxyz,0⟩,\n               ⟨bcdefghijklmnopqrstuvwxyza,0⟩,\n               ⟨cdefghijklmnopqrstuvwxyzab,0⟩)","verified":true}|} );
+      {|{"v":1,"id":"s5","verdict":"sat","cached":false,"tier":"solve","ms":#,"fragment":"XPath(v)","states":4,"transitions":29,"witness":"⟨@other,0⟩(⟨abcdefghijklmnopqrstuvwxyz,0⟩,\n               ⟨bcdefghijklmnopqrstuvwxyza,0⟩,\n               ⟨cdefghijklmnopqrstuvwxyzab,0⟩)","verified":true}|} );
     ( `Main,
       {|{"id":"s6","formula":"<down[w1]> & <down[w2]> & <down[w3]> & <down[w4]> & <down[w5]> & <down[w6]> & <down[w7]> & <down[w8]>"}|},
-      {|{"v":1,"id":"s6","verdict":"unsat_bounded","cached":false,"tier":"solve","ms":#,"fragment":"XPath(v)","states":837,"transitions":846,"reason":"saturated at width 3 (paper bound 94680)"}|} );
+      {|{"v":1,"id":"s6","verdict":"sat","cached":false,"tier":"solve","ms":#,"fragment":"XPath(v)","states":9,"transitions":2296,"witness":"⟨@other,0⟩(⟨w1,0⟩, ⟨w2,0⟩, ⟨w3,0⟩, ⟨w4,0⟩, ⟨w5,0⟩,\n               ⟨w6,0⟩, ⟨w7,0⟩, ⟨w8,0⟩)","verified":true}|} );
+    (* s6 needs eight children, wider than the general engine's width
+       3: the equivalence with an unsatisfiable formula fails. *)
+    ( `Main,
+      {|{"kind":"equiv","id":"s7","phi":"<down[w1]> & <down[w2]> & <down[w3]> & <down[w4]> & <down[w5]> & <down[w6]> & <down[w7]> & <down[w8]>","psi":"a & ~a"}|},
+      {|{"v":1,"id":"s7","kind":"equiv","equivalent":false,"forward":{"answer":"fails","counterexample":"a:0(w1:0,w2:0,w3:0,w4:0,w5:0,w6:0,w7:0,w8:0)","verified":true,"cached":false,"tier":"solve","ms":#},"backward":{"answer":"holds","cached":false,"tier":"solve","ms":#},"ms":#}|} );
     ( `Main,
       {|{"id":"s8","formula":"<down[\"q\\\"uote\"]> & <down[\"back\\\\slash\"]> & <down[\"tab\u0009x\"]>"}|},
-      {|{"v":1,"id":"s8","verdict":"sat","cached":false,"tier":"solve","ms":#,"fragment":"XPath(v)","states":28,"transitions":33,"witness":"⟨@other,0⟩(⟨q\"uote,0⟩, ⟨back\\slash,0⟩, ⟨tab\tx,0⟩)","verified":true}|} );
+      {|{"v":1,"id":"s8","verdict":"sat","cached":false,"tier":"solve","ms":#,"fragment":"XPath(v)","states":4,"transitions":29,"witness":"⟨@other,0⟩(⟨q\"uote,0⟩, ⟨back\\slash,0⟩, ⟨tab\tx,0⟩)","verified":true}|} );
     ( `Main,
       {|{"id":"s9","formula":"<down[\"a b\" & c]>"}|},
-      {|{"v":1,"id":"s9","verdict":"unsat_bounded","cached":false,"tier":"solve","ms":#,"fragment":"XPath(v)","states":1,"transitions":6,"reason":"saturated at width 3 (paper bound 1104)"}|} );
+      {|{"v":1,"id":"s9","verdict":"unsat","cached":false,"tier":"solve","ms":#,"fragment":"XPath(v)","states":1,"transitions":3}|} );
     ( `Main,
       {|{"id":"s10","formula":"<down[c & \"a b\"]>"}|},
-      {|{"v":1,"id":"s10","verdict":"unsat_bounded","cached":true,"tier":"memory","ms":#,"fragment":"XPath(v)","states":1,"transitions":6,"reason":"saturated at width 3 (paper bound 1104)"}|} );
+      {|{"v":1,"id":"s10","verdict":"unsat","cached":true,"tier":"memory","ms":#,"fragment":"XPath(v)","states":1,"transitions":3}|} );
     ( `Tiny,
       {|{"id":"t1","formula":"<desc[b & down[b] != down[b]]>"}|},
       {|{"v":1,"id":"t1","verdict":"unknown","cached":false,"tier":"solve","ms":#,"fragment":"XPath(v*,v,=)","states":2,"transitions":3,"reason":"state budget"}|} );
@@ -149,7 +154,7 @@ let transcript =
       {|{"v":1,"id":"e19","error":"unknown field \"nodes\" (protocol v1 eval requests accept: v, id, kind, formula, doc, xml, tree, timeout_ms, limit)"}|} );
     ( `Main,
       {|{"kind":"contains","id":"c1","phi":"<down[a & b]>","psi":"<down[a]>"}|},
-      {|{"v":1,"id":"c1","kind":"contains","answer":"holds_bounded","reason":"saturated at width 3 (paper bound 3624)","cached":false,"tier":"solve","ms":#}|} );
+      {|{"v":1,"id":"c1","kind":"contains","answer":"holds","cached":false,"tier":"solve","ms":#}|} );
     ( `Main,
       {|{"kind":"contains","id":"c2","phi":"<down[a]>","psi":"<down[a & b]>"}|},
       {|{"v":1,"id":"c2","kind":"contains","answer":"fails","counterexample":"a:0(a:0)","verified":true,"cached":false,"tier":"solve","ms":#}|} );
@@ -161,16 +166,20 @@ let transcript =
       {|{"v":1,"id":"c4","error":"missing \"psi\" field"}|} );
     ( `Main,
       {|{"kind":"equiv","id":"q1","phi":"<down[a & b]>","psi":"<down[b & a]>"}|},
-      {|{"v":1,"id":"q1","kind":"equiv","equivalent":true,"forward":{"answer":"holds_bounded","reason":"saturated at width 3 (paper bound 1104)","cached":false,"tier":"solve","ms":#},"backward":{"answer":"holds_bounded","reason":"saturated at width 3 (paper bound 1104)","cached":true,"tier":"memory","ms":#},"ms":#}|} );
+      {|{"v":1,"id":"q1","kind":"equiv","equivalent":true,"forward":{"answer":"holds","cached":false,"tier":"solve","ms":#},"backward":{"answer":"holds","cached":true,"tier":"memory","ms":#},"ms":#}|} );
     ( `Main,
       {|{"kind":"equiv","id":"q2","phi":"<down[a]>","psi":"<down[a & b]>"}|},
-      {|{"v":1,"id":"q2","kind":"equiv","equivalent":false,"forward":{"answer":"fails","counterexample":"a:0(a:0)","verified":true,"cached":true,"tier":"memory","ms":#},"backward":{"answer":"holds_bounded","reason":"saturated at width 3 (paper bound 3624)","cached":true,"tier":"memory","ms":#},"ms":#}|} );
+      {|{"v":1,"id":"q2","kind":"equiv","equivalent":false,"forward":{"answer":"fails","counterexample":"a:0(a:0)","verified":true,"cached":true,"tier":"memory","ms":#},"backward":{"answer":"holds","cached":true,"tier":"memory","ms":#},"ms":#}|} );
     ( `Main,
       {|{"kind":"sat_under_doctype","id":"d1","formula":"<down[a]>","doctype":[{"parent":"a","at_least":[[1,"b"]],"forbidden":["c"]}]}|},
-      {|{"v":1,"id":"d1","kind":"sat_under_doctype","verdict":"sat","cached":false,"tier":"solve","ms":#,"fragment":"XPath(v)","states":13,"transitions":158,"witness":"b:0(a:0(b:0))","verified":true}|} );
+      {|{"v":1,"id":"d1","kind":"sat_under_doctype","verdict":"sat","cached":false,"tier":"solve","ms":#,"fragment":"XPath(v)","states":9,"transitions":50,"witness":"b:0(a:0(b:0))","verified":true}|} );
     ( `Main,
       {|{"kind":"sat_under_doctype","id":"d2","formula":"a & <down[c]>","doctype":[{"parent":"a","forbidden":["c"]}]}|},
-      {|{"v":1,"id":"d2","kind":"sat_under_doctype","verdict":"unsat_bounded","cached":false,"tier":"solve","ms":#,"fragment":"XPath(v)","states":11,"transitions":1092,"reason":"saturated at width 3 (paper bound 2120)"}|} );
+      {|{"v":1,"id":"d2","kind":"sat_under_doctype","verdict":"unsat","cached":false,"tier":"solve","ms":#,"fragment":"XPath(v)","states":4,"transitions":12}|} );
+    (* Four b children under every a, again wider than width 3. *)
+    ( `Main,
+      {|{"kind":"sat_under_doctype","id":"d7","formula":"<down[a]>","doctype":[{"parent":"a","at_least":[[4,"b"]]}]}|},
+      {|{"v":1,"id":"d7","kind":"sat_under_doctype","verdict":"sat","cached":false,"tier":"solve","ms":#,"fragment":"XPath(v)","states":7,"transitions":41,"witness":"b:0(a:0(b:0,b:0,b:0,b:0))","verified":true}|} );
     ( `Main,
       {|{"kind":"sat_under_doctype","id":"d3","formula":"a","doctype":[{"parent":"a"},{"parent":"a"}]}|},
       {|{"v":1,"id":"d3","error":"bad doctype: several rules for the same label"}|} );
@@ -262,10 +271,10 @@ let transcript =
        ⟨α⟩ ∧ ⟨β⟩. *)
     ( `Main,
       {|{"id":"r1","formula":"desc[a] = desc[b] & ~<desc[a]>"}|},
-      {|{"v":1,"id":"r1","verdict":"unsat_bounded","cached":false,"tier":"solve","ms":#,"fragment":"XPath(v*,=)\\eps","states":4,"transitions":15,"reason":"data-free relaxation: saturated at width 3 (paper bound 2120)"}|} );
+      {|{"v":1,"id":"r1","verdict":"unsat","cached":false,"tier":"solve","ms":#,"fragment":"XPath(v*,=)\\eps","states":4,"transitions":12}|} );
     ( `Main,
       {|{"kind":"contains","id":"r2","phi":"desc[a] != desc[b]","psi":"<desc[a]>"}|},
-      {|{"v":1,"id":"r2","kind":"contains","answer":"holds_bounded","reason":"data-free relaxation: saturated at width 3 (paper bound 2120)","cached":false,"tier":"solve","ms":#}|} );
+      {|{"v":1,"id":"r2","kind":"contains","answer":"holds","cached":false,"tier":"solve","ms":#}|} );
   ]
 
 let test_transcript () =

@@ -231,24 +231,24 @@ let default_fp = Service.Config.(fingerprint default_solver)
    "a{1*b|c}"), as [Cache_key.hex]. The fingerprint leads with
    [Sat.rules_version], so a rules change moves every pin. *)
 let key_pins =
-  [ ("<desc[b & down[b] != down[b]]>", "da994c93c7cd058a6f6c7ac641a8a99f",
-     "ec163f2aaeea0bf3606ba048055a5118", "9a2b89adda25177af00464d38599502b");
-    ("a & ~a", "f5d807bcaf3085d5aa671a8d744198c6",
-     "4da1acf7e7986517c5e870001aafde56", "88edd32818b2c6824215e54c7b282398");
-    ("<down[\"a b\"]> & ~<down[c]>", "d0a34a09c3746b49b41be372833d7c7c",
-     "aad791abd731d5a92a5f2224f42d1324", "1bb7aacc17e809f19b98f733f9191d34");
+  [ ("<desc[b & down[b] != down[b]]>", "cd76c39521be8967b79a8f8e6976f172",
+     "043bc659bde804cfa50aa6583acdae3d", "e848189b96b2bdc5b490342fca4b37be");
+    ("a & ~a", "33219d657bdd5aa89c7a3fd08e660773",
+     "0b29c4ddf019267d1714499f33384b1d", "ea0e69f3ce78fbd656382cad01e0cbff");
+    ("<down[\"a b\"]> & ~<down[c]>", "6711f2e7853d86a2b7c8d2461b018a6d",
+     "08ebdc266865f0b0cbaab404677e28b7", "25d0911bd15e275d3166537783d1a68b");
     ("<down[\"q\\\"uote\"]> | \"back\\\\slash\"",
-     "073c3a51bf4e863ae67e3ae9643e95b0", "47b95fc7b56aac2ed8cf4618a6e6a2db",
-     "dc47204fe0c54256c23d14119cc2e3c1");
-    ("<down[\"tab\tx\"]>", "56d61360f6fe71cb4579109085bc920f",
-     "cb181e08834e3431ed6768652b15e694", "5e7dc8c0e668e350dffaa3386836971f");
-    ("<down[\"\195\169t\195\169\"]>", "954b890b9e01b76e48a87c15c67b061c",
-     "fc2c8208200242a5769a6553928b14f9", "c8660e890babe42564984e5322f0d0ba");
+     "5d9e4f81feab13ee6e1cf69daed231fe", "7cfaa1cc5c5d3221b0a2564a7ae7ab8c",
+     "8821b5338aaf8aed8363fa1a142606e6");
+    ("<down[\"tab\tx\"]>", "8d27890f845eb21ffa118a2312c38ec4",
+     "312c67ff93df9acaef07d8d558ae7e7c", "07cd5b2c12498777d05b9bd1ce70f53b");
+    ("<down[\"\195\169t\195\169\"]>", "4346727bb682954bc6663f0a040edf8f",
+     "0df378ec28d1fa84138b2f374c7938f9", "098e98a0870ff8be94781e750431be53");
     ("desc[a] = desc[b]/down[c] & ~(eps[c] != (down|desc))",
-     "6c75d92aac4759d47ed3cc2597b7986c", "4c041db324216d0df01484640f2bde93",
-     "ced02e9d71d441eaca1c1a9d21ed69c2");
-    ("<(down/desc)*[a]>", "a98909d652ce3fd77ad38aeb60ac1bc2",
-     "7ca9c17a415cb53b4b81221c79cf3aec", "d40298e419f8746593ca61057d19c8dd")
+     "8245c22ce46de31d5dc31e353f3d0353", "6cb93ed640c04057c9f99157ab3fc9df",
+     "b3769bffd5d9b82c94bdc9e7189ac5de");
+    ("<(down/desc)*[a]>", "21f14afabc8d44e4dcfe58c430a4002f",
+     "fe280cafc7a62432195aac58f20b5c6d", "c657d5ee1263d866ac28364a5bcdf591")
   ]
 
 let test_cache_key_pins () =

@@ -405,6 +405,57 @@ let test_deadline () =
   Alcotest.(check (float 0.)) "deadline counted" 1.
     (Corpus.metric (Service.metrics svc) [ "deadline_timeouts" ])
 
+(* The data-free union closure polls the deadline on every transition
+   and every 256 extensions, so a deadline bounds its wall time. Two
+   formulas that outlast any of these deadlines: the bare chain
+   [⟨↓[⟨↓[ … a … ]⟩]⟩] (20 diamonds, a pool of 2²⁰ reach sets) and
+   sixteen [⟨↓[aᵢ]⟩] conjuncts beside [¬⟨↓[a1 ∧ a2]⟩] (2¹⁶ observables,
+   none accepting). *)
+let test_data_free_deadline_bound () =
+  let bare_chain =
+    let rec go n = if n = 0 then "a" else "<down[" ^ go (n - 1) ^ "]>" in
+    go 20
+  in
+  let conjuncts =
+    String.concat " & "
+      (List.init 16 (fun i -> Printf.sprintf "<down[a%d]>" (i + 1)))
+    ^ " & ~<down[a1 & a2]>"
+  in
+  let svc =
+    Service.create
+      Service.Config.(
+        default
+        |> with_max_states 100_000_000
+        |> with_max_transitions 100_000_000)
+  in
+  List.iter
+    (fun (name, phi) ->
+      List.iter
+        (fun deadline ->
+          let start = Unix.gettimeofday () in
+          let r =
+            Corpus.solve svc
+              { Request.id = name;
+                timeout_ms = Some deadline;
+                body = Sat (Xpds_xpath.Parser.node_of_string_exn phi)
+              }
+          in
+          let elapsed_ms = (Unix.gettimeofday () -. start) *. 1000. in
+          let label = Printf.sprintf "%s at %.0f ms" name deadline in
+          (match r.Service.report.Sat.verdict with
+          | Sat.Unknown why ->
+            Alcotest.(check string) (label ^ ": reason")
+              Emptiness.deadline_exceeded why
+          | v ->
+            Alcotest.failf "%s: expected Unknown, got %s" label
+              (Service.verdict_name v));
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: answered in %.1f ms" label elapsed_ms)
+            true
+            (elapsed_ms <= deadline +. Float.max 20. (deadline /. 10.)))
+        [ 10.; 100.; 1_000. ])
+    [ ("bare chain 20", bare_chain); ("16 conjuncts", conjuncts) ]
+
 (* A 0 ms budget is already exhausted at admission: the response must be
    a deterministic [Unknown "deadline exceeded"] — no fixpoint work, no
    cache pollution, every time. *)
@@ -821,6 +872,8 @@ let suite =
         test_metrics_accounting;
       Alcotest.test_case "metrics JSON pin" `Quick test_metrics_json_pin;
       Alcotest.test_case "deadline honoured" `Quick test_deadline;
+      Alcotest.test_case "data-free deadline is a bound" `Slow
+        test_data_free_deadline_bound;
       Alcotest.test_case "zero timeout deterministic" `Quick
         test_zero_timeout;
       Alcotest.test_case "single-flight dedup" `Quick test_single_flight;

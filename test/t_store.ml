@@ -389,7 +389,7 @@ let test_full_mode_catches_wrong_witness () =
   let formula = "<down[a & b]>" in
   let path, facts = solved_store ~name:"full" [ formula ] in
   let key, canon, verdict = List.hd facts in
-  Alcotest.(check string) "fixture is unsat" "unsat_bounded" verdict;
+  Alcotest.(check string) "fixture is unsat" "unsat" verdict;
   let r = first_record path in
   let forged =
     let r' =
