@@ -2,7 +2,8 @@
    corpus on the default service configuration. Writes
    BENCH_emptiness.json: wall time, engine throughput, and per Fig. 4
    row ({!Xpds.Fragment.classify}) the formulas, verdicts, solve time,
-   transitions and memo replays.
+   transitions, mergings and the general engine's kernel split: memo
+   replays, fresh merging keys and applied (merging, label) results.
 
    Run with: dune exec bench/main.exe -- emptiness *)
 
@@ -37,6 +38,12 @@ let transitions = sum (fun r -> (stats r).Emptiness.n_transitions)
 
 let replayed = sum (fun r -> (stats r).Emptiness.n_replayed)
 
+let mergings = sum (fun r -> (stats r).Emptiness.n_mergings)
+
+let fresh_keys = sum (fun r -> (stats r).Emptiness.n_fresh_keys)
+
+let applied = sum (fun r -> (stats r).Emptiness.n_applied)
+
 let solve_ms = List.fold_left (fun a (r : Service.response) -> a +. r.Service.ms) 0.
 
 let verdict_counts resps =
@@ -64,13 +71,15 @@ let run () =
   let n = List.length formulas in
   Format.printf "emptiness: %d formulas, cold@." n;
   let wall, resps = corpus_pass formulas in
-  let states = sum (fun r -> (stats r).Emptiness.n_states) resps
-  and mergings = sum (fun r -> (stats r).Emptiness.n_mergings) resps in
+  let states = sum (fun r -> (stats r).Emptiness.n_states) resps in
   let per_s x = Json.Num (float_of_int x /. wall) in
   Format.printf "  wall: %.2f s (%.1f formulas/s)@." wall
     (float_of_int n /. wall);
-  Format.printf "  engine: %d states, %d transitions (%d replayed), %d mergings@."
-    states (transitions resps) (replayed resps) mergings;
+  Format.printf
+    "  engine: %d states, %d transitions (%d replayed, %d applied), %d \
+     mergings (%d fresh keys)@."
+    states (transitions resps) (replayed resps) (applied resps)
+    (mergings resps) (fresh_keys resps);
   let rows = by_fragment formulas resps in
   List.iter
     (fun (row, rs) ->
@@ -88,11 +97,13 @@ let run () =
           Json.Obj
             [ ("states", num states);
               ("transitions", num (transitions resps));
-              ("mergings", num mergings);
+              ("mergings", num (mergings resps));
               ("replayed", num (replayed resps));
+              ("fresh_keys", num (fresh_keys resps));
+              ("applied", num (applied resps));
               ("states_per_s", per_s states);
               ("transitions_per_s", per_s (transitions resps));
-              ("mergings_per_s", per_s mergings)
+              ("mergings_per_s", per_s (mergings resps))
             ] );
         ("verdicts", verdict_counts resps);
         ( "by_fragment",
@@ -105,7 +116,10 @@ let run () =
                        ("verdicts", verdict_counts rs);
                        ("solve_ms", Json.Num (solve_ms rs));
                        ("transitions", num (transitions rs));
-                       ("replayed", num (replayed rs))
+                       ("mergings", num (mergings rs));
+                       ("replayed", num (replayed rs));
+                       ("fresh_keys", num (fresh_keys rs));
+                       ("applied", num (applied rs))
                      ] ))
                rows) )
       ]);

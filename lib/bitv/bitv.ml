@@ -346,6 +346,16 @@ let freeze b = { width = b.b_width; bits = copy_words b.b_bits; h = -1 }
 
 let word_count = words
 
+let equal_words t src pos =
+  let n = Array.length t.bits in
+  let i = ref 0 in
+  while !i < n && t.bits.(!i) = src.(pos + !i) do
+    incr i
+  done;
+  !i = n
+
+let lowest_bit w = ntz_pow2 (w land -w)
+
 let blit_words t dst pos = Array.blit t.bits 0 dst pos (Array.length t.bits)
 
 let of_words width src pos =

@@ -126,6 +126,18 @@ val freeze : builder -> t
 val word_count : int -> int
 (** [word_count width]: the number of words of a vector of that width. *)
 
+val equal_words : t -> int array -> int -> bool
+(** [equal_words t src pos]: whether [t]'s {!word_count} words equal
+    [src.(pos) ..]. *)
+
+val popcount : int -> int
+(** The number of set bits of a word. *)
+
+val lowest_bit : int -> int
+(** [lowest_bit w]: the index of the lowest set bit of the nonzero word
+    [w] — a scan over raw words visits [w]'s bits by taking
+    [lowest_bit w] and clearing it with [w land (w - 1)]. *)
+
 val blit_words : t -> int array -> int -> unit
 (** [blit_words t dst pos] copies the {!word_count} words of [t] into
     [dst] starting at [pos]. *)

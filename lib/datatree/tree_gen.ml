@@ -1,36 +1,47 @@
-let seq_append_lazy (s1 : 'a Seq.t) (s2 : 'a Seq.t) : 'a Seq.t =
-  Seq.append s1 s2
+(* One element of each sequence in turn, dropping the exhausted ones: a
+   fair merge of finitely many sequences. *)
+let rec round_robin seqs () =
+  let rec step later = function
+    | [] -> if later = [] then Seq.Nil else round_robin (List.rev later) ()
+    | s :: rest -> (
+      match s () with
+      | Seq.Nil -> step later rest
+      | Seq.Cons (x, s') -> Seq.Cons (x, fun () -> step (s' :: later) rest))
+  in
+  step [] seqs
 
 (* Enumerate trees together with the number of distinct data values used so
    far (threaded through a preorder traversal): a node may reuse any value
-   in [0..m-1] or, if [m < max_data], introduce the fresh value [m]. *)
+   in [0..m-1] or, if [m < max_data], introduce the fresh value [m]. The
+   trees of each (label, datum) choice of a node are merged round-robin,
+   so any prefix of the sequence spreads over every root label instead
+   of exhausting the first one (a budgeted model search reads only a
+   prefix). *)
 let enumerate ~labels ~max_height ~max_width ~max_data =
   if labels = [] then invalid_arg "Tree_gen.enumerate: empty label list";
   if max_data < 1 then invalid_arg "Tree_gen.enumerate: max_data < 1";
   let rec trees height m : (Data_tree.t * int) Seq.t =
     if height <= 0 then Seq.empty
     else
-      let data_choices =
-        (* values 0..m-1 reuse, value m is fresh *)
-        Seq.ints 0 |> Seq.take (min (m + 1) max_data)
-      in
-      Seq.concat_map
-        (fun lbl ->
-          Seq.concat_map
-            (fun d ->
-              let m' = max m (d + 1) in
-              Seq.map
-                (fun (children, m'') ->
-                  (Data_tree.make lbl d children, m''))
-                (forests (height - 1) max_width m'))
-            data_choices)
-        (List.to_seq labels)
+      (* values 0..m-1 reuse, value m is fresh *)
+      let data_choices = List.init (min (m + 1) max_data) Fun.id in
+      round_robin
+        (List.concat_map
+           (fun lbl ->
+             List.map
+               (fun d ->
+                 let m' = max m (d + 1) in
+                 Seq.map
+                   (fun (children, m'') -> (Data_tree.make lbl d children, m''))
+                   (forests (height - 1) max_width m'))
+               data_choices)
+           labels)
   (* Forests of at most [width] trees, each of height ≤ [height]. *)
   and forests height width m : (Data_tree.t list * int) Seq.t =
     let empty = Seq.return ([], m) in
     if width <= 0 || height <= 0 then empty
     else
-      seq_append_lazy empty
+      Seq.append empty
         (Seq.concat_map
            (fun (t, m') ->
              Seq.map

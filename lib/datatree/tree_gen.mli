@@ -19,7 +19,9 @@ val enumerate :
   Data_tree.t Seq.t
 (** All data trees (up to data bijection) with height ≤ [max_height],
     branching ≤ [max_width], labels among [labels], and at most [max_data]
-    distinct data values. The sequence is produced lazily. *)
+    distinct data values. The sequence is produced lazily. The choices
+    of a node's label and datum are merged round-robin, so every prefix
+    of the sequence holds trees of every root label in turn. *)
 
 val count :
   labels:Label.t list ->

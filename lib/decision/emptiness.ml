@@ -15,6 +15,8 @@ type stats = {
   n_mergings : int;
   max_height_reached : int;
   n_replayed : int;
+  n_fresh_keys : int;
+  n_applied : int;
 }
 
 type config = {
@@ -44,13 +46,6 @@ let paper_width (m : Bip.t) =
   let k = m.pf.Pathfinder.n_states in
   ((2 * k * k) + k + 2) * k
 
-module StateTbl = Hashtbl.Make (struct
-  type t = Ext_state.t
-
-  let equal = Ext_state.equal
-  let hash = Ext_state.hash
-end)
-
 type prov =
   | PLeaf of Label.t * int array  (** label, class_values *)
   | PNode of Label.t * int array * Merging.t * int array
@@ -71,7 +66,8 @@ let poll_stop cfg =
 
 (* The transition memo (DESIGN.md: Transition memo): children
    projections interned to ids, and per (projection id, merging key) the
-   state ids the transition's results resolved to. *)
+   state ids the transition's results resolved to. The keys are interned
+   in a [Wordtbl] straight from the enumeration's key buffer. *)
 module ProjTbl = Hashtbl.Make (struct
   type t = Transition.projection
 
@@ -79,18 +75,16 @@ module ProjTbl = Hashtbl.Make (struct
   let hash = Transition.projection_hash
 end)
 
-module MemoTbl = Hashtbl.Make (struct
-  type t = int * Merging.Key.t
-
-  let equal (p1, k1) (p2, k2) = p1 = p2 && Merging.Key.equal k1 k2
-  let hash (p, k) = ((Merging.Key.hash k * 0x01000193) lxor p) land max_int
-end)
-
 type search = {
   ctx : Transition.ctx;
   memo : Pathfinder.memo;
   cfg : config;
-  ids : int StateTbl.t;
+  ids : Wordtbl.t;
+      (** the states by {!Transition.result_hash}, ids in admission
+          order; the states themselves are the keys ([states]) *)
+  is_state : int -> bool;
+      (** whether state [id] is the result [Transition.apply] is calling
+          back for: made once, so a lookup allocates nothing *)
   mutable states : Ext_state.t array;
   mutable provs : prov array;
   mutable heights : int array;
@@ -107,62 +101,83 @@ type search = {
   enum : Merging.enum;  (** the round's merging scratch *)
   (* the transition memo *)
   projs : int ProjTbl.t;  (** children projection -> projection id *)
-  replays : int array MemoTbl.t;
-      (** (projection id, merging key) -> per label, the ids its results
-          resolved to: [e.(l) .. e.(l+1) - 1] index label [l]'s ids *)
+  replay_keys : Wordtbl.t;  (** (projection id, merging key) -> entry id *)
+  mutable replays : int array array;
+      (** per entry id: per label, the ids its results resolved to:
+          [e.(l) .. e.(l+1) - 1] index label [l]'s ids *)
   mutable replayed : int;
+  mutable fresh_keys : int;
+  mutable applied : int;
+  mutable ebuf : int array;  (** the entry [apply_merging] is writing *)
 }
 
-(* Admit a transition result at [height]; returns the id it resolved
-   to: its new id or an equal state's. Raises [Found] on an accepting
-   state. *)
-let add_state s state prov height =
-  match StateTbl.find_opt s.ids state with
-  | Some id ->
+(* Register the new state [state] under id [s.count]. Raises [Found]
+   on an accepting state. *)
+let register s state prov height =
+  let id = s.count in
+  if id >= Array.length s.states then begin
+    let cap = max 64 (2 * Array.length s.states) in
+    let states' = Array.make cap state in
+    Array.blit s.states 0 states' 0 id;
+    s.states <- states';
+    let provs' = Array.make cap prov in
+    Array.blit s.provs 0 provs' 0 id;
+    s.provs <- provs';
+    let heights' = Array.make cap max_int in
+    Array.blit s.heights 0 heights' 0 id;
+    s.heights <- heights';
+    let val_su' = Array.make cap [||] in
+    Array.blit s.val_su 0 val_su' 0 id;
+    s.val_su <- val_su';
+    let visible' = Array.make cap [||] in
+    Array.blit s.visible 0 visible' 0 id;
+    s.visible <- visible'
+  end;
+  s.states.(id) <- state;
+  Ext_state.set_tag state id;
+  s.provs.(id) <- prov;
+  s.heights.(id) <- height;
+  (* Step-ups of the described values, once per state: every combo the
+     state joins reuses them for items and merging keys. *)
+  let sus =
+    Array.map
+      (fun desc -> Pathfinder.step_up_m s.memo desc)
+      state.Ext_state.values
+  in
+  s.val_su.(id) <- sus;
+  let vis = ref [] in
+  for v = Array.length sus - 1 downto 0 do
+    if not (Bitv.is_empty sus.(v)) then vis := v :: !vis
+  done;
+  s.visible.(id) <- Array.of_list !vis;
+  s.count <- id + 1;
+  if Ext_state.accepting state s.final then raise (Found id);
+  id
+
+(* Admit the transition result [Transition.apply] is calling back for,
+   at [height]; returns the id it resolved to. A known state is found by
+   its encoding and only has its height lowered; a new one is
+   materialized, with the provenance of [label] over [combo] (a leaf
+   when empty) under [merging], the enumeration's current merging, made
+   once for all the states it yields. *)
+let admit s ~height ~label ~combo ~merging =
+  let h = Transition.result_hash s.ctx in
+  let id = Wordtbl.find_with s.ids h s.is_state in
+  if id >= 0 then begin
     if height < s.heights.(id) then s.heights.(id) <- height;
     id
-  | None ->
+  end
+  else begin
     if s.count >= s.cfg.max_states then raise (Limit "state budget");
-    let id = s.count in
-    if id >= Array.length s.states then begin
-      let cap = max 64 (2 * Array.length s.states) in
-      let states' = Array.make cap state in
-      Array.blit s.states 0 states' 0 id;
-      s.states <- states';
-      let provs' = Array.make cap prov in
-      Array.blit s.provs 0 provs' 0 id;
-      s.provs <- provs';
-      let heights' = Array.make cap max_int in
-      Array.blit s.heights 0 heights' 0 id;
-      s.heights <- heights';
-      let val_su' = Array.make cap [||] in
-      Array.blit s.val_su 0 val_su' 0 id;
-      s.val_su <- val_su';
-      let visible' = Array.make cap [||] in
-      Array.blit s.visible 0 visible' 0 id;
-      s.visible <- visible'
-    end;
-    s.states.(id) <- state;
-    Ext_state.set_tag state id;
-    s.provs.(id) <- prov;
-    s.heights.(id) <- height;
-    (* Step-ups of the described values, once per state: every combo the
-       state joins reuses them for items and merging keys. *)
-    let sus =
-      Array.map
-        (fun desc -> Pathfinder.step_up_m s.memo desc)
-        state.Ext_state.values
+    let r = Transition.result s.ctx in
+    let prov =
+      if Array.length combo = 0 then PLeaf (label, r.Transition.class_values)
+      else
+        PNode (label, combo, Lazy.force merging, r.Transition.class_values)
     in
-    s.val_su.(id) <- sus;
-    let vis = ref [] in
-    for v = Array.length sus - 1 downto 0 do
-      if not (Bitv.is_empty sus.(v)) then vis := v :: !vis
-    done;
-    s.visible.(id) <- Array.of_list !vis;
-    s.count <- id + 1;
-    StateTbl.add s.ids state id;
-    if Ext_state.accepting state s.final then raise (Found id);
-    id
+    ignore (Wordtbl.add s.ids [||] 0 0 h);
+    register s r.Transition.state prov height
+  end
 
 (* Non-decreasing id sequences of length [w] over [0..n], containing at
    least one id from [fresh] (a predicate). *)
@@ -205,22 +220,10 @@ let load_combo enum ~k_card ~val_su ~visible combo =
     Array.iter (fun v -> Merging.push enum i v su.(v)) visible.(id)
   done
 
-(* The enumeration's current partition, materialized, and its class
-   bases: the class unions the enumeration already holds, plus the
-   initial state in the root class — what [Transition.combine] would
-   otherwise recompute. *)
-let distinct_merging enum ~initial =
-  let bases =
-    Array.init (Merging.n_classes enum) (fun c ->
-        let b = Merging.class_union enum c in
-        if c = 0 then Bitv.add initial b else b)
-  in
-  (Merging.current enum, bases)
-
 (* Replay a memo entry: the transitions count and poll as if applied,
    and each result lands on the id it resolved to when the entry was
    written — by then it was admitted or a duplicate, so
-   [add_state]'s duplicate branch is all a recompute would run. *)
+   [admit]'s duplicate branch is all a recompute would run. *)
 let replay_entry s ~height ~n_labels e =
   for l = 0 to n_labels - 1 do
     bump_transitions s;
@@ -231,50 +234,43 @@ let replay_entry s ~height ~n_labels e =
     done
   done
 
-(* Apply a fresh merging to every label, in order, through one
-   transition step, and record the entry once every result is admitted
-   (a [Found] or [Limit] ends the search first). *)
-let apply_merging s ~labels ~height ~combo ~children key =
+let push_id s pos id =
+  if pos >= Array.length s.ebuf then begin
+    let b = Array.make (2 * (pos + 1)) 0 in
+    Array.blit s.ebuf 0 b 0 (Array.length s.ebuf);
+    s.ebuf <- b
+  end;
+  s.ebuf.(pos) <- id
+
+(* Apply the enumeration's current merging (a fresh key) to every label,
+   in order, through one transition step, and record memo entry
+   [entry] once every result is admitted (a [Found] or [Limit] ends the
+   search first). *)
+let apply_merging s ~labels ~n_labels ~height ~combo ~children entry =
   let cfg = s.cfg in
-  let pf = (Transition.bip_of s.ctx).Bip.pf in
-  let merging, bases =
-    distinct_merging s.enum ~initial:pf.Pathfinder.initial
-  in
   (* One step for every label: its lights do not depend on the label. *)
-  let step =
-    Transition.step ?t0:cfg.t0 ?dup_cap:cfg.dup_cap ~bases s.ctx children
-      merging
-  in
-  let ids =
-    List.map
-      (fun label ->
-        bump_transitions s;
-        List.map
-          (fun (r : Transition.result) ->
-            add_state s r.Transition.state
-              (PNode (label, combo, merging, r.Transition.class_values))
-              height)
-          (Transition.apply s.ctx step label))
-      labels
-  in
-  let n_labels = List.length ids in
-  let e =
-    Array.make
-      (n_labels + 1 + List.fold_left (fun n l -> n + List.length l) 0 ids)
-      0
+  let st =
+    Transition.step_of_enum ?t0:cfg.t0 ?dup_cap:cfg.dup_cap s.ctx children
+      s.enum
   in
   let pos = ref (n_labels + 1) in
+  let merging = lazy (Merging.current s.enum) in
   List.iteri
-    (fun l label_ids ->
-      e.(l) <- !pos;
-      List.iter
-        (fun id ->
-          e.(!pos) <- id;
-          incr pos)
-        label_ids)
-    ids;
-  e.(n_labels) <- !pos;
-  MemoTbl.add s.replays key e
+    (fun l label ->
+      bump_transitions s;
+      s.applied <- s.applied + 1;
+      push_id s l !pos;
+      Transition.apply s.ctx st label (fun () ->
+          push_id s !pos (admit s ~height ~label ~combo ~merging);
+          incr pos))
+    labels;
+  push_id s n_labels !pos;
+  if entry >= Array.length s.replays then begin
+    let r = Array.make (max 64 (2 * entry)) [||] in
+    Array.blit s.replays 0 r 0 (Array.length s.replays);
+    s.replays <- r
+  end;
+  s.replays.(entry) <- Array.sub s.ebuf 0 !pos
 
 let projection_id s children =
   let p = Transition.projection s.ctx children in
@@ -313,12 +309,18 @@ let round s ~labels ~width ~height ~fresh_from =
               raise (Limit "merging budget");
             if s.mergings land 255 = 0 then poll_stop s.cfg;
             if Merging.fresh_key enum then begin
+              s.fresh_keys <- s.fresh_keys + 1;
               if !proj < 0 then proj := projection_id s children;
-              let key = (!proj, Merging.transition_key enum ~t0) in
-              match MemoTbl.find_opt s.replays key with
-              | Some e -> replay_entry s ~height ~n_labels e
-              | None ->
-                apply_merging s ~labels ~height ~combo ~children key
+              let n = Wordtbl.length s.replay_keys in
+              let entry =
+                Merging.intern_transition_key enum ~t0 ~tag:!proj
+                  s.replay_keys
+              in
+              if entry < n then
+                replay_entry s ~height ~n_labels s.replays.(entry)
+              else
+                apply_merging s ~labels ~n_labels ~height ~combo ~children
+                  entry
             end))
   done;
   s.count > start
@@ -528,6 +530,8 @@ let check_data_free ~config (m : Bip.t) =
       n_mergings = 0;
       max_height_reached = height;
       n_replayed = 0;
+      n_fresh_keys = 0;
+      n_applied = 0;
     }
   in
   let rec children o acc =
@@ -640,12 +644,13 @@ let check_full ?(config = default_config) ?(want_basis = false) (m : Bip.t) =
     && config.dup_cap = None
     && config.merge_budget = None
   in
-  let s =
+  let rec s =
     {
       ctx;
       memo = Transition.memo_of ctx;
       cfg = config;
-      ids = StateTbl.create 16;
+      ids = Wordtbl.create 8;
+      is_state = (fun id -> Transition.is_result ctx s.states.(id));
       states = [||];
       provs = [||];
       heights = [||];
@@ -657,8 +662,12 @@ let check_full ?(config = default_config) ?(want_basis = false) (m : Bip.t) =
       final = m.Bip.final;
       enum = Merging.create ();
       projs = ProjTbl.create 16;
-      replays = MemoTbl.create 16;
+      replay_keys = Wordtbl.create 8;
+      replays = [||];
       replayed = 0;
+      fresh_keys = 0;
+      applied = 0;
+      ebuf = [||];
     }
   in
   let stats height =
@@ -668,21 +677,24 @@ let check_full ?(config = default_config) ?(want_basis = false) (m : Bip.t) =
       n_mergings = s.mergings;
       max_height_reached = height;
       n_replayed = s.replayed;
+      n_fresh_keys = s.fresh_keys;
+      n_applied = s.applied;
     }
   in
   let labels = m.Bip.labels in
   try
-    (* Height 1: leaves. *)
+    (* Height 1: leaves, one step for every label. *)
+    let root_only = [ { Merging.has_root = true; members = [] } ] in
+    let leaf =
+      Transition.step ?t0:config.t0 ?dup_cap:config.dup_cap ctx [||]
+        root_only
+    in
+    let leaf_merging = Lazy.from_val root_only in
     List.iter
       (fun label ->
         bump_transitions s;
-        List.iter
-          (fun (r : Transition.result) ->
-            ignore
-              (add_state s r.Transition.state
-                 (PLeaf (label, r.Transition.class_values))
-                 1))
-          (Transition.leaf ?t0:config.t0 ?dup_cap:config.dup_cap ctx label))
+        Transition.apply ctx leaf label (fun () ->
+            ignore (admit s ~height:1 ~label ~combo:[||] ~merging:leaf_merging)))
       labels;
     let max_h =
       match config.max_height with Some h -> h | None -> max_int

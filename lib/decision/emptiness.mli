@@ -38,6 +38,12 @@ type stats = {
       (** transitions among [n_transitions] answered from the search's
           transition memo instead of recomputed (0 on the data-free union
           closure). Not part of wire responses or metrics. *)
+  n_fresh_keys : int;
+      (** mergings whose key no earlier merging of the same children had:
+          the ones looked up in the transition memo *)
+  n_applied : int;
+      (** (merging, label) transitions computed by {!Transition.apply}:
+          [n_transitions] less the replayed ones and the leaves *)
 }
 
 (** Search knobs. The record mirrors {!Xpds_decision.Sat.Options.t}

@@ -69,15 +69,15 @@ let enumerate ?budget (items : (int * int) list) : t Seq.t =
    each class's union as raw words beside the partition: a join ORs the
    item's words into its class (saving the old words), a backtrack
    stores them back. The canonical key is then a flat [int array] built
-   from those words, and the partition itself ([current]) and its class
-   unions as bit vectors are materialized only for a key not seen
-   before. All buffers live in one reusable [enum], so a combo whose
-   partitions are all repeats allocates nothing. *)
+   from those words, a transition reads its class bases from them
+   ([class_words]), and the partition itself ([current]) is materialized
+   only for provenance. All buffers live in one reusable [enum], so a
+   combo whose partitions are all repeats allocates nothing. *)
 
 (* A key is length-prefixed: [k.(0) = n], payload [k.(1) .. k.(n)] — the
    number of classes, the root class's words, then the other classes'
    words in ascending order. The probe key is a longer scratch buffer;
-   stored keys are exact copies. *)
+   [seen] stores the payloads. *)
 module Key = struct
   type t = int array
 
@@ -95,8 +95,6 @@ module Key = struct
     done;
     (!h lxor (!h lsr 29)) land max_int
 end
-
-module KeyTbl = Hashtbl.Make (Key)
 
 type enum = {
   mutable width : int;  (** width of the items' vectors *)
@@ -118,9 +116,9 @@ type enum = {
   mutable assign : int array;  (** item -> class *)
   (* the canonical key *)
   mutable kbuf : int array;
+  mutable tbuf : int array;  (** a transition key in class order *)
   mutable order : int array;
-  mutable last : int array;  (** the key [fresh_key] last recorded *)
-  seen : unit KeyTbl.t;
+  seen : Wordtbl.t;  (** the keys met since [clear], payloads only *)
 }
 
 let create () =
@@ -139,9 +137,9 @@ let create () =
     owns = Bytes.empty;
     assign = [||];
     kbuf = [||];
+    tbuf = [||];
     order = [||];
-    last = [||];
-    seen = KeyTbl.create 64;
+    seen = Wordtbl.create 8;
   }
 
 let clear e ~width =
@@ -149,7 +147,7 @@ let clear e ~width =
   e.nw <- Bitv.word_count width;
   e.n <- 0;
   e.n_children <- 0;
-  KeyTbl.reset e.seen
+  Wordtbl.clear e.seen
 
 let grow a len fill =
   if Array.length a >= len then a
@@ -181,6 +179,7 @@ let iter ?budget e f =
   e.size <- grow e.size (n + 1) 0;
   e.assign <- grow e.assign n 0;
   e.kbuf <- grow e.kbuf (((n + 1) * nw) + 2) 0;
+  e.tbuf <- grow e.tbuf (((n + 1) * nw) + 2) 0;
   e.order <- grow e.order (n + 1) 0;
   if Bytes.length e.owns < (n + 1) * nch then
     e.owns <- Bytes.create (max ((n + 1) * nch) (2 * Bytes.length e.owns));
@@ -237,24 +236,39 @@ let class_union e c =
   if c < 0 || c >= e.n_classes then invalid_arg "Merging.class_union";
   Bitv.of_words e.width e.cwords (c * e.nw)
 
-(* Lexicographic order on two classes' words. *)
-let compare_classes e c1 c2 =
-  let nw = e.nw in
-  let rec go j =
-    if j >= nw then 0
-    else
-      let d = Int.compare e.cwords.((c1 * nw) + j) e.cwords.((c2 * nw) + j) in
-      if d <> 0 then d else go (j + 1)
-  in
-  go 0
+let class_words e c dst pos =
+  if c < 0 || c >= e.n_classes then invalid_arg "Merging.class_words";
+  for j = 0 to e.nw - 1 do
+    dst.(pos + j) <- e.cwords.((c * e.nw) + j)
+  done
 
+(* Whether class [c1]'s words come after class [c2]'s, lexicographically
+   (signed word order, as [Bitv.compare]). *)
+let class_after cw nw c1 c2 =
+  let j = ref 0 and d = ref 0 in
+  while !d = 0 && !j < nw do
+    d := Int.compare cw.((c1 * nw) + !j) cw.((c2 * nw) + !j);
+    incr j
+  done;
+  !d > 0
+
+(* The canonical key is built in [kbuf] in {!Key}'s layout, hashed as
+   it is copied, and looked up in [seen] without a copy; only a new key
+   is copied, into the table's pool. The loops stand in for
+   [Array.blit], a C call that costs more than a class's few words. *)
 let fresh_key e =
   let nw = e.nw and nc = e.n_classes in
-  let k = e.kbuf and ord = e.order in
-  (* insertion sort of the non-root classes: there are a handful *)
+  let k = e.kbuf and ord = e.order and cw = e.cwords in
+  (* insertion sort of the non-root classes: there are a handful; the
+     first words decide nearly every comparison *)
   for c = 1 to nc - 1 do
-    let j = ref c in
-    while !j > 1 && compare_classes e ord.(!j - 1) c > 0 do
+    let j = ref c and w = cw.(c * nw) in
+    while
+      !j > 1
+      &&
+      let a = cw.(ord.(!j - 1) * nw) in
+      a > w || (a = w && nw > 1 && class_after cw nw ord.(!j - 1) c)
+    do
       ord.(!j) <- ord.(!j - 1);
       decr j
     done;
@@ -263,27 +277,31 @@ let fresh_key e =
   let len = 1 + (nc * nw) in
   k.(0) <- len;
   k.(1) <- nc;
+  let h = ref (len + 0x64) in
   for p = 0 to nc - 1 do
     let src = (if p = 0 then 0 else ord.(p)) * nw and dst = 2 + (p * nw) in
     for j = 0 to nw - 1 do
-      k.(dst + j) <- e.cwords.(src + j)
+      let w = cw.(src + j) in
+      k.(dst + j) <- w;
+      h := (!h lxor (w lxor (w lsr 31))) * 0x01000193
     done
   done;
-  if KeyTbl.mem e.seen k then false
-  else begin
-    let key = Array.sub k 0 (len + 1) in
-    KeyTbl.add e.seen key ();
-    e.last <- key;
+  let h = Wordtbl.finish !h in
+  Wordtbl.find e.seen k 1 len h < 0
+  && begin
+    ignore (Wordtbl.add e.seen k 1 len h);
     true
   end
 
-let key e = e.last
+let key e =
+  let w = Wordtbl.key e.seen (Wordtbl.length e.seen - 1) in
+  Array.append [| Array.length w |] w
 
 (* Past t0 classes the key keeps the class order: the same words, the
    non-root classes in class index order. *)
 let transition_key e ~t0 =
   let nw = e.nw and nc = e.n_classes in
-  if nc <= t0 then e.last
+  if nc <= t0 then key e
   else begin
     let len = 1 + (nc * nw) in
     let k = Array.make (len + 1) nc in
@@ -291,6 +309,24 @@ let transition_key e ~t0 =
     Array.blit e.cwords 0 k 2 (nc * nw);
     k
   end
+
+(* The same key, prefixed with [tag] instead of its length, interned in
+   place: [kbuf] still holds the canonical key [fresh_key] just built. *)
+let intern_transition_key e ~t0 ~tag tbl =
+  let nc = e.n_classes in
+  let len = 2 + (nc * e.nw) in
+  let buf =
+    if nc <= t0 then e.kbuf
+    else begin
+      e.tbuf.(1) <- nc;
+      for j = 0 to (nc * e.nw) - 1 do
+        e.tbuf.(2 + j) <- e.cwords.(j)
+      done;
+      e.tbuf
+    end
+  in
+  buf.(0) <- tag;
+  Wordtbl.intern tbl buf 0 len
 
 let current e =
   let lists = Array.make e.n_classes [] in

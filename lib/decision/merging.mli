@@ -73,6 +73,10 @@ val class_union : enum -> int -> Bitv.t
 (** [class_union e c]: the union of the vectors of class [c]'s
     members (∅ for a root class without members). *)
 
+val class_words : enum -> int -> int array -> int -> unit
+(** [class_words e c dst pos] copies {!class_union}[ e c]'s words into
+    [dst] at [pos] ({!Bitv.word_count} of the width). *)
+
 val fresh_key : enum -> bool
 (** Whether no earlier partition since {!clear} had the current one's
     key — the multiset of (root flag, {!class_union}) over its classes —
@@ -86,8 +90,7 @@ module Key : Hashtbl.HashedType with type t = int array
 
 val key : enum -> Key.t
 (** The key the last {!fresh_key} answering [true] recorded: the
-    non-root classes in ascending word order. The array is shared with
-    the enumeration's seen set; do not mutate it. *)
+    non-root classes in ascending word order (a fresh array). *)
 
 val transition_key : enum -> t0:int -> Key.t
 (** After {!fresh_key} answered [true]: what a transition under the
@@ -95,6 +98,13 @@ val transition_key : enum -> t0:int -> Key.t
     classes that is {!key}; with more, the [t0] truncation breaks ties
     by class index, so the non-root classes stay in class index order (a
     fresh array). *)
+
+val intern_transition_key : enum -> t0:int -> tag:int -> Wordtbl.t -> int
+(** After {!fresh_key} answered [true]: intern the words of
+    {!transition_key}, with [tag] in place of the length prefix, into
+    the table, and return their id (new iff it equals the table's
+    length before the call). Allocates nothing for a key already
+    there. *)
 
 val current : enum -> t
 (** The current partition, materialized (as {!enumerate} would yield

@@ -5,15 +5,29 @@ open Xpds_xpath.Ast
 
 type result = { state : Ext_state.t; class_values : int array }
 
-module BvTbl = Hashtbl.Make (Bitv)
+let bpw = Sys.int_size
+
+(* Loops instead of [Array.blit]/[Array.fill], which are C calls that
+   cost more than the few words a kernel step moves. *)
+let copy src spos dst dpos n =
+  for i = 0 to n - 1 do
+    dst.(dpos + i) <- src.(spos + i)
+  done
+
+let fill a pos n x =
+  for i = pos to pos + n - 1 do
+    a.(i) <- x
+  done
 
 (* Everything a transition reads of a root label candidate besides its
    full labelling, for one read projection [pc0] (the candidate's states
-   that label read edges): the backward sets and the case-1 lifts. The
-   arrays are filled on demand; [unset] and [no_lift] mark the entries
-   not computed yet. *)
+   that label read edges): the backward sets, the case-1 lifts and the
+   closures of single states. The arrays are filled on demand; [unset],
+   [no_lift] and a clear [reach_known] byte mark the entries not
+   computed yet. *)
 type label_ctx = {
   pc0 : Bitv.t;
+  pcw : int array;  (** [pc0]'s words *)
   v : int array array;
       (** per k: V(k), the sources from which one up-step can reach k
           under [pc0] *)
@@ -26,31 +40,103 @@ type label_ctx = {
           neq. A basis state is combined into thousands of combos under
           few distinct projections, so the lift amortizes to an array
           read *)
+  reach1 : int array;
+      (** at [k · word_count |K|]: the closure of {k} under [pc0]. A
+          closure is a reachability set, so the closure of a class base
+          is the union of its states' closures: a few word ORs instead
+          of a memo probe keyed on two fresh sets *)
+  reach_known : Bytes.t;  (** per k: whether [reach1] holds k's closure *)
 }
 
 let unset = [| -1 |]
 let no_lift = [| 0 |]
-let bpw = Sys.int_size
+
+(* The evaluation context of one read projection for one step (one
+   merging of one children array): the class reach sets and the many set
+   under [lc.pc0], the class membership of each state, and the
+   children's case-1 lifts. μ's data atoms are answered from these:
+   values shared through a merging class (cases 2-4), the many-source
+   rule (case 4'), and pairs lifted from a child's own valuation through
+   the backward sets (case 1). Every answer depends on the root label
+   only through [pc0], so one light serves every label of the step.
+   Lights are the ctx's scratch, reused from step to step; a light is
+   built on first use (a data atom, or an assembled state). *)
+type light = {
+  mutable lc : label_ctx;
+  mutable built : bool;
+  mutable lr : int array;  (** class c's reach at [c · word_count |K|] *)
+  lmany0 : int array;  (** M: the states inheriting >= 2 values *)
+  lcls : int array;
+      (** per k: the class whose reach holds k, -1 when none does, -2
+          when several do *)
+  lmember : int array;
+      (** per k, with at most [Sys.int_size] classes: the classes whose
+          reach holds k, as a bit mask *)
+  lflags : int array;
+      (** per k: bit 0 when k is in M, bit 1 when k retrieves a value
+          (in M or in some class's reach) *)
+  lifted : int array;
+      (** the children's lifts ORed: case 1's eq words, then its neq
+          words *)
+}
+
+(* One merging of one children array, ready to apply under any root
+   label: the class bases and the many base as raw words, and the lights
+   of the read projections met so far, which every label shares. *)
+type step = {
+  mutable t0 : int;
+  mutable dup_cap : int option;
+  mutable children : Ext_state.t array;
+  mutable n_classes : int;
+  mutable bases : int array;  (** class c's base at [c · word_count |K|] *)
+  manyb : int array;  (** ∪ step_up(c.many) over the children *)
+  mutable n_lights : int;  (** lights [0 .. n_lights - 1] are this step's *)
+}
 
 type ctx = {
   m : Bip.t;
-  read_mask : Bitv.t;
-      (** BIP states labelling at least one read edge. Closures, backward
-          sets and lifts consult a candidate root label only through
-          these states, so candidates agreeing on the projection share
-          one label context *)
   index : Ext_state.index;
       (** the pair space of every atom matrix the ctx builds *)
   fst : int array;
   snd : int array;  (** per pair position: the pair's two states *)
+  pos : int array;
+      (** [k1·|K|+k2] -> the pair's position; empty for the identity
+          index, whose position is [k1·|K|+k2] itself *)
   memo : Pathfinder.memo;
       (** per-search closure/step-up caches (not thread-safe: a ctx must
           stay on the domain that created it) *)
-  label_ctxs : label_ctx BvTbl.t;  (** per read projection *)
-  cand : Bitv.builder;
-      (** {!decide_c0}'s candidate root label, grown and shrunk in place *)
-  proj : Bitv.builder;  (** [cand ∩ read_mask], maintained alongside *)
   counting : bool;  (** μ has downward-counting atoms *)
+  kc : int;  (** |K| *)
+  nwk : int;
+  nwq : int;
+  nwp : int;  (** words per set of K, of Q, of the pair space *)
+  is_read : bool array;
+      (** per BIP state: whether it labels a read edge. Closures,
+          backward sets and lifts consult a candidate root label only
+          through these states, so candidates agreeing on the
+          projection share one label context and one light *)
+  comps : int array array;  (** μ's dependency SCCs, in order *)
+  cyclic : bool array;  (** per SCC: not a single state free of itself *)
+  lc_ids : Wordtbl.t;  (** read projection words -> label context id *)
+  mutable lcs : label_ctx array;
+  cand : int array;
+      (** the walk's candidate root label, grown and shrunk in place *)
+  proj : int array;  (** [cand]'s read states, maintained alongside *)
+  st : step;  (** the step {!step} fills *)
+  mutable lights : light array;
+  (* the assembled result: its encoding, hash and class values *)
+  mutable enc : int array;
+  mutable enc_len : int;
+  mutable enc_hash : int;
+  mutable cv : int array;
+  mutable order : int array;  (** the classes stably sorted by reach *)
+  mutable keep : int array;  (** per class: 1 when its value is kept *)
+  mutable card : int array;  (** {!cap_kept}'s reach sizes *)
+  mutable mand : int array;  (** per class: 1 when never dropped *)
+  (* the sets of materialized results, hash-consed *)
+  sets : Wordtbl.t;  (** [width; words] -> index into [shared] *)
+  mutable shared : Bitv.t array;
+  mutable sbuf : int array;
 }
 
 let has_counting (m : Bip.t) =
@@ -66,21 +152,22 @@ let has_counting (m : Bip.t) =
         false f)
     m.Bip.mu
 
+let t0_default (m : Bip.t) =
+  let k = m.pf.Pathfinder.n_states in
+  (2 * k * k) + 2
+
 let make_ctx ?(project_pairs = false) (m : Bip.t) =
   let pf = m.Bip.pf and preds = m.Bip.preds in
   let k_card = pf.Pathfinder.n_states in
-  let read_mask = Bitv.builder m.Bip.q_card in
-  Array.iter
-    (fun q -> if q >= 0 then Bitv.add_in_place q read_mask)
-    preds.Bip.lbl;
-  let index, fst, snd =
+  let index, fst, snd, pos =
     (* The mask closure is worst-case O(K^4); beyond ~128 pathfinder
        states its cost outweighs the state-space savings. *)
     if (not project_pairs) || k_card > 128 then
       let k_card_sq = k_card * k_card in
       ( Ext_state.identity k_card,
         Array.init k_card_sq (fun p -> p / k_card),
-        Array.init k_card_sq (fun p -> p mod k_card) )
+        Array.init k_card_sq (fun p -> p mod k_card),
+        [||] )
     else begin
       (* Backward set under the *full* label (superset of any C0):
          V_full(k) = sources whose one up-step can reach k. One [seen]
@@ -145,28 +232,61 @@ let make_ctx ?(project_pairs = false) (m : Bip.t) =
       done;
       let fst = Array.init !tail (fun i -> queue.(i) / k_card)
       and snd = Array.init !tail (fun i -> queue.(i) mod k_card) in
-      (Ext_state.pairs ~k_card ~pos ~fst ~snd, fst, snd)
+      (Ext_state.pairs ~k_card ~pos ~fst ~snd, fst, snd, pos)
     end
   in
+  let is_read = Array.make m.Bip.q_card false in
+  Array.iter (fun q -> if q >= 0 then is_read.(q) <- true) preds.Bip.lbl;
+  let comps = Array.of_list (List.map Array.of_list m.Bip.components) in
+  let nwk = Bitv.word_count k_card in
   {
     m;
-    read_mask = Bitv.freeze read_mask;
     index;
     fst;
     snd;
+    pos;
     memo = Pathfinder.memo pf;
-    label_ctxs = BvTbl.create 16;
-    cand = Bitv.builder m.Bip.q_card;
-    proj = Bitv.builder m.Bip.q_card;
     counting = has_counting m;
+    kc = k_card;
+    nwk;
+    nwq = Bitv.word_count m.Bip.q_card;
+    nwp = Bitv.word_count (Array.length fst);
+    is_read;
+    comps;
+    cyclic =
+      Array.map
+        (function [| q |] -> Bitv.mem q m.Bip.deps.(q) | _ -> true)
+        comps;
+    lc_ids = Wordtbl.create 8;
+    lcs = [||];
+    cand = Array.make (Bitv.word_count m.Bip.q_card) 0;
+    proj = Array.make (Bitv.word_count m.Bip.q_card) 0;
+    st =
+      {
+        t0 = 0;
+        dup_cap = None;
+        children = [||];
+        n_classes = 0;
+        bases = [||];
+        manyb = Array.make nwk 0;
+        n_lights = 0;
+      };
+    lights = [||];
+    enc = [||];
+    enc_len = 0;
+    enc_hash = 0;
+    cv = [||];
+    order = [||];
+    keep = [||];
+    card = [||];
+    mand = [||];
+    sets = Wordtbl.create 8;
+    shared = [||];
+    sbuf = [||];
   }
 
 let bip_of ctx = ctx.m
 let memo_of ctx = ctx.memo
-
-let t0_default (m : Bip.t) =
-  let k = m.pf.Pathfinder.n_states in
-  (2 * k * k) + 2
 
 let visible_values (m : Bip.t) children =
   List.concat
@@ -179,23 +299,6 @@ let visible_values (m : Bip.t) children =
                 else [ (i, v) ])
               (Array.to_list c.values)))
        (Array.to_list children))
-
-(* The per-class base at the root: step-ups of the members' described
-   values (all memoized), plus k_I for the root class. *)
-let class_base ctx ~(children : Ext_state.t array) (kl : Merging.klass) =
-  let pf = ctx.m.Bip.pf in
-  let k_card = pf.Pathfinder.n_states in
-  let b = Bitv.builder k_card in
-  if kl.Merging.has_root then Bitv.add_in_place pf.Pathfinder.initial b;
-  List.iter
-    (fun (i, v) ->
-      ignore
-        (Bitv.union_into
-           (Pathfinder.step_up_m ctx.memo
-              children.(i).Ext_state.values.(v))
-           b))
-    kl.Merging.members;
-  Bitv.freeze b
 
 let many_base ctx ~(children : Ext_state.t array) =
   let pf = ctx.m.Bip.pf in
@@ -255,21 +358,38 @@ let projection_hash p =
     p.pj_states
   land max_int
 
-(* The label context of a read projection, made on first use. *)
-let label_ctx ctx pc0 =
-  match BvTbl.find_opt ctx.label_ctxs pc0 with
-  | Some lc -> lc
-  | None ->
+(* The label context of the read projection in [ctx.proj], made on
+   first use. *)
+let label_ctx ctx =
+  let nwq = ctx.nwq in
+  let h = Wordtbl.hash ctx.proj 0 nwq in
+  let id = Wordtbl.find ctx.lc_ids ctx.proj 0 nwq h in
+  if id >= 0 then ctx.lcs.(id)
+  else begin
+    let id = Wordtbl.add ctx.lc_ids ctx.proj 0 nwq h in
     let lc =
       {
-        pc0;
-        v = Array.make ctx.m.Bip.pf.Pathfinder.n_states unset;
+        pc0 = Bitv.of_words ctx.m.Bip.q_card ctx.proj 0;
+        pcw = Array.sub ctx.proj 0 nwq;
+        v = Array.make ctx.kc unset;
         back = Array.make (Array.length ctx.fst) unset;
         lifts = [||];
+        reach1 = Array.make (ctx.kc * ctx.nwk) 0;
+        reach_known = Bytes.make ctx.kc '\000';
       }
     in
-    BvTbl.add ctx.label_ctxs pc0 lc;
+    if id >= Array.length ctx.lcs then begin
+      let lcs = Array.make (max 8 (2 * id)) lc in
+      Array.blit ctx.lcs 0 lcs 0 id;
+      ctx.lcs <- lcs
+    end;
+    ctx.lcs.(id) <- lc;
     lc
+  end
+
+let position ctx k1 k2 =
+  if Array.length ctx.pos = 0 then (k1 * ctx.kc) + k2
+  else ctx.pos.((k1 * ctx.kc) + k2)
 
 (* V(k): walk the non-moving edges enabled by [pc0] backwards from k and
    collect the sources of the up-edges into every state met. *)
@@ -278,8 +398,7 @@ let v_of ctx lc k =
   if v != unset then v
   else begin
     let preds = ctx.m.Bip.preds in
-    let k_card = ctx.m.Bip.pf.Pathfinder.n_states in
-    let seen = Bitv.builder k_card and found = Bitv.builder k_card in
+    let seen = Bitv.builder ctx.kc and found = Bitv.builder ctx.kc in
     let out = ref [] in
     let rec visit cur =
       Bitv.add_in_place cur seen;
@@ -314,7 +433,7 @@ let back_of ctx lc i =
       (fun k'1 ->
         Array.iter
           (fun k'2 ->
-            let j = Ext_state.position ctx.index k'1 k'2 in
+            let j = position ctx k'1 k'2 in
             if j >= 0 then out := j :: !out)
           v2)
       v1;
@@ -323,31 +442,44 @@ let back_of ctx lc i =
     b
   end
 
-let meets back m = Array.exists (fun j -> Bitv.mem j m) back
+(* Whether the set whose words are at [w.(pos)] holds a position of
+   [back]. *)
+let meets back w pos =
+  let found = ref false and i = ref 0 in
+  while (not !found) && !i < Array.length back do
+    let j = back.(!i) in
+    found := w.(pos + (j / bpw)) land (1 lsl (j mod bpw)) <> 0;
+    incr i
+  done;
+  !found
 
 (* Case 1 for one child: pair i of the parent is lifted from the child
    iff the child's matrix meets back(i). Memoized per (label context,
    child tag). *)
-let lift_of ctx lc (c : Ext_state.t) =
-  let compute () =
+let compute_lift ctx lc (c : Ext_state.t) =
     let w = Array.length ctx.fst in
-    let nw = Bitv.word_count w in
+    let nw = ctx.nwp in
     let words = Array.make (2 * nw) 0 in
     let eq = c.Ext_state.eq and neq = c.Ext_state.neq in
     let any_eq = not (Bitv.is_empty eq)
     and any_neq = not (Bitv.is_empty neq) in
-    if any_eq || any_neq then
+    if any_eq || any_neq then begin
+      let cw = Array.make (2 * nw) 0 in
+      Bitv.blit_words eq cw 0;
+      Bitv.blit_words neq cw nw;
       for i = 0 to w - 1 do
         let b = back_of ctx lc i in
         let j = i / bpw and bit = 1 lsl (i mod bpw) in
-        if any_eq && meets b eq then words.(j) <- words.(j) lor bit;
-        if any_neq && meets b neq then
+        if any_eq && meets b cw 0 then words.(j) <- words.(j) lor bit;
+        if any_neq && meets b cw nw then
           words.(nw + j) <- words.(nw + j) lor bit
-      done;
+      done
+    end;
     words
-  in
+
+let lift_of ctx lc (c : Ext_state.t) =
   let tag = Ext_state.tag c in
-  if tag < 0 then compute ()
+  if tag < 0 then compute_lift ctx lc c
   else begin
     if tag >= Array.length lc.lifts then begin
       let lifts = Array.make (max 64 (2 * tag)) no_lift in
@@ -357,385 +489,581 @@ let lift_of ctx lc (c : Ext_state.t) =
     let l = lc.lifts.(tag) in
     if l != no_lift then l
     else begin
-      let l = compute () in
+      let l = compute_lift ctx lc c in
       lc.lifts.(tag) <- l;
       l
     end
   end
 
-(* The evaluation context of one read projection [pc0] for one merging
-   of one children array: the class reach sets and the many set under
-   [pc0], the class membership of each state, the projection's label
-   context, and a per-atom memo. μ's data atoms are answered from these:
-   values shared through a merging class (cases 2-4), the many-source
-   rule (case 4'), and pairs lifted from a child's own valuation through
-   the backward sets (case 1). Every answer depends on the root label
-   only through [pc0], so one light serves every label of the merging. *)
-type light = {
-  lr : Bitv.t array;  (** per merging class: reach at the root *)
-  lmany0 : Bitv.t;  (** M: states inheriting >= 2 values *)
-  lcls : int array;
-      (** per k: the class whose reach holds k, -1 when none does, -2
-          when several do *)
-  lmember : int array;
-      (** per k, with at most [Sys.int_size] classes (else empty): the
-          classes whose reach holds k, as a bit mask *)
-  llc : label_ctx;
-  latoms : int array;
-      (** per-atom memo, two bits (known, truth) per code 2·i+op of an
-          atom over pair position i; atoms recur across the μ of
-          different BIP states and labels *)
-}
+(* [dst] at [dpos] := the closure under [lc.pc0] of the set of K at
+   [src.(pos)], as the union of its states' closures. *)
+let reach_union ctx lc src pos dst dpos =
+  let nwk = ctx.nwk and r1 = lc.reach1 in
+  fill dst dpos nwk 0;
+  for j = 0 to nwk - 1 do
+    let w = ref src.(pos + j) in
+    while !w <> 0 do
+      let k = (j * bpw) + Bitv.lowest_bit !w in
+      w := !w land (!w - 1);
+      if Bytes.get lc.reach_known k = '\000' then begin
+        let r =
+          Pathfinder.closure ctx.m.Bip.pf ~label:lc.pc0
+            (Bitv.singleton ctx.kc k)
+        in
+        Bitv.blit_words r r1 (k * nwk);
+        Bytes.set lc.reach_known k '\001'
+      end;
+      let o = k * nwk in
+      for x = 0 to nwk - 1 do
+        dst.(dpos + x) <- dst.(dpos + x) lor r1.(o + x)
+      done
+    done
+  done
 
-(* The class reaches and the many set under the read projection [pc0]
-   (the closures of the class bases and of the many base), and the
-   class membership, in one pass over the reaches' set bits. *)
-let build_light ctx ~pc0 ~bases ~manyb =
-  let k_card = ctx.m.Bip.pf.Pathfinder.n_states in
-  let cl x = Pathfinder.closure_m ctx.memo ~label:pc0 x in
-  let lr = Array.map cl bases in
-  let n_classes = Array.length lr in
-  let lcls = Array.make k_card (-1) in
-  let lmember =
-    if n_classes <= Sys.int_size then Array.make k_card 0 else [||]
-  in
-  for e = 0 to n_classes - 1 do
-    Bitv.iter
-      (fun k ->
-        lcls.(k) <- (if lcls.(k) = -1 then e else -2);
-        if Array.length lmember > 0 then
-          lmember.(k) <- lmember.(k) lor (1 lsl e))
-      lr.(e)
+(* The class reaches and the many set under the light's projection,
+   the class membership and flags of every state, and the children's
+   lifts, in one pass each. *)
+let build_light ctx st l =
+  let kc = ctx.kc and nwk = ctx.nwk and nc = st.n_classes and lc = l.lc in
+  if Array.length l.lr < nc * nwk then
+    l.lr <- Array.make (max (nc * nwk) (2 * Array.length l.lr)) 0;
+  let lr = l.lr and cls = l.lcls and member = l.lmember in
+  for c = 0 to nc - 1 do
+    reach_union ctx lc st.bases (c * nwk) lr (c * nwk)
   done;
-  {
-    lr;
-    lmany0 = (if Bitv.is_empty manyb then manyb else cl manyb);
-    lcls;
-    lmember;
-    llc = label_ctx ctx pc0;
-    latoms = Array.make (((2 * Array.length ctx.fst) + 30) / 31) 0;
-  }
+  reach_union ctx lc st.manyb 0 l.lmany0 0;
+  for k = 0 to kc - 1 do
+    cls.(k) <- -1;
+    member.(k) <- 0;
+    l.lflags.(k) <- 0
+  done;
+  for e = 0 to nc - 1 do
+    for j = 0 to nwk - 1 do
+      let w = ref lr.((e * nwk) + j) in
+      while !w <> 0 do
+        let k = (j * bpw) + Bitv.lowest_bit !w in
+        w := !w land (!w - 1);
+        cls.(k) <- (if cls.(k) = -1 then e else -2);
+        if nc <= bpw then member.(k) <- member.(k) lor (1 lsl e);
+        l.lflags.(k) <- 2
+      done
+    done
+  done;
+  for j = 0 to nwk - 1 do
+    let w = ref l.lmany0.(j) in
+    while !w <> 0 do
+      let k = (j * bpw) + Bitv.lowest_bit !w in
+      w := !w land (!w - 1);
+      l.lflags.(k) <- 3
+    done
+  done;
+  let lifted = l.lifted and n = 2 * ctx.nwp in
+  fill lifted 0 n 0;
+  for c = 0 to Array.length st.children - 1 do
+    let lw = lift_of ctx lc st.children.(c) in
+    for j = 0 to n - 1 do
+      lifted.(j) <- lifted.(j) lor lw.(j)
+    done
+  done;
+  l.built <- true
 
 (* Cases 2-4: one class reaches both ks; two distinct classes do. *)
-let class_eq l k1 k2 =
+let shared_class ctx st l k1 k2 =
+  if st.n_classes <= bpw then l.lmember.(k1) land l.lmember.(k2) <> 0
+  else begin
+    let nwk = ctx.nwk and lr = l.lr in
+    let bit k e = lr.((e * nwk) + (k / bpw)) land (1 lsl (k mod bpw)) <> 0 in
+    let found = ref false and e = ref 0 in
+    while (not !found) && !e < st.n_classes do
+      found := bit k1 !e && bit k2 !e;
+      incr e
+    done;
+    !found
+  end
+
+let class_eq ctx st l k1 k2 =
   let c1 = l.lcls.(k1) and c2 = l.lcls.(k2) in
   c1 <> -1 && c2 <> -1
   && ((c1 >= 0 && c1 = c2)
-     || (c1 = -2 || c2 = -2)
-        &&
-        if Array.length l.lmember > 0 then
-          l.lmember.(k1) land l.lmember.(k2) <> 0
-        else Array.exists (fun r -> Bitv.mem k1 r && Bitv.mem k2 r) l.lr)
+     || ((c1 = -2 || c2 = -2) && shared_class ctx st l k1 k2))
 
-let class_neq l k1 k2 =
-  let c1 = l.lcls.(k1) and c2 = l.lcls.(k2) in
-  c1 <> -1 && c2 <> -1 && not (c1 >= 0 && c1 = c2)
-
-let light_nonzero l k = l.lcls.(k) <> -1 || Bitv.mem k l.lmany0
-
-let light_atom_raw ctx light (children : Ext_state.t array) ~i k1 k2
-    (op : Xpds_xpath.Ast.op) =
-  let lifted matrix_of =
-    let b = back_of ctx light.llc i in
-    Array.exists (fun (c : Ext_state.t) -> meets b (matrix_of c)) children
-  in
+(* An atom of μ under the light; [make_ctx] seeds the pair space with
+   μ's atoms, so its position is [>= 0]. *)
+let light_atom ctx st l k1 k2 (op : Xpds_xpath.Ast.op) =
+  if not l.built then build_light ctx st l;
+  let i = position ctx k1 k2 in
+  let half = match op with Eq -> 0 | Neq -> ctx.nwp in
+  l.lifted.(half + (i / bpw)) land (1 lsl (i mod bpw)) <> 0
+  ||
   match op with
-  | Eq ->
-    class_eq light k1 k2 || lifted (fun (c : Ext_state.t) -> c.Ext_state.eq)
+  | Eq -> class_eq ctx st l k1 k2
   | Neq ->
-    class_neq light k1 k2
-    || (Bitv.mem k1 light.lmany0 && light_nonzero light k2)
-    || (Bitv.mem k2 light.lmany0 && light_nonzero light k1)
-    || lifted (fun (c : Ext_state.t) -> c.Ext_state.neq)
-
-(* [make_ctx] seeds the pair space with μ's atoms, so [i >= 0]; an
-   atom's memo cell is two bits, 31 cells to a word. *)
-let light_atom ctx light children k1 k2 (op : Xpds_xpath.Ast.op) =
-  let i = Ext_state.position ctx.index k1 k2 in
-  let code = (2 * i) + (match op with Eq -> 0 | Neq -> 1) in
-  let w = code / 31 and sh = 2 * (code mod 31) in
-  let cell = light.latoms.(w) lsr sh in
-  if cell land 1 <> 0 then cell land 2 <> 0
-  else begin
-    let b = light_atom_raw ctx light children ~i k1 k2 op in
-    light.latoms.(w) <- light.latoms.(w) lor ((if b then 3 else 1) lsl sh);
-    b
-  end
+    let c1 = l.lcls.(k1) and c2 = l.lcls.(k2) in
+    (c1 <> -1 && c2 <> -1 && not (c1 >= 0 && c1 = c2))
+    || (l.lflags.(k1) = 3 && l.lflags.(k2) <> 0)
+    || (l.lflags.(k2) = 3 && l.lflags.(k1) <> 0)
 
 let count_states (children : Ext_state.t array) q =
-  Array.fold_left
-    (fun acc (c : Ext_state.t) ->
-      if Bitv.mem q c.states then acc + 1 else acc)
-    0 children
+  let n = ref 0 in
+  for i = 0 to Array.length children - 1 do
+    if Bitv.mem q children.(i).Ext_state.states then incr n
+  done;
+  !n
 
-let rec eval_form_light ctx (children : Ext_state.t array) ~label ~light =
-  function
+let rec eval_form ctx st l (label : Label.t) = function
   | Bip.FTrue -> true
   | Bip.FFalse -> false
-  | Bip.FLab a -> Label.equal a label
-  | Bip.FNot f -> not (eval_form_light ctx children ~label ~light f)
-  | Bip.FAnd (f, g) ->
-    eval_form_light ctx children ~label ~light f
-    && eval_form_light ctx children ~label ~light g
-  | Bip.FOr (f, g) ->
-    eval_form_light ctx children ~label ~light f
-    || eval_form_light ctx children ~label ~light g
-  | Bip.FEx (k1, k2, op) ->
-    light_atom ctx (Lazy.force light) children k1 k2 op
-  | Bip.FCountGe (q, n) -> count_states children q >= n
-  | Bip.FCountZero q ->
-    Array.for_all (fun (c : Ext_state.t) -> not (Bitv.mem q c.states))
-      children
-  | Bip.FCountLt (q, n) -> count_states children q < n
+  | Bip.FLab a -> (a :> int) = (label :> int)
+  | Bip.FNot f -> not (eval_form ctx st l label f)
+  | Bip.FAnd (f, g) -> eval_form ctx st l label f && eval_form ctx st l label g
+  | Bip.FOr (f, g) -> eval_form ctx st l label f || eval_form ctx st l label g
+  | Bip.FEx (k1, k2, op) -> light_atom ctx st l k1 k2 op
+  | Bip.FCountGe (q, n) -> count_states st.children q >= n
+  | Bip.FCountZero q -> count_states st.children q = 0
+  | Bip.FCountLt (q, n) -> count_states st.children q < n
 
-(* One merging of one children array, ready to apply under any root
-   label: the class bases, the many base, and the lights of the read
-   projections met so far, which every label of the merging shares. *)
-type step = {
-  t0 : int;
-  dup_cap : int option;
-  children : Ext_state.t array;
-  bases : Bitv.t array;
-  manyb : Bitv.t;
-  mutable lights : (Bitv.t * light Lazy.t) list;
-}
-
-(* The light of [pc0], made lazily: forced only when a data atom is
-   reached or a state assembled. *)
-let light_of ctx st pc0 =
-  let rec find = function
-    | (p, l) :: rest -> if Bitv.equal p pc0 then l else find rest
-    | [] ->
-      let l =
-        lazy (build_light ctx ~pc0 ~bases:st.bases ~manyb:st.manyb)
+(* The light of the read projection in [ctx.proj]: one of the step's
+   lights, or the next pooled one, bound to the projection's label
+   context and left to be built on first use. *)
+let light_of ctx st =
+  let nwq = ctx.nwq and proj = ctx.proj in
+  let found = ref (-1) and i = ref 0 in
+  while !found < 0 && !i < st.n_lights do
+    let pcw = ctx.lights.(!i).lc.pcw in
+    let j = ref 0 in
+    while !j < nwq && pcw.(!j) = proj.(!j) do
+      incr j
+    done;
+    if !j = nwq then found := !i;
+    incr i
+  done;
+  if !found >= 0 then ctx.lights.(!found)
+  else begin
+    let lc = label_ctx ctx in
+    let i = st.n_lights in
+    if i >= Array.length ctx.lights then begin
+      let fresh _ =
+        {
+          lc;
+          built = false;
+          lr = [||];
+          lmany0 = Array.make ctx.nwk 0;
+          lcls = Array.make ctx.kc 0;
+          lmember = Array.make ctx.kc 0;
+          lflags = Array.make ctx.kc 0;
+          lifted = Array.make (2 * ctx.nwp) 0;
+        }
       in
-      st.lights <- (pc0, l) :: st.lights;
-      l
-  in
-  find st.lights
+      ctx.lights <-
+        Array.append ctx.lights (Array.init (max 4 i) fresh)
+    end;
+    let l = ctx.lights.(i) in
+    l.lc <- lc;
+    l.built <- false;
+    st.n_lights <- i + 1;
+    l
+  end
 
-(* Decide C(v0) component by component; returns every consistent root
-   label with the light of its read projection (a singleton for
-   stratified automata). The components are walked depth first over one
-   mutable candidate: a trivial component adds its state when μ holds
-   under the candidate so far; a cyclic one tries every labelling of its
-   states (with each state, then without, in component order) and keeps
-   those where μ agrees with the labelling under the completed
-   candidate. Consistent labels come out in the order of a
-   component-by-component breadth-first search: both list the leaves of
-   the same choice tree from left to right.
+(* --- the assembled result ---
+
+   A result is assembled into [ctx.enc], a flat encoding of the extended
+   state that is injective on {!Ext_state.equal}'s classes, so that the
+   caller can look the state up by its words and materialize only a new
+   one:
+
+   - [0 ..] the root label C (word_count |Q| words),
+   - [o_eq ..], [o_neq ..] the atom matrices (word_count |pairs| each),
+   - [o_many ..] the many set (word_count |K|),
+   - [o_uni ..] [unique], one int per k,
+   - [o_val] the number of described values, then their reach sets
+     (word_count |K| each), in canonical order. *)
+
+let o_eq ctx = ctx.nwq
+let o_many ctx = ctx.nwq + (2 * ctx.nwp)
+let o_uni ctx = o_many ctx + ctx.nwk
+let o_val ctx = o_uni ctx + ctx.kc
+
+(* Whether reach [a] comes after reach [b] in [Bitv.compare]'s order. *)
+let reach_after lr nwk a b =
+  let j = ref 0 and d = ref 0 in
+  while !d = 0 && !j < nwk do
+    d := Int.compare lr.((a * nwk) + !j) lr.((b * nwk) + !j);
+    incr j
+  done;
+  !d > 0
+
+let reach_equal lr nwk a b =
+  let j = ref 0 in
+  while !j < nwk && lr.((a * nwk) + !j) = lr.((b * nwk) + !j) do
+    incr j
+  done;
+  !j = nwk
+
+let reach_empty lr nwk a =
+  let j = ref 0 in
+  while !j < nwk && lr.((a * nwk) + !j) = 0 do
+    incr j
+  done;
+  !j = nwk
+
+(* The parent's atom matrices over the pair space, word by word: the
+   class cases and the many-source rule as the light answers them, and
+   the children's lifts for case 1. *)
+let eval_words ctx st l =
+  let fst = ctx.fst and snd = ctx.snd and cls = l.lcls and fl = l.lflags in
+  let w = Array.length fst and nwp = ctx.nwp and enc = ctx.enc in
+  let o_eq = o_eq ctx in
+  for j = 0 to nwp - 1 do
+    let lo = j * bpw in
+    let eqw = ref 0 and neqw = ref 0 in
+    for i = lo to min w (lo + bpw) - 1 do
+      let k1 = fst.(i) and k2 = snd.(i) in
+      let c1 = cls.(k1) and c2 = cls.(k2) in
+      let bit = 1 lsl (i - lo) in
+      if c1 <> -1 && c2 <> -1 then begin
+        if c1 >= 0 && c1 = c2 then eqw := !eqw lor bit
+        else begin
+          neqw := !neqw lor bit;
+          if (c1 = -2 || c2 = -2) && shared_class ctx st l k1 k2 then
+            eqw := !eqw lor bit
+        end
+      end;
+      if
+        (fl.(k1) = 3 && fl.(k2) <> 0) || (fl.(k2) = 3 && fl.(k1) <> 0)
+      then neqw := !neqw lor bit
+    done;
+    enc.(o_eq + j) <- !eqw lor l.lifted.(j);
+    enc.(o_eq + nwp + j) <- !neqw lor l.lifted.(nwp + j)
+  done
+
+(* Keep at most [t0] of the [n_kept] kept values: the mandatory ones
+   (the root class and every unique target) and, of the optional ones,
+   the largest reaches, earlier classes first among equal sizes. *)
+let cap_kept ctx st l n_kept =
+  let nwk = ctx.nwk and nc = st.n_classes in
+  let keep = ctx.keep and mand = ctx.mand in
+  let n_mand = ref 0 in
+  for e = 0 to nc - 1 do
+    if keep.(e) = 1 && mand.(e) = 1 then incr n_mand
+  done;
+  let budget = max 0 (st.t0 - !n_mand) in
+  (* [cv] is free until the ranks: the optional kept classes in class
+     order, then insertion-sorted by descending reach size (stable) *)
+  let opt = ctx.cv and card = ctx.card and n_opt = ref 0 in
+  for e = 0 to nc - 1 do
+    if keep.(e) = 1 && mand.(e) = 0 then begin
+      let c = ref 0 in
+      for j = 0 to nwk - 1 do
+        c := !c + Bitv.popcount l.lr.((e * nwk) + j)
+      done;
+      let i = ref !n_opt in
+      while !i > 0 && card.(!i - 1) < !c do
+        opt.(!i) <- opt.(!i - 1);
+        card.(!i) <- card.(!i - 1);
+        decr i
+      done;
+      opt.(!i) <- e;
+      card.(!i) <- !c;
+      incr n_opt
+    end
+  done;
+  for i = budget to !n_opt - 1 do
+    keep.(opt.(i)) <- 0
+  done;
+  n_kept - max 0 (!n_opt - budget)
+
+(* Assemble the extended state for the fully decided root label in
+   [ctx.cand] into [ctx.enc] and the class values into [ctx.cv].
+   Everything but the labelling is read through [l], the light of the
+   label's read projection. *)
+let assemble ctx st l =
+  if not l.built then build_light ctx st l;
+  let kc = ctx.kc and nwk = ctx.nwk and nc = st.n_classes in
+  let o_many = o_many ctx and o_uni = o_uni ctx and o_val = o_val ctx in
+  if Array.length ctx.enc < o_val + 1 + (nc * nwk) then
+    ctx.enc <- Array.make (2 * (o_val + 1 + (nc * nwk))) 0;
+  let enc = ctx.enc and cls = l.lcls and lr = l.lr and mand = ctx.mand in
+  copy ctx.cand 0 enc 0 ctx.nwq;
+  (* Multiplicities: a k in two classes (or already in M) is many, in
+     one is unique. The root class and every unique target are
+     mandatory: never dropped when capping at t0. [unique] holds class
+     indices until the classes have their ranks. *)
+  copy l.lmany0 0 enc o_many nwk;
+  fill mand 0 nc 0;
+  if nc > 0 then mand.(0) <- 1;
+  for k = 0 to kc - 1 do
+    let e = cls.(k) in
+    let u =
+      if e >= 0 && l.lflags.(k) <> 3 then begin
+        mand.(e) <- 1;
+        e
+      end
+      else -1
+    in
+    if e = -2 then begin
+      let j = o_many + (k / bpw) in
+      enc.(j) <- enc.(j) lor (1 lsl (k mod bpw))
+    end;
+    enc.(o_uni + k) <- u
+  done;
+  eval_words ctx st l;
+  (* The classes stably sorted by description (a handful: insertion
+     sort). A run of equal descriptions lists its classes in class
+     order. *)
+  let order = ctx.order and keep = ctx.keep in
+  for e = 0 to nc - 1 do
+    let j = ref e in
+    while !j > 0 && reach_after lr nwk order.(!j - 1) e do
+      order.(!j) <- order.(!j - 1);
+      decr j
+    done;
+    order.(!j) <- e
+  done;
+  (* Described values: every class with a nonempty reach. Values with
+     identical descriptions are interchangeable except for their
+     pairwise distinctness; keep at most [dup_cap] copies of each
+     description among the optional ones (a practical knob — the paper
+     keeps everything up to t0): an optional class is kept when fewer
+     than [dup_cap] optional classes before it share its description. *)
+  let n_kept = ref 0 and copies = ref 0 in
+  for i = 0 to nc - 1 do
+    let e = order.(i) in
+    if i = 0 || not (reach_equal lr nwk order.(i - 1) e) then copies := 0;
+    let k =
+      (not (reach_empty lr nwk e))
+      &&
+      match st.dup_cap with
+      | Some cap when mand.(e) = 0 -> !copies < cap
+      | _ -> true
+    in
+    if mand.(e) = 0 then incr copies;
+    keep.(e) <- (if k then 1 else 0);
+    if k then incr n_kept
+  done;
+  let n_kept =
+    if !n_kept <= st.t0 then !n_kept else cap_kept ctx st l !n_kept
+  in
+  (* The canonical order: the kept classes in description order. A
+     class's value is its rank; dropped classes keep their ks'
+     multiplicity and only lose the description. *)
+  let cv = ctx.cv in
+  fill cv 0 nc (-1);
+  enc.(o_val) <- n_kept;
+  let rank = ref 0 in
+  for i = 0 to nc - 1 do
+    let e = order.(i) in
+    if keep.(e) = 1 then begin
+      cv.(e) <- !rank;
+      copy lr (e * nwk) enc (o_val + 1 + (!rank * nwk)) nwk;
+      incr rank
+    end
+  done;
+  for k = 0 to kc - 1 do
+    let e = enc.(o_uni + k) in
+    if e >= 0 then enc.(o_uni + k) <- cv.(e)
+  done;
+  ctx.enc_len <- o_val + 1 + (n_kept * nwk);
+  ctx.enc_hash <- Wordtbl.hash enc 0 ctx.enc_len
+
+(* The set of that width whose words are at [src.(pos)], shared with
+   every earlier result that had it: the sets of the states a search
+   keeps repeat heavily (the described values most of all). *)
+let share ctx width src pos =
+  let n = Bitv.word_count width in
+  if Array.length ctx.sbuf < n + 1 then ctx.sbuf <- Array.make (n + 1) 0;
+  let b = ctx.sbuf in
+  b.(0) <- width;
+  copy src pos b 1 n;
+  let fresh = Wordtbl.length ctx.sets in
+  let id = Wordtbl.intern ctx.sets b 0 (n + 1) in
+  if id < fresh then ctx.shared.(id)
+  else begin
+    let set = Bitv.of_words width src pos in
+    if id >= Array.length ctx.shared then begin
+      let a = Array.make (max 64 (2 * id)) set in
+      Array.blit ctx.shared 0 a 0 id;
+      ctx.shared <- a
+    end;
+    ctx.shared.(id) <- set;
+    set
+  end
+
+let result ctx =
+  let enc = ctx.enc and nwk = ctx.nwk and kc = ctx.kc in
+  let o_val = o_val ctx in
+  let state =
+    Ext_state.make_unchecked ~index:ctx.index
+      ~states:(share ctx ctx.m.Bip.q_card enc 0)
+      ~eq:(share ctx (Array.length ctx.fst) enc (o_eq ctx))
+      ~neq:(share ctx (Array.length ctx.fst) enc (o_eq ctx + ctx.nwp))
+      ~values:
+        (Array.init enc.(o_val) (fun v ->
+             share ctx kc enc (o_val + 1 + (v * nwk))))
+      ~unique:(Array.sub enc (o_uni ctx) kc)
+      ~many:(share ctx kc enc (o_many ctx))
+  in
+  { state; class_values = Array.sub ctx.cv 0 ctx.st.n_classes }
+
+let result_hash ctx = ctx.enc_hash
+
+(* Whether [st] is the state [ctx.enc] encodes. *)
+let is_result ctx (st : Ext_state.t) =
+  let enc = ctx.enc and nwk = ctx.nwk in
+  let o_val = o_val ctx and o_uni = o_uni ctx in
+  let nv = enc.(o_val) in
+  Array.length st.Ext_state.values = nv
+  && Bitv.equal_words st.Ext_state.states enc 0
+  && Bitv.equal_words st.Ext_state.eq enc (o_eq ctx)
+  && Bitv.equal_words st.Ext_state.neq enc (o_eq ctx + ctx.nwp)
+  && Bitv.equal_words st.Ext_state.many enc (o_many ctx)
+  &&
+  let ok = ref true and k = ref 0 in
+  while !ok && !k < ctx.kc do
+    ok := st.Ext_state.unique.(!k) = enc.(o_uni + !k);
+    incr k
+  done;
+  let v = ref 0 in
+  while !ok && !v < nv do
+    ok := Bitv.equal_words st.Ext_state.values.(!v) enc (o_val + 1 + (!v * nwk));
+    incr v
+  done;
+  !ok
+
+(* --- deciding C(v0) ---
+
+   Decide C(v0) component by component, calling [f] on every consistent
+   root label with its state assembled (several only for unstratified
+   automata). The components are walked depth first over one mutable
+   candidate: a trivial component adds its state when μ holds under the
+   candidate so far; a cyclic one tries every labelling of its states
+   (with each state, then without, in component order) and keeps those
+   where μ agrees with the labelling under the completed candidate.
 
    μ sees the candidate only through the light of its read projection
    (every answer a light gives depends on the label only through enabled
    read edges), so a light is shared along the walk, and the light
    changes only when an added state labels a read edge. *)
-let decide_c0 ctx st ~label =
-  let m = ctx.m and children = st.children in
-  let cand = ctx.cand and proj = ctx.proj in
-  Bitv.builder_reset cand;
-  Bitv.builder_reset proj;
-  let holds light q =
-    eval_form_light ctx children ~label ~light m.Bip.mu.(q)
-  in
-  (* [with_state q light k] runs [k] with [q] added to the candidate
-     and the light that goes with it, then takes [q] out. *)
-  let with_state q light k =
-    Bitv.add_in_place q cand;
-    if Bitv.mem q ctx.read_mask then begin
-      Bitv.add_in_place q proj;
-      k (light_of ctx st (Bitv.freeze proj));
-      Bitv.remove_in_place q proj
+
+let set_bit a k = a.(k / bpw) <- a.(k / bpw) lor (1 lsl (k mod bpw))
+let clear_bit a k = a.(k / bpw) <- a.(k / bpw) land lnot (1 lsl (k mod bpw))
+let has_bit a k = a.(k / bpw) land (1 lsl (k mod bpw)) <> 0
+
+(* Add [q] to the candidate; the light of the new projection. *)
+let enter ctx st q l =
+  set_bit ctx.cand q;
+  if ctx.is_read.(q) then begin
+    set_bit ctx.proj q;
+    light_of ctx st
+  end
+  else l
+
+let leave ctx q =
+  clear_bit ctx.cand q;
+  if ctx.is_read.(q) then clear_bit ctx.proj q
+
+let holds ctx st l label q = eval_form ctx st l label ctx.m.Bip.mu.(q)
+
+let rec walk ctx st label f l ci =
+  if ci = Array.length ctx.comps then begin
+    assemble ctx st l;
+    f ()
+  end
+  else if not ctx.cyclic.(ci) then begin
+    let q = ctx.comps.(ci).(0) in
+    if holds ctx st l label q then begin
+      walk ctx st label f (enter ctx st q l) (ci + 1);
+      leave ctx q
     end
-    else k light;
-    Bitv.remove_in_place q cand
-  in
+    else walk ctx st label f l (ci + 1)
+  end
+  else assign ctx st label f l ci 0
+
+and assign ctx st label f l ci p =
+  let comp = ctx.comps.(ci) in
+  if p = Array.length comp then begin
+    let ok = ref true and i = ref 0 in
+    while !ok && !i < Array.length comp do
+      let q = comp.(!i) in
+      ok := holds ctx st l label q = has_bit ctx.cand q;
+      incr i
+    done;
+    if !ok then walk ctx st label f l (ci + 1)
+  end
+  else begin
+    let q = comp.(p) in
+    assign ctx st label f (enter ctx st q l) ci (p + 1);
+    leave ctx q;
+    assign ctx st label f l ci (p + 1)
+  end
+
+let apply ctx st label f =
+  fill ctx.cand 0 ctx.nwq 0;
+  fill ctx.proj 0 ctx.nwq 0;
+  walk ctx st label f (light_of ctx st) 0
+
+(* --- steps --- *)
+
+(* Reset the ctx's step for [n_classes] classes over [children]. The
+   many base is a function of the children alone; a step over the same
+   children array as the last one keeps it. *)
+let prepare ?t0 ?dup_cap ctx children n_classes =
+  let st = ctx.st and nwk = ctx.nwk in
+  st.t0 <- (match t0 with Some t -> t | None -> t0_default ctx.m);
+  st.dup_cap <- dup_cap;
+  st.n_classes <- n_classes;
+  st.n_lights <- 0;
+  if Array.length st.bases < n_classes * nwk then begin
+    let n = max (n_classes * nwk) (2 * Array.length st.bases) in
+    st.bases <- Array.make n 0;
+    ctx.cv <- Array.make n 0;
+    ctx.order <- Array.make n 0;
+    ctx.keep <- Array.make n 0;
+    ctx.card <- Array.make n 0;
+    ctx.mand <- Array.make n 0
+  end;
+  if children != st.children then begin
+    st.children <- children;
+    Bitv.blit_words (many_base ctx ~children) st.manyb 0
+  end;
+  st
+
+let set_initial ctx st =
+  set_bit st.bases ctx.m.Bip.pf.Pathfinder.initial
+
+let step ?t0 ?dup_cap ctx children (classes : Merging.t) =
+  let st = prepare ?t0 ?dup_cap ctx children (List.length classes) in
+  let nwk = ctx.nwk in
+  List.iteri
+    (fun c (kl : Merging.klass) ->
+      fill st.bases (c * nwk) nwk 0;
+      if kl.Merging.has_root then set_initial ctx st;
+      List.iter
+        (fun (i, v) ->
+          let su =
+            Pathfinder.step_up_m ctx.memo children.(i).Ext_state.values.(v)
+          in
+          let b = Bitv.of_words ctx.kc st.bases (c * nwk) in
+          Bitv.blit_words (Bitv.union b su) st.bases (c * nwk))
+        kl.Merging.members)
+    classes;
+  st
+
+let step_of_enum ?t0 ?dup_cap ctx children enum =
+  let st = prepare ?t0 ?dup_cap ctx children (Merging.n_classes enum) in
+  for c = 0 to st.n_classes - 1 do
+    Merging.class_words enum c st.bases (c * ctx.nwk)
+  done;
+  set_initial ctx st;
+  st
+
+let results ctx st label =
   let out = ref [] in
-  let rec walk light = function
-    | [] -> out := (Bitv.freeze cand, light) :: !out
-    | [ q ] :: rest when not (Bitv.mem q m.Bip.deps.(q)) ->
-      if holds light q then with_state q light (fun light -> walk light rest)
-      else walk light rest
-    | comp :: rest ->
-      let rec assign light = function
-        | [] ->
-          if
-            List.for_all
-              (fun q -> holds light q = Bitv.builder_mem q cand)
-              comp
-          then walk light rest
-        | q :: qs ->
-          with_state q light (fun light -> assign light qs);
-          assign light qs
-      in
-      assign light comp
-  in
-  walk (light_of ctx st (Bitv.freeze proj)) m.Bip.components;
+  apply ctx st label (fun () -> out := result ctx :: !out);
   List.rev !out
-
-(* The parent's atom matrices over the pair space, in one pass over its
-   pairs, accumulated word by word: the class cases and the many-source
-   rule as the light answers them, and the children's lifts for case 1. *)
-let build_eval ctx (l : light) ~(children : Ext_state.t array) =
-  let fst = ctx.fst and snd = ctx.snd and cls = l.lcls in
-  let w = Array.length fst in
-  let nw = Bitv.word_count w in
-  let words = Array.make (2 * nw) 0 in
-  let any_many = not (Bitv.is_empty l.lmany0) in
-  let is_many = Array.make (if any_many then Array.length cls else 0) false in
-  Bitv.iter (fun k -> is_many.(k) <- true) l.lmany0;
-  for j = 0 to nw - 1 do
-    let lo = j * bpw in
-    let eqw = ref 0 and neqw = ref 0 in
-    for i = lo to min w (lo + bpw) - 1 do
-      let k1 = fst.(i) and k2 = snd.(i) in
-      let bit = 1 lsl (i - lo) in
-      if class_eq l k1 k2 then eqw := !eqw lor bit;
-      if
-        class_neq l k1 k2
-        || any_many
-           && ((is_many.(k1) && (cls.(k2) <> -1 || is_many.(k2)))
-              || (is_many.(k2) && (cls.(k1) <> -1 || is_many.(k1))))
-      then neqw := !neqw lor bit
-    done;
-    words.(j) <- !eqw;
-    words.(nw + j) <- !neqw
-  done;
-  Array.iter
-    (fun c ->
-      let lw = lift_of ctx l.llc c in
-      for j = 0 to (2 * nw) - 1 do
-        words.(j) <- words.(j) lor lw.(j)
-      done)
-    children;
-  (Bitv.of_words w words 0, Bitv.of_words w words nw)
-
-(* Assemble the extended state for a fully decided root label [c0].
-   Everything but the labelling is read through [light], the light of
-   c0's read projection. *)
-let assemble ctx st ~c0 ~light =
-  let l = Lazy.force light in
-  let k_card = ctx.m.Bip.pf.Pathfinder.n_states in
-  let r = l.lr and many0 = l.lmany0 and cls = l.lcls in
-  let n_classes = Array.length r in
-  (* Multiplicities: a k in two classes (or already in M) is many, in
-     one is unique. The root class and every unique target are
-     mandatory: never dropped when capping at t0. *)
-  let unique = Array.make k_card (-1) in
-  let mandatory = Array.make n_classes false in
-  if n_classes > 0 then mandatory.(0) <- true;
-  let many_b = Bitv.builder_of many0 in
-  for k = 0 to k_card - 1 do
-    let e = cls.(k) in
-    if e = -2 then Bitv.add_in_place k many_b
-    else if e >= 0 && not (Bitv.mem k many0) then begin
-      unique.(k) <- e;
-      mandatory.(e) <- true
-    end
-  done;
-  let many = Bitv.freeze many_b in
-  let eq, neq = build_eval ctx l ~children:st.children in
-  (* Described values: every class with a nonempty reach, root first.
-     Values with identical descriptions are interchangeable except for
-     their pairwise distinctness; keep at most [dup_cap] copies of each
-     description among the optional ones (a practical knob — the paper
-     keeps everything up to t0). *)
-  let copies e =
-    let n = ref 0 in
-    for e' = 0 to e - 1 do
-      if (not mandatory.(e')) && Bitv.equal r.(e') r.(e) then incr n
-    done;
-    !n
-  in
-  let kept = Array.make n_classes 0 and n_kept = ref 0 in
-  for e = 0 to n_classes - 1 do
-    if
-      (not (Bitv.is_empty r.(e)))
-      &&
-      match st.dup_cap with
-      | Some cap when not mandatory.(e) -> copies e < cap
-      | _ -> true
-    then begin
-      kept.(!n_kept) <- e;
-      incr n_kept
-    end
-  done;
-  let kept =
-    if !n_kept <= st.t0 then Array.sub kept 0 !n_kept
-    else begin
-      let mand, opt =
-        List.partition
-          (fun e -> mandatory.(e))
-          (Array.to_list (Array.sub kept 0 !n_kept))
-      in
-      let budget = max 0 (st.t0 - List.length mand) in
-      let opt_sorted =
-        List.sort
-          (fun e1 e2 ->
-            Int.compare (Bitv.cardinal r.(e2)) (Bitv.cardinal r.(e1)))
-          opt
-      in
-      let rec take n = function
-        | [] -> []
-        | _ when n = 0 -> []
-        | x :: rest -> x :: take (n - 1) rest
-      in
-      Array.of_list (List.sort Int.compare (mand @ take budget opt_sorted))
-    end
-  in
-  (* The canonical order: the kept classes stably sorted by description
-     (a handful: insertion sort). A class's value is its rank; dropped
-     classes keep their ks' multiplicity and only lose the
-     description. *)
-  for i = 1 to Array.length kept - 1 do
-    let x = kept.(i) in
-    let j = ref i in
-    while !j > 0 && Bitv.compare r.(kept.(!j - 1)) r.(x) > 0 do
-      kept.(!j) <- kept.(!j - 1);
-      decr j
-    done;
-    kept.(!j) <- x
-  done;
-  let class_values = Array.make n_classes (-1) in
-  Array.iteri (fun rank e -> class_values.(e) <- rank) kept;
-  let state =
-    Ext_state.make_unchecked ~index:ctx.index ~states:c0 ~eq ~neq
-      ~values:(Array.map (fun e -> r.(e)) kept)
-      ~unique:
-        (Array.map (fun e -> if e >= 0 then class_values.(e) else -1) unique)
-      ~many
-  in
-  { state; class_values }
-
-let step ?t0 ?dup_cap ?bases ctx children (classes : Merging.t) =
-  (* Class bases and the many base do not depend on the root label:
-     compute them once and share them across every label, the whole c0
-     enumeration and the final assembly. The fixpoint already unions
-     exactly these sets for its canonical merging key and passes them
-     in; external callers fall back to computing them here. *)
-  let bases =
-    match bases with
-    | Some b -> b
-    | None ->
-      Array.of_list
-        (List.map (fun kl -> class_base ctx ~children kl) classes)
-  in
-  {
-    t0 = (match t0 with Some t -> t | None -> t0_default ctx.m);
-    dup_cap;
-    children;
-    bases;
-    manyb = many_base ctx ~children;
-    lights = [];
-  }
-
-let apply ctx st label =
-  List.map
-    (fun (c0, light) -> assemble ctx st ~c0 ~light)
-    (decide_c0 ctx st ~label)
 (* Distinct c0 give distinct states; no dedup needed. *)
 
-let combine ?t0 ?dup_cap ?bases ctx label children classes =
-  apply ctx (step ?t0 ?dup_cap ?bases ctx children classes) label
+let combine ?t0 ?dup_cap ctx label children classes =
+  results ctx (step ?t0 ?dup_cap ctx children classes) label
 
 let leaf ?t0 ?dup_cap ctx label =
   combine ?t0 ?dup_cap ctx label [||]

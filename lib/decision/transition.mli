@@ -62,29 +62,48 @@ val leaf :
 
 type step
 (** One merging of one children array, ready to apply under any root
-    label: its class bases, its many base, and the lights made so far
-    (the class reaches and atom answers under one read projection of
-    the root label). A light depends on the label only through its read
-    projection, so every label applied to a step shares them. *)
+    label: its class bases and its many base as raw words, and the
+    lights made so far (the class reaches and atom answers under one
+    read projection of the root label). A light depends on the label
+    only through its read projection, so every label applied to a step
+    shares them. A step is its ctx's scratch: the next {!step} or
+    {!step_of_enum} on the same ctx overwrites it. *)
 
 val step :
-  ?t0:int ->
-  ?dup_cap:int ->
-  ?bases:Bitv.t array ->
-  ctx ->
-  Ext_state.t array ->
-  Merging.t ->
-  step
-(** See {!combine} for the arguments. *)
+  ?t0:int -> ?dup_cap:int -> ctx -> Ext_state.t array -> Merging.t -> step
+(** See {!combine} for the arguments. The many base depends only on the
+    children: a step over the same (physically equal) children array as
+    the ctx's previous step reuses it, so the array must not be mutated
+    in between. *)
 
-val apply : ctx -> step -> Xpds_datatree.Label.t -> result list
-(** [apply ctx (step ?t0 ?dup_cap ?bases ctx children merging) label]
-    = [combine ?t0 ?dup_cap ?bases ctx label children merging]. *)
+val step_of_enum :
+  ?t0:int -> ?dup_cap:int -> ctx -> Ext_state.t array -> Merging.enum -> step
+(** The step of the enumeration's current partition of the children's
+    visible values: the same as {!step} on {!Merging.current}, with the
+    class bases read from the unions the enumeration keeps. *)
+
+val apply : ctx -> step -> Xpds_datatree.Label.t -> (unit -> unit) -> unit
+(** [apply ctx st label f] calls [f ()] once per result of the step under
+    [label], in the order {!combine} lists them. During a call the
+    result is held in the ctx's scratch, as a flat encoding of the
+    state: {!result_hash} and {!is_result} look it up among known
+    states, and {!result} materializes it. Nothing is allocated per
+    result otherwise. *)
+
+val result : ctx -> result
+(** The result [apply] is calling back for, materialized. *)
+
+val result_hash : ctx -> int
+(** A hash of the result's state, computed from the scratch encoding:
+    equal states (within one ctx) hash equally. *)
+
+val is_result : ctx -> Ext_state.t -> bool
+(** Whether a state of this ctx is {!Ext_state.equal} to the result's,
+    compared word by word against the scratch encoding. *)
 
 val combine :
   ?t0:int ->
   ?dup_cap:int ->
-  ?bases:Bitv.t array ->
   ctx ->
   Xpds_datatree.Label.t ->
   Ext_state.t array ->
@@ -92,13 +111,10 @@ val combine :
   result list
 (** Extended states of a tree whose root carries the label and whose
     immediate subtrees realize the given children states, with data
-    values identified according to the merging. The merging's items must
-    be exactly the {e visible} values of the children (nonempty
-    [step_up] of the description). [bases], when given, must be the
-    per-class root bases in class order (step-ups of the members'
-    values, plus the initial state for the root class) — callers that
-    already union them for a canonical key pass them in to avoid
-    recomputation. *)
+    values identified according to the merging: {!apply} on {!step},
+    every result materialized. The merging's items must be exactly the
+    {e visible} values of the children (nonempty [step_up] of the
+    description). *)
 
 val has_counting : Xpds_automata.Bip.t -> bool
 (** μ has a downward-counting atom ([FCountGe], [FCountZero],

@@ -156,6 +156,8 @@ let zero_stats =
     n_mergings = 0;
     max_height_reached = 0;
     n_replayed = 0;
+    n_fresh_keys = 0;
+    n_applied = 0;
   }
 
 let synthetic_report ~algorithm canon why =

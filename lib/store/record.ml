@@ -117,6 +117,8 @@ let to_report ~canon (r : t) : Sat.report =
         n_mergings = r.n_mergings;
         max_height_reached = r.max_height;
         n_replayed = 0;
+        n_fresh_keys = 0;
+        n_applied = 0;
       };
     witness_verified = r.witness_verified;
     automaton_q = r.automaton_q;

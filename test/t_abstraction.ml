@@ -27,10 +27,10 @@ let gen_labels = List.map Label.of_string Gen_helpers.default_labels
 
 (* Abstract one tree bottom-up; returns the extended state and the datum
    realized by each described value. *)
-let rec abstract ctx m (info : Bip_run.node_info) tree :
+let rec abstract ?t0 ctx m (info : Bip_run.node_info) tree :
     Ext_state.t * int array =
   let children =
-    List.map2 (abstract ctx m) info.Bip_run.info_children
+    List.map2 (abstract ?t0 ctx m) info.Bip_run.info_children
       (Data_tree.children tree)
   in
   let child_states = Array.of_list (List.map fst children) in
@@ -59,7 +59,7 @@ let rec abstract ctx m (info : Bip_run.node_info) tree :
          by_datum []
   in
   let results =
-    Transition.combine ctx (Data_tree.label tree) child_states classes
+    Transition.combine ?t0 ctx (Data_tree.label tree) child_states classes
   in
   (* Keep the result whose root label matches the semantic run. *)
   match
@@ -86,15 +86,9 @@ let rec abstract ctx m (info : Bip_run.node_info) tree :
       (Array.to_list r.Transition.class_values);
     (state, value_datum)
 
-let check_against_semantics m (info : Bip_run.node_info)
-    (state : Ext_state.t) value_datum =
+(* Atom matrices = semantic truth, on the pairs the state keeps. *)
+let check_matrices m (info : Bip_run.node_info) (state : Ext_state.t) =
   let k_card = m.Bip.pf.Xpds_automata.Pathfinder.n_states in
-  let reach_of k =
-    List.filter_map
-      (fun (d, ks) -> if Bitv.mem k ks then Some d else None)
-      info.Bip_run.reach
-  in
-  (* Atom matrices = semantic truth, on the pairs the state keeps. *)
   for k1 = 0 to k_card - 1 do
     for k2 = 0 to k_card - 1 do
       if Ext_state.observable state k1 k2 then begin
@@ -122,7 +116,17 @@ let check_against_semantics m (info : Bip_run.node_info)
           sem_neq
       end
     done
-  done;
+  done
+
+let check_against_semantics m (info : Bip_run.node_info)
+    (state : Ext_state.t) value_datum =
+  let k_card = m.Bip.pf.Xpds_automata.Pathfinder.n_states in
+  let reach_of k =
+    List.filter_map
+      (fun (d, ks) -> if Bitv.mem k ks then Some d else None)
+      info.Bip_run.reach
+  in
+  check_matrices m info state;
   (* Multiplicities. *)
   for k = 0 to k_card - 1 do
     let n_data = List.length (reach_of k) in
@@ -206,6 +210,47 @@ let test_abstraction_paper_example () =
   Alcotest.(check bool) "projected pair space is smaller than K×K" true
     (Ext_state.index_width state.Ext_state.index < k_card * k_card)
 
+(* Case 1 of the transition, the lift of a child's own atom onto the
+   parent's pairs, is the only way to see two data of one child's
+   subtree once the child has dropped their descriptions. Here the a
+   child describes none of its children's data (t0 = 0 keeps only the
+   mandatory values, and no state retrieves datum 1 or 2 uniquely: each
+   of its b and c states retrieves both), yet datum 1 is reached through
+   a/b and through a/c, so the root's ∃(k1,k2)= holds. Without the lift
+   the root's label would miss the formula's state; the matrices are
+   checked too, in both pair spaces. (Only the matrices: a dropped value
+   loses its datum, so the multiplicities no longer match the tree.) *)
+let test_case1_lift () =
+  let phi =
+    Xpds_xpath.Parser.node_of_string_exn "down[a]/down[b] = down[a]/down[c]"
+  in
+  let node l d cs = Data_tree.make (Label.of_string l) d cs in
+  let tree =
+    node "c" 0
+      [ node "a" 5 [ node "b" 1 []; node "b" 2 []; node "c" 1 []; node "c" 2 [] ]
+      ]
+  in
+  let m = Translate.of_node ~labels:gen_labels phi in
+  let info = Bip_run.run m tree in
+  Alcotest.(check bool) "the formula holds at the root" true
+    (Bitv.exists
+       (fun q -> Bitv.mem q m.Bip.final)
+       info.Bip_run.states);
+  List.iter
+    (fun project_pairs ->
+      let ctx = Transition.make_ctx ~project_pairs m in
+      let x = List.hd info.Bip_run.info_children in
+      let child, _ =
+        abstract ~t0:0 ctx m x (List.hd (Data_tree.children tree))
+      in
+      Alcotest.(check int) "the child describes its own datum only" 1
+        (Array.length child.Ext_state.values);
+      let root, _ = abstract ~t0:0 ctx m info tree in
+      Alcotest.(check bool) "the root state is accepting" true
+        (Ext_state.accepting root m.Bip.final);
+      check_matrices m info root)
+    [ false; true ]
+
 (* The emptiness search in the projected pair space (the engine's
    default) and in the full one (certificate mode) never disagree
    between sat and unsat; a search that runs out of budget on either
@@ -246,6 +291,8 @@ let suite =
   ( "abstraction",
     [ Alcotest.test_case "paper example tree" `Quick
         test_abstraction_paper_example;
+      Alcotest.test_case "case-1 lift of dropped values" `Quick
+        test_case1_lift;
       prop_abstraction_exact;
       prop_pair_spaces_agree
     ] )

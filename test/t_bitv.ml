@@ -228,8 +228,9 @@ let regression_cases =
     goldens
 
 (* The engine at the 20k-transition budget of the benchmark's
-   hard-solve workload, on the four formulas that run that budget out
-   plus mixed_axes unsat 6 (decided by the data-free union closure). The
+   hard-solve workload, on the four formulas that run that budget out,
+   mixed_axes unsat 6 (decided by the data-free union closure) and the
+   workload's generated row with the most mergings. The
    row names date from when the service default pruned subsumed
    states. The same label-intern caveat as above applies: the reg_alt row holds
    for this test binary only. *)
@@ -257,7 +258,14 @@ let budget_goldens =
     ("reg_alt_unsat", Families.reg_alternation ~sat:false (),
      "unknown:transition budget", 1580, 20001, 11571);
     ("mixed_axes_unsat_6", Families.mixed_axes ~sat:false 6, "unsat", 7, 14,
-     0)
+     0);
+    (* hard-solve's merging-heavy generated row: 100 779 mergings with
+       only a few thousand distinct keys *)
+    ("generated_neq_desc",
+     Xpds.Ast.as_node
+       (Xpds.Parser.formula_of_string_exn
+          "([a]eps|eps) != (eps|eps[b]/eps) & desc = desc & desc = eps"),
+     "unsat_bounded", 9, 4407, 100779)
   ]
 
 let budget_cases =

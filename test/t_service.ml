@@ -316,7 +316,8 @@ let test_metrics_json_pin () =
   let m = Metrics.create () in
   let stats n =
     { Emptiness.n_states = n; n_transitions = 2 * n; n_mergings = 3 * n;
-      max_height_reached = 0; n_replayed = 0 }
+      max_height_reached = 0; n_replayed = 0; n_fresh_keys = 0;
+      n_applied = 0 }
   in
   let record ?kind verdict ~cached ms =
     Metrics.record ?kind m ~verdict ~cached ~ms ~stats:(stats 5)

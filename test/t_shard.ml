@@ -378,7 +378,8 @@ let test_merge_metrics () =
   let module Metrics = Xpds_service.Metrics in
   let stats =
     { Xpds_decision.Emptiness.n_states = 0; n_transitions = 0; n_mergings = 0;
-      max_height_reached = 0; n_replayed = 0 }
+      max_height_reached = 0; n_replayed = 0; n_fresh_keys = 0;
+      n_applied = 0 }
   in
   let shard ~requests ~probes ~ms =
     let m = Metrics.create () in
