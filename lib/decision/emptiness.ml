@@ -202,16 +202,18 @@ let bump_transitions s =
     raise (Limit "transition budget")
 
 (* The merging kernel. A combo's items are the visible values of its
-   children, child by child, each with its step-up (precomputed at
-   state discovery). With at most t0 classes, the resulting state
-   depends on a merging only through the multiset of its classes'
-   stepped-up bases (plus the root flag), so
-   [Merging.iter] runs over every merging — each one counts against the
-   budgets — and [Merging.fresh_key] picks the first of each key, in
-   enumeration order, as the one to apply. With more classes, the t0
-   truncation breaks ties by class index and mergings sharing a key may
-   differ; applying only the first is a deliberate approximation, and
-   such a search is bounded ([unsat_bounded]) anyway. *)
+   children, child by child (as [Merging.push] requires), each with its
+   step-up (precomputed at state discovery). With at most t0 classes,
+   the resulting state depends on a merging only through the multiset
+   of its classes' stepped-up bases (plus the root flag), so
+   [Merging.iter] walks the mergings, skipping swaps of a child's
+   equal-vector values, which repeat a key — each merging walked counts
+   against the budgets — and [Merging.fresh_key] picks the first of
+   each key, in enumeration order, as the one to apply. With more
+   classes, the t0 truncation breaks ties by class index and mergings
+   sharing a key may differ; applying only the first is a deliberate
+   approximation, and such a search is bounded ([unsat_bounded])
+   anyway. *)
 let load_combo enum ~k_card ~val_su ~visible combo =
   Merging.clear enum ~width:k_card;
   for i = 0 to Array.length combo - 1 do
@@ -302,9 +304,10 @@ let round s ~labels ~width ~height ~fresh_from =
         load_combo s.enum ~k_card ~val_su:s.val_su ~visible:s.visible combo;
         Merging.iter ?budget:cfg.merge_budget s.enum (fun enum ->
             s.mergings <- s.mergings + 1;
-            (* Merging enumeration can dwarf the committed transitions;
-               charge it against the same budget so a stall is reported
-               as a resource limit rather than an unbounded crawl. *)
+            (* The mergings walked can dwarf the committed transitions;
+               charge them against the same budget so a stall is
+               reported as a resource limit rather than an unbounded
+               crawl. *)
             if s.mergings > 20 * s.cfg.max_transitions then
               raise (Limit "merging budget");
             if s.mergings land 255 = 0 then poll_stop s.cfg;

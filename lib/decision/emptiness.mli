@@ -32,7 +32,8 @@ type outcome =
 type stats = {
   n_states : int;  (** distinct extended states reached *)
   n_transitions : int;  (** transition applications attempted *)
-  n_mergings : int;  (** mergings enumerated *)
+  n_mergings : int;
+      (** mergings walked (after {!Merging.iter}'s symmetry pruning) *)
   max_height_reached : int;
   n_replayed : int;
       (** transitions among [n_transitions] answered from the search's

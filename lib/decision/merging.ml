@@ -1,63 +1,7 @@
 type klass = { has_root : bool; members : (int * int) list }
 type t = klass list
 
-(* Restricted-growth enumeration: insert items left to right; each item
-   either joins an existing class (respecting the same-child constraint)
-   or opens a fresh one. Each partition is produced exactly once.
-
-   The optional [budget] bounds the number of items involved in actual
-   identifications: an item joining the root class costs 1, an item
-   turning a singleton class into a pair costs 2 (both members are now
-   "merged"), and an item joining an already non-singleton class costs 1.
-   Items left in singleton classes are free. The paper's procedure has no
-   such bound (budget None); the bound is a practical completeness knob
-   (DESIGN.md §3). *)
-let enumerate ?budget (items : (int * int) list) : t Seq.t =
-  let max_cost = match budget with Some b -> b | None -> max_int in
-  let compatible (child, _) klass =
-    not (List.exists (fun (c, _) -> c = child) klass.members)
-  in
-  let join_cost klass =
-    if klass.has_root then 1
-    else match klass.members with [ _ ] -> 2 | _ -> 1
-  in
-  let rec go built cost items () =
-    match items with
-    | [] ->
-      Seq.Cons
-        ( List.map (fun k -> { k with members = List.rev k.members }) built,
-          fun () -> Seq.Nil )
-    | item :: rest ->
-      let joins =
-        List.concat
-          (List.mapi
-             (fun i klass ->
-               let cost' = cost + join_cost klass in
-               if compatible item klass && cost' <= max_cost then
-                 [ ( List.mapi
-                       (fun j k ->
-                         if i = j then
-                           { k with members = item :: k.members }
-                         else k)
-                       built,
-                     cost' )
-                 ]
-               else [])
-             built)
-      in
-      let opened =
-        (built @ [ { has_root = false; members = [ item ] } ], cost)
-      in
-      Seq.concat_map
-        (fun (built', cost') -> go built' cost' rest)
-        (List.to_seq (joins @ [ opened ]))
-        ()
-  in
-  go [ { has_root = true; members = [] } ] 0 items
-
-(* --- keyed enumeration ---
-
-   The emptiness round enumerates millions of mergings per solve, and a
+(* The emptiness round enumerates millions of mergings per solve, and a
    transition depends on a merging only through the multiset of its
    classes' (root flag, stepped-up base union) as long as it has at most
    t0 classes — most mergings repeat a key already seen for the same
@@ -72,7 +16,37 @@ let enumerate ?budget (items : (int * int) list) : t Seq.t =
    from those words, a transition reads its class bases from them
    ([class_words]), and the partition itself ([current]) is materialized
    only for provenance. All buffers live in one reusable [enum], so a
-   combo whose partitions are all repeats allocates nothing. *)
+   combo whose partitions are all repeats allocates nothing.
+
+   The walk is a restricted-growth enumeration: items are inserted left
+   to right, each joining an existing class (at most one value per
+   child a class) or opening a new one, which orders the partitions
+   lexicographically by their class-index strings. The optional
+   [budget] bounds the number of items involved in identifications: an
+   item joining the root class costs 1, an item turning a singleton
+   class into a pair costs 2 (both members are now merged), and an item
+   joining a larger class costs 1. Items left in singleton classes are
+   free, so a partition's cost does not depend on the insertion order.
+   The paper's procedure has no such bound (budget None); the bound is
+   a practical completeness knob (DESIGN.md §3).
+
+   Symmetry pruning. Let [q]'s twin [p] be the nearest earlier item of
+   the same child with an equal vector. Swapping [p] and [q] keeps the
+   class unions, the class sizes (hence the cost) and the same-child
+   constraint, so it maps a partition to one with the same key. The
+   walk skips a partition when that swap gives one earlier in the
+   order:
+   - [p] joined an existing class i and [q] joins an existing class
+     j < i;
+   - [p] opened a class and [q] joins an existing one (items are pushed
+     child by child, so every class [q] can join existed before [p]);
+   - [p] opened a class, [q] opened a later one, and an item joins
+     [q]'s class while [p]'s is still the singleton {p} — [q]'s class
+     is locked until then.
+   Each skipped partition has an earlier one with its key, so the first
+   partition of every key is still walked, in the same order. Opening a
+   class is never skipped, so every branch of the walk reaches a
+   partition. *)
 
 (* A key is length-prefixed: [k.(0) = n], payload [k.(1) .. k.(n)] — the
    number of classes, the root class's words, then the other classes'
@@ -103,6 +77,9 @@ type enum = {
   mutable child : int array;
   mutable value : int array;
   mutable iwords : int array;  (** item [i]'s words at [i * nw] *)
+  mutable twin : int array;
+      (** the nearest earlier item of the same child with equal words,
+          or -1 *)
   mutable n_children : int;  (** 1 + the largest child index *)
   (* the current partition *)
   mutable n_classes : int;
@@ -114,6 +91,10 @@ type enum = {
       (** [(c * n_children) + child] set iff class [c] holds a value of
           that child — the same-child constraint in O(1) *)
   mutable assign : int array;  (** item -> class *)
+  mutable opener : int array;  (** class -> the item that opened it, or -1 *)
+  mutable lock : int array;
+      (** class -> a class that must hold two members before this one
+          may be joined, or -1 *)
   (* the canonical key *)
   mutable kbuf : int array;
   mutable tbuf : int array;  (** a transition key in class order *)
@@ -129,6 +110,7 @@ let create () =
     child = [||];
     value = [||];
     iwords = [||];
+    twin = [||];
     n_children = 0;
     n_classes = 0;
     cwords = [||];
@@ -136,6 +118,8 @@ let create () =
     size = [||];
     owns = Bytes.empty;
     assign = [||];
+    opener = [||];
+    lock = [||];
     kbuf = [||];
     tbuf = [||];
     order = [||];
@@ -159,18 +143,32 @@ let grow a len fill =
 
 let push e child value bv =
   if Bitv.width bv <> e.width then invalid_arg "Merging.push: width mismatch";
-  let i = e.n in
+  let i = e.n and nw = e.nw in
+  if i > 0 && e.child.(i - 1) <> child then
+    for j = 0 to i - 2 do
+      if e.child.(j) = child then
+        invalid_arg "Merging.push: a child's values must be pushed together"
+    done;
   e.child <- grow e.child (i + 1) 0;
   e.value <- grow e.value (i + 1) 0;
-  e.iwords <- grow e.iwords ((i + 1) * e.nw) 0;
+  e.iwords <- grow e.iwords ((i + 1) * nw) 0;
+  e.twin <- grow e.twin (i + 1) 0;
   e.child.(i) <- child;
   e.value.(i) <- value;
-  Bitv.blit_words bv e.iwords (i * e.nw);
+  Bitv.blit_words bv e.iwords (i * nw);
+  let j = ref (i - 1) in
+  while
+    !j >= 0 && e.child.(!j) = child
+    && not (Bitv.equal_words bv e.iwords (!j * nw))
+  do
+    decr j
+  done;
+  e.twin.(i) <- (if !j >= 0 && e.child.(!j) = child then !j else -1);
   if child >= e.n_children then e.n_children <- child + 1;
   e.n <- i + 1
 
-(* Same partitions in the same order as [enumerate]: restricted growth
-   over in-place class stacks. *)
+(* The restricted-growth walk over in-place class stacks, pruned by the
+   twin rules above. *)
 let iter ?budget e f =
   let max_cost = match budget with Some b -> b | None -> max_int in
   let n = e.n and nw = e.nw and nch = e.n_children in
@@ -178,6 +176,8 @@ let iter ?budget e f =
   e.saved <- grow e.saved (n * nw) 0;
   e.size <- grow e.size (n + 1) 0;
   e.assign <- grow e.assign n 0;
+  e.opener <- grow e.opener (n + 1) 0;
+  e.lock <- grow e.lock (n + 1) 0;
   e.kbuf <- grow e.kbuf (((n + 1) * nw) + 2) 0;
   e.tbuf <- grow e.tbuf (((n + 1) * nw) + 2) 0;
   e.order <- grow e.order (n + 1) 0;
@@ -186,29 +186,42 @@ let iter ?budget e f =
   Bytes.fill e.owns 0 ((n + 1) * nch) '\000';
   Array.fill e.cwords 0 nw 0;
   e.size.(0) <- 0;
+  e.opener.(0) <- -1;
+  e.lock.(0) <- -1;
   e.n_classes <- 1;
   let cwords = e.cwords and iwords = e.iwords and saved = e.saved in
+  let size = e.size and lock = e.lock in
   let rec go idx cost =
     if idx >= n then f e
     else begin
       let child = e.child.(idx) in
       let ib = idx * nw in
-      for c = 0 to e.n_classes - 1 do
+      (* the twin's class [pc]: joined, [idx] may join only later
+         classes; opened, [idx] must open one too, locked on [pc] *)
+      let p = e.twin.(idx) in
+      let pc = if p < 0 then -1 else e.assign.(p) in
+      let p_opened = p >= 0 && e.opener.(pc) = p in
+      let first = if p_opened then e.n_classes else pc + 1 in
+      for c = first to e.n_classes - 1 do
         (* the root class and classes of two or more cost 1 to join; a
            singleton costs 2, as both its members become merged *)
-        let cost' = cost + if c > 0 && e.size.(c) = 1 then 2 else 1 in
+        let cost' = cost + if c > 0 && size.(c) = 1 then 2 else 1 in
         let own = (c * nch) + child in
-        if cost' <= max_cost && Bytes.get e.owns own = '\000' then begin
+        if
+          cost' <= max_cost
+          && Bytes.get e.owns own = '\000'
+          && (lock.(c) < 0 || size.(lock.(c)) > 1)
+        then begin
           let cb = c * nw in
           for j = 0 to nw - 1 do
             saved.(ib + j) <- cwords.(cb + j);
             cwords.(cb + j) <- cwords.(cb + j) lor iwords.(ib + j)
           done;
           Bytes.set e.owns own '\001';
-          e.size.(c) <- e.size.(c) + 1;
+          size.(c) <- size.(c) + 1;
           e.assign.(idx) <- c;
           go (idx + 1) cost';
-          e.size.(c) <- e.size.(c) - 1;
+          size.(c) <- size.(c) - 1;
           Bytes.set e.owns own '\000';
           for j = 0 to nw - 1 do
             cwords.(cb + j) <- saved.(ib + j)
@@ -219,7 +232,9 @@ let iter ?budget e f =
       for j = 0 to nw - 1 do
         cwords.((c * nw) + j) <- iwords.(ib + j)
       done;
-      e.size.(c) <- 1;
+      size.(c) <- 1;
+      e.opener.(c) <- idx;
+      lock.(c) <- (if p_opened then pc else -1);
       Bytes.set e.owns ((c * nch) + child) '\001';
       e.assign.(idx) <- c;
       e.n_classes <- c + 1;
@@ -335,17 +350,3 @@ let current e =
     lists.(c) <- (e.child.(i), e.value.(i)) :: lists.(c)
   done;
   List.init e.n_classes (fun c -> { has_root = c = 0; members = lists.(c) })
-
-let count ?budget items = Seq.length (enumerate ?budget items)
-
-let pp ppf classes =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf " | ")
-       (fun ppf k ->
-         if k.has_root then Format.fprintf ppf "root ";
-         Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ' ')
-           (fun ppf (c, v) -> Format.fprintf ppf "%d.%d" c v)
-           ppf k.members))
-    classes

@@ -21,30 +21,21 @@ type klass = {
 
 type t = klass list
 
-val enumerate : ?budget:int -> (int * int) list -> t Seq.t
-(** All partitions of [items ∪ {root}] respecting the same-child
-    constraint, lazily. [items] must not repeat a pair. The class
-    containing [root] is always first. The number of partitions is a
-    (constrained) Bell number in [|items|]; the optional [budget] caps
-    the number of items taking part in identifications (items in the
-    root class or in classes of size ≥ 2), pruning the enumeration to a
-    polynomial family — a practical completeness knob, not part of the
-    paper's construction. *)
-
 (** {2 Keyed enumeration}
 
-    The emptiness fixpoint's form of {!enumerate}. Items carry a bit
-    vector each (the stepped-up description of the value); the
-    enumeration keeps every class's union of its members' vectors as
-    raw words, updated in place on each join and restored on backtrack,
-    and dedups partitions by a canonical key: the multiset of (root
-    flag, class union) pairs. A transition depends on a merging only
-    through that key when the merging has at most [t0] classes; with
-    more, the [t0] truncation breaks ties by class index, and keeping
-    the first merging of each key is a deliberate approximation (the
-    verdict is then bounded anyway). One [enum] holds
-    every buffer and is reused from one item list to the next; it is
-    single-owner scratch (one per domain). *)
+    The emptiness fixpoint walks the partitions of [items ∪ {root}]
+    that respect the same-child constraint, with the root's class
+    first. Items carry a bit vector each (the stepped-up description of
+    the value); the walk keeps every class's union of its members'
+    vectors as raw words, updated in place on each join and restored
+    on backtrack, and dedups partitions by a canonical key: the
+    multiset of (root flag, class union) pairs. A transition depends on
+    a merging only through that key when the merging has at most [t0]
+    classes; with more, the [t0] truncation breaks ties by class index,
+    and keeping the first merging of each key is a deliberate
+    approximation (the verdict is then bounded anyway). One [enum]
+    holds every buffer and is reused from one item list to the next; it
+    is single-owner scratch. *)
 
 type enum
 
@@ -57,14 +48,24 @@ val clear : enum -> width:int -> unit
 val push : enum -> int -> int -> Bitv.t -> unit
 (** [push e child value bv] appends the item [(child, value)] with its
     vector [bv] (of the width given to {!clear}). Pairs must not
-    repeat. *)
+    repeat, and a child's items must be pushed together: a child index
+    that comes back after another child's raises [Invalid_argument]. *)
 
 val iter : ?budget:int -> enum -> (enum -> unit) -> unit
-(** [iter ?budget e f] calls [f e] once per partition of the pushed
-    items — exactly the partitions of {!enumerate} on the same item
-    list, in the same order. During a call, {!n_classes},
-    {!class_union}, {!fresh_key} and {!current} describe the current
-    partition. Exceptions from [f] abort the walk. *)
+(** [iter ?budget e f] calls [f e] on partitions of the pushed items,
+    in restricted-growth order: items inserted in push order, each
+    joining an existing class (in class order) or else opening a new
+    one. The optional [budget] caps the number of items taking part in
+    identifications (items in the root class or in classes of size
+    ≥ 2) — a practical completeness knob, not part of the paper's
+    construction.
+
+    The walk skips partitions that a swap of two items of one child
+    with equal vectors maps to an earlier partition (same key, same
+    cost), so it yields a subsequence of the full order that holds the
+    first partition of every key, in order. During a call,
+    {!n_classes}, {!class_union}, {!fresh_key} and {!current} describe
+    the current partition. Exceptions from [f] abort the walk. *)
 
 val n_classes : enum -> int
 (** Classes of the current partition; class 0 holds the root. *)
@@ -81,7 +82,8 @@ val fresh_key : enum -> bool
 (** Whether no earlier partition since {!clear} had the current one's
     key — the multiset of (root flag, {!class_union}) over its classes —
     and records the key. The first partition of each key in
-    enumeration order is the one that answers [true]. *)
+    restricted-growth order is the one that answers [true]; {!iter}
+    walks it whatever else it skips. *)
 
 module Key : Hashtbl.HashedType with type t = int array
 (** Keys as {!key} and {!transition_key} return them: [k.(0)] is the
@@ -107,10 +109,6 @@ val intern_transition_key : enum -> t0:int -> tag:int -> Wordtbl.t -> int
     there. *)
 
 val current : enum -> t
-(** The current partition, materialized (as {!enumerate} would yield
-    it). *)
+(** The current partition, materialized: classes in class order,
+    members in push order. *)
 
-val count : ?budget:int -> (int * int) list -> int
-(** Number of partitions {!enumerate} yields (forces the sequence). *)
-
-val pp : Format.formatter -> t -> unit

@@ -148,10 +148,13 @@ let test_hash_low_bits () =
    canonical-key and memoization changes are only re-representations of
    what the search already deduplicated, so every count must survive
    byte-for-byte — including the budget-exhaustion rows, which pin the
-   exploration *order* too. The engine is called directly, on the
-   automaton and configuration [Sat.decide] gives it
-   ([Sat.general_search]): [decide] answers some of these formulas
-   from their data-free relaxation first (pinned separately below). *)
+   exploration *order* too. The mergings column is the exception: it
+   counts the mergings the walk visits, which its symmetry pruning
+   reduces without moving the fresh keys or applied transitions. The
+   engine is called directly, on the automaton and configuration
+   [Sat.decide] gives it ([Sat.general_search]): [decide] answers some
+   of these formulas from their data-free relaxation first (pinned
+   separately below). *)
 
 let outcome_name = function
   | Xpds.Emptiness.Nonempty _ -> "sat"
@@ -163,8 +166,9 @@ let engine ?options phi =
   let m, config = Xpds.Sat.general_search ?options phi in
   Xpds.Emptiness.check_with_stats ~config m
 
-let check_golden (name, phi, verdict, states, transitions, mergings, height)
-    () =
+let check_golden
+    ( name, phi, verdict, states, transitions, mergings, fresh_keys,
+      applied, height ) () =
   let outcome, st = engine phi in
   Alcotest.(check string) (name ^ " verdict") verdict (outcome_name outcome);
   Alcotest.(check int) (name ^ " states") states
@@ -173,58 +177,68 @@ let check_golden (name, phi, verdict, states, transitions, mergings, height)
     st.Xpds.Emptiness.n_transitions;
   Alcotest.(check int) (name ^ " mergings") mergings
     st.Xpds.Emptiness.n_mergings;
+  Alcotest.(check int) (name ^ " fresh keys") fresh_keys
+    st.Xpds.Emptiness.n_fresh_keys;
+  Alcotest.(check int) (name ^ " applied") applied
+    st.Xpds.Emptiness.n_applied;
   Alcotest.(check int) (name ^ " height") height
     st.Xpds.Emptiness.max_height_reached
 
+(* name, formula, verdict, states, transitions, mergings, fresh keys,
+   applied, height *)
 let goldens =
   [ (* child_chain and mixed_axes are data-free: pinned from the
        data-free union closure *)
     ("child_chain_sat_2", Families.child_chain ~sat:true 2, "sat", 3, 5, 0,
-     0, `Quick);
+     0, 0, 0, `Quick);
     ("child_chain_unsat_2", Families.child_chain ~sat:false 2, "unsat", 5,
-     10, 0, 3, `Quick);
+     10, 0, 0, 0, 3, `Quick);
     ("child_chain_sat_3", Families.child_chain ~sat:true 3, "sat", 4, 7, 0,
-     0, `Quick);
+     0, 0, 0, `Quick);
     ("child_chain_sat_4", Families.child_chain ~sat:true 4, "sat", 5, 9,
-     0, 0, `Quick);
+     0, 0, 0, 0, `Quick);
     ("data_chain_sat_2", Families.data_chain ~sat:true 2, "sat", 9, 16, 25,
-     3, `Quick);
+     15, 9, 3, `Quick);
     ("data_chain_sat_3", Families.data_chain ~sat:true 3, "sat", 88, 2342,
-     35972, 4, `Quick);
+     13874, 2341, 530, 4, `Quick);
     ("data_chain_unsat_2", Families.data_chain ~sat:false 2,
-     "unsat_bounded", 79, 2333, 35963, 3, `Quick);
+     "unsat_bounded", 79, 2333, 13865, 2332, 521, 3, `Quick);
     ("desc_data_sat_1", Families.desc_data ~sat:true 1, "sat", 14, 23, 7,
-     2, `Quick);
+     7, 17, 2, `Quick);
     ("desc_data_unsat_1", Families.desc_data ~sat:false 1,
-     "unknown:transition budget", 206, 200001, 361968, 0, `Slow);
-    ("root_data_1", Families.root_data 1, "sat", 1, 1, 0, 1, `Quick);
-    ("root_data_2", Families.root_data 2, "sat", 4, 5, 1, 2, `Quick);
+     "unknown:transition budget", 206, 200001, 159528, 66666, 4551, 0,
+     `Slow);
+    ("root_data_1", Families.root_data 1, "sat", 1, 1, 0, 0, 0, 1, `Quick);
+    ("root_data_2", Families.root_data 2, "sat", 4, 5, 1, 1, 2, 2, `Quick);
     (* root_data 3-5: several labels per merging, so these pin the
        sharing of one set of lights across the labels of a merging;
        row 5 is hard-solve's heaviest sat formula *)
-    ("root_data_3", Families.root_data 3, "sat", 33, 51, 13, 2, `Quick);
-    ("root_data_4", Families.root_data 4, "sat", 308, 599, 149, 2, `Quick);
-    ("root_data_5", Families.root_data 5, "sat", 2992, 12863, 2429, 3,
+    ("root_data_3", Families.root_data 3, "sat", 33, 51, 13, 12, 39, 2,
      `Quick);
+    ("root_data_4", Families.root_data 4, "sat", 308, 599, 149, 119, 369,
+     2, `Quick);
+    ("root_data_5", Families.root_data 5, "sat", 2992, 12863, 2278, 2143,
+     8729, 3, `Quick);
     (* The reg_alt counts are sensitive to the global label-intern
        order, which depends on what else the linked binary interned at
        init; these values are for this test binary (a standalone run of
        the same formulas gives 93/304/132 and 6049/·/188828). *)
     ("reg_alt_sat", Families.reg_alternation ~sat:true (), "sat", 108, 430,
-     180, 3, `Quick);
+     173, 143, 214, 3, `Quick);
     ("reg_alt_unsat", Families.reg_alternation ~sat:false (),
-     "unknown:transition budget", 5343, 200001, 189951, 0, `Slow);
+     "unknown:transition budget", 5343, 200001, 94275, 66666, 24684, 0,
+     `Slow);
     ("mixed_axes_sat_2", Families.mixed_axes ~sat:true 2, "sat", 3, 5, 0,
-     0, `Quick);
+     0, 0, 0, `Quick);
     ("mixed_axes_unsat_2", Families.mixed_axes ~sat:false 2, "unsat", 3, 6,
-     0, 2, `Quick)
+     0, 0, 0, 2, `Quick)
   ]
 
 let regression_cases =
   List.map
-    (fun (name, phi, v, s, t, m, h, speed) ->
+    (fun (name, phi, v, s, t, m, k, a, h, speed) ->
       Alcotest.test_case ("engine stats: " ^ name) speed
-        (check_golden (name, phi, v, s, t, m, h)))
+        (check_golden (name, phi, v, s, t, m, k, a, h)))
     goldens
 
 (* The engine at the 20k-transition budget of the benchmark's
@@ -234,7 +248,8 @@ let regression_cases =
    row names date from when the service default pruned subsumed
    states. The same label-intern caveat as above applies: the reg_alt row holds
    for this test binary only. *)
-let check_budget_golden (name, phi, verdict, states, transitions, mergings)
+let check_budget_golden
+    (name, phi, verdict, states, transitions, mergings, fresh_keys, applied)
     () =
   let options =
     { Xpds.Sat.Options.default with max_transitions = 20_000 }
@@ -246,31 +261,38 @@ let check_budget_golden (name, phi, verdict, states, transitions, mergings)
   Alcotest.(check int) (name ^ " transitions") transitions
     st.Xpds.Emptiness.n_transitions;
   Alcotest.(check int) (name ^ " mergings") mergings
-    st.Xpds.Emptiness.n_mergings
+    st.Xpds.Emptiness.n_mergings;
+  Alcotest.(check int) (name ^ " fresh keys") fresh_keys
+    st.Xpds.Emptiness.n_fresh_keys;
+  Alcotest.(check int) (name ^ " applied") applied
+    st.Xpds.Emptiness.n_applied
 
+(* name, formula, verdict, states, transitions, mergings, fresh keys,
+   applied *)
 let budget_goldens =
   [ ("data_chain_sat_4", Families.data_chain ~sat:true 4,
-     "unknown:transition budget", 1417, 20001, 88193);
+     "unknown:transition budget", 1417, 20001, 38400, 20000, 6234);
     ("data_chain_unsat_3", Families.data_chain ~sat:false 3,
-     "unknown:transition budget", 1417, 20001, 88193);
+     "unknown:transition budget", 1417, 20001, 38400, 20000, 6192);
     ("desc_data_unsat_1", Families.desc_data ~sat:false 1,
-     "unknown:transition budget", 168, 20001, 14501);
+     "unknown:transition budget", 168, 20001, 8804, 6666, 1224);
     ("reg_alt_unsat", Families.reg_alternation ~sat:false (),
-     "unknown:transition budget", 1580, 20001, 11571);
+     "unknown:transition budget", 1580, 20001, 7724, 6666, 5843);
     ("mixed_axes_unsat_6", Families.mixed_axes ~sat:false 6, "unsat", 7, 14,
-     0);
-    (* hard-solve's merging-heavy generated row: 100 779 mergings with
-       only a few thousand distinct keys *)
+     0, 0, 0);
+    (* hard-solve's merging-heavy generated row: 1 468 distinct keys
+       among 100 779 partitions, of which the pruned walk visits
+       7 121 *)
     ("generated_neq_desc",
      Xpds.Ast.as_node
        (Xpds.Parser.formula_of_string_exn
           "([a]eps|eps) != (eps|eps[b]/eps) & desc = desc & desc = eps"),
-     "unsat_bounded", 9, 4407, 100779)
+     "unsat_bounded", 9, 4407, 7121, 1468, 66)
   ]
 
 let budget_cases =
   List.map
-    (fun ((name, _, _, _, _, _) as g) ->
+    (fun ((name, _, _, _, _, _, _, _) as g) ->
       Alcotest.test_case ("pruned engine stats: " ^ name) `Quick
         (check_budget_golden g))
     budget_goldens

@@ -13,32 +13,77 @@ let parse s = Xpds_xpath.Parser.node_of_string_exn s
 
 (* --- Merging --- *)
 
+(* The reference enumeration: every partition of [items ∪ {root}] that
+   keeps one value per child a class, root class first, as a list in
+   restricted-growth order (each item joins an existing class, in class
+   order, or else opens a new one), under the same optional budget as
+   [Merging.iter]: joining the root class or a class of two or more
+   costs 1, joining a singleton 2. *)
+let enumerate ?budget (items : (int * int) list) : Merging.t list =
+  let max_cost = match budget with Some b -> b | None -> max_int in
+  let rec go built cost = function
+    | [] ->
+      [ List.map
+          (fun (k : Merging.klass) ->
+            { k with Merging.members = List.rev k.Merging.members })
+          built ]
+    | ((child, _) as item) :: rest ->
+      let joins =
+        List.concat
+          (List.mapi
+             (fun i (k : Merging.klass) ->
+               let cost' =
+                 cost
+                 + if k.Merging.has_root then 1
+                   else match k.Merging.members with [ _ ] -> 2 | _ -> 1
+               in
+               if
+                 cost' <= max_cost
+                 && not (List.exists (fun (c, _) -> c = child) k.members)
+               then
+                 go
+                   (List.mapi
+                      (fun j (k : Merging.klass) ->
+                        if i = j then
+                          { k with Merging.members = item :: k.members }
+                        else k)
+                      built)
+                   cost' rest
+               else [])
+             built)
+      in
+      joins
+      @ go (built @ [ { Merging.has_root = false; members = [ item ] } ])
+          cost rest
+  in
+  go [ { Merging.has_root = true; members = [] } ] 0 items
+
+let count ?budget items = List.length (enumerate ?budget items)
+
 let test_merging_counts () =
   (* No items: only the root-singleton partition. *)
-  Alcotest.(check int) "no items" 1 (Merging.count []);
+  Alcotest.(check int) "no items" 1 (count []);
   (* One item: in the root class or alone. *)
-  Alcotest.(check int) "one item" 2 (Merging.count [ (0, 0) ]);
+  Alcotest.(check int) "one item" 2 (count [ (0, 0) ]);
   (* Two items from the same child can never be merged together:
      partitions of {r, a, b} with a,b separated: r|a|b, ra|b, rb|a. *)
-  Alcotest.(check int) "same child" 3
-    (Merging.count [ (0, 0); (0, 1) ]);
+  Alcotest.(check int) "same child" 3 (count [ (0, 0); (0, 1) ]);
   (* Two items from different children: Bell(3) = 5 partitions, none
      excluded. *)
-  Alcotest.(check int) "different children" 5
-    (Merging.count [ (0, 0); (1, 0) ])
+  Alcotest.(check int) "different children" 5 (count [ (0, 0); (1, 0) ])
 
 let test_merging_budget () =
   let items = [ (0, 0); (1, 0); (2, 0) ] in
   (* Budget 0 forbids any identification: only all-singletons. *)
-  Alcotest.(check int) "budget 0" 1 (Merging.count ~budget:0 items);
+  Alcotest.(check int) "budget 0" 1 (count ~budget:0 items);
   (* Budget 1 additionally allows exactly one item joining root. *)
-  Alcotest.(check int) "budget 1" 4 (Merging.count ~budget:1 items);
+  Alcotest.(check int) "budget 1" 4 (count ~budget:1 items);
   (* Unbounded = Bell(4) = 15. *)
-  Alcotest.(check int) "unbounded" 15 (Merging.count items)
+  Alcotest.(check int) "unbounded" 15 (count items)
 
 let test_merging_classes_wellformed () =
-  Merging.enumerate [ (0, 0); (1, 0); (1, 1); (2, 0) ]
-  |> Seq.iter (fun classes ->
+  enumerate [ (0, 0); (1, 0); (1, 1); (2, 0) ]
+  |> List.iter (fun classes ->
          (* Exactly one root class, first. *)
          (match classes with
          | first :: rest ->
@@ -57,24 +102,31 @@ let test_merging_classes_wellformed () =
                (List.length (List.sort_uniq Int.compare children)))
            classes)
 
-(* The keyed enumeration the fixpoint runs against the list
-   enumeration, on random item lists: each item carries a random bit
-   vector (narrow widths make equal class unions, hence repeated keys,
-   common; 70 bits spans two words). The reference for key dedup is the
-   sorted (root flag, class union) array the engine used before keys
-   were kept as words. *)
+(* The keyed walk the fixpoint runs against the reference, on random
+   item lists pushed child by child (in a random child order). Each
+   item's vector is drawn from a pool of three per case, so a child
+   often has values with equal vectors — what the walk's symmetry
+   pruning skips — and classes often have equal unions; 70 bits spans
+   two words. The reference for key dedup is the sorted (root flag,
+   class union) array. *)
 let arb_keyed_items =
   let gen =
     let open QCheck.Gen in
     oneofl [ 3; 5; 70 ] >>= fun width ->
-    int_bound 7 >>= fun n ->
-    list_repeat n (pair (int_bound 3) (int_bound 3)) >>= fun pairs ->
-    shuffle_l (List.sort_uniq compare pairs) >>= fun pairs ->
-    list_repeat (List.length pairs)
-      (list_size (int_bound 3) (int_bound (width - 1)))
-    >>= fun bits ->
+    list_repeat 3 (list_size (int_bound 3) (int_bound (width - 1)))
+    >>= fun pool ->
+    int_range 1 4 >>= fun n_children ->
+    shuffle_l (List.init n_children Fun.id) >>= fun children ->
+    list_repeat n_children (int_bound 3) >>= fun sizes ->
+    let slots =
+      List.concat
+        (List.map2
+           (fun c k -> List.init k (fun v -> (c, v)))
+           children sizes)
+    in
+    list_repeat (List.length slots) (oneofl pool) >>= fun bits ->
     opt (int_bound 6) >|= fun budget ->
-    (width, List.combine pairs bits, budget)
+    (width, List.combine slots bits, budget)
   in
   QCheck.make gen ~print:(fun (width, items, budget) ->
       Printf.sprintf "width=%d budget=%s items=[%s]" width
@@ -99,7 +151,7 @@ let reference_key ~width ~vec (merging : Merging.t) =
   in
   Array.sort
     (fun (r1, b1) (r2, b2) ->
-      let c = Bool.compare r1 r2 in
+      let c = Bool.compare r2 r1 in
       if c <> 0 then c else Bitv.compare b1 b2)
     key;
   key
@@ -110,51 +162,116 @@ let reference_key_equal a b =
        (fun (r1, b1) (r2, b2) -> Bool.equal r1 r2 && Bitv.equal b1 b2)
        a b
 
+(* The reference partitions, each with whether it is the first of its
+   key. *)
+let reference_firsts ?budget ~width ~vec pairs =
+  let seen = ref [] in
+  List.map
+    (fun m ->
+      let k = reference_key ~width ~vec m in
+      let first = not (List.exists (reference_key_equal k) !seen) in
+      if first then seen := k :: !seen;
+      (m, first))
+    (enumerate ?budget pairs)
+
 (* One enum across every case: reuse after [clear] is what the engine
    does from combo to combo. *)
 let shared_enum = Merging.create ()
 
+(* Runs the walk on [items]: each partition walked, whether its class
+   unions are right, and what [fresh_key] answered. *)
+let walk ?budget ~width ~vec pairs =
+  let e = shared_enum in
+  Merging.clear e ~width;
+  List.iter (fun ((c, v) as item) -> Merging.push e c v (vec item)) pairs;
+  let walked = ref [] in
+  Merging.iter ?budget e (fun e ->
+      let merging = Merging.current e in
+      let unions_ok =
+        Merging.n_classes e = List.length merging
+        && List.for_all Fun.id
+             (List.mapi
+                (fun c (kl : Merging.klass) ->
+                  Bitv.equal (Merging.class_union e c)
+                    (List.fold_left
+                       (fun acc item -> Bitv.union acc (vec item))
+                       (Bitv.empty width) kl.Merging.members))
+                merging)
+      in
+      walked := (merging, unions_ok, Merging.fresh_key e) :: !walked);
+  List.rev !walked
+
+(* The walk is a subsequence of the reference that skips no key's first
+   partition, and [fresh_key] answers [true] exactly on those. *)
 let prop_keyed_enumeration =
   Gen_helpers.qtest ~count:300
-    "keyed merging enumeration = enumerate, with the reference key's \
-     representatives" arb_keyed_items (fun (width, items, budget) ->
+    "keyed merging enumeration = a subsequence of the reference holding \
+     each key's first partition" arb_keyed_items (fun (width, items, budget) ->
       let vec item = Bitv.of_list width (List.assoc item items) in
       let pairs = List.map fst items in
-      let e = shared_enum in
-      Merging.clear e ~width;
-      List.iter (fun ((c, v) as item) -> Merging.push e c v (vec item)) pairs;
-      let keyed = ref [] in
-      Merging.iter ?budget e (fun e ->
-          let merging = Merging.current e in
-          let unions_ok =
-            Merging.n_classes e = List.length merging
-            && List.for_all Fun.id
-                 (List.mapi
-                    (fun c (kl : Merging.klass) ->
-                      Bitv.equal (Merging.class_union e c)
-                        (List.fold_left
-                           (fun acc item -> Bitv.union acc (vec item))
-                           (Bitv.empty width) kl.Merging.members))
-                    merging)
-          in
-          keyed := (merging, unions_ok, Merging.fresh_key e) :: !keyed);
-      let keyed = List.rev !keyed in
-      let expected = List.of_seq (Merging.enumerate ?budget pairs) in
-      let seen = ref [] in
-      let expected_fresh =
-        List.map
-          (fun m ->
-            let k = reference_key ~width ~vec m in
-            if List.exists (reference_key_equal k) !seen then false
-            else begin
-              seen := k :: !seen;
-              true
-            end)
-          expected
+      let walked = walk ?budget ~width ~vec pairs in
+      let rec matches walked reference =
+        match (walked, reference) with
+        | [], rest -> List.for_all (fun (_, first) -> not first) rest
+        | (m, ok, fresh) :: walked', (m', first) :: reference' ->
+          if m = m' then ok && fresh = first && matches walked' reference'
+          else (not first) && matches walked reference'
+        | _ :: _, [] -> false
       in
-      List.map (fun (m, _, _) -> m) keyed = expected
-      && List.for_all (fun (_, ok, _) -> ok) keyed
-      && List.map (fun (_, _, fresh) -> fresh) keyed = expected_fresh)
+      matches walked (reference_firsts ?budget ~width ~vec pairs))
+
+(* One child with three values of one vector beside a second child:
+   17 partitions, 6 keys (at most one of the three in the root class;
+   the other child's value in the root class, alone or with one of the
+   three). The walk meets each key once, first the three ordered as
+   (root, new, new), then as (new, new, new). Under budget 2 the root
+   class with one of the three and the other child's value paired with
+   another (cost 3) goes: 11 partitions, 5 keys. *)
+let test_merging_symmetry () =
+  let width = 2 in
+  let vec (c, _) = Bitv.of_list width [ c ] in
+  let pairs = [ (0, 0); (0, 1); (0, 2); (1, 0) ] in
+  let show m =
+    String.concat " "
+      (List.map
+         (fun (root, b) ->
+           Printf.sprintf "%s{%s}"
+             (if root then "r" else "")
+             (String.concat "," (List.map string_of_int (Bitv.elements b))))
+         (Array.to_list (reference_key ~width ~vec m)))
+  in
+  let check ?budget name ~total ~keys =
+    let walked = walk ?budget ~width ~vec pairs in
+    Alcotest.(check int) (name ^ ": reference") total
+      (count ?budget pairs);
+    Alcotest.(check (list string))
+      (name ^ ": the walk, one partition a key")
+      keys
+      (List.map (fun (m, _, _) -> show m) walked);
+    Alcotest.(check bool) (name ^ ": every key fresh") true
+      (List.for_all (fun (_, ok, fresh) -> ok && fresh) walked)
+  in
+  check "unbounded" ~total:17
+    ~keys:
+      [ "r{0,1} {0} {0}"; "r{0} {0} {0,1}"; "r{0} {0} {0} {1}";
+        "r{1} {0} {0} {0}"; "r{} {0} {0} {0,1}"; "r{} {0} {0} {0} {1}" ];
+  check ~budget:2 "budget 2" ~total:11
+    ~keys:
+      [ "r{0,1} {0} {0}"; "r{0} {0} {0} {1}"; "r{1} {0} {0} {0}";
+        "r{} {0} {0} {0,1}"; "r{} {0} {0} {0} {1}" ]
+
+(* The pruning relies on a child's values being adjacent. *)
+let test_merging_push_grouped () =
+  let e = Merging.create () in
+  let bv = Bitv.of_list 3 [ 0 ] in
+  Merging.clear e ~width:3;
+  Merging.push e 1 0 bv;
+  Merging.push e 1 1 bv;
+  Merging.push e 0 0 bv;
+  Alcotest.check_raises "child 1 after child 0"
+    (Invalid_argument
+       "Merging.push: a child's values must be pushed together")
+    (fun () -> Merging.push e 1 2 bv)
 
 (* --- leaf transitions --- *)
 
@@ -621,6 +738,10 @@ let suite =
       Alcotest.test_case "merging budget" `Quick test_merging_budget;
       Alcotest.test_case "merging well-formed" `Quick
         test_merging_classes_wellformed;
+      Alcotest.test_case "merging symmetry pruning" `Quick
+        test_merging_symmetry;
+      Alcotest.test_case "merging items grouped by child" `Quick
+        test_merging_push_grouped;
       prop_keyed_enumeration;
       Alcotest.test_case "leaf extended state" `Quick test_leaf_state;
       Alcotest.test_case "known sat formulas" `Quick test_known_sat;

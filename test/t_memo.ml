@@ -191,8 +191,8 @@ let engine options phi =
   Emptiness.check_with_stats ~config m
 
 (* [should_stop] fires on its [n]-th poll. The engine polls at every
-   transition, replayed or not, and every 256 mergings, so the counts
-   at the stop are those of the engine without a memo (pinned there). *)
+   transition, replayed or not, and every 256 mergings walked, so the
+   counts at the stop are those of the engine without a memo. *)
 let test_deadline_on_replay () =
   List.iter
     (fun (n, states, transitions, mergings) ->
@@ -218,10 +218,10 @@ let test_deadline_on_replay () =
     [ (1, 0, 0, 0);
       (2, 1, 1, 1);
       (10, 5, 9, 12);
-      (100, 42, 99, 132);
-      (1000, 79, 981, 4724);
-      (5000, 1077, 4845, 39451);
-      (20000, 1417, 19661, 86589)
+      (100, 42, 99, 116);
+      (1000, 79, 990, 2508);
+      (5000, 1118, 4935, 16552);
+      (20000, 1417, 19850, 38208)
     ]
 
 (* The replay counter: most of this search's transitions repeat an
