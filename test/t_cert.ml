@@ -300,12 +300,29 @@ let test_metrics_cert_shape () =
     ]
     keys
 
+(* An UNSAT certificate written by [xpds sat '<down[a & b]>' --cert-out]
+   before the search bounds became one record: its bounds encoding, its
+   fingerprint and the checker's verdict text must not move. *)
+let test_stored_unsat_fixture () =
+  match Cert.of_file "fixtures/unsat_r2.cert.json" with
+  | Error e -> Alcotest.failf "fixture unreadable: %s" e
+  | Ok cert -> (
+    match Cert.check cert with
+    | Error e -> Alcotest.failf "fixture rejected: %s" e
+    | Ok v ->
+      Alcotest.(check string) "verdict text"
+        "certified UNSAT within bounds (inductive for width 3 (paper bound \
+         1104), t0 6 (paper 130), dup_cap 2, merge budget 5)"
+        (Format.asprintf "%a" Cert.pp_verdict v))
+
 let suite =
   ( "cert",
     [ Alcotest.test_case "sat cert accepted" `Quick test_sat_accepted;
       Alcotest.test_case "unsat cert accepted" `Quick test_unsat_accepted;
       Alcotest.test_case "json roundtrip sat" `Quick test_roundtrip_sat;
       Alcotest.test_case "json roundtrip unsat" `Quick test_roundtrip_unsat;
+      Alcotest.test_case "stored unsat certificate accepted" `Quick
+        test_stored_unsat_fixture;
       Alcotest.test_case "fingerprint mutants rejected" `Quick
         test_fingerprint_mutants;
       Alcotest.test_case "basis drop mutants rejected" `Quick

@@ -227,6 +227,12 @@ let prop_string_escape =
 
 let default_fp = Service.Config.(fingerprint default_solver)
 
+(* The bytes of the default fingerprint, which every key pin below and
+   every stored record is keyed on. *)
+let test_default_fingerprint_pin () =
+  Alcotest.(check string) "default fingerprint"
+    "r2;w3;t0=6;dup=2;mb=5;ms=20000;mt=200000;v=true;c=false" default_fp
+
 (* (formula, sat key, contains key, sat_under_doctype key salted with
    "a{1*b|c}"), as [Cache_key.hex]. The fingerprint leads with
    [Sat.rules_version], so a rules change moves every pin. *)
@@ -331,6 +337,8 @@ let suite =
       Alcotest.test_case "num_to_string boundary cases" `Quick test_num_cases;
       prop_num_to_string;
       prop_string_escape;
+      Alcotest.test_case "default fingerprint pin" `Quick
+        test_default_fingerprint_pin;
       Alcotest.test_case "Cache_key pins" `Quick test_cache_key_pins;
       Alcotest.test_case "v2 fixture refused by header mismatch" `Quick
         test_old_store_refused
