@@ -398,9 +398,8 @@ let e9 () =
       let config =
         { Xpds.Emptiness.default_config with max_states = solver_budget }
       in
-      let (outcome, stats), t =
-        Table.time (fun () ->
-            Xpds.Emptiness.check_with_stats ~config restricted)
+      let { Xpds.Emptiness.outcome; stats; _ }, t =
+        Table.time (fun () -> Xpds.Emptiness.check ~config restricted)
       in
       Table.print_row columns
         [ string_of_int n;

@@ -54,14 +54,11 @@ let () =
     let restricted = Xpds.Doctype.restrict m ~labels schema in
     let config =
       { Xpds.Emptiness.default_config with
-        Xpds.Emptiness.width = Some 3;
-        t0 = Some 6;
-        dup_cap = Some 2;
-        merge_budget = Some 5;
+        Xpds.Emptiness.bounds = Xpds.Bounds.default;
         max_states = 20_000
       }
     in
-    match Xpds.Emptiness.check ~config restricted with
+    match (Xpds.Emptiness.check ~config restricted).outcome with
     | Xpds.Emptiness.Nonempty w ->
       Format.printf "%-45s SAT under schema,@.    witness %a (conforms %b)@."
         name Xpds.Data_tree.pp w

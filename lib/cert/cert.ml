@@ -6,12 +6,12 @@ module Data_tree = Xpds_datatree.Data_tree
 module Ast = Xpds_xpath.Ast
 module Semantics = Xpds_xpath.Semantics
 module Ext_state = Xpds_decision.Ext_state
-module Emptiness = Xpds_decision.Emptiness
 module Sat = Xpds_decision.Sat
+module Bounds = Xpds_decision.Bounds
 module Cache_key = Xpds_service.Cache_key
 
-type bounds = {
-  width : int;
+type bounds = Bounds.t = {
+  width : int option;
   t0 : int option;
   dup_cap : int option;
   merge_budget : int option;
@@ -56,9 +56,9 @@ let opt_str = function None -> "-" | Some n -> string_of_int n
 let config_string ~labels = function
   | `Sat -> Printf.sprintf "xpds-cert-v1|sat|%s" (String.concat "," labels)
   | `Unsat b ->
-    Printf.sprintf "xpds-cert-v1|unsat|w=%d|t0=%s|dup=%s|mb=%s|%s" b.width
-      (opt_str b.t0) (opt_str b.dup_cap) (opt_str b.merge_budget)
-      (String.concat "," labels)
+    Printf.sprintf "xpds-cert-v1|unsat|w=%s|t0=%s|dup=%s|mb=%s|%s"
+      (opt_str b.width) (opt_str b.t0) (opt_str b.dup_cap)
+      (opt_str b.merge_budget) (String.concat "," labels)
 
 let fingerprint_of ~labels tag eta =
   let _, digest =
@@ -91,14 +91,7 @@ let of_report (r : Sat.report) =
           "no saturated basis: the fixpoint was height-capped or stopped \
            on a resource limit, so no inductive certificate exists"
       | Some basis ->
-        let bounds =
-          {
-            width = seed.Sat.cs_width;
-            t0 = seed.Sat.cs_t0;
-            dup_cap = seed.Sat.cs_dup_cap;
-            merge_budget = seed.Sat.cs_merge_budget;
-          }
-        in
+        let bounds = seed.Sat.cs_bounds in
         let k_card =
           if Array.length basis > 0 then Bitv.width basis.(0).Ext_state.many
           else 0
@@ -204,7 +197,7 @@ let check_unsat ~work_budget eta label_names bounds (basis : Ext_state.t array)
   (* (c) Inductive closure: every transition from basis states stays in
      the basis. *)
   let n = Array.length basis - 1 in
-  for w = 1 to bounds.width do
+  for w = 1 to Bounds.width m bounds do
     iter_combos ~n ~w (fun combo ->
         let children = Array.map (fun id -> basis.(id)) combo in
         let items = Naive.visible_items nv children in
@@ -225,20 +218,14 @@ let check_unsat ~work_budget eta label_names bounds (basis : Ext_state.t array)
   done;
   (* The basis is inductive and rejecting; grade the claim by the
      recorded bounds. *)
-  let paper_width = Emptiness.paper_width m in
-  let paper_t0 = (2 * k_card * k_card) + 2 in
-  let t0_ok = match bounds.t0 with None -> true | Some t -> t >= paper_t0 in
-  if
-    bounds.width >= paper_width && t0_ok && bounds.dup_cap = None
-    && bounds.merge_budget = None
-  then Cert_unsat
+  if Bounds.paper_complete m bounds then Cert_unsat
   else
     Cert_unsat_bounded
       (Printf.sprintf
          "inductive for width %d (paper bound %d), t0 %s (paper %d)%s%s"
-         bounds.width paper_width
+         (Bounds.width m bounds) (Bounds.paper_width m)
          (match bounds.t0 with None -> "unbounded" | Some t -> string_of_int t)
-         paper_t0
+         (Bounds.paper_t0 m)
          (match bounds.dup_cap with
          | None -> ""
          | Some c -> Printf.sprintf ", dup_cap %d" c)
@@ -333,7 +320,7 @@ let to_json cert =
           ( "bounds",
             Json.Obj
               [
-                ("width", int_json bounds.width);
+                ("width", opt_json bounds.width);
                 ("t0", opt_json bounds.t0);
                 ("dup_cap", opt_json bounds.dup_cap);
                 ("merge_budget", opt_json bounds.merge_budget);
@@ -469,7 +456,7 @@ let of_json j =
           | Some b -> Ok b
           | None -> Error "missing field \"bounds\""
         in
-        let* width = field "width" Json.to_int bj in
+        let* width = opt_field "width" bj in
         let* t0 = opt_field "t0" bj in
         let* dup_cap = opt_field "dup_cap" bj in
         let* merge_budget = opt_field "merge_budget" bj in

@@ -15,18 +15,21 @@
     member is accepting, then no tree within those bounds is accepted —
     i.e. the formula is unsatisfiable under the recorded bounds, and
     unconditionally when the bounds meet the paper's completeness bounds
-    ([width ≥ (2|K|²+|K|+2)|K|], [t0 ≥ 2|K|²+2], no duplicate cap, no
-    merging budget). The fingerprint binds the certificate to its
+    ({!Xpds_decision.Bounds.paper_complete}: [width ≥ (2|K|²+|K|+2)|K|],
+    [t0 ≥ 2|K|²+2], no duplicate cap, no merging budget). The fingerprint binds the certificate to its
     formula (canonical rendering, {!Xpds_service.Cache_key}), its
     bounds, and its alphabet, so a certificate cannot be replayed
     against a different instance or a tampered label list. *)
 
-type bounds = {
-  width : int;  (** max children per node explored *)
-  t0 : int option;  (** described-value cap; [None] = paper's 2|K|²+2 *)
-  dup_cap : int option;  (** duplicate-description cap; [None] = off *)
-  merge_budget : int option;  (** merging identification budget *)
+type bounds = Xpds_decision.Bounds.t = {
+  width : int option;
+  t0 : int option;
+  dup_cap : int option;
+  merge_budget : int option;
 }
+(** The search bounds the basis was saturated under, as the engine ran
+    them. In JSON a [None] is [null]; the checker reads it as the
+    paper's bound (width, t0) or as no cap. *)
 
 type payload =
   | Sat_cert of Xpds_datatree.Data_tree.t  (** the witness tree *)

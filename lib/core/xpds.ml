@@ -10,7 +10,7 @@
       {!Measure}, {!Rewrite}: the logic (§2.2, Fig. 4);
     - {!Nfa}, {!Pathfinder}, {!Bip}, {!Bip_run}, {!Translate},
       {!Doctype}: the automata (§3, §4.1 extensions);
-    - {!Ext_state}, {!Merging}, {!Transition}, {!Emptiness}, {!Bounded},
+    - {!Ext_state}, {!Merging}, {!Transition}, {!Emptiness}, {!Bounds},
       {!Model_search}, {!Sat}, {!Containment}: the decision procedures
       (§4.1, Theorem 6);
     - {!Tiling_game}, {!Tiling}, {!Qbf}, {!Qbf_encoding}, {!Attr_xpath}:
@@ -68,6 +68,7 @@ module Doctype = Xpds_automata.Doctype
 module Ext_state = Xpds_decision.Ext_state
 module Merging = Xpds_decision.Merging
 module Transition = Xpds_decision.Transition
+module Bounds = Xpds_decision.Bounds
 module Emptiness = Xpds_decision.Emptiness
 module Model_search = Xpds_decision.Model_search
 module Sat = Xpds_decision.Sat

@@ -19,11 +19,14 @@ type stats = {
   n_applied : int;
 }
 
+type answer = {
+  outcome : outcome;
+  stats : stats;
+  basis : Ext_state.t array option;
+}
+
 type config = {
-  width : int option;
-  t0 : int option;
-  dup_cap : int option;
-  merge_budget : int option;
+  bounds : Bounds.t;
   max_height : int option;
   max_states : int;
   max_transitions : int;
@@ -32,19 +35,12 @@ type config = {
 
 let default_config =
   {
-    width = None;
-    t0 = None;
-    dup_cap = None;
-    merge_budget = None;
+    bounds = Bounds.paper;
     max_height = None;
     max_states = 20_000;
     max_transitions = 200_000;
     should_stop = None;
   }
-
-let paper_width (m : Bip.t) =
-  let k = m.pf.Pathfinder.n_states in
-  ((2 * k * k) + k + 2) * k
 
 type prov =
   | PLeaf of Label.t * int array  (** label, class_values *)
@@ -249,10 +245,10 @@ let push_id s pos id =
    [entry] once every result is admitted (a [Found] or [Limit] ends the
    search first). *)
 let apply_merging s ~labels ~n_labels ~height ~combo ~children entry =
-  let cfg = s.cfg in
+  let b = s.cfg.bounds in
   (* One step for every label: its lights do not depend on the label. *)
   let st =
-    Transition.step_of_enum ?t0:cfg.t0 ?dup_cap:cfg.dup_cap s.ctx children
+    Transition.step_of_enum ?t0:b.Bounds.t0 ?dup_cap:b.dup_cap s.ctx children
       s.enum
   in
   let pos = ref (n_labels + 1) in
@@ -295,14 +291,16 @@ let round s ~labels ~width ~height ~fresh_from =
   let is_fresh id = id >= fresh_from in
   let m = Transition.bip_of s.ctx in
   let k_card = m.Bip.pf.Pathfinder.n_states in
-  let t0 = match cfg.t0 with Some t -> t | None -> Transition.t0_default m in
+  let t0 =
+    match cfg.bounds.t0 with Some t -> t | None -> Bounds.paper_t0 m
+  in
   let n_labels = List.length labels in
   for w = 1 to width do
     iter_combos ~n ~w ~is_fresh (fun combo ->
         let children = Array.map (fun id -> s.states.(id)) combo in
         let proj = ref (-1) in
         load_combo s.enum ~k_card ~val_su:s.val_su ~visible:s.visible combo;
-        Merging.iter ?budget:cfg.merge_budget s.enum (fun enum ->
+        Merging.iter ?budget:cfg.bounds.merge_budget s.enum (fun enum ->
             s.mergings <- s.mergings + 1;
             (* The mergings walked can dwarf the committed transitions;
                charge them against the same budget so a stall is
@@ -634,19 +632,10 @@ let check_data_free ~config (m : Bip.t) =
    index, [project_pairs:false]): the projected pair space is an
    engine-internal state-space optimization the naive checker
    deliberately knows nothing about. *)
-let check_full ?(config = default_config) ?(want_basis = false) (m : Bip.t) =
+let check_full config ~want_basis (m : Bip.t) =
   let ctx = Transition.make_ctx ~project_pairs:(not want_basis) m in
-  let width =
-    match config.width with Some w -> w | None -> paper_width m
-  in
-  let paper_complete =
-    (match config.width with Some w -> w >= paper_width m | None -> true)
-    && (match config.t0 with
-       | Some t -> t >= Transition.t0_default m
-       | None -> true)
-    && config.dup_cap = None
-    && config.merge_budget = None
-  in
+  let bounds = config.bounds in
+  let width = Bounds.width m bounds in
   let rec s =
     {
       ctx;
@@ -689,7 +678,7 @@ let check_full ?(config = default_config) ?(want_basis = false) (m : Bip.t) =
     (* Height 1: leaves, one step for every label. *)
     let root_only = [ { Merging.has_root = true; members = [] } ] in
     let leaf =
-      Transition.step ?t0:config.t0 ?dup_cap:config.dup_cap ctx [||]
+      Transition.step ?t0:bounds.t0 ?dup_cap:bounds.dup_cap ctx [||]
         root_only
     in
     let leaf_merging = Lazy.from_val root_only in
@@ -714,37 +703,32 @@ let check_full ?(config = default_config) ?(want_basis = false) (m : Bip.t) =
       end
     in
     let reached, height_capped = saturate 2 0 in
+    (* The one completeness rule: saturation proves emptiness when the
+       bounds meet the paper's. A height cap is the fragment's Theorem-6
+       depth bound, so a capped saturation is as exact as a full one. *)
     let outcome =
-      if height_capped || not paper_complete then Bounded_empty else Empty
+      if Bounds.paper_complete m bounds then Empty else Bounded_empty
     in
+    (* Only a genuinely saturated set is inductive: a height-capped
+       search may still have undiscovered states one level up. *)
     let basis =
-      (* Only a genuinely saturated set is inductive: a height-capped
-         search may still have undiscovered states one level up. *)
       if want_basis && not height_capped then
         Some (Array.sub s.states 0 s.count)
       else None
     in
-    ((outcome, stats reached), basis)
+    { outcome; stats = stats reached; basis }
   with
   | Found id ->
     let witness = build_witness s id in
-    ((Nonempty witness, stats s.heights.(id)), None)
-  | Limit what -> ((Resource_limit what, stats 0), None)
+    { outcome = Nonempty witness; stats = stats s.heights.(id); basis = None }
+  | Limit what ->
+    { outcome = Resource_limit what; stats = stats 0; basis = None }
 
-let check_with_stats ?(config = default_config) (m : Bip.t) =
-  if data_free m then check_data_free ~config m
-  else fst (check_full ~config m)
-
-let check_with_basis ?(config = default_config) (m : Bip.t) =
-  (* Always the general engine: the data-free fast path's collapsed
-     (C, reach) states are not the certificate's state form. *)
-  let (outcome, stats), basis = check_full ~config ~want_basis:true m in
-  (outcome, stats, basis)
-
-let check ?config m = fst (check_with_stats ?config m)
-
-let is_nonempty ?config m =
-  match check ?config m with
-  | Nonempty _ -> Some true
-  | Empty -> Some false
-  | Bounded_empty | Resource_limit _ -> None
+let check ?(config = default_config) ?(basis = false) (m : Bip.t) =
+  (* Certificate runs always take the general engine: the data-free
+     union closure's collapsed (C, reach) states are not the
+     certificate's state form. *)
+  if basis || not (data_free m) then check_full config ~want_basis:basis m
+  else
+    let outcome, stats = check_data_free ~config m in
+    { outcome; stats; basis = None }

@@ -10,22 +10,24 @@
     witness data tree (the soundness construction of Prop 1, with data
     values assigned per merge class).
 
-    [width] corresponds to the paper's branching bound
-    [u0 = (2|K|²+|K|+2)|K|] and [t0] to the description bound [2|K|²+2]:
-    with those values the procedure is complete (Prop 2); smaller values
-    trade completeness of the Nonempty answer for speed (Empty answers
-    from a truncated search are reported as [Bounded_empty]). The
-    [max_height] bound is the Theorem-6 mechanism: with a poly-depth
-    fragment's bound it is exact. A {!data_free} automaton takes the
-    exact data-free union closure instead. *)
+    The search runs under {!Bounds.t}: with bounds that meet the paper's
+    ({!Bounds.paper_complete}) the procedure is complete (Prop 2) and a
+    saturation is [Empty]; smaller bounds trade completeness for speed,
+    and their saturation is [Bounded_empty]. The [max_height] bound is
+    the Theorem-6 mechanism: with a poly-depth fragment's bound it is
+    exact, so a height-capped saturation under paper-complete bounds is
+    [Empty] too. A {!data_free} automaton takes the exact data-free
+    union closure instead, whose saturation is always [Empty]. *)
 
 type outcome =
   | Nonempty of Xpds_datatree.Data_tree.t
       (** a witness tree accepted by the automaton *)
-  | Empty  (** saturated under the paper's bounds, or data-free *)
+  | Empty
+      (** saturated under paper-complete bounds (height-capped at a
+          Theorem-6 bound or not), or by the data-free union closure *)
   | Bounded_empty
-      (** saturated, but under user bounds smaller than the paper's
-          (width/t0) — no witness exists {e within} those bounds *)
+      (** saturated, but under bounds smaller than the paper's — no
+          witness exists {e within} those bounds *)
   | Resource_limit of string
       (** state or transition budget exhausted before saturation *)
 
@@ -47,22 +49,15 @@ type stats = {
           [n_transitions] less the replayed ones and the leaves *)
 }
 
-(** Search knobs. The record mirrors {!Xpds_decision.Sat.Options.t}
-    field for field on the search-bound knobs. The data-free union
-    closure reads only [max_states], [max_transitions] and
-    [should_stop]. *)
+(** Search knobs. The data-free union closure reads only
+    [max_states], [max_transitions] and [should_stop]. *)
 type config = {
-  width : int option;
-      (** max branching of the witness; default: the paper's [u0] *)
-  t0 : int option;  (** max described values; default: the paper's *)
-  dup_cap : int option;
-      (** max copies of identical descriptions kept per state
-          (practical knob; default [None] = paper behaviour) *)
-  merge_budget : int option;
-      (** max items taking part in identifications per merging
-          (practical knob; default [None] = paper behaviour) *)
+  bounds : Bounds.t;
+      (** the general engine's bounds; default {!Bounds.paper} *)
   max_height : int option;
-      (** Theorem-6 height bound; default: unbounded *)
+      (** Theorem-6 height bound, a poly-depth fragment's
+          ({!Xpds_xpath.Fragment.poly_depth_bound}); default: unbounded.
+          A smaller cap would make [Empty] unsound. *)
   max_states : int;  (** resource budget; default 20_000 *)
   max_transitions : int;  (** resource budget; default 200_000 *)
   should_stop : (unit -> bool) option;
@@ -81,9 +76,6 @@ val deadline_exceeded : string
 
 val default_config : config
 
-val paper_width : Xpds_automata.Bip.t -> int
-(** [u0 = (2|K|² + |K| + 2)·|K|]. *)
-
 val data_free : Xpds_automata.Bip.t -> bool
 (** Every data atom of μ is a diagonal equality [∃(k,k)=] — how
     Theorem 3 renders [⟨α⟩] for data-free formulas. Such automata take
@@ -94,27 +86,22 @@ val data_free : Xpds_automata.Bip.t -> bool
     item 6); a witness node has at most [|K|] plus the sum of the caps
     children. *)
 
-val check : ?config:config -> Xpds_automata.Bip.t -> outcome
-val check_with_stats : ?config:config -> Xpds_automata.Bip.t -> outcome * stats
+type answer = {
+  outcome : outcome;
+  stats : stats;
+  basis : Ext_state.t array option;
+      (** the saturated set of extended states, on a [~basis:true] search
+          that ended by genuine saturation (an [Empty]/[Bounded_empty]
+          not caused by the [max_height] cap); [None] otherwise *)
+}
 
-val check_with_basis :
-  ?config:config ->
-  Xpds_automata.Bip.t ->
-  outcome * stats * Ext_state.t array option
-(** Like {!check_with_stats}, but additionally returns the saturated set
-    of extended states when the search ended by genuine saturation (an
-    [Empty]/[Bounded_empty] not caused by the [max_height] cap): that
-    set is an inductive invariant — every leaf transition lands in it,
-    every bounded transition from it stays in it, and no member is
-    accepting — i.e. the basis of a checkable UNSAT certificate
-    ({!Xpds_cert.Cert}). Certificate runs always use the general engine
-    (never the data-free fast path) and keep the full K×K atom matrices
-    (the identity pair index, {!Ext_state.identity}), so the basis
-    states are exactly what an independent transition evaluator
-    reproduces. [None] on [Nonempty],
-    [Resource_limit], or a height-capped saturation. *)
-
-val is_nonempty : ?config:config -> Xpds_automata.Bip.t -> bool option
-(** [Some true]/[Some false] when conclusive under the given bounds
-    ([Bounded_empty] counts as inconclusive [None] only if the bounds
-    were below the paper's; [Resource_limit] is always [None]). *)
+val check : ?config:config -> ?basis:bool -> Xpds_automata.Bip.t -> answer
+(** Decide emptiness of the automaton. With [~basis:true] (certificate
+    mode) the search always takes the general engine, never the
+    data-free union closure, and keeps the full K×K atom matrices (the
+    identity pair index, {!Ext_state.identity}), so a saturated basis
+    holds exactly the states an independent transition evaluator
+    reproduces. That set is an inductive invariant — every leaf
+    transition lands in it, every bounded transition from it stays in
+    it, and no member is accepting — i.e. the basis of a checkable
+    UNSAT certificate ({!Xpds_cert.Cert}). *)

@@ -16,10 +16,7 @@ type cert_seed = {
   cs_formula : Xpds_xpath.Ast.node;
       (** the simplified formula the automaton was translated from *)
   cs_labels : Xpds_datatree.Label.t list;  (** the automaton alphabet Σ *)
-  cs_width : int;
-  cs_t0 : int option;
-  cs_dup_cap : int option;
-  cs_merge_budget : int option;
+  cs_bounds : Bounds.t;
   cs_basis : Ext_state.t array option;
       (** the saturated extended-state set, when the fixpoint saturated *)
 }
@@ -35,12 +32,11 @@ type report = {
   cert_seed : cert_seed option;
 }
 
+let rules_version = 2
+
 module Options = struct
   type t = {
-    width : int;
-    t0 : int option;
-    dup_cap : int option;
-    merge_budget : int option;
+    bounds : Bounds.t;
     max_states : int;
     max_transitions : int;
     should_stop : (unit -> bool) option;
@@ -52,10 +48,7 @@ module Options = struct
 
   let default =
     {
-      width = 3;
-      t0 = Some 6;
-      dup_cap = Some 2;
-      merge_budget = Some 5;
+      bounds = Bounds.default;
       max_states = Emptiness.default_config.Emptiness.max_states;
       max_transitions = Emptiness.default_config.Emptiness.max_transitions;
       should_stop = None;
@@ -65,10 +58,14 @@ module Options = struct
       certificate = false;
     }
 
-  let with_width width o = { o with width }
-  let with_t0 t0 o = { o with t0 }
-  let with_dup_cap dup_cap o = { o with dup_cap }
-  let with_merge_budget merge_budget o = { o with merge_budget }
+  let with_bounds f o = { o with bounds = f o.bounds }
+  let with_width w = with_bounds (fun b -> { b with width = Some w })
+  let with_t0 t0 = with_bounds (fun b -> { b with t0 })
+  let with_dup_cap dup_cap = with_bounds (fun b -> { b with dup_cap })
+
+  let with_merge_budget merge_budget =
+    with_bounds (fun b -> { b with merge_budget })
+
   let with_max_states max_states o = { o with max_states }
   let with_max_transitions max_transitions o = { o with max_transitions }
   let with_should_stop should_stop o = { o with should_stop }
@@ -76,48 +73,30 @@ module Options = struct
   let with_verify verify o = { o with verify }
   let with_extra_labels extra_labels o = { o with extra_labels }
   let with_certificate certificate o = { o with certificate }
+
+  (* [rules_version] leads: verdicts decided under other rules must not
+     be served. [certificate] is part of it: certificate mode disables
+     the height cap (the fixpoint must genuinely saturate), which can
+     change the outcome class of a run. The hooks are per run and not
+     part of it; forced labels are, when there are any. *)
+  let fingerprint o =
+    let opt = function None -> "-" | Some i -> string_of_int i in
+    let b = o.bounds in
+    Printf.sprintf "r%d;w%s;t0=%s;dup=%s;mb=%s;ms=%d;mt=%d;v=%b;c=%b%s"
+      rules_version (opt b.width) (opt b.t0) (opt b.dup_cap)
+      (opt b.merge_budget) o.max_states o.max_transitions o.verify
+      o.certificate
+      (match o.extra_labels with
+      | [] -> ""
+      | ls ->
+        ";xl=" ^ String.concat "," (List.map Xpds_datatree.Label.to_string ls))
 end
 
-let rules_version = 2
-
-let saturated_reason width m =
-  "saturated at width " ^ string_of_int width ^ " (paper bound "
-  ^ string_of_int (Emptiness.paper_width m)
-  ^ ")"
-
-let engine_config o max_height =
-  {
-    Emptiness.width = Some o.Options.width;
-    t0 = o.Options.t0;
-    dup_cap = o.Options.dup_cap;
-    merge_budget = o.Options.merge_budget;
-    max_height;
-    max_states = o.Options.max_states;
-    max_transitions = o.Options.max_transitions;
-    should_stop = o.Options.should_stop;
-  }
-
-(* The verdict of a width-bounded saturated search of [m]: certified
-   only when the widths meet the paper's bounds (the height bound, when
-   there is one, is the fragment's exact poly-depth bound). *)
-let saturated_verdict o m =
-  let paper_complete_widths =
-    o.Options.width >= Emptiness.paper_width m
-    && (match o.Options.t0 with
-       | Some t -> t >= Transition.t0_default m
-       | None -> true)
-    && o.Options.dup_cap = None
-    && o.Options.merge_budget = None
-  in
-  if paper_complete_widths then Unsat
-  else Unsat_bounded (saturated_reason o.Options.width m)
-
-(* The automaton, height bound and engine configuration of one search
-   of the simplified [eta]. Certificate mode needs the fixpoint to
-   saturate genuinely: a height-capped basis is not inductively closed
-   (the engine may still discover states one level up), so the
-   Theorem-6 height shortcut is turned off and the search runs to a
-   true fixpoint within the width/t0/dup/merge bounds. *)
+(* The automaton and height bound of one search of the simplified
+   [eta]. Certificate mode needs the fixpoint to saturate genuinely: a
+   height-capped basis is not inductively closed (the engine may still
+   discover states one level up), so the Theorem-6 height shortcut is
+   turned off and the search runs to a true fixpoint within the bounds. *)
 let prepare o eta =
   let bound =
     if o.Options.certificate then None else Fragment.poly_depth_bound eta
@@ -127,21 +106,74 @@ let prepare o eta =
       (Xpds_xpath.Ast.Exists
          (Xpds_xpath.Ast.Filter (Xpds_xpath.Ast.Axis Descendant, eta)))
   in
-  (m, bound, engine_config o bound)
+  (m, bound)
+
+let engine_config o max_height =
+  {
+    Emptiness.bounds = o.Options.bounds;
+    max_height;
+    max_states = o.Options.max_states;
+    max_transitions = o.Options.max_transitions;
+    should_stop = o.Options.should_stop;
+  }
 
 let algorithm_name o m bound =
   if Emptiness.data_free m then "data-free union closure"
   else
+    let width = string_of_int (Bounds.width m o.Options.bounds) in
     match bound with
     | Some b ->
       "height-bounded fixpoint (Thm 6, H=" ^ string_of_int b ^ ", width="
-      ^ string_of_int o.Options.width ^ ")"
-    | None ->
-      "full fixpoint (Thm 4, width=" ^ string_of_int o.Options.width ^ ")"
+      ^ width ^ ")"
+    | None -> "full fixpoint (Thm 4, width=" ^ width ^ ")"
 
 let general_search ?(options = Options.default) eta =
-  let m, _, config = prepare options (Xpds_xpath.Rewrite.simplify eta) in
-  (m, config)
+  let m, bound = prepare options (Xpds_xpath.Rewrite.simplify eta) in
+  (m, engine_config options bound)
+
+(* The one engine call: search the automaton [m] translated from the
+   simplified [eta] and report. The outcome maps to the verdict one to
+   one; a witness enters the "verify" phase and is replayed by [replay]
+   (under [verify]) only when the caller passes one. In certificate
+   mode the search keeps its basis for the report's seed. *)
+let run o ~fragment ~prefix ?replay ~max_height eta m =
+  o.Options.on_phase "fixpoint";
+  let certificate = o.Options.certificate in
+  let { Emptiness.outcome; stats; basis } =
+    Emptiness.check ~config:(engine_config o max_height) ~basis:certificate m
+  in
+  let verdict, witness_verified =
+    match outcome with
+    | Emptiness.Nonempty w -> (
+      match replay with
+      | None -> (Sat w, None)
+      | Some holds ->
+        o.Options.on_phase "verify";
+        (Sat w, if o.Options.verify then Some (holds w) else None))
+    | Emptiness.Empty -> (Unsat, None)
+    | Emptiness.Bounded_empty ->
+      (Unsat_bounded (Bounds.reason m o.Options.bounds), None)
+    | Emptiness.Resource_limit what -> (Unknown what, None)
+  in
+  {
+    verdict;
+    fragment;
+    algorithm = prefix ^ algorithm_name o m max_height;
+    stats;
+    witness_verified;
+    automaton_q = m.Bip.q_card;
+    automaton_k = m.Bip.pf.Pathfinder.n_states;
+    cert_seed =
+      (if certificate then
+         Some
+           {
+             cs_formula = eta;
+             cs_labels = m.Bip.labels;
+             cs_bounds = o.Options.bounds;
+             cs_basis = basis;
+           }
+       else None);
+  }
 
 (* --- the data-free relaxation ---
 
@@ -206,21 +238,12 @@ let decide_relaxation o fragment eta =
     let relaxed = Xpds_xpath.Rewrite.simplify (data_free_relaxation eta) in
     if not (has_negation relaxed) then None
     else
-      let m, bound, config = prepare o relaxed in
-      o.Options.on_phase "fixpoint";
-      match Emptiness.check_with_stats ~config m with
-      | Emptiness.Empty, stats ->
-        Some
-          {
-            verdict = Unsat;
-            fragment;
-            algorithm = relaxation_prefix ^ algorithm_name o m bound;
-            stats;
-            witness_verified = None;
-            automaton_q = m.Bip.q_card;
-            automaton_k = m.Bip.pf.Pathfinder.n_states;
-            cert_seed = None;
-          }
+      let m, max_height = prepare o relaxed in
+      let report =
+        run o ~fragment ~prefix:relaxation_prefix ~max_height relaxed m
+      in
+      match report.verdict with
+      | Unsat -> Some report
       | _ ->
         o.Options.on_phase "translate";
         None
@@ -230,53 +253,6 @@ let decide_relaxation o fragment eta =
 let witness_holds m eta w =
   Semantics.check_somewhere w eta && Bip_run.accepts m w
 
-(* The general engine on the simplified [eta]. *)
-let decide_general o fragment eta =
-  let m, bound, config = prepare o eta in
-  let outcome, stats, basis =
-    o.Options.on_phase "fixpoint";
-    if o.Options.certificate then Emptiness.check_with_basis ~config m
-    else
-      let outcome, stats = Emptiness.check_with_stats ~config m in
-      (outcome, stats, None)
-  in
-  let verdict, witness_verified =
-    match outcome with
-    | Emptiness.Nonempty w ->
-      o.Options.on_phase "verify";
-      let verified =
-        if o.Options.verify then Some (witness_holds m eta w) else None
-      in
-      (Sat w, verified)
-    | Emptiness.Empty -> (Unsat, None)
-    | Emptiness.Bounded_empty -> (saturated_verdict o m, None)
-    | Emptiness.Resource_limit what -> (Unknown what, None)
-  in
-  let cert_seed =
-    if o.Options.certificate then
-      Some
-        {
-          cs_formula = eta;
-          cs_labels = m.Bip.labels;
-          cs_width = o.Options.width;
-          cs_t0 = o.Options.t0;
-          cs_dup_cap = o.Options.dup_cap;
-          cs_merge_budget = o.Options.merge_budget;
-          cs_basis = basis;
-        }
-    else None
-  in
-  {
-    verdict;
-    fragment;
-    algorithm = algorithm_name o m bound;
-    stats;
-    witness_verified;
-    automaton_q = m.Bip.q_card;
-    automaton_k = m.Bip.pf.Pathfinder.n_states;
-    cert_seed;
-  }
-
 let decide ?(options = Options.default) eta =
   let o = options in
   o.Options.on_phase "translate";
@@ -284,7 +260,9 @@ let decide ?(options = Options.default) eta =
   let fragment = Fragment.classify eta in
   match decide_relaxation o fragment eta with
   | Some report -> report
-  | None -> decide_general o fragment eta
+  | None ->
+    let m, max_height = prepare o eta in
+    run o ~fragment ~prefix:"" ~replay:(witness_holds m eta) ~max_height eta m
 
 module Doctype = Xpds_automata.Doctype
 
@@ -296,11 +274,6 @@ let decide_under_doctype ?(options = Options.default) ~doctype eta =
   o.Options.on_phase "translate";
   let eta = Xpds_xpath.Rewrite.simplify eta in
   let fragment = Fragment.classify eta in
-  (* The Theorem-6 poly-depth height bound is justified for the bare
-     formula only: the doctype can force strictly deeper models (an
-     at_least rule growing a chain under every node the formula
-     touches), so the doctype-restricted search always runs the full
-     Theorem-4 fixpoint. *)
   let labels =
     o.Options.extra_labels
     @ List.map Xpds_datatree.Label.of_string (Doctype.rule_labels doctype)
@@ -315,58 +288,28 @@ let decide_under_doctype ?(options = Options.default) ~doctype eta =
      wire callers validate first. *)
   o.Options.on_phase "doctype_restrict";
   let m = Doctype.restrict m0 ~labels:m0.Bip.labels doctype in
-  let config = engine_config o None in
-  let algorithm = "doctype-restricted (§4.1) " ^ algorithm_name o m None in
-  o.Options.on_phase "fixpoint";
-  let outcome, stats = Emptiness.check_with_stats ~config m in
-  let conforming t = Doctype.conforms ~labels:m0.Bip.labels doctype t in
-  let verdict, witness_verified =
-    match outcome with
-    | Emptiness.Nonempty w ->
-      o.Options.on_phase "verify";
-      let verified =
-        if o.Options.verify then
-          Some
-            (Semantics.check_somewhere w eta
-            && conforming w && Bip_run.accepts m w)
-        else None
-      in
-      (Sat w, verified)
-    | Emptiness.Empty -> (Unsat, None)
-    | Emptiness.Bounded_empty -> (saturated_verdict o m, None)
-    | Emptiness.Resource_limit what -> (Unknown what, None)
+  let replay w =
+    Semantics.check_somewhere w eta
+    && Doctype.conforms ~labels:m0.Bip.labels doctype w
+    && Bip_run.accepts m w
   in
-  {
-    verdict;
-    fragment;
-    algorithm;
-    stats;
-    witness_verified;
-    automaton_q = m.Bip.q_card;
-    automaton_k = m.Bip.pf.Pathfinder.n_states;
-    cert_seed = None;
-  }
+  (* The Theorem-6 poly-depth height bound is justified for the bare
+     formula only: the doctype can force strictly deeper models (an
+     at_least rule growing a chain under every node the formula
+     touches), so the doctype-restricted search always runs the full
+     Theorem-4 fixpoint. *)
+  run o ~fragment ~prefix:"doctype-restricted (§4.1) " ~replay
+    ~max_height:None eta m
 
 let minimize eta report =
   let eta = Xpds_xpath.Rewrite.simplify eta in
   let holds t = Semantics.check_somewhere t eta in
   match report.verdict with
   | Sat w when holds w ->
-    let m, _, _ = prepare Options.default eta in
+    let m, _ = prepare Options.default eta in
     let w = Witness_min.minimize ~check:holds w eta in
     { report with verdict = Sat w; witness_verified = Some (witness_holds m eta w) }
   | _ -> report
-
-let satisfiable ?width eta =
-  let options =
-    match width with
-    | Some w -> { Options.default with Options.width = w; verify = false }
-    | None -> { Options.default with Options.verify = false }
-  in
-  match (decide ~options eta).verdict with
-  | Sat _ -> Some true
-  | Unsat | Unsat_bounded _ -> Some false
-  | Unknown _ -> None
 
 let decide_string s =
   match Xpds_xpath.Parser.formula_of_string s with

@@ -9,11 +9,14 @@
     (Theorem 6) when the fragment has the poly-depth model property.
 
     Honesty of answers: a [Sat] verdict always carries a witness tree
-    (replayed through the reference semantics when [verify] is set). The
-    data-free union closure (and so the data-free relaxation) is exact:
-    its unsatisfiability is [Unsat]. The general engine answers [Unsat]
-    only when its bounds meet the paper's (u0/t0, and the fragment's
-    depth bound when height-bounded); [u0 = (2|K|²+|K|+2)|K|] is
+    (replayed through the reference semantics when [verify] is set).
+    Every path runs one engine call, and the verdict is the
+    {!Emptiness.outcome} one to one: [Empty] is [Unsat], [Bounded_empty]
+    is [Unsat_bounded] with {!Bounds.reason}. So the data-free union
+    closure (and the data-free relaxation) answers [Unsat], and the
+    general engine answers [Unsat] only when its bounds meet the paper's
+    ({!Bounds.paper_complete}; a height-bounded search counts as
+    complete at the fragment's depth bound). [u0 = (2|K|²+|K|+2)|K|] is
     astronomically conservative, so at the practical default width it
     reports [Unsat_bounded] — cross-checked against {!Model_search} in
     the test suite, but not certified. *)
@@ -32,14 +35,10 @@ type cert_seed = {
           checker re-deriving the automaton from it lands on the same
           state numbering *)
   cs_labels : Xpds_datatree.Label.t list;  (** the automaton alphabet Σ *)
-  cs_width : int;
-  cs_t0 : int option;
-  cs_dup_cap : int option;
-  cs_merge_budget : int option;
+  cs_bounds : Bounds.t;  (** the bounds the search ran under *)
   cs_basis : Ext_state.t array option;
-      (** the saturated extended-state set
-          ({!Emptiness.check_with_basis}); [None] unless the fixpoint
-          genuinely saturated *)
+      (** the saturated extended-state set ({!Emptiness.answer}); [None]
+          unless the fixpoint genuinely saturated *)
 }
 (** Everything {!Xpds_cert.Cert} needs to assemble a checkable
     certificate from a report. Populated only on [decide ~certificate:true]
@@ -60,22 +59,14 @@ type report = {
       (** certificate material; [Some] iff [certificate] was set *)
 }
 
-(** Solver options, replacing the twelve optional arguments [decide]
-    had accreted. Build one by functional update from {!Options.default}
-    ([{ Options.default with width = 5 }]) or with the [with_*]
-    combinators ([Options.(default |> with_width 5 |> with_max_states 50_000)]).
-    The search-bound fields ([width] … [max_transitions]) deliberately mirror
-    {!Emptiness.config} field-for-field, with the option-typed budgets
-    resolved to the practical defaults. *)
+(** Solver options. Build one by functional update from
+    {!Options.default} ([{ Options.default with max_states = 50_000 }])
+    or with the [with_*] combinators
+    ([Options.(default |> with_width 5 |> with_max_states 50_000)]). *)
 module Options : sig
   type t = {
-    width : int;  (** general engine only: branching bound; default 3 *)
-    t0 : int option;
-        (** description bound; default [Some 6], [None] = paper bound *)
-    dup_cap : int option;
-        (** duplicate-description cap; default [Some 2], [None] = paper *)
-    merge_budget : int option;
-        (** merging identification budget; default [Some 5] *)
+    bounds : Bounds.t;
+        (** the general engine's bounds; default {!Bounds.default} *)
     max_states : int;  (** resource budget; default 20_000 *)
     max_transitions : int;  (** resource budget; default 200_000 *)
     should_stop : (unit -> bool) option;
@@ -106,6 +97,14 @@ module Options : sig
   val with_verify : bool -> t -> t
   val with_extra_labels : Xpds_datatree.Label.t list -> t -> t
   val with_certificate : bool -> t -> t
+
+  val fingerprint : t -> string
+  (** The configuration fingerprint of the options, as cache keys and
+      stores use it: {!rules_version}, the bounds, the budgets, [verify],
+      [certificate] and any forced labels
+      (["r2;w3;t0=6;dup=2;mb=5;ms=20000;mt=200000;v=true;c=false"] for
+      {!default}). The per-run hooks [should_stop] and [on_phase] are
+      not part of it. *)
 end
 
 val decide : ?options:Options.t -> Xpds_xpath.Ast.node -> report
@@ -137,8 +136,8 @@ val general_search :
   Xpds_automata.Bip.t * Emptiness.config
 (** The automaton and engine configuration of the general-engine run
     that {!decide} makes on η when the relaxation does not answer:
-    [Emptiness.check_with_stats ~config m] reproduces that run's outcome
-    and stats (certificate mode uses [Emptiness.check_with_basis]). *)
+    [Emptiness.check ~config m] reproduces that run's outcome and stats
+    (certificate mode adds [~basis:true]). *)
 
 val rules_version : int
 (** The version of the rules by which {!decide} turns a formula and its
@@ -175,10 +174,6 @@ val minimize : Xpds_xpath.Ast.node -> report -> report
     automaton, so [witness_verified] describes the tree the report now
     carries. Any other report, or a witness on which η does not hold,
     is returned unchanged. *)
-
-val satisfiable : ?width:int -> Xpds_xpath.Ast.node -> bool option
-(** [Some b] when the verdict is [Sat]/[Unsat]/[Unsat_bounded] (the
-    latter trusted as [false]); [None] on [Unknown]. *)
 
 val decide_string : string -> (report, string) result
 (** Parse (either sort, per {!Xpds_xpath.Parser.formula_of_string}) and

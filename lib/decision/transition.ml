@@ -152,10 +152,6 @@ let has_counting (m : Bip.t) =
         false f)
     m.Bip.mu
 
-let t0_default (m : Bip.t) =
-  let k = m.pf.Pathfinder.n_states in
-  (2 * k * k) + 2
-
 let make_ctx ?(project_pairs = false) (m : Bip.t) =
   let pf = m.Bip.pf and preds = m.Bip.preds in
   let k_card = pf.Pathfinder.n_states in
@@ -1008,7 +1004,7 @@ let apply ctx st label f =
    children array as the last one keeps it. *)
 let prepare ?t0 ?dup_cap ctx children n_classes =
   let st = ctx.st and nwk = ctx.nwk in
-  st.t0 <- (match t0 with Some t -> t | None -> t0_default ctx.m);
+  st.t0 <- (match t0 with Some t -> t | None -> Bounds.paper_t0 ctx.m);
   st.dup_cap <- dup_cap;
   st.n_classes <- n_classes;
   st.n_lights <- 0;

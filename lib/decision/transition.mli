@@ -51,9 +51,6 @@ val memo_of : ctx -> Xpds_automata.Pathfinder.memo
     engine shares it to precompute per-state step-ups once at state
     discovery. A ctx and its memo are single-domain objects. *)
 
-val t0_default : Xpds_automata.Bip.t -> int
-(** The paper's bound [2|K|² + 2] on the number of described values. *)
-
 val leaf :
   ?t0:int -> ?dup_cap:int -> ctx -> Xpds_datatree.Label.t -> result list
 (** Extended states of the one-node tree with the given label.

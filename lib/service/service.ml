@@ -5,59 +5,26 @@ module Data_tree = Xpds_datatree.Data_tree
 module Store = Xpds_store.Store
 module Containment = Xpds_decision.Containment
 
-(* The one construction seam: a plain record + with_* combinators, in
-   the style of Sat.Options.t. Every construction site (bin, bench,
-   shard workers, tests) builds a Config.t and calls [create]. *)
+(* The one construction seam: a plain record + with_* combinators.
+   Every construction site (bin, bench, shard workers, tests) builds a
+   Config.t and calls [create]. *)
 module Config = struct
-  type solver = {
-    width : int;
-    max_states : int;
-    max_transitions : int;
-    certificate : bool;
-  }
-
+  type solver = Sat.Options.t
   type t = { solver : solver; cache_capacity : int; max_doc_nodes : int }
 
-  let default_solver =
-    let d = Sat.Options.default in
-    {
-      width = d.Sat.Options.width;
-      max_states = d.max_states;
-      max_transitions = d.max_transitions;
-      certificate = false;
-    }
+  let default_solver = Sat.Options.default
 
   let default =
     { solver = default_solver; cache_capacity = 4096; max_doc_nodes = 200_000 }
 
-  let with_width width t = { t with solver = { t.solver with width } }
-
-  let with_max_states max_states t =
-    { t with solver = { t.solver with max_states } }
-
-  let with_max_transitions max_transitions t =
-    { t with solver = { t.solver with max_transitions } }
-
-  let with_certificate certificate t =
-    { t with solver = { t.solver with certificate } }
-
+  let with_solver f t = { t with solver = f t.solver }
+  let with_width w = with_solver (Sat.Options.with_width w)
+  let with_max_states n = with_solver (Sat.Options.with_max_states n)
+  let with_max_transitions n = with_solver (Sat.Options.with_max_transitions n)
+  let with_certificate c = with_solver (Sat.Options.with_certificate c)
   let with_cache_capacity cache_capacity t = { t with cache_capacity }
   let with_max_doc_nodes max_doc_nodes t = { t with max_doc_nodes }
-
-  let fingerprint (sc : solver) =
-    let opt = function None -> "-" | Some i -> string_of_int i in
-    let d = Sat.Options.default in
-    (* [Sat.rules_version] leads: verdicts decided under other rules
-       (including budget [Unknown]s, which are cached and stored) must
-       not be served. [certificate] is part of the key: certificate mode
-       disables the height cap (the fixpoint must genuinely saturate),
-       which can change the outcome class of a run. The bounds a service
-       cannot set are rendered from [Sat.Options.default], which
-       [solve_uncached] runs under. *)
-    Printf.sprintf "r%d;w%d;t0=%s;dup=%s;mb=%s;ms=%d;mt=%d;v=%b;c=%b"
-      Sat.rules_version sc.width (opt d.Sat.Options.t0) (opt d.dup_cap)
-      (opt d.merge_budget) sc.max_states sc.max_transitions d.verify
-      sc.certificate
+  let fingerprint = Sat.Options.fingerprint
 end
 
 type response = {
@@ -181,7 +148,6 @@ let synthetic_report ~algorithm canon why =
    doctype-constrained satisfiability. *)
 let solve_uncached t ~trace ~deadline ~id (body : Request.body) canon =
   Trace.mark trace "solve";
-  let sc = t.cfg.solver in
   let expired =
     match deadline with
     | Some d -> Trace.now_ms () >= d
@@ -190,13 +156,10 @@ let solve_uncached t ~trace ~deadline ~id (body : Request.body) canon =
   let run () =
     let options =
       {
-        Sat.Options.default with
-        Sat.Options.width = sc.width;
-        max_states = sc.max_states;
-        max_transitions = sc.max_transitions;
-        should_stop = Option.map (fun d () -> Trace.now_ms () > d) deadline;
+        t.cfg.solver with
+        Sat.Options.should_stop =
+          Option.map (fun d () -> Trace.now_ms () > d) deadline;
         on_phase = Trace.mark trace;
-        certificate = sc.certificate;
       }
     in
     (match Atomic.get t.chaos with Some f -> f id | None -> ());

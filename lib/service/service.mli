@@ -57,24 +57,17 @@
     {!Eval_verb}, which the service holds. *)
 
 (** The one construction seam of a service: a plain record built from
-    {!Config.default} with [with_*] combinators, mirroring
-    {!Xpds_decision.Sat.Options.t}. Every construction site — [serve],
-    [batch], the benches, the shard workers, the tests — goes through
-    {!create} on a [Config.t]; there is no optional-argument
-    entrypoint. *)
+    {!Config.default} with [with_*] combinators. Every construction
+    site — [serve], [batch], the benches, the shard workers, the tests —
+    goes through {!create} on a [Config.t]; there is no
+    optional-argument entrypoint. *)
 module Config : sig
-  type solver = {
-    width : int;
-    max_states : int;
-    max_transitions : int;
-    certificate : bool;
-        (** run in certificate mode: reports carry a
-            {!Xpds_decision.Sat.cert_seed} from which {!Xpds_cert.Cert}
-            builds a checkable certificate *)
-  }
-  (** Knobs forwarded to {!Xpds_decision.Sat.decide}, which runs every
-      other option at {!Xpds_decision.Sat.Options.default}; part of the
-      cache key, so changing them never serves stale verdicts. *)
+  type solver = Xpds_decision.Sat.Options.t
+  (** The options every solve runs under, with the request's deadline
+      and trace hooks set per request. Part of the cache key, so
+      changing them never serves stale verdicts. In certificate mode
+      reports carry a {!Xpds_decision.Sat.cert_seed} from which
+      {!Xpds_cert.Cert} builds a checkable certificate. *)
 
   type t = {
     solver : solver;
@@ -86,7 +79,7 @@ module Config : sig
   }
 
   val default_solver : solver
-  (** The practical defaults of {!Xpds_decision.Sat.decide}. *)
+  (** {!Xpds_decision.Sat.Options.default}. *)
 
   val default : t
 
@@ -103,10 +96,11 @@ module Config : sig
   val with_max_doc_nodes : int -> t -> t
 
   val fingerprint : solver -> string
-  (** The cache-key configuration fingerprint of a solver config — the
-      string both {!Cache_key.make} and the store header versioning are
-      keyed on. It leads with {!Xpds_decision.Sat.rules_version}, so a
-      cache or store written under other verdict rules never hits. *)
+  (** The cache-key configuration fingerprint of a solver config
+      ({!Xpds_decision.Sat.Options.fingerprint}) — the string both
+      {!Cache_key.make} and the store header versioning are keyed on. It
+      leads with {!Xpds_decision.Sat.rules_version}, so a cache or store
+      written under other verdict rules never hits. *)
 end
 
 type response = {

@@ -278,8 +278,8 @@ let prop_pair_spaces_agree =
   Gen_helpers.qtest ~count:100 "projected and full-space searches agree" arb
     (fun phi ->
       let m, config = Xpds_decision.Sat.general_search ~options phi in
-      let projected, _ = Emptiness.check_with_stats ~config m in
-      let full, _, _ = Emptiness.check_with_basis ~config m in
+      let projected = (Emptiness.check ~config m).outcome in
+      let full = (Emptiness.check ~config ~basis:true m).outcome in
       match (verdict projected, verdict full) with
       | Some a, Some b when a <> b ->
         QCheck.Test.fail_reportf "projected %s, full space %s"

@@ -164,7 +164,8 @@ let outcome_name = function
 
 let engine ?options phi =
   let m, config = Xpds.Sat.general_search ?options phi in
-  Xpds.Emptiness.check_with_stats ~config m
+  let a = Xpds.Emptiness.check ~config m in
+  (a.outcome, a.stats)
 
 let check_golden
     ( name, phi, verdict, states, transitions, mergings, fresh_keys,

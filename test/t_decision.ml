@@ -351,6 +351,30 @@ let test_known_unsat () =
       "eps = desc[a & ~a]"
     ]
 
+(* Under the paper's bounds a search capped at the fragment's Theorem-6
+   depth bound is exact, so its saturation is [Empty], and [decide]
+   answers [Unsat] from the general engine. ε ≠ ε keeps the paper's
+   bounds small: |K| = 6, u0 = 480, t0 = 74, depth bound 1. *)
+let test_height_cap_complete () =
+  let phi = parse "eps != eps" in
+  let options =
+    { Sat.Options.default with Sat.Options.bounds = Bounds.paper }
+  in
+  let m, config = Sat.general_search ~options phi in
+  Alcotest.(check (option int)) "depth bound" (Some 1)
+    config.Emptiness.max_height;
+  Alcotest.(check bool) "paper-complete" true
+    (Bounds.paper_complete m config.Emptiness.bounds);
+  (match (Emptiness.check ~config m).outcome with
+  | Emptiness.Empty -> ()
+  | _ -> Alcotest.fail "a height-capped paper-complete saturation is Empty");
+  let r = Sat.decide ~options phi in
+  Alcotest.(check string) "algorithm"
+    "height-bounded fixpoint (Thm 6, H=1, width=480)" r.Sat.algorithm;
+  match r.Sat.verdict with
+  | Sat.Unsat -> ()
+  | v -> Alcotest.failf "decide: %a" Sat.pp_verdict v
+
 (* The paper's running example is satisfiable, with a machine-checked
    witness. *)
 let test_paper_formula_sat () =
@@ -599,8 +623,8 @@ let prop_relaxation_agrees_with_engine =
       then true
       else
         let m, config = Sat.general_search ~options phi in
-        match Emptiness.check_with_stats ~config m with
-        | Emptiness.Nonempty w, _ ->
+        match (Emptiness.check ~config m).outcome with
+        | Emptiness.Nonempty w ->
           QCheck.Test.fail_reportf "the relaxation said %s, but %s is a model"
             (Format.asprintf "%a" Sat.pp_verdict r.Sat.verdict)
             (Data_tree.to_string w)
@@ -746,6 +770,8 @@ let suite =
       Alcotest.test_case "leaf extended state" `Quick test_leaf_state;
       Alcotest.test_case "known sat formulas" `Quick test_known_sat;
       Alcotest.test_case "known unsat formulas" `Quick test_known_unsat;
+      Alcotest.test_case "height cap complete under paper bounds" `Quick
+        test_height_cap_complete;
       Alcotest.test_case "paper formula" `Quick test_paper_formula_sat;
       prop_solver_vs_model_search;
       prop_solver_vs_model_search_star;

@@ -306,14 +306,12 @@ let test_doctype_restrict () =
   let restricted = Doctype.restrict m ~labels:dt_labels schema in
   let config =
     { Xpds_decision.Emptiness.default_config with
-      Xpds_decision.Emptiness.width = Some 3;
-      t0 = Some 6;
-      dup_cap = Some 2;
-      merge_budget = Some 4;
+      Xpds_decision.Emptiness.bounds =
+        { Xpds_decision.Bounds.default with merge_budget = Some 4 };
       max_states = 20_000
     }
   in
-  match Xpds_decision.Emptiness.check ~config restricted with
+  match (Xpds_decision.Emptiness.check ~config restricted).outcome with
   | Xpds_decision.Emptiness.Nonempty w ->
     Alcotest.(check bool) "witness conforms" true
       (Doctype.conforms ~labels:dt_labels schema w);
@@ -329,14 +327,12 @@ let test_doctype_unsat_under_schema () =
   let restricted = Doctype.restrict m ~labels:dt_labels schema in
   let config =
     { Xpds_decision.Emptiness.default_config with
-      Xpds_decision.Emptiness.width = Some 3;
-      t0 = Some 6;
-      dup_cap = Some 2;
-      merge_budget = Some 4;
+      Xpds_decision.Emptiness.bounds =
+        { Xpds_decision.Bounds.default with merge_budget = Some 4 };
       max_states = 20_000
     }
   in
-  match Xpds_decision.Emptiness.check ~config restricted with
+  match (Xpds_decision.Emptiness.check ~config restricted).outcome with
   | Xpds_decision.Emptiness.Nonempty _ ->
     Alcotest.fail "schema violation reported satisfiable"
   | _ -> ()

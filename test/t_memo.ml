@@ -188,7 +188,8 @@ let data_chain_unsat_3 = Families.data_chain ~sat:false 3
    runs. *)
 let engine options phi =
   let m, config = Sat.general_search ~options phi in
-  Emptiness.check_with_stats ~config m
+  let a = Emptiness.check ~config m in
+  (a.outcome, a.stats)
 
 (* [should_stop] fires on its [n]-th poll. The engine polls at every
    transition, replayed or not, and every 256 mergings walked, so the
