@@ -456,7 +456,7 @@ let of_json j =
           | Some b -> Ok b
           | None -> Error "missing field \"bounds\""
         in
-        let* width = opt_field "width" bj in
+        let* width = field "width" Json.to_int bj in
         let* t0 = opt_field "t0" bj in
         let* dup_cap = opt_field "dup_cap" bj in
         let* merge_budget = opt_field "merge_budget" bj in
@@ -475,7 +475,7 @@ let of_json j =
           Ok
             (Unsat_cert
                {
-                 bounds = { width; t0; dup_cap; merge_budget };
+                 bounds = { width = Some width; t0; dup_cap; merge_budget };
                  q_card;
                  k_card;
                  basis = Array.of_list basis;

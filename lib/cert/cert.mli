@@ -28,8 +28,10 @@ type bounds = Xpds_decision.Bounds.t = {
   merge_budget : int option;
 }
 (** The search bounds the basis was saturated under, as the engine ran
-    them. In JSON a [None] is [null]; the checker reads it as the
-    paper's bound (width, t0) or as no cap. *)
+    them. [width] is always [Some]: {!of_report} records the width the
+    search ran at, and the reader rejects a [null] width. A [None] t0
+    is [null] in JSON and reads as the paper's [t0]; a [None] cap is
+    [null] and reads as no cap. *)
 
 type payload =
   | Sat_cert of Xpds_datatree.Data_tree.t  (** the witness tree *)

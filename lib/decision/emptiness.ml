@@ -25,9 +25,13 @@ type answer = {
   basis : Ext_state.t array option;
 }
 
+type height_cap = int
+
+let theorem6_cap = Xpds_xpath.Fragment.poly_depth_bound
+
 type config = {
   bounds : Bounds.t;
-  max_height : int option;
+  max_height : height_cap option;
   max_states : int;
   max_transitions : int;
   should_stop : (unit -> bool) option;

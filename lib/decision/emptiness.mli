@@ -49,15 +49,23 @@ type stats = {
           [n_transitions] less the replayed ones and the leaves *)
 }
 
+type height_cap = private int
+(** A Theorem-6 height bound. Only {!theorem6_cap} builds one: a smaller
+    cap would make a capped saturation's [Empty] unsound. *)
+
+val theorem6_cap : Xpds_xpath.Ast.node -> height_cap option
+(** The poly-depth bound ({!Xpds_xpath.Fragment.poly_depth_bound}) of
+    the simplified formula the searched automaton is translated from;
+    [None] outside the Theorem-6 fragments. *)
+
 (** Search knobs. The data-free union closure reads only
     [max_states], [max_transitions] and [should_stop]. *)
 type config = {
   bounds : Bounds.t;
       (** the general engine's bounds; default {!Bounds.paper} *)
-  max_height : int option;
-      (** Theorem-6 height bound, a poly-depth fragment's
-          ({!Xpds_xpath.Fragment.poly_depth_bound}); default: unbounded.
-          A smaller cap would make [Empty] unsound. *)
+  max_height : height_cap option;
+      (** the search's height cap, from {!theorem6_cap}; default:
+          unbounded *)
   max_states : int;  (** resource budget; default 20_000 *)
   max_transitions : int;  (** resource budget; default 200_000 *)
   should_stop : (unit -> bool) option;

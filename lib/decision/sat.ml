@@ -99,7 +99,7 @@ end
    turned off and the search runs to a true fixpoint within the bounds. *)
 let prepare o eta =
   let bound =
-    if o.Options.certificate then None else Fragment.poly_depth_bound eta
+    if o.Options.certificate then None else Emptiness.theorem6_cap eta
   in
   let m =
     Translate.of_node ~labels:o.Options.extra_labels
@@ -123,7 +123,9 @@ let algorithm_name o m bound =
     let width = string_of_int (Bounds.width m o.Options.bounds) in
     match bound with
     | Some b ->
-      "height-bounded fixpoint (Thm 6, H=" ^ string_of_int b ^ ", width="
+      "height-bounded fixpoint (Thm 6, H="
+      ^ string_of_int (b : Emptiness.height_cap :> int)
+      ^ ", width="
       ^ width ^ ")"
     | None -> "full fixpoint (Thm 4, width=" ^ width ^ ")"
 
@@ -134,11 +136,11 @@ let general_search ?(options = Options.default) eta =
 (* The one engine call: search the automaton [m] translated from the
    simplified [eta] and report. The outcome maps to the verdict one to
    one; a witness enters the "verify" phase and is replayed by [replay]
-   (under [verify]) only when the caller passes one. In certificate
-   mode the search keeps its basis for the report's seed. *)
-let run o ~fragment ~prefix ?replay ~max_height eta m =
+   (under [verify]) only when the caller passes one. With
+   [~certificate] the search keeps its basis for the report's seed,
+   whose bounds name the width the search ran at. *)
+let run o ~certificate ~fragment ~prefix ?replay ~max_height eta m =
   o.Options.on_phase "fixpoint";
-  let certificate = o.Options.certificate in
   let { Emptiness.outcome; stats; basis } =
     Emptiness.check ~config:(engine_config o max_height) ~basis:certificate m
   in
@@ -169,7 +171,9 @@ let run o ~fragment ~prefix ?replay ~max_height eta m =
            {
              cs_formula = eta;
              cs_labels = m.Bip.labels;
-             cs_bounds = o.Options.bounds;
+             cs_bounds =
+               { o.Options.bounds with
+                 width = Some (Bounds.width m o.Options.bounds) };
              cs_basis = basis;
            }
        else None);
@@ -240,7 +244,8 @@ let decide_relaxation o fragment eta =
     else
       let m, max_height = prepare o relaxed in
       let report =
-        run o ~fragment ~prefix:relaxation_prefix ~max_height relaxed m
+        run o ~certificate:false ~fragment ~prefix:relaxation_prefix
+          ~max_height relaxed m
       in
       match report.verdict with
       | Unsat -> Some report
@@ -262,15 +267,13 @@ let decide ?(options = Options.default) eta =
   | Some report -> report
   | None ->
     let m, max_height = prepare o eta in
-    run o ~fragment ~prefix:"" ~replay:(witness_holds m eta) ~max_height eta m
+    run o ~certificate:o.Options.certificate ~fragment ~prefix:""
+      ~replay:(witness_holds m eta) ~max_height eta m
 
 module Doctype = Xpds_automata.Doctype
 
 let decide_under_doctype ?(options = Options.default) ~doctype eta =
-  (* Certificate mode is not defined for the intersection (the basis
-     checker replays the bare-formula automaton); force it off rather
-     than emit a certificate that proves the wrong language empty. *)
-  let o = { options with Options.certificate = false } in
+  let o = options in
   o.Options.on_phase "translate";
   let eta = Xpds_xpath.Rewrite.simplify eta in
   let fragment = Fragment.classify eta in
@@ -298,8 +301,12 @@ let decide_under_doctype ?(options = Options.default) ~doctype eta =
      at_least rule growing a chain under every node the formula
      touches), so the doctype-restricted search always runs the full
      Theorem-4 fixpoint. *)
-  run o ~fragment ~prefix:"doctype-restricted (§4.1) " ~replay
-    ~max_height:None eta m
+  (* Certificate mode is not defined for the intersection (the basis
+     checker replays the bare-formula automaton): the search runs as
+     without it, keeps no basis and the report carries no seed, rather
+     than a certificate that proves the wrong language empty. *)
+  run o ~certificate:false ~fragment ~prefix:"doctype-restricted (§4.1) "
+    ~replay ~max_height:None eta m
 
 let minimize eta report =
   let eta = Xpds_xpath.Rewrite.simplify eta in

@@ -35,7 +35,9 @@ type cert_seed = {
           checker re-deriving the automaton from it lands on the same
           state numbering *)
   cs_labels : Xpds_datatree.Label.t list;  (** the automaton alphabet Σ *)
-  cs_bounds : Bounds.t;  (** the bounds the search ran under *)
+  cs_bounds : Bounds.t;
+      (** the bounds the search ran under, its width resolved
+          ({!Bounds.width}): always [Some] *)
   cs_basis : Ext_state.t array option;
       (** the saturated extended-state set ({!Emptiness.answer}); [None]
           unless the fixpoint genuinely saturated *)
@@ -162,9 +164,10 @@ val decide_under_doctype :
     Theorem-6 height shortcut is justified for the bare formula only,
     never for the intersection. A [Sat] witness is verified (under
     [options.verify]) against the reference semantics {e and}
-    [Doctype.conforms]. Certificate mode is forced off: the basis
-    checker replays the bare-formula automaton and has no doctype
-    notion. *)
+    [Doctype.conforms]. Certificate mode does not apply: the search
+    runs as without it (the union closure stays available), keeps no
+    basis and the report has no [cert_seed], because the basis checker
+    replays the bare-formula automaton and has no doctype notion. *)
 
 val minimize : Xpds_xpath.Ast.node -> report -> report
 (** [minimize η r] shrinks the witness of a [Sat] report [r] for η —

@@ -315,6 +315,47 @@ let test_stored_unsat_fixture () =
          1104), t0 6 (paper 130), dup_cap 2, merge budget 5)"
         (Format.asprintf "%a" Cert.pp_verdict v))
 
+(* A certificate records the width its search ran at, also when the
+   options leave it to the paper's u0, so its "width" is always a
+   number; the reader rejects a null one rather than walk every width
+   up to u0. ε ≠ ε under the paper's bounds: |K| = 6, u0 = 480. *)
+let test_width_recorded () =
+  let options =
+    Sat.Options.with_certificate true
+      { Sat.Options.default with Sat.Options.bounds = Xpds_decision.Bounds.paper }
+  in
+  let cert =
+    match Cert.of_report (Sat.decide ~options (parse "eps != eps")) with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "no certificate: %s" e
+  in
+  (match cert.Cert.payload with
+  | Cert.Unsat_cert { bounds; _ } ->
+    Alcotest.(check (option int)) "recorded width" (Some 480)
+      bounds.Cert.width
+  | Cert.Sat_cert _ -> Alcotest.fail "eps != eps certified sat");
+  (match Cert.check cert with
+  | Ok Cert.Cert_unsat -> ()
+  | Ok v -> Alcotest.failf "verdict: %a" Cert.pp_verdict v
+  | Error e -> Alcotest.failf "rejected: %s" e);
+  let text = Cert.to_string cert in
+  let key = {|"width":480|} in
+  let rec find i =
+    if i + String.length key > String.length text then
+      Alcotest.fail "no width 480 in the JSON"
+    else if String.sub text i (String.length key) = key then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  let nulled =
+    String.sub text 0 i ^ {|"width":null|}
+    ^ String.sub text (i + String.length key)
+        (String.length text - i - String.length key)
+  in
+  match Cert.of_string nulled with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a null width was read"
+
 let suite =
   ( "cert",
     [ Alcotest.test_case "sat cert accepted" `Quick test_sat_accepted;
@@ -323,6 +364,8 @@ let suite =
       Alcotest.test_case "json roundtrip unsat" `Quick test_roundtrip_unsat;
       Alcotest.test_case "stored unsat certificate accepted" `Quick
         test_stored_unsat_fixture;
+      Alcotest.test_case "width recorded, null width rejected" `Quick
+        test_width_recorded;
       Alcotest.test_case "fingerprint mutants rejected" `Quick
         test_fingerprint_mutants;
       Alcotest.test_case "basis drop mutants rejected" `Quick

@@ -362,7 +362,9 @@ let test_height_cap_complete () =
   in
   let m, config = Sat.general_search ~options phi in
   Alcotest.(check (option int)) "depth bound" (Some 1)
-    config.Emptiness.max_height;
+    (Option.map
+       (fun (h : Emptiness.height_cap) -> (h :> int))
+       config.Emptiness.max_height);
   Alcotest.(check bool) "paper-complete" true
     (Bounds.paper_complete m config.Emptiness.bounds);
   (match (Emptiness.check ~config m).outcome with

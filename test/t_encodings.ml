@@ -337,6 +337,45 @@ let test_doctype_unsat_under_schema () =
     Alcotest.fail "schema violation reported satisfiable"
   | _ -> ()
 
+(* Certificate mode does not reach the doctype-restricted search: a
+   data-free formula keeps the exact union closure, with the verdicts
+   and counts of a run without it, and the report carries no seed. The
+   schema forces four b-children, wider than the general engine's
+   default width 3. *)
+let test_doctype_ignores_certificate () =
+  let wide : Doctype.t =
+    [ { Doctype.parent = "a"; at_least = [ (4, "b") ]; forbidden = [ "c" ] } ]
+  in
+  let decide certificate s =
+    let options =
+      Sat.Options.with_certificate certificate Sat.Options.default
+    in
+    Sat.decide_under_doctype ~options ~doctype:wide
+      (Xpds_xpath.Parser.node_of_string_exn s)
+  in
+  List.iter
+    (fun (s, expect_sat, n_states, n_transitions) ->
+      let r = decide true s in
+      let plain = decide false s in
+      Alcotest.(check string) (s ^ ": algorithm")
+        "doctype-restricted (§4.1) data-free union closure" r.Sat.algorithm;
+      (match r.Sat.verdict with
+      | Sat.Sat w when expect_sat ->
+        Alcotest.(check bool) (s ^ ": witness conforms") true
+          (Doctype.conforms ~labels:dt_labels wide w)
+      | Sat.Unsat when not expect_sat -> ()
+      | v -> Alcotest.failf "%s: %a" s Sat.pp_verdict v);
+      Alcotest.(check (pair int int)) (s ^ ": counts") (n_states, n_transitions)
+        ( r.Sat.stats.Xpds_decision.Emptiness.n_states,
+          r.Sat.stats.Xpds_decision.Emptiness.n_transitions );
+      Alcotest.(check (pair int int)) (s ^ ": counts as without certificate")
+        ( plain.Sat.stats.Xpds_decision.Emptiness.n_states,
+          plain.Sat.stats.Xpds_decision.Emptiness.n_transitions )
+        ( r.Sat.stats.Xpds_decision.Emptiness.n_states,
+          r.Sat.stats.Xpds_decision.Emptiness.n_transitions );
+      Alcotest.(check bool) (s ^ ": no seed") true (r.Sat.cert_seed = None))
+    [ ("a", true, 6, 57); ("a & <down[c]>", false, 9, 120) ]
+
 let suite =
   ( "encodings",
     [ Alcotest.test_case "tiling game examples" `Quick
@@ -371,5 +410,7 @@ let suite =
       prop_doctype_agrees;
       Alcotest.test_case "doctype restrict sat" `Quick test_doctype_restrict;
       Alcotest.test_case "doctype restrict unsat" `Quick
-        test_doctype_unsat_under_schema
+        test_doctype_unsat_under_schema;
+      Alcotest.test_case "doctype ignores certificate mode" `Quick
+        test_doctype_ignores_certificate
     ] )
