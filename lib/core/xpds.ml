@@ -11,7 +11,7 @@
     - {!Nfa}, {!Pathfinder}, {!Bip}, {!Bip_run}, {!Translate},
       {!Doctype}: the automata (§3, §4.1 extensions);
     - {!Ext_state}, {!Merging}, {!Transition}, {!Emptiness}, {!Bounds},
-      {!Model_search}, {!Sat}, {!Containment}: the decision procedures
+      {!Model_search}, {!Lift}, {!Sat}, {!Containment}: the decision procedures
       (§4.1, Theorem 6);
     - {!Tiling_game}, {!Tiling}, {!Qbf}, {!Qbf_encoding}, {!Attr_xpath}:
       the lower-bound reductions and the attrXPath front end (§4.2,
@@ -72,6 +72,7 @@ module Bounds = Xpds_decision.Bounds
 module Emptiness = Xpds_decision.Emptiness
 module Model_search = Xpds_decision.Model_search
 module Sat = Xpds_decision.Sat
+module Lift = Xpds_decision.Lift
 module Containment = Xpds_decision.Containment
 module Witness_min = Xpds_decision.Witness_min
 module Serialize = Serialize
@@ -104,15 +105,3 @@ module Store_record = Xpds_store.Record
 module Store_log = Xpds_store.Log
 module Crc32 = Xpds_store.Crc32
 
-(** [satisfiable s] parses and decides a formula with the default solver
-    configuration; [Error] on syntax errors, [None] on resource
-    exhaustion. *)
-let satisfiable s : (bool option, string) result =
-  match Sat.decide_string s with
-  | Error e -> Error e
-  | Ok r ->
-    Ok
-      (match r.Sat.verdict with
-      | Sat.Sat _ -> Some true
-      | Sat.Unsat | Sat.Unsat_bounded _ -> Some false
-      | Sat.Unknown _ -> None)

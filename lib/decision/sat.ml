@@ -32,7 +32,7 @@ type report = {
   cert_seed : cert_seed option;
 }
 
-let rules_version = 2
+let rules_version = 3
 
 module Options = struct
   type t = {
@@ -117,8 +117,10 @@ let engine_config o max_height =
     should_stop = o.Options.should_stop;
   }
 
-let algorithm_name o m bound =
-  if Emptiness.data_free m then "data-free union closure"
+(* Certificate mode ([Emptiness.check ~basis:true]) always runs the
+   general engine, never the data-free union closure. *)
+let algorithm_name o ~certificate m bound =
+  if Emptiness.data_free m && not certificate then "data-free union closure"
   else
     let width = string_of_int (Bounds.width m o.Options.bounds) in
     match bound with
@@ -133,12 +135,22 @@ let general_search ?(options = Options.default) eta =
   let m, bound = prepare options (Xpds_xpath.Rewrite.simplify eta) in
   (m, engine_config options bound)
 
+(* The certificate material of a search of [m], translated from [eta];
+   its bounds name the width the search ran at. *)
+let seed o eta m basis =
+  {
+    cs_formula = eta;
+    cs_labels = m.Bip.labels;
+    cs_bounds =
+      { o.Options.bounds with width = Some (Bounds.width m o.Options.bounds) };
+    cs_basis = basis;
+  }
+
 (* The one engine call: search the automaton [m] translated from the
    simplified [eta] and report. The outcome maps to the verdict one to
    one; a witness enters the "verify" phase and is replayed by [replay]
    (under [verify]) only when the caller passes one. With
-   [~certificate] the search keeps its basis for the report's seed,
-   whose bounds name the width the search ran at. *)
+   [~certificate] the search keeps its basis for the report's seed. *)
 let run o ~certificate ~fragment ~prefix ?replay ~max_height eta m =
   o.Options.on_phase "fixpoint";
   let { Emptiness.outcome; stats; basis } =
@@ -160,23 +172,12 @@ let run o ~certificate ~fragment ~prefix ?replay ~max_height eta m =
   {
     verdict;
     fragment;
-    algorithm = prefix ^ algorithm_name o m max_height;
+    algorithm = prefix ^ algorithm_name o ~certificate m max_height;
     stats;
     witness_verified;
     automaton_q = m.Bip.q_card;
     automaton_k = m.Bip.pf.Pathfinder.n_states;
-    cert_seed =
-      (if certificate then
-         Some
-           {
-             cs_formula = eta;
-             cs_labels = m.Bip.labels;
-             cs_bounds =
-               { o.Options.bounds with
-                 width = Some (Bounds.width m o.Options.bounds) };
-             cs_basis = basis;
-           }
-       else None);
+    cert_seed = (if certificate then Some (seed o eta m basis) else None);
   }
 
 (* --- the data-free relaxation ---
@@ -209,49 +210,7 @@ and relax_path pos (p : Xpds_xpath.Ast.path) : Xpds_xpath.Ast.path =
 
 let data_free_relaxation = relax true
 
-let rec has_negation (phi : Xpds_xpath.Ast.node) =
-  match phi with
-  | True | False | Lab _ -> false
-  | Not _ -> true
-  | And (a, b) | Or (a, b) -> has_negation a || has_negation b
-  | Exists p -> path_has_negation p
-  | Cmp (p, _, q) -> path_has_negation p || path_has_negation q
-
-and path_has_negation (p : Xpds_xpath.Ast.path) =
-  match p with
-  | Axis _ -> false
-  | Seq (a, b) | Union (a, b) -> path_has_negation a || path_has_negation b
-  | Filter (a, phi) | Guard (phi, a) -> has_negation phi || path_has_negation a
-  | Star a -> path_has_negation a
-
 let relaxation_prefix = "data-free relaxation: "
-
-(* Decide the relaxation of the simplified [eta] as [decide] would, and
-   keep its answer only when it is unsatisfiable: every model of ϕ is a
-   model of ϕ′. ϕ′ is data-free, so its search is the exact union
-   closure and an empty ϕ′ is an unconditional [Unsat]. Skipped in
-   certificate mode (the basis must come from ϕ's own automaton), for
-   data-free ϕ, and when the simplified ϕ′ is negation-free (then it
-   can be unsatisfiable only through a label clash, so the extra search
-   seldom pays for itself). [None] leaves the run in its "translate"
-   phase, for ϕ's own translation. *)
-let decide_relaxation o fragment eta =
-  if o.Options.certificate || not (Fragment.features eta).Fragment.uses_data
-  then None
-  else
-    let relaxed = Xpds_xpath.Rewrite.simplify (data_free_relaxation eta) in
-    if not (has_negation relaxed) then None
-    else
-      let m, max_height = prepare o relaxed in
-      let report =
-        run o ~certificate:false ~fragment ~prefix:relaxation_prefix
-          ~max_height relaxed m
-      in
-      match report.verdict with
-      | Unsat -> Some report
-      | _ ->
-        o.Options.on_phase "translate";
-        None
 
 (* Both replays of a witness: the reference semantics of [eta] and a
    run of its automaton [m]. *)
@@ -263,12 +222,48 @@ let decide ?(options = Options.default) eta =
   o.Options.on_phase "translate";
   let eta = Xpds_xpath.Rewrite.simplify eta in
   let fragment = Fragment.classify eta in
-  match decide_relaxation o fragment eta with
-  | Some report -> report
-  | None ->
-    let m, max_height = prepare o eta in
+  let general m max_height =
     run o ~certificate:o.Options.certificate ~fragment ~prefix:""
       ~replay:(witness_holds m eta) ~max_height eta m
+  in
+  if not (Fragment.features eta).Fragment.uses_data then
+    let m, max_height = prepare o eta in
+    general m max_height
+  else
+    (* Every model of η is a model of its relaxation η′, a data-free
+       formula that the exact union closure decides. An empty η′ is an
+       unconditional [Unsat] (outside certificate mode, whose basis
+       must come from η's own automaton); a witness of η′ is lifted to
+       a model of η when [Lift] finds its data. *)
+    let relaxed = Xpds_xpath.Rewrite.simplify (data_free_relaxation eta) in
+    let m', max_height' = prepare o relaxed in
+    let relaxation =
+      run o ~certificate:false ~fragment ~prefix:relaxation_prefix
+        ~max_height:max_height' relaxed m'
+    in
+    match relaxation.verdict with
+    | Unsat when not o.Options.certificate -> relaxation
+    | verdict -> (
+      o.Options.on_phase "translate";
+      let m, max_height = prepare o eta in
+      let lifted =
+        match verdict with
+        | Sat w' ->
+          o.Options.on_phase "lift";
+          Lift.search ?should_stop:o.Options.should_stop m eta w'
+        | _ -> None
+      in
+      match lifted with
+      | Some w ->
+        {
+          relaxation with
+          verdict = Sat w;
+          algorithm = relaxation_prefix ^ "witness lift";
+          witness_verified = Some true;
+          cert_seed =
+            (if o.Options.certificate then Some (seed o eta m None) else None);
+        }
+      | None -> general m max_height)
 
 module Doctype = Xpds_automata.Doctype
 

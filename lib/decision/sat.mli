@@ -45,7 +45,8 @@ type cert_seed = {
 (** Everything {!Xpds_cert.Cert} needs to assemble a checkable
     certificate from a report. Populated only on [decide ~certificate:true]
     runs, which use the general engine with unprojected atom matrices
-    (slower, but reproducible by a naive independent evaluator). *)
+    (slower, but reproducible by a naive independent evaluator), or
+    answer [Sat] from the witness lift with no basis. *)
 
 type report = {
   verdict : verdict;
@@ -76,8 +77,8 @@ module Options : sig
             deadline yields [Unknown "deadline exceeded"] *)
     on_phase : string -> unit;
         (** observability hook: invoked with ["translate"],
-            ["fixpoint"], and — on a nonempty outcome —
-            ["verify"], as the run enters each stage *)
+            ["fixpoint"], ["lift"] and — on a nonempty outcome of the
+            general engine — ["verify"], as the run enters each stage *)
     verify : bool;  (** replay the witness (default true) *)
     extra_labels : Xpds_datatree.Label.t list;
         (** force labels into the automaton alphabet *)
@@ -104,7 +105,7 @@ module Options : sig
   (** The configuration fingerprint of the options, as cache keys and
       stores use it: {!rules_version}, the bounds, the budgets, [verify],
       [certificate] and any forced labels
-      (["r2;w3;t0=6;dup=2;mb=5;ms=20000;mt=200000;v=true;c=false"] for
+      (["r3;w3;t0=6;dup=2;mb=5;ms=20000;mt=200000;v=true;c=false"] for
       {!default}). The per-run hooks [should_stop] and [on_phase] are
       not part of it. *)
 end
@@ -113,17 +114,27 @@ val decide : ?options:Options.t -> Xpds_xpath.Ast.node -> report
 (** Decide SAT (Definition 1: is [[η]]_T ≠ ∅ for some data tree T?)
     under {!Options.default} or the given options.
 
-    When η has a data test, outside certificate mode, [decide] first
-    decides the simplified {!data_free_relaxation} η′ of η, under the
-    same budgets and [should_stop], provided η′ still contains a
-    negation. If η′ is empty (its search is the exact union closure),
-    so is η: the report is [Unsat], with the stats and automaton sizes
-    of η′'s search, η's fragment, and an algorithm starting
-    ["data-free relaxation: "]. Otherwise the general engine runs on η
-    with its full budgets, exactly as
-    {!general_search} describes. The phases are the same either way:
-    ["translate"] and ["fixpoint"] (each entered twice when the
-    relaxation did not answer). *)
+    When η has a data test, [decide] first decides the simplified
+    {!data_free_relaxation} η′ of η with the exact union closure, under
+    the same budgets and [should_stop]. Every model of η is a model of
+    η′, so:
+    - If η′ is empty, so is η: outside certificate mode the report is
+      [Unsat], with the stats and automaton sizes of η′'s search, η's
+      fragment, and the algorithm ["data-free relaxation: data-free
+      union closure"]. (Certificate mode needs a basis of η's own
+      automaton, so there the general engine runs.)
+    - If η′ has a witness, {!Lift.search} looks for data that make its
+      skeleton a model of η. A hit is [Sat], replayed through the
+      reference semantics and η's automaton ([witness_verified = Some
+      true]), with the stats and automaton sizes of η′'s search and
+      the algorithm ["data-free relaxation: witness lift"]; in
+      certificate mode its seed has no basis.
+    - Otherwise the general engine runs on η with its full budgets,
+      exactly as {!general_search} describes.
+
+    The phases: ["translate"], ["fixpoint"], then — when η′ did not
+    answer — ["translate"] again, ["lift"] when η′ has a witness, and
+    the general engine's ["fixpoint"] and ["verify"]. *)
 
 val data_free_relaxation : Xpds_xpath.Ast.node -> Xpds_xpath.Ast.node
 (** The data-free relaxation η′ of η: every positive [α ~ β] becomes

@@ -48,6 +48,31 @@ let test_unsat_accepted () =
      bounds, so the verdict must be the bounded one. *)
   check_accepts "unsat cert" (Lazy.force unsat_cert) `Unsat_bounded
 
+(* Certificate mode takes the witness lift: data_chain sat 4, which the
+   general engine leaves [Unknown] on its budget, is lifted from its
+   relaxation's witness with a seed that has no basis, and the witness
+   certifies. *)
+let test_lifted_sat_accepted () =
+  let report =
+    Sat.decide
+      ~options:Sat.Options.(default |> with_certificate true)
+      (Families.data_chain ~sat:true 4)
+  in
+  Alcotest.(check string) "algorithm" "data-free relaxation: witness lift"
+    report.Sat.algorithm;
+  (match report.Sat.cert_seed with
+  | Some { Sat.cs_basis = None; _ } -> ()
+  | _ -> Alcotest.fail "a lifted witness has a seed without a basis");
+  match Cert.of_report report with
+  | Error e -> Alcotest.failf "no certificate: %s" e
+  | Ok cert -> (
+    match cert.Cert.payload with
+    | Cert.Sat_cert _ -> (
+      match Cert.of_string (Cert.to_string cert) with
+      | Ok c -> check_accepts "lifted sat cert" c `Sat
+      | Error e -> Alcotest.failf "round trip: %s" e)
+    | Cert.Unsat_cert _ -> Alcotest.fail "a lifted witness is a Sat_cert")
+
 let payload_equal p1 p2 =
   match (p1, p2) with
   | Cert.Sat_cert w1, Cert.Sat_cert w2 ->
@@ -360,6 +385,8 @@ let suite =
   ( "cert",
     [ Alcotest.test_case "sat cert accepted" `Quick test_sat_accepted;
       Alcotest.test_case "unsat cert accepted" `Quick test_unsat_accepted;
+      Alcotest.test_case "lifted sat cert accepted" `Quick
+        test_lifted_sat_accepted;
       Alcotest.test_case "json roundtrip sat" `Quick test_roundtrip_sat;
       Alcotest.test_case "json roundtrip unsat" `Quick test_roundtrip_unsat;
       Alcotest.test_case "stored unsat certificate accepted" `Quick

@@ -395,13 +395,12 @@ let gen_labels = List.map Label.of_string Gen_helpers.default_labels
 (* The budgeted solver configuration the qcheck properties below share
    (small bounds keep the 60-case runs fast; the generator's label
    alphabet is declared so verification sees the same universe). *)
-let budgeted_decide phi =
-  Sat.decide
-    ~options:
-      Sat.Options.(
-        default |> with_max_states 2_000 |> with_max_transitions 30_000
-        |> with_extra_labels gen_labels)
-    phi
+let budgeted_options =
+  Sat.Options.(
+    default |> with_max_states 2_000 |> with_max_transitions 30_000
+    |> with_extra_labels gen_labels)
+
+let budgeted_decide phi = Sat.decide ~options:budgeted_options phi
 
 let prop_solver_vs_model_search =
   Gen_helpers.qtest ~count:60 "emptiness agrees with bounded model search"
@@ -466,6 +465,8 @@ let data_free_branching (m : Xpds_automata.Bip.t) =
     m.Bip.mu;
   m.Bip.pf.Pathfinder.n_states + Array.fold_left ( + ) 0 cap
 
+let lift_algorithm = "data-free relaxation: witness lift"
+
 let prop_witness_shape =
   Gen_helpers.qtest ~count:40 "witnesses respect the small-model shape"
     (Gen_helpers.arb_node_cfg Gen_helpers.star_free_cfg)
@@ -480,6 +481,15 @@ let prop_witness_shape =
             phi
         in
         Data_tree.branching w <= data_free_branching m
+      | Sat.Sat w when r.Sat.algorithm = lift_algorithm ->
+        (* A lifted witness has the shape of the relaxation's. *)
+        let m', _ =
+          Sat.general_search
+            ~options:
+              Sat.Options.(default |> with_extra_labels gen_labels)
+            (Sat.data_free_relaxation (Xpds_xpath.Rewrite.simplify phi))
+        in
+        Data_tree.branching w <= data_free_branching m'
       | Sat.Sat w ->
         (* General engine: branching bounded by the width config (3 by
            default). *)
@@ -493,26 +503,35 @@ let prop_fast_path_consistent =
     (Gen_helpers.arb_node_cfg Gen_helpers.data_free_cfg)
     (fun phi ->
       (* [phi] runs on the fast path; appending a vacuous off-diagonal
-         data atom forces the general engine without changing the
-         semantics. *)
+         data atom gives the general engine's automaton without
+         changing the semantics, and that engine runs on it directly
+         ([decide] would first try the relaxation and its lift). *)
       let phi' =
         Ast.Or (phi, Ast.Cmp (Ast.Axis Ast.Self, Ast.Neq, Ast.Axis Ast.Self))
       in
-      let budgeted f = budgeted_decide f in
-      let fast = budgeted phi and general = budgeted phi' in
+      let fast = budgeted_decide phi in
+      let general =
+        let m, config = Sat.general_search ~options:budgeted_options phi' in
+        (Emptiness.check ~config m).Emptiness.outcome
+      in
       let b = function
         | Sat.Sat _ -> Some true
         | Sat.Unsat | Sat.Unsat_bounded _ -> Some false
         | Sat.Unknown _ -> None
       in
-      match (fast.Sat.verdict, general.Sat.verdict) with
-      | Sat.Sat _, Sat.Unsat_bounded _ ->
+      let g = function
+        | Emptiness.Nonempty _ -> Some true
+        | Emptiness.Empty | Emptiness.Bounded_empty -> Some false
+        | Emptiness.Resource_limit _ -> None
+      in
+      match (fast.Sat.verdict, general) with
+      | Sat.Sat _, Emptiness.Bounded_empty ->
         (* The general engine stays width-bounded: a model wider than
            its width is the one disagreement, and the fast path's
            witness must replay. *)
         fast.Sat.witness_verified = Some true
-      | f, g -> (
-        match (b f, b g) with Some x, Some y -> x = y | _ -> true))
+      | f, o -> (
+        match (b f, g o) with Some x, Some y -> x = y | _ -> true))
 
 (* Every data-free [Unsat] is unconditional, so no model exists at any
    width; bounded model search looks one child wider than the general
@@ -592,9 +611,9 @@ let rec skeleton (p : Ast.path) : Ast.path =
 
 (* Formulas ψ ∧ α ~ β ∧ ¬⟨γ⟩ over the data fragments, where γ is either
    random or the skeleton of α (then the relaxation is unsatisfiable by
-   construction): whenever [Sat.decide] answers from the relaxation, the
-   general engine, run directly on the formula's own automaton, finds
-   no model either. *)
+   construction): whenever [Sat.decide] answers [Unsat] from the
+   relaxation, the general engine, run directly on the formula's own
+   automaton, finds no model either. *)
 let prop_relaxation_agrees_with_engine =
   let arb =
     QCheck.make
@@ -615,22 +634,174 @@ let prop_relaxation_agrees_with_engine =
   Gen_helpers.qtest ~count:300 "relaxation answers: the engine finds no model"
     arb
     (fun phi ->
-      let options =
-        Sat.Options.(
-          default |> with_max_states 2_000 |> with_max_transitions 30_000
-          |> with_extra_labels gen_labels)
-      in
-      let r = Sat.decide ~options phi in
-      if not (String.starts_with ~prefix:"data-free relaxation" r.Sat.algorithm)
-      then true
-      else
-        let m, config = Sat.general_search ~options phi in
+      let r = budgeted_decide phi in
+      match r.Sat.verdict with
+      | Sat.Unsat
+        when String.starts_with ~prefix:"data-free relaxation" r.Sat.algorithm
+        -> (
+        let m, config = Sat.general_search ~options:budgeted_options phi in
         match (Emptiness.check ~config m).outcome with
         | Emptiness.Nonempty w ->
           QCheck.Test.fail_reportf "the relaxation said %s, but %s is a model"
             (Format.asprintf "%a" Sat.pp_verdict r.Sat.verdict)
             (Data_tree.to_string w)
         | _ -> true)
+      | _ -> true)
+
+(* --- the witness lift --- *)
+
+(* Every lifted witness is a model: it replays through the reference
+   semantics and the formula's own automaton, and the general engine,
+   run on that automaton, never calls it empty. *)
+let prop_lift_replays =
+  Gen_helpers.qtest ~count:300 "lifted witnesses replay"
+    (QCheck.make ~print:Xpds_xpath.Pp.node_to_string
+       QCheck.Gen.(
+         oneofl
+           Gen_helpers.[ child_only_cfg; desc_only_cfg; star_free_cfg; full_cfg ]
+         >>= Gen_helpers.gen_node_cfg))
+    (fun phi ->
+      let r = budgeted_decide phi in
+      match r.Sat.verdict with
+      | Sat.Sat w when r.Sat.algorithm = lift_algorithm -> (
+        let m, config = Sat.general_search ~options:budgeted_options phi in
+        if r.Sat.witness_verified <> Some true then
+          QCheck.Test.fail_report "lifted witness not marked verified"
+        else if not (Semantics.check_somewhere w phi) then
+          QCheck.Test.fail_reportf "%s is no model" (Data_tree.to_string w)
+        else if not (Xpds_automata.Bip_run.accepts m w) then
+          QCheck.Test.fail_reportf "the automaton rejects %s"
+            (Data_tree.to_string w)
+        else
+          match (Emptiness.check ~config m).outcome with
+          | Emptiness.Empty ->
+            QCheck.Test.fail_reportf "lifted %s, but the engine says empty"
+              (Data_tree.to_string w)
+          | _ -> true)
+      | _ -> true)
+
+(* data_chain sat 4 (E2) and sat 6, and desc_data sat 3 (E6, E8),
+   lift within the cap (29, 405 and 162 assignments), with both
+   replays; a lifted answer keeps the relaxation search's stats. *)
+let test_known_lifts () =
+  List.iter
+    (fun (name, phi) ->
+      let r = Sat.decide phi in
+      Alcotest.(check string) (name ^ ": algorithm") lift_algorithm
+        r.Sat.algorithm;
+      Alcotest.(check (option bool)) (name ^ ": verified") (Some true)
+        r.Sat.witness_verified;
+      let m', config' =
+        Sat.general_search
+          (Sat.data_free_relaxation (Xpds_xpath.Rewrite.simplify phi))
+      in
+      Alcotest.(check int) (name ^ ": relaxation states")
+        (Emptiness.check ~config:config' m').Emptiness.stats.n_states
+        r.Sat.stats.Emptiness.n_states;
+      match r.Sat.verdict with
+      | Sat.Sat w ->
+        Alcotest.(check bool) (name ^ ": model") true
+          (Semantics.check_somewhere w phi)
+      | v -> Alcotest.failf "%s: %a" name Sat.pp_verdict v)
+    [ ("data_chain sat 4", Families.data_chain ~sat:true 4);
+      ("data_chain sat 6", Families.data_chain ~sat:true 6);
+      ("desc_data sat 3", Families.desc_data ~sat:true 3)
+    ]
+
+(* [Lift.search] answers only with a candidate both replays accept. A
+   skeleton on which data_chain sat 2 holds under some assignment: its
+   own automaton accepts the lift; an automaton over the same labels
+   that accepts nothing must reject it (a lift that skipped the run
+   would not), and one that accepts every tree must not make a
+   candidate on which the formula fails a model. *)
+let test_lift_needs_both_replays () =
+  let phi = Xpds_xpath.Rewrite.simplify (Families.data_chain ~sat:true 2) in
+  let w = Data_tree.of_string_exn "a:0(a:0(a:0))" in
+  let automaton text =
+    fst
+      (Sat.general_search
+         ~options:Sat.Options.(default |> with_extra_labels gen_labels)
+         (parse text))
+  in
+  let own =
+    fst
+      (Sat.general_search
+         ~options:Sat.Options.(default |> with_extra_labels gen_labels)
+         phi)
+  in
+  (match Lift.search own phi w with
+  | Some t ->
+    Alcotest.(check bool) "own automaton: a model" true
+      (Semantics.check_somewhere t phi);
+    Alcotest.(check bool) "own automaton: accepted" true
+      (Xpds_automata.Bip_run.accepts own t)
+  | None -> Alcotest.fail "data_chain sat 2 lifts on a 3-chain");
+  Alcotest.(check bool) "an automaton that accepts nothing" true
+    (Lift.search (automaton "a & ~a") phi w = None);
+  (match Lift.search (automaton "true") phi w with
+  | Some t ->
+    Alcotest.(check bool) "an automaton that accepts all: a model" true
+      (Semantics.check_somewhere t phi)
+  | None -> Alcotest.fail "data_chain sat 2 lifts under a permissive run");
+  Alcotest.(check bool) "no assignment is a model" true
+    (Lift.search (automaton "true") (parse "eps != eps") w = None);
+  (* The all-equal assignment comes first. *)
+  match Lift.search (automaton "true") (parse "eps = down") w with
+  | Some t -> Alcotest.(check (list int)) "all equal" [ 0 ] (Data_tree.data_values t)
+  | None -> Alcotest.fail "eps = down lifts"
+
+(* The lift stops at its cap and on the deadline: data_chain sat 10's
+   relaxation witness is an 11-node chain, and no assignment among the
+   first [Lift.max_assignments] is a model, so the lift gives up and
+   the general engine runs into the deadline. The answer comes within
+   the deadline + max(20 ms, 10 %), under deadlines shorter and longer
+   than the lift's whole cap. *)
+let test_lift_deadline () =
+  let phi = Families.data_chain ~sat:true 10 in
+  let eta = Xpds_xpath.Rewrite.simplify phi in
+  let m, _ = Sat.general_search eta in
+  let relaxed = Xpds_xpath.Rewrite.simplify (Sat.data_free_relaxation eta) in
+  (match (Sat.decide relaxed).Sat.verdict with
+  | Sat.Sat w ->
+    Alcotest.(check bool) "no lift within the cap" true
+      (Lift.search m eta w = None)
+  | v -> Alcotest.failf "relaxation: %a" Sat.pp_verdict v);
+  List.iter
+    (fun deadline ->
+      let start = Unix.gettimeofday () in
+      let options =
+        Sat.Options.(
+          default
+          |> with_max_states 100_000_000
+          |> with_max_transitions 100_000_000
+          |> with_should_stop
+               (Some
+                  (fun () ->
+                    (Unix.gettimeofday () -. start) *. 1000. > deadline)))
+      in
+      let r = Sat.decide ~options phi in
+      let elapsed_ms = (Unix.gettimeofday () -. start) *. 1000. in
+      (match r.Sat.verdict with
+      | Sat.Unknown why ->
+        Alcotest.(check string) "deadline reason" Emptiness.deadline_exceeded
+          why
+      | v -> Alcotest.failf "at %.0f ms: %a" deadline Sat.pp_verdict v);
+      Alcotest.(check bool)
+        (Printf.sprintf "at %.0f ms: answered in %.1f ms" deadline elapsed_ms)
+        true
+        (elapsed_ms <= deadline +. Float.max 20. (deadline /. 10.)))
+    [ 5.; 100. ]
+
+(* In certificate mode the engine always runs the general fixpoint,
+   also on a data-free automaton, and the algorithm names it: cold
+   corpus formula 0 (child_chain sat 1). *)
+let test_certificate_algorithm () =
+  let phi = List.hd (Corpus.formulas ()) in
+  let algorithm o = (Sat.decide ~options:o phi).Sat.algorithm in
+  Alcotest.(check string) "plain" "data-free union closure"
+    (algorithm Sat.Options.default);
+  Alcotest.(check string) "certificate" "full fixpoint (Thm 4, width=3)"
+    (algorithm Sat.Options.(default |> with_certificate true))
 
 (* --- witness minimization --- *)
 
@@ -782,6 +953,13 @@ let suite =
       prop_data_free_unsat_no_model;
       prop_relaxation_over_approximates;
       prop_relaxation_agrees_with_engine;
+      prop_lift_replays;
+      Alcotest.test_case "known lifts" `Quick test_known_lifts;
+      Alcotest.test_case "lift needs both replays" `Quick
+        test_lift_needs_both_replays;
+      Alcotest.test_case "lift cap and deadline" `Quick test_lift_deadline;
+      Alcotest.test_case "certificate mode names its engine" `Quick
+        test_certificate_algorithm;
       Alcotest.test_case "witness minimization" `Quick test_witness_min;
       prop_witness_min_sound;
       prop_witness_min_local_minimum;

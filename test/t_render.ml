@@ -231,30 +231,30 @@ let default_fp = Service.Config.(fingerprint default_solver)
    every stored record is keyed on. *)
 let test_default_fingerprint_pin () =
   Alcotest.(check string) "default fingerprint"
-    "r2;w3;t0=6;dup=2;mb=5;ms=20000;mt=200000;v=true;c=false" default_fp
+    "r3;w3;t0=6;dup=2;mb=5;ms=20000;mt=200000;v=true;c=false" default_fp
 
 (* (formula, sat key, contains key, sat_under_doctype key salted with
    "a{1*b|c}"), as [Cache_key.hex]. The fingerprint leads with
    [Sat.rules_version], so a rules change moves every pin. *)
 let key_pins =
-  [ ("<desc[b & down[b] != down[b]]>", "cd76c39521be8967b79a8f8e6976f172",
-     "043bc659bde804cfa50aa6583acdae3d", "e848189b96b2bdc5b490342fca4b37be");
-    ("a & ~a", "33219d657bdd5aa89c7a3fd08e660773",
-     "0b29c4ddf019267d1714499f33384b1d", "ea0e69f3ce78fbd656382cad01e0cbff");
-    ("<down[\"a b\"]> & ~<down[c]>", "6711f2e7853d86a2b7c8d2461b018a6d",
-     "08ebdc266865f0b0cbaab404677e28b7", "25d0911bd15e275d3166537783d1a68b");
+  [ ("<desc[b & down[b] != down[b]]>", "4be6d96ae67e00e65b547bf95df78cb4",
+     "615bbcb90dbdb525ef64f0ef20732184", "042c588c75a244d48847a40fd04b6159");
+    ("a & ~a", "de37298953fa23327e08a1a56b66b523",
+     "c5cc3a8ab0d93f9790c6cff6ba309757", "80312a30fe92d6a9114242a3c6215bec");
+    ("<down[\"a b\"]> & ~<down[c]>", "44c9a5e30ee4606e471857da725eb1e1",
+     "4c734934901b8621bdf45a04689d3e75", "b0cbb09628806c8744bc375605757677");
     ("<down[\"q\\\"uote\"]> | \"back\\\\slash\"",
-     "5d9e4f81feab13ee6e1cf69daed231fe", "7cfaa1cc5c5d3221b0a2564a7ae7ab8c",
-     "8821b5338aaf8aed8363fa1a142606e6");
-    ("<down[\"tab\tx\"]>", "8d27890f845eb21ffa118a2312c38ec4",
-     "312c67ff93df9acaef07d8d558ae7e7c", "07cd5b2c12498777d05b9bd1ce70f53b");
-    ("<down[\"\195\169t\195\169\"]>", "4346727bb682954bc6663f0a040edf8f",
-     "0df378ec28d1fa84138b2f374c7938f9", "098e98a0870ff8be94781e750431be53");
+     "85aac69a1963246e429258f51b0c1d8d", "7fc199f31b290797821959df090f8799",
+     "66d489eac45cdbb5f1efb084e235b77f");
+    ("<down[\"tab\tx\"]>", "68969b572f38be701666179231dfcadc",
+     "cd8bd04ac7460d1e9e3f8504c4f9c5d3", "84768e94f75a5d4b02c618617620e2ed");
+    ("<down[\"\195\169t\195\169\"]>", "794a9550aec082da0839180030d1cf5a",
+     "9bc60d5e2599d1924411eab00356e92f", "9bf6906dfe3417fd5c38a2e299a75ad1");
     ("desc[a] = desc[b]/down[c] & ~(eps[c] != (down|desc))",
-     "8245c22ce46de31d5dc31e353f3d0353", "6cb93ed640c04057c9f99157ab3fc9df",
-     "b3769bffd5d9b82c94bdc9e7189ac5de");
-    ("<(down/desc)*[a]>", "21f14afabc8d44e4dcfe58c430a4002f",
-     "fe280cafc7a62432195aac58f20b5c6d", "c657d5ee1263d866ac28364a5bcdf591")
+     "d59e9db71b91c749e184b4d1b51e7abf", "34080bd1def6df7ee47ec681a49d3155",
+     "23d391ffd89df4b3af880f0a430fb738");
+    ("<(down/desc)*[a]>", "d590ae20d103fc27cb527ae1ba360c41",
+     "b5362e9a059a8cb8e2debbe83e2cecbf", "e0d80bfe36ca1c959aa27157d7c2cb42")
   ]
 
 let test_cache_key_pins () =

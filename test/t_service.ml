@@ -367,10 +367,11 @@ let test_metrics_json_pin () =
 (* --- deadlines --- *)
 
 (* A formula whose saturation blows past any small deadline once the
-   resource budgets are lifted. Its data-free relaxation [⟨↓⁴⟩] is
-   negation-free, so [Sat.decide] goes straight to the general engine;
-   a formula that the relaxation decides would answer at once. *)
-let hard_formula () = Families.data_chain ~sat:true 4
+   resource budgets are lifted. Its data-free relaxation [⟨↓¹⁰⟩] is sat,
+   and no assignment within the witness lift's cap gives its 11-node
+   chain the data it needs, so the general engine runs; a formula that
+   the relaxation or the lift decides would answer at once. *)
+let hard_formula () = Families.data_chain ~sat:true 10
 
 let test_deadline () =
   let svc =
