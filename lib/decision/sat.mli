@@ -148,9 +148,9 @@ val general_search :
   Xpds_xpath.Ast.node ->
   Xpds_automata.Bip.t * Emptiness.config
 (** The automaton and engine configuration of the general-engine run
-    that {!decide} makes on η when the relaxation does not answer:
-    [Emptiness.check ~config m] reproduces that run's outcome and stats
-    (certificate mode adds [~basis:true]). *)
+    that {!decide} makes on η when neither the relaxation nor the lift
+    answers: [Emptiness.check ~config m] reproduces that run's outcome
+    and stats (certificate mode adds [~basis:true]). *)
 
 val rules_version : int
 (** The version of the rules by which {!decide} turns a formula and its
