@@ -8,9 +8,10 @@
    - eval: on a ~1 300-node document the array evaluator agrees with
      the reference semantics position for position, and its warm
      (memoised) replay is >= 10x faster than the oracle;
-   - store: the cold corpus solved into a store, exported, and re-run
-     by a fresh service from the snapshot: identical verdicts, nothing
-     solved, both tiers hit, and the warm run >= 100x faster than cold;
+   - store: the cold corpus and a solve-heavy set solved into a store,
+     exported, and re-run by a fresh service from the snapshot:
+     identical verdicts, nothing solved, both tiers hit, and the warm
+     run >= 100x faster than cold;
    - load: the quick open-loop sweep through the sharded router, with
      no wrong verdict, every request answered, and a killed worker
      isolated and respawned.
@@ -166,6 +167,20 @@ let eval () =
 
 (* --- store --- *)
 
+(* Formulas whose solve stays costly (0.04-0.3 s each, 2-vCPU VM): the
+   general engine's transition or state budget (data_chain sat 7 and 8,
+   desc_data sat 4; hard-solve's budget-bound shapes, cached and stored
+   like any deterministic verdict) and a long exact union closure
+   (desc_data unsat 4). The cold corpus alone solves in about 0.01 s
+   since the witness lift, too little against its 103 store probes to
+   measure the store by the speedup; these keep the cold side a solve. *)
+let solve_heavy () =
+  [ Families.data_chain ~sat:true 7;
+    Families.data_chain ~sat:true 8;
+    Families.desc_data ~sat:true 4;
+    Families.desc_data ~sat:false 4
+  ]
+
 let store () =
   let dir =
     Filename.concat
@@ -186,7 +201,8 @@ let store () =
     | Ok (store, _) -> store
     | Error e -> failwith ("store open: " ^ e)
   in
-  let reqs = Corpus.requests (Corpus.formulas ()) in
+  let corpus = Corpus.formulas () and heavy = solve_heavy () in
+  let reqs = Corpus.requests (corpus @ heavy) in
   (* Cold: solve into a fresh store, then export a compacted snapshot. *)
   let cold_path = path "cold.xpds" and snapshot = path "cold.snap" in
   let store = open_store cold_path in
@@ -211,8 +227,10 @@ let store () =
   let metric = Corpus.metric (Service.metrics svc) in
   let disk_hits = metric [ "store"; "disk_hits" ] in
   Format.printf
-    "  store   %d formulas: cold %.2f s, warm %.4f s (%.0fx), %.0f disk hits@."
-    (List.length reqs) cold_s warm_s (cold_s /. warm_s) disk_hits;
+    "  store   %d + %d solve-heavy formulas: cold %.2f s, warm %.4f s \
+     (%.0fx), %.0f disk hits@."
+    (List.length corpus) (List.length heavy) cold_s warm_s (cold_s /. warm_s)
+    disk_hits;
   [ ( "warm_verdicts_agree",
       List.map verdict_of cold = List.map verdict_of warm );
     ("warm_no_solves", metric [ "cache_misses" ] = 0.);
