@@ -7,19 +7,11 @@ module B = Xpds.Build
 let solver_budget = 20_000
 
 let decide ?(width = 3) ?(max_states = solver_budget)
-    ?(max_transitions = 400_000) ?deadline_s phi =
-  let should_stop =
-    Option.map
-      (fun s ->
-        let stop = Unix.gettimeofday () +. s in
-        fun () -> Unix.gettimeofday () > stop)
-      deadline_s
-  in
+    ?(max_transitions = 400_000) phi =
   let options =
     Xpds.Sat.Options.(
       default |> with_width width |> with_max_states max_states
-      |> with_max_transitions max_transitions
-      |> with_should_stop should_stop)
+      |> with_max_transitions max_transitions)
   in
   Xpds.Sat.decide ~options phi
 
@@ -143,15 +135,16 @@ let e4 ?(solve = true) () =
       let phi = Xpds.Tiling.encode inst in
       if solve then begin
         (* Solving the encoding is ExpTime-hard by design; bound it by
-           a 3 s deadline and report honestly (never SAT on a losing
-           instance is the checked property; the constructive validation
-           is the strategy witness below). The data-free relaxation
-           saturates within the default budgets (about 500 states), so
-           a winning game's relaxation witness can be lifted; a state
-           budget small enough to stop the general engine early would
-           stop the relaxation first. *)
+           budgets and report honestly (never SAT on a losing instance
+           is the checked property; the constructive validation is the
+           strategy witness below). The data-free relaxation's closure
+           takes 505 states and 1 229 transitions on both instances, so
+           these budgets let it finish and a winning game's relaxation
+           witness be lifted, while the general engine on a losing one
+           stops on the state budget. *)
         let r, t =
-          Table.time (fun () -> decide ~width:4 ~deadline_s:3. phi)
+          Table.time (fun () ->
+              decide ~width:4 ~max_states:600 ~max_transitions:2_000 phi)
         in
         let sat =
           match r.Xpds.Sat.verdict with
