@@ -9,22 +9,15 @@
     nodes, in preorder, in restricted-growth order: each node takes a
     datum already used by an earlier node or the next fresh one, so
     every partition of the nodes into equal-data classes comes up once,
-    all-equal first. It is sound and not complete: a hit is a model of
-    η, a miss says nothing. *)
-
-val max_assignments : int
-(** The assignments tried at most: 1 024. *)
+    all-equal first. A hit is whatever [holds] accepts; a miss says
+    nothing. *)
 
 val search :
   ?should_stop:(unit -> bool) ->
-  Xpds_automata.Bip.t ->
-  Xpds_xpath.Ast.node ->
+  holds:(Xpds_datatree.Data_tree.t -> bool) ->
   Xpds_datatree.Data_tree.t ->
   Xpds_datatree.Data_tree.t option
-(** [search m eta w] is the first assignment of data to [w]'s skeleton
-    on which [eta] holds somewhere ({!Xpds_xpath.Semantics.check_somewhere}),
-    when the automaton [m] translated from [eta] also accepts it
-    ({!Xpds_automata.Bip_run.accepts}). [None] when the automaton
-    rejects that first candidate, after {!max_assignments} candidates,
+(** [search ~holds w] is the first assignment of data to [w]'s skeleton
+    on which [holds] is true ({!Sat.lift} passes both replays). [None] after 1 024 candidates,
     after the last assignment, or as soon as [should_stop] (polled
     before each candidate) returns [true]. *)

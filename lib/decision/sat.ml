@@ -213,9 +213,18 @@ let data_free_relaxation = relax true
 let relaxation_prefix = "data-free relaxation: "
 
 (* Both replays of a witness: the reference semantics of [eta] and a
-   run of its automaton [m]. *)
+   run of its automaton [m], which runs only when the semantics holds.
+   A tree on which the automaton has no run or several is not
+   accepted. *)
 let witness_holds m eta w =
-  Semantics.check_somewhere w eta && Bip_run.accepts m w
+  Semantics.check_somewhere w eta
+  &&
+  match Bip_run.accepts m w with
+  | b -> b
+  | exception (Bip_run.No_run _ | Bip_run.Ambiguous_run _) -> false
+
+let lift ?should_stop m eta w' =
+  Lift.search ?should_stop ~holds:(witness_holds m eta) w'
 
 let decide ?(options = Options.default) eta =
   let o = options in
@@ -250,7 +259,7 @@ let decide ?(options = Options.default) eta =
         match verdict with
         | Sat w' ->
           o.Options.on_phase "lift";
-          Lift.search ?should_stop:o.Options.should_stop m eta w'
+          lift ?should_stop:o.Options.should_stop m eta w'
         | _ -> None
       in
       match lifted with

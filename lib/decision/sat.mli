@@ -152,6 +152,19 @@ val general_search :
     answers: [Emptiness.check ~config m] reproduces that run's outcome
     and stats (certificate mode adds [~basis:true]). *)
 
+val lift :
+  ?should_stop:(unit -> bool) ->
+  Xpds_automata.Bip.t ->
+  Xpds_xpath.Ast.node ->
+  Xpds_datatree.Data_tree.t ->
+  Xpds_datatree.Data_tree.t option
+(** [lift m η w′]: the witness lift {!decide} runs, {!Lift.search} on
+    [w′]'s skeleton with both replays of a witness, the same check that
+    sets [witness_verified]: η holds somewhere in a candidate
+    ({!Xpds_xpath.Semantics.check_somewhere}) and then the automaton
+    [m] translated from η accepts it (a tree on which [m] has no run or
+    several is not accepted). *)
+
 val rules_version : int
 (** The version of the rules by which {!decide} turns a formula and its
     options into a verdict. It changes whenever some formula can get a

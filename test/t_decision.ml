@@ -708,12 +708,12 @@ let test_known_lifts () =
       ("desc_data sat 3", Families.desc_data ~sat:true 3)
     ]
 
-(* [Lift.search] answers only with a candidate both replays accept. A
-   skeleton on which data_chain sat 2 holds under some assignment: its
-   own automaton accepts the lift; an automaton over the same labels
-   that accepts nothing must reject it (a lift that skipped the run
-   would not), and one that accepts every tree must not make a
-   candidate on which the formula fails a model. *)
+(* The lift [Sat.decide] runs ([Sat.lift]) answers only with a
+   candidate both replays accept. A skeleton on which data_chain sat 2 holds under
+   some assignment: its own automaton accepts the lift; an automaton
+   over the same labels that accepts nothing must reject it (a check
+   that skipped the run would not), and one that accepts every tree
+   must not make a candidate on which the formula fails a model. *)
 let test_lift_needs_both_replays () =
   let phi = Xpds_xpath.Rewrite.simplify (Families.data_chain ~sat:true 2) in
   let w = Data_tree.of_string_exn "a:0(a:0(a:0))" in
@@ -729,7 +729,8 @@ let test_lift_needs_both_replays () =
          ~options:Sat.Options.(default |> with_extra_labels gen_labels)
          phi)
   in
-  (match Lift.search own phi w with
+  let lift m phi = Sat.lift m phi w in
+  (match lift own phi with
   | Some t ->
     Alcotest.(check bool) "own automaton: a model" true
       (Semantics.check_somewhere t phi);
@@ -737,22 +738,22 @@ let test_lift_needs_both_replays () =
       (Xpds_automata.Bip_run.accepts own t)
   | None -> Alcotest.fail "data_chain sat 2 lifts on a 3-chain");
   Alcotest.(check bool) "an automaton that accepts nothing" true
-    (Lift.search (automaton "a & ~a") phi w = None);
-  (match Lift.search (automaton "true") phi w with
+    (lift (automaton "a & ~a") phi = None);
+  (match lift (automaton "true") phi with
   | Some t ->
     Alcotest.(check bool) "an automaton that accepts all: a model" true
       (Semantics.check_somewhere t phi)
   | None -> Alcotest.fail "data_chain sat 2 lifts under a permissive run");
   Alcotest.(check bool) "no assignment is a model" true
-    (Lift.search (automaton "true") (parse "eps != eps") w = None);
+    (lift (automaton "true") (parse "eps != eps") = None);
   (* The all-equal assignment comes first. *)
-  match Lift.search (automaton "true") (parse "eps = down") w with
+  match lift (automaton "true") (parse "eps = down") with
   | Some t -> Alcotest.(check (list int)) "all equal" [ 0 ] (Data_tree.data_values t)
   | None -> Alcotest.fail "eps = down lifts"
 
 (* The lift stops at its cap and on the deadline: data_chain sat 10's
    relaxation witness is an 11-node chain, and no assignment among the
-   first [Lift.max_assignments] is a model, so the lift gives up and
+   first 1 024 (the lift's cap) is a model, so the lift gives up and
    the general engine runs into the deadline. The answer comes within
    the deadline + max(20 ms, 10 %), under deadlines shorter and longer
    than the lift's whole cap. *)
@@ -764,7 +765,7 @@ let test_lift_deadline () =
   (match (Sat.decide relaxed).Sat.verdict with
   | Sat.Sat w ->
     Alcotest.(check bool) "no lift within the cap" true
-      (Lift.search m eta w = None)
+      (Sat.lift m eta w = None)
   | v -> Alcotest.failf "relaxation: %a" Sat.pp_verdict v);
   List.iter
     (fun deadline ->
